@@ -556,13 +556,10 @@ BENCHMARK(BM_FleetEpochWithMetrics)
     ->Unit(benchmark::kMillisecond);
 
 // One MRC best-fit placement decision over a 2000-machine fleet under
-// steady churn, full-scan vs indexed. Both variants run the identical
-// mutation + decision sequence (the paths are byte-equivalent, so the
-// placed-tenant stream is too); the full scan pays the per-decision
-// MachineView rebuild plus 2N predict() calls the historical control plane
-// paid, the indexed path resolves off the PlacementIndex's dirty-score
-// caches. bench_compare.py pins (full-scan / indexed) >= 5x.
-void fleet_placement_bench(benchmark::State& state, bool indexed) {
+// steady churn: each iteration detaches one tenant (dirtying its
+// machine's score caches), then places and admits a fresh arrival off the
+// PlacementIndex — the steady-state epoch pattern.
+void BM_FleetPlacementIndexed(benchmark::State& state) {
   const auto& catalog = sim::default_catalog();
   const sim::MachineConfig mc;
   const fleet::AppDirectory dir(catalog, mc);
@@ -582,8 +579,6 @@ void fleet_placement_bench(benchmark::State& state, bool indexed) {
   }
   fleet::MrcBestFitPlacement engine(dir);
   for (auto _ : state) {
-    // Churn one tenant out (dirtying its machine's score caches), then
-    // place and admit a fresh arrival — the steady-state epoch pattern.
     for (;;) {
       const auto m = static_cast<unsigned>(rng.below(kMachines));
       const unsigned c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
@@ -593,13 +588,7 @@ void fleet_placement_bench(benchmark::State& state, bool indexed) {
       }
     }
     const auto* app = &catalog.at(rng.below(catalog.size()));
-    std::optional<unsigned> dest;
-    if (indexed) {
-      dest = engine.place_indexed(*app, index, std::nullopt);
-    } else {
-      auto views = fleet::index_views(index);
-      dest = engine.place(*app, views);
-    }
+    const auto dest = engine.place(*app, index, std::nullopt);
     benchmark::DoNotOptimize(dest);
     if (dest) {
       for (unsigned c = 1; c <= kBeSlots; ++c) {
@@ -613,94 +602,7 @@ void fleet_placement_bench(benchmark::State& state, bool indexed) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["machines"] = static_cast<double>(kMachines);
 }
-
-void BM_FleetPlacementFullScan(benchmark::State& state) {
-  fleet_placement_bench(state, /*indexed=*/false);
-}
-BENCHMARK(BM_FleetPlacementFullScan)->Unit(benchmark::kMillisecond);
-
-void BM_FleetPlacementIndexed(benchmark::State& state) {
-  fleet_placement_bench(state, /*indexed=*/true);
-}
 BENCHMARK(BM_FleetPlacementIndexed)->Unit(benchmark::kMillisecond);
-
-// One epoch-sized arrival burst against a 4000-machine index: 32 tenants
-// decided and committed through PlacementEngine::place_arrivals after 32
-// random departures reopen slots (the steady-state churn shape). Serial
-// runs the engine without a pool — the sequential decide-then-commit
-// loop; Parallel shards the speculative scoring over 8 workers and
-// commits in order. Decisions are byte-identical by construction (the
-// ParallelCp suite pins them), so the Serial/Parallel ratio is pure
-// pipeline speedup; bench_compare.py --speedup gates Parallel >= 2x
-// Serial on the multi-core CI runners.
-void fleet_arrival_burst_bench(benchmark::State& state, bool parallel) {
-  const auto& catalog = sim::default_catalog();
-  const sim::MachineConfig mc;
-  const fleet::AppDirectory dir(catalog, mc);
-  constexpr unsigned kMachines = 4000;
-  constexpr unsigned kBeSlots = 5;
-  constexpr std::size_t kBurst = 32;
-  fleet::PlacementIndex index(dir, kBeSlots);
-  util::Xoshiro256 rng(7);
-  // ~60% BE-slot occupancy, as in fleet_placement_bench.
-  for (unsigned m = 0; m < kMachines; ++m) {
-    index.add_machine(&catalog.at(rng.below(catalog.size())));
-    for (unsigned c = 1; c <= kBeSlots; ++c) {
-      if (rng.below(100) < 60) {
-        index.admit(m, c, &catalog.at(rng.below(catalog.size())));
-      }
-    }
-  }
-  fleet::MrcBestFitPlacement engine(dir);
-  std::unique_ptr<util::ThreadPool> pool;
-  if (parallel) {
-    pool = std::make_unique<util::ThreadPool>(8);
-    engine.set_parallel(pool.get(), 8);
-  }
-  std::vector<const sim::AppProfile*> apps;
-  for (auto _ : state) {
-    for (std::size_t d = 0; d < kBurst;) {
-      const auto m = static_cast<unsigned>(rng.below(kMachines));
-      const unsigned c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
-      if (index.tenant(m, c)) {
-        index.detach(m, c);
-        ++d;
-      }
-    }
-    apps.clear();
-    for (std::size_t j = 0; j < kBurst; ++j) {
-      apps.push_back(&catalog.at(rng.below(catalog.size())));
-    }
-    engine.place_arrivals(
-        apps, index, [&](std::size_t j, std::optional<unsigned> dest) {
-          if (!dest) return;
-          for (unsigned c = 1; c <= kBeSlots; ++c) {
-            if (!index.tenant(*dest, c)) {
-              index.admit(*dest, c, apps[j]);
-              break;
-            }
-          }
-        });
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kBurst));
-  state.counters["machines"] = static_cast<double>(kMachines);
-  state.counters["burst"] = static_cast<double>(kBurst);
-}
-
-void BM_FleetArrivalBurstSerial(benchmark::State& state) {
-  fleet_arrival_burst_bench(state, /*parallel=*/false);
-}
-BENCHMARK(BM_FleetArrivalBurstSerial)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FleetArrivalBurstParallel(benchmark::State& state) {
-  fleet_arrival_burst_bench(state, /*parallel=*/true);
-}
-BENCHMARK(BM_FleetArrivalBurstParallel)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // A churn-heavy epoch at fleet scale: 10k machines, ~400 arrivals/sec into
 // mrc placement. The cluster is built once and stepped across benchmark

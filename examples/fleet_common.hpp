@@ -40,8 +40,6 @@ inline fleet::FleetConfig fleet_config_from(const util::CliArgs& args) {
       static_cast<unsigned>(args.get_int("migrate-after", 3));
   fc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   fc.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
-  fc.cp_jobs = static_cast<unsigned>(args.get_int("cp-jobs", 0));
-  fc.parallel_control_plane = args.get_bool("parallel-cp", true);
   const long p2c_d =
       args.get_int("p2c-d", fleet::MrcP2cPlacement::kChoices);
   if (p2c_d < 1) {

@@ -4,17 +4,14 @@
 //   ./fleet_sim [--machines 500] [--epochs 20] [--placement mrc]
 //               [--policy DICER] [--cores 10] [--arrival-rate 40]
 //               [--mean-lifetime 8] [--slo 0.9] [--seed 42] [--jobs 0]
-//               [--cp-jobs 0] [--parallel-cp true] [--p2c-d 5]
-//               [--catalog default|trace] [--csv fleet.csv]
+//               [--p2c-d 5] [--catalog default|trace] [--csv fleet.csv]
 //               [--metrics-out metrics.prom] [--metrics-jsonl epochs.jsonl]
 //               [--trace fleet.jsonl] [--log-level info] [--profile]
 //               [--compare]
 //
-// --cp-jobs shards the control plane's placement scoring (0 = follow
-// --jobs) and --parallel-cp=false (or DICER_NO_PARALLEL_CP=1) forces the
-// serial scorer; like --jobs, pure speed knobs — outputs are
-// byte-identical either way. --p2c-d sets the mrc-p2c engine's
-// power-of-d-choices fan-out (>= 1).
+// --jobs sets the data-plane stepping workers (0 = one per hardware
+// thread); placement decisions run serially on the control plane. --p2c-d
+// sets the mrc-p2c engine's power-of-d-choices fan-out (>= 1).
 //
 // Emits one CSV row per epoch (stdout, or --csv FILE) with the fleet
 // aggregates: tenant count, arrivals/departures/rejections/migrations,

@@ -51,19 +51,11 @@ DEFAULT_BENCHES = [
     # the uninstrumented epoch.
     "BM_MetricsRecord",
     "BM_FleetEpochWithMetrics/1/real_time",
-    # The control-plane placement pair: one MRC best-fit decision over a
-    # churning 2000-machine fleet, full-scan vs PlacementIndex; --speedup
-    # pins indexed >= 5x faster. The 10k-machine churn-heavy epoch guards
+    # One MRC best-fit decision over a churning 2000-machine fleet off the
+    # PlacementIndex, and the 10k-machine churn-heavy epoch that guards
     # fleet_sim's wall clock at datacenter scale.
-    "BM_FleetPlacementFullScan",
     "BM_FleetPlacementIndexed",
     "BM_FleetEpochChurn/real_time",
-    # The optimistic arrival pipeline: one 32-tenant burst against a
-    # 4000-machine index, sequential decide+commit vs speculative scoring
-    # over 8 workers with in-order commits; --speedup pins the parallel
-    # pipeline >= 2x faster on the multi-core CI runners.
-    "BM_FleetArrivalBurstSerial/real_time",
-    "BM_FleetArrivalBurstParallel/real_time",
 ]
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

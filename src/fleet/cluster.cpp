@@ -116,23 +116,10 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   }
 
   jobs_ = util::ThreadPool::resolve_jobs(config.jobs, "DICER_FLEET_JOBS");
-  // Control-plane scoring shards: follow the data plane unless pinned, and
-  // collapse to serial when the feature (or its escape hatch) says so. One
-  // pool serves both planes, sized for the wider of the two.
-  const bool parallel_cp = config_.parallel_control_plane &&
-                           !sim::env_disables("DICER_NO_PARALLEL_CP");
-  cp_jobs_ = parallel_cp ? (config_.cp_jobs != 0 ? config_.cp_jobs : jobs_)
-                         : 1;
-  const unsigned pool_workers = std::max(jobs_, cp_jobs_);
-  if (pool_workers > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(pool_workers);
-  }
+  if (jobs_ > 1) pool_ = std::make_unique<util::ThreadPool>(jobs_);
 
   placement_ = make_placement(config.placement, directory_,
                               config.seed ^ 0x9e3779b9, config.p2c_choices);
-  if (cp_jobs_ > 1 && pool_) {
-    placement_->set_parallel(pool_.get(), cp_jobs_);
-  }
 
   // Boot every machine with a catalog-drawn HP. The draw consumes the rng
   // in machine-index order, so the fleet's HP mix is a pure function of
@@ -143,16 +130,9 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
     boot_node(node, &catalog.at(rng.below(catalog.size())));
   }
   // The persistent control-plane index: one slot per machine, kept in step
-  // with the nodes' tenant arrays by admit/evict. A speed knob only —
-  // place_tenant routes through it when live, and every decision matches
-  // the full-scan path bit for bit (DICER_NO_PLACEMENT_INDEX=1 forces the
-  // historical rebuild-per-arrival views() scan).
-  if (config_.placement_index &&
-      !sim::env_disables("DICER_NO_PLACEMENT_INDEX")) {
-    index_ = std::make_unique<PlacementIndex>(directory_,
-                                              config_.cores_used - 1);
-    for (const auto& node : nodes_) index_->add_machine(node.hp);
-  }
+  // with the nodes' tenant arrays by admit/evict.
+  index_ = std::make_unique<PlacementIndex>(directory_, config_.cores_used - 1);
+  for (const auto& node : nodes_) index_->add_machine(node.hp);
   epoch_stats_.reserve(nodes_.size());
   bind_metrics();
 
@@ -181,8 +161,8 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   }
   DICER_INFO << "fleet: booted " << nodes_.size() << " machines ("
              << config.policy << " policy, " << placement_->name()
-             << " placement, " << jobs_ << " jobs, " << cp_jobs_
-             << " cp jobs, " << batches_.size() << " step batches)";
+             << " placement, " << jobs_ << " jobs, " << batches_.size()
+             << " step batches)";
 }
 
 Cluster::~Cluster() = default;
@@ -292,7 +272,7 @@ void Cluster::admit(std::size_t m, unsigned core, const Tenant& tenant) {
   node.cat->associate(core, policy::kBeClos);
   node.monitor->track(core);
   ++tenants_count_;
-  if (index_) index_->admit(static_cast<unsigned>(m), core, tenant.app);
+  index_->admit(static_cast<unsigned>(m), core, tenant.app);
 }
 
 void Cluster::evict(std::size_t m, unsigned core) {
@@ -300,33 +280,7 @@ void Cluster::evict(std::size_t m, unsigned core) {
   node.machine->detach(core);
   node.tenants[core].reset();
   --tenants_count_;
-  if (index_) index_->detach(static_cast<unsigned>(m), core);
-}
-
-std::optional<unsigned> Cluster::place_tenant(const sim::AppProfile& app,
-                                              std::optional<unsigned> exclude) {
-  if (index_) return placement_->place_indexed(app, *index_, exclude);
-  auto vs = views();
-  if (exclude) vs[*exclude].free_cores = 0;  // never place onto the source
-  return placement_->place(app, vs);
-}
-
-std::vector<MachineView> Cluster::views() const {
-  std::vector<MachineView> out;
-  out.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    MachineView v;
-    v.index = static_cast<unsigned>(i);
-    v.hp = n.hp;
-    for (unsigned c = 1; c < config_.cores_used; ++c) {
-      if (n.tenants[c]) v.tenants.push_back(n.tenants[c]->app);
-    }
-    v.free_cores = config_.cores_used - 1 -
-                   static_cast<unsigned>(v.tenants.size());
-    out.push_back(std::move(v));
-  }
-  return out;
+  index_->detach(static_cast<unsigned>(m), core);
 }
 
 const sim::AppProfile& Cluster::hp_of(unsigned machine) const {
@@ -371,7 +325,7 @@ void Cluster::do_migrations(EpochMetrics& m) {
 
     const Tenant tenant = *src.tenants[victim_core];
     const auto dest =
-        place_tenant(*tenant.app, static_cast<unsigned>(i));
+        placement_->place(*tenant.app, *index_, static_cast<unsigned>(i));
 
     PlacementRecord rec;
     rec.tenant_id = tenant.id;
@@ -403,15 +357,10 @@ void Cluster::do_migrations(EpochMetrics& m) {
 
 void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
   auto& tr = trace::resolve(config_.tracer);
-  const auto arrivals = churn_.drain_until(epoch_end);
-
-  // The per-arrival commit body, shared by both routes below. Called
-  // strictly in arrival order either way, so counters, admissions,
-  // metrics, trace events and the placement log keep the exact sequence
-  // the historical per-arrival loop produced. Its only index mutation is
-  // the admit — the contract PlacementEngine::CommitFn requires.
-  auto commit = [&](std::size_t i, std::optional<unsigned> dest) {
-    const auto& a = arrivals[i];
+  // Decide, then commit, one arrival at a time: each decision sees every
+  // earlier admission of the epoch.
+  for (const auto& a : churn_.drain_until(epoch_end)) {
+    const auto dest = placement_->place(*a.app, *index_, std::nullopt);
     ++m.arrivals;
 
     PlacementRecord rec;
@@ -440,20 +389,6 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
                {"machine", rec.accepted ? rec.machine : 0u}});
     }
     placement_log_.push_back(std::move(rec));
-  };
-
-  if (index_) {
-    // The engine owns the decide-and-commit loop over the whole queue —
-    // sequential by default, `mrc` speculates the queue's scoring across
-    // the pool and commits in order (byte-identical by DESIGN.md §5j).
-    arrival_apps_.clear();
-    arrival_apps_.reserve(arrivals.size());
-    for (const auto& a : arrivals) arrival_apps_.push_back(a.app);
-    placement_->place_arrivals(arrival_apps_, *index_, commit);
-  } else {
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      commit(i, place_tenant(*arrivals[i].app, std::nullopt));
-    }
   }
 }
 
@@ -483,9 +418,7 @@ void Cluster::step_all(double epoch_end) {
         fill_epoch_stat(i);
       }
     };
-    // jobs_ gates the data plane on its own — the shared pool may exist
-    // purely for control-plane scoring (cp_jobs > 1, jobs == 1).
-    if (!pool_ || jobs_ <= 1 || batches_.size() <= 1) {
+    if (!pool_ || batches_.size() <= 1) {
       for (std::size_t b = 0; b < batches_.size(); ++b) step_batch(b);
     } else {
       util::parallel_for(*pool_, batches_.size(), step_batch);
@@ -507,7 +440,7 @@ void Cluster::step_all(double epoch_end) {
     }
     fill_epoch_stat(i);
   };
-  if (!pool_ || jobs_ <= 1 || nodes_.size() <= 1) {
+  if (!pool_ || nodes_.size() <= 1) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) step_node(i);
   } else {
     util::parallel_for(*pool_, nodes_.size(), step_node);

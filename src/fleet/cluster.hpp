@@ -7,12 +7,10 @@
 // (policy::factory — DICER by default, so the fleet is ~N independent
 // copies of the paper's single-machine loop). Time advances in epochs:
 //
-//   1. control plane (decisions committed single-threaded, machine-index
-//      order): departures -> SLO-triggered migrations -> arrivals via the
-//      PlacementEngine. With parallel_control_plane the *inside* of the
-//      MRC decisions fans out over the pool (sharded candidate scoring,
-//      and for `mrc` an optimistic speculate/commit arrival pipeline) —
-//      a speed knob whose decisions stay byte-identical (DESIGN.md §5j)
+//   1. control plane (single-threaded, machine-index order): departures
+//      -> SLO-triggered migrations -> arrivals, each arrival decided by the
+//      PlacementEngine off the persistent PlacementIndex and committed
+//      before the next one is looked at
 //   2. data plane: every machine steps to the epoch boundary, sharded
 //      across a util::ThreadPool — machine i is task i, machines never
 //      interact mid-epoch, so any worker count replays the serial fleet
@@ -67,25 +65,6 @@ struct FleetConfig {
   ChurnConfig churn{};
   std::uint64_t seed = 42;          ///< HP assignment + random placement
   unsigned jobs = 0;                ///< stepping shards; 0 = auto
-  /// Maintain the persistent fleet::PlacementIndex and route every
-  /// placement decision through PlacementEngine::place_indexed instead of
-  /// rebuilding MachineViews per arrival. Like batching, a speed knob that
-  /// never changes a result byte: decisions, placement log, CSV and every
-  /// metrics export are byte-identical either way (test- and CI-pinned).
-  /// The DICER_NO_PLACEMENT_INDEX env override (any value but "" or "0")
-  /// forces the historical full-scan path regardless of this flag.
-  bool placement_index = true;
-  /// Parallelise the control plane's placement scoring: candidate scans
-  /// shard over the worker pool and `mrc` pipelines each epoch's arrival
-  /// queue through speculative scoring + in-order commits. Decisions,
-  /// placement log and every export stay byte-identical at any worker
-  /// count (test- and CI-pinned). The DICER_NO_PARALLEL_CP env override
-  /// (any value but "" or "0") forces serial scoring regardless.
-  bool parallel_control_plane = true;
-  /// Control-plane scoring shards; 0 = follow the resolved `jobs`. The
-  /// worker pool is sized max(jobs, cp_jobs), so the control plane can
-  /// fan wider than the data plane (or vice versa) without a second pool.
-  unsigned cp_jobs = 0;
   /// mrc-p2c fan-out d: candidates drawn per decision (>= 1; ignored by
   /// the other engines). d = 1 is seeded-random placement, large d
   /// approaches full best-fit at d scores per decision.
@@ -205,10 +184,7 @@ class Cluster {
   std::uint64_t tenants_running() const noexcept { return tenants_count_; }
   /// The HP app hosted on `machine`.
   const sim::AppProfile& hp_of(unsigned machine) const;
-  /// Current placement-relevant state of every machine, in index order.
-  std::vector<MachineView> views() const;
-  /// The live placement index, or null when the full-scan path is active
-  /// (FleetConfig::placement_index false or DICER_NO_PLACEMENT_INDEX set).
+  /// The live placement index every decision reads (never null).
   const PlacementIndex* placement_index() const noexcept {
     return index_.get();
   }
@@ -287,11 +263,6 @@ class Cluster {
   /// Detach whatever runs on `core` of machine `m`, keeping the tenant
   /// counter and the placement index in step.
   void evict(std::size_t m, unsigned core);
-  /// One placement decision: the indexed fast path when the index is live,
-  /// the historical views() full scan otherwise. `exclude` closes one
-  /// machine (migration sources).
-  std::optional<unsigned> place_tenant(const sim::AppProfile& app,
-                                       std::optional<unsigned> exclude);
   unsigned lowest_free_core(const Node& node) const;
   void do_departures(double epoch_start, EpochMetrics& m);
   void do_migrations(EpochMetrics& m);
@@ -307,22 +278,17 @@ class Cluster {
   AppDirectory directory_;
   ChurnGenerator churn_;
   std::unique_ptr<PlacementEngine> placement_;
-  /// Incremental placement view (null when disabled): slots mirror the
-  /// nodes' tenant arrays, updated by admit/evict, consulted by
-  /// place_tenant. Declared after directory_ (it holds signal pointers
-  /// into it).
+  /// Incremental placement view: slots mirror the nodes' tenant arrays,
+  /// updated by admit/evict, read by every placement decision. Declared
+  /// after directory_ (it holds signal pointers into it).
   std::unique_ptr<PlacementIndex> index_;
   /// BE tenants running now — admit/evict keep it equal to the per-core
   /// scan without the O(machines x cores) walk each epoch paid.
   std::uint64_t tenants_count_ = 0;
   std::vector<Node> nodes_;
-  /// Shared worker pool for the data plane and the control plane's shard
-  /// scoring; null when max(jobs_, cp_jobs_) == 1.
+  /// Data-plane worker pool; null when jobs_ == 1.
   std::unique_ptr<util::ThreadPool> pool_;
-  unsigned jobs_ = 1;     ///< data-plane stepping shards
-  unsigned cp_jobs_ = 1;  ///< control-plane scoring shards (1 = serial)
-  /// Arrival-queue scratch for place_arrivals (reused every epoch).
-  std::vector<const sim::AppProfile*> arrival_apps_;
+  unsigned jobs_ = 1;  ///< data-plane stepping shards
   std::uint64_t epoch_ = 0;
   std::vector<PlacementRecord> placement_log_;
   /// Shard outputs, indexed by machine: each worker writes only its

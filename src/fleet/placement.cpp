@@ -5,103 +5,10 @@
 
 namespace dicer::fleet {
 
-namespace {
-
-/// Below this many machines per shard the scan is cheaper than the task
-/// hand-off, so plan_shards collapses to one range (the serial path).
-/// Small on purpose: modest test fleets must exercise the parallel
-/// machinery, and over-sharding never changes a decision byte.
-constexpr std::size_t kMinMachinesPerShard = 16;
-
-}  // namespace
-
-std::vector<MachineView> index_views(const PlacementIndex& index) {
-  std::vector<MachineView> out(index.size());
-  for (unsigned m = 0; m < index.size(); ++m) {
-    MachineView& v = out[m];
-    v.index = m;
-    v.hp = index.hp(m);
-    for (unsigned c = 1; c <= index.be_slots(); ++c) {
-      if (const auto* t = index.tenant(m, c)) v.tenants.push_back(t);
-    }
-    v.free_cores = index.free_cores(m);
-  }
-  return out;
-}
-
-std::optional<unsigned> PlacementEngine::place_indexed(
-    const sim::AppProfile& app, PlacementIndex& index,
-    std::optional<unsigned> exclude) {
-  // Generic fallback: materialise the views and run the full scan. Every
-  // shipped engine overrides this with its incremental resolution.
-  auto views = index_views(index);
-  if (exclude && *exclude < views.size()) views[*exclude].free_cores = 0;
-  return place(app, views);
-}
-
-void PlacementEngine::place_arrivals(
-    const std::vector<const sim::AppProfile*>& apps, PlacementIndex& index,
-    const CommitFn& commit) {
-  // The sequential reference semantics every override must reproduce byte
-  // for byte: decide, commit, and only then look at the next arrival.
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    commit(i, place_indexed(*apps[i], index, std::nullopt));
-  }
-}
-
-std::optional<unsigned> RandomPlacement::place(
-    const sim::AppProfile& /*app*/, const std::vector<MachineView>& views) {
-  open_scratch_.clear();
-  for (const auto& v : views) {
-    if (v.free_cores > 0) open_scratch_.push_back(v.index);
-  }
-  if (open_scratch_.empty()) return std::nullopt;
-  return open_scratch_[rng_.below(open_scratch_.size())];
-}
-
-std::optional<unsigned> RandomPlacement::place_indexed(
-    const sim::AppProfile& /*app*/, PlacementIndex& index,
-    std::optional<unsigned> exclude) {
-  // One below(open_count) draw resolved through the order-statistics tree:
-  // the k-th open machine in index order is exactly open_scratch_[k] of the
-  // full scan, and skipping an open excluded machine shifts ranks past it
-  // by one — same candidate set, same single RNG draw.
-  const bool excl_open =
-      exclude && *exclude < index.size() && index.is_open(*exclude);
-  const std::uint64_t count = index.open_count() - (excl_open ? 1 : 0);
-  if (count == 0) return std::nullopt;
-  std::uint64_t k = rng_.below(count);
-  if (excl_open && k >= index.open_rank(*exclude)) ++k;
-  return index.nth_open(k);
-}
-
-std::optional<unsigned> LeastLoadedPlacement::place(
-    const sim::AppProfile& /*app*/, const std::vector<MachineView>& views) {
-  std::optional<unsigned> best;
-  std::size_t best_load = 0;
-  for (const auto& v : views) {
-    if (v.free_cores == 0) continue;
-    if (!best || v.tenants.size() < best_load) {
-      best = v.index;
-      best_load = v.tenants.size();
-    }
-  }
-  return best;
-}
-
-std::optional<unsigned> LeastLoadedPlacement::place_indexed(
-    const sim::AppProfile& /*app*/, PlacementIndex& index,
-    std::optional<unsigned> exclude) {
-  // Under uniform per-machine capacity, fewest tenants == most free cores,
-  // and the full scan's first-strictly-better tie-break == lowest index —
-  // the head of the highest non-empty free-core bucket.
-  return index.least_loaded(exclude);
-}
-
-double MrcScoringBase::predict(const AppSignal& hp_sig,
-                               const std::vector<const AppSignal*>& bes,
-                               Scratch& scratch) const {
-  const auto& machine = dir_->machine();
+double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
+                   const std::vector<const AppSignal*>& bes,
+                   std::vector<metrics::IpcPair>& pairs) {
+  const auto& machine = dir.machine();
   const auto total_ways = machine.llc.ways;
 
   // The HP holds the partition it needs to stay near solo IPC (DICER's
@@ -117,16 +24,16 @@ double MrcScoringBase::predict(const AppSignal& hp_sig,
   double footprint_sum = 0.0;
   for (const auto* s : bes) footprint_sum += s->footprint_bytes;
 
-  scratch.pairs.clear();
+  pairs.clear();
   double demand = hp_sig.bw_by_ways[hp_ways - 1];
-  scratch.pairs.push_back({hp_sig.ipc_alone, hp_sig.ipc_at_ways(hp_ways)});
+  pairs.push_back({hp_sig.ipc_alone, hp_sig.ipc_at_ways(hp_ways)});
   for (const auto* s : bes) {
     const double share =
         footprint_sum > 0.0
             ? be_ways * (s->footprint_bytes / footprint_sum)
             : be_ways / static_cast<double>(bes.size());
     const double w = std::clamp(share, 1.0, be_ways);
-    scratch.pairs.push_back({s->ipc_alone, s->ipc_at_ways(w)});
+    pairs.push_back({s->ipc_alone, s->ipc_at_ways(w)});
     demand += s->bw_by_ways[static_cast<std::size_t>(w) - 1];
   }
 
@@ -135,115 +42,62 @@ double MrcScoringBase::predict(const AppSignal& hp_sig,
   const double capacity = machine.link.capacity_bytes_per_sec;
   const double link_factor =
       demand > capacity && demand > 0.0 ? capacity / demand : 1.0;
-  for (auto& p : scratch.pairs) p.colocated *= link_factor;
+  for (auto& p : pairs) p.colocated *= link_factor;
 
-  return metrics::effective_utilisation(scratch.pairs);
+  return metrics::effective_utilisation(pairs);
 }
 
-double MrcScoringBase::delta_for_view(const MachineView& view,
-                                      const AppSignal& app_sig,
-                                      Scratch& scratch) const {
-  const AppSignal& hp_sig = dir_->signal(view.hp->name);
-  scratch.bes.clear();
-  for (const auto* t : view.tenants) {
-    scratch.bes.push_back(&dir_->signal(t->name));
-  }
-  const double before = predict(hp_sig, scratch.bes, scratch);
-  scratch.bes.push_back(&app_sig);
-  return predict(hp_sig, scratch.bes, scratch) - before;
+std::optional<unsigned> RandomPlacement::place(
+    const sim::AppProfile& /*app*/, PlacementIndex& index,
+    std::optional<unsigned> exclude) {
+  // One below(open_count) draw resolved through the order-statistics tree:
+  // the k-th open machine in index order. An open excluded machine leaves
+  // the candidate set, so ranks at or past it shift up by one.
+  const bool excl_open =
+      exclude && *exclude < index.size() && index.is_open(*exclude);
+  const std::uint64_t count = index.open_count() - (excl_open ? 1 : 0);
+  if (count == 0) return std::nullopt;
+  std::uint64_t k = rng_.below(count);
+  if (excl_open && k >= index.open_rank(*exclude)) ++k;
+  return index.nth_open(k);
 }
 
-double MrcScoringBase::delta_indexed(PlacementIndex& index, unsigned machine,
-                                     const AppSignal& app_sig,
-                                     Scratch& scratch) const {
+std::optional<unsigned> LeastLoadedPlacement::place(
+    const sim::AppProfile& /*app*/, PlacementIndex& index,
+    std::optional<unsigned> exclude) {
+  // Under uniform per-machine capacity, fewest tenants == most free cores,
+  // and ties go to the lowest index — the head of the highest non-empty
+  // free-core bucket.
+  return index.least_loaded(exclude);
+}
+
+double MrcScoringBase::delta(PlacementIndex& index, unsigned machine,
+                             const AppSignal& app_sig) {
   // Dirty-score protocol: a clean (machine, app) pair is a cached double
-  // — bit-identical to recomputation because predict() is pure. A dirty
-  // machine recomputes at most one "before" (shared by every app scored
-  // against this tenant set) plus one "after" per distinct arriving app.
+  // — bit-identical to recomputation because predict_efu() is pure. A
+  // dirty machine recomputes at most one "before" (shared by every app
+  // scored against this tenant set) plus one "after" per distinct app.
   if (index.has_delta(machine, app_sig.id)) {
     return index.delta(machine, app_sig.id);
   }
   const AppSignal& hp_sig = index.hp_signal(machine);
-  index.tenant_signals(machine, scratch.bes);
+  index.tenant_signals(machine, bes_);
   double before;
   if (index.has_before(machine)) {
     before = index.before(machine);
   } else {
-    before = predict(hp_sig, scratch.bes, scratch);
+    before = predict_efu(*dir_, hp_sig, bes_, pairs_);
     index.set_before(machine, before);
   }
-  scratch.bes.push_back(&app_sig);
-  const double delta = predict(hp_sig, scratch.bes, scratch) - before;
-  index.set_delta(machine, app_sig.id, delta);
-  return delta;
-}
-
-MrcScoringBase::ShardBest MrcScoringBase::scan_indexed(
-    PlacementIndex& index, std::size_t begin, std::size_t end,
-    const AppSignal& app_sig, std::optional<unsigned> exclude,
-    Scratch& scratch) const {
-  ShardBest best;
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto m = static_cast<unsigned>(i);
-    if (index.free_cores(m) == 0) continue;
-    if (exclude && *exclude == m) continue;
-    const double delta = delta_indexed(index, m, app_sig, scratch);
-    if (!best.machine || delta > best.delta) {
-      best.machine = m;
-      best.delta = delta;
-    }
-  }
-  return best;
-}
-
-MrcScoringBase::ShardBest MrcScoringBase::scan_views(
-    const std::vector<MachineView>& views, std::size_t begin, std::size_t end,
-    const AppSignal& app_sig, Scratch& scratch) const {
-  ShardBest best;
-  for (std::size_t i = begin; i < end; ++i) {
-    const MachineView& v = views[i];
-    if (v.free_cores == 0) continue;
-    const double delta = delta_for_view(v, app_sig, scratch);
-    if (!best.machine || delta > best.delta) {
-      best.machine = v.index;
-      best.delta = delta;
-    }
-  }
-  return best;
-}
-
-MrcScoringBase::ShardBest MrcScoringBase::merge_shards(const ShardBest* bests,
-                                                       std::size_t n) {
-  ShardBest merged;
-  for (std::size_t s = 0; s < n; ++s) {
-    const ShardBest& b = bests[s];
-    if (!b.machine) continue;
-    if (!merged.machine || b.delta > merged.delta) merged = b;
-  }
-  return merged;
-}
-
-double MrcBestFitPlacement::score(const sim::AppProfile& app,
-                                  const MachineView& view) const {
-  scratch_.bes.clear();
-  for (const auto* t : view.tenants) {
-    scratch_.bes.push_back(&dir_->signal(t->name));
-  }
-  scratch_.bes.push_back(&dir_->signal(app.name));
-  return predict(dir_->signal(view.hp->name), scratch_.bes, scratch_);
-}
-
-std::vector<util::ShardRange> MrcBestFitPlacement::plan_shards(
-    std::size_t n) const {
-  // Null pool (or shards_ == 1 via set_parallel) plans a single range — the
-  // serial path. The plan is a pure function of (n, shards_), so the same
-  // config shards the same way on every decision.
-  return util::shard_ranges(n, pool_ != nullptr ? shards_ : 1,
-                            pool_ != nullptr ? kMinMachinesPerShard : 0);
+  bes_.push_back(&app_sig);
+  const double d = predict_efu(*dir_, hp_sig, bes_, pairs_) - before;
+  index.set_delta(machine, app_sig.id, d);
+  return d;
 }
 
 std::optional<unsigned> MrcBestFitPlacement::place(
-    const sim::AppProfile& app, const std::vector<MachineView>& views) {
+    const sim::AppProfile& app, PlacementIndex& index,
+    std::optional<unsigned> exclude) {
   // Greedy on the *marginal* EFU: the fleet metric is the mean of
   // per-machine EFUs and placing on machine m changes only m's term, so
   // the fleet-optimal greedy picks the machine whose predicted EFU drops
@@ -251,134 +105,18 @@ std::optional<unsigned> MrcBestFitPlacement::place(
   // post-placement score instead would chase machines that score well
   // regardless of the tenant.
   const AppSignal& app_sig = dir_->signal(app.name);
-  const auto shards = plan_shards(views.size());
-  if (shards.size() <= 1) {
-    return scan_views(views, 0, views.size(), app_sig, scratch_).machine;
-  }
-  shard_scratch_.resize(shards.size());
-  spec_scratch_.assign(shards.size(), ShardBest{});
-  util::parallel_shards(
-      *pool_, shards, [&](std::size_t s, util::ShardRange r) {
-        spec_scratch_[s] =
-            scan_views(views, r.begin, r.end, app_sig, shard_scratch_[s]);
-      });
-  return merge_shards(spec_scratch_.data(), shards.size()).machine;
-}
-
-std::optional<unsigned> MrcBestFitPlacement::place_indexed(
-    const sim::AppProfile& app, PlacementIndex& index,
-    std::optional<unsigned> exclude) {
-  const AppSignal& app_sig = dir_->signal(app.name);
-  const auto shards = plan_shards(index.size());
-  if (shards.size() <= 1) {
-    return scan_indexed(index, 0, index.size(), app_sig, exclude, scratch_)
-        .machine;
-  }
-  // Shard workers write the dirty-score caches, but only for slots inside
-  // their own contiguous machine range — per-slot single-writer, no locks.
-  shard_scratch_.resize(shards.size());
-  spec_scratch_.assign(shards.size(), ShardBest{});
-  util::parallel_shards(
-      *pool_, shards, [&](std::size_t s, util::ShardRange r) {
-        spec_scratch_[s] = scan_indexed(index, r.begin, r.end, app_sig,
-                                        exclude, shard_scratch_[s]);
-      });
-  return merge_shards(spec_scratch_.data(), shards.size()).machine;
-}
-
-void MrcBestFitPlacement::place_arrivals(
-    const std::vector<const sim::AppProfile*>& apps, PlacementIndex& index,
-    const CommitFn& commit) {
-  const std::size_t n = apps.size();
-  const auto shards = plan_shards(index.size());
-  const std::size_t num_shards = shards.size();
-  if (n <= 1 || num_shards <= 1 || pool_ == nullptr) {
-    PlacementEngine::place_arrivals(apps, index, commit);
-    return;
-  }
-
-  // Phase 1 — speculate: score every arrival's full candidate set against
-  // the index as-of-now. One task per shard, each scanning its contiguous
-  // machine range for *all* arrivals, so the (arrival x shard) local-best
-  // table fills with disjoint writes and per-slot single-writer cache
-  // updates.
-  sig_scratch_.clear();
-  sig_scratch_.reserve(n);
-  for (const auto* app : apps) {
-    sig_scratch_.push_back(&dir_->signal(app->name));
-  }
-  shard_scratch_.resize(num_shards);
-  spec_scratch_.assign(n * num_shards, ShardBest{});
-  util::parallel_shards(
-      *pool_, shards, [&](std::size_t s, util::ShardRange r) {
-        for (std::size_t j = 0; j < n; ++j) {
-          spec_scratch_[j * num_shards + s] =
-              scan_indexed(index, r.begin, r.end, *sig_scratch_[j],
-                           std::nullopt, shard_scratch_[s]);
-        }
-      });
-
-  // Phase 2 — commit strictly in arrival order. Each accepted commit
-  // dirties exactly one machine m (audited below), so only the later
-  // arrivals' local bests for m's shard can be stale; they are patched
-  // through the version-stamped delta caches, preserving the invariant
-  // that every stored ShardBest equals a fresh serial scan of its range
-  // at the current index state. Machines never reopen during arrivals
-  // (commits only admit), so "m open now" implies "m was open at the
-  // snapshot" and a shard that saw no open machine stays empty.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ShardBest best =
-        merge_shards(&spec_scratch_[i * num_shards], num_shards);
-    const std::uint64_t before = index.mutations();
-    commit(i, best.machine);
-    const std::uint64_t expected = before + (best.machine ? 1 : 0);
-    if (index.mutations() != expected) {
-      throw std::logic_error(
-          "MrcBestFitPlacement::place_arrivals: commit callback broke the "
-          "one-admit-per-acceptance contract (speculative scores would go "
-          "stale undetected)");
-    }
-    if (!best.machine || i + 1 == n) continue;
-
-    const unsigned m = *best.machine;
-    std::size_t ms = 0;  // the shard whose range holds m (few shards: O(S))
-    while (!(shards[ms].begin <= m && m < shards[ms].end)) ++ms;
-    const bool closed = index.free_cores(m) == 0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      ShardBest& sb = spec_scratch_[j * num_shards + ms];
-      const bool was_winner = sb.machine && *sb.machine == m;
-      if (closed) {
-        // m left the candidate set; only a table that had it as the shard
-        // winner needs a rescan (for the rest, the stored winner and every
-        // other candidate are untouched).
-        if (was_winner) {
-          sb = scan_indexed(index, shards[ms].begin, shards[ms].end,
-                            *sig_scratch_[j], std::nullopt, scratch_);
-        }
-        continue;
-      }
-      const double dm = delta_indexed(index, m, *sig_scratch_[j], scratch_);
-      if (was_winner) {
-        if (dm > sb.delta) {
-          sb.delta = dm;  // still the winner, better score
-        } else if (dm < sb.delta) {
-          // The stored winner lost its edge and we kept no runner-up.
-          sb = scan_indexed(index, shards[ms].begin, shards[ms].end,
-                            *sig_scratch_[j], std::nullopt, scratch_);
-        }
-        // dm == sb.delta: the argmax is value-unchanged — keep.
-      } else if (!sb.machine || dm > sb.delta ||
-                 (dm == sb.delta && m < *sb.machine)) {
-        // m displaces the stored winner exactly when the serial
-        // first-strictly-better scan would now stop on it: strictly
-        // better anywhere, or equal from the left (the stored winner is
-        // the leftmost machine attaining the old max, so an equal m wins
-        // iff it sits earlier in index order).
-        sb.machine = m;
-        sb.delta = dm;
-      }
+  std::optional<unsigned> best;
+  double best_delta = 0.0;
+  for (unsigned m = 0; m < index.size(); ++m) {
+    if (index.free_cores(m) == 0) continue;
+    if (exclude && *exclude == m) continue;
+    const double d = delta(index, m, app_sig);
+    if (!best || d > best_delta) {
+      best = m;
+      best_delta = d;
     }
   }
+  return best;
 }
 
 MrcP2cPlacement::MrcP2cPlacement(const AppDirectory& directory,
@@ -390,56 +128,7 @@ MrcP2cPlacement::MrcP2cPlacement(const AppDirectory& directory,
   }
 }
 
-template <typename DeltaFn>
-std::optional<unsigned> MrcP2cPlacement::pick(
-    const std::vector<unsigned>& draws, DeltaFn&& delta_of) {
-  std::optional<unsigned> best;
-  double best_delta = 0.0;
-  for (std::size_t j = 0; j < draws.size(); ++j) {
-    const unsigned m = draws[j];
-    bool repeat = false;
-    for (std::size_t i = 0; i < j; ++i) {
-      if (draws[i] == m) {
-        repeat = true;
-        break;
-      }
-    }
-    if (repeat) continue;
-    const double delta = delta_of(m);
-    if (!best || delta > best_delta) {
-      best = m;
-      best_delta = delta;
-    }
-  }
-  return best;
-}
-
 std::optional<unsigned> MrcP2cPlacement::place(
-    const sim::AppProfile& app, const std::vector<MachineView>& views) {
-  const AppSignal& app_sig = dir_->signal(app.name);
-  open_scratch_.clear();
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    if (views[i].free_cores > 0) {
-      open_scratch_.push_back(static_cast<unsigned>(i));
-    }
-  }
-  if (open_scratch_.empty()) return std::nullopt;
-  draw_scratch_.clear();
-  for (unsigned j = 0; j < choices_; ++j) {
-    draw_scratch_.push_back(
-        views[open_scratch_[rng_.below(open_scratch_.size())]].index);
-  }
-  // Candidates scored in draw order; with views in index order this is the
-  // same draw -> machine mapping (and RNG consumption) as the indexed path.
-  return pick(draw_scratch_, [&](unsigned m) {
-    for (const auto& v : views) {
-      if (v.index == m) return delta_for_view(v, app_sig, scratch_);
-    }
-    throw std::logic_error("MrcP2cPlacement: drawn machine left the views");
-  });
-}
-
-std::optional<unsigned> MrcP2cPlacement::place_indexed(
     const sim::AppProfile& app, PlacementIndex& index,
     std::optional<unsigned> exclude) {
   const AppSignal& app_sig = dir_->signal(app.name);
@@ -453,9 +142,20 @@ std::optional<unsigned> MrcP2cPlacement::place_indexed(
     if (excl_open && k >= index.open_rank(*exclude)) ++k;
     draw_scratch_.push_back(index.nth_open(k));
   }
-  return pick(draw_scratch_, [&](unsigned m) {
-    return delta_indexed(index, m, app_sig, scratch_);
-  });
+  // Candidates scored in draw order, repeats skipped.
+  std::optional<unsigned> best;
+  double best_delta = 0.0;
+  for (std::size_t j = 0; j < draw_scratch_.size(); ++j) {
+    const unsigned m = draw_scratch_[j];
+    const auto drawn = draw_scratch_.begin() + static_cast<std::ptrdiff_t>(j);
+    if (std::find(draw_scratch_.begin(), drawn, m) != drawn) continue;
+    const double d = delta(index, m, app_sig);
+    if (!best || d > best_delta) {
+      best = m;
+      best_delta = d;
+    }
+  }
+  return best;
 }
 
 std::unique_ptr<PlacementEngine> make_placement(const std::string& name,

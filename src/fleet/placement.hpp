@@ -21,35 +21,20 @@
 //                 O(d) approximation for very large fleets, deterministic
 //                 for a (seed, call sequence) pair like `random`.
 //
-// Every engine has two entry points with identical decisions, identical
-// tie-breaks and identical RNG consumption:
+// Every engine decides off the persistent fleet::PlacementIndex in one
+// serial pass: `random` and `mrc-p2c` map their draws through the index's
+// open-set order statistics, `least-loaded` reads its free-core buckets,
+// and the MRC engines reuse its version-stamped score caches, so a clean
+// machine is never re-scored. Ties go to the lowest machine index (the
+// first strictly better candidate in index order, or in draw order for
+// mrc-p2c). A from-scratch full-scan reference of all four engines lives
+// in the tests and pins every decision, tie-break and RNG draw.
 //
-//   place(app, views)            the historical full scan over a
-//                                materialised MachineView vector;
-//   place_indexed(app, index,    the O(log N) / cached path over the
-//                 exclude)       persistent fleet::PlacementIndex —
-//                                `exclude` closes one machine (migration
-//                                sources never receive their own evictee).
-//
-// The pair is byte-equivalent by construction: both paths share one
-// predict() implementation (a pure function of machine state and app), one
-// first-strictly-better tie-break walking machines in index order, and —
-// for the seeded engines — the same below(open_count) draw sequence. The
-// index only changes how many times predict() runs, never its operands.
-//
-// Engines are called from the control plane's decision thread only; they
-// may keep internal state (RNGs, reusable scoring scratch) and stay
-// deterministic for a (seed, call sequence) pair. With set_parallel() the
-// MRC engines additionally fan the *inside* of a decision out over a
-// util::ThreadPool — contiguous machine-index shards each compute a local
-// first-strictly-better best, merged leftmost-wins in range order, so the
-// winner is bit-identical to the serial scan at any shard count — and
-// `mrc` pipelines whole arrival queues through place_arrivals():
-// speculative scoring against the current index snapshot, then strictly
-// in-order commits with version-stamped cache patching (DESIGN.md §5j).
+// Engines are called from the control plane's single decision thread;
+// they keep internal state (RNGs, reusable scoring scratch) and stay
+// deterministic for a (seed, call sequence) pair.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,74 +44,26 @@
 #include "fleet/placement_index.hpp"
 #include "metrics/metrics.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dicer::fleet {
 
-/// One machine's placement-relevant state, refreshed before every decision
-/// on the full-scan path (the indexed path keeps it incrementally).
-struct MachineView {
-  unsigned index = 0;
-  const sim::AppProfile* hp = nullptr;
-  std::vector<const sim::AppProfile*> tenants;  ///< running BEs, core order
-  unsigned free_cores = 0;                      ///< open BE slots
-};
-
-/// Materialise the index as MachineViews (tests, default place_indexed).
-std::vector<MachineView> index_views(const PlacementIndex& index);
+/// Predicted EFU of a machine running `hp_sig`'s HP plus the BEs `bes`
+/// (in core order — the floating-point sums walk them in that order). A
+/// pure function of its operands; `pairs` is caller-owned scratch.
+double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
+                   const std::vector<const AppSignal*>& bes,
+                   std::vector<metrics::IpcPair>& pairs);
 
 class PlacementEngine {
  public:
-  /// Per-arrival commit callback for place_arrivals: invoked exactly once
-  /// per arrival, strictly in arrival order, with the decision (nullopt =
-  /// rejected). Contract: before returning, the callee admits the tenant
-  /// onto the decided machine — exactly one index mutation — or, for a
-  /// rejection, leaves the index untouched. The optimistic pipeline
-  /// audits this via PlacementIndex::mutations() and throws
-  /// std::logic_error on a violation (any other mutation would silently
-  /// invalidate its speculative scores).
-  using CommitFn = std::function<void(std::size_t, std::optional<unsigned>)>;
-
   virtual ~PlacementEngine() = default;
   virtual std::string name() const = 0;
-  /// The machine index `app` should land on, or nullopt to reject.
-  /// Only views with free_cores > 0 are eligible.
-  virtual std::optional<unsigned> place(
-      const sim::AppProfile& app, const std::vector<MachineView>& views) = 0;
-  /// The same decision off the persistent index, skipping `exclude` (as if
-  /// its free_cores were 0). Must match place() on equivalent views bit for
-  /// bit — decisions, tie-breaks and RNG consumption. The default
-  /// materialises views and delegates; engines override with their O(1) /
-  /// cached resolution.
-  virtual std::optional<unsigned> place_indexed(
-      const sim::AppProfile& app, PlacementIndex& index,
-      std::optional<unsigned> exclude = std::nullopt);
-  /// Decide-and-commit one epoch's whole arrival queue against the index.
-  /// Commits happen strictly in arrival order, so the committed sequence —
-  /// decisions, admissions, RNG consumption — is identical to calling
-  /// place_indexed + commit per arrival in a loop (which is exactly what
-  /// this base implementation does). `mrc` overrides it with the
-  /// optimistic speculate/commit pipeline; the seeded engines (`random`,
-  /// `mrc-p2c`) must stay on the sequential path, because their RNG draws
-  /// range over open_count *at commit time* — speculating against the
-  /// snapshot would consume a different draw sequence.
-  virtual void place_arrivals(const std::vector<const sim::AppProfile*>& apps,
-                              PlacementIndex& index, const CommitFn& commit);
-
-  /// Enable deterministic parallel scoring: candidate scans shard over
-  /// `pool` into at most `shards` contiguous machine-index ranges (and
-  /// `mrc` speculates arrival queues the same way). A pure speed knob —
-  /// decisions are byte-identical at any (pool, shards). Null pool or
-  /// shards <= 1 keeps every engine on the serial scan. The pool must not
-  /// be the thread the engine is called from (no nested submission).
-  void set_parallel(util::ThreadPool* pool, unsigned shards) noexcept {
-    pool_ = shards > 1 ? pool : nullptr;
-    shards_ = pool_ != nullptr ? shards : 1;
-  }
-
- protected:
-  util::ThreadPool* pool_ = nullptr;  ///< not owned; null = serial scoring
-  unsigned shards_ = 1;
+  /// The machine index `app` should land on, or nullopt to reject. Only
+  /// machines with a free BE core are eligible, and `exclude` never is
+  /// (migration sources never receive their own evictee).
+  virtual std::optional<unsigned> place(const sim::AppProfile& app,
+                                        PlacementIndex& index,
+                                        std::optional<unsigned> exclude) = 0;
 };
 
 class RandomPlacement final : public PlacementEngine {
@@ -134,87 +71,41 @@ class RandomPlacement final : public PlacementEngine {
   explicit RandomPlacement(std::uint64_t seed) : rng_(seed) {}
   std::string name() const override { return "random"; }
   std::optional<unsigned> place(const sim::AppProfile& app,
-                                const std::vector<MachineView>& views) override;
-  std::optional<unsigned> place_indexed(
-      const sim::AppProfile& app, PlacementIndex& index,
-      std::optional<unsigned> exclude) override;
+                                PlacementIndex& index,
+                                std::optional<unsigned> exclude) override;
 
  private:
   util::Xoshiro256 rng_;
-  std::vector<unsigned> open_scratch_;  ///< full-scan candidate list
 };
 
 class LeastLoadedPlacement final : public PlacementEngine {
  public:
   std::string name() const override { return "least-loaded"; }
   std::optional<unsigned> place(const sim::AppProfile& app,
-                                const std::vector<MachineView>& views) override;
-  std::optional<unsigned> place_indexed(
-      const sim::AppProfile& app, PlacementIndex& index,
-      std::optional<unsigned> exclude) override;
+                                PlacementIndex& index,
+                                std::optional<unsigned> exclude) override;
 };
 
-/// Shared MRC scoring core: the predict() model plus the reusable scratch
-/// both MRC engines (best-fit and p2c) drive, on views or on the index.
-/// Scratch is explicit so parallel shard workers can score concurrently
-/// without sharing buffers: every worker gets its own Scratch, and shard
-/// workers only ever touch index slots inside their own contiguous
-/// machine range (so the dirty-score cache writes are per-slot
-/// single-writer). The serial entry points use the member scratch_;
-/// `mutable` is safe there because engines are driven from one decision
-/// thread at a time.
+/// Shared MRC scoring core of both MRC engines (best-fit and p2c): the
+/// marginal EFU of an app joining a machine, served from the index's
+/// dirty-score caches.
 class MrcScoringBase {
  protected:
-  /// Reusable per-worker scoring buffers (allocation-free after warm-up).
-  struct Scratch {
-    std::vector<const AppSignal*> bes;
-    std::vector<metrics::IpcPair> pairs;
-  };
-  /// One contiguous shard's scan result: the leftmost machine attaining
-  /// the maximum marginal EFU within the shard's index range — i.e. the
-  /// serial scan's first-strictly-better winner restricted to the range.
-  struct ShardBest {
-    std::optional<unsigned> machine;
-    double delta = 0.0;
-  };
-
   explicit MrcScoringBase(const AppDirectory& directory) : dir_(&directory) {}
 
-  /// Predicted machine EFU for `hp_sig`'s machine with the given BE set.
-  double predict(const AppSignal& hp_sig,
-                 const std::vector<const AppSignal*>& bes,
-                 Scratch& scratch) const;
-  /// Marginal EFU of `app_sig` joining `view` — predict(after) minus
-  /// predict(before), both computed fresh (the full-scan path).
-  double delta_for_view(const MachineView& view, const AppSignal& app_sig,
-                        Scratch& scratch) const;
-  /// The same marginal EFU off the index's dirty-score caches: reuses the
-  /// cached "before" and per-app delta when the machine is clean, computes
-  /// and stores them when dirty. Bit-identical to delta_for_view by
-  /// predict()'s purity.
-  double delta_indexed(PlacementIndex& index, unsigned machine,
-                       const AppSignal& app_sig, Scratch& scratch) const;
-
-  /// The serial argmax loop over index machines [begin, end): skip closed
-  /// machines and `exclude`, keep the first strictly-better delta.
-  ShardBest scan_indexed(PlacementIndex& index, std::size_t begin,
-                         std::size_t end, const AppSignal& app_sig,
-                         std::optional<unsigned> exclude,
-                         Scratch& scratch) const;
-  /// The same loop over materialised views (the full-scan path; views are
-  /// in index order, so shard s covers views [begin, end)).
-  ShardBest scan_views(const std::vector<MachineView>& views,
-                       std::size_t begin, std::size_t end,
-                       const AppSignal& app_sig, Scratch& scratch) const;
-  /// Leftmost-wins merge of per-shard bests in range order: a later shard
-  /// only displaces the running winner with a strictly greater delta —
-  /// exactly the serial scan's first-strictly-better rule crossing a shard
-  /// boundary — so the merged winner equals the single serial scan's.
-  static ShardBest merge_shards(const ShardBest* bests, std::size_t n);
+  /// Marginal EFU of `app_sig` joining `machine`: predict_efu(after) minus
+  /// predict_efu(before). A clean machine returns its cached "before" and
+  /// per-app delta; a dirty one computes and stores them. Bit-identical to
+  /// recomputation because predict_efu() is pure.
+  double delta(PlacementIndex& index, unsigned machine,
+               const AppSignal& app_sig);
 
   const AppDirectory* dir_;
-  mutable Scratch scratch_;                     ///< serial / commit-phase
-  mutable std::vector<Scratch> shard_scratch_;  ///< one per shard worker
+
+ private:
+  /// Reusable scoring buffers (allocation-free after warm-up).
+  std::vector<const AppSignal*> bes_;
+  std::vector<metrics::IpcPair> pairs_;
 };
 
 class MrcBestFitPlacement final : public PlacementEngine,
@@ -225,36 +116,8 @@ class MrcBestFitPlacement final : public PlacementEngine,
       : MrcScoringBase(directory) {}
   std::string name() const override { return "mrc"; }
   std::optional<unsigned> place(const sim::AppProfile& app,
-                                const std::vector<MachineView>& views) override;
-  std::optional<unsigned> place_indexed(
-      const sim::AppProfile& app, PlacementIndex& index,
-      std::optional<unsigned> exclude) override;
-  /// The optimistic multi-arrival pipeline (DESIGN.md §5j): speculatively
-  /// score every arrival's full candidate set concurrently against the
-  /// index as-of-now, then commit strictly in arrival order; each commit
-  /// dirties exactly one machine, whose speculative scores are patched
-  /// through the version-stamped delta caches and re-merged, so every
-  /// committed decision equals the sequential place_indexed + commit loop
-  /// bit for bit. Falls back to that loop when parallel scoring is off,
-  /// the queue is trivial, or the fleet is too small to shard.
-  void place_arrivals(const std::vector<const sim::AppProfile*>& apps,
-                      PlacementIndex& index, const CommitFn& commit) override;
-
-  /// Predicted machine EFU if `app` joined `view` (exposed for tests;
-  /// place() maximises the *delta* of this against the machine as-is).
-  double score(const sim::AppProfile& app, const MachineView& view) const;
-
- private:
-  /// The shard plan for an N-machine scan under the current set_parallel
-  /// settings (one shard = the serial path).
-  std::vector<util::ShardRange> plan_shards(std::size_t n) const;
-
-  /// Pipeline scratch (persistent so steady-state epochs allocate
-  /// nothing): per-arrival resolved signals and the (arrival x shard)
-  /// speculative local-best table. Single-decision parallel scans reuse
-  /// spec_scratch_ as their (1 x shard) row.
-  std::vector<const AppSignal*> sig_scratch_;
-  std::vector<ShardBest> spec_scratch_;
+                                PlacementIndex& index,
+                                std::optional<unsigned> exclude) override;
 };
 
 /// Power-of-d-choices over the MRC scorer: d seeded uniform draws from the
@@ -278,22 +141,13 @@ class MrcP2cPlacement final : public PlacementEngine, private MrcScoringBase {
                   unsigned choices = kChoices);
   std::string name() const override { return "mrc-p2c"; }
   std::optional<unsigned> place(const sim::AppProfile& app,
-                                const std::vector<MachineView>& views) override;
-  std::optional<unsigned> place_indexed(
-      const sim::AppProfile& app, PlacementIndex& index,
-      std::optional<unsigned> exclude) override;
+                                PlacementIndex& index,
+                                std::optional<unsigned> exclude) override;
 
  private:
-  /// Score the drawn candidate machines (draw order, repeats skipped) and
-  /// return the first-strictly-better argmax of `delta_of`.
-  template <typename DeltaFn>
-  std::optional<unsigned> pick(const std::vector<unsigned>& draws,
-                               DeltaFn&& delta_of);
-
   util::Xoshiro256 rng_;
   unsigned choices_;
-  std::vector<unsigned> open_scratch_;   ///< full-scan candidate list
-  std::vector<unsigned> draw_scratch_;   ///< sampled machine indices
+  std::vector<unsigned> draw_scratch_;  ///< sampled machine indices
 };
 
 /// Engine by name: "random", "least-loaded", "mrc" or "mrc-p2c". `seed`

@@ -1,36 +1,31 @@
 // fleet::PlacementIndex — a persistent, incrementally-maintained view of
 // the fleet for placement decisions.
 //
-// The historical control plane materialised a fresh MachineView vector
-// over *all* machines for every arrival (`Cluster::views()`), then let the
-// engine rescan it — O(arrivals x machines x tenants) per epoch, the term
-// that dominates a churn-heavy 10k-machine fleet. The index replaces the
-// rebuild with per-machine slots updated in O(log N) on admit/detach:
+// Rebuilding a per-machine snapshot of the fleet for every arrival and
+// rescanning it costs O(arrivals x machines x tenants) per epoch, the
+// term that dominates a churn-heavy 10k-machine fleet. The index keeps
+// per-machine slots updated in O(log N) on admit/detach instead:
 //
 //   - slot state: the HP signal, the core-indexed BE signal list (core
 //     order is load-bearing — the MRC scorer's floating-point sums walk
-//     tenants in core order, and byte-identical scores need the identical
+//     tenants in core order, and reproducible scores need one fixed
 //     operand order), and the free-core count;
 //   - an order-statistics tree (Fenwick over 0/1 "has a free core" bits)
-//     so `random` can draw the k-th open machine — same single
-//     rng.below(open_count) the full scan consumed — without touching the
-//     other N-1 machines;
+//     so `random` can draw the k-th open machine with a single
+//     rng.below(open_count) without touching the other N-1 machines;
 //   - free-core buckets (one ordered set per free-core count) so
 //     `least-loaded` resolves as "lowest index in the highest non-empty
 //     bucket" instead of a full scan;
 //   - a dirty-score protocol for the MRC engines: every tenant-set
-//     mutation bumps the slot's version; the cached "before" predict()
+//     mutation bumps the slot's version; the cached "before" predict_efu()
 //     and the per-app marginal-EFU deltas each carry the version they
 //     were computed at, so a stale entry is never read and a clean
-//     machine is never re-scored. predict() is a pure function of
+//     machine is never re-scored. predict_efu() is a pure function of
 //     (HP, tenant list, app), so a cache hit returns the bit-identical
-//     double the full scan would recompute.
+//     double a recomputation would produce.
 //
 // The index stores facts, not policy: engines drive the score cache via
-// has_/set_ accessors and keep the prediction math (placement.cpp), which
-// is how the indexed and full-scan paths stay provably byte-identical —
-// they share one predict() and one tie-break, and differ only in how many
-// times predict() runs.
+// has_/set_ accessors and keep the prediction math (placement.cpp).
 //
 // Single-threaded like the rest of the control plane; `const` reads are
 // safe from anywhere, mutations are not.
@@ -72,8 +67,8 @@ class PlacementIndex {
   /// The BE tenant on `core` of `machine` (null when the core is free).
   const sim::AppProfile* tenant(unsigned machine, unsigned core) const;
 
-  /// Core-ordered signal list of `machine`'s running BEs — the exact
-  /// operand order Cluster::views() produced — written into `out`.
+  /// Core-ordered signal list of `machine`'s running BEs (the MRC
+  /// scorer's operand order), written into `out`.
   void tenant_signals(unsigned machine,
                       std::vector<const AppSignal*>& out) const;
 
@@ -92,11 +87,8 @@ class PlacementIndex {
       std::optional<unsigned> exclude = std::nullopt) const;
 
   /// Monotone index-wide mutation counter: every admit/detach, on any
-  /// machine, bumps it by exactly one. The optimistic arrival pipeline
-  /// uses it to audit its commit contract — a commit callback must mutate
-  /// the index exactly once (the admit onto the decided machine) or not
-  /// at all (a rejection), and any other interleaved mutation would
-  /// silently invalidate the pipeline's speculative scores.
+  /// machine, bumps it by exactly one — a deterministic count of the
+  /// control plane's tenancy churn.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
   // --- dirty-score protocol (driven by the MRC engines) ---

@@ -187,7 +187,7 @@ struct StepScratch {
 
 /// True when the env var `name` is set to anything but "" or "0" — the
 /// shared shape of every DICER_NO_* escape hatch (DICER_NO_BATCH,
-/// DICER_NO_SOLVER_SHORTCUTS, DICER_NO_PLACEMENT_INDEX).
+/// DICER_NO_SOLVER_SHORTCUTS).
 bool env_disables(const char* name) noexcept;
 
 /// Whether batched stepping is in force for machines built from `config`:

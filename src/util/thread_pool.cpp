@@ -107,34 +107,4 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   if (first) std::rethrow_exception(first);
 }
 
-std::vector<ShardRange> shard_ranges(std::size_t n, unsigned max_shards,
-                                     std::size_t min_per_shard) {
-  std::vector<ShardRange> out;
-  if (n == 0) return out;
-  const std::size_t by_min = min_per_shard > 0 ? n / min_per_shard : n;
-  const std::size_t count =
-      std::max<std::size_t>(1, std::min<std::size_t>(
-                                   std::max(1u, max_shards), by_min));
-  out.reserve(count);
-  const std::size_t base = n / count;
-  const std::size_t rem = n % count;
-  std::size_t begin = 0;
-  for (std::size_t s = 0; s < count; ++s) {
-    const std::size_t size = base + (s < rem ? 1 : 0);
-    out.push_back({begin, begin + size});
-    begin += size;
-  }
-  return out;
-}
-
-void parallel_shards(ThreadPool& pool, const std::vector<ShardRange>& shards,
-                     const std::function<void(std::size_t, ShardRange)>& body) {
-  if (shards.size() <= 1) {
-    if (!shards.empty()) body(0, shards[0]);
-    return;
-  }
-  parallel_for(pool, shards.size(),
-               [&](std::size_t s) { body(s, shards[s]); });
-}
-
 }  // namespace dicer::util

@@ -75,29 +75,4 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
-/// One contiguous half-open index range of a sharded scan.
-struct ShardRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;  ///< exclusive
-  std::size_t size() const noexcept { return end - begin; }
-};
-
-/// Split [0, n) into at most `max_shards` contiguous ranges of at least
-/// `min_per_shard` items each (sizes differ by at most one; earlier shards
-/// take the remainder). A pure function of its arguments, so callers that
-/// need a deterministic shard <- index mapping (the control plane's
-/// leftmost-wins merges) get the same plan on every run. n == 0 yields no
-/// shards; n < min_per_shard yields one.
-std::vector<ShardRange> shard_ranges(std::size_t n, unsigned max_shards,
-                                     std::size_t min_per_shard);
-
-/// Run body(s, shards[s]) for every shard on `pool`, blocking until all
-/// complete; the first exception (in shard order) is rethrown after every
-/// shard has finished. Like parallel_for, this submits from the calling
-/// thread and must not run *on* a pool worker (no work stealing — nested
-/// submission can deadlock when all workers wait). The single-shard case
-/// runs inline, so callers need no serial special case.
-void parallel_shards(ThreadPool& pool, const std::vector<ShardRange>& shards,
-                     const std::function<void(std::size_t, ShardRange)>& body);
-
 }  // namespace dicer::util

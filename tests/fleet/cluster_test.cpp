@@ -6,6 +6,8 @@
 #include <string>
 
 #include "sim/core/catalog.hpp"
+#include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace dicer::fleet {
 namespace {
@@ -29,6 +31,32 @@ std::string run_csv(const FleetConfig& fc, std::uint64_t epochs) {
     csv += epoch_csv_row(row) + "\n";
   }
   return csv;
+}
+
+/// A small fleet with multi-arrival epochs and eager migrations, so every
+/// decision path (arrivals, excluded migration sources) runs.
+FleetConfig churny_config(const std::string& placement) {
+  FleetConfig fc = small_config();
+  fc.num_machines = 64;
+  fc.placement = placement;
+  fc.migrate_after = 1;
+  fc.churn.arrival_rate_per_sec = 30.0;
+  fc.churn.mean_lifetime_sec = 3.0;
+  return fc;
+}
+
+/// The per-epoch CSV followed by the full placement log.
+std::string run_outputs(const FleetConfig& fc, std::uint64_t epochs) {
+  Cluster cluster(fc, sim::default_catalog());
+  std::string out;
+  for (const auto& row : cluster.run(epochs)) out += epoch_csv_row(row) + '\n';
+  for (const auto& r : cluster.placement_log()) {
+    out += std::to_string(r.tenant_id) + ',' + std::to_string(r.epoch) +
+           ',' + r.app + ',' + (r.accepted ? '1' : '0') + ',' +
+           (r.migration ? '1' : '0') + ',' + std::to_string(r.machine) +
+           ',' + std::to_string(r.core) + '\n';
+  }
+  return out;
 }
 
 TEST(Cluster, ValidatesConfig) {
@@ -154,6 +182,55 @@ TEST(Cluster, ChurnReplayPinsPlacementDecisions) {
     EXPECT_EQ(la[i].machine, lb[i].machine);
     EXPECT_EQ(la[i].core, lb[i].core);
   }
+}
+
+// Every engine's decisions live on the serial control plane, so the data
+// plane's worker count never reaches them: the CSV and the placement log,
+// migrations included, are identical at any `jobs`.
+TEST(Cluster, EveryEngineIsJobsInvariant) {
+  for (const auto& engine : known_placements()) {
+    FleetConfig fc = churny_config(engine);
+    const std::string serial = run_outputs(fc, 5);
+    fc.jobs = 8;
+    EXPECT_EQ(serial, run_outputs(fc, 5)) << engine;
+  }
+}
+
+// --p2c-d is a real knob: every fan-out stays jobs-invariant, and d = 1
+// must behave exactly like one seeded draw per decision.
+TEST(Cluster, P2cChoicesStayJobsInvariant) {
+  for (const unsigned d : {1u, 5u, 16u}) {
+    FleetConfig fc = churny_config("mrc-p2c");
+    fc.p2c_choices = d;
+    const std::string serial = run_outputs(fc, 4);
+    fc.jobs = 8;
+    EXPECT_EQ(serial, run_outputs(fc, 4)) << "d=" << d;
+  }
+}
+
+// The control-plane timers: the parent scope survives (profile
+// continuity) and the three phase children record alongside it.
+TEST(Cluster, PhaseTimersRecorded) {
+  auto count_of = [](const std::string& label) {
+    for (const auto& [name, stat] : trace::TimerRegistry::global().snapshot()) {
+      if (name == label) return stat.count;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t parent = count_of("fleet.placement");
+  const std::uint64_t departures = count_of("fleet.departures");
+  const std::uint64_t migrations = count_of("fleet.migrations");
+  const std::uint64_t arrivals = count_of("fleet.arrivals");
+
+  FleetConfig fc = churny_config("mrc");
+  fc.num_machines = 16;
+  Cluster cluster(fc, sim::default_catalog());
+  cluster.step_epoch();
+
+  EXPECT_EQ(count_of("fleet.placement"), parent + 1);
+  EXPECT_EQ(count_of("fleet.departures"), departures + 1);
+  EXPECT_EQ(count_of("fleet.migrations"), migrations + 1);
+  EXPECT_EQ(count_of("fleet.arrivals"), arrivals + 1);
 }
 
 TEST(Cluster, SeedChangesTheFleet) {

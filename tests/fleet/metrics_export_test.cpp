@@ -100,25 +100,6 @@ TEST(FleetMetricsExport, ByteIdenticalAcrossBatchStepping) {
             std::string::npos);
 }
 
-TEST(FleetMetricsExport, ByteIdenticalAcrossPlacementIndex) {
-  // The placement index is a speed knob, never a result knob: with it off
-  // the control plane rebuilds MachineViews per arrival, and every export
-  // — Prometheus text and per-epoch JSONL — stays byte-identical.
-  FleetConfig on_cfg = small_config();
-  on_cfg.churn.arrival_rate_per_sec = 12.0;
-  on_cfg.migrate_after = 2;
-  const RunOutput on = run_config_with_metrics(on_cfg, 8);
-
-  FleetConfig off_cfg = on_cfg;
-  off_cfg.placement_index = false;
-  off_cfg.jobs = 8;  // and across worker counts, for good measure
-  const RunOutput off = run_config_with_metrics(off_cfg, 8);
-  EXPECT_EQ(on.prometheus, off.prometheus);
-  EXPECT_EQ(on.jsonl, off.jsonl);
-  EXPECT_NE(on.prometheus.find("dicer_fleet_arrivals_total"),
-            std::string::npos);
-}
-
 TEST(FleetMetricsExport, SolverCountersAccumulate) {
   trace::Tracer tracer;
   telemetry::Registry registry;

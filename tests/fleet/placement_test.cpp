@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "fleet/directory.hpp"
+#include "fleet/placement_index.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
+#include "util/cli.hpp"
+
+#include "../../examples/fleet_common.hpp"
 
 namespace dicer::fleet {
 namespace {
@@ -16,17 +22,27 @@ const AppDirectory& shared_directory() {
   return dir;
 }
 
-std::vector<MachineView> three_machines(unsigned free0, unsigned free1,
-                                        unsigned free2) {
+/// Three machines hosting HPs catalog[0..2] (or `hp` on all three), each
+/// with `be_slots` BE cores and no tenants yet.
+PlacementIndex three_machines(unsigned be_slots,
+                              const sim::AppProfile* hp = nullptr) {
   const auto& catalog = sim::default_catalog();
-  std::vector<MachineView> views(3);
-  const unsigned frees[] = {free0, free1, free2};
+  PlacementIndex index(shared_directory(), be_slots);
   for (unsigned i = 0; i < 3; ++i) {
-    views[i].index = i;
-    views[i].hp = &catalog.at(i);
-    views[i].free_cores = frees[i];
+    index.add_machine(hp != nullptr ? hp : &catalog.at(i));
   }
-  return views;
+  return index;
+}
+
+/// Land `n` copies of `app` on machine `m`'s lowest free cores.
+void crowd(PlacementIndex& index, unsigned m, unsigned n,
+           const sim::AppProfile& app) {
+  for (unsigned c = 1; c <= index.be_slots() && n > 0; ++c) {
+    if (index.tenant(m, c) == nullptr) {
+      index.admit(m, c, &app);
+      --n;
+    }
+  }
 }
 
 TEST(AppDirectory, SignalsAreSane) {
@@ -58,9 +74,11 @@ TEST(AppDirectory, UnknownAppThrows) {
 TEST(RandomPlacement, OnlyPicksMachinesWithFreeCores) {
   RandomPlacement engine(7);
   const auto& app = sim::default_catalog().at(5);
-  auto views = three_machines(0, 2, 0);
+  auto index = three_machines(2);
+  crowd(index, 0, 2, app);
+  crowd(index, 2, 2, app);
   for (int i = 0; i < 32; ++i) {
-    const auto m = engine.place(app, views);
+    const auto m = engine.place(app, index, std::nullopt);
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(*m, 1u);
   }
@@ -68,59 +86,88 @@ TEST(RandomPlacement, OnlyPicksMachinesWithFreeCores) {
 
 TEST(RandomPlacement, RejectsWhenFull) {
   RandomPlacement engine(7);
-  auto views = three_machines(0, 0, 0);
-  EXPECT_FALSE(engine.place(sim::default_catalog().at(0), views).has_value());
+  const auto& app = sim::default_catalog().at(0);
+  auto index = three_machines(1);
+  for (unsigned m = 0; m < 3; ++m) crowd(index, m, 1, app);
+  EXPECT_FALSE(engine.place(app, index, std::nullopt).has_value());
 }
 
 TEST(RandomPlacement, DeterministicForSeed) {
   const auto& app = sim::default_catalog().at(5);
-  auto views = three_machines(1, 1, 1);
+  auto index = three_machines(1);
   RandomPlacement a(7), b(7);
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(a.place(app, views), b.place(app, views));
+    EXPECT_EQ(a.place(app, index, std::nullopt),
+              b.place(app, index, std::nullopt));
   }
 }
 
 TEST(LeastLoadedPlacement, PicksFewestTenantsLowestIndex) {
   LeastLoadedPlacement engine;
   const auto& catalog = sim::default_catalog();
-  auto views = three_machines(1, 2, 2);
-  views[0].tenants = {&catalog.at(3), &catalog.at(4)};
-  views[1].tenants = {&catalog.at(3)};
-  views[2].tenants = {&catalog.at(3)};
-  const auto m = engine.place(catalog.at(5), views);
+  auto index = three_machines(3);
+  crowd(index, 0, 2, catalog.at(3));
+  crowd(index, 1, 1, catalog.at(3));
+  crowd(index, 2, 1, catalog.at(3));
+  const auto m = engine.place(catalog.at(5), index, std::nullopt);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m, 1u);  // ties at one tenant; lowest index wins
 }
 
 TEST(MrcBestFitPlacement, ScoreDropsWithCrowding) {
   const auto& dir = shared_directory();
-  const auto& catalog = sim::default_catalog();
-  MrcBestFitPlacement engine(dir);
-  auto views = three_machines(8, 8, 8);
-  const auto& app = catalog.by_name("milc1");
-  const double empty_score = engine.score(app, views[0]);
-  // Pile four copies of a cache-hungry app onto the same machine.
-  for (int i = 0; i < 4; ++i) views[0].tenants.push_back(&app);
-  const double crowded_score = engine.score(app, views[0]);
+  const AppSignal& hp = dir.signal(sim::default_catalog().at(0).name);
+  const AppSignal& app = dir.signal("milc1");
+  std::vector<metrics::IpcPair> pairs;
+  std::vector<const AppSignal*> bes{&app};
+  const double empty_score = predict_efu(dir, hp, bes, pairs);
+  // Pile four more copies of a cache-hungry app onto the same machine.
+  bes.insert(bes.end(), 4, &app);
+  const double crowded_score = predict_efu(dir, hp, bes, pairs);
   EXPECT_GT(empty_score, 0.0);
   EXPECT_LT(crowded_score, empty_score);
 }
 
 TEST(MrcBestFitPlacement, AvoidsTheCrowdedMachine) {
-  const auto& dir = shared_directory();
   const auto& catalog = sim::default_catalog();
-  MrcBestFitPlacement engine(dir);
+  MrcBestFitPlacement engine(shared_directory());
   // Identical HPs so the only difference is the tenant load.
-  auto views = three_machines(4, 4, 4);
-  views[1].hp = views[0].hp;
-  views[2].hp = views[0].hp;
+  auto index = three_machines(4, &catalog.at(0));
   const auto& hungry = catalog.by_name("milc1");
-  views[0].tenants = {&hungry, &hungry, &hungry};
-  views[2].tenants = {&hungry, &hungry, &hungry};
-  const auto m = engine.place(hungry, views);
+  crowd(index, 0, 3, hungry);
+  crowd(index, 2, 3, hungry);
+  const auto m = engine.place(hungry, index, std::nullopt);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m, 1u);
+}
+
+TEST(MrcP2cPlacement, ValidatesChoices) {
+  const auto& dir = shared_directory();
+  EXPECT_THROW(MrcP2cPlacement(dir, 7, 0), std::invalid_argument);
+  EXPECT_THROW(make_placement("mrc-p2c", dir, 7, 0), std::invalid_argument);
+  EXPECT_NO_THROW(make_placement("mrc-p2c", dir, 7, 1));
+  // Engines that ignore the knob accept any value, including 0.
+  EXPECT_NO_THROW(make_placement("mrc", dir, 7, 0));
+}
+
+TEST(MrcP2cPlacement, CliFlagParsesAndValidates) {
+  {
+    const char* argv[] = {"fleet_sim", "--p2c-d", "7"};
+    const util::CliArgs args(3, argv);
+    EXPECT_EQ(examples::fleet_config_from(args).p2c_choices, 7u);
+  }
+  {
+    const char* argv[] = {"fleet_sim"};
+    const util::CliArgs args(1, argv);
+    EXPECT_EQ(examples::fleet_config_from(args).p2c_choices,
+              MrcP2cPlacement::kChoices);
+  }
+  for (const char* bad : {"0", "-3"}) {
+    const char* argv[] = {"fleet_sim", "--p2c-d", bad};
+    const util::CliArgs args(3, argv);
+    EXPECT_THROW(examples::fleet_config_from(args), util::CliError)
+        << "--p2c-d " << bad;
+  }
 }
 
 TEST(MakePlacement, KnownNamesAndErrors) {

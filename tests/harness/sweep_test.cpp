@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/temp_path.hpp"
+
 namespace dicer::harness {
 namespace {
 
@@ -103,7 +105,7 @@ TEST(PolicySweep, FilterSelectsCell) {
 }
 
 TEST(PolicySweep, CacheRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/sweep_cache_test.csv";
+  const std::string path = test::unique_temp_path("sweep_cache_test.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -121,7 +123,7 @@ TEST(PolicySweep, CacheRoundTrip) {
 }
 
 TEST(PolicySweep, CacheKeyedBySample) {
-  const std::string path = ::testing::TempDir() + "/sweep_key_test.csv";
+  const std::string path = test::unique_temp_path("sweep_key_test.csv");
   std::remove(path.c_str());
   const auto cfg = small_config();
   const std::vector<BaselineEntry> s1 = {sample_entry("milc1", "gcc_base3")};
@@ -135,7 +137,7 @@ TEST(PolicySweep, CacheKeyedBySample) {
 }
 
 TEST(PolicySweep, CorruptNumericCellFallsBackToRecompute) {
-  const std::string path = ::testing::TempDir() + "/sweep_corrupt_cell.csv";
+  const std::string path = test::unique_temp_path("sweep_corrupt_cell.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -162,7 +164,7 @@ TEST(PolicySweep, CorruptNumericCellFallsBackToRecompute) {
 }
 
 TEST(PolicySweep, TruncatedRowFallsBackToRecompute) {
-  const std::string path = ::testing::TempDir() + "/sweep_truncated.csv";
+  const std::string path = test::unique_temp_path("sweep_truncated.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -181,7 +183,7 @@ TEST(PolicySweep, TruncatedRowFallsBackToRecompute) {
 }
 
 TEST(PolicySweep, WrongColumnHeaderFallsBackToRecompute) {
-  const std::string path = ::testing::TempDir() + "/sweep_bad_header.csv";
+  const std::string path = test::unique_temp_path("sweep_bad_header.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -199,7 +201,7 @@ TEST(PolicySweep, WrongColumnHeaderFallsBackToRecompute) {
 }
 
 TEST(PolicySweep, ExtraColumnsFallBackToRecompute) {
-  const std::string path = ::testing::TempDir() + "/sweep_extra_cols.csv";
+  const std::string path = test::unique_temp_path("sweep_extra_cols.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -216,7 +218,7 @@ TEST(PolicySweep, ExtraColumnsFallBackToRecompute) {
 }
 
 TEST(PolicySweep, KeyInvalidatedByMinWindow) {
-  const std::string path = ::testing::TempDir() + "/sweep_key_minwin.csv";
+  const std::string path = test::unique_temp_path("sweep_key_minwin.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -240,7 +242,7 @@ TEST(PolicySweep, KeyInvalidatedByMinWindow) {
 }
 
 TEST(PolicySweep, KeyInvalidatedByEnableMba) {
-  const std::string path = ::testing::TempDir() + "/sweep_key_mba.csv";
+  const std::string path = test::unique_temp_path("sweep_key_mba.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -259,7 +261,7 @@ TEST(PolicySweep, KeyInvalidatedByEnableMba) {
 }
 
 TEST(PolicySweep, KeyInvalidatedByMachineGeometry) {
-  const std::string path = ::testing::TempDir() + "/sweep_key_machine.csv";
+  const std::string path = test::unique_temp_path("sweep_key_machine.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -305,9 +307,9 @@ TEST(PolicySweep, ParallelMatchesSerialByteIdentical) {
 
 TEST(PolicySweep, ParallelCacheFileByteIdenticalToSerial) {
   const std::string serial_path =
-      ::testing::TempDir() + "/sweep_serial_cache.csv";
+      test::unique_temp_path("sweep_serial_cache.csv");
   const std::string parallel_path =
-      ::testing::TempDir() + "/sweep_parallel_cache.csv";
+      test::unique_temp_path("sweep_parallel_cache.csv");
   std::remove(serial_path.c_str());
   std::remove(parallel_path.c_str());
   const std::vector<BaselineEntry> sample = {
@@ -344,7 +346,7 @@ TEST(PolicySweep, ConcurrentSaversNeverCorruptTheCache) {
   // file mid-write: each save streams into a unique temp name and the
   // last atomic rename wins with a complete file.
   const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/sweep_concurrent_save.csv";
+  const std::string path = test::unique_temp_path("sweep_concurrent_save.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -398,7 +400,7 @@ TEST(PolicySweep, KeyInvalidatedBySolverKnobs) {
   // Regression: the v5 key omitted fixed_point_rounds/fixed_point_damping,
   // so changing either solver knob silently served rows computed with the
   // old convergence behaviour.
-  const std::string path = ::testing::TempDir() + "/sweep_key_solver.csv";
+  const std::string path = test::unique_temp_path("sweep_key_solver.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -436,7 +438,7 @@ TEST(PolicySweep, CorruptBoolCellFallsBackToRecompute) {
   // Regression: the loader used to parse ctf with `cell == "1"`, so a
   // garbage cell ("2", "x") silently became false instead of rejecting
   // the cache.
-  const std::string path = ::testing::TempDir() + "/sweep_corrupt_bool.csv";
+  const std::string path = test::unique_temp_path("sweep_corrupt_bool.csv");
   std::remove(path.c_str());
   const std::vector<BaselineEntry> sample = {
       sample_entry("milc1", "gcc_base3")};
@@ -467,9 +469,9 @@ TEST(PolicySweep, CacheFileByteIdenticalAcrossSolverShortcuts) {
   // key, and a sweep with them disabled must produce the exact same cache
   // file — any divergence means the replay path changed results.
   const std::string on_path =
-      ::testing::TempDir() + "/sweep_shortcuts_on.csv";
+      test::unique_temp_path("sweep_shortcuts_on.csv");
   const std::string off_path =
-      ::testing::TempDir() + "/sweep_shortcuts_off.csv";
+      test::unique_temp_path("sweep_shortcuts_off.csv");
   std::remove(on_path.c_str());
   std::remove(off_path.c_str());
   const std::vector<BaselineEntry> sample = {
@@ -495,8 +497,8 @@ TEST(PolicySweep, CacheFileByteIdenticalAcrossBatchStepping) {
   // excluded from the cache key and a sweep with batching fully disabled
   // must produce the exact same cache file — no dicer-sweep-v7 bump, and
   // any divergence means the fused path changed results.
-  const std::string on_path = ::testing::TempDir() + "/sweep_batch_on.csv";
-  const std::string off_path = ::testing::TempDir() + "/sweep_batch_off.csv";
+  const std::string on_path = test::unique_temp_path("sweep_batch_on.csv");
+  const std::string off_path = test::unique_temp_path("sweep_batch_off.csv");
   std::remove(on_path.c_str());
   std::remove(off_path.c_str());
   const std::vector<BaselineEntry> sample = {

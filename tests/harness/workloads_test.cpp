@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hpp"
+
 namespace dicer::harness {
 namespace {
 
@@ -74,7 +76,7 @@ TEST(BaselineStudy, CtFractionCounts) {
 }
 
 TEST(BaselineCache, RoundTripsExactly) {
-  const std::string path = ::testing::TempDir() + "/baseline_cache_test.csv";
+  const std::string path = test::unique_temp_path("baseline_cache_test.csv");
   const auto& catalog = sim::default_catalog();
   auto study = synthetic_study();
   study.config = ConsolidationConfig{};
@@ -92,7 +94,7 @@ TEST(BaselineCache, RoundTripsExactly) {
 }
 
 TEST(BaselineCache, StaleKeyRejected) {
-  const std::string path = ::testing::TempDir() + "/baseline_stale_test.csv";
+  const std::string path = test::unique_temp_path("baseline_stale_test.csv");
   const auto& catalog = sim::default_catalog();
   auto study = synthetic_study();
   study.config = ConsolidationConfig{};
@@ -168,7 +170,7 @@ std::string corrupted_cache(const std::string& name,
                             const std::function<std::string(std::string)>&
                                 mutate,
                             std::size_t row = 1) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = test::unique_temp_path(name);
   const auto& catalog = sim::default_catalog();
   auto study = synthetic_study();
   study.config = ConsolidationConfig{};

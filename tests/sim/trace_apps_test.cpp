@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hpp"
+
 namespace dicer::sim {
 namespace {
 
@@ -147,7 +149,7 @@ TEST(TraceApps, AugmentedCatalogContainsBaseAndTraceApps) {
 
 TEST(TraceApps, ProfileCacheRoundTripsByteIdentical) {
   const std::string path =
-      ::testing::TempDir() + "/trace_profile_roundtrip.csv";
+      test::unique_temp_path("trace_profile_roundtrip.csv");
   std::remove(path.c_str());
   const auto specs = default_trace_apps();
   const auto config = test_config();
@@ -168,7 +170,7 @@ TEST(TraceApps, ProfileCacheRoundTripsByteIdentical) {
 }
 
 TEST(TraceApps, CorruptProfileCacheIsRecomputedNotFatal) {
-  const std::string path = ::testing::TempDir() + "/trace_profile_corrupt.csv";
+  const std::string path = test::unique_temp_path("trace_profile_corrupt.csv");
   const auto specs = default_trace_apps();
   const auto config = test_config();
   const auto clean = trace_augmented_catalog(path, specs, config);
@@ -192,7 +194,7 @@ TEST(TraceApps, CorruptProfileCacheIsRecomputedNotFatal) {
 }
 
 TEST(TraceApps, StaleKeyTriggersReprofile) {
-  const std::string path = ::testing::TempDir() + "/trace_profile_stale.csv";
+  const std::string path = test::unique_temp_path("trace_profile_stale.csv");
   std::remove(path.c_str());
   const auto specs = default_trace_apps();
   auto config = test_config();

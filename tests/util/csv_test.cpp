@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/temp_path.hpp"
+
 namespace dicer::util {
 namespace {
 
@@ -18,7 +20,7 @@ std::string slurp(const std::string& path) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/csv_test.csv";
+  std::string path_ = test::unique_temp_path("csv_test.csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dicer::util {
@@ -17,7 +18,7 @@ namespace {
 /// Redirects the logger to a temp file for one test, restoring stderr and
 /// the previous threshold afterwards.
 struct CapturedLog {
-  std::string path = ::testing::TempDir() + "/dicer_log_capture.txt";
+  std::string path = test::unique_temp_path("dicer_log_capture.txt");
   std::FILE* file = nullptr;
   LogLevel saved = log_threshold();
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dicer::trace {
@@ -144,7 +145,7 @@ TEST(Tracer, GlobalTracerHasNoSinksByDefault) {
 }
 
 TEST(TraceSinks, JsonlFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/trace_test.jsonl";
+  const std::string path = test::unique_temp_path("trace_test.jsonl");
   std::remove(path.c_str());
   {
     Tracer t;
@@ -164,7 +165,7 @@ TEST(TraceSinks, JsonlFileRoundTrip) {
 }
 
 TEST(TraceSinks, MakeFileSinkDispatchesOnExtension) {
-  const std::string csv_path = ::testing::TempDir() + "/trace_test.csv";
+  const std::string csv_path = test::unique_temp_path("trace_test.csv");
   std::remove(csv_path.c_str());
   {
     Tracer t;
