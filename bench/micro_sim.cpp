@@ -118,34 +118,6 @@ void BM_MachineStepSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineStepSteadyState);
 
-// The same single-phase workload with the convergence shortcuts disabled:
-// the pure fixed-point solve path, i.e. what every step cost before replay
-// existed. The gap to BM_MachineStepSteadyState is the price of one solve.
-void BM_MachineStepNoShortcuts(benchmark::State& state) {
-  const auto& catalog = sim::default_catalog();
-  static std::vector<sim::AppProfile> profiles = [&] {
-    std::vector<sim::AppProfile> ps;
-    for (unsigned c = 0; c < 10; ++c) {
-      sim::AppProfile p = catalog.at(c * 5);
-      p.phases.resize(1);
-      ps.push_back(std::move(p));
-    }
-    return ps;
-  }();
-  sim::MachineConfig config{};
-  config.solver_shortcuts = false;
-  sim::Machine machine{config};
-  for (unsigned c = 0; c < 10; ++c) {
-    machine.attach(c, &profiles[c]);
-  }
-  for (auto _ : state) {
-    machine.step();
-    benchmark::DoNotOptimize(machine.telemetry(0).instructions);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MachineStepNoShortcuts);
-
 // Fixture for the batched-stepping pair: single-phase apps keep every
 // machine in steady-state replay, the regime MachineBatch accelerates.
 std::vector<sim::AppProfile>& steady_profiles() {
@@ -422,10 +394,9 @@ BENCHMARK(BM_PolicySweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The BM_PolicySweep grid on one worker with a fixed cell chunking —
-// jobs held at 1 so the BM_SweepSerialCells / BM_SweepBatched delta
-// isolates the MachineBatch engine from thread scaling (which
-// BM_PolicySweep already covers). Rows are byte-identical either way.
+// A reduced BM_PolicySweep grid on one worker — jobs held at 1 so the
+// number tracks the batched consolidation engine, not thread scaling
+// (which BM_PolicySweep already covers).
 std::vector<harness::BaselineEntry> sweep_bench_sample() {
   const auto& catalog = sim::default_catalog();
   std::vector<harness::BaselineEntry> sample;
@@ -442,13 +413,12 @@ std::vector<harness::BaselineEntry> sweep_bench_sample() {
   return sample;
 }
 
-void sweep_cells_bench(benchmark::State& state, unsigned batch_cells) {
+void BM_SweepBatched(benchmark::State& state) {
   const auto& catalog = sim::default_catalog();
   const auto sample = sweep_bench_sample();
   harness::SweepConfig sc;
   sc.cores = {3, 6, 10};
   sc.jobs = 1;
-  sc.batch_cells = batch_cells;
   const auto cells = sample.size() * sc.cores.size() * sc.policies.size();
   for (auto _ : state) {
     auto rows = harness::policy_sweep(catalog, sample, sc, /*cache_path=*/"");
@@ -456,16 +426,6 @@ void sweep_cells_bench(benchmark::State& state, unsigned batch_cells) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(cells));
   state.counters["cells"] = static_cast<double>(cells);
-  state.counters["batch_cells"] = static_cast<double>(sc.batch_cells);
-}
-
-void BM_SweepSerialCells(benchmark::State& state) {
-  sweep_cells_bench(state, /*batch_cells=*/1);
-}
-BENCHMARK(BM_SweepSerialCells)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_SweepBatched(benchmark::State& state) {
-  sweep_cells_bench(state, /*batch_cells=*/8);
 }
 BENCHMARK(BM_SweepBatched)->UseRealTime()->Unit(benchmark::kMillisecond);
 

@@ -8,11 +8,20 @@ namespace dicer::fleet {
 ChurnGenerator::ChurnGenerator(const ChurnConfig& config,
                                const sim::AppCatalog& catalog)
     : config_(config), catalog_(&catalog), rng_(config.seed) {
-  if (config.arrival_rate_per_sec <= 0.0) {
-    throw std::invalid_argument("ChurnGenerator: arrival rate must be > 0");
+  // `!(x > 0)` also rejects NaN; an infinite rate would make every gap 0
+  // and drain_until would never return.
+  if (!(config.arrival_rate_per_sec > 0.0) ||
+      !std::isfinite(config.arrival_rate_per_sec)) {
+    throw std::invalid_argument(
+        "ChurnGenerator: arrival rate must be finite and > 0");
   }
-  if (config.mean_lifetime_sec <= 0.0) {
-    throw std::invalid_argument("ChurnGenerator: mean lifetime must be > 0");
+  if (!(config.mean_lifetime_sec > 0.0) ||
+      !std::isfinite(config.mean_lifetime_sec)) {
+    throw std::invalid_argument(
+        "ChurnGenerator: mean lifetime must be finite and > 0");
+  }
+  if (!std::isfinite(config.min_lifetime_sec)) {
+    throw std::invalid_argument("ChurnGenerator: min lifetime must be finite");
   }
   if (catalog.size() == 0) {
     throw std::invalid_argument("ChurnGenerator: empty catalog");

@@ -35,8 +35,8 @@ struct TenantArrival {
 
 class ChurnGenerator {
  public:
-  /// Throws std::invalid_argument on a non-positive rate/lifetime or an
-  /// empty catalog.
+  /// Throws std::invalid_argument on a non-positive or non-finite
+  /// rate/lifetime or an empty catalog.
   ChurnGenerator(const ChurnConfig& config, const sim::AppCatalog& catalog);
 
   /// The next arrival without consuming it.

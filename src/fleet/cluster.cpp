@@ -140,24 +140,18 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   // advances one batch, whose lanes share a phase table and the fused
   // replay path. Build once at boot — machines never move between batches,
   // so mid-life snapshots stay valid across epochs.
-  if (sim::batch_stepping_enabled(config_.machine)) {
-    unsigned per = config_.batch_machines;
-    if (per == 0) {
-      // ~4 batches per worker keeps the shards load-balanced under uneven
-      // policy intervals while amortising the shared table.
-      per = std::clamp(config_.num_machines / (jobs_ * 4), 1u, 32u);
+  // ~4 batches per worker keeps the shards load-balanced under uneven
+  // policy intervals while amortising the shared table.
+  const std::size_t per =
+      std::clamp(config_.num_machines / (jobs_ * 4), 1u, 32u);
+  for (std::size_t start = 0; start < nodes_.size(); start += per) {
+    auto batch = std::make_unique<sim::MachineBatch>();
+    const std::size_t end = std::min(nodes_.size(), start + per);
+    for (std::size_t i = start; i < end; ++i) {
+      batch->add(*nodes_[i].machine);
     }
-    for (std::size_t start = 0; start < nodes_.size();
-         start += static_cast<std::size_t>(per)) {
-      auto batch = std::make_unique<sim::MachineBatch>();
-      const std::size_t end =
-          std::min(nodes_.size(), start + static_cast<std::size_t>(per));
-      for (std::size_t i = start; i < end; ++i) {
-        batch->add(*nodes_[i].machine);
-      }
-      batch_start_.push_back(start);
-      batches_.push_back(std::move(batch));
-    }
+    batch_start_.push_back(start);
+    batches_.push_back(std::move(batch));
   }
   DICER_INFO << "fleet: booted " << nodes_.size() << " machines ("
              << config.policy << " policy, " << placement_->name()
@@ -394,56 +388,33 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
 
 void Cluster::step_all(double epoch_end) {
   epoch_stats_.resize(nodes_.size());
-  // Batched data plane: task b advances one MachineBatch's machine slice,
-  // each lane run through the same control loop as the per-machine path.
-  // Batch stepping is bit-equal to Machine::run_until by construction and
-  // the reduction stays index-ordered, so CSV/metrics exports are
-  // byte-identical at any (jobs, batch_machines) — and to the unbatched
-  // plane below.
-  if (!batches_.empty()) {
-    auto step_batch = [&](std::size_t b) {
-      sim::MachineBatch& batch = *batches_[b];
-      const std::size_t start = batch_start_[b];
-      for (unsigned k = 0; k < batch.size(); ++k) {
-        const std::size_t i = start + k;
-        Node& node = nodes_[i];
-        sim::Machine& machine = *node.machine;
-        while (machine.time_sec() < epoch_end - kEps) {
-          const double interval = std::max(node.policy->interval_sec(),
-                                           config_.machine.quantum_sec);
-          batch.run_until(k,
-                          std::min(machine.time_sec() + interval, epoch_end));
-          node.policy->act(node.ctx);
-        }
-        fill_epoch_stat(i);
+  // Task b advances one MachineBatch's machine slice. Each lane runs the
+  // single-machine control loop, clipped to the epoch boundary: run to the
+  // next policy deadline (or the boundary, whichever is first), then let
+  // the policy act — a pure function of the node's own state. Batch
+  // stepping is bit-equal to Machine::run_until by construction and the
+  // reduction stays index-ordered, so CSV/metrics exports are
+  // byte-identical at any `jobs` (and hence any batch slicing).
+  auto step_batch = [&](std::size_t b) {
+    sim::MachineBatch& batch = *batches_[b];
+    const std::size_t start = batch_start_[b];
+    for (unsigned k = 0; k < batch.size(); ++k) {
+      const std::size_t i = start + k;
+      Node& node = nodes_[i];
+      sim::Machine& machine = *node.machine;
+      while (machine.time_sec() < epoch_end - kEps) {
+        const double interval = std::max(node.policy->interval_sec(),
+                                         config_.machine.quantum_sec);
+        batch.run_until(k, std::min(machine.time_sec() + interval, epoch_end));
+        node.policy->act(node.ctx);
       }
-    };
-    if (!pool_ || batches_.size() <= 1) {
-      for (std::size_t b = 0; b < batches_.size(); ++b) step_batch(b);
-    } else {
-      util::parallel_for(*pool_, batches_.size(), step_batch);
+      fill_epoch_stat(i);
     }
-    return;
-  }
-  auto step_node = [&](std::size_t i) {
-    Node& node = nodes_[i];
-    sim::Machine& machine = *node.machine;
-    // The single-machine control loop, clipped to the epoch boundary:
-    // run to the next policy deadline (or the boundary, whichever is
-    // first), then let the policy act. Pure function of the node's own
-    // state — nothing here sees another machine.
-    while (machine.time_sec() < epoch_end - kEps) {
-      const double interval = std::max(node.policy->interval_sec(),
-                                       config_.machine.quantum_sec);
-      machine.run_until(std::min(machine.time_sec() + interval, epoch_end));
-      node.policy->act(node.ctx);
-    }
-    fill_epoch_stat(i);
   };
-  if (!pool_ || nodes_.size() <= 1) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) step_node(i);
+  if (!pool_ || batches_.size() <= 1) {
+    for (std::size_t b = 0; b < batches_.size(); ++b) step_batch(b);
   } else {
-    util::parallel_for(*pool_, nodes_.size(), step_node);
+    util::parallel_for(*pool_, batches_.size(), step_batch);
   }
 }
 

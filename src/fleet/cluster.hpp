@@ -69,14 +69,6 @@ struct FleetConfig {
   /// the other engines). d = 1 is seeded-random placement, large d
   /// approaches full best-fit at d scores per decision.
   unsigned p2c_choices = MrcP2cPlacement::kChoices;
-  /// Machines per data-plane batch: each stepping task advances one
-  /// sim::MachineBatch (a contiguous machine slice sharing a phase table
-  /// and the fused replay path) instead of a single machine. 0 = auto,
-  /// balancing batch locality against worker load (~4 batches per worker,
-  /// clamped to [1, 32]). Like `jobs`, this knob never changes a result
-  /// byte; sim::MachineConfig::batch_stepping / DICER_NO_BATCH=1 fall back
-  /// to the historical machine-per-task data plane.
-  unsigned batch_machines = 0;
   /// Event sink (null = process-global tracer).
   trace::Tracer* tracer = nullptr;
   /// Metrics registry for fleet-wide distributions, actuation counters and
@@ -301,8 +293,8 @@ class Cluster {
   telemetry::Histogram epoch_slowdown_hist_;
   /// Persistent data-plane batches over contiguous machine ranges; batch b
   /// covers machines [batch_start_[b], batch_start_[b] + batches_[b]->size())
-  /// and lane k of batch b is machine batch_start_[b] + k. Empty when
-  /// batched stepping is disabled (step_all falls back to machine-per-task).
+  /// and lane k of batch b is machine batch_start_[b] + k. Sized at boot,
+  /// ~4 batches per worker (clamp(N / (jobs * 4), 1, 32) machines each).
   /// Declared after nodes_ so the batches are destroyed first and can
   /// unhook their shared phase tables from the machines.
   std::vector<std::unique_ptr<sim::MachineBatch>> batches_;

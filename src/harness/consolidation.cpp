@@ -58,7 +58,7 @@ struct Lane {
   std::unique_ptr<rdt::Monitor> monitor;
   std::unique_ptr<rdt::MbaController> mba;
   policy::PolicyContext ctx;
-  unsigned batch_lane = 0;  ///< index in the MachineBatch, when batched
+  unsigned batch_lane = 0;  ///< index in the MachineBatch
 };
 
 Lane make_lane(const sim::AppProfile& hp, const sim::AppProfile& be,
@@ -86,15 +86,12 @@ Lane make_lane(const sim::AppProfile& hp, const sim::AppProfile& be,
 }
 
 /// Drive a lane's policy control loop to completion and assemble its
-/// result. `step(seconds)` advances the lane's machine — Machine::run_for
-/// serially, MachineBatch::run_for in a batch (bit-equal by construction);
-/// that is the only thing the two entry points do differently.
-template <typename Step>
-ConsolidationResult drive_lane(Lane& ls, const sim::AppProfile& hp,
+/// result, advancing the lane's machine through `batch`.
+ConsolidationResult drive_lane(Lane& ls, sim::MachineBatch& batch,
+                               const sim::AppProfile& hp,
                                const sim::AppProfile& be,
                                policy::Policy& policy, unsigned cores_used,
-                               const ConsolidationConfig& config,
-                               Step&& step) {
+                               const ConsolidationConfig& config) {
   trace::ScopedTimer run_timer("harness.run_consolidation", config.tracer);
   sim::Machine& machine = *ls.machine;
   auto& tr = trace::resolve(config.tracer);
@@ -117,7 +114,7 @@ ConsolidationResult drive_lane(Lane& ls, const sim::AppProfile& hp,
   for (;;) {
     const double interval =
         std::max(policy.interval_sec(), config.machine.quantum_sec);
-    step(interval);
+    batch.run_for(ls.batch_lane, interval);
     rho_integral +=
         std::min(machine.last_link_utilisation(), 1.0) *
         (machine.time_sec() - t_prev);
@@ -183,10 +180,9 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
                                       policy::Policy& policy,
                                       const ConsolidationConfig& config) {
   check_cores(config.cores_used, config, "run_consolidation");
-  Lane ls = make_lane(hp, be, config.cores_used, config);
-  sim::Machine& machine = *ls.machine;
-  return drive_lane(ls, hp, be, policy, config.cores_used, config,
-                    [&machine](double s) { machine.run_for(s); });
+  return std::move(
+      run_consolidation_batch({{&hp, &be, &policy, config.cores_used}},
+                              config)[0]);
 }
 
 std::vector<ConsolidationResult> run_consolidation_batch(
@@ -215,10 +211,8 @@ std::vector<ConsolidationResult> run_consolidation_batch(
   out.reserve(tasks.size());
   for (std::size_t k = 0; k < tasks.size(); ++k) {
     const BatchConsolidationTask& t = tasks[k];
-    const unsigned lane = lanes[k].batch_lane;
-    auto step = [&batch, lane](double s) { batch.run_for(lane, s); };
-    out.push_back(drive_lane(lanes[k], *t.hp, *t.be, *t.policy, t.cores_used,
-                             base, step));
+    out.push_back(drive_lane(lanes[k], batch, *t.hp, *t.be, *t.policy,
+                             t.cores_used, base));
   }
   return out;
 }
@@ -231,20 +225,16 @@ void run_consolidation_grid(const std::vector<GridCell>& cells,
                             const GridPolicyFactory& make_policy,
                             const GridCellDone& done,
                             const ConsolidationConfig& base, unsigned jobs,
-                            unsigned batch_cells, const char* label) {
+                            const char* label) {
   jobs = resolve_sweep_jobs(jobs);
   // Consecutive cells go through one MachineBatch, whose phase table dedups
-  // across lanes that share an app. A one-cell chunk takes the plain
-  // run_consolidation path; either way every result is byte-identical.
-  const std::size_t batch =
-      sim::batch_stepping_enabled(base.machine)
-          ? std::max(batch_cells != 0 ? batch_cells : 8u, 1u)
-          : 1u;
-  const std::size_t n_chunks = (cells.size() + batch - 1) / batch;
+  // across lanes that share an app.
+  const std::size_t n_chunks =
+      (cells.size() + kGridChunkCells - 1) / kGridChunkCells;
   std::atomic<std::size_t> finished{0};
   auto eval_chunk = [&](std::size_t chunk) {
-    const std::size_t begin = chunk * batch;
-    const std::size_t end = std::min(begin + batch, cells.size());
+    const std::size_t begin = chunk * kGridChunkCells;
+    const std::size_t end = std::min(begin + kGridChunkCells, cells.size());
     std::vector<std::unique_ptr<policy::Policy>> policies;
     std::vector<BatchConsolidationTask> tasks;
     for (std::size_t i = begin; i < end; ++i) {
@@ -252,15 +242,7 @@ void run_consolidation_grid(const std::vector<GridCell>& cells,
       const GridCell& c = cells[i];
       tasks.push_back({c.hp, c.be, policies.back().get(), c.cores_used});
     }
-    std::vector<ConsolidationResult> results;
-    if (tasks.size() == 1) {
-      ConsolidationConfig cc = base;
-      cc.cores_used = tasks[0].cores_used;
-      results.push_back(
-          run_consolidation(*tasks[0].hp, *tasks[0].be, *tasks[0].policy, cc));
-    } else {
-      results = run_consolidation_batch(tasks, base);
-    }
+    const auto results = run_consolidation_batch(tasks, base);
     for (std::size_t i = begin; i < end; ++i) {
       done(i, results[i - begin], *policies[i - begin]);
     }
@@ -268,7 +250,7 @@ void run_consolidation_grid(const std::vector<GridCell>& cells,
     const std::size_t d = finished.fetch_add(n, std::memory_order_relaxed) + n;
     if (d / 200 != (d - n) / 200 || d == cells.size()) {
       DICER_INFO << label << ": " << d << "/" << cells.size() << " (" << jobs
-                 << " jobs, batch " << batch << ")";
+                 << " jobs)";
     }
   };
   if (jobs <= 1 || n_chunks <= 1) {

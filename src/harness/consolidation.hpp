@@ -51,7 +51,8 @@ struct ConsolidationResult {
                                           double be_alone) const;
 };
 
-/// Run one consolidation of `hp` + (cores_used-1) x `be` under `policy`.
+/// Run one consolidation of `hp` + (cores_used-1) x `be` under `policy`:
+/// a one-task run_consolidation_batch.
 ConsolidationResult run_consolidation(const sim::AppProfile& hp,
                                       const sim::AppProfile& be,
                                       policy::Policy& policy,
@@ -70,8 +71,8 @@ struct BatchConsolidationTask {
 /// Run every task's consolidation through one sim::MachineBatch: the lanes
 /// share a deduplicated phase-constant table and each lane's steady-state
 /// quanta take the batched fused-replay path. Every ConsolidationResult is
-/// byte-identical to run_consolidation called with the same inputs —
-/// batching changes the wall clock, never a result bit. Machines are
+/// byte-identical to running its task alone — batching changes the wall
+/// clock, never a result bit. Machines are
 /// stepped lane-major, one lane's control loop run to completion before
 /// the next starts.
 std::vector<ConsolidationResult> run_consolidation_batch(
@@ -99,19 +100,20 @@ using GridPolicyFactory =
 using GridCellDone = std::function<void(
     std::size_t, const ConsolidationResult&, const policy::Policy&)>;
 
+/// Consecutive cells per run_consolidation_batch chunk of a grid.
+inline constexpr std::size_t kGridChunkCells = 8;
+
 /// Evaluate a grid of independent consolidations — the one engine of the
 /// baseline study, the policy sweep and the DICER ablation. Chunks of
-/// `batch_cells` consecutive cells (0 = 8; 1 when batched stepping is off)
-/// run through run_consolidation_batch on `jobs` pool workers (0 =
-/// resolve_sweep_jobs). Every cell's result is byte-identical for any
-/// worker count and chunk size. The first failing cell's exception (in
-/// cell order) is rethrown; in parallel, after every chunk has finished.
-/// Progress is logged at info level under `label`.
+/// kGridChunkCells consecutive cells run through run_consolidation_batch
+/// on `jobs` pool workers (0 = resolve_sweep_jobs). Every cell's result is
+/// byte-identical for any worker count. The first failing cell's exception
+/// (in cell order) is rethrown; in parallel, after every chunk has
+/// finished. Progress is logged at info level under `label`.
 void run_consolidation_grid(const std::vector<GridCell>& cells,
                             const GridPolicyFactory& make_policy,
                             const GridCellDone& done,
                             const ConsolidationConfig& base, unsigned jobs,
-                            unsigned batch_cells = 0,
                             const char* label = "consolidation grid");
 
 /// Accumulate a machine's convergence counters into the global

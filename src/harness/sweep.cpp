@@ -29,12 +29,9 @@ std::string sweep_key(const sim::AppCatalog& catalog,
   // Order-sensitive FNV over the sample labels, policies and core counts,
   // plus every config field that shapes results: machine geometry (cores,
   // frequency, LLC ways, link), the fixed-point solver knobs and the
-  // consolidation window/MBA settings. Worker count, the solver shortcuts
-  // and the batch-stepping knobs (batch_cells, machine.batch_stepping) are
-  // deliberately excluded — none of them ever changes a row (shortcuts and
-  // batched stepping are byte-identical by construction, and the
-  // equivalence tests hold them to that), so flipping them must keep
-  // serving the same cache file.
+  // consolidation window/MBA settings. The worker count is deliberately
+  // excluded — it never changes a row — so any `jobs` keeps serving the
+  // same cache file.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](const std::string& s) {
     for (char c : s) {
@@ -237,7 +234,7 @@ std::vector<SweepRow> policy_sweep(const sim::AppCatalog& catalog,
                      metrics::effective_utilisation(res.ipc_pairs(
                          e.hp_alone_ipc, e.be_alone_ipc))};
         },
-        config.base, config.jobs, config.batch_cells, "policy sweep");
+        config.base, config.jobs, "policy sweep");
   }
 
   if (!cache_path.empty()) {
@@ -290,7 +287,7 @@ std::vector<AblationRow> dicer_ablation(
         o.stats = static_cast<const policy::Dicer&>(pol).stats();
         o.solver = res.solver;
       },
-      config, jobs, 0, "ablation");
+      config, jobs, "ablation");
 
   std::vector<AblationRow> rows;
   for (std::size_t v = 0; v < n_var; ++v) {

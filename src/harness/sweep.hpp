@@ -50,10 +50,6 @@ struct SweepConfig {
   /// Parallel workers (run_consolidation_grid). 0 = auto: $DICER_SWEEP_JOBS
   /// if set, else all hardware threads. Never changes a row.
   unsigned jobs = 0;
-  /// Consecutive cells per sim::MachineBatch chunk (run_consolidation_grid;
-  /// 0 = auto). Like `jobs` and the solver shortcuts, it never changes a
-  /// row and is excluded from the sweep cache key by construction.
-  unsigned batch_cells = 0;
 };
 
 /// Run (or load from cache) the sweep over `sample`.

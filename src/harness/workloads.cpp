@@ -252,7 +252,7 @@ BaselineStudy baseline_study(const sim::AppCatalog& catalog,
                                             e.be_alone_ipc, res.be_ipc_mean,
                                             n_bes);
       },
-      config, jobs, 0, "baseline study");
+      config, jobs, "baseline study");
 
   if (!cache_path.empty()) save_baseline_cache(cache_path, study, catalog);
   return study;

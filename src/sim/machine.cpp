@@ -2,29 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #include "util/log.hpp"
 #include "util/trace.hpp"
 
 namespace dicer::sim {
 
-bool env_disables(const char* name) noexcept {
-  if (const char* env = std::getenv(name)) {
-    return std::string_view(env) != "" && std::string_view(env) != "0";
-  }
-  return false;
-}
-
-namespace {
-
-/// (Re)build the pure-function-of-phase fields of `pc` for `ph` and reset
-/// the memo. One implementation serves both the per-core slots and the
-/// batch-shared PhaseConstTable, so the two storage schemes cannot drift.
-void build_phase_const(PhaseConst& pc, const AppPhase* ph) {
-  pc.phase = ph;
+PhaseConst& PhaseConstTable::get(const AppPhase* ph) {
+  const auto [it, inserted] = map_.try_emplace(ph);
+  PhaseConst& pc = it->second;
+  if (!inserted) return pc;
   pc.sf = ph->mrc.stream_fraction();
   pc.one_minus_sf = 1.0 - pc.sf;
   pc.floor_m = ph->mrc.floor();
@@ -32,8 +20,6 @@ void build_phase_const(PhaseConst& pc, const AppPhase* ph) {
   const auto& comps = ph->mrc.components();
   double wsum = 0.0;
   for (const auto& c : comps) wsum += c.weight;
-  pc.wfrac.clear();
-  pc.ws.clear();
   if (wsum > 0.0) {
     pc.wfrac.reserve(comps.size());
     pc.ws.reserve(comps.size());
@@ -42,8 +28,10 @@ void build_phase_const(PhaseConst& pc, const AppPhase* ph) {
       pc.ws.push_back(c.ws_bytes);
     }
   }
-  pc.memo_occ = -1.0;
+  return pc;
 }
+
+namespace {
 
 /// The damped fixed point over one lane's active set, operating on the
 /// lane's flat scratch arrays in place. Pure code motion from
@@ -158,16 +146,6 @@ bool solve_fixed_point(const MachineConfig& config,
 
 }  // namespace
 
-PhaseConst& PhaseConstTable::get(const AppPhase* phase) {
-  const auto [it, inserted] = map_.try_emplace(phase);
-  if (inserted) build_phase_const(it->second, phase);
-  return it->second;
-}
-
-bool batch_stepping_enabled(const MachineConfig& config) noexcept {
-  return config.batch_stepping && !env_disables("DICER_NO_BATCH");
-}
-
 void SolverStats::merge(const SolverStats& other) {
   quanta += other.quanta;
   replays += other.replays;
@@ -199,8 +177,7 @@ Machine::Machine(const MachineConfig& config)
       mem_throttle_(config.num_cores, 1.0),
       telemetry_(config.num_cores),
       ips_seed_(config.num_cores, 0.0),
-      link_(config.link),
-      phase_const_(config.num_cores) {
+      link_(config.link) {
   if (config_.num_cores == 0 || config_.num_cores > 64) {
     throw std::invalid_argument("Machine: core count outside 1..64");
   }
@@ -213,10 +190,6 @@ Machine::Machine(const MachineConfig& config)
   if (config_.freq_hz <= 0.0) {
     throw std::invalid_argument("Machine: frequency must be > 0");
   }
-  if (env_disables("DICER_NO_SOLVER_SHORTCUTS")) {
-    config_.solver_shortcuts = false;
-  }
-  config_.batch_stepping = batch_stepping_enabled(config_);
   stats_.rounds_hist.assign(std::max(config_.fixed_point_rounds, 1u), 0);
 }
 
@@ -263,7 +236,6 @@ void Machine::attach(unsigned core, const AppProfile* profile) {
   }
   apps_[core].emplace(profile);
   ips_seed_[core] = 0.0;
-  phase_const_[core].phase = nullptr;
   invalidate_regions();
 }
 
@@ -278,7 +250,6 @@ void Machine::detach(unsigned core) {
   // like an orchestrator returning the core's CLOS to CLOS0.
   masks_[core] = WayMask::full(config_.llc.ways);
   mem_throttle_[core] = 1.0;
-  phase_const_[core].phase = nullptr;
   invalidate_regions();
 }
 
@@ -387,7 +358,7 @@ void Machine::step() {
     const bool stable = solve_quantum();
     last_rho_ = s.arb.raw_utilisation;
     last_traffic_ = s.arb.total_achieved_bytes_per_sec;
-    if (stable && config_.solver_shortcuts) {
+    if (stable) {
       solve_cache_.armed = true;
       solve_cache_.active = s.active;
       solve_cache_.phase = s.phase;
@@ -431,23 +402,14 @@ bool Machine::solve_quantum() {
   const double freq = config_.freq_hz;
   refresh_regions();
 
+  // A null check, not a self-pointer, so a moved Machine stays valid.
+  PhaseConstTable& phases = shared_phases_ ? *shared_phases_ : own_phases_;
   s.pc.clear();
   s.ips.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned core = s.active[i];
     const AppPhase* ph = s.phase[i];
-    PhaseConst* pc;
-    if (shared_phases_) {
-      // Batched: one PhaseConst per distinct phase across every lane of the
-      // batch. Same values as the per-core slot (both are built by
-      // build_phase_const and the memo is value-pure), one copy instead of
-      // cores x machines.
-      pc = &shared_phases_->get(ph);
-    } else {
-      pc = &phase_const_[core];
-      if (pc->phase != ph) build_phase_const(*pc, ph);
-    }
-    s.pc.push_back(pc);
+    s.pc.push_back(&phases.get(ph));
 
     // Warm-started state.
     const double seed = ips_seed_[core];

@@ -43,23 +43,6 @@ namespace dicer::sim {
 
 struct MachineConfig {
   unsigned num_cores = 10;
-  /// Convergence shortcuts for the quantum solve: once a fixed-point round
-  /// reproduces every per-core IPS bit-exactly, the solve is at a
-  /// floating-point fixed point, and a later quantum whose inputs
-  /// (active set, per-core phase, fill masks, MBA throttles) are unchanged
-  /// replays the cached solution instead of re-running the rounds. Results
-  /// are byte-identical either way — the flag (and the
-  /// DICER_NO_SOLVER_SHORTCUTS env override, any value but "" or "0")
-  /// exists so equivalence tests can pit the two paths against each other.
-  bool solver_shortcuts = true;
-  /// Allow a sim::MachineBatch to drive this machine's steady-state quanta
-  /// through the batched fused-replay path. Like the solver shortcuts, the
-  /// batched path is byte-identical to serial Machine::step by construction
-  /// — the flag (and the DICER_NO_BATCH env override, any value but "" or
-  /// "0") exists as an escape hatch and so equivalence tests can pit the
-  /// two paths against each other. Consumers that choose a chunking before
-  /// any machine exists consult batch_stepping_enabled().
-  bool batch_stepping = true;
   double freq_hz = 2.2e9;
   CacheGeometry llc{};                   ///< 25 MB, 20-way, 64 B lines
   MemoryLinkConfig link{};               ///< 68.3 Gbps
@@ -131,33 +114,31 @@ struct CoreTelemetry {
   double last_quantum_ipc = 0.0; ///< diagnostic convenience
 };
 
-/// Per-phase constants hoisted out of the fixed-point rounds: they only
-/// change when the app on the core enters a new phase (or the core is
-/// re-attached), not once per round of every quantum. `phase` is the
-/// identity key; all fields but the memo pair are pure functions of that
-/// phase, which is what lets a MachineBatch share one PhaseConst per
-/// distinct phase across every lane.
+/// Per-phase constants hoisted out of the fixed-point rounds: built once
+/// per distinct phase, not once per round of every quantum. All fields but
+/// the memo pair are pure functions of the phase, which is what lets every
+/// core (and every MachineBatch lane) running it share one PhaseConst.
 struct PhaseConst {
-  const AppPhase* phase = nullptr;
   double sf = 0.0;            ///< mrc.stream_fraction()
   double one_minus_sf = 1.0;  ///< 1 - sf, as the demand split computes it
   double floor_m = 0.0;       ///< mrc.floor()
   double span_m = 1e-9;       ///< max(mrc.ceiling() - floor, 1e-9)
   std::vector<double> wfrac;  ///< weight_j / sum(weights); empty if sum<=0
   std::vector<double> ws;     ///< component working-set bytes (with wfrac)
-  double memo_occ = -1.0;     ///< last mrc.at() argument on this core
+  double memo_occ = -1.0;     ///< last mrc.at() argument
   double memo_miss = 1.0;     ///< and its value (occupancies repeat in
                               ///< steady state; at() is pow-heavy)
 };
 
-/// Deduplicated PhaseConst storage keyed by phase identity: machines in a
-/// MachineBatch share one table, so N lanes running the same app build (and
-/// keep hot) one PhaseConst per distinct phase instead of one per core per
-/// machine. The memo pair is value-safe to share — mrc.at() is pure, so a
-/// memo refresh from any lane reproduces the exact value every lane would
+/// Deduplicated PhaseConst storage keyed by phase identity. A machine
+/// resolves through its own table, or through its MachineBatch's shared one
+/// while enrolled, so N lanes running the same app build (and keep hot) one
+/// PhaseConst per distinct phase instead of one per core per machine. The
+/// memo pair is value-safe to share — mrc.at() is pure, so a memo refresh
+/// from any core or lane reproduces the exact value every other would
 /// compute. Node-based map: references stay stable across inserts.
-/// Not thread-safe; a batch (and thus its table) is driven by one thread
-/// at a time.
+/// Not thread-safe; a machine or batch (and thus its table) is driven by
+/// one thread at a time.
 class PhaseConstTable {
  public:
   /// The shared PhaseConst for `phase`, built on first use.
@@ -184,18 +165,6 @@ struct StepScratch {
   LinkArbitration arb;
   OccupancyScratch occupancy;
 };
-
-/// True when the env var `name` is set to anything but "" or "0" — the
-/// shared shape of every DICER_NO_* escape hatch (DICER_NO_BATCH,
-/// DICER_NO_SOLVER_SHORTCUTS).
-bool env_disables(const char* name) noexcept;
-
-/// Whether batched stepping is in force for machines built from `config`:
-/// the config flag, unless the DICER_NO_BATCH env override (any value but
-/// "" or "0") vetoes it. Consumers (sweep chunking, fleet sharding) call
-/// this before any Machine exists; Machine's constructor resolves the same
-/// answer into config().batch_stepping.
-bool batch_stepping_enabled(const MachineConfig& config) noexcept;
 
 class MachineBatch;
 
@@ -284,6 +253,7 @@ class Machine {
   /// quanta and installs shared_phases_; everything it reads or writes is
   /// exactly what a serial replayed step() would.
   friend class MachineBatch;
+  friend struct MachineTestPeer;
 
   MachineConfig config_;
   double time_sec_ = 0.0;
@@ -295,11 +265,11 @@ class Machine {
   MemoryLink link_;
   double last_rho_ = 0.0;
   double last_traffic_ = 0.0;
-  std::vector<PhaseConst> phase_const_;  ///< per core (unbatched machines)
+  PhaseConstTable own_phases_;  ///< used while not in a batch
   /// Batch-shared PhaseConst storage: set by MachineBatch::add, cleared by
   /// the batch's destructor. While set, solve_quantum resolves PhaseConsts
-  /// through the table instead of the per-core slots — same values either
-  /// way, one copy per distinct phase across the whole batch.
+  /// through it instead of own_phases_ — same values either way, one copy
+  /// per distinct phase across the whole batch.
   PhaseConstTable* shared_phases_ = nullptr;
   std::vector<CacheRegion> regions_;     ///< cached decomposition
   bool regions_valid_ = false;

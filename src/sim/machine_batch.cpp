@@ -9,8 +9,8 @@
 namespace dicer::sim {
 
 MachineBatch::~MachineBatch() {
-  // The shared table dies with the batch; machines fall back to their
-  // per-core PhaseConst slots (values rebuild on demand, bit-identically).
+  // The shared table dies with the batch; machines fall back to their own
+  // tables (values rebuild on demand, bit-identically).
   for (auto& lane : lanes_) lane.m->shared_phases_ = nullptr;
 }
 
@@ -35,7 +35,7 @@ unsigned MachineBatch::add(Machine& machine) {
   lanes_.push_back(lane);
   // A machine enrolled mid-life may already hold an armed solve: fuse it
   // right away so the first batch step can take the fast path.
-  if (machine.solve_cache_.armed && machine.config_.batch_stepping) {
+  if (machine.solve_cache_.armed) {
     try_snapshot(lanes_.back(), machine);
   }
   return static_cast<unsigned>(lanes_.size() - 1);
@@ -70,7 +70,7 @@ void MachineBatch::step(unsigned lane_idx) {
   m.step();
   ++stats_.fallback_steps;
   lane.expect_quanta = m.stats_.quanta;
-  if (m.solve_cache_.armed && m.config_.batch_stepping) {
+  if (m.solve_cache_.armed) {
     try_snapshot(lane, m);
   }
 }

@@ -23,16 +23,13 @@
 // the same products of the same operands — and writes the replay path
 // would make with unchanged values (occupancy, last-quantum IPC, the IPS
 // seed) are skipped, which no observer can distinguish. Lanes whose
-// machines never arm (solver shortcuts off, churn-heavy phases) simply
-// fall back to Machine::step every quantum and are byte-identical by
-// construction.
+// machines never arm (churn-heavy phases) simply fall back to
+// Machine::step every quantum and are byte-identical by construction.
 //
 // Guarantees and contract:
 //   - Results are byte-identical to stepping each machine serially, for
 //     every observable: telemetry, solver stats, trace events, link state.
 //     Equivalence tests pin this under randomized actuator churn.
-//   - MachineConfig::batch_stepping (and the DICER_NO_BATCH env override)
-//     is the escape hatch: with it off, lanes never fuse.
 //   - Machines must outlive the batch; a machine can be in at most one
 //     batch at a time. Actuating a lane's machine (attach/detach/masks/
 //     throttles) between steps is fully supported — that is how the sweep

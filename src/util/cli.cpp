@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -70,6 +71,8 @@ double CliArgs::get_double(const std::string& key, double def) const {
   const double r = std::strtod(v->c_str(), &end);
   if (end == v->c_str() || *end != '\0') bad_value(key, *v, "number");
   if (errno == ERANGE) bad_value(key, *v, "number in range");
+  // strtod parses "inf" and "nan"; no flag has a use for either.
+  if (!std::isfinite(r)) bad_value(key, *v, "finite number");
   return r;
 }
 

@@ -35,7 +35,8 @@ class CliArgs {
   /// Strict integer flag: returns `def` when absent/empty, throws CliError
   /// on trailing junk, non-numeric text or out-of-range values.
   long get_int(const std::string& key, long def) const;
-  /// Strict floating-point flag: same contract as get_int.
+  /// Strict floating-point flag: same contract as get_int, and also
+  /// throws CliError on "inf" / "nan" (non-finite values).
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "sim/core/catalog.hpp"
@@ -25,6 +26,21 @@ TEST(ChurnGenerator, ValidatesConfig) {
   bad = fast_config();
   bad.mean_lifetime_sec = -1.0;
   EXPECT_THROW(ChurnGenerator(bad, catalog), std::invalid_argument);
+  // Non-finite values: an infinite rate makes every gap 0 (drain_until
+  // would spin forever) and NaN slips past a plain `<= 0` check.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {inf, -inf, nan}) {
+    bad = fast_config();
+    bad.arrival_rate_per_sec = v;
+    EXPECT_THROW(ChurnGenerator(bad, catalog), std::invalid_argument) << v;
+    bad = fast_config();
+    bad.mean_lifetime_sec = v;
+    EXPECT_THROW(ChurnGenerator(bad, catalog), std::invalid_argument) << v;
+    bad = fast_config();
+    bad.min_lifetime_sec = v;
+    EXPECT_THROW(ChurnGenerator(bad, catalog), std::invalid_argument) << v;
+  }
 }
 
 TEST(ChurnGenerator, ArrivalsAreOrderedAndDistinct) {

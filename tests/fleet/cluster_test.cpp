@@ -143,20 +143,18 @@ TEST(Cluster, CsvIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial, run_csv(fc, 5));
 }
 
-// The same contract across the batched data plane: batch_stepping and
-// batch_machines are speed knobs, never result knobs.
+// The same contract across data-plane batch slicings: the fleet carves
+// clamp(N / (jobs * 4), 1, 32) machines per MachineBatch, so jobs and the
+// machine count pick the slicing — and never a result byte.
 TEST(Cluster, CsvIsByteIdenticalAcrossBatchStepping) {
   FleetConfig fc = small_config();
-  const std::string batched = run_csv(fc, 5);
-  fc.machine.batch_stepping = false;
-  const std::string unbatched = run_csv(fc, 5);
-  EXPECT_EQ(batched, unbatched);
-  fc = small_config();
-  fc.batch_machines = 5;  // uneven slices: 16 machines -> 5,5,5,1
-  fc.jobs = 8;
-  EXPECT_EQ(batched, run_csv(fc, 5));
-  fc.batch_machines = 1;  // one machine per batch, degenerate chunking
-  EXPECT_EQ(batched, run_csv(fc, 5));
+  fc.num_machines = 18;
+  fc.jobs = 1;  // 18 / 4 -> 4,4,4,4,2: an uneven last slice
+  const std::string uneven = run_csv(fc, 5);
+  fc.jobs = 8;  // 18 / 32 -> 1: one machine per batch
+  EXPECT_EQ(uneven, run_csv(fc, 5));
+  fc.jobs = 2;  // 18 / 8 -> 2: nine even slices, run on two workers
+  EXPECT_EQ(uneven, run_csv(fc, 5));
 }
 
 // Churn replay: a fixed seed pins every placement decision, so two fleets

@@ -74,29 +74,27 @@ TEST(FleetMetricsExport, ByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(FleetMetricsExport, ByteIdenticalAcrossBatchStepping) {
-  // The batched data plane (MachineBatch shards) must leave every export —
-  // Prometheus text (including the dicer_solver_* counters the fused path
-  // feeds) and per-epoch JSONL — byte-identical to the per-machine plane,
-  // at any batch size.
-  FleetConfig batched = small_config();
-  const RunOutput on = run_config_with_metrics(batched);
+  // The batched data plane (MachineBatch shards of clamp(N / (jobs * 4),
+  // 1, 32) machines) must leave every export — Prometheus text (including
+  // the dicer_solver_* counters the fused path feeds) and per-epoch JSONL
+  // — byte-identical at any batch slicing.
+  FleetConfig fc = small_config();
+  fc.num_machines = 18;
+  fc.jobs = 1;  // 18 / 4 -> 4,4,4,4,2: an uneven last slice
+  const RunOutput uneven = run_config_with_metrics(fc);
 
-  FleetConfig off_cfg = small_config();
-  off_cfg.machine.batch_stepping = false;
-  off_cfg.jobs = 8;  // and across worker counts, for good measure
-  const RunOutput off = run_config_with_metrics(off_cfg);
-  EXPECT_EQ(on.prometheus, off.prometheus);
-  EXPECT_EQ(on.jsonl, off.jsonl);
+  fc.jobs = 8;  // 18 / 32 -> 1: one machine per batch, on 8 workers
+  const RunOutput single = run_config_with_metrics(fc);
+  EXPECT_EQ(uneven.prometheus, single.prometheus);
+  EXPECT_EQ(uneven.jsonl, single.jsonl);
 
-  FleetConfig chunky = small_config();
-  chunky.batch_machines = 3;  // uneven ranges: 16 machines -> 3,3,3,3,3,1
-  chunky.jobs = 2;
-  const RunOutput uneven = run_config_with_metrics(chunky);
-  EXPECT_EQ(on.prometheus, uneven.prometheus);
-  EXPECT_EQ(on.jsonl, uneven.jsonl);
+  fc.jobs = 2;  // 18 / 8 -> 2: nine slices of two, on 2 workers
+  const RunOutput pairs = run_config_with_metrics(fc);
+  EXPECT_EQ(uneven.prometheus, pairs.prometheus);
+  EXPECT_EQ(uneven.jsonl, pairs.jsonl);
 
   // The fused path actually carried quanta (not a vacuous comparison).
-  EXPECT_NE(on.prometheus.find("dicer_solver_replays_total"),
+  EXPECT_NE(uneven.prometheus.find("dicer_solver_replays_total"),
             std::string::npos);
 }
 

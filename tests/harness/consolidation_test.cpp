@@ -181,9 +181,9 @@ void expect_same_result(const ConsolidationResult& a,
 }
 
 TEST(ConsolidationGrid, ResultsComeBackInCellOrder) {
-  // Mixed apps, core counts and policies over several chunks on four
-  // workers: every cell's result lands in its own slot and equals the
-  // plain serial run_consolidation bit for bit.
+  // Mixed apps, core counts and policies over 12 cells — a full chunk of
+  // 8 and a partial one — on four workers: every cell's result lands in
+  // its own slot and equals the plain run_consolidation bit for bit.
   const std::vector<const char*> policies = {"UM", "DICER", "CT"};
   std::vector<GridCell> cells;
   for (const char* hp : {"milc1", "omnetpp1"}) {
@@ -206,7 +206,7 @@ TEST(ConsolidationGrid, ResultsComeBackInCellOrder) {
         out[i] = res;
         names[i] = pol.name();
       },
-      base, /*jobs=*/4, /*batch_cells=*/4);
+      base, /*jobs=*/4);
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ConsolidationConfig cfg = base;
@@ -220,28 +220,32 @@ TEST(ConsolidationGrid, ResultsComeBackInCellOrder) {
 }
 
 TEST(ConsolidationGrid, RethrowsFirstFailingCellInIndexOrder) {
-  const std::vector<GridCell> cells(12, {&app("namd1"), &app("bzip22"), 2});
+  // Four chunks of 8: cells 11 and 27 fail (chunks 1 and 3), chunks 0 and
+  // 2 complete, so a fully completed chunk sits between the two failures.
+  const std::vector<GridCell> cells(32, {&app("namd1"), &app("bzip22"), 2});
+  ASSERT_EQ(kGridChunkCells, 8u);
   for (unsigned jobs : {1u, 4u}) {
     std::atomic<int> done_calls{0};
     try {
       run_consolidation_grid(
           cells,
           [](std::size_t i) -> std::unique_ptr<policy::Policy> {
-            if (i == 3 || i == 9) {
+            if (i == 11 || i == 27) {
               throw std::runtime_error("cell " + std::to_string(i));
             }
             return policy::make_policy("UM");
           },
           [&](std::size_t, const ConsolidationResult&,
               const policy::Policy&) { ++done_calls; },
-          {}, jobs, /*batch_cells=*/1);
+          {}, jobs);
       ADD_FAILURE() << "no exception at jobs " << jobs;
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "cell 3") << "jobs " << jobs;
+      EXPECT_STREQ(e.what(), "cell 11") << "jobs " << jobs;
     }
-    // Serially the grid stops at the first failure; in parallel every
-    // other cell still completes before the rethrow.
-    EXPECT_EQ(done_calls.load(), jobs == 1 ? 3 : 10) << "jobs " << jobs;
+    // A failing policy build aborts its whole chunk. Serially the grid
+    // stops at the first failing chunk (only chunk 0 reported); in parallel
+    // every other chunk still completes before the rethrow (chunks 0, 2).
+    EXPECT_EQ(done_calls.load(), jobs == 1 ? 8 : 16) << "jobs " << jobs;
   }
 }
 

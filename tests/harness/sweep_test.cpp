@@ -463,63 +463,6 @@ TEST(PolicySweep, CorruptBoolCellFallsBackToRecompute) {
   std::remove(path.c_str());
 }
 
-TEST(PolicySweep, CacheFileByteIdenticalAcrossSolverShortcuts) {
-  // The solver shortcuts (steady-state replay + bit-stable early exit) are
-  // byte-identical by construction, so they are excluded from the cache
-  // key, and a sweep with them disabled must produce the exact same cache
-  // file — any divergence means the replay path changed results.
-  const std::string on_path =
-      test::unique_temp_path("sweep_shortcuts_on.csv");
-  const std::string off_path =
-      test::unique_temp_path("sweep_shortcuts_off.csv");
-  std::remove(on_path.c_str());
-  std::remove(off_path.c_str());
-  const std::vector<BaselineEntry> sample = {
-      sample_entry("milc1", "gcc_base3"), sample_entry("namd1", "bzip22")};
-  auto on_cfg = small_config();
-  on_cfg.policies = {"UM", "CT", "DICER"};
-  auto off_cfg = on_cfg;
-  off_cfg.base.machine.solver_shortcuts = false;
-  off_cfg.jobs = 4;  // and at a different worker count, for good measure
-  policy_sweep(sim::default_catalog(), sample, on_cfg, on_path);
-  policy_sweep(sim::default_catalog(), sample, off_cfg, off_path);
-  const auto on_lines = read_lines(on_path);
-  const auto off_lines = read_lines(off_path);
-  ASSERT_GT(on_lines.size(), 2u);
-  EXPECT_EQ(on_lines, off_lines);
-  std::remove(on_path.c_str());
-  std::remove(off_path.c_str());
-}
-
-TEST(PolicySweep, CacheFileByteIdenticalAcrossBatchStepping) {
-  // Batched stepping (MachineBatch fused replay + cell chunking) is
-  // byte-identical by construction, so batch_stepping and batch_cells are
-  // excluded from the cache key and a sweep with batching fully disabled
-  // must produce the exact same cache file — no dicer-sweep-v7 bump, and
-  // any divergence means the fused path changed results.
-  const std::string on_path = test::unique_temp_path("sweep_batch_on.csv");
-  const std::string off_path = test::unique_temp_path("sweep_batch_off.csv");
-  std::remove(on_path.c_str());
-  std::remove(off_path.c_str());
-  const std::vector<BaselineEntry> sample = {
-      sample_entry("milc1", "gcc_base3"), sample_entry("namd1", "bzip22")};
-  auto on_cfg = small_config();
-  on_cfg.policies = {"UM", "CT", "DICER"};
-  on_cfg.batch_cells = 4;
-  auto off_cfg = on_cfg;
-  off_cfg.base.machine.batch_stepping = false;
-  off_cfg.batch_cells = 1;
-  off_cfg.jobs = 4;  // and at a different worker count, for good measure
-  policy_sweep(sim::default_catalog(), sample, on_cfg, on_path);
-  policy_sweep(sim::default_catalog(), sample, off_cfg, off_path);
-  const auto on_lines = read_lines(on_path);
-  const auto off_lines = read_lines(off_path);
-  ASSERT_GT(on_lines.size(), 2u);
-  EXPECT_EQ(on_lines, off_lines);
-  std::remove(on_path.c_str());
-  std::remove(off_path.c_str());
-}
-
 TEST(ResolveSweepJobs, EnvEdgeCases) {
   // resolve_sweep_jobs delegates to the one shared implementation
   // (util::ThreadPool::resolve_jobs) — these pin the strict

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -209,51 +208,6 @@ TEST(MachineBatch, BitIdenticalUnderRandomActuatorChurn) {
   EXPECT_GT(batch.stats().fused_quanta, 0u);
   EXPECT_GT(batch.stats().fallback_steps, 0u);
   EXPECT_GT(batch.stats().snapshots, 1u);
-}
-
-TEST(MachineBatch, ConfigOffNeverFusesAndStaysIdentical) {
-  // batch_stepping = false is the escape hatch: every batched step must
-  // delegate to Machine::step (fused_quanta stays 0) and remain identical.
-  const auto profiles = single_phase_profiles();
-  MachineConfig off{};
-  off.batch_stepping = false;
-  Machine a{off}, b{off};
-  MachineBatch batch;
-  for (unsigned c = 0; c < 10; ++c) {
-    a.attach(c, &profiles[c]);
-    b.attach(c, &profiles[c]);
-  }
-  const unsigned lane = batch.add(a);
-  for (std::uint64_t q = 1; q <= 300; ++q) {
-    batch.step(lane);
-    b.step();
-    expect_machines_identical(a, b, q);
-    if (::testing::Test::HasFatalFailure() ||
-        ::testing::Test::HasNonfatalFailure()) {
-      return;
-    }
-  }
-  EXPECT_EQ(batch.stats().fused_quanta, 0u);
-  EXPECT_EQ(batch.stats().snapshots, 0u);
-  EXPECT_EQ(batch.stats().fallback_steps, 300u);
-  expect_solver_stats_equal(a.solver_stats(), b.solver_stats());
-}
-
-TEST(MachineBatch, EnvEscapeHatchDisablesBatchStepping) {
-  ASSERT_EQ(setenv("DICER_NO_BATCH", "1", 1), 0);
-  MachineConfig config{};
-  EXPECT_FALSE(batch_stepping_enabled(config));
-  Machine m{config};
-  unsetenv("DICER_NO_BATCH");
-  EXPECT_FALSE(m.config().batch_stepping);
-
-  // "" and "0" mean "not disabled", mirroring DICER_NO_SOLVER_SHORTCUTS.
-  ASSERT_EQ(setenv("DICER_NO_BATCH", "0", 1), 0);
-  EXPECT_TRUE(batch_stepping_enabled(config));
-  Machine still_on{config};
-  unsetenv("DICER_NO_BATCH");
-  EXPECT_TRUE(still_on.config().batch_stepping);
-  EXPECT_TRUE(batch_stepping_enabled(config));
 }
 
 TEST(MachineBatch, AddingAMachineTwiceThrows) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/core/catalog.hpp"
 
 namespace dicer::sim {
@@ -226,6 +228,30 @@ TEST(Machine, DeterministicAcrossRuns) {
     return m.telemetry(0).instructions;
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+TEST(Machine, MovedMachineStepsLikeTheOriginal) {
+  // A machine outside any batch resolves phase constants through its own
+  // table, found by a null check on the batch pointer — no self-pointer
+  // for a move to leave dangling.
+  Machine a{MachineConfig{}};
+  Machine ref{MachineConfig{}};
+  for (Machine* m : {&a, &ref}) {
+    m->attach(0, &app("milc1"));
+    m->attach(1, &app("gcc_base3"));
+    m->run_for(0.5);
+  }
+  Machine moved = std::move(a);
+  moved.attach(2, &app("lbm1"));  // a new phase: a fresh table entry
+  ref.attach(2, &app("lbm1"));
+  moved.run_for(0.5);
+  ref.run_for(0.5);
+  for (unsigned c = 0; c < 3; ++c) {
+    EXPECT_EQ(moved.telemetry(c).instructions, ref.telemetry(c).instructions)
+        << "core " << c;
+    EXPECT_EQ(moved.telemetry(c).mem_bytes, ref.telemetry(c).mem_bytes)
+        << "core " << c;
+  }
 }
 
 class MachineCoreCount : public ::testing::TestWithParam<unsigned> {};

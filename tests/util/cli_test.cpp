@@ -101,6 +101,15 @@ TEST(CliArgs, DoubleRejectsTrailingJunk) {
   EXPECT_THROW(make({"p", "--slo=oops"}).get_double("slo", 0.0), CliError);
 }
 
+TEST(CliArgs, DoubleRejectsNonFinite) {
+  EXPECT_THROW(make({"p", "--rate=inf"}).get_double("rate", 1.0), CliError);
+  EXPECT_THROW(make({"p", "--rate=-inf"}).get_double("rate", 1.0), CliError);
+  EXPECT_THROW(make({"p", "--rate=nan"}).get_double("rate", 1.0), CliError);
+  EXPECT_THROW(make({"p", "--rate", "inf"}).get_double("rate", 1.0), CliError);
+  EXPECT_THROW(make({"p", "--rate", "-inf"}).get_double("rate", 1.0),
+               CliError);
+}
+
 TEST(CliArgs, DoubleAcceptsScientific) {
   EXPECT_DOUBLE_EQ(make({"p", "--bw=6.83e10"}).get_double("bw", 0.0), 6.83e10);
 }
