@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "metrics/metrics.hpp"
 #include "policy/factory.hpp"
 #include "sim/machine_batch.hpp"
 #include "rdt/capability.hpp"
+#include "util/csv.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -28,11 +28,7 @@ constexpr telemetry::HistogramSpec kBytesSpec{64.0 * 1024.0, 1.25, 48};
 /// Latencies denominated in simulated periods (epochs).
 constexpr telemetry::HistogramSpec kPeriodsSpec{0.25, 1.5, 24};
 
-std::string f17(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", x);
-  return buf;
-}
+using util::fmt17;
 
 }  // namespace
 
@@ -46,52 +42,52 @@ std::string epoch_csv_header() {
 
 std::string epoch_csv_row(const EpochMetrics& m) {
   std::string row = std::to_string(m.epoch);
-  row += ',' + f17(m.t_sec);
+  row += ',' + fmt17(m.t_sec);
   row += ',' + std::to_string(m.tenants);
   row += ',' + std::to_string(m.occupied_machines);
   row += ',' + std::to_string(m.arrivals);
   row += ',' + std::to_string(m.departures);
   row += ',' + std::to_string(m.rejected);
   row += ',' + std::to_string(m.migrations);
-  row += ',' + f17(m.fleet_efu);
-  row += ',' + f17(m.hp_norm_mean);
+  row += ',' + fmt17(m.fleet_efu);
+  row += ',' + fmt17(m.hp_norm_mean);
   row += ',' + std::to_string(m.slo_violations);
-  row += ',' + f17(m.slo_violation_rate);
-  row += ',' + f17(m.link_rho_mean);
-  row += ',' + f17(m.efu_p50);
-  row += ',' + f17(m.efu_p95);
-  row += ',' + f17(m.efu_p99);
-  row += ',' + f17(m.hp_slowdown_p50);
-  row += ',' + f17(m.hp_slowdown_p95);
-  row += ',' + f17(m.hp_slowdown_p99);
-  row += ',' + f17(m.hp_slowdown_max);
-  row += ',' + f17(m.slo_violation_rate_occupied);
+  row += ',' + fmt17(m.slo_violation_rate);
+  row += ',' + fmt17(m.link_rho_mean);
+  row += ',' + fmt17(m.efu_p50);
+  row += ',' + fmt17(m.efu_p95);
+  row += ',' + fmt17(m.efu_p99);
+  row += ',' + fmt17(m.hp_slowdown_p50);
+  row += ',' + fmt17(m.hp_slowdown_p95);
+  row += ',' + fmt17(m.hp_slowdown_p99);
+  row += ',' + fmt17(m.hp_slowdown_max);
+  row += ',' + fmt17(m.slo_violation_rate_occupied);
   return row;
 }
 
 std::string epoch_jsonl_row(const EpochMetrics& m) {
   std::string out = "{\"epoch\":" + std::to_string(m.epoch);
-  out += ",\"t_sec\":" + f17(m.t_sec);
+  out += ",\"t_sec\":" + fmt17(m.t_sec);
   out += ",\"tenants\":" + std::to_string(m.tenants);
   out += ",\"occupied_machines\":" + std::to_string(m.occupied_machines);
   out += ",\"arrivals\":" + std::to_string(m.arrivals);
   out += ",\"departures\":" + std::to_string(m.departures);
   out += ",\"rejected\":" + std::to_string(m.rejected);
   out += ",\"migrations\":" + std::to_string(m.migrations);
-  out += ",\"fleet_efu\":" + f17(m.fleet_efu);
-  out += ",\"hp_norm_mean\":" + f17(m.hp_norm_mean);
+  out += ",\"fleet_efu\":" + fmt17(m.fleet_efu);
+  out += ",\"hp_norm_mean\":" + fmt17(m.hp_norm_mean);
   out += ",\"slo_violations\":" + std::to_string(m.slo_violations);
-  out += ",\"slo_violation_rate\":" + f17(m.slo_violation_rate);
-  out += ",\"link_rho_mean\":" + f17(m.link_rho_mean);
-  out += ",\"efu_p50\":" + f17(m.efu_p50);
-  out += ",\"efu_p95\":" + f17(m.efu_p95);
-  out += ",\"efu_p99\":" + f17(m.efu_p99);
-  out += ",\"hp_slowdown_p50\":" + f17(m.hp_slowdown_p50);
-  out += ",\"hp_slowdown_p95\":" + f17(m.hp_slowdown_p95);
-  out += ",\"hp_slowdown_p99\":" + f17(m.hp_slowdown_p99);
-  out += ",\"hp_slowdown_max\":" + f17(m.hp_slowdown_max);
+  out += ",\"slo_violation_rate\":" + fmt17(m.slo_violation_rate);
+  out += ",\"link_rho_mean\":" + fmt17(m.link_rho_mean);
+  out += ",\"efu_p50\":" + fmt17(m.efu_p50);
+  out += ",\"efu_p95\":" + fmt17(m.efu_p95);
+  out += ",\"efu_p99\":" + fmt17(m.efu_p99);
+  out += ",\"hp_slowdown_p50\":" + fmt17(m.hp_slowdown_p50);
+  out += ",\"hp_slowdown_p95\":" + fmt17(m.hp_slowdown_p95);
+  out += ",\"hp_slowdown_p99\":" + fmt17(m.hp_slowdown_p99);
+  out += ",\"hp_slowdown_max\":" + fmt17(m.hp_slowdown_max);
   out += ",\"slo_violation_rate_occupied\":" +
-         f17(m.slo_violation_rate_occupied);
+         fmt17(m.slo_violation_rate_occupied);
   out += '}';
   return out;
 }

@@ -1,18 +1,13 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "metrics/metrics.hpp"
 #include "policy/extensions.hpp"
 #include "policy/factory.hpp"
-#include "util/csv.hpp"
-#include "util/log.hpp"
+#include "util/cache_file.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -23,140 +18,32 @@ namespace {
 constexpr const char* kSweepHeader =
     "hp,be,policy,cores,ctf,hp_alone,be_alone,hp_ipc,be_ipc,efu";
 
-std::string sweep_key(const sim::AppCatalog& catalog,
-                      const std::vector<BaselineEntry>& sample,
-                      const SweepConfig& config) {
-  // Order-sensitive FNV over the sample labels, policies and core counts,
-  // plus every config field that shapes results: machine geometry (cores,
-  // frequency, LLC ways, link), the fixed-point solver knobs and the
-  // consolidation window/MBA settings. The worker count is deliberately
-  // excluded — it never changes a row — so any `jobs` keeps serving the
-  // same cache file.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      h *= 0x100000001b3ULL;
-    }
-    h ^= 0xff;
-    h *= 0x100000001b3ULL;
-  };
-  for (const auto& e : sample) mix(e.spec.label());
-  for (const auto& p : config.policies) mix(p);
-  for (unsigned c : config.cores) mix(std::to_string(c));
-  const auto& m = config.base.machine;
-  char buf[352];
-  std::snprintf(buf, sizeof buf,
-                "dicer-sweep-v6:%016llx:%016llx:%u:%u:%g:%g:%g:%u:%g:%g:%g:%d",
-                static_cast<unsigned long long>(catalog_fingerprint(catalog)),
-                static_cast<unsigned long long>(h), m.llc.ways, m.num_cores,
-                m.freq_hz, m.link.capacity_bytes_per_sec, m.quantum_sec,
-                m.fixed_point_rounds, m.fixed_point_damping,
-                config.base.min_window_sec, config.base.max_window_sec,
-                config.base.enable_mba ? 1 : 0);
-  return buf;
+util::CacheFile sweep_file(const std::string& path,
+                           const sim::AppCatalog& catalog,
+                           const std::vector<BaselineEntry>& sample,
+                           const SweepConfig& config) {
+  // Everything a row is computed from; not the worker count, which never
+  // changes a row.
+  util::KeyHasher h;
+  mix_cache_inputs(h, catalog, config.base);
+  h.add(config.base.enable_mba).add(sample.size());
+  for (const auto& e : sample) {
+    h.add(e.spec.label()).add(e.ct_favoured());
+    h.add(e.hp_alone_ipc).add(e.be_alone_ipc);
+  }
+  h.add(config.policies.size());
+  for (const auto& p : config.policies) h.add(p);
+  h.add(config.cores.size());
+  for (unsigned c : config.cores) h.add(c);
+  return {path, "sweep cache", h.key("dicer-sweep-v7"), kSweepHeader};
 }
 
-// Strict cell parsers: reject empty cells, trailing garbage ("12abc") and
-// out-of-range values so a corrupt cache is detected instead of silently
-// feeding nonsense into figures.
-unsigned parse_cell_unsigned(const std::string& cell) {
-  std::size_t pos = 0;
-  const unsigned long v = std::stoul(cell, &pos);
-  if (pos != cell.size() || v > 0xffffffffUL) {
-    throw std::invalid_argument("bad unsigned '" + cell + "'");
-  }
-  return static_cast<unsigned>(v);
-}
-
-double parse_cell_double(const std::string& cell) {
-  std::size_t pos = 0;
-  const double v = std::stod(cell, &pos);
-  if (pos != cell.size()) {
-    throw std::invalid_argument("bad number '" + cell + "'");
-  }
-  return v;
-}
-
-bool parse_cell_bool(const std::string& cell) {
-  if (cell == "1") return true;
-  if (cell == "0") return false;
-  throw std::invalid_argument("bad bool '" + cell + "'");
-}
-
-/// Load cached rows for `key`. Any defect — missing/foreign key line,
-/// wrong column header, truncated row, garbage cell, trailing columns —
-/// logs and returns empty so the caller recomputes. Never throws.
-std::vector<SweepRow> load_sweep(const std::string& path,
-                                 const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string line;
-  if (!std::getline(in, line) || line != "# " + key) {
-    DICER_INFO << "sweep cache " << path << " is stale; recomputing";
-    return {};
-  }
-  if (!std::getline(in, line) || line != kSweepHeader) {
-    DICER_WARN << "sweep cache " << path
-               << " has an unexpected column header; recomputing";
-    return {};
-  }
-  std::vector<SweepRow> rows;
-  try {
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream ss(line);
-      SweepRow r;
-      std::string cell;
-      auto next = [&]() {
-        if (!std::getline(ss, cell, ',')) {
-          throw std::invalid_argument("truncated row");
-        }
-        return cell;
-      };
-      r.hp = next();
-      r.be = next();
-      r.policy = next();
-      r.cores = parse_cell_unsigned(next());
-      r.ct_favoured = parse_cell_bool(next());
-      r.hp_alone = parse_cell_double(next());
-      r.be_alone = parse_cell_double(next());
-      r.hp_ipc = parse_cell_double(next());
-      r.be_ipc = parse_cell_double(next());
-      r.efu = parse_cell_double(next());
-      if (std::getline(ss, cell, ',')) {
-        throw std::invalid_argument("trailing columns");
-      }
-      rows.push_back(std::move(r));
-    }
-  } catch (const std::exception& e) {
-    DICER_WARN << "sweep cache " << path << " is corrupt (" << e.what()
-               << " at row " << rows.size() << "); recomputing";
-    return {};
-  }
-  return rows;
-}
-
-/// Atomically (re)write the cache (util::write_file_atomic), so an
-/// interrupted bench or a concurrent writer never leaves a truncated cache
-/// at the real location. A failed write only warns: the rows are already
-/// computed and the next run recomputes.
-void save_sweep(const std::string& path, const std::string& key,
-                const std::vector<SweepRow>& rows) {
-  try {
-    util::write_file_atomic(path, [&](std::ostream& out) {
-      out << "# " << key << "\n";
-      out << kSweepHeader << "\n";
-      for (const auto& r : rows) {
-        out << r.hp << ',' << r.be << ',' << r.policy << ',' << r.cores << ','
-            << (r.ct_favoured ? 1 : 0) << ',' << util::fmt(r.hp_alone) << ','
-            << util::fmt(r.be_alone) << ',' << util::fmt(r.hp_ipc) << ','
-            << util::fmt(r.be_ipc) << ',' << util::fmt(r.efu) << "\n";
-      }
-    });
-  } catch (const std::exception& e) {
-    DICER_WARN << "cannot write sweep cache " << path << ": " << e.what();
-  }
+/// One cache row <-> one SweepRow (see util/cache_file.hpp).
+template <class Row, class Entry>
+void map_row(Row& row, Entry& r) {
+  row.text(r.hp).text(r.be).text(r.policy).count(r.cores).flag(r.ct_favoured);
+  row.real(r.hp_alone).real(r.be_alone).real(r.hp_ipc).real(r.be_ipc);
+  row.real(r.efu);
 }
 
 std::unique_ptr<policy::Dicer> make_variant(const std::string& name) {
@@ -190,16 +77,17 @@ std::vector<SweepRow> policy_sweep(const sim::AppCatalog& catalog,
                                    const SweepConfig& config,
                                    const std::string& cache_path,
                                    bool force_recompute) {
-  const std::string key = sweep_key(catalog, sample, config);
+  const util::CacheFile file = sweep_file(cache_path, catalog, sample, config);
   const std::size_t total =
       sample.size() * config.policies.size() * config.cores.size();
   if (!cache_path.empty() && !force_recompute) {
     trace::ScopedTimer timer("sweep.load_cache");
-    auto rows = load_sweep(cache_path, key);
-    if (rows.size() == total) return rows;
-    if (!rows.empty()) {
-      DICER_WARN << "sweep cache row count mismatch (" << rows.size()
-                 << " != " << total << "); recomputing";
+    std::vector<SweepRow> rows;
+    rows.reserve(total);
+    if (file.load(total, [&](util::CacheRowReader& row) {
+          map_row(row, rows.emplace_back());
+        })) {
+      return rows;
     }
   }
 
@@ -239,7 +127,12 @@ std::vector<SweepRow> policy_sweep(const sim::AppCatalog& catalog,
 
   if (!cache_path.empty()) {
     trace::ScopedTimer timer("sweep.save_cache");
-    save_sweep(cache_path, key, rows);
+    file.save([&](util::CacheRowWriter& row) {
+      for (const auto& r : rows) {
+        map_row(row, r);
+        row.end_row();
+      }
+    });
   }
   return rows;
 }

@@ -1,66 +1,66 @@
 #include "harness/workloads.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
-#include <stdexcept>
 
 #include "harness/solo.hpp"
 #include "metrics/metrics.hpp"
 #include "policy/baselines.hpp"
-#include "util/csv.hpp"
-#include "util/log.hpp"
+#include "util/cache_file.hpp"
 #include "util/rng.hpp"
 
 namespace dicer::harness {
 
 std::uint64_t catalog_fingerprint(const sim::AppCatalog& catalog) {
-  // Content hash so recalibrated catalogs invalidate stale caches.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    h ^= bits;
-    h *= 0x100000001b3ULL;
-  };
+  // Every profile field the simulator reads, so recalibrated catalogs
+  // invalidate stale caches.
+  util::KeyHasher h;
+  h.add(catalog.size());
   for (const auto& a : catalog.profiles()) {
-    for (char c : a.name) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      h *= 0x100000001b3ULL;
-    }
-    mix(a.total_instructions());
-    mix(a.mean_api());
+    h.add(a.name).add(a.phases.size());
     for (const auto& ph : a.phases) {
-      mix(ph.cpi_core);
-      mix(ph.mlp);
-      mix(ph.mrc.floor());
-      mix(ph.mrc.footprint_bytes());
+      h.add(ph.instructions).add(ph.cpi_core).add(ph.api).add(ph.wb_ratio);
+      h.add(ph.mlp).add(ph.mrc.floor()).add(ph.mrc.components().size());
+      for (const auto& c : ph.mrc.components()) {
+        h.add(c.weight).add(c.ws_bytes).add(c.shape);
+      }
     }
   }
-  return h;
+  return h.value();
+}
+
+void mix_cache_inputs(util::KeyHasher& h, const sim::AppCatalog& catalog,
+                      const ConsolidationConfig& config) {
+  const auto& m = config.machine;
+  h.add(catalog_fingerprint(catalog)).add(m.num_cores).add(m.freq_hz);
+  h.add(m.llc.size_bytes).add(m.llc.ways).add(m.link.capacity_bytes_per_sec);
+  h.add(m.quantum_sec).add(m.fixed_point_rounds).add(m.fixed_point_damping);
+  h.add(config.min_window_sec).add(config.max_window_sec);
 }
 
 namespace {
 
-/// Cache-file header key: invalidates the cache when the model geometry or
-/// catalog changes.
-std::string cache_key(const sim::AppCatalog& catalog,
-                      const ConsolidationConfig& config) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "dicer-baseline-v4:%016llx:%u:%u:%llu:%g:%g:%g:%g",
-                static_cast<unsigned long long>(catalog_fingerprint(catalog)),
-                config.cores_used, config.machine.llc.ways,
-                static_cast<unsigned long long>(config.machine.llc.size_bytes),
-                config.machine.link.capacity_bytes_per_sec,
-                config.machine.quantum_sec, config.min_window_sec,
-                config.max_window_sec);
-  return buf;
+constexpr const char* kBaselineHeader =
+    "hp,be,hp_alone,be_alone,um_hp,um_be,ct_hp,ct_be,um_efu,ct_efu";
+
+util::CacheFile baseline_file(const std::string& path,
+                              const sim::AppCatalog& catalog,
+                              const ConsolidationConfig& config) {
+  util::KeyHasher h;
+  mix_cache_inputs(h, catalog, config);
+  h.add(config.cores_used);
+  return {path, "baseline cache", h.key("dicer-baseline-v5"),
+          kBaselineHeader};
+}
+
+/// One cache row <-> one entry (see util/cache_file.hpp).
+template <class Row, class Entry>
+void map_row(Row& row, Entry& e) {
+  row.text(e.spec.hp).text(e.spec.be).real(e.hp_alone_ipc);
+  row.real(e.be_alone_ipc).real(e.um_hp_ipc).real(e.um_be_ipc);
+  row.real(e.ct_hp_ipc).real(e.ct_be_ipc).real(e.um_efu).real(e.ct_efu);
 }
 
 }  // namespace
@@ -68,78 +68,13 @@ std::string cache_key(const sim::AppCatalog& catalog,
 std::optional<BaselineStudy> load_baseline_cache(
     const std::string& path, const sim::AppCatalog& catalog,
     const ConsolidationConfig& config) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != "# " + cache_key(catalog, config)) {
-    DICER_INFO << "baseline cache " << path << " is stale; recomputing";
-    return std::nullopt;
-  }
-  std::getline(in, line);  // column header
-  BaselineStudy study;
-  study.config = config;
-  // Per-row validation: field count and full numeric parses are checked
-  // cell by cell, and any defect reports file, line and column before the
-  // loader falls back to recomputing — a malformed row must never escape
-  // as an uncaught std::stod exception or a silent garbage value.
-  std::size_t lineno = 2;  // 1-based; key + header already consumed
-  try {
-    while (std::getline(in, line)) {
-      ++lineno;
-      std::istringstream ss(line);
-      BaselineEntry e;
-      std::string cell;
-      unsigned column = 0;
-      auto next = [&]() {
-        ++column;
-        if (!std::getline(ss, cell, ',')) {
-          throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                   ": truncated row (" +
-                                   std::to_string(column - 1) +
-                                   " of 10 fields)");
-        }
-        return cell;
-      };
-      auto next_double = [&]() {
-        const std::string& c = next();
-        std::size_t pos = 0;
-        double v = 0.0;
-        bool ok = true;
-        try {
-          v = std::stod(c, &pos);
-        } catch (const std::exception&) {
-          ok = false;
-        }
-        if (!ok || pos != c.size()) {
-          throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                   ": column " + std::to_string(column) +
-                                   ": bad number '" + c + "'");
-        }
-        return v;
-      };
-      e.spec.hp = next();
-      e.spec.be = next();
-      e.hp_alone_ipc = next_double();
-      e.be_alone_ipc = next_double();
-      e.um_hp_ipc = next_double();
-      e.um_be_ipc = next_double();
-      e.ct_hp_ipc = next_double();
-      e.ct_be_ipc = next_double();
-      e.um_efu = next_double();
-      e.ct_efu = next_double();
-      if (std::getline(ss, cell, ',')) {
-        throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                 ": trailing columns after field 10");
-      }
-      study.entries.push_back(std::move(e));
-    }
-  } catch (const std::exception& e) {
-    DICER_WARN << "baseline cache is malformed (" << e.what()
-               << "); recomputing";
-    return std::nullopt;
-  }
-  if (study.entries.size() != catalog.size() * catalog.size()) {
-    DICER_WARN << "baseline cache " << path << " has wrong row count";
+  BaselineStudy study{config, {}};
+  const std::size_t rows = catalog.size() * catalog.size();
+  study.entries.reserve(rows);
+  if (!baseline_file(path, catalog, config)
+           .load(rows, [&](util::CacheRowReader& row) {
+             map_row(row, study.entries.emplace_back());
+           })) {
     return std::nullopt;
   }
   return study;
@@ -147,22 +82,13 @@ std::optional<BaselineStudy> load_baseline_cache(
 
 void save_baseline_cache(const std::string& path, const BaselineStudy& study,
                          const sim::AppCatalog& catalog) {
-  try {
-    util::write_file_atomic(path, [&](std::ostream& out) {
-      out << "# " << cache_key(catalog, study.config) << "\n";
-      out << "hp,be,hp_alone,be_alone,um_hp,um_be,ct_hp,ct_be,um_efu,ct_efu\n";
-      for (const auto& e : study.entries) {
-        out << e.spec.hp << ',' << e.spec.be << ','
-            << util::fmt(e.hp_alone_ipc) << ',' << util::fmt(e.be_alone_ipc)
-            << ',' << util::fmt(e.um_hp_ipc) << ',' << util::fmt(e.um_be_ipc)
-            << ',' << util::fmt(e.ct_hp_ipc) << ',' << util::fmt(e.ct_be_ipc)
-            << ',' << util::fmt(e.um_efu) << ',' << util::fmt(e.ct_efu)
-            << "\n";
-      }
-    });
-  } catch (const std::exception& e) {
-    DICER_WARN << "cannot write baseline cache " << path << ": " << e.what();
-  }
+  baseline_file(path, catalog, study.config)
+      .save([&](util::CacheRowWriter& row) {
+        for (const auto& e : study.entries) {
+          map_row(row, e);
+          row.end_row();
+        }
+      });
 }
 
 namespace {

@@ -9,8 +9,8 @@
 // The full 59x59x{UM,CT} baseline study is the most expensive computation
 // in the reproduction, so its results are cached in a CSV next to the
 // binaries; every bench transparently reuses it (pass force_recompute to
-// refresh after model changes — the cache key includes the catalog seed
-// and machine geometry, so stale caches are detected automatically).
+// refresh after model changes — the cache key hashes the catalog and the
+// machine configuration, so stale caches are detected automatically).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 
 #include "harness/consolidation.hpp"
 #include "sim/core/catalog.hpp"
+#include "util/cache_file.hpp"
 
 namespace dicer::harness {
 
@@ -77,12 +78,9 @@ BaselineStudy baseline_study(const sim::AppCatalog& catalog,
                              bool force_recompute = false, unsigned jobs = 0);
 
 /// Persist / restore a study (the cache layer under baseline_study,
-/// exposed for tooling and tests). Saving is atomic
-/// (util::write_file_atomic) and only warns on failure. Loading returns
-/// nullopt when the file
-/// is missing, keyed for a different catalog/machine configuration, or
-/// malformed — short rows, non-numeric cells and trailing columns are
-/// diagnosed with file/line/column in a warning instead of crashing.
+/// exposed for tooling and tests) as a util::CacheFile: a loaded study
+/// equals the saved one bit for bit. Loading returns nullopt when the file
+/// is missing, keyed for another catalog or configuration, or malformed.
 void save_baseline_cache(const std::string& path, const BaselineStudy& study,
                          const sim::AppCatalog& catalog);
 std::optional<BaselineStudy> load_baseline_cache(
@@ -98,9 +96,16 @@ std::vector<BaselineEntry> representative_sample(const BaselineStudy& study,
                                                  std::size_t n_ctt = 70,
                                                  std::uint64_t seed = 42);
 
-/// Content hash of a catalog (names + calibration parameters); part of
-/// every cache key so recalibration invalidates stale caches.
+/// Content hash of a catalog: names and every phase and MRC field the
+/// simulator reads, so recalibration invalidates stale caches.
 std::uint64_t catalog_fingerprint(const sim::AppCatalog& catalog);
+
+/// Mixes the key inputs both harness caches share: the catalog fingerprint
+/// and `config`'s machine and window. Not cores_used (the sweep overrides
+/// it) nor enable_mba (the study's UM and CT never throttle, so
+/// ablation_dicer's MBA-enabled config reuses fig1's study).
+void mix_cache_inputs(util::KeyHasher& h, const sim::AppCatalog& catalog,
+                      const ConsolidationConfig& config);
 
 /// Where benches put shared cache files: $DICER_CACHE_DIR or ".".
 std::string default_cache_dir();

@@ -1,15 +1,11 @@
 #include "sim/core/trace_apps.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "util/csv.hpp"
-#include "util/log.hpp"
+#include "util/cache_file.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -19,136 +15,58 @@ namespace {
 
 constexpr const char* kTraceHeader = "app,bytes,miss_ratio";
 
-std::string profile_key(const std::vector<TraceAppSpec>& specs,
-                        const MrcProfilerConfig& config) {
-  // Versioned key over everything that shapes the cached tables: the
-  // profiling geometry/windows/mode/sampling plan plus every stream-
-  // shaping spec field. Phase parameters (cpi, api, ...) are applied
-  // after loading, so they are deliberately excluded.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      h *= 0x100000001b3ULL;
-    }
-    h ^= 0xff;
-    h *= 0x100000001b3ULL;
-  };
+util::CacheFile profile_file(const std::string& path,
+                             const std::vector<TraceAppSpec>& specs,
+                             const MrcProfilerConfig& config) {
+  // Everything that shapes the cached tables: every stream-shaping spec
+  // field plus the profiling geometry, windows, mode and sampling plan.
+  // Phase parameters (cpi, api, ...) are applied after loading, so they
+  // are deliberately excluded.
+  util::KeyHasher h;
+  h.add(specs.size());
   for (const auto& s : specs) {
-    mix(s.name);
-    mix(to_string(s.pattern));
-    char buf[192];
-    std::snprintf(buf, sizeof buf, "%llu:%llu:%g:%g:%llu:%llu",
-                  static_cast<unsigned long long>(s.ws_bytes),
-                  static_cast<unsigned long long>(s.cold_bytes),
-                  s.hot_fraction, s.reuse_fraction,
-                  static_cast<unsigned long long>(s.stream_seed),
-                  static_cast<unsigned long long>(s.base));
-    mix(buf);
+    h.add(s.name).add(to_string(s.pattern)).add(s.ws_bytes).add(s.cold_bytes);
+    h.add(s.hot_fraction).add(s.reuse_fraction).add(s.stream_seed);
+    h.add(s.base);
   }
   const auto& g = config.geometry;
   const auto& sh = config.sampling;
-  char buf[256];
-  std::snprintf(
-      buf, sizeof buf,
-      "dicer-trace-mrc-v1:%016llx:%llu:%u:%u:%llu:%llu:%d:%d:%g:%llu:%llu:%d",
-      static_cast<unsigned long long>(h),
-      static_cast<unsigned long long>(g.size_bytes), g.ways, g.line_bytes,
-      static_cast<unsigned long long>(config.warmup_accesses),
-      static_cast<unsigned long long>(config.measure_accesses),
-      static_cast<int>(config.mode), static_cast<int>(sh.mode), sh.rate,
-      static_cast<unsigned long long>(sh.max_tracked_blocks),
-      static_cast<unsigned long long>(sh.seed), sh.count_correction ? 1 : 0);
-  return buf;
-}
-
-/// Full-precision double formatting (%.17g round-trips exactly), so a
-/// cache-served catalog is byte-identical to a freshly profiled one.
-std::string fmt17(double x) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", x);
-  return buf;
-}
-
-double parse_cell_double(const std::string& cell) {
-  std::size_t pos = 0;
-  const double v = std::stod(cell, &pos);
-  if (pos != cell.size()) {
-    throw std::invalid_argument("bad number '" + cell + "'");
-  }
-  return v;
+  h.add(g.size_bytes).add(g.ways).add(g.line_bytes);
+  h.add(config.warmup_accesses).add(config.measure_accesses);
+  h.add(static_cast<int>(config.mode)).add(static_cast<int>(sh.mode));
+  h.add(sh.rate).add(sh.max_tracked_blocks).add(sh.seed);
+  h.add(sh.count_correction);
+  return {path, "trace profile cache", h.key("dicer-trace-mrc-v2"),
+          kTraceHeader};
 }
 
 using PointTable = std::map<std::string, std::vector<std::pair<double, double>>>;
 
-/// Load cached per-app MRC tables for `key`. Any defect logs and returns
-/// empty so the caller reprofiles. Never throws.
-PointTable load_tables(const std::string& path, const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string line;
-  if (!std::getline(in, line) || line != "# " + key) {
-    DICER_INFO << "trace profile cache " << path << " is stale; reprofiling";
-    return {};
-  }
-  if (!std::getline(in, line) || line != kTraceHeader) {
-    DICER_WARN << "trace profile cache " << path
-               << " has an unexpected column header; reprofiling";
-    return {};
-  }
+/// Load the cached per-way MRC table of every spec: `ways` points each,
+/// in range and strictly increasing in bytes. Empty on any defect.
+PointTable load_tables(const util::CacheFile& file,
+                       const std::vector<TraceAppSpec>& specs,
+                       unsigned ways) {
   PointTable tables;
-  std::size_t rows = 0;
-  try {
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream ss(line);
-      std::string cell;
-      auto next = [&]() {
-        if (!std::getline(ss, cell, ',')) {
-          throw std::invalid_argument("truncated row");
-        }
-        return cell;
-      };
-      const std::string app = next();
-      const double bytes = parse_cell_double(next());
-      const double ratio = parse_cell_double(next());
-      if (app.empty() || !(bytes > 0.0) || ratio < 0.0 || ratio > 1.0) {
-        throw std::invalid_argument("out-of-range row");
-      }
-      if (std::getline(ss, cell, ',')) {
-        throw std::invalid_argument("trailing columns");
-      }
-      auto& points = tables[app];
-      if (!points.empty() && bytes <= points.back().first) {
-        throw std::invalid_argument("unsorted points");
-      }
-      points.emplace_back(bytes, ratio);
-      ++rows;
+  for (const auto& spec : specs) tables[spec.name];
+  const bool ok = file.load(specs.size() * ways,
+                            [&](util::CacheRowReader& row) {
+    std::string app;
+    double bytes = 0.0, ratio = 0.0;
+    row.text(app).real(bytes).real(ratio);
+    const auto it = tables.find(app);
+    if (it == tables.end()) {
+      throw std::invalid_argument("unknown app '" + app + "'");
     }
-  } catch (const std::exception& e) {
-    DICER_WARN << "trace profile cache " << path << " is corrupt (" << e.what()
-               << " at row " << rows << "); reprofiling";
-    return {};
-  }
+    auto& points = it->second;
+    if (!(bytes > 0.0) || ratio < 0.0 || ratio > 1.0 || points.size() == ways ||
+        (!points.empty() && bytes <= points.back().first)) {
+      throw std::invalid_argument("point out of range, order or count");
+    }
+    points.emplace_back(bytes, ratio);
+  });
+  if (!ok) tables.clear();
   return tables;
-}
-
-void save_tables(const std::string& path, const std::string& key,
-                 const PointTable& tables) {
-  try {
-    util::write_file_atomic(path, [&](std::ostream& out) {
-      out << "# " << key << "\n";
-      out << kTraceHeader << "\n";
-      for (const auto& [app, points] : tables) {
-        for (const auto& [bytes, ratio] : points) {
-          out << app << ',' << fmt17(bytes) << ',' << fmt17(ratio) << "\n";
-        }
-      }
-    });
-  } catch (const std::exception& e) {
-    DICER_WARN << "cannot write trace profile cache " << path << ": "
-               << e.what();
-  }
 }
 
 AppProfile make_profile(const TraceAppSpec& spec, const EmpiricalMrc& table) {
@@ -353,25 +271,10 @@ AppCatalog trace_augmented_catalog(const std::string& cache_path,
   AppCatalog catalog;
   if (specs.empty()) return catalog;
 
-  const std::string key = profile_key(specs, config);
+  const util::CacheFile file = profile_file(cache_path, specs, config);
   PointTable tables;
   if (!cache_path.empty()) {
-    tables = load_tables(cache_path, key);
-    // Every spec must be present with one point per way count; anything
-    // else is a stale or foreign cache.
-    bool complete = tables.size() == specs.size();
-    for (const auto& spec : specs) {
-      const auto it = tables.find(spec.name);
-      if (it == tables.end() || it->second.size() != config.geometry.ways) {
-        complete = false;
-        break;
-      }
-    }
-    if (!complete && !tables.empty()) {
-      DICER_WARN << "trace profile cache " << cache_path
-                 << " does not cover the requested specs; reprofiling";
-    }
-    if (!complete) tables.clear();
+    tables = load_tables(file, specs, config.geometry.ways);
   }
 
   if (tables.empty()) {
@@ -380,7 +283,15 @@ AppCatalog trace_augmented_catalog(const std::string& cache_path,
           profile_mrc(config, [&spec] { return make_trace_stream(spec); });
       tables[spec.name] = table.points();
     }
-    if (!cache_path.empty()) save_tables(cache_path, key, tables);
+    if (!cache_path.empty()) {
+      file.save([&](util::CacheRowWriter& row) {
+        for (const auto& [app, points] : tables) {
+          for (const auto& [bytes, ratio] : points) {
+            row.text(app).real(bytes).real(ratio).end_row();
+          }
+        }
+      });
+    }
   }
 
   for (const auto& spec : specs) {

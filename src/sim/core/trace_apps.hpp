@@ -10,10 +10,11 @@
 // coverage components — exact on convex tables, least-upper-bound
 // steepening on bumpy ones).
 //
-// Profiling results are cached on disk in the same deterministic style as
-// the policy-sweep cache: a versioned "# key" line mixing every
-// result-shaping knob, strict row parsing, corruption handled by
-// recomputing (never by crashing), atomic tmp+rename saves.
+// Profiling results are cached on disk in the util::CacheFile format the
+// baseline study and the policy sweep share: a versioned "# key" line
+// hashing every result-shaping knob, exact %.17g cells, strict row
+// parsing, corruption handled by recomputing (never by crashing), atomic
+// saves.
 #pragma once
 
 #include <cstdint>

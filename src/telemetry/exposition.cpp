@@ -1,6 +1,5 @@
 #include "telemetry/exposition.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/csv.hpp"
@@ -9,13 +8,7 @@ namespace dicer::telemetry {
 
 namespace {
 
-/// Full-precision deterministic double rendering (round-trips exactly,
-/// matches the fleet CSV's %.17g convention).
-std::string f17(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", x);
-  return buf;
-}
+using util::fmt17;
 
 void append_histogram(std::string& out, const Registry::Entry& e) {
   const Histogram& h = *e.histogram;
@@ -23,11 +16,11 @@ void append_histogram(std::string& out, const Registry::Entry& e) {
   for (unsigned b = 0; b <= h.num_buckets(); ++b) {
     cumulative += h.bucket_count(b);
     const std::string le =
-        b < h.num_buckets() ? f17(h.upper_bound(b)) : "+Inf";
+        b < h.num_buckets() ? fmt17(h.upper_bound(b)) : "+Inf";
     out += e.name + "_bucket{le=\"" + le + "\"} " +
            std::to_string(cumulative) + '\n';
   }
-  out += e.name + "_sum " + f17(h.sum()) + '\n';
+  out += e.name + "_sum " + fmt17(h.sum()) + '\n';
   out += e.name + "_count " + std::to_string(h.count()) + '\n';
 }
 
@@ -42,7 +35,7 @@ std::string to_prometheus(const Registry& registry) {
       out += e.name + ' ' + std::to_string(e.counter->value()) + '\n';
     } else if (e.gauge) {
       out += "# TYPE " + e.name + " gauge\n";
-      out += e.name + ' ' + f17(e.gauge->value()) + '\n';
+      out += e.name + ' ' + fmt17(e.gauge->value()) + '\n';
     } else if (e.histogram) {
       out += "# TYPE " + e.name + " histogram\n";
       append_histogram(out, e);
@@ -61,15 +54,15 @@ std::string to_json(const Registry& registry) {
     if (e.counter) {
       out += std::to_string(e.counter->value());
     } else if (e.gauge) {
-      out += f17(e.gauge->value());
+      out += fmt17(e.gauge->value());
     } else if (e.histogram) {
       const Histogram& h = *e.histogram;
       out += "{\"count\":" + std::to_string(h.count()) +
-             ",\"sum\":" + f17(h.sum()) + ",\"min\":" + f17(h.min()) +
-             ",\"max\":" + f17(h.max()) +
-             ",\"p50\":" + f17(h.percentile(50.0)) +
-             ",\"p95\":" + f17(h.percentile(95.0)) +
-             ",\"p99\":" + f17(h.percentile(99.0)) + '}';
+             ",\"sum\":" + fmt17(h.sum()) + ",\"min\":" + fmt17(h.min()) +
+             ",\"max\":" + fmt17(h.max()) +
+             ",\"p50\":" + fmt17(h.percentile(50.0)) +
+             ",\"p95\":" + fmt17(h.percentile(95.0)) +
+             ",\"p99\":" + fmt17(h.percentile(99.0)) + '}';
     }
   }
   out += '}';

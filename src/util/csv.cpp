@@ -108,6 +108,12 @@ std::string fmt(double x) {
   return buf;
 }
 
+std::string fmt17(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
 std::string fmt_fixed(double x, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, x);

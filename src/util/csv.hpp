@@ -29,7 +29,8 @@ class CsvWriter {
   /// Append one row of string cells.
   void row(const std::vector<std::string>& cells);
 
-  /// Convenience: format doubles with full round-trip precision.
+  /// Convenience: format doubles compactly with fmt (%.6g). Not exact:
+  /// exact outputs use fmt17.
   void row_numeric(const std::vector<double>& cells);
 
   /// Mixed row: a leading label plus numeric cells.
@@ -59,6 +60,8 @@ void write_file_atomic(const std::string& path,
 
 /// Format a double compactly (%.6g) — for table cells.
 std::string fmt(double x);
+/// Format a double with %.17g, which round-trips it exactly.
+std::string fmt17(double x);
 /// Format a double with fixed decimals.
 std::string fmt_fixed(double x, int decimals);
 

@@ -104,6 +104,12 @@ TEST(PolicySweep, FilterSelectsCell) {
   EXPECT_EQ(cell[0].cores, 4u);
 }
 
+std::string fmt17(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
 TEST(PolicySweep, CacheRoundTrip) {
   const std::string path = test::unique_temp_path("sweep_cache_test.csv");
   std::remove(path.c_str());
@@ -111,14 +117,46 @@ TEST(PolicySweep, CacheRoundTrip) {
       sample_entry("milc1", "gcc_base3")};
   const auto cfg = small_config();
   const auto rows = policy_sweep(sim::default_catalog(), sample, cfg, path);
+  const auto lines = read_lines(path);
   const auto again = policy_sweep(sim::default_catalog(), sample, cfg, path);
-  ASSERT_EQ(again.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(again[i].policy, rows[i].policy);
-    EXPECT_EQ(again[i].cores, rows[i].cores);
-    EXPECT_NEAR(again[i].hp_ipc, rows[i].hp_ipc, 1e-5);
-    EXPECT_NEAR(again[i].efu, rows[i].efu, 1e-5);
+  // Served from the cache: every field of every row bit-identical.
+  expect_rows_identical(again, rows);
+  // And the file is exactly the rows at full precision, so saving the
+  // loaded rows would rewrite it byte for byte.
+  ASSERT_EQ(lines.size(), rows.size() + 2);
+  EXPECT_EQ(lines[1], "hp,be,policy,cores,ctf,hp_alone,be_alone,hp_ipc,"
+                      "be_ipc,efu");
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    const auto& r = again[i];
+    EXPECT_EQ(lines[i + 2],
+              r.hp + "," + r.be + "," + r.policy + "," +
+                  std::to_string(r.cores) + "," + (r.ct_favoured ? "1" : "0") +
+                  "," + fmt17(r.hp_alone) + "," + fmt17(r.be_alone) + "," +
+                  fmt17(r.hp_ipc) + "," + fmt17(r.be_ipc) + "," +
+                  fmt17(r.efu));
   }
+  std::remove(path.c_str());
+}
+
+TEST(PolicySweep, KeyHashesConfigExactly) {
+  // A %g key (6 significant digits) served one cache to min_window_sec
+  // 0.5 and 0.5000001.
+  const std::string path = test::unique_temp_path("sweep_exact_key.csv");
+  std::remove(path.c_str());
+  const std::vector<BaselineEntry> sample = {
+      sample_entry("milc1", "gcc_base3")};
+  auto cfg = small_config();
+  cfg.policies = {"UM"};
+  cfg.cores = {2};
+  cfg.base.min_window_sec = 0.5;
+  policy_sweep(sim::default_catalog(), sample, cfg, path);
+  tamper_hp_names(path);
+  auto nearby = cfg;
+  nearby.base.min_window_sec = 0.5000001;
+  const auto rows = policy_sweep(sim::default_catalog(), sample, nearby, path);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows[0].hp, "milc1") << "stale cache reused across a "
+                                    "min_window_sec change";
   std::remove(path.c_str());
 }
 
@@ -325,17 +363,12 @@ TEST(PolicySweep, ParallelCacheFileByteIdenticalToSerial) {
   // The cache a parallel sweep writes is byte-identical to the serial
   // one (same key — jobs is excluded — same order, same values).
   EXPECT_EQ(read_lines(parallel_path), read_lines(serial_path));
-  // And re-loading it reproduces the rows to serialisation precision.
+  // And re-loading it reproduces the rows exactly.
   const auto cached = policy_sweep(sim::default_catalog(), sample,
                                    parallel_cfg, parallel_path);
   const auto fresh =
       policy_sweep(sim::default_catalog(), sample, parallel_cfg, "");
-  ASSERT_EQ(cached.size(), fresh.size());
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].policy, fresh[i].policy);
-    EXPECT_NEAR(cached[i].hp_ipc, fresh[i].hp_ipc, 1e-5);
-    EXPECT_NEAR(cached[i].efu, fresh[i].efu, 1e-5);
-  }
+  expect_rows_identical(cached, fresh);
   std::remove(serial_path.c_str());
   std::remove(parallel_path.c_str());
 }
@@ -365,16 +398,9 @@ TEST(PolicySweep, ConcurrentSaversNeverCorruptTheCache) {
   for (auto& t : writers) t.join();
 
   // Whatever interleaving happened, the installed cache is complete: a
-  // plain (non-forced) sweep hits it and returns the full grid (to
-  // serialisation precision — the hit path reads the CSV back).
+  // plain (non-forced) sweep hits it and returns the full grid exactly.
   const auto cached = policy_sweep(sim::default_catalog(), sample, cfg, path);
-  ASSERT_EQ(cached.size(), expected.size());
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].policy, expected[i].policy);
-    EXPECT_EQ(cached[i].cores, expected[i].cores);
-    EXPECT_NEAR(cached[i].hp_ipc, expected[i].hp_ipc, 1e-5);
-    EXPECT_NEAR(cached[i].efu, expected[i].efu, 1e-5);
-  }
+  expect_rows_identical(cached, expected);
   // And no temp droppings were left next to it.
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().string().find(path + ".tmp"), std::string::npos)

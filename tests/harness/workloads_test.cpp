@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "policy/baselines.hpp"
@@ -81,6 +82,11 @@ TEST(BaselineStudy, CtFractionCounts) {
   EXPECT_NEAR(study.fraction_ct_thwarted(), 1.0 - 1740.0 / 3481.0, 1e-12);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(BaselineCache, RoundTripsExactly) {
   const std::string path = test::unique_temp_path("baseline_cache_test.csv");
   const auto& catalog = sim::default_catalog();
@@ -90,13 +96,112 @@ TEST(BaselineCache, RoundTripsExactly) {
   const auto loaded = load_baseline_cache(path, catalog, study.config);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->entries.size(), study.entries.size());
-  for (std::size_t i = 0; i < study.entries.size(); i += 97) {
-    EXPECT_EQ(loaded->entries[i].spec.hp, study.entries[i].spec.hp);
-    EXPECT_NEAR(loaded->entries[i].um_hp_ipc, study.entries[i].um_hp_ipc,
-                1e-5);
-    EXPECT_NEAR(loaded->entries[i].ct_efu, study.entries[i].ct_efu, 1e-5);
+  for (std::size_t i = 0; i < study.entries.size(); ++i) {
+    const auto& a = loaded->entries[i];
+    const auto& b = study.entries[i];
+    EXPECT_EQ(a.spec.hp, b.spec.hp) << i;
+    EXPECT_EQ(a.spec.be, b.spec.be) << i;
+    EXPECT_EQ(a.hp_alone_ipc, b.hp_alone_ipc) << i;
+    EXPECT_EQ(a.be_alone_ipc, b.be_alone_ipc) << i;
+    EXPECT_EQ(a.um_hp_ipc, b.um_hp_ipc) << i;
+    EXPECT_EQ(a.um_be_ipc, b.um_be_ipc) << i;
+    EXPECT_EQ(a.ct_hp_ipc, b.ct_hp_ipc) << i;
+    EXPECT_EQ(a.ct_be_ipc, b.ct_be_ipc) << i;
+    EXPECT_EQ(a.um_efu, b.um_efu) << i;
+    EXPECT_EQ(a.ct_efu, b.ct_efu) << i;
+  }
+  // save(load(f)) == f, byte for byte.
+  const std::string again = test::unique_temp_path("baseline_cache_again.csv");
+  save_baseline_cache(again, *loaded, catalog);
+  EXPECT_EQ(read_file(again), read_file(path));
+  std::remove(path.c_str());
+  std::remove(again.c_str());
+}
+
+TEST(BaselineCache, KeyHashesConfigExactly) {
+  // %g keys (6 significant digits) served one cache to configurations
+  // that differ past the 6th digit.
+  const std::string path = test::unique_temp_path("baseline_exact_key.csv");
+  const auto& catalog = sim::default_catalog();
+  auto study = synthetic_study();
+  study.config = ConsolidationConfig{};
+  study.config.min_window_sec = 0.5;
+  save_baseline_cache(path, study, catalog);
+  ASSERT_TRUE(load_baseline_cache(path, catalog, study.config).has_value());
+
+  std::vector<std::pair<const char*, ConsolidationConfig>> nearby;
+  auto add = [&](const char* field, auto mutate) {
+    ConsolidationConfig c = study.config;
+    mutate(c);
+    nearby.emplace_back(field, c);
+  };
+  add("min_window_sec", [](auto& c) { c.min_window_sec = 0.5000001; });
+  add("link capacity", [](auto& c) {
+    c.machine.link.capacity_bytes_per_sec += 1.0;
+  });
+  add("quantum_sec", [](auto& c) { c.machine.quantum_sec *= 1.0000001; });
+  add("freq_hz", [](auto& c) { c.machine.freq_hz += 1.0; });
+  add("fixed_point_damping", [](auto& c) {
+    c.machine.fixed_point_damping = 0.5000001;
+  });
+  for (const auto& [field, config] : nearby) {
+    EXPECT_FALSE(load_baseline_cache(path, catalog, config).has_value())
+        << "cache reused across a " << field << " change";
   }
   std::remove(path.c_str());
+}
+
+TEST(BaselineCache, ServesTheMbaEnabledConfig) {
+  // UM and CT never throttle, so enable_mba is not a study input:
+  // ablation_dicer (MBA exposed) reuses the study fig1 cached.
+  const std::string path = test::unique_temp_path("baseline_mba.csv");
+  const auto& catalog = sim::default_catalog();
+  auto study = synthetic_study();
+  study.config = ConsolidationConfig{};
+  save_baseline_cache(path, study, catalog);
+  ConsolidationConfig mba = study.config;
+  mba.enable_mba = true;
+  EXPECT_TRUE(load_baseline_cache(path, catalog, mba).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(CatalogFingerprint, CoversEveryFieldTheSimulatorReads) {
+  const auto& base = sim::default_catalog().profiles();
+  const std::vector<sim::AppProfile> profiles(base.begin(), base.begin() + 3);
+  const auto fingerprint = [](const std::vector<sim::AppProfile>& ps) {
+    return catalog_fingerprint(sim::AppCatalog(ps));
+  };
+  const std::uint64_t reference = fingerprint(profiles);
+  EXPECT_EQ(fingerprint(profiles), reference);
+
+  using Mutation = std::function<void(sim::AppPhase&)>;
+  auto with_component = [](const std::function<void(sim::MrcComponent&)>& f) {
+    return [f](sim::AppPhase& ph) {
+      auto comps = ph.mrc.components();
+      ASSERT_FALSE(comps.empty());
+      f(comps.back());
+      ph.mrc = sim::MissRatioCurve(ph.mrc.floor(), comps);
+    };
+  };
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"wb_ratio", [](sim::AppPhase& ph) { ph.wb_ratio += 0.01; }},
+      {"instructions", [](sim::AppPhase& ph) { ph.instructions += 1.0; }},
+      {"api", [](sim::AppPhase& ph) { ph.api *= 1.01; }},
+      {"cpi_core", [](sim::AppPhase& ph) { ph.cpi_core += 0.01; }},
+      {"mlp", [](sim::AppPhase& ph) { ph.mlp += 0.01; }},
+      {"mrc weight",
+       with_component([](sim::MrcComponent& c) { c.weight *= 0.99; })},
+      {"mrc ws_bytes",
+       with_component([](sim::MrcComponent& c) { c.ws_bytes += 64.0; })},
+      {"mrc shape",
+       with_component([](sim::MrcComponent& c) { c.shape += 0.1; })},
+  };
+  for (const auto& [field, mutate] : mutations) {
+    auto changed = profiles;
+    mutate(changed[1].phases.back());
+    EXPECT_NE(fingerprint(changed), reference)
+        << "fingerprint ignores a phase's " << field;
+  }
 }
 
 TEST(BaselineCache, StaleKeyRejected) {
@@ -235,11 +340,6 @@ TEST(BaselineCache, TrailingColumnsAreDiagnosedNotFatal) {
                                    ConsolidationConfig{})
                    .has_value());
   std::remove(path.c_str());
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 TEST(BaselineStudy, ParallelCacheFileByteIdenticalToSerial) {

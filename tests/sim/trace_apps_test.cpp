@@ -193,6 +193,36 @@ TEST(TraceApps, CorruptProfileCacheIsRecomputedNotFatal) {
   std::remove(path.c_str());
 }
 
+TEST(TraceApps, ProfileCacheMustCoverEverySpec) {
+  // Rows relabelled from one spec to another: the row count still
+  // matches, but one spec has no points and another twice its ways.
+  const std::string path = test::unique_temp_path("trace_profile_cover.csv");
+  std::remove(path.c_str());
+  const auto specs = default_trace_apps();
+  const auto config = test_config();
+  const auto clean = trace_augmented_catalog(path, specs, config);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("trace_wset1,", 0) == 0) {
+        line.replace(0, std::string("trace_wset1").size(), "trace_mix1");
+      }
+      lines.push_back(line);
+    }
+  }
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const auto& l : lines) out << l << "\n";
+  }
+  const auto recovered = trace_augmented_catalog(path, specs, config);
+  for (const auto& spec : specs) {
+    EXPECT_EQ(clean.by_name(spec.name).phases[0].mrc.floor(),
+              recovered.by_name(spec.name).phases[0].mrc.floor());
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceApps, StaleKeyTriggersReprofile) {
   const std::string path = test::unique_temp_path("trace_profile_stale.csv");
   std::remove(path.c_str());
