@@ -27,7 +27,14 @@
 // --compare re-runs the identical churn sequence under every placement
 // engine and prints a mean-EFU-vs-cost scoreboard — the "does MRC-aware
 // placement beat random, and what does each decision cost?" answer in one
-// table (the wall-clock column is the one non-deterministic cell).
+// table. A decision's cost is its wall-clock time (arrivals and
+// migrations, the one non-deterministic pair of cells) and its
+// predict_efu() evaluations.
+//
+// --profile also prints the placement index's deterministic work counts:
+// decisions, index mutations, predict_efu() evaluations and tree nodes
+// visited.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -41,6 +48,19 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+
+/// Wall-clock milliseconds spent deciding placements so far (arrivals and
+/// migrations, from the control plane's scoped timers).
+static double decision_ms() {
+  double ms = 0.0;
+  for (const auto& [label, stat] :
+       dicer::trace::TimerRegistry::global().snapshot()) {
+    if (label == "fleet.arrivals" || label == "fleet.migrations") {
+      ms += stat.total_ms;
+    }
+  }
+  return ms;
+}
 
 static int run(int argc, char** argv) {
   using namespace dicer;
@@ -60,16 +80,25 @@ static int run(int argc, char** argv) {
     // the only variable.
     util::TextTable table;
     table.set_header({"placement", "mean EFU", "HP norm", "rejected",
-                      "migrations", "SLO viol rate", "wall ms/epoch"});
+                      "migrations", "SLO viol rate", "wall ms/epoch",
+                      "us/decision", "efu evals/decision"});
     for (const auto& name : fleet::known_placements()) {
       fc.placement = name;
       fleet::Cluster cluster(fc, catalog);
+      const double decision_ms0 = decision_ms();
       const auto t0 = std::chrono::steady_clock::now();
       const auto rows = cluster.run(epochs);
       const double wall_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t0)
               .count();
+      const auto decisions = static_cast<double>(
+          std::max<std::size_t>(1, cluster.placement_log().size()));
+      const double us_per_decision =
+          (decision_ms() - decision_ms0) * 1e3 / decisions;
+      const double evals_per_decision =
+          static_cast<double>(cluster.placement_index()->efu_predictions()) /
+          decisions;
       std::uint64_t rejected = 0, migrations = 0;
       double hp_norm = 0.0, viol = 0.0;
       for (const auto& r : rows) {
@@ -83,7 +112,9 @@ static int run(int argc, char** argv) {
                      util::fmt_fixed(hp_norm / n, 4),
                      std::to_string(rejected), std::to_string(migrations),
                      util::fmt_fixed(viol / n, 4),
-                     util::fmt_fixed(wall_ms / n, 2)});
+                     util::fmt_fixed(wall_ms / n, 2),
+                     util::fmt_fixed(us_per_decision, 1),
+                     util::fmt_fixed(evals_per_decision, 1)});
     }
     std::cout << "Fleet of " << fc.num_machines << " machines, " << epochs
               << " epochs, " << fc.policy << " policy:\n\n";
@@ -150,6 +181,14 @@ static int run(int argc, char** argv) {
             << util::fmt_fixed(fleet::Cluster::mean_efu(rows), 4) << ", "
             << cluster.tenants_running() << " tenants running, "
             << cluster.placement_log().size() << " placement decisions\n";
+  if (env.profile) {
+    const auto* index = cluster.placement_index();
+    std::cerr << "placement work: " << cluster.placement_log().size()
+              << " decisions, " << index->mutations()
+              << " index mutations, " << index->efu_predictions()
+              << " predict_efu evaluations, " << index->tree_node_visits()
+              << " tree nodes visited\n";
+  }
   return 0;
 }
 

@@ -51,4 +51,46 @@ const AppSignal& AppDirectory::signal(const std::string& name) const {
   return it->second;
 }
 
+double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
+                   const std::vector<const AppSignal*>& bes,
+                   std::vector<metrics::IpcPair>& pairs) {
+  const auto& machine = dir.machine();
+  const auto total_ways = machine.llc.ways;
+
+  // The HP holds the partition it needs to stay near solo IPC (DICER's
+  // steady state); everything else is the BE pool.
+  const unsigned hp_ways =
+      std::clamp(hp_sig.ways_needed, 1u, total_ways - 1u);
+  const double be_ways = static_cast<double>(total_ways - hp_ways);
+
+  // The BE pool splits in proportion to MRC footprint: a streaming app
+  // with no reuse mass takes (and gains from) almost nothing, a deep-knee
+  // app claims most of the pool. Footprint-less mixes fall back to an
+  // even split.
+  double footprint_sum = 0.0;
+  for (const auto* s : bes) footprint_sum += s->footprint_bytes;
+
+  pairs.clear();
+  double demand = hp_sig.bw_by_ways[hp_ways - 1];
+  pairs.push_back({hp_sig.ipc_alone, hp_sig.ipc_at_ways(hp_ways)});
+  for (const auto* s : bes) {
+    const double share =
+        footprint_sum > 0.0
+            ? be_ways * (s->footprint_bytes / footprint_sum)
+            : be_ways / static_cast<double>(bes.size());
+    const double w = std::clamp(share, 1.0, be_ways);
+    pairs.push_back({s->ipc_alone, s->ipc_at_ways(w)});
+    demand += s->bw_by_ways[static_cast<std::size_t>(w) - 1];
+  }
+
+  // Oversubscribing the memory link slows everyone proportionally —
+  // a crude but monotone stand-in for the saturating-link model.
+  const double capacity = machine.link.capacity_bytes_per_sec;
+  const double link_factor =
+      demand > capacity && demand > 0.0 ? capacity / demand : 1.0;
+  for (auto& p : pairs) p.colocated *= link_factor;
+
+  return metrics::effective_utilisation(pairs);
+}
+
 }  // namespace dicer::fleet

@@ -1,12 +1,13 @@
-// Per-application placement signals.
+// Per-application placement signals, and predict_efu(), the model that
+// combines them into a machine's predicted EFU.
 //
 // Placement needs to predict, cheaply and per candidate machine, how well
 // a tenant would run with some slice of the LLC — exactly what a miss-ratio
 // curve buys. The directory distils each catalog app's profile into an
 // ipc-vs-ways table (solo steady state, the closed-form evaluator — a few
-// microseconds per point) plus the footprint/bandwidth scalars the best-fit
-// scorer combines. For trace-derived apps the underlying curves come from
-// the single-pass sampled reuse-distance profiler
+// microseconds per point) plus the footprint/bandwidth scalars
+// predict_efu() combines. For trace-derived apps the underlying curves
+// come from the single-pass sampled reuse-distance profiler
 // (`MrcProfilerMode::kSampled`, ~0.9 ms/app, see sim/core/trace_apps.hpp),
 // so a fleet over `trace_augmented_catalog()` places straight off sampled
 // MRC profiles; the analytic catalog apps evaluate their calibrated MRCs
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/metrics.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
 
@@ -62,5 +64,12 @@ class AppDirectory {
   sim::MachineConfig machine_;
   std::map<std::string, AppSignal> signals_;
 };
+
+/// Predicted EFU of a machine running `hp_sig`'s HP plus the BEs `bes`
+/// (in core order — the floating-point sums walk them in that order). A
+/// pure function of its operands; `pairs` is caller-owned scratch.
+double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
+                   const std::vector<const AppSignal*>& bes,
+                   std::vector<metrics::IpcPair>& pairs);
 
 }  // namespace dicer::fleet

@@ -6,33 +6,37 @@
 //   random        uniform over machines with a free BE core (seeded —
 //                 deterministic — baseline for "does placement matter?")
 //   least-loaded  fewest running BE tenants, ties to the lowest index
-//   mrc           MRC-aware best-fit: scores every candidate machine by
-//                 the EFU it would have *after* the tenant lands —
-//                 HP keeps its ways_needed partition, the BEs split the
-//                 remainder in proportion to their MRC footprints, each
-//                 app's IPC is read off its ipc-vs-ways curve, and the
-//                 whole machine is discounted when predicted bandwidth
-//                 demand oversubscribes the memory link. Picks the
-//                 highest post-placement EFU (Com-CAS-style footprint
-//                 packing driven by the sampled-MRC app directory).
+//   mrc           MRC-aware best-fit on the marginal EFU: the machine
+//                 whose predicted EFU rises most (or drops least) when
+//                 the tenant joins. The prediction: HP keeps its
+//                 ways_needed partition, the BEs split the remainder in
+//                 proportion to their MRC footprints, each app's IPC is
+//                 read off its ipc-vs-ways curve, and the whole machine is
+//                 discounted when predicted bandwidth demand
+//                 oversubscribes the memory link (Com-CAS-style footprint
+//                 packing driven by the sampled-MRC app directory). Exact
+//                 over every open machine, read off the index's per-app
+//                 tournament tree in O(machines touched since the app's
+//                 last decision x log N).
 //   mrc-p2c       power-of-d-choices over the same scorer: draws d = 5
 //                 candidates uniformly from the open set via the engine's
-//                 seeded RNG and scores only those — the documented
-//                 O(d) approximation for very large fleets, deterministic
-//                 for a (seed, call sequence) pair like `random`.
+//                 seeded RNG and scores only those — an O(d)
+//                 approximation of `mrc`, deterministic for a (seed, call
+//                 sequence) pair like `random`.
 //
 // Every engine decides off the persistent fleet::PlacementIndex in one
 // serial pass: `random` and `mrc-p2c` map their draws through the index's
 // open-set order statistics, `least-loaded` reads its free-core buckets,
-// and the MRC engines reuse its version-stamped score caches, so a clean
-// machine is never re-scored. Ties go to the lowest machine index (the
-// first strictly better candidate in index order, or in draw order for
-// mrc-p2c). A from-scratch full-scan reference of all four engines lives
-// in the tests and pins every decision, tie-break and RNG draw.
+// and both MRC engines read the index's one score cache — the leaves of
+// its per-app marginal-EFU trees — so a clean machine is never re-scored.
+// Ties go to the lowest machine index (the first strictly better
+// candidate in index order, or in draw order for mrc-p2c). A from-scratch
+// full-scan reference of all four engines lives in the tests and pins
+// every decision, tie-break and RNG draw.
 //
 // Engines are called from the control plane's single decision thread;
-// they keep internal state (RNGs, reusable scoring scratch) and stay
-// deterministic for a (seed, call sequence) pair.
+// they keep internal state (RNGs, draw scratch) and stay deterministic
+// for a (seed, call sequence) pair.
 #pragma once
 
 #include <memory>
@@ -42,17 +46,9 @@
 
 #include "fleet/directory.hpp"
 #include "fleet/placement_index.hpp"
-#include "metrics/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace dicer::fleet {
-
-/// Predicted EFU of a machine running `hp_sig`'s HP plus the BEs `bes`
-/// (in core order — the floating-point sums walk them in that order). A
-/// pure function of its operands; `pairs` is caller-owned scratch.
-double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
-                   const std::vector<const AppSignal*>& bes,
-                   std::vector<metrics::IpcPair>& pairs);
 
 class PlacementEngine {
  public:
@@ -86,51 +82,35 @@ class LeastLoadedPlacement final : public PlacementEngine {
                                 std::optional<unsigned> exclude) override;
 };
 
-/// Shared MRC scoring core of both MRC engines (best-fit and p2c): the
-/// marginal EFU of an app joining a machine, served from the index's
-/// dirty-score caches.
-class MrcScoringBase {
- protected:
-  explicit MrcScoringBase(const AppDirectory& directory) : dir_(&directory) {}
-
-  /// Marginal EFU of `app_sig` joining `machine`: predict_efu(after) minus
-  /// predict_efu(before). A clean machine returns its cached "before" and
-  /// per-app delta; a dirty one computes and stores them. Bit-identical to
-  /// recomputation because predict_efu() is pure.
-  double delta(PlacementIndex& index, unsigned machine,
-               const AppSignal& app_sig);
-
-  const AppDirectory* dir_;
-
- private:
-  /// Reusable scoring buffers (allocation-free after warm-up).
-  std::vector<const AppSignal*> bes_;
-  std::vector<metrics::IpcPair> pairs_;
-};
-
-class MrcBestFitPlacement final : public PlacementEngine,
-                                  private MrcScoringBase {
+/// Best fit on the marginal EFU: the open machine whose predicted EFU
+/// rises most (or drops least) when `app` joins, lowest index on ties —
+/// read off the index's per-app tournament tree.
+class MrcBestFitPlacement final : public PlacementEngine {
  public:
   /// `directory` must outlive the engine.
   explicit MrcBestFitPlacement(const AppDirectory& directory)
-      : MrcScoringBase(directory) {}
+      : dir_(&directory) {}
   std::string name() const override { return "mrc"; }
   std::optional<unsigned> place(const sim::AppProfile& app,
                                 PlacementIndex& index,
                                 std::optional<unsigned> exclude) override;
+
+ private:
+  const AppDirectory* dir_;
 };
 
 /// Power-of-d-choices over the MRC scorer: d seeded uniform draws from the
 /// open set (with replacement; repeats are scored once), best marginal EFU
 /// wins with the same first-strictly-better tie-break — in draw order —
 /// as `mrc` uses in index order. Decision quality degrades gracefully with
-/// d while the per-arrival cost drops from O(N) to O(d); the classic
+/// d while a decision costs at most d scores, where exact `mrc` re-scores
+/// every machine touched since the app's last decision; the classic
 /// balls-into-bins result is that d = 2 already collapses the max-load
 /// tail, and d = 5 tracks full best-fit closely on fleet EFU. The fan-out
 /// is configurable (FleetConfig::p2c_choices / fleet_sim --p2c-d); d = 1
 /// degenerates to seeded-random placement, large d approaches full
 /// best-fit at d scores per decision.
-class MrcP2cPlacement final : public PlacementEngine, private MrcScoringBase {
+class MrcP2cPlacement final : public PlacementEngine {
  public:
   /// The shipped default fan-out.
   static constexpr unsigned kChoices = 5;
@@ -145,6 +125,7 @@ class MrcP2cPlacement final : public PlacementEngine, private MrcScoringBase {
                                 std::optional<unsigned> exclude) override;
 
  private:
+  const AppDirectory* dir_;
   util::Xoshiro256 rng_;
   unsigned choices_;
   std::vector<unsigned> draw_scratch_;  ///< sampled machine indices

@@ -1,5 +1,8 @@
 #include "fleet/placement_index.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace dicer::fleet {
@@ -58,7 +61,10 @@ std::size_t PlacementIndex::OpenBits::select(std::uint64_t k) const {
 // --- PlacementIndex -------------------------------------------------------
 
 PlacementIndex::PlacementIndex(const AppDirectory& dir, unsigned be_slots)
-    : dir_(&dir), be_slots_(be_slots), by_free_(be_slots + 1) {
+    : dir_(&dir),
+      be_slots_(be_slots),
+      by_free_(be_slots + 1),
+      trees_(dir.size()) {
   if (be_slots == 0) {
     throw std::invalid_argument("PlacementIndex: need at least one BE slot");
   }
@@ -75,6 +81,13 @@ unsigned PlacementIndex::add_machine(const sim::AppProfile* hp) {
   slots_.push_back(std::move(slot));
   open_.push_back(true);
   by_free_[be_slots_].insert(index);
+  for (AppTree& t : trees_) {
+    if (t.leaf.empty()) continue;
+    for (const std::uint32_t m : t.pending) t.leaf[m] = kStale;
+    t.leaf.push_back(kStale);
+    t.pending.clear();
+    t.built = false;
+  }
   return index;
 }
 
@@ -108,8 +121,7 @@ void PlacementIndex::admit(unsigned machine, unsigned core,
   slot.app_by_core[core] = app;
   rebucket(machine, slot.free_cores, slot.free_cores - 1);
   --slot.free_cores;
-  ++slot.version;
-  ++mutations_;
+  touch(machine);
 }
 
 void PlacementIndex::detach(unsigned machine, unsigned core) {
@@ -121,8 +133,7 @@ void PlacementIndex::detach(unsigned machine, unsigned core) {
   slot.app_by_core[core] = nullptr;
   rebucket(machine, slot.free_cores, slot.free_cores + 1);
   ++slot.free_cores;
-  ++slot.version;
-  ++mutations_;
+  touch(machine);
 }
 
 const sim::AppProfile* PlacementIndex::hp(unsigned machine) const {
@@ -178,44 +189,158 @@ std::optional<unsigned> PlacementIndex::least_loaded(
   return std::nullopt;
 }
 
-std::uint64_t PlacementIndex::version(unsigned machine) const {
-  return at(machine).version;
-}
+// --- marginal-EFU trees -----------------------------------------------------
 
-bool PlacementIndex::has_before(unsigned machine) const {
-  const Slot& slot = at(machine);
-  return slot.before_version == slot.version;
-}
-
-double PlacementIndex::before(unsigned machine) const {
-  return at(machine).before;
-}
-
-void PlacementIndex::set_before(unsigned machine, double score) {
-  Slot& slot = at(machine);
-  slot.before = score;
-  slot.before_version = slot.version;
-}
-
-bool PlacementIndex::has_delta(unsigned machine, std::size_t app_id) const {
-  const Slot& slot = at(machine);
-  return app_id < slot.delta_version.size() &&
-         slot.delta_version[app_id] == slot.version;
-}
-
-double PlacementIndex::delta(unsigned machine, std::size_t app_id) const {
-  return at(machine).delta[app_id];
-}
-
-void PlacementIndex::set_delta(unsigned machine, std::size_t app_id,
-                               double delta) {
-  Slot& slot = at(machine);
-  if (slot.delta.empty()) {
-    slot.delta.assign(dir_->size(), 0.0);
-    slot.delta_version.assign(dir_->size(), 0);
+void PlacementIndex::touch(unsigned machine) {
+  ++mutations_;
+  slots_[machine].before = kStale;
+  for (AppTree& t : trees_) {
+    if (t.leaf.empty()) continue;
+    if (!t.built) {
+      t.leaf[machine] = kStale;
+    } else if (!t.queued[machine]) {
+      t.queued[machine] = true;
+      t.pending.push_back(machine);
+    }
   }
-  slot.delta[app_id] = delta;
-  slot.delta_version[app_id] = slot.version;
+}
+
+PlacementIndex::AppTree& PlacementIndex::tree(const AppSignal& app) {
+  AppTree& t = trees_.at(app.id);
+  if (t.leaf.empty()) t.leaf.assign(slots_.size(), kStale);
+  return t;
+}
+
+double PlacementIndex::score(unsigned machine, const AppSignal& app) {
+  Slot& slot = slots_[machine];
+  if (slot.free_cores == 0) return -std::numeric_limits<double>::infinity();
+  tenant_signals(machine, bes_);
+  if (std::isnan(slot.before)) {
+    slot.before = predict_efu(*dir_, *slot.hp_sig, bes_, pairs_);
+    ++predictions_;
+  }
+  bes_.push_back(&app);
+  ++predictions_;
+  return predict_efu(*dir_, *slot.hp_sig, bes_, pairs_) - slot.before;
+}
+
+bool PlacementIndex::beats(const AppTree& t, std::uint32_t a,
+                           std::uint32_t b) {
+  return t.leaf[a] > t.leaf[b] || (t.leaf[a] == t.leaf[b] && a < b);
+}
+
+std::uint32_t PlacementIndex::winner(const AppTree& t,
+                                     std::size_t node) const {
+  const std::size_t n = slots_.size();
+  return node >= n ? static_cast<std::uint32_t>(node - n) : t.win[node];
+}
+
+void PlacementIndex::fix(AppTree& t, std::size_t i) {
+  const std::uint32_t l = winner(t, 2 * i);
+  const std::uint32_t r = winner(t, 2 * i + 1);
+  t.win[i] = beats(t, r, l) ? r : l;
+  ++node_visits_;
+}
+
+void PlacementIndex::refresh(AppTree& t, const AppSignal& app) {
+  const std::size_t n = slots_.size();
+  if (!t.built) {
+    for (unsigned m = 0; m < n; ++m) {
+      if (std::isnan(t.leaf[m])) t.leaf[m] = score(m, app);
+    }
+    t.win.resize(n);
+    for (std::size_t i = n - 1; i >= 1; --i) fix(t, i);
+    t.queued.assign(n, false);
+    t.built = true;
+    return;
+  }
+  // Re-score the backlog. A leaf that kept its value moves nothing above
+  // it; a changed one stays marked in `queued` while its ancestors are
+  // recomputed.
+  auto& nodes = repair_scratch_;
+  nodes.clear();
+  for (const std::uint32_t m : t.pending) {
+    const double d = score(m, app);
+    const bool same = d == t.leaf[m];
+    t.leaf[m] = d;
+    if (same) {
+      t.queued[m] = false;
+    } else {
+      nodes.push_back((n + m) / 2);
+    }
+  }
+  // Recompute the ancestors in rounds of decreasing node index, so a node
+  // comes after its children (which have higher indices); the next round
+  // is the parents, which keep that order. A node whose winner is the
+  // same machine as before, with an unchanged leaf, moves nothing above
+  // it.
+  std::sort(nodes.begin(), nodes.end(), std::greater<>());
+  for (;;) {
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    if (!nodes.empty() && nodes.back() == 0) nodes.pop_back();  // above root
+    if (nodes.empty()) break;
+    std::size_t moved = 0;
+    for (const std::size_t i : nodes) {
+      const std::uint32_t old = t.win[i];
+      fix(t, i);
+      if (t.win[i] != old || t.queued[t.win[i]]) nodes[moved++] = i / 2;
+    }
+    nodes.resize(moved);
+  }
+  for (const std::uint32_t m : t.pending) t.queued[m] = false;
+  t.pending.clear();
+}
+
+std::uint32_t PlacementIndex::best_in(const AppTree& t, std::size_t lo,
+                                      std::size_t hi, std::uint32_t best) {
+  const std::size_t n = slots_.size();
+  for (lo += n, hi += n; lo < hi; lo /= 2, hi /= 2) {
+    if (lo & 1) {
+      const std::uint32_t w = winner(t, lo++);
+      if (beats(t, w, best)) best = w;
+      ++node_visits_;
+    }
+    if (hi & 1) {
+      const std::uint32_t w = winner(t, --hi);
+      if (beats(t, w, best)) best = w;
+      ++node_visits_;
+    }
+  }
+  return best;
+}
+
+double PlacementIndex::marginal_efu(unsigned machine, const AppSignal& app) {
+  AppTree& t = tree(app);
+  double& leaf = t.leaf.at(machine);
+  // A queued leaf keeps its old value until the tree's next query
+  // compares it with the new one.
+  if (t.built && t.queued[machine]) return score(machine, app);
+  if (std::isnan(leaf)) leaf = score(machine, app);
+  return leaf;
+}
+
+std::optional<unsigned> PlacementIndex::best_fit(
+    const AppSignal& app, std::optional<unsigned> exclude) {
+  const std::size_t n = slots_.size();
+  if (n == 0) return std::nullopt;
+  AppTree& t = tree(app);
+  refresh(t, app);
+  std::uint32_t best = winner(t, 1);
+  if (exclude && *exclude == best) {
+    // The best of the two ranges around the excluded winner, folded into
+    // a seed that is neither: "better" is a total order, so the left
+    // range wins ties by index alone.
+    if (n == 1) return std::nullopt;
+    const std::size_t ex = *exclude;
+    best = best_in(t, 0, ex, ex == 0 ? 1 : 0);
+    best = best_in(t, ex + 1, n, best);
+  }
+  if (slots_[best].free_cores == 0) return std::nullopt;
+  return best;
+}
+
+std::size_t PlacementIndex::backlog(std::size_t app_id) const {
+  return app_id < trees_.size() ? trees_[app_id].pending.size() : 0;
 }
 
 }  // namespace dicer::fleet

@@ -16,22 +16,35 @@
 //   - free-core buckets (one ordered set per free-core count) so
 //     `least-loaded` resolves as "lowest index in the highest non-empty
 //     bucket" instead of a full scan;
-//   - a dirty-score protocol for the MRC engines: every tenant-set
-//     mutation bumps the slot's version; the cached "before" predict_efu()
-//     and the per-app marginal-EFU deltas each carry the version they
-//     were computed at, so a stale entry is never read and a clean
-//     machine is never re-scored. predict_efu() is a pure function of
-//     (HP, tenant list, app), so a cache hit returns the bit-identical
-//     double a recomputation would produce.
+//   - one tournament tree per app over the app's marginal-EFU deltas
+//     (the MRC engines' score cache), so `mrc` reads its argmax off a
+//     root instead of scanning N machines. Leaf m holds the marginal EFU
+//     of the app joining machine m — predict_efu() with the app minus the
+//     machine's cached "before" predict_efu(), which every app shares —
+//     or -inf when m has no free core. Each internal node holds the
+//     uint32 index of the better of its two children, and ties go to the
+//     lower machine index, so the root is exactly the first strictly
+//     better machine of an index-order scan. A tree is allocated on the
+//     app's first query: 12 B and a bit per machine (a double leaf, a
+//     uint32 winner and a "queued" flag).
 //
-// The index stores facts, not policy: engines drive the score cache via
-// has_/set_ accessors and keep the prediction math (placement.cpp).
+// Refresh is lazy. admit/detach queue the touched machine, once, on every
+// built tree's backlog. An app's next query re-scores only its queued
+// machines and recomputes the ancestors of the leaves whose value
+// changed, each once, stopping wherever a node keeps its winner, so a
+// decision costs at most O(machines touched since the app's last query x
+// log N), and never more than a rebuild, instead of O(N). A backlog holds
+// each machine at most once, so memory stays flat however long an app
+// goes unqueried. predict_efu() is a pure function of (HP, tenant list,
+// app), so a cached leaf is the bit-identical double a recomputation
+// would produce.
 //
 // Single-threaded like the rest of the control plane; `const` reads are
 // safe from anywhere, mutations are not.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <vector>
@@ -51,9 +64,10 @@ class PlacementIndex {
   /// order) hosting `hp` and no tenants. Returns its index.
   unsigned add_machine(const sim::AppProfile* hp);
 
-  /// Tenant `app` lands on `machine`'s `core` (1..be_slots). O(log N).
+  /// Tenant `app` lands on `machine`'s `core` (1..be_slots). O(log N + A)
+  /// for A apps with a tree.
   void admit(unsigned machine, unsigned core, const sim::AppProfile* app);
-  /// The tenant on `machine`'s `core` leaves. O(log N).
+  /// The tenant on `machine`'s `core` leaves. O(log N + A).
   void detach(unsigned machine, unsigned core);
 
   std::size_t size() const noexcept { return slots_.size(); }
@@ -91,20 +105,29 @@ class PlacementIndex {
   /// control plane's tenancy churn.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
-  // --- dirty-score protocol (driven by the MRC engines) ---
-  /// Monotone per-machine mutation counter; every admit/detach bumps it.
-  std::uint64_t version(unsigned machine) const;
-  /// Whether the cached "before" predict() matches the current version.
-  bool has_before(unsigned machine) const;
-  double before(unsigned machine) const;
-  void set_before(unsigned machine, double score);
-  /// Whether the cached marginal-EFU of app `app_id` joining `machine`
-  /// matches the current version.
-  bool has_delta(unsigned machine, std::size_t app_id) const;
-  double delta(unsigned machine, std::size_t app_id) const;
-  void set_delta(unsigned machine, std::size_t app_id, double delta);
+  // --- marginal-EFU trees (read by the MRC engines) ---
+  /// Marginal EFU of `app` joining open `machine`: predict_efu() with
+  /// the app minus predict_efu() without it, served from `app`'s leaves
+  /// and scored on a miss.
+  double marginal_efu(unsigned machine, const AppSignal& app);
+  /// The open machine other than `exclude` that `app` raises the most
+  /// predicted EFU on (lowest index on ties), or nullopt when there is
+  /// none. `exclude` may be out of range (then nothing is excluded).
+  std::optional<unsigned> best_fit(const AppSignal& app,
+                                   std::optional<unsigned> exclude);
+  /// Machines queued for re-scoring in `app_id`'s tree (at most N).
+  std::size_t backlog(std::size_t app_id) const;
+
+  /// Monotone count of predict_efu() evaluations the index has made.
+  std::uint64_t efu_predictions() const noexcept { return predictions_; }
+  /// Monotone count of tree nodes visited: internal nodes recomputed by
+  /// repairs and rebuilds, plus nodes read by excluded-winner queries.
+  std::uint64_t tree_node_visits() const noexcept { return node_visits_; }
 
  private:
+  /// The stale mark of a cached score.
+  static constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
+
   struct Slot {
     const sim::AppProfile* hp = nullptr;
     const AppSignal* hp_sig = nullptr;
@@ -112,15 +135,25 @@ class PlacementIndex {
     std::vector<const AppSignal*> sig_by_core;
     std::vector<const sim::AppProfile*> app_by_core;
     unsigned free_cores = 0;
-    /// Bumped on every tenant-set mutation; score caches stamped with the
-    /// version they were computed at are valid iff the stamps match.
-    std::uint64_t version = 1;
-    std::uint64_t before_version = 0;  ///< 0 = never computed
-    double before = 0.0;
-    /// Per-app marginal-EFU cache, indexed by AppSignal::id (allocated on
-    /// first use — engines that never score a machine pay nothing).
-    std::vector<double> delta;
-    std::vector<std::uint64_t> delta_version;
+    /// predict_efu() of the current tenant set; NaN = stale.
+    double before = kStale;
+  };
+
+  /// One app's tournament tree. Node N + m is leaf m; internal node i in
+  /// [1, N) holds the better of nodes 2i and 2i + 1, so node 1 is the
+  /// winner over every leaf (any N, not only powers of two, because
+  /// "better" is a total order on machines).
+  struct AppTree {
+    /// Marginal EFU of the app joining each machine, -inf when the
+    /// machine has no free core. Empty until first use. Before the first
+    /// build a stale leaf is NaN; after it, a stale leaf is queued and
+    /// keeps its old value until the next query compares the two.
+    std::vector<double> leaf;
+    std::vector<std::uint32_t> win;  ///< [1, N); sized on first build
+    /// Built trees: machines mutated since the last query, each once.
+    std::vector<std::uint32_t> pending;
+    std::vector<bool> queued;  ///< by machine: in `pending`
+    bool built = false;        ///< `win` is current up to `pending`
   };
 
   /// Fenwick tree over the 0/1 "machine is open" bits: point update,
@@ -145,16 +178,43 @@ class PlacementIndex {
   /// Move `machine` between free-core buckets and the open-bits tree when
   /// its free count changes from `from` to `to`.
   void rebucket(unsigned machine, unsigned from, unsigned to);
+  /// Record a tenant-set mutation of `machine`: stale "before", stale
+  /// leaves or backlog entries.
+  void touch(unsigned machine);
+  /// `app`'s tree, allocated (all leaves stale) on first use.
+  AppTree& tree(const AppSignal& app);
+  /// Re-score a stale leaf: -inf for a closed machine, else the marginal
+  /// EFU (computing the shared "before" if it is stale too).
+  double score(unsigned machine, const AppSignal& app);
+  /// Re-score `t`'s stale leaves and bring its winners up to date.
+  void refresh(AppTree& t, const AppSignal& app);
+  /// Whether machine `a` beats machine `b` in `t`: higher leaf, or equal
+  /// leaf and lower index.
+  static bool beats(const AppTree& t, std::uint32_t a, std::uint32_t b);
+  /// The machine winning node `node` of `t`.
+  std::uint32_t winner(const AppTree& t, std::size_t node) const;
+  /// Recompute internal node `i` of `t` from its children.
+  void fix(AppTree& t, std::size_t i);
+  /// The better of `best` and every machine in [lo, hi) of `t`.
+  std::uint32_t best_in(const AppTree& t, std::size_t lo, std::size_t hi,
+                        std::uint32_t best);
 
   const AppDirectory* dir_;
   unsigned be_slots_;
   std::uint64_t mutations_ = 0;
+  std::uint64_t predictions_ = 0;
+  std::uint64_t node_visits_ = 0;
   std::vector<Slot> slots_;
   OpenBits open_;
   /// by_free_[f] = machines with exactly f free cores, f in [1, be_slots]
   /// (fully-busy machines are tracked by free_cores == 0 alone — no
   /// placement path enumerates them).
   std::vector<std::set<unsigned>> by_free_;
+  std::vector<AppTree> trees_;  ///< by AppSignal::id
+  /// Scoring and repair scratch (allocation-free after warm-up).
+  std::vector<const AppSignal*> bes_;
+  std::vector<metrics::IpcPair> pairs_;
+  std::vector<std::size_t> repair_scratch_;
 };
 
 }  // namespace dicer::fleet

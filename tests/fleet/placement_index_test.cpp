@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -62,6 +63,41 @@ struct Shadow {
   }
 };
 
+/// For every app in `apps` (the apps whose trees the test allocated): each
+/// open machine's leaf equals a from-scratch marginal EFU, and the tree's
+/// root equals the argmax of the refreshed leaves — the first strictly
+/// better open machine in index order.
+void expect_trees_match(PlacementIndex& index, const Shadow& shadow,
+                        const AppDirectory& dir,
+                        const std::set<const AppSignal*>& apps) {
+  std::vector<const AppSignal*> bes;
+  std::vector<metrics::IpcPair> pairs;
+  for (const AppSignal* app : apps) {
+    const auto root = index.best_fit(*app, std::nullopt);
+    std::optional<unsigned> argmax;
+    double best = 0.0;
+    for (const unsigned m : shadow.open()) {
+      const double leaf = index.marginal_efu(m, *app);
+      bes.clear();
+      for (unsigned c = 1; c <= shadow.be_slots; ++c) {
+        const auto* t = shadow.grid[m][c];
+        if (t) bes.push_back(&dir.signal(t->name));
+      }
+      const AppSignal& hp = index.hp_signal(m);
+      const double before = predict_efu(dir, hp, bes, pairs);
+      bes.push_back(app);
+      EXPECT_EQ(leaf, predict_efu(dir, hp, bes, pairs) - before)
+          << "machine " << m << " app " << app->id;
+      if (!argmax || leaf > best) {
+        argmax = m;
+        best = leaf;
+      }
+    }
+    EXPECT_EQ(root, argmax) << "app " << app->id;
+    EXPECT_EQ(index.backlog(app->id), 0u);
+  }
+}
+
 /// Every queryable fact of `index` against the scratch rebuild `shadow`.
 void expect_matches(const PlacementIndex& index, const Shadow& shadow) {
   ASSERT_EQ(index.size(), shadow.grid.size());
@@ -90,8 +126,9 @@ void expect_matches(const PlacementIndex& index, const Shadow& shadow) {
 
 // The core oracle: a randomized admit/detach churn where, after *every*
 // mutation, the incrementally-maintained index agrees with a from-scratch
-// rebuild on every machine's tenants, the open-set order statistics and
-// the least-loaded winner.
+// rebuild on every machine's tenants, the open-set order statistics, the
+// least-loaded winner and every allocated marginal-EFU tree (one more app
+// allocated per step until all are).
 TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
   const auto& catalog = sim::default_catalog();
   const sim::MachineConfig mc;
@@ -111,6 +148,7 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
     expect_matches(index, shadow);
   }
 
+  std::set<const AppSignal*> trees;
   for (int step = 0; step < 600; ++step) {
     const auto m = static_cast<unsigned>(rng.below(kMachines));
     const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
@@ -123,6 +161,8 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
       shadow.grid[m][c] = app;
     }
     expect_matches(index, shadow);
+    expect_trees_match(index, shadow, dir, trees);
+    trees.insert(&dir.signal(catalog.at(rng.below(catalog.size())).name));
   }
 }
 
@@ -158,34 +198,34 @@ TEST(PlacementIndex, TenantSignalsAreCoreOrdered) {
   EXPECT_EQ(sigs[1], &dir.signal(catalog.at(5).name));
 }
 
-// Version stamps: mutations must invalidate the cached scores; untouched
-// machines must keep theirs.
+// Mutations must invalidate the cached scores; untouched machines must
+// keep theirs, and every app shares a machine's "before" score.
 TEST(PlacementIndex, DirtyScoreProtocolInvalidatesOnMutation) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
   PlacementIndex index(dir, 2);
   index.add_machine(&catalog.at(0));
   index.add_machine(&catalog.at(1));
+  const AppSignal& app = dir.signal(catalog.at(3).name);
 
-  EXPECT_FALSE(index.has_before(0));
-  index.set_before(0, 0.75);
-  index.set_before(1, 0.5);
-  index.set_delta(0, 3, -0.01);
-  EXPECT_TRUE(index.has_before(0));
-  EXPECT_TRUE(index.has_delta(0, 3));
-  EXPECT_FALSE(index.has_delta(0, 4));
-  EXPECT_DOUBLE_EQ(index.before(0), 0.75);
-  EXPECT_DOUBLE_EQ(index.delta(0, 3), -0.01);
+  const double d0 = index.marginal_efu(0, app);
+  index.marginal_efu(1, app);
+  EXPECT_EQ(index.efu_predictions(), 4u);  // a "before" and an "after" each
+  EXPECT_EQ(index.marginal_efu(0, app), d0);
+  EXPECT_EQ(index.efu_predictions(), 4u);  // clean: a cache hit
+  index.marginal_efu(0, dir.signal(catalog.at(4).name));
+  EXPECT_EQ(index.efu_predictions(), 5u);  // the "before" is shared
 
   index.admit(0, 1, &catalog.at(2));
-  EXPECT_FALSE(index.has_before(0));
-  EXPECT_FALSE(index.has_delta(0, 3));
-  EXPECT_TRUE(index.has_before(1));  // machine 1 untouched
+  index.marginal_efu(1, app);
+  EXPECT_EQ(index.efu_predictions(), 5u);  // machine 1 untouched
+  index.marginal_efu(0, app);
+  EXPECT_EQ(index.efu_predictions(), 7u);  // machine 0 re-scored
 
-  index.set_before(0, 0.6);
-  EXPECT_TRUE(index.has_before(0));
+  // Back to the old tenant set: a fresh score, bit-identical to the first.
   index.detach(0, 1);
-  EXPECT_FALSE(index.has_before(0));
+  EXPECT_EQ(index.marginal_efu(0, app), d0);
+  EXPECT_EQ(index.efu_predictions(), 9u);
 }
 
 // A long cluster churn run: after every epoch the live index agrees with

@@ -4,8 +4,9 @@
 // The reference materialises one MachineView per machine for every
 // decision and rescans all of them — the plain O(machines x tenants)
 // algorithm that each engine's indexed resolution (order statistics,
-// free-core buckets, version-stamped score caches) must reproduce bit for
-// bit: the same decision, the same tie-break and the same RNG draws.
+// free-core buckets, per-app tournament trees over lazily refreshed
+// marginal-EFU leaves) must reproduce bit for bit: the same decision, the
+// same tie-break and the same RNG draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,8 +154,10 @@ std::vector<EnginePair> every_engine(const AppDirectory& dir,
 TEST(PlacementOracle, EveryEngineMatchesFullScanUnderRandomChurn) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
-  constexpr unsigned kMachines = 40;
+  constexpr unsigned kMachines = 300;
   constexpr unsigned kBeSlots = 3;
+  // Fill (85 % admits) until past capacity, drain, then balanced churn.
+  constexpr int kPhase = 5 * static_cast<int>(kMachines);
 
   PlacementIndex index(dir, kBeSlots);
   util::Xoshiro256 rng(77);
@@ -165,8 +168,9 @@ TEST(PlacementOracle, EveryEngineMatchesFullScanUnderRandomChurn) {
 
   unsigned occupied = 0;
   std::uint64_t rejections = 0, exclusions = 0;
-  for (int step = 0; step < 900; ++step) {
-    const std::uint64_t admit_pct = step < 300 ? 85 : step < 600 ? 15 : 50;
+  for (int step = 0; step < 3 * kPhase; ++step) {
+    const std::uint64_t admit_pct =
+        step < kPhase ? 85 : step < 2 * kPhase ? 15 : 50;
     if (rng.below(100) < admit_pct) {
       if (occupied < kMachines * kBeSlots) {
         for (;;) {
@@ -220,6 +224,175 @@ TEST(PlacementOracle, EveryEngineMatchesFullScanUnderRandomChurn) {
     EXPECT_FALSE(e.oracle.place(app, views_of(index, 5u)).has_value());
     EXPECT_EQ(e.engine->place(app, index, std::nullopt), 5u) << e.label;
     EXPECT_EQ(e.oracle.place(app, views_of(index, std::nullopt)), 5u);
+  }
+}
+
+/// Every engine's decision for `app` on `index` against its reference's.
+void expect_every_engine_matches(std::vector<EnginePair>& engines,
+                                 const sim::AppProfile& app,
+                                 PlacementIndex& index,
+                                 std::optional<unsigned> exclude,
+                                 const std::string& what) {
+  const auto views = views_of(index, exclude);
+  for (auto& e : engines) {
+    EXPECT_EQ(e.engine->place(app, index, exclude), e.oracle.place(app, views))
+        << e.label << ": " << what;
+  }
+}
+
+// Tie-breaks and range edges of the tree argmax: a fleet of identical
+// empty machines (every marginal EFU equal) must resolve to the lowest
+// index, and to the next-lowest when that one is excluded, at N = 1, a
+// power of two and a non-power of two, with the excluded machine at
+// either end, in the middle and out of range.
+TEST(PlacementOracle, TreeTieBreaksAndExclusionEdgesMatchFullScan) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  const auto& hp = catalog.at(0);
+  const auto& app = catalog.at(7);
+  for (const unsigned n : {1u, 2u, 16u, 37u}) {
+    PlacementIndex index(dir, 2);
+    for (unsigned m = 0; m < n; ++m) index.add_machine(&hp);
+    auto engines = every_engine(dir, 99);
+    const std::string at = "N=" + std::to_string(n);
+
+    MrcBestFitPlacement mrc(dir);
+    EXPECT_EQ(mrc.place(app, index, std::nullopt), 0u) << at;
+    if (n > 1) {
+      EXPECT_EQ(mrc.place(app, index, 0u), 1u) << at;
+      EXPECT_EQ(mrc.place(app, index, n - 1), 0u) << at;
+    } else {
+      EXPECT_FALSE(mrc.place(app, index, 0u).has_value());
+    }
+    EXPECT_EQ(mrc.place(app, index, n), 0u) << at;  // out of range
+    for (const unsigned ex : {0u, n / 2, n - 1, n, n + 5}) {
+      expect_every_engine_matches(engines, app, index, ex,
+                                  at + " exclude " + std::to_string(ex));
+    }
+    expect_every_engine_matches(engines, app, index, std::nullopt, at);
+
+    // Load the low half: the tie among the still-empty machines moves up.
+    for (unsigned m = 0; m < n / 2; ++m) index.admit(m, 1, &catalog.at(3));
+    for (const unsigned ex : {0u, n / 2, n - 1, n}) {
+      expect_every_engine_matches(engines, app, index, ex,
+                                  at + " half loaded, exclude " +
+                                      std::to_string(ex));
+    }
+
+    // Close every machine: nothing is placeable, excluded or not.
+    for (unsigned m = 0; m < n; ++m) {
+      for (unsigned c = 1; c <= 2; ++c) {
+        if (index.tenant(m, c) == nullptr) index.admit(m, c, &catalog.at(5));
+      }
+    }
+    for (const std::optional<unsigned> ex :
+         {std::optional<unsigned>{}, std::optional<unsigned>{0u},
+          std::optional<unsigned>{n - 1}, std::optional<unsigned>{n}}) {
+      EXPECT_FALSE(mrc.place(app, index, ex).has_value()) << at;
+      expect_every_engine_matches(engines, app, index, ex, at + " closed");
+    }
+  }
+}
+
+// A strict winner in the middle of equal machines: excluding it must fall
+// back to the lowest-index tie across both ranges around it. Machines
+// added after the app's tree exists join it.
+TEST(PlacementOracle, ExcludedMiddleWinnerFallsBackToTheLeftTie) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  const auto& app = catalog.at(7);
+  // The HP the app gains most next to (`top`), and one it gains less next
+  // to (`low`), on an otherwise empty machine.
+  std::vector<metrics::IpcPair> pairs;
+  const auto gain = [&](const sim::AppProfile& hp) {
+    const AppSignal& hp_sig = dir.signal(hp.name);
+    const double alone = predict_efu(dir, hp_sig, {}, pairs);
+    return predict_efu(dir, hp_sig, {&dir.signal(app.name)}, pairs) - alone;
+  };
+  const sim::AppProfile* top = &catalog.at(0);
+  const sim::AppProfile* low = &catalog.at(0);
+  for (const auto& hp : catalog.profiles()) {
+    if (gain(hp) > gain(*top)) top = &hp;
+    if (gain(hp) < gain(*low)) low = &hp;
+  }
+  ASSERT_GT(gain(*top), gain(*low));
+
+  PlacementIndex index(dir, 2);
+  MrcBestFitPlacement mrc(dir);
+  for (unsigned m = 0; m < 20; ++m) index.add_machine(low);
+  EXPECT_EQ(mrc.place(app, index, std::nullopt), 0u);
+  index.admit(1, 1, &catalog.at(3));
+  index.admit(1, 2, &catalog.at(3));  // machine 1 closes, still unqueried
+  index.add_machine(top);             // machine 20
+  EXPECT_EQ(mrc.place(app, index, std::nullopt), 20u);
+  for (unsigned m = 21; m < 37; ++m) index.add_machine(low);
+  EXPECT_EQ(mrc.place(app, index, 20u), 0u);
+  EXPECT_EQ(mrc.place(app, index, 0u), 20u);
+  index.admit(0, 1, &catalog.at(3));
+  index.admit(0, 2, &catalog.at(3));  // machine 0 closes
+  EXPECT_EQ(mrc.place(app, index, 20u), 2u);
+
+  auto engines = every_engine(dir, 3);
+  for (const unsigned ex : {0u, 1u, 20u, 36u, 37u}) {
+    expect_every_engine_matches(engines, app, index, ex,
+                                "exclude " + std::to_string(ex));
+  }
+}
+
+// An app scored once and then left unqueried while 10 x N mutations land
+// keeps a backlog of at most N machines, and its next decision is still
+// the reference's. Reading its leaves between mutations (as mrc-p2c does)
+// returns the current marginal EFU and leaves the backlog as it is.
+TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  constexpr unsigned kMachines = 40;
+  constexpr unsigned kBeSlots = 3;
+  const auto& first = catalog.at(11);
+  const AppSignal& first_sig = dir.signal(first.name);
+
+  for (const bool read_leaves : {false, true}) {
+    PlacementIndex index(dir, kBeSlots);
+    util::Xoshiro256 rng(read_leaves ? 5 : 6);
+    for (unsigned m = 0; m < kMachines; ++m) {
+      index.add_machine(&catalog.at(rng.below(catalog.size())));
+    }
+    MrcBestFitPlacement mrc(dir);
+    FullScan oracle("mrc", dir, 0, 1);
+    mrc.place(first, index, std::nullopt);
+
+    std::size_t max_backlog = 0;
+    std::vector<const AppSignal*> bes;
+    std::vector<metrics::IpcPair> pairs;
+    for (unsigned step = 0; step < 10 * kMachines; ++step) {
+      const auto m = static_cast<unsigned>(rng.below(kMachines));
+      const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+      if (index.tenant(m, c) != nullptr) {
+        index.detach(m, c);
+      } else {
+        index.admit(m, c, &catalog.at(rng.below(catalog.size())));
+      }
+      // Another app decides; the first one is never queried.
+      auto other = &catalog.at(rng.below(catalog.size()));
+      if (other == &first) other = &catalog.at(12);
+      mrc.place(*other, index, std::nullopt);
+      if (read_leaves && index.is_open(m)) {
+        index.tenant_signals(m, bes);
+        const AppSignal& hp = index.hp_signal(m);
+        const double before = predict_efu(dir, hp, bes, pairs);
+        bes.push_back(&first_sig);
+        EXPECT_EQ(index.marginal_efu(m, first_sig),
+                  predict_efu(dir, hp, bes, pairs) - before)
+            << "step " << step;
+      }
+      const std::size_t backlog = index.backlog(first_sig.id);
+      ASSERT_LE(backlog, kMachines) << "step " << step;
+      max_backlog = std::max(max_backlog, backlog);
+    }
+    EXPECT_EQ(max_backlog, kMachines);  // every machine was touched
+    EXPECT_EQ(mrc.place(first, index, std::nullopt),
+              oracle.place(first, views_of(index, std::nullopt)));
+    EXPECT_EQ(index.backlog(first_sig.id), 0u);
   }
 }
 
