@@ -529,12 +529,13 @@ void BM_FleetPlacementIndexed(benchmark::State& state) {
   util::Xoshiro256 rng(99);
   // ~60% BE-slot occupancy: busy enough that MRC scoring has real tenant
   // lists, open enough that every decision has thousands of candidates.
+  const auto tenant = [&] {
+    return fleet::Tenant{0, &dir.signal(catalog.at(rng.below(catalog.size())).name)};
+  };
   for (unsigned m = 0; m < kMachines; ++m) {
     index.add_machine(&catalog.at(rng.below(catalog.size())));
     for (unsigned c = 1; c <= kBeSlots; ++c) {
-      if (rng.below(100) < 60) {
-        index.admit(m, c, &catalog.at(rng.below(catalog.size())));
-      }
+      if (rng.below(100) < 60) index.admit(m, tenant());
     }
   }
   fleet::MrcBestFitPlacement engine(dir);
@@ -542,22 +543,15 @@ void BM_FleetPlacementIndexed(benchmark::State& state) {
     for (;;) {
       const auto m = static_cast<unsigned>(rng.below(kMachines));
       const unsigned c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
-      if (index.tenant(m, c)) {
+      if (index.tenants(m)[c].sig) {
         index.detach(m, c);
         break;
       }
     }
-    const auto* app = &catalog.at(rng.below(catalog.size()));
-    const auto dest = engine.place(*app, index, std::nullopt);
+    const fleet::Tenant arrival = tenant();
+    const auto dest = engine.place(*arrival.sig->profile, index, std::nullopt);
     benchmark::DoNotOptimize(dest);
-    if (dest) {
-      for (unsigned c = 1; c <= kBeSlots; ++c) {
-        if (!index.tenant(*dest, c)) {
-          index.admit(*dest, c, app);
-          break;
-        }
-      }
-    }
+    if (dest) index.admit(*dest, arrival);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["machines"] = static_cast<double>(kMachines);

@@ -3,15 +3,18 @@
 //
 //   ./fleet_sim [--machines 500] [--epochs 20] [--placement mrc]
 //               [--policy DICER] [--cores 10] [--arrival-rate 40]
-//               [--mean-lifetime 8] [--slo 0.9] [--seed 42] [--jobs 0]
-//               [--p2c-d 5] [--catalog default|trace] [--csv fleet.csv]
+//               [--mean-lifetime 8] [--slo 0.9] [--migrate-after 3]
+//               [--seed 42] [--jobs 0] [--catalog default|trace]
+//               [--csv fleet.csv]
 //               [--metrics-out metrics.prom] [--metrics-jsonl epochs.jsonl]
 //               [--trace fleet.jsonl] [--log-level info] [--profile]
 //               [--compare]
 //
-// --jobs sets the data-plane stepping workers (0 = one per hardware
-// thread); placement decisions run serially on the control plane. --p2c-d
-// sets the mrc-p2c engine's power-of-d-choices fan-out (>= 1).
+// --placement is random, least-loaded or mrc. --jobs sets the data-plane
+// stepping workers (0 = one per hardware thread); placement decisions run
+// serially on the control plane. Count flags (--machines, --cores,
+// --migrate-after, --jobs, --epochs) reject negative values. An
+// --arrival-rate of 0 runs an idle fleet: HPs alone, no tenants.
 //
 // Emits one CSV row per epoch (stdout, or --csv FILE) with the fleet
 // aggregates: tenant count, arrivals/departures/rejections/migrations,
@@ -66,7 +69,7 @@ static int run(int argc, char** argv) {
   using namespace dicer;
 
   const util::CliArgs args(argc, argv);
-  const auto epochs = static_cast<std::uint64_t>(args.get_int("epochs", 20));
+  const std::uint64_t epochs = examples::count_flag(args, "epochs", 20);
   const std::string csv_path = args.get_or("csv", "");
   const std::string metrics_path = args.get_or("metrics-out", "");
   const std::string jsonl_path = args.get_or("metrics-jsonl", "");

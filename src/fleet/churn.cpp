@@ -1,6 +1,7 @@
 #include "fleet/churn.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dicer::fleet {
@@ -8,12 +9,12 @@ namespace dicer::fleet {
 ChurnGenerator::ChurnGenerator(const ChurnConfig& config,
                                const sim::AppCatalog& catalog)
     : config_(config), catalog_(&catalog), rng_(config.seed) {
-  // `!(x > 0)` also rejects NaN; an infinite rate would make every gap 0
-  // and drain_until would never return.
-  if (!(config.arrival_rate_per_sec > 0.0) ||
+  // `!(x >= 0)` also rejects NaN; an infinite rate would make every gap
+  // 0 and drain_until would never return.
+  if (!(config.arrival_rate_per_sec >= 0.0) ||
       !std::isfinite(config.arrival_rate_per_sec)) {
     throw std::invalid_argument(
-        "ChurnGenerator: arrival rate must be finite and > 0");
+        "ChurnGenerator: arrival rate must be finite and >= 0");
   }
   if (!(config.mean_lifetime_sec > 0.0) ||
       !std::isfinite(config.mean_lifetime_sec)) {
@@ -30,9 +31,12 @@ ChurnGenerator::ChurnGenerator(const ChurnConfig& config,
 
 TenantArrival ChurnGenerator::generate() {
   // Inverse-CDF exponential draws; uniform() < 1 so the logs are finite.
-  const double gap =
-      -std::log(1.0 - rng_.uniform()) / config_.arrival_rate_per_sec;
-  t_ += gap;
+  // A zero rate never arrives: the gap is +inf, not -log(1 - u) / 0
+  // (NaN at u = 0).
+  const double u = rng_.uniform();
+  t_ += config_.arrival_rate_per_sec > 0.0
+            ? -std::log(1.0 - u) / config_.arrival_rate_per_sec
+            : std::numeric_limits<double>::infinity();
   TenantArrival a;
   a.id = next_id_++;
   a.t_sec = t_;

@@ -1,7 +1,8 @@
 // Deterministic tenant arrival/departure churn.
 //
 // Best-effort tenants arrive as a Poisson process (exponential
-// inter-arrival gaps at `arrival_rate_per_sec`), each drawing an
+// inter-arrival gaps at `arrival_rate_per_sec`; a rate of 0 never
+// arrives, so a fleet runs its HPs alone), each drawing an
 // application uniformly from the catalog and an exponential service
 // lifetime. Everything derives from one seeded `util::Xoshiro256`, so a
 // churn trace replays bit-for-bit from (seed, catalog) — the fleet's
@@ -19,7 +20,7 @@
 namespace dicer::fleet {
 
 struct ChurnConfig {
-  double arrival_rate_per_sec = 2.0;  ///< Poisson arrival intensity
+  double arrival_rate_per_sec = 2.0;  ///< Poisson arrival intensity (>= 0)
   double mean_lifetime_sec = 30.0;    ///< exponential service time
   double min_lifetime_sec = 2.0;      ///< floor under the exponential draw
   std::uint64_t seed = 1;
@@ -35,11 +36,12 @@ struct TenantArrival {
 
 class ChurnGenerator {
  public:
-  /// Throws std::invalid_argument on a non-positive or non-finite
-  /// rate/lifetime or an empty catalog.
+  /// Throws std::invalid_argument on a negative or non-finite rate, a
+  /// non-positive or non-finite lifetime, or an empty catalog.
   ChurnGenerator(const ChurnConfig& config, const sim::AppCatalog& catalog);
 
-  /// The next arrival without consuming it.
+  /// The next arrival without consuming it (at t_sec = +inf under a zero
+  /// rate).
   const TenantArrival& peek();
   /// Consume and return the next arrival.
   TenantArrival next();

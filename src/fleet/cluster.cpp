@@ -115,20 +115,21 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   if (jobs_ > 1) pool_ = std::make_unique<util::ThreadPool>(jobs_);
 
   placement_ = make_placement(config.placement, directory_,
-                              config.seed ^ 0x9e3779b9, config.p2c_choices);
+                              config.seed ^ 0x9e3779b9);
 
-  // Boot every machine with a catalog-drawn HP. The draw consumes the rng
-  // in machine-index order, so the fleet's HP mix is a pure function of
-  // (seed, catalog) — placement engine and worker count never touch it.
-  util::Xoshiro256 rng(config.seed);
-  nodes_.resize(config.num_machines);
-  for (auto& node : nodes_) {
-    boot_node(node, &catalog.at(rng.below(catalog.size())));
-  }
-  // The persistent control-plane index: one slot per machine, kept in step
-  // with the nodes' tenant arrays by admit/evict.
+  // Draw every machine's HP from the catalog into its index slot, then
+  // boot the machines. The draw consumes the rng in machine-index order,
+  // so the fleet's HP mix is a pure function of (seed, catalog) —
+  // placement engine and worker count never touch it.
   index_ = std::make_unique<PlacementIndex>(directory_, config_.cores_used - 1);
-  for (const auto& node : nodes_) index_->add_machine(node.hp);
+  util::Xoshiro256 rng(config.seed);
+  for (unsigned i = 0; i < config.num_machines; ++i) {
+    index_->add_machine(&catalog.at(rng.below(catalog.size())));
+  }
+  nodes_.resize(config.num_machines);
+  for (unsigned i = 0; i < config.num_machines; ++i) {
+    boot_node(nodes_[i], index_->hp(i).profile);
+  }
   epoch_stats_.reserve(nodes_.size());
   bind_metrics();
 
@@ -168,8 +169,6 @@ void Cluster::boot_node(Node& node, const sim::AppProfile* hp) {
   node.monitor =
       std::make_unique<rdt::Monitor>(*node.machine, cap, config_.tracer);
   node.policy = policy::make_policy(config_.policy);
-  node.hp = hp;
-  node.tenants.assign(config_.cores_used, std::nullopt);
   node.instr_base.assign(config_.cores_used, 0.0);
   node.cycles_base.assign(config_.cores_used, 0.0);
 
@@ -246,42 +245,31 @@ void Cluster::bind_metrics() {
                     "replay caches dropped by phase / active-set drift");
 }
 
-unsigned Cluster::lowest_free_core(const Node& node) const {
-  for (unsigned c = 1; c < config_.cores_used; ++c) {
-    if (!node.tenants[c]) return c;
-  }
-  throw std::logic_error("Cluster: no free core on chosen machine");
-}
-
-void Cluster::admit(std::size_t m, unsigned core, const Tenant& tenant) {
+unsigned Cluster::admit(unsigned m, const Tenant& tenant) {
+  const unsigned core = index_->admit(m, tenant);
   Node& node = nodes_[m];
-  node.tenants[core] = tenant;
-  node.machine->attach(core, tenant.app);
+  node.machine->attach(core, tenant.sig->profile);
   // Machine::detach reverted this core to the full mask; re-associating
   // re-applies the BE CLOS mask the machine's policy currently runs.
   node.cat->associate(core, policy::kBeClos);
   node.monitor->track(core);
-  ++tenants_count_;
-  index_->admit(static_cast<unsigned>(m), core, tenant.app);
+  return core;
 }
 
-void Cluster::evict(std::size_t m, unsigned core) {
-  Node& node = nodes_[m];
-  node.machine->detach(core);
-  node.tenants[core].reset();
-  --tenants_count_;
-  index_->detach(static_cast<unsigned>(m), core);
+Tenant Cluster::evict(unsigned m, unsigned core) {
+  nodes_[m].machine->detach(core);
+  return index_->detach(m, core);
 }
 
 const sim::AppProfile& Cluster::hp_of(unsigned machine) const {
-  return *nodes_.at(machine).hp;
+  return *index_->hp(machine).profile;
 }
 
 void Cluster::do_departures(double epoch_start, EpochMetrics& m) {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (unsigned c = 1; c < config_.cores_used; ++c) {
-      if (nodes_[i].tenants[c] &&
-          nodes_[i].tenants[c]->depart_t_sec <= epoch_start + kEps) {
+  for (unsigned i = 0; i < nodes_.size(); ++i) {
+    const std::vector<Tenant>& tenants = index_->tenants(i);
+    for (unsigned c = 1; c < tenants.size(); ++c) {
+      if (tenants[c].sig && tenants[c].depart_t_sec <= epoch_start + kEps) {
         evict(i, c);
         ++m.departures;
       }
@@ -292,16 +280,16 @@ void Cluster::do_departures(double epoch_start, EpochMetrics& m) {
 void Cluster::do_migrations(EpochMetrics& m) {
   if (config_.migrate_after == 0) return;
   auto& tr = trace::resolve(config_.tracer);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+  for (unsigned i = 0; i < nodes_.size(); ++i) {
     Node& src = nodes_[i];
     if (src.slo_streak < config_.migrate_after) continue;
     // Evict the most cache-hungry tenant — the likeliest HP antagonist.
+    const std::vector<Tenant>& tenants = index_->tenants(i);
     unsigned victim_core = 0;
     double victim_footprint = -1.0;
-    for (unsigned c = 1; c < config_.cores_used; ++c) {
-      if (!src.tenants[c]) continue;
-      const double f =
-          directory_.signal(src.tenants[c]->app->name).footprint_bytes;
+    for (unsigned c = 1; c < tenants.size(); ++c) {
+      if (!tenants[c].sig) continue;
+      const double f = tenants[c].sig->footprint_bytes;
       if (f > victim_footprint) {
         victim_footprint = f;
         victim_core = c;
@@ -313,21 +301,18 @@ void Cluster::do_migrations(EpochMetrics& m) {
     src.slo_streak = 0;
     if (victim_core == 0) continue;
 
-    const Tenant tenant = *src.tenants[victim_core];
-    const auto dest =
-        placement_->place(*tenant.app, *index_, static_cast<unsigned>(i));
+    const sim::AppProfile& app = *tenants[victim_core].sig->profile;
+    const auto dest = placement_->place(app, *index_, i);
 
     PlacementRecord rec;
-    rec.tenant_id = tenant.id;
+    rec.tenant_id = tenants[victim_core].id;
     rec.epoch = epoch_;
-    rec.app = tenant.app->name;
+    rec.app = app.name;
     rec.migration = true;
     rec.accepted = dest.has_value();
     if (dest) {
-      evict(i, victim_core);
       rec.machine = *dest;
-      rec.core = lowest_free_core(nodes_[*dest]);
-      admit(*dest, rec.core, tenant);
+      rec.core = admit(*dest, evict(i, victim_core));
       ++m.migrations;
       if (metrics_.migration_streak) {
         metrics_.migration_streak->record(static_cast<double>(streak));
@@ -335,9 +320,9 @@ void Cluster::do_migrations(EpochMetrics& m) {
       if (tr.enabled(trace::Kind::kMigration)) {
         tr.emit(trace::Kind::kMigration,
                 static_cast<double>(epoch_) * config_.epoch_sec,
-                {{"tenant", tenant.id},
-                 {"app", tenant.app->name},
-                 {"from", static_cast<unsigned>(i)},
+                {{"tenant", rec.tenant_id},
+                 {"app", app.name},
+                 {"from", i},
                  {"to", *dest}});
       }
     }
@@ -360,8 +345,8 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
     rec.accepted = dest.has_value();
     if (dest) {
       rec.machine = *dest;
-      rec.core = lowest_free_core(nodes_[*dest]);
-      admit(*dest, rec.core, {a.id, a.app, a.t_sec + a.lifetime_sec});
+      rec.core = admit(*dest, {a.id, &directory_.signal(a.app->name),
+                               a.t_sec + a.lifetime_sec});
       if (metrics_.placement_wait) {
         // Arrivals drain at the epoch boundary, so a tenant waits from its
         // arrival instant to the end of the epoch it lands in.
@@ -416,9 +401,12 @@ void Cluster::step_all(double epoch_end) {
 
 void Cluster::fill_epoch_stat(std::size_t i) {
   Node& node = nodes_[i];
+  const auto machine = static_cast<unsigned>(i);
+  const AppSignal& hp = index_->hp(machine);
+  const std::vector<Tenant>& tenants = index_->tenants(machine);
   MachineEpochStat st;
-  st.machine = static_cast<unsigned>(i);
-  st.hp = node.hp;
+  st.machine = machine;
+  st.hp = hp.profile;
   std::vector<metrics::IpcPair> pairs;
   pairs.reserve(config_.cores_used);
   for (unsigned c = 0; c < config_.cores_used; ++c) {
@@ -427,13 +415,11 @@ void Cluster::fill_epoch_stat(std::size_t i) {
     const double d_cycles = tel.active_cycles - node.cycles_base[c];
     node.instr_base[c] = tel.instructions;
     node.cycles_base[c] = tel.active_cycles;
-    const bool occupied = c == 0 || node.tenants[c].has_value();
-    if (c != 0 && node.tenants[c].has_value()) ++st.tenants;
-    if (!occupied || d_cycles <= 0.0) continue;
+    const AppSignal* app = c == 0 ? &hp : tenants[c].sig;
+    if (c != 0 && app) ++st.tenants;
+    if (!app || d_cycles <= 0.0) continue;
     const double ipc = d_instr / d_cycles;
-    const double alone =
-        c == 0 ? directory_.signal(node.hp->name).ipc_alone
-               : directory_.signal(node.tenants[c]->app->name).ipc_alone;
+    const double alone = app->ipc_alone;
     pairs.push_back({alone, ipc});
     if (c == 0 && alone > 0.0) {
       st.hp_norm = ipc / alone;
@@ -479,11 +465,8 @@ void Cluster::reduce(EpochMetrics& m) {
         metrics_.hp_slowdown->record(st.hp_slowdown);
       }
       metrics_.link_rho->record(st.link_rho);
-      for (unsigned c = 1; c < config_.cores_used; ++c) {
-        if (node.tenants[c]) {
-          metrics_.tenant_footprint->record(
-              directory_.signal(node.tenants[c]->app->name).footprint_bytes);
-        }
+      for (const Tenant& t : index_->tenants(static_cast<unsigned>(i))) {
+        if (t.sig) metrics_.tenant_footprint->record(t.sig->footprint_bytes);
       }
       const sim::SolverStats& ss = node.machine->solver_stats();
       metrics_.solver_quanta->inc(ss.quanta - node.solver_base.quanta);

@@ -5,12 +5,14 @@
 // from the catalog at boot) on core 0 and up to cores_used-1 best-effort
 // tenants, each machine governed by its own policy instance
 // (policy::factory — DICER by default, so the fleet is ~N independent
-// copies of the paper's single-machine loop). Time advances in epochs:
+// copies of the paper's single-machine loop). Who runs where lives in one
+// place, the PlacementIndex: a node holds only its simulation objects and
+// epoch baselines. Time advances in epochs:
 //
 //   1. control plane (single-threaded, machine-index order): departures
 //      -> SLO-triggered migrations -> arrivals, each arrival decided by the
-//      PlacementEngine off the persistent PlacementIndex and committed
-//      before the next one is looked at
+//      PlacementEngine off the PlacementIndex and committed (index, then
+//      machine) before the next one is looked at
 //   2. data plane: every machine steps to the epoch boundary, sharded
 //      across a util::ThreadPool — machine i is task i, machines never
 //      interact mid-epoch, so any worker count replays the serial fleet
@@ -31,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,7 @@ struct FleetConfig {
   unsigned cores_used = 10;
   sim::MachineConfig machine{};
   std::string policy = "DICER";     ///< per-machine policy (policy::factory)
-  std::string placement = "mrc";  ///< random | least-loaded | mrc | mrc-p2c
+  std::string placement = "mrc";    ///< random | least-loaded | mrc
   double epoch_sec = 1.0;
   double slo_norm = 0.90;           ///< HP SLO: normalised IPC >= slo_norm
   /// Migrate one BE off a machine whose HP violated its SLO for this many
@@ -65,10 +66,6 @@ struct FleetConfig {
   ChurnConfig churn{};
   std::uint64_t seed = 42;          ///< HP assignment + random placement
   unsigned jobs = 0;                ///< stepping shards; 0 = auto
-  /// mrc-p2c fan-out d: candidates drawn per decision (>= 1; ignored by
-  /// the other engines). d = 1 is seeded-random placement, large d
-  /// approaches full best-fit at d scores per decision.
-  unsigned p2c_choices = MrcP2cPlacement::kChoices;
   /// Event sink (null = process-global tracer).
   trace::Tracer* tracer = nullptr;
   /// Metrics registry for fleet-wide distributions, actuation counters and
@@ -170,10 +167,10 @@ class Cluster {
     return static_cast<unsigned>(nodes_.size());
   }
   std::uint64_t epochs_done() const noexcept { return epoch_; }
-  /// BE tenants currently running fleet-wide (an O(1) counter maintained
-  /// by admit/departure/migration, pinned equal to the per-core scan by
-  /// the randomized-churn tests).
-  std::uint64_t tenants_running() const noexcept { return tenants_count_; }
+  /// BE tenants currently running fleet-wide (the index's O(1) count).
+  std::uint64_t tenants_running() const noexcept {
+    return index_->tenants_running();
+  }
   /// The HP app hosted on `machine`.
   const sim::AppProfile& hp_of(unsigned machine) const;
   /// The live placement index every decision reads (never null).
@@ -194,12 +191,6 @@ class Cluster {
   static double mean_efu(const std::vector<EpochMetrics>& rows);
 
  private:
-  struct Tenant {
-    std::uint64_t id = 0;
-    const sim::AppProfile* app = nullptr;
-    double depart_t_sec = 0.0;
-  };
-
   /// One machine plus its whole single-machine control plane. Pointer
   /// members keep PolicyContext's raw pointers stable if nodes_ moves.
   struct Node {
@@ -208,8 +199,6 @@ class Cluster {
     std::unique_ptr<rdt::Monitor> monitor;
     std::unique_ptr<policy::Policy> policy;
     policy::PolicyContext ctx;
-    const sim::AppProfile* hp = nullptr;
-    std::vector<std::optional<Tenant>> tenants;  ///< indexed by core
     unsigned slo_streak = 0;  ///< consecutive SLO-violating epochs
     /// Telemetry baselines for epoch deltas, indexed by core.
     std::vector<double> instr_base;
@@ -248,14 +237,13 @@ class Cluster {
 
   void boot_node(Node& node, const sim::AppProfile* hp);
   void bind_metrics();
-  /// Attach `tenant` to `core` of machine `m` (mask re-associated to the
-  /// BE CLOS — Machine::detach reverts cores to the full mask), keeping
-  /// the tenant counter and the placement index in step.
-  void admit(std::size_t m, unsigned core, const Tenant& tenant);
-  /// Detach whatever runs on `core` of machine `m`, keeping the tenant
-  /// counter and the placement index in step.
-  void evict(std::size_t m, unsigned core);
-  unsigned lowest_free_core(const Node& node) const;
+  /// Record `tenant` on machine `m`'s lowest free core in the index and
+  /// attach it there (mask re-associated to the BE CLOS — Machine::detach
+  /// reverts cores to the full mask). Returns the core.
+  unsigned admit(unsigned m, const Tenant& tenant);
+  /// Remove the tenant on `core` of machine `m` from the index and the
+  /// machine; returns it.
+  Tenant evict(unsigned m, unsigned core);
   void do_departures(double epoch_start, EpochMetrics& m);
   void do_migrations(EpochMetrics& m);
   void do_arrivals(double epoch_end, EpochMetrics& m);
@@ -270,13 +258,11 @@ class Cluster {
   AppDirectory directory_;
   ChurnGenerator churn_;
   std::unique_ptr<PlacementEngine> placement_;
-  /// Incremental placement view: slots mirror the nodes' tenant arrays,
-  /// updated by admit/evict, read by every placement decision. Declared
-  /// after directory_ (it holds signal pointers into it).
+  /// Fleet tenancy — the HP and the tenant of every core of every
+  /// machine — changed only by admit/evict and read by every placement
+  /// decision. Declared after directory_ (it holds signal pointers into
+  /// it).
   std::unique_ptr<PlacementIndex> index_;
-  /// BE tenants running now — admit/evict keep it equal to the per-core
-  /// scan without the O(machines x cores) walk each epoch paid.
-  std::uint64_t tenants_count_ = 0;
   std::vector<Node> nodes_;
   /// Data-plane worker pool; null when jobs_ == 1.
   std::unique_ptr<util::ThreadPool> pool_;

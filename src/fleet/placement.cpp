@@ -1,6 +1,5 @@
 #include "fleet/placement.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace dicer::fleet {
@@ -41,61 +40,18 @@ std::optional<unsigned> MrcBestFitPlacement::place(
   return index.best_fit(dir_->signal(app.name), exclude);
 }
 
-MrcP2cPlacement::MrcP2cPlacement(const AppDirectory& directory,
-                                 std::uint64_t seed, unsigned choices)
-    : dir_(&directory), rng_(seed), choices_(choices) {
-  if (choices == 0) {
-    throw std::invalid_argument(
-        "MrcP2cPlacement: need at least one choice (d >= 1)");
-  }
-}
-
-std::optional<unsigned> MrcP2cPlacement::place(
-    const sim::AppProfile& app, PlacementIndex& index,
-    std::optional<unsigned> exclude) {
-  const AppSignal& app_sig = dir_->signal(app.name);
-  const bool excl_open =
-      exclude && *exclude < index.size() && index.is_open(*exclude);
-  const std::uint64_t count = index.open_count() - (excl_open ? 1 : 0);
-  if (count == 0) return std::nullopt;
-  draw_scratch_.clear();
-  for (unsigned j = 0; j < choices_; ++j) {
-    std::uint64_t k = rng_.below(count);
-    if (excl_open && k >= index.open_rank(*exclude)) ++k;
-    draw_scratch_.push_back(index.nth_open(k));
-  }
-  // Candidates scored in draw order, repeats skipped.
-  std::optional<unsigned> best;
-  double best_delta = 0.0;
-  for (std::size_t j = 0; j < draw_scratch_.size(); ++j) {
-    const unsigned m = draw_scratch_[j];
-    const auto drawn = draw_scratch_.begin() + static_cast<std::ptrdiff_t>(j);
-    if (std::find(draw_scratch_.begin(), drawn, m) != drawn) continue;
-    const double d = index.marginal_efu(m, app_sig);
-    if (!best || d > best_delta) {
-      best = m;
-      best_delta = d;
-    }
-  }
-  return best;
-}
-
 std::unique_ptr<PlacementEngine> make_placement(const std::string& name,
                                                 const AppDirectory& directory,
-                                                std::uint64_t seed,
-                                                unsigned p2c_choices) {
+                                                std::uint64_t seed) {
   if (name == "random") return std::make_unique<RandomPlacement>(seed);
   if (name == "least-loaded") return std::make_unique<LeastLoadedPlacement>();
   if (name == "mrc") return std::make_unique<MrcBestFitPlacement>(directory);
-  if (name == "mrc-p2c") {
-    return std::make_unique<MrcP2cPlacement>(directory, seed, p2c_choices);
-  }
   throw std::invalid_argument("make_placement: unknown engine '" + name +
-                              "' (try random, least-loaded, mrc, mrc-p2c)");
+                              "' (try random, least-loaded, mrc)");
 }
 
 std::vector<std::string> known_placements() {
-  return {"random", "least-loaded", "mrc", "mrc-p2c"};
+  return {"random", "least-loaded", "mrc"};
 }
 
 }  // namespace dicer::fleet

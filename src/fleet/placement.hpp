@@ -1,7 +1,7 @@
 // Pluggable tenant placement.
 //
 // When a tenant arrives, the cluster asks a PlacementEngine which machine
-// it should land on. Four engines ship:
+// it should land on. Three engines ship:
 //
 //   random        uniform over machines with a free BE core (seeded —
 //                 deterministic — baseline for "does placement matter?")
@@ -18,25 +18,19 @@
 //                 over every open machine, read off the index's per-app
 //                 tournament tree in O(machines touched since the app's
 //                 last decision x log N).
-//   mrc-p2c       power-of-d-choices over the same scorer: draws d = 5
-//                 candidates uniformly from the open set via the engine's
-//                 seeded RNG and scores only those — an O(d)
-//                 approximation of `mrc`, deterministic for a (seed, call
-//                 sequence) pair like `random`.
 //
 // Every engine decides off the persistent fleet::PlacementIndex in one
-// serial pass: `random` and `mrc-p2c` map their draws through the index's
-// open-set order statistics, `least-loaded` reads its free-core buckets,
-// and both MRC engines read the index's one score cache — the leaves of
-// its per-app marginal-EFU trees — so a clean machine is never re-scored.
-// Ties go to the lowest machine index (the first strictly better
-// candidate in index order, or in draw order for mrc-p2c). A from-scratch
-// full-scan reference of all four engines lives in the tests and pins
-// every decision, tie-break and RNG draw.
+// serial pass: `random` maps its draw through the index's open-set order
+// statistics, `least-loaded` reads its free-core buckets, and `mrc` reads
+// the index's score cache — the leaves of its per-app marginal-EFU trees
+// — so a clean machine is never re-scored. Ties go to the lowest machine
+// index (the first strictly better candidate in index order). A
+// from-scratch full-scan reference of all three engines lives in the
+// tests and pins every decision, tie-break and RNG draw.
 //
 // Engines are called from the control plane's single decision thread;
-// they keep internal state (RNGs, draw scratch) and stay deterministic
-// for a (seed, call sequence) pair.
+// they keep internal state (`random`'s RNG) and stay deterministic for a
+// (seed, call sequence) pair.
 #pragma once
 
 #include <memory>
@@ -99,46 +93,12 @@ class MrcBestFitPlacement final : public PlacementEngine {
   const AppDirectory* dir_;
 };
 
-/// Power-of-d-choices over the MRC scorer: d seeded uniform draws from the
-/// open set (with replacement; repeats are scored once), best marginal EFU
-/// wins with the same first-strictly-better tie-break — in draw order —
-/// as `mrc` uses in index order. Decision quality degrades gracefully with
-/// d while a decision costs at most d scores, where exact `mrc` re-scores
-/// every machine touched since the app's last decision; the classic
-/// balls-into-bins result is that d = 2 already collapses the max-load
-/// tail, and d = 5 tracks full best-fit closely on fleet EFU. The fan-out
-/// is configurable (FleetConfig::p2c_choices / fleet_sim --p2c-d); d = 1
-/// degenerates to seeded-random placement, large d approaches full
-/// best-fit at d scores per decision.
-class MrcP2cPlacement final : public PlacementEngine {
- public:
-  /// The shipped default fan-out.
-  static constexpr unsigned kChoices = 5;
-
-  /// Throws std::invalid_argument when choices == 0 (a zero-draw engine
-  /// could never place anything).
-  MrcP2cPlacement(const AppDirectory& directory, std::uint64_t seed,
-                  unsigned choices = kChoices);
-  std::string name() const override { return "mrc-p2c"; }
-  std::optional<unsigned> place(const sim::AppProfile& app,
-                                PlacementIndex& index,
-                                std::optional<unsigned> exclude) override;
-
- private:
-  const AppDirectory* dir_;
-  util::Xoshiro256 rng_;
-  unsigned choices_;
-  std::vector<unsigned> draw_scratch_;  ///< sampled machine indices
-};
-
-/// Engine by name: "random", "least-loaded", "mrc" or "mrc-p2c". `seed`
-/// feeds the seeded engines; `directory` the MRC ones; `p2c_choices` is
-/// mrc-p2c's fan-out d (ignored by the other engines). Throws
-/// std::invalid_argument for unknown names, or p2c_choices == 0 when the
-/// engine is mrc-p2c.
-std::unique_ptr<PlacementEngine> make_placement(
-    const std::string& name, const AppDirectory& directory,
-    std::uint64_t seed, unsigned p2c_choices = MrcP2cPlacement::kChoices);
+/// Engine by name: "random", "least-loaded" or "mrc". `seed` feeds
+/// `random`; `directory` feeds `mrc`. Throws std::invalid_argument for
+/// unknown names.
+std::unique_ptr<PlacementEngine> make_placement(const std::string& name,
+                                                const AppDirectory& directory,
+                                                std::uint64_t seed);
 std::vector<std::string> known_placements();
 
 }  // namespace dicer::fleet

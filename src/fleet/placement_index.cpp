@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace dicer::fleet {
 
@@ -73,20 +74,14 @@ PlacementIndex::PlacementIndex(const AppDirectory& dir, unsigned be_slots)
 unsigned PlacementIndex::add_machine(const sim::AppProfile* hp) {
   const auto index = static_cast<unsigned>(slots_.size());
   Slot slot;
-  slot.hp = hp;
-  slot.hp_sig = &dir_->signal(hp->name);
-  slot.sig_by_core.assign(be_slots_ + 1, nullptr);
-  slot.app_by_core.assign(be_slots_ + 1, nullptr);
+  slot.hp = &dir_->signal(hp->name);
+  slot.tenants.resize(be_slots_ + 1);
   slot.free_cores = be_slots_;
   slots_.push_back(std::move(slot));
   open_.push_back(true);
   by_free_[be_slots_].insert(index);
   for (AppTree& t : trees_) {
-    if (t.leaf.empty()) continue;
-    for (const std::uint32_t m : t.pending) t.leaf[m] = kStale;
-    t.leaf.push_back(kStale);
-    t.pending.clear();
-    t.built = false;
+    if (!t.leaf.empty()) t = AppTree{};
   }
   return index;
 }
@@ -111,50 +106,47 @@ void PlacementIndex::rebucket(unsigned machine, unsigned from, unsigned to) {
   if ((from > 0) != (to > 0)) open_.set(machine, to > 0);
 }
 
-void PlacementIndex::admit(unsigned machine, unsigned core,
-                           const sim::AppProfile* app) {
+unsigned PlacementIndex::admit(unsigned machine, const Tenant& tenant) {
   Slot& slot = at(machine);
-  if (core == 0 || core > be_slots_ || slot.sig_by_core[core] != nullptr) {
-    throw std::logic_error("PlacementIndex: admit to an invalid/busy core");
+  if (tenant.sig == nullptr) {
+    throw std::logic_error("PlacementIndex: admit of a tenant with no app");
   }
-  slot.sig_by_core[core] = &dir_->signal(app->name);
-  slot.app_by_core[core] = app;
+  unsigned core = 1;
+  while (core <= be_slots_ && slot.tenants[core].sig != nullptr) ++core;
+  if (core > be_slots_) {
+    throw std::logic_error("PlacementIndex: admit to a full machine");
+  }
+  slot.tenants[core] = tenant;
   rebucket(machine, slot.free_cores, slot.free_cores - 1);
   --slot.free_cores;
+  ++running_;
   touch(machine);
+  return core;
 }
 
-void PlacementIndex::detach(unsigned machine, unsigned core) {
+Tenant PlacementIndex::detach(unsigned machine, unsigned core) {
   Slot& slot = at(machine);
-  if (core == 0 || core > be_slots_ || slot.sig_by_core[core] == nullptr) {
+  if (core == 0 || core > be_slots_ || slot.tenants[core].sig == nullptr) {
     throw std::logic_error("PlacementIndex: detach from an invalid/free core");
   }
-  slot.sig_by_core[core] = nullptr;
-  slot.app_by_core[core] = nullptr;
+  const Tenant gone = std::exchange(slot.tenants[core], Tenant{});
   rebucket(machine, slot.free_cores, slot.free_cores + 1);
   ++slot.free_cores;
+  --running_;
   touch(machine);
+  return gone;
 }
 
-const sim::AppProfile* PlacementIndex::hp(unsigned machine) const {
-  return at(machine).hp;
-}
-
-const AppSignal& PlacementIndex::hp_signal(unsigned machine) const {
-  return *at(machine).hp_sig;
+const AppSignal& PlacementIndex::hp(unsigned machine) const {
+  return *at(machine).hp;
 }
 
 unsigned PlacementIndex::free_cores(unsigned machine) const {
   return at(machine).free_cores;
 }
 
-const sim::AppProfile* PlacementIndex::tenant(unsigned machine,
-                                              unsigned core) const {
-  const Slot& slot = at(machine);
-  if (core == 0 || core > be_slots_) {
-    throw std::out_of_range("PlacementIndex: core out of range");
-  }
-  return slot.app_by_core[core];
+const std::vector<Tenant>& PlacementIndex::tenants(unsigned machine) const {
+  return at(machine).tenants;
 }
 
 void PlacementIndex::tenant_signals(
@@ -162,7 +154,7 @@ void PlacementIndex::tenant_signals(
   const Slot& slot = at(machine);
   out.clear();
   for (unsigned c = 1; c <= be_slots_; ++c) {
-    if (slot.sig_by_core[c]) out.push_back(slot.sig_by_core[c]);
+    if (slot.tenants[c].sig) out.push_back(slot.tenants[c].sig);
   }
 }
 
@@ -195,20 +187,11 @@ void PlacementIndex::touch(unsigned machine) {
   ++mutations_;
   slots_[machine].before = kStale;
   for (AppTree& t : trees_) {
-    if (t.leaf.empty()) continue;
-    if (!t.built) {
-      t.leaf[machine] = kStale;
-    } else if (!t.queued[machine]) {
+    if (!t.leaf.empty() && !t.queued[machine]) {
       t.queued[machine] = true;
       t.pending.push_back(machine);
     }
   }
-}
-
-PlacementIndex::AppTree& PlacementIndex::tree(const AppSignal& app) {
-  AppTree& t = trees_.at(app.id);
-  if (t.leaf.empty()) t.leaf.assign(slots_.size(), kStale);
-  return t;
 }
 
 double PlacementIndex::score(unsigned machine, const AppSignal& app) {
@@ -216,12 +199,12 @@ double PlacementIndex::score(unsigned machine, const AppSignal& app) {
   if (slot.free_cores == 0) return -std::numeric_limits<double>::infinity();
   tenant_signals(machine, bes_);
   if (std::isnan(slot.before)) {
-    slot.before = predict_efu(*dir_, *slot.hp_sig, bes_, pairs_);
+    slot.before = predict_efu(*dir_, *slot.hp, bes_, pairs_);
     ++predictions_;
   }
   bes_.push_back(&app);
   ++predictions_;
-  return predict_efu(*dir_, *slot.hp_sig, bes_, pairs_) - slot.before;
+  return predict_efu(*dir_, *slot.hp, bes_, pairs_) - slot.before;
 }
 
 bool PlacementIndex::beats(const AppTree& t, std::uint32_t a,
@@ -242,18 +225,17 @@ void PlacementIndex::fix(AppTree& t, std::size_t i) {
   ++node_visits_;
 }
 
+void PlacementIndex::build(AppTree& t, const AppSignal& app) {
+  const std::size_t n = slots_.size();
+  t.leaf.resize(n);
+  for (unsigned m = 0; m < n; ++m) t.leaf[m] = score(m, app);
+  t.win.resize(n);
+  for (std::size_t i = n - 1; i >= 1; --i) fix(t, i);
+  t.queued.assign(n, false);
+}
+
 void PlacementIndex::refresh(AppTree& t, const AppSignal& app) {
   const std::size_t n = slots_.size();
-  if (!t.built) {
-    for (unsigned m = 0; m < n; ++m) {
-      if (std::isnan(t.leaf[m])) t.leaf[m] = score(m, app);
-    }
-    t.win.resize(n);
-    for (std::size_t i = n - 1; i >= 1; --i) fix(t, i);
-    t.queued.assign(n, false);
-    t.built = true;
-    return;
-  }
   // Re-score the backlog. A leaf that kept its value moves nothing above
   // it; a changed one stays marked in `queued` while its ancestors are
   // recomputed.
@@ -309,22 +291,16 @@ std::uint32_t PlacementIndex::best_in(const AppTree& t, std::size_t lo,
   return best;
 }
 
-double PlacementIndex::marginal_efu(unsigned machine, const AppSignal& app) {
-  AppTree& t = tree(app);
-  double& leaf = t.leaf.at(machine);
-  // A queued leaf keeps its old value until the tree's next query
-  // compares it with the new one.
-  if (t.built && t.queued[machine]) return score(machine, app);
-  if (std::isnan(leaf)) leaf = score(machine, app);
-  return leaf;
-}
-
 std::optional<unsigned> PlacementIndex::best_fit(
     const AppSignal& app, std::optional<unsigned> exclude) {
   const std::size_t n = slots_.size();
   if (n == 0) return std::nullopt;
-  AppTree& t = tree(app);
-  refresh(t, app);
+  AppTree& t = trees_.at(app.id);
+  if (t.leaf.empty()) {
+    build(t, app);
+  } else {
+    refresh(t, app);
+  }
   std::uint32_t best = winner(t, 1);
   if (exclude && *exclude == best) {
     // The best of the two ranges around the excluded winner, folded into
@@ -337,6 +313,15 @@ std::optional<unsigned> PlacementIndex::best_fit(
   }
   if (slots_[best].free_cores == 0) return std::nullopt;
   return best;
+}
+
+double PlacementIndex::marginal_efu(unsigned machine,
+                                    const AppSignal& app) const {
+  const AppTree& t = trees_.at(app.id);
+  if (t.leaf.empty()) {
+    throw std::logic_error("PlacementIndex: app has no tree before best_fit");
+  }
+  return t.leaf.at(machine);
 }
 
 std::size_t PlacementIndex::backlog(std::size_t app_id) const {

@@ -1,15 +1,18 @@
-// fleet::PlacementIndex — a persistent, incrementally-maintained view of
-// the fleet for placement decisions.
+// fleet::PlacementIndex — the fleet's record of who runs where, and a
+// persistent, incrementally-maintained view of it for placement decisions.
 //
-// Rebuilding a per-machine snapshot of the fleet for every arrival and
-// rescanning it costs O(arrivals x machines x tenants) per epoch, the
+// The index is the one owner of fleet tenancy: the cluster admits and
+// detaches tenants here and reads them back (departures, migration
+// victims, the epoch reduction), so no second copy is kept in step by
+// hand. Rebuilding a per-machine snapshot of the fleet for every arrival
+// and rescanning it costs O(arrivals x machines x tenants) per epoch, the
 // term that dominates a churn-heavy 10k-machine fleet. The index keeps
 // per-machine slots updated in O(log N) on admit/detach instead:
 //
-//   - slot state: the HP signal, the core-indexed BE signal list (core
-//     order is load-bearing — the MRC scorer's floating-point sums walk
-//     tenants in core order, and reproducible scores need one fixed
-//     operand order), and the free-core count;
+//   - slot state: the HP signal, the core-indexed tenant list (core order
+//     is load-bearing — the MRC scorer's floating-point sums walk tenants
+//     in core order, and reproducible scores need one fixed operand
+//     order), and the free-core count;
 //   - an order-statistics tree (Fenwick over 0/1 "has a free core" bits)
 //     so `random` can draw the k-th open machine with a single
 //     rng.below(open_count) without touching the other N-1 machines;
@@ -17,19 +20,19 @@
 //     `least-loaded` resolves as "lowest index in the highest non-empty
 //     bucket" instead of a full scan;
 //   - one tournament tree per app over the app's marginal-EFU deltas
-//     (the MRC engines' score cache), so `mrc` reads its argmax off a
+//     (the `mrc` engine's score cache), so `mrc` reads its argmax off a
 //     root instead of scanning N machines. Leaf m holds the marginal EFU
 //     of the app joining machine m — predict_efu() with the app minus the
 //     machine's cached "before" predict_efu(), which every app shares —
 //     or -inf when m has no free core. Each internal node holds the
 //     uint32 index of the better of its two children, and ties go to the
 //     lower machine index, so the root is exactly the first strictly
-//     better machine of an index-order scan. A tree is allocated on the
-//     app's first query: 12 B and a bit per machine (a double leaf, a
-//     uint32 winner and a "queued" flag).
+//     better machine of an index-order scan. A tree is built on the app's
+//     first query: 12 B and a bit per machine (a double leaf, a uint32
+//     winner and a "queued" flag).
 //
 // Refresh is lazy. admit/detach queue the touched machine, once, on every
-// built tree's backlog. An app's next query re-scores only its queued
+// tree's backlog. An app's next query re-scores only its queued
 // machines and recomputes the ancestors of the leaves whose value
 // changed, each once, stopping wherever a node keeps its winner, so a
 // decision costs at most O(machines touched since the app's last query x
@@ -53,6 +56,13 @@
 
 namespace dicer::fleet {
 
+/// One running BE tenant. A null `sig` marks a free core.
+struct Tenant {
+  std::uint64_t id = 0;
+  const AppSignal* sig = nullptr;
+  double depart_t_sec = 0.0;  ///< simulated time the tenant leaves
+};
+
 class PlacementIndex {
  public:
   /// `dir` must outlive the index. `be_slots` is the number of BE cores
@@ -61,25 +71,30 @@ class PlacementIndex {
   PlacementIndex(const AppDirectory& dir, unsigned be_slots);
 
   /// Register the next machine (indices are assigned 0, 1, ... in call
-  /// order) hosting `hp` and no tenants. Returns its index.
+  /// order) hosting `hp` and no tenants. Returns its index. Machines join
+  /// before placement starts: a machine added later drops every app's
+  /// tree, and the app's next query rebuilds it.
   unsigned add_machine(const sim::AppProfile* hp);
 
-  /// Tenant `app` lands on `machine`'s `core` (1..be_slots). O(log N + A)
-  /// for A apps with a tree.
-  void admit(unsigned machine, unsigned core, const sim::AppProfile* app);
-  /// The tenant on `machine`'s `core` leaves. O(log N + A).
-  void detach(unsigned machine, unsigned core);
+  /// `tenant` lands on `machine`'s lowest free BE core, which is returned.
+  /// O(log N + A) for A apps with a tree. Throws std::logic_error when
+  /// the machine is full or the tenant has no signal.
+  unsigned admit(unsigned machine, const Tenant& tenant);
+  /// The tenant on `machine`'s `core` leaves; returns it. O(log N + A).
+  Tenant detach(unsigned machine, unsigned core);
 
   std::size_t size() const noexcept { return slots_.size(); }
   unsigned be_slots() const noexcept { return be_slots_; }
   const AppDirectory& directory() const noexcept { return *dir_; }
 
-  const sim::AppProfile* hp(unsigned machine) const;
-  const AppSignal& hp_signal(unsigned machine) const;
+  const AppSignal& hp(unsigned machine) const;
   unsigned free_cores(unsigned machine) const;
   bool is_open(unsigned machine) const { return free_cores(machine) > 0; }
-  /// The BE tenant on `core` of `machine` (null when the core is free).
-  const sim::AppProfile* tenant(unsigned machine, unsigned core) const;
+  /// `machine`'s tenants indexed by core, 0..be_slots: entry 0 (the HP's
+  /// core) and every free core hold a null `sig`.
+  const std::vector<Tenant>& tenants(unsigned machine) const;
+  /// BE tenants running fleet-wide.
+  std::uint64_t tenants_running() const noexcept { return running_; }
 
   /// Core-ordered signal list of `machine`'s running BEs (the MRC
   /// scorer's operand order), written into `out`.
@@ -105,16 +120,16 @@ class PlacementIndex {
   /// control plane's tenancy churn.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
-  // --- marginal-EFU trees (read by the MRC engines) ---
-  /// Marginal EFU of `app` joining open `machine`: predict_efu() with
-  /// the app minus predict_efu() without it, served from `app`'s leaves
-  /// and scored on a miss.
-  double marginal_efu(unsigned machine, const AppSignal& app);
+  // --- marginal-EFU trees (read by the `mrc` engine) ---
   /// The open machine other than `exclude` that `app` raises the most
   /// predicted EFU on (lowest index on ties), or nullopt when there is
   /// none. `exclude` may be out of range (then nothing is excluded).
   std::optional<unsigned> best_fit(const AppSignal& app,
                                    std::optional<unsigned> exclude);
+  /// `app`'s leaf for `machine` as of the app's last best_fit(): the
+  /// marginal EFU of the app joining it, or -inf if it was closed then.
+  /// Throws std::logic_error before the app's first best_fit().
+  double marginal_efu(unsigned machine, const AppSignal& app) const;
   /// Machines queued for re-scoring in `app_id`'s tree (at most N).
   std::size_t backlog(std::size_t app_id) const;
 
@@ -125,35 +140,31 @@ class PlacementIndex {
   std::uint64_t tree_node_visits() const noexcept { return node_visits_; }
 
  private:
-  /// The stale mark of a cached score.
+  /// The stale mark of a machine's "before" score.
   static constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
 
   struct Slot {
-    const sim::AppProfile* hp = nullptr;
-    const AppSignal* hp_sig = nullptr;
-    /// Indexed by core (0 unused — core 0 is the HP); null = free slot.
-    std::vector<const AppSignal*> sig_by_core;
-    std::vector<const sim::AppProfile*> app_by_core;
+    const AppSignal* hp = nullptr;
+    std::vector<Tenant> tenants;  ///< by core (0 unused — core 0 is the HP)
     unsigned free_cores = 0;
     /// predict_efu() of the current tenant set; NaN = stale.
     double before = kStale;
   };
 
-  /// One app's tournament tree. Node N + m is leaf m; internal node i in
-  /// [1, N) holds the better of nodes 2i and 2i + 1, so node 1 is the
-  /// winner over every leaf (any N, not only powers of two, because
-  /// "better" is a total order on machines).
+  /// One app's tournament tree, empty until the app's first query builds
+  /// it. Node N + m is leaf m; internal node i in [1, N) holds the better
+  /// of nodes 2i and 2i + 1, so node 1 is the winner over every leaf (any
+  /// N, not only powers of two, because "better" is a total order on
+  /// machines).
   struct AppTree {
     /// Marginal EFU of the app joining each machine, -inf when the
-    /// machine has no free core. Empty until first use. Before the first
-    /// build a stale leaf is NaN; after it, a stale leaf is queued and
-    /// keeps its old value until the next query compares the two.
+    /// machine has no free core. A queued leaf keeps its old value until
+    /// the next query compares the two.
     std::vector<double> leaf;
-    std::vector<std::uint32_t> win;  ///< [1, N); sized on first build
-    /// Built trees: machines mutated since the last query, each once.
+    std::vector<std::uint32_t> win;  ///< [1, N)
+    /// Machines mutated since the last query, each once.
     std::vector<std::uint32_t> pending;
     std::vector<bool> queued;  ///< by machine: in `pending`
-    bool built = false;        ///< `win` is current up to `pending`
   };
 
   /// Fenwick tree over the 0/1 "machine is open" bits: point update,
@@ -178,15 +189,15 @@ class PlacementIndex {
   /// Move `machine` between free-core buckets and the open-bits tree when
   /// its free count changes from `from` to `to`.
   void rebucket(unsigned machine, unsigned from, unsigned to);
-  /// Record a tenant-set mutation of `machine`: stale "before", stale
-  /// leaves or backlog entries.
+  /// Record a tenant-set mutation of `machine`: stale "before", backlog
+  /// entries.
   void touch(unsigned machine);
-  /// `app`'s tree, allocated (all leaves stale) on first use.
-  AppTree& tree(const AppSignal& app);
-  /// Re-score a stale leaf: -inf for a closed machine, else the marginal
-  /// EFU (computing the shared "before" if it is stale too).
+  /// The marginal EFU of `app` joining `machine`: -inf for a closed
+  /// machine (computing the shared "before" if it is stale).
   double score(unsigned machine, const AppSignal& app);
-  /// Re-score `t`'s stale leaves and bring its winners up to date.
+  /// Score every leaf of `t` and build its winners.
+  void build(AppTree& t, const AppSignal& app);
+  /// Re-score `t`'s backlog and bring its winners up to date.
   void refresh(AppTree& t, const AppSignal& app);
   /// Whether machine `a` beats machine `b` in `t`: higher leaf, or equal
   /// leaf and lower index.
@@ -201,6 +212,7 @@ class PlacementIndex {
 
   const AppDirectory* dir_;
   unsigned be_slots_;
+  std::uint64_t running_ = 0;
   std::uint64_t mutations_ = 0;
   std::uint64_t predictions_ = 0;
   std::uint64_t node_visits_ = 0;

@@ -21,8 +21,10 @@ ChurnConfig fast_config() {
 TEST(ChurnGenerator, ValidatesConfig) {
   const auto& catalog = sim::default_catalog();
   ChurnConfig bad = fast_config();
-  bad.arrival_rate_per_sec = 0.0;
+  bad.arrival_rate_per_sec = -1.0;
   EXPECT_THROW(ChurnGenerator(bad, catalog), std::invalid_argument);
+  bad.arrival_rate_per_sec = 0.0;  // the idle control run
+  EXPECT_NO_THROW(ChurnGenerator(bad, catalog));
   bad = fast_config();
   bad.mean_lifetime_sec = -1.0;
   EXPECT_THROW(ChurnGenerator(bad, catalog), std::invalid_argument);
@@ -100,6 +102,17 @@ TEST(ChurnGenerator, DrainUntilSplitsAtBoundaries) {
     EXPECT_EQ(first[i].id, all[i].id);
   }
   for (const auto& a : first) EXPECT_LT(a.t_sec, 10.0);
+}
+
+// A zero rate never arrives: the next arrival sits at +inf (not at the
+// NaN a -log(1 - u) / 0 gap would give), so no horizon drains anything.
+TEST(ChurnGenerator, ZeroRateNeverArrives) {
+  ChurnConfig idle = fast_config();
+  idle.arrival_rate_per_sec = 0.0;
+  ChurnGenerator gen(idle, sim::default_catalog());
+  EXPECT_TRUE(gen.drain_until(1e9).empty());
+  EXPECT_EQ(gen.peek().t_sec, std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(gen.drain_until(1e18).empty());
 }
 
 TEST(ChurnGenerator, MeanRateRoughlyMatches) {

@@ -1,18 +1,26 @@
-// Golden pin for `mrc` placement decisions on a fleet large enough that
-// the indexed engine's caching and tie-breaking matter: every record of
-// the placement log of a seeded 1,500-machine fleet — arrivals,
-// SLO-triggered migrations and rejections — is folded into one FNV-1a
-// hash. The value was harvested from the linear-scan `mrc` engine, so it
-// guards that any faster resolution of the same argmax returns the same
-// decision, bit for bit. Re-harvest only for an intentional change to the
-// placement model or the churn, and say so in the change description.
+// Golden pins for every placement engine on a fleet large enough that the
+// indexed engines' caching and tie-breaking matter. Each case runs a
+// seeded 1,500-machine fleet — arrivals, SLO-triggered migrations and
+// rejections — and folds three of its outputs into FNV-1a hashes: every
+// placement-log record, the per-epoch CSV rows and the Prometheus export
+// of the run's metrics registry. The `mrc` log hash was harvested from the
+// linear-scan `mrc` engine, so it guards that any faster resolution of the
+// same argmax returns the same decision, bit for bit; the other values
+// pin the tenancy bookkeeping behind every export. Re-harvest only for an
+// intentional change to the placement model, the churn or an export
+// format, and say so in the change description.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "fleet/cluster.hpp"
 #include "sim/core/catalog.hpp"
+#include "telemetry/exposition.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/trace_counter_sink.hpp"
+#include "util/trace.hpp"
 
 namespace dicer::fleet {
 namespace {
@@ -38,11 +46,19 @@ struct Fnv1a {
   }
 };
 
-TEST(PlacementGolden, MrcDecisionsOn1500MachinesMatchTheLinearScan) {
+struct Golden {
+  std::size_t decisions;
+  std::uint64_t log;
+  std::uint64_t csv;
+  std::uint64_t prometheus;
+};
+
+/// Runs the golden fleet under `engine` and checks its hashes.
+void expect_golden(const std::string& engine, const Golden& want) {
   FleetConfig fc;
   fc.num_machines = 1500;
   fc.cores_used = 3;  // two BE slots: the fleet fills, arrivals get rejected
-  fc.placement = "mrc";
+  fc.placement = engine;
   fc.slo_norm = 0.97;
   fc.migrate_after = 1;
   fc.churn.arrival_rate_per_sec = 900.0;
@@ -50,26 +66,57 @@ TEST(PlacementGolden, MrcDecisionsOn1500MachinesMatchTheLinearScan) {
   fc.churn.seed = 5;
   fc.seed = 4;
   fc.jobs = 0;
+  // A run-local tracer feeds the registry's actuation counters, as
+  // fleet_sim's global one does.
+  trace::Tracer tracer;
+  telemetry::Registry registry;
+  auto sink = std::make_shared<telemetry::TraceCounterSink>(registry);
+  tracer.add_sink(sink);
+  fc.tracer = &tracer;
+  fc.metrics = &registry;
   Cluster cluster(fc, sim::default_catalog());
-  cluster.run(6);
+  Fnv1a csv;
+  for (const auto& row : cluster.run(6)) csv.str(epoch_csv_row(row));
+  tracer.remove_sink(sink);
 
-  Fnv1a hash;
+  Fnv1a log;
   std::uint64_t migrations = 0, rejections = 0;
   for (const auto& rec : cluster.placement_log()) {
-    hash.u64(rec.tenant_id);
-    hash.str(rec.app);
-    hash.u64(rec.machine);
-    hash.u64(rec.core);
-    hash.u64(rec.migration ? 1 : 0);
-    hash.u64(rec.accepted ? 1 : 0);
+    log.u64(rec.tenant_id);
+    log.str(rec.app);
+    log.u64(rec.machine);
+    log.u64(rec.core);
+    log.u64(rec.migration ? 1 : 0);
+    log.u64(rec.accepted ? 1 : 0);
     migrations += rec.migration ? 1 : 0;
     rejections += rec.accepted ? 0 : 1;
   }
+  Fnv1a prometheus;
+  prometheus.str(telemetry::to_prometheus(registry));
+
   // The settings exercise every kind of decision.
   EXPECT_GT(migrations, 0u);
   EXPECT_GT(rejections, 0u);
-  EXPECT_EQ(cluster.placement_log().size(), 7054u);
-  EXPECT_EQ(hash.h, 0xe57db112b6139548ull);
+  EXPECT_EQ(cluster.placement_log().size(), want.decisions);
+  EXPECT_EQ(log.h, want.log) << std::hex << log.h;
+  EXPECT_EQ(csv.h, want.csv) << std::hex << csv.h;
+  EXPECT_EQ(prometheus.h, want.prometheus) << std::hex << prometheus.h;
+}
+
+TEST(PlacementGolden, RandomExportsOn1500Machines) {
+  expect_golden("random", {6896, 0x6b94655563e69e1aull, 0x893d8e95243b0212ull,
+                          0xdbacd5419e5eb448ull});
+}
+
+TEST(PlacementGolden, LeastLoadedExportsOn1500Machines) {
+  expect_golden("least-loaded",
+                {6955, 0x112c629c8e433e64ull, 0x8a7899560d49b6b0ull,
+                 0xf4213c74b70c298bull});
+}
+
+TEST(PlacementGolden, MrcDecisionsOn1500MachinesMatchTheLinearScan) {
+  expect_golden("mrc", {7054, 0xe57db112b6139548ull, 0xfac6413efc74890dull,
+                       0x0634f3478165b87aull});
 }
 
 }  // namespace

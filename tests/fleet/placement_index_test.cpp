@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "fleet/cluster.hpp"
-#include "fleet/placement.hpp"
 #include "sim/core/catalog.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +32,7 @@ FleetConfig small_config() {
 /// vectors, every derived quantity recomputed from scratch.
 struct Shadow {
   unsigned be_slots = 0;
-  std::vector<std::vector<const sim::AppProfile*>> grid;  ///< [machine][core]
+  std::vector<std::vector<const AppSignal*>> grid;  ///< [machine][core]
 
   unsigned free_cores(unsigned m) const {
     unsigned n = 0;
@@ -80,10 +79,9 @@ void expect_trees_match(PlacementIndex& index, const Shadow& shadow,
       const double leaf = index.marginal_efu(m, *app);
       bes.clear();
       for (unsigned c = 1; c <= shadow.be_slots; ++c) {
-        const auto* t = shadow.grid[m][c];
-        if (t) bes.push_back(&dir.signal(t->name));
+        if (shadow.grid[m][c]) bes.push_back(shadow.grid[m][c]);
       }
-      const AppSignal& hp = index.hp_signal(m);
+      const AppSignal& hp = index.hp(m);
       const double before = predict_efu(dir, hp, bes, pairs);
       bes.push_back(app);
       EXPECT_EQ(leaf, predict_efu(dir, hp, bes, pairs) - before)
@@ -104,15 +102,19 @@ void expect_matches(const PlacementIndex& index, const Shadow& shadow) {
   const auto open = shadow.open();
   EXPECT_EQ(index.open_count(), open.size());
   std::uint64_t rank = 0;
+  std::uint64_t running = 0;
   for (unsigned m = 0; m < shadow.grid.size(); ++m) {
     EXPECT_EQ(index.free_cores(m), shadow.free_cores(m)) << "machine " << m;
     EXPECT_EQ(index.is_open(m), shadow.free_cores(m) > 0);
     EXPECT_EQ(index.open_rank(m), rank) << "machine " << m;
     if (shadow.free_cores(m) > 0) ++rank;
-    for (unsigned c = 1; c <= shadow.be_slots; ++c) {
-      EXPECT_EQ(index.tenant(m, c), shadow.grid[m][c]);
+    ASSERT_EQ(index.tenants(m).size(), shadow.be_slots + 1);
+    for (unsigned c = 0; c <= shadow.be_slots; ++c) {
+      EXPECT_EQ(index.tenants(m)[c].sig, shadow.grid[m][c]);
+      running += shadow.grid[m][c] ? 1u : 0u;
     }
   }
+  EXPECT_EQ(index.tenants_running(), running);
   for (std::uint64_t k = 0; k < open.size(); ++k) {
     EXPECT_EQ(index.nth_open(k), open[k]) << "rank " << k;
   }
@@ -126,9 +128,10 @@ void expect_matches(const PlacementIndex& index, const Shadow& shadow) {
 
 // The core oracle: a randomized admit/detach churn where, after *every*
 // mutation, the incrementally-maintained index agrees with a from-scratch
-// rebuild on every machine's tenants, the open-set order statistics, the
-// least-loaded winner and every allocated marginal-EFU tree (one more app
-// allocated per step until all are).
+// rebuild on every machine's tenants (each admission on the lowest free
+// core), the tenant count, the open-set order statistics, the
+// least-loaded winner and every built marginal-EFU tree (one more app
+// queried per step until all are).
 TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
   const auto& catalog = sim::default_catalog();
   const sim::MachineConfig mc;
@@ -143,7 +146,7 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
   for (unsigned m = 0; m < kMachines; ++m) {
     const auto* hp = &catalog.at(rng.below(catalog.size()));
     EXPECT_EQ(index.add_machine(hp), m);
-    EXPECT_EQ(index.hp(m), hp);
+    EXPECT_EQ(index.hp(m).profile, hp);
     shadow.grid.emplace_back(kBeSlots + 1, nullptr);
     expect_matches(index, shadow);
   }
@@ -153,12 +156,16 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
     const auto m = static_cast<unsigned>(rng.below(kMachines));
     const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
     if (shadow.grid[m][c]) {
-      index.detach(m, c);
+      EXPECT_EQ(index.detach(m, c).sig, shadow.grid[m][c]);
       shadow.grid[m][c] = nullptr;
     } else {
-      const auto* app = &catalog.at(rng.below(catalog.size()));
-      index.admit(m, c, app);
-      shadow.grid[m][c] = app;
+      // (m, c) is free, so m has a free core; the lowest one is taken.
+      const auto* app = &dir.signal(catalog.at(rng.below(catalog.size())).name);
+      const unsigned core = index.admit(m, {0, app});
+      unsigned lowest = 1;
+      while (shadow.grid[m][lowest]) ++lowest;
+      EXPECT_EQ(core, lowest);
+      shadow.grid[m][lowest] = app;
     }
     expect_matches(index, shadow);
     expect_trees_match(index, shadow, dir, trees);
@@ -173,13 +180,24 @@ TEST(PlacementIndex, ValidatesArguments) {
 
   PlacementIndex index(dir, 2);
   index.add_machine(&catalog.at(0));
+  const Tenant tenant{1, &dir.signal(catalog.at(1).name)};
   EXPECT_THROW(index.free_cores(1), std::out_of_range);
-  EXPECT_THROW(index.admit(0, 0, &catalog.at(1)), std::logic_error);
-  EXPECT_THROW(index.admit(0, 3, &catalog.at(1)), std::logic_error);
+  EXPECT_THROW(index.tenants(1), std::out_of_range);
+  EXPECT_THROW(index.admit(1, tenant), std::out_of_range);
+  EXPECT_THROW(index.admit(0, Tenant{}), std::logic_error);  // no app
   EXPECT_THROW(index.detach(0, 1), std::logic_error);  // core already free
-  index.admit(0, 1, &catalog.at(1));
-  EXPECT_THROW(index.admit(0, 1, &catalog.at(2)), std::logic_error);
-  EXPECT_THROW(index.nth_open(1), std::out_of_range);
+  EXPECT_THROW(index.detach(0, 0), std::logic_error);  // the HP's core
+  EXPECT_THROW(index.detach(0, 3), std::logic_error);  // no such core
+  EXPECT_EQ(index.admit(0, tenant), 1u);
+  EXPECT_EQ(index.admit(0, tenant), 2u);
+  EXPECT_THROW(index.admit(0, tenant), std::logic_error);  // machine full
+  EXPECT_THROW(index.nth_open(0), std::out_of_range);
+  // Leaves exist only once a query has built the app's tree.
+  EXPECT_THROW(index.marginal_efu(0, *tenant.sig), std::logic_error);
+  EXPECT_FALSE(index.best_fit(*tenant.sig, std::nullopt).has_value());
+  EXPECT_EQ(index.marginal_efu(0, *tenant.sig),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_THROW(index.marginal_efu(1, *tenant.sig), std::out_of_range);
 }
 
 TEST(PlacementIndex, TenantSignalsAreCoreOrdered) {
@@ -187,15 +205,23 @@ TEST(PlacementIndex, TenantSignalsAreCoreOrdered) {
   const AppDirectory dir(catalog, sim::MachineConfig{});
   PlacementIndex index(dir, 3);
   index.add_machine(&catalog.at(0));
-  // Admit out of core order; the signal list must come back in core order
+  const auto sig = [&](std::size_t i) { return &dir.signal(catalog.at(i).name); };
+  // Admit, free core 1, admit again: the newest tenant takes core 1, and
+  // the signal list must come back in core order, not admission order
   // (the operand order the MRC scorer's float sums depend on).
-  index.admit(0, 3, &catalog.at(5));
-  index.admit(0, 1, &catalog.at(9));
+  EXPECT_EQ(index.admit(0, {10, sig(5), 7.5}), 1u);
+  EXPECT_EQ(index.admit(0, {11, sig(6)}), 2u);
+  EXPECT_EQ(index.admit(0, {12, sig(7)}), 3u);
+  const Tenant gone = index.detach(0, 1);
+  EXPECT_EQ(gone.id, 10u);
+  EXPECT_EQ(gone.sig, sig(5));
+  EXPECT_EQ(gone.depart_t_sec, 7.5);
+  EXPECT_EQ(index.admit(0, {13, sig(9)}), 1u);
   std::vector<const AppSignal*> sigs;
   index.tenant_signals(0, sigs);
-  ASSERT_EQ(sigs.size(), 2u);
-  EXPECT_EQ(sigs[0], &dir.signal(catalog.at(9).name));
-  EXPECT_EQ(sigs[1], &dir.signal(catalog.at(5).name));
+  EXPECT_EQ(sigs, (std::vector<const AppSignal*>{sig(9), sig(6), sig(7)}));
+  EXPECT_EQ(index.tenants(0)[1].id, 13u);
+  EXPECT_EQ(index.tenants_running(), 3u);
 }
 
 // Mutations must invalidate the cached scores; untouched machines must
@@ -207,32 +233,38 @@ TEST(PlacementIndex, DirtyScoreProtocolInvalidatesOnMutation) {
   index.add_machine(&catalog.at(0));
   index.add_machine(&catalog.at(1));
   const AppSignal& app = dir.signal(catalog.at(3).name);
+  const AppSignal& other = dir.signal(catalog.at(4).name);
 
-  const double d0 = index.marginal_efu(0, app);
-  index.marginal_efu(1, app);
+  index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 4u);  // a "before" and an "after" each
-  EXPECT_EQ(index.marginal_efu(0, app), d0);
-  EXPECT_EQ(index.efu_predictions(), 4u);  // clean: a cache hit
-  index.marginal_efu(0, dir.signal(catalog.at(4).name));
-  EXPECT_EQ(index.efu_predictions(), 5u);  // the "before" is shared
+  const double d0 = index.marginal_efu(0, app);
+  const double d1 = index.marginal_efu(1, app);
+  index.best_fit(app, std::nullopt);
+  EXPECT_EQ(index.efu_predictions(), 4u);  // clean: cache hits
+  index.best_fit(other, std::nullopt);
+  EXPECT_EQ(index.efu_predictions(), 6u);  // the "befores" are shared
 
-  index.admit(0, 1, &catalog.at(2));
-  index.marginal_efu(1, app);
-  EXPECT_EQ(index.efu_predictions(), 5u);  // machine 1 untouched
-  index.marginal_efu(0, app);
-  EXPECT_EQ(index.efu_predictions(), 7u);  // machine 0 re-scored
+  index.admit(0, {0, &dir.signal(catalog.at(2).name)});
+  EXPECT_EQ(index.backlog(app.id), 1u);
+  EXPECT_EQ(index.marginal_efu(0, app), d0);  // queued: the old leaf
+  index.best_fit(app, std::nullopt);
+  EXPECT_EQ(index.efu_predictions(), 8u);  // machine 0 re-scored only
+  EXPECT_EQ(index.marginal_efu(1, app), d1);
+  EXPECT_EQ(index.backlog(app.id), 0u);
+  EXPECT_EQ(index.backlog(other.id), 1u);
 
   // Back to the old tenant set: a fresh score, bit-identical to the first.
   index.detach(0, 1);
+  index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.marginal_efu(0, app), d0);
-  EXPECT_EQ(index.efu_predictions(), 9u);
+  EXPECT_EQ(index.efu_predictions(), 10u);
 }
 
 // A long cluster churn run: after every epoch the live index agrees with
 // the cluster's public view of itself — each machine's tenant count with
-// its epoch stat, its HP with hp_of(), each occupied slot's app with the
-// last accepted placement onto that (machine, core) — and the O(1)
-// tenants_running counter with the per-slot count.
+// its epoch stat, its HP with hp_of(), each occupied slot's tenant and app
+// with the last accepted placement onto that (machine, core) — and the
+// O(1) tenants_running counter with the per-slot count.
 TEST(PlacementIndex, TracksClusterStateAcross200Epochs) {
   FleetConfig fc = small_config();
   fc.churn.arrival_rate_per_sec = 10.0;
@@ -242,28 +274,30 @@ TEST(PlacementIndex, TracksClusterStateAcross200Epochs) {
   const PlacementIndex* index = cluster.placement_index();
   ASSERT_NE(index, nullptr);
   const unsigned slots = fc.cores_used - 1;
-  // last_app[m * slots + c - 1]: the app of the last accepted placement
-  // onto (m, c), folded in from the log as it grows.
-  std::vector<std::string> last_app(cluster.num_machines() * slots);
+  // last[m * slots + c - 1]: the last accepted placement onto (m, c),
+  // folded in from the log as it grows.
+  std::vector<PlacementRecord> last(cluster.num_machines() * slots);
   std::size_t logged = 0;
   for (int e = 0; e < 200; ++e) {
     cluster.step_epoch();
     const auto& log = cluster.placement_log();
     for (; logged < log.size(); ++logged) {
       const auto& rec = log[logged];
-      if (rec.accepted) last_app[rec.machine * slots + rec.core - 1] = rec.app;
+      if (rec.accepted) last[rec.machine * slots + rec.core - 1] = rec;
     }
     const auto& stats = cluster.last_epoch_stats();
     ASSERT_EQ(index->size(), stats.size());
     std::uint64_t occupied = 0;
     for (unsigned m = 0; m < index->size(); ++m) {
-      EXPECT_EQ(index->hp(m), &cluster.hp_of(m)) << "machine " << m;
+      EXPECT_EQ(index->hp(m).profile, &cluster.hp_of(m)) << "machine " << m;
       unsigned tenants = 0;
       for (unsigned c = 1; c <= slots; ++c) {
-        const auto* t = index->tenant(m, c);
-        if (t == nullptr) continue;
+        const Tenant& t = index->tenants(m)[c];
+        if (t.sig == nullptr) continue;
         ++tenants;
-        EXPECT_EQ(t->name, last_app[m * slots + c - 1])
+        EXPECT_EQ(t.sig->profile->name, last[m * slots + c - 1].app)
+            << "machine " << m << " core " << c;
+        EXPECT_EQ(t.id, last[m * slots + c - 1].tenant_id)
             << "machine " << m << " core " << c;
       }
       EXPECT_EQ(tenants, stats[m].tenants) << "machine " << m;
@@ -272,75 +306,6 @@ TEST(PlacementIndex, TracksClusterStateAcross200Epochs) {
     }
     EXPECT_EQ(cluster.tenants_running(), occupied);
   }
-}
-
-struct RunResult {
-  std::string csv;
-  std::vector<PlacementRecord> log;
-};
-
-RunResult run_fleet(const FleetConfig& fc, std::uint64_t epochs) {
-  Cluster cluster(fc, sim::default_catalog());
-  RunResult r;
-  r.csv = epoch_csv_header() + "\n";
-  for (const auto& row : cluster.run(epochs)) {
-    r.csv += epoch_csv_row(row) + "\n";
-  }
-  r.log = cluster.placement_log();
-  return r;
-}
-
-void expect_same_log(const std::vector<PlacementRecord>& a,
-                     const std::vector<PlacementRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_GT(a.size(), 0u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].tenant_id, b[i].tenant_id) << "decision " << i;
-    EXPECT_EQ(a[i].epoch, b[i].epoch) << "decision " << i;
-    EXPECT_EQ(a[i].app, b[i].app) << "decision " << i;
-    EXPECT_EQ(a[i].accepted, b[i].accepted) << "decision " << i;
-    EXPECT_EQ(a[i].migration, b[i].migration) << "decision " << i;
-    EXPECT_EQ(a[i].machine, b[i].machine) << "decision " << i;
-    EXPECT_EQ(a[i].core, b[i].core) << "decision " << i;
-  }
-}
-
-// mrc-p2c decisions live on the single-threaded control plane: any worker
-// count replays the identical log and CSV.
-TEST(PlacementIndex, MrcP2cIsDeterministicAtAnyJobs) {
-  FleetConfig fc = small_config();
-  fc.placement = "mrc-p2c";
-  fc.churn.arrival_rate_per_sec = 12.0;
-  fc.jobs = 1;
-  const RunResult serial = run_fleet(fc, 10);
-  fc.jobs = 8;
-  const RunResult sharded = run_fleet(fc, 10);
-  EXPECT_EQ(serial.csv, sharded.csv);
-  expect_same_log(serial.log, sharded.log);
-  // And a rebuilt same-config fleet replays the same sampled candidates.
-  fc.jobs = 3;
-  const RunResult again = run_fleet(fc, 10);
-  EXPECT_EQ(serial.csv, again.csv);
-  expect_same_log(serial.log, again.log);
-}
-
-// mrc-p2c places sensibly: it admits tenants and its decisions stay
-// inside the fleet.
-TEST(PlacementIndex, MrcP2cPlacesWithinBounds) {
-  FleetConfig fc = small_config();
-  fc.placement = "mrc-p2c";
-  fc.churn.arrival_rate_per_sec = 12.0;
-  Cluster cluster(fc, sim::default_catalog());
-  cluster.run(8);
-  std::uint64_t accepted = 0;
-  for (const auto& rec : cluster.placement_log()) {
-    if (!rec.accepted) continue;
-    ++accepted;
-    EXPECT_LT(rec.machine, cluster.num_machines());
-    EXPECT_GE(rec.core, 1u);
-    EXPECT_LT(rec.core, fc.cores_used);
-  }
-  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

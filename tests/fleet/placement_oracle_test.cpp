@@ -41,9 +41,9 @@ std::vector<MachineView> views_of(const PlacementIndex& index,
   for (unsigned m = 0; m < index.size(); ++m) {
     MachineView& v = out[m];
     v.index = m;
-    v.hp = index.hp(m);
-    for (unsigned c = 1; c <= index.be_slots(); ++c) {
-      if (const auto* t = index.tenant(m, c)) v.tenants.push_back(t);
+    v.hp = index.hp(m).profile;
+    for (const Tenant& t : index.tenants(m)) {
+      if (t.sig) v.tenants.push_back(t.sig->profile);
     }
     v.free_cores =
         exclude == m
@@ -54,12 +54,11 @@ std::vector<MachineView> views_of(const PlacementIndex& index,
 }
 
 /// The full-scan reference of the engine `name`, seeded like
-/// make_placement(name, dir, seed, choices).
+/// make_placement(name, dir, seed).
 class FullScan {
  public:
-  FullScan(std::string name, const AppDirectory& dir, std::uint64_t seed,
-           unsigned choices)
-      : name_(std::move(name)), dir_(&dir), rng_(seed), choices_(choices) {}
+  FullScan(std::string name, const AppDirectory& dir, std::uint64_t seed)
+      : name_(std::move(name)), dir_(&dir), rng_(seed) {}
 
   std::optional<unsigned> place(const sim::AppProfile& app,
                                 const std::vector<MachineView>& views) {
@@ -82,23 +81,9 @@ class FullScan {
       return best;
     }
 
-    // The MRC engines: every open machine for `mrc`, d uniform draws (with
-    // replacement, repeats scored once) for `mrc-p2c`; the first strictly
-    // better marginal EFU wins, in candidate order.
-    std::vector<unsigned> candidates;
-    if (name_ == "mrc") {
-      candidates = open;
-    } else {
-      for (unsigned j = 0; j < choices_; ++j) {
-        const unsigned m = open[rng_.below(open.size())];
-        if (std::find(candidates.begin(), candidates.end(), m) ==
-            candidates.end()) {
-          candidates.push_back(m);
-        }
-      }
-    }
+    // `mrc`: the first strictly better marginal EFU wins, in index order.
     double best_delta = 0.0;
-    for (const unsigned m : candidates) {
+    for (const unsigned m : open) {
       const double d = marginal_efu(app, views[m]);
       if (!best || d > best_delta) {
         best = m;
@@ -123,7 +108,6 @@ class FullScan {
   std::string name_;
   const AppDirectory* dir_;
   util::Xoshiro256 rng_;
-  unsigned choices_;
 };
 
 struct EnginePair {
@@ -136,16 +120,24 @@ std::vector<EnginePair> every_engine(const AppDirectory& dir,
                                      std::uint64_t seed) {
   std::vector<EnginePair> out;
   for (const auto& name : known_placements()) {
-    out.push_back({name, make_placement(name, dir, seed),
-                   FullScan(name, dir, seed, MrcP2cPlacement::kChoices)});
-  }
-  for (const unsigned d : {1u, 2u, 16u}) {
-    const std::uint64_t s = seed + d;
-    out.push_back({"mrc-p2c d=" + std::to_string(d),
-                   make_placement("mrc-p2c", dir, s, d),
-                   FullScan("mrc-p2c", dir, s, d)});
+    out.push_back(
+        {name, make_placement(name, dir, seed), FullScan(name, dir, seed)});
   }
   return out;
+}
+
+/// A tenant running `app` (id and departure time are the cluster's
+/// business, not the index's).
+Tenant tenant_of(const AppDirectory& dir, const sim::AppProfile& app) {
+  return {0, &dir.signal(app.name)};
+}
+
+/// Admit `app` onto every free core of `machine`.
+void fill(PlacementIndex& index, unsigned machine,
+          const sim::AppProfile& app) {
+  while (index.is_open(machine)) {
+    index.admit(machine, tenant_of(index.directory(), app));
+  }
 }
 
 // After every index mutation of a randomized churn — a fill past capacity,
@@ -175,9 +167,8 @@ TEST(PlacementOracle, EveryEngineMatchesFullScanUnderRandomChurn) {
       if (occupied < kMachines * kBeSlots) {
         for (;;) {
           const auto m = static_cast<unsigned>(rng.below(kMachines));
-          const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
-          if (index.tenant(m, c) != nullptr) continue;
-          index.admit(m, c, &catalog.at(rng.below(catalog.size())));
+          if (!index.is_open(m)) continue;
+          index.admit(m, tenant_of(dir, catalog.at(rng.below(catalog.size()))));
           ++occupied;
           break;
         }
@@ -186,7 +177,7 @@ TEST(PlacementOracle, EveryEngineMatchesFullScanUnderRandomChurn) {
       for (;;) {
         const auto m = static_cast<unsigned>(rng.below(kMachines));
         const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
-        if (index.tenant(m, c) == nullptr) continue;
+        if (index.tenants(m)[c].sig == nullptr) continue;
         index.detach(m, c);
         --occupied;
         break;
@@ -212,11 +203,7 @@ TEST(PlacementOracle, EveryEngineMatchesFullScanUnderRandomChurn) {
   EXPECT_GT(exclusions, 100u);
 
   // Edge: the only open machine is the excluded one.
-  for (unsigned m = 0; m < kMachines; ++m) {
-    for (unsigned c = 1; c <= kBeSlots; ++c) {
-      if (index.tenant(m, c) == nullptr) index.admit(m, c, &catalog.at(0));
-    }
-  }
+  for (unsigned m = 0; m < kMachines; ++m) fill(index, m, catalog.at(0));
   index.detach(5, 2);
   const auto& app = catalog.at(1);
   for (auto& e : engines) {
@@ -272,7 +259,9 @@ TEST(PlacementOracle, TreeTieBreaksAndExclusionEdgesMatchFullScan) {
     expect_every_engine_matches(engines, app, index, std::nullopt, at);
 
     // Load the low half: the tie among the still-empty machines moves up.
-    for (unsigned m = 0; m < n / 2; ++m) index.admit(m, 1, &catalog.at(3));
+    for (unsigned m = 0; m < n / 2; ++m) {
+      index.admit(m, tenant_of(dir, catalog.at(3)));
+    }
     for (const unsigned ex : {0u, n / 2, n - 1, n}) {
       expect_every_engine_matches(engines, app, index, ex,
                                   at + " half loaded, exclude " +
@@ -280,11 +269,7 @@ TEST(PlacementOracle, TreeTieBreaksAndExclusionEdgesMatchFullScan) {
     }
 
     // Close every machine: nothing is placeable, excluded or not.
-    for (unsigned m = 0; m < n; ++m) {
-      for (unsigned c = 1; c <= 2; ++c) {
-        if (index.tenant(m, c) == nullptr) index.admit(m, c, &catalog.at(5));
-      }
-    }
+    for (unsigned m = 0; m < n; ++m) fill(index, m, catalog.at(5));
     for (const std::optional<unsigned> ex :
          {std::optional<unsigned>{}, std::optional<unsigned>{0u},
           std::optional<unsigned>{n - 1}, std::optional<unsigned>{n}}) {
@@ -296,7 +281,8 @@ TEST(PlacementOracle, TreeTieBreaksAndExclusionEdgesMatchFullScan) {
 
 // A strict winner in the middle of equal machines: excluding it must fall
 // back to the lowest-index tie across both ranges around it. Machines
-// added after the app's tree exists join it.
+// added after the app's tree exists drop it, and the next query rebuilds
+// it over every machine.
 TEST(PlacementOracle, ExcludedMiddleWinnerFallsBackToTheLeftTie) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
@@ -321,15 +307,13 @@ TEST(PlacementOracle, ExcludedMiddleWinnerFallsBackToTheLeftTie) {
   MrcBestFitPlacement mrc(dir);
   for (unsigned m = 0; m < 20; ++m) index.add_machine(low);
   EXPECT_EQ(mrc.place(app, index, std::nullopt), 0u);
-  index.admit(1, 1, &catalog.at(3));
-  index.admit(1, 2, &catalog.at(3));  // machine 1 closes, still unqueried
+  fill(index, 1, catalog.at(3));  // machine 1 closes, still unqueried
   index.add_machine(top);             // machine 20
   EXPECT_EQ(mrc.place(app, index, std::nullopt), 20u);
   for (unsigned m = 21; m < 37; ++m) index.add_machine(low);
   EXPECT_EQ(mrc.place(app, index, 20u), 0u);
   EXPECT_EQ(mrc.place(app, index, 0u), 20u);
-  index.admit(0, 1, &catalog.at(3));
-  index.admit(0, 2, &catalog.at(3));  // machine 0 closes
+  fill(index, 0, catalog.at(3));  // machine 0 closes
   EXPECT_EQ(mrc.place(app, index, 20u), 2u);
 
   auto engines = every_engine(dir, 3);
@@ -341,8 +325,7 @@ TEST(PlacementOracle, ExcludedMiddleWinnerFallsBackToTheLeftTie) {
 
 // An app scored once and then left unqueried while 10 x N mutations land
 // keeps a backlog of at most N machines, and its next decision is still
-// the reference's. Reading its leaves between mutations (as mrc-p2c does)
-// returns the current marginal EFU and leaves the backlog as it is.
+// the reference's, with every leaf refreshed to the current marginal EFU.
 TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
@@ -351,48 +334,48 @@ TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
   const auto& first = catalog.at(11);
   const AppSignal& first_sig = dir.signal(first.name);
 
-  for (const bool read_leaves : {false, true}) {
-    PlacementIndex index(dir, kBeSlots);
-    util::Xoshiro256 rng(read_leaves ? 5 : 6);
-    for (unsigned m = 0; m < kMachines; ++m) {
-      index.add_machine(&catalog.at(rng.below(catalog.size())));
-    }
-    MrcBestFitPlacement mrc(dir);
-    FullScan oracle("mrc", dir, 0, 1);
-    mrc.place(first, index, std::nullopt);
+  PlacementIndex index(dir, kBeSlots);
+  util::Xoshiro256 rng(6);
+  for (unsigned m = 0; m < kMachines; ++m) {
+    index.add_machine(&catalog.at(rng.below(catalog.size())));
+  }
+  MrcBestFitPlacement mrc(dir);
+  FullScan oracle("mrc", dir, 0);
+  mrc.place(first, index, std::nullopt);
 
-    std::size_t max_backlog = 0;
-    std::vector<const AppSignal*> bes;
-    std::vector<metrics::IpcPair> pairs;
-    for (unsigned step = 0; step < 10 * kMachines; ++step) {
-      const auto m = static_cast<unsigned>(rng.below(kMachines));
-      const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
-      if (index.tenant(m, c) != nullptr) {
-        index.detach(m, c);
-      } else {
-        index.admit(m, c, &catalog.at(rng.below(catalog.size())));
-      }
-      // Another app decides; the first one is never queried.
-      auto other = &catalog.at(rng.below(catalog.size()));
-      if (other == &first) other = &catalog.at(12);
-      mrc.place(*other, index, std::nullopt);
-      if (read_leaves && index.is_open(m)) {
-        index.tenant_signals(m, bes);
-        const AppSignal& hp = index.hp_signal(m);
-        const double before = predict_efu(dir, hp, bes, pairs);
-        bes.push_back(&first_sig);
-        EXPECT_EQ(index.marginal_efu(m, first_sig),
-                  predict_efu(dir, hp, bes, pairs) - before)
-            << "step " << step;
-      }
-      const std::size_t backlog = index.backlog(first_sig.id);
-      ASSERT_LE(backlog, kMachines) << "step " << step;
-      max_backlog = std::max(max_backlog, backlog);
+  std::size_t max_backlog = 0;
+  for (unsigned step = 0; step < 10 * kMachines; ++step) {
+    const auto m = static_cast<unsigned>(rng.below(kMachines));
+    const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+    if (index.tenants(m)[c].sig != nullptr) {
+      index.detach(m, c);
+    } else {
+      index.admit(m, tenant_of(dir, catalog.at(rng.below(catalog.size()))));
     }
-    EXPECT_EQ(max_backlog, kMachines);  // every machine was touched
-    EXPECT_EQ(mrc.place(first, index, std::nullopt),
-              oracle.place(first, views_of(index, std::nullopt)));
-    EXPECT_EQ(index.backlog(first_sig.id), 0u);
+    // Another app decides; the first one is never queried.
+    auto other = &catalog.at(rng.below(catalog.size()));
+    if (other == &first) other = &catalog.at(12);
+    mrc.place(*other, index, std::nullopt);
+    const std::size_t backlog = index.backlog(first_sig.id);
+    ASSERT_LE(backlog, kMachines) << "step " << step;
+    max_backlog = std::max(max_backlog, backlog);
+  }
+  EXPECT_EQ(max_backlog, kMachines);  // every machine was touched
+  EXPECT_EQ(mrc.place(first, index, std::nullopt),
+            oracle.place(first, views_of(index, std::nullopt)));
+  EXPECT_EQ(index.backlog(first_sig.id), 0u);
+
+  std::vector<const AppSignal*> bes;
+  std::vector<metrics::IpcPair> pairs;
+  for (unsigned m = 0; m < kMachines; ++m) {
+    if (!index.is_open(m)) continue;
+    index.tenant_signals(m, bes);
+    const AppSignal& hp = index.hp(m);
+    const double before = predict_efu(dir, hp, bes, pairs);
+    bes.push_back(&first_sig);
+    EXPECT_EQ(index.marginal_efu(m, first_sig),
+              predict_efu(dir, hp, bes, pairs) - before)
+        << "machine " << m;
   }
 }
 

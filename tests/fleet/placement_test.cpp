@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fleet/directory.hpp"
@@ -37,12 +38,7 @@ PlacementIndex three_machines(unsigned be_slots,
 /// Land `n` copies of `app` on machine `m`'s lowest free cores.
 void crowd(PlacementIndex& index, unsigned m, unsigned n,
            const sim::AppProfile& app) {
-  for (unsigned c = 1; c <= index.be_slots() && n > 0; ++c) {
-    if (index.tenant(m, c) == nullptr) {
-      index.admit(m, c, &app);
-      --n;
-    }
-  }
+  for (; n > 0; --n) index.admit(m, {0, &index.directory().signal(app.name)});
 }
 
 TEST(AppDirectory, SignalsAreSane) {
@@ -141,33 +137,42 @@ TEST(MrcBestFitPlacement, AvoidsTheCrowdedMachine) {
   EXPECT_EQ(*m, 1u);
 }
 
-TEST(MrcP2cPlacement, ValidatesChoices) {
-  const auto& dir = shared_directory();
-  EXPECT_THROW(MrcP2cPlacement(dir, 7, 0), std::invalid_argument);
-  EXPECT_THROW(make_placement("mrc-p2c", dir, 7, 0), std::invalid_argument);
-  EXPECT_NO_THROW(make_placement("mrc-p2c", dir, 7, 1));
-  // Engines that ignore the knob accept any value, including 0.
-  EXPECT_NO_THROW(make_placement("mrc", dir, 7, 0));
-}
-
-TEST(MrcP2cPlacement, CliFlagParsesAndValidates) {
+// The fleet front-ends' count flags reject a value that would wrap in the
+// cast to unsigned (e.g. --jobs -1 asking for 4,294,967,295 workers) with
+// a one-line error naming the flag.
+TEST(FleetCli, CountFlagsRejectNegativeValues) {
   {
-    const char* argv[] = {"fleet_sim", "--p2c-d", "7"};
-    const util::CliArgs args(3, argv);
-    EXPECT_EQ(examples::fleet_config_from(args).p2c_choices, 7u);
+    const char* argv[] = {"fleet_sim", "--jobs", "7", "--machines", "0"};
+    const util::CliArgs args(5, argv);
+    const FleetConfig fc = examples::fleet_config_from(args);
+    EXPECT_EQ(fc.jobs, 7u);
+    EXPECT_EQ(fc.num_machines, 0u);  // parses; the Cluster rejects it
   }
   {
     const char* argv[] = {"fleet_sim"};
     const util::CliArgs args(1, argv);
-    EXPECT_EQ(examples::fleet_config_from(args).p2c_choices,
-              MrcP2cPlacement::kChoices);
+    const FleetConfig fc = examples::fleet_config_from(args);
+    EXPECT_EQ(fc.num_machines, 500u);
+    EXPECT_EQ(fc.migrate_after, 3u);
+    EXPECT_EQ(examples::count_flag(args, "epochs", 20), 20u);
   }
-  for (const char* bad : {"0", "-3"}) {
-    const char* argv[] = {"fleet_sim", "--p2c-d", bad};
-    const util::CliArgs args(3, argv);
-    EXPECT_THROW(examples::fleet_config_from(args), util::CliError)
-        << "--p2c-d " << bad;
+  for (const char* flag : {"machines", "cores", "migrate-after", "jobs"}) {
+    for (const char* bad : {"-1", "-3", "4294967296"}) {
+      const std::string key = std::string("--") + flag;
+      const char* argv[] = {"fleet_sim", key.c_str(), bad};
+      const util::CliArgs args(3, argv);
+      try {
+        examples::fleet_config_from(args);
+        ADD_FAILURE() << key << " " << bad << " was accepted";
+      } catch (const util::CliError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
   }
+  const char* argv[] = {"fleet_sim", "--epochs", "-1"};
+  const util::CliArgs args(3, argv);
+  EXPECT_THROW(examples::count_flag(args, "epochs", 20), util::CliError);
 }
 
 TEST(MakePlacement, KnownNamesAndErrors) {
