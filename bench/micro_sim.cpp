@@ -244,55 +244,20 @@ void BM_TraceCacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceCacheAccess);
 
-// MRC profiling cost, three ways on the same 20-way validation geometry
-// and stream. Exact replay (jobs=1) is the old cost: one full warmup +
-// measure replay per way count. Single-pass profiles all 20 way counts in
-// one stream traversal with byte-identical output; sampled adds SHARDS
-// set-sampling on top (<= 0.02 abs error). The Exact/SinglePass ratio is
-// the headline speedup the docs quote.
-sim::MrcProfilerConfig profiler_bench_config() {
+// MRC profiling cost of the production path: the single-pass profiler
+// with SHARDS set-sampling on the 20-way validation geometry (<= 0.02 abs
+// error against the exact per-way replay, which the validation suite
+// times as its speed canary).
+void BM_ProfileMrcSampled(benchmark::State& state) {
   sim::MrcProfilerConfig cfg;
   cfg.geometry = {
       .size_bytes = 5ull * 1024 * 1024 / 2, .ways = 20, .line_bytes = 64};
   cfg.warmup_accesses = 30'000;
   cfg.measure_accesses = 60'000;
-  return cfg;
-}
-
-std::unique_ptr<sim::AddressStream> profiler_bench_stream() {
-  return std::make_unique<sim::WorkingSetStream>(1 << 20, 0,
-                                                 util::Xoshiro256(42));
-}
-
-void BM_ProfileMrcExact(benchmark::State& state) {
-  auto cfg = profiler_bench_config();
-  cfg.mode = sim::MrcProfilerMode::kExactReplay;
-  cfg.jobs = 1;  // serial oracle: the pre-optimisation baseline
+  cfg.sample_rate = 0.125;
   for (auto _ : state) {
-    const auto mrc = sim::profile_mrc(cfg, profiler_bench_stream);
-    benchmark::DoNotOptimize(mrc.points().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ProfileMrcExact)->Unit(benchmark::kMillisecond);
-
-void BM_ProfileMrcSinglePass(benchmark::State& state) {
-  auto cfg = profiler_bench_config();
-  cfg.mode = sim::MrcProfilerMode::kSinglePass;
-  for (auto _ : state) {
-    const auto mrc = sim::profile_mrc(cfg, profiler_bench_stream);
-    benchmark::DoNotOptimize(mrc.points().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ProfileMrcSinglePass)->Unit(benchmark::kMillisecond);
-
-void BM_ProfileMrcSampled(benchmark::State& state) {
-  auto cfg = profiler_bench_config();
-  cfg.mode = sim::MrcProfilerMode::kSampled;
-  cfg.sampling = {.mode = sim::ShardsMode::kFixedRate, .rate = 0.125};
-  for (auto _ : state) {
-    const auto mrc = sim::profile_mrc(cfg, profiler_bench_stream);
+    sim::WorkingSetStream stream(1 << 20, 0, util::Xoshiro256(42));
+    const auto mrc = sim::profile_mrc(cfg, stream);
     benchmark::DoNotOptimize(mrc.points().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -15,7 +15,6 @@
 // the path ends in .csv); the stream is deterministic — byte-identical
 // across runs of the same workload. --quanta widens the kind mask to
 // include per-quantum machine counters and monitor polls (verbose).
-#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -49,13 +48,13 @@ std::string action_tag(const trace::Event& e) {
 
 static int run(int argc, char** argv) {
   bench::BenchEnv env(argc, argv);
-  bench::print_header("Timeline: DICER per-period controller narrative");
-
   const std::string hp_name = env.args.get_or("hp", "GemsFDTD1");
   const std::string be_name = env.args.get_or("be", "gcc_base3");
-  const auto cores =
-      static_cast<unsigned>(std::clamp(env.args.get_int("cores", 10), 2L, 10L));
+  const sim::MachineConfig machine_config;
+  const unsigned cores =
+      env.args.get_count("cores", 10, 2, machine_config.num_cores);
   const double seconds = env.args.get_double("seconds", 40.0);
+  bench::print_header("Timeline: DICER per-period controller narrative");
 
   auto& tracer = trace::Tracer::global();
   if (env.args.get_bool("quanta", false)) {
@@ -65,7 +64,7 @@ static int run(int argc, char** argv) {
   tracer.add_sink(capture);
 
   const auto& catalog = sim::default_catalog();
-  sim::Machine machine{sim::MachineConfig{}};
+  sim::Machine machine{machine_config};
   const auto cap = rdt::Capability::probe(machine);
   rdt::CatController cat(machine, cap);
   rdt::Monitor monitor(machine, cap);

@@ -20,11 +20,13 @@ static int run(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string hp_name = args.get_or("hp", "GemsFDTD1");
   const std::string be_name = args.get_or("be", "gcc_base3");
-  const auto cores = static_cast<unsigned>(args.get_int("cores", 10));
+  const sim::MachineConfig machine_config;
+  const unsigned cores =
+      args.get_count("cores", 10, 2, machine_config.num_cores);
   const double seconds = args.get_double("seconds", 40.0);
 
   const auto& catalog = sim::default_catalog();
-  sim::Machine machine{sim::MachineConfig{}};
+  sim::Machine machine{machine_config};
   const auto cap = rdt::Capability::probe(machine);
   rdt::CatController cat(machine, cap);
   rdt::Monitor monitor(machine, cap);

@@ -13,7 +13,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -26,35 +25,20 @@
 
 namespace dicer::examples {
 
-/// A count flag as `unsigned`: `def` when absent, and a CliError naming
-/// the flag for a value a cast would wrap (negative, or past UINT_MAX).
-inline unsigned count_flag(const util::CliArgs& args, const std::string& key,
-                           unsigned def) {
-  const long v = args.get_int(key, def);
-  if (v < 0 || static_cast<unsigned long>(v) >
-                   std::numeric_limits<unsigned>::max()) {
-    throw util::CliError("invalid value for --" + key + ": '" +
-                         std::to_string(v) + "' (expected an integer in [0, " +
-                         std::to_string(std::numeric_limits<unsigned>::max()) +
-                         "])");
-  }
-  return static_cast<unsigned>(v);
-}
-
 /// The fleet-shape flags shared by every fleet front-end. Defaults match
 /// fleet_sim's documented ones; callers override per-binary defaults by
 /// passing them through `args`.
 inline fleet::FleetConfig fleet_config_from(const util::CliArgs& args) {
   fleet::FleetConfig fc;
-  fc.num_machines = count_flag(args, "machines", 500);
-  fc.cores_used = count_flag(args, "cores", 10);
+  fc.num_machines = args.get_count("machines", 500);
+  fc.cores_used = args.get_count("cores", 10, 2, fc.machine.num_cores);
   fc.policy = args.get_or("policy", "DICER");
   fc.placement = args.get_or("placement", "mrc");
   fc.epoch_sec = args.get_double("epoch", 1.0);
   fc.slo_norm = args.get_double("slo", 0.90);
-  fc.migrate_after = count_flag(args, "migrate-after", 3);
+  fc.migrate_after = args.get_count("migrate-after", 3);
   fc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  fc.jobs = count_flag(args, "jobs", 0);
+  fc.jobs = args.get_count("jobs", 0);
   // Default churn: ~40 arrivals/s across the fleet with ~8 s lifetimes
   // holds a 500-machine fleet around 320 concurrent tenants — busy enough
   // that placement quality shows, loose enough that nothing is rejected

@@ -34,7 +34,7 @@ static int run(int argc, char** argv) {
   using namespace dicer;
 
   const util::CliArgs args(argc, argv);
-  const std::uint64_t epochs = examples::count_flag(args, "epochs", 30);
+  const std::uint64_t epochs = args.get_count("epochs", 30);
   const auto refresh_ms = args.get_int("refresh-ms", 0);
 
   const sim::AppCatalog catalog = examples::catalog_from(args);
@@ -43,9 +43,9 @@ static int run(int argc, char** argv) {
 
   const bool tty = isatty(fileno(stdout)) != 0;
   fleet::DashboardConfig dc;
-  dc.top_k = examples::count_flag(args, "top", 5);
-  dc.history = examples::count_flag(args, "window", 48);
-  dc.burn_window = examples::count_flag(args, "burn-window", 5);
+  dc.top_k = args.get_count("top", 5);
+  dc.history = args.get_count("window", 48);
+  dc.burn_window = args.get_count("burn-window", 5);
   dc.slo_budget = args.get_double("slo-budget", 0.05);
   dc.burn_alert = args.get_double("burn-alert", 2.0);
   dc.ansi = tty && !args.get_bool("plain", false);

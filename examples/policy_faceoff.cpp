@@ -20,15 +20,14 @@ static int run(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string hp_name = args.get_or("hp", "milc1");
   const std::string be_name = args.get_or("be", "lbm1");
-  const auto cores = static_cast<unsigned>(args.get_int("cores", 10));
+  harness::ConsolidationConfig config;
+  config.cores_used = args.get_count("cores", 10, 2, config.machine.num_cores);
   const double slo = args.get_double("slo", 0.90);
 
   const auto& catalog = sim::default_catalog();
   const auto& hp = catalog.by_name(hp_name);
   const auto& be = catalog.by_name(be_name);
 
-  harness::ConsolidationConfig config;
-  config.cores_used = cores;
   config.enable_mba = true;  // let DICER+MBA play too
   const double hp_alone =
       harness::solo_steady_state(hp, config.machine.llc.ways, config.machine)
@@ -37,10 +36,9 @@ static int run(int argc, char** argv) {
       harness::solo_steady_state(be, config.machine.llc.ways, config.machine)
           .ipc;
 
-  std::cout << "Face-off: HP " << hp_name << " ("
-            << to_string(hp.app_class) << ") vs " << (cores - 1) << "x "
-            << be_name << " (" << to_string(be.app_class) << "), SLO "
-            << slo * 100 << "%\n\n";
+  std::cout << "Face-off: HP " << hp_name << " (" << to_string(hp.app_class)
+            << ") vs " << (config.cores_used - 1) << "x " << be_name << " ("
+            << to_string(be.app_class) << "), SLO " << slo * 100 << "%\n\n";
 
   util::TextTable table;
   table.set_header({"policy", "HP norm", "SLO?", "BE norm", "EFU",

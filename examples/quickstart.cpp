@@ -31,7 +31,8 @@ static int run(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string hp_name = args.get_or("hp", "milc1");
   const std::string be_name = args.get_or("be", "gcc_base3");
-  const auto cores = static_cast<unsigned>(args.get_int("cores", 10));
+  harness::ConsolidationConfig config;
+  config.cores_used = args.get_count("cores", 10, 2, config.machine.num_cores);
 
   const bool trace_apps = args.has("trace-apps");
   const sim::AppCatalog catalog =
@@ -40,9 +41,6 @@ static int run(int argc, char** argv) {
           : sim::default_catalog();
   const auto& hp = catalog.by_name(hp_name);
   const auto& be = catalog.by_name(be_name);
-
-  harness::ConsolidationConfig config;
-  config.cores_used = cores;
 
   // Solo references: every QoS metric is normalised to running alone with
   // the full LLC (paper §4.1).
@@ -54,7 +52,7 @@ static int run(int argc, char** argv) {
   std::cout << "HP  " << hp.name << " (" << to_string(hp.app_class)
             << "): IPC alone = " << hp_alone.ipc << ", solo run "
             << hp_alone.time_sec << " s\n";
-  std::cout << "BEs " << be.name << " x" << (cores - 1) << " ("
+  std::cout << "BEs " << be.name << " x" << (config.cores_used - 1) << " ("
             << to_string(be.app_class)
             << "): IPC alone = " << be_alone.ipc << "\n\n";
 

@@ -39,8 +39,6 @@ DEFAULT_BENCHES = [
     "BM_MachineStepBatched",
     # The sweep's chunked workers through run_consolidation_batch.
     "BM_SweepBatched/real_time",
-    "BM_ProfileMrcExact",
-    "BM_ProfileMrcSinglePass",
     "BM_ProfileMrcSampled",
     # The single-worker fleet epoch (control plane + data plane + ordered
     # reduction); the multi-worker variant's name depends on the runner's

@@ -7,8 +7,8 @@
 // ipc-vs-ways table (solo steady state, the closed-form evaluator — a few
 // microseconds per point) plus the footprint/bandwidth scalars
 // predict_efu() combines. For trace-derived apps the underlying curves
-// come from the single-pass sampled reuse-distance profiler
-// (`MrcProfilerMode::kSampled`, ~0.9 ms/app, see sim/core/trace_apps.hpp),
+// come from the single-pass reuse-distance profiler at SHARDS sample rate
+// 0.25 (`sim::profile_mrc`, ~0.9 ms/app, see sim/core/trace_apps.hpp),
 // so a fleet over `trace_augmented_catalog()` places straight off sampled
 // MRC profiles; the analytic catalog apps evaluate their calibrated MRCs
 // directly. Built once per fleet, immutable afterwards, shared read-only

@@ -1,81 +1,22 @@
 #include "sim/cache/mrc_profiler.hpp"
 
 #include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
 
-#include "util/thread_pool.hpp"
+#include "sim/cache/reuse_profiler.hpp"
 #include "util/timer.hpp"
 
 namespace dicer::sim {
 
-namespace {
-
-/// One point of the exact oracle: replay a fresh stream against a
-/// cache restricted to the `ways` lowest ways.
-std::pair<double, double> replay_one_way(
-    const MrcProfilerConfig& config, unsigned ways,
-    const std::function<std::unique_ptr<AddressStream>()>& make_stream) {
-  SetAssocCache cache(config.geometry, /*num_owners=*/1);
-  const WayMask mask = WayMask::low(ways);
-  auto stream = make_stream();
+EmpiricalMrc profile_mrc(const MrcProfilerConfig& config,
+                         AddressStream& stream) {
+  trace::ScopedTimer timer("mrc.profile");
+  ReuseProfiler profiler(config.geometry, config.sample_rate);
   for (std::uint64_t i = 0; i < config.warmup_accesses; ++i) {
-    cache.access(stream->next(), 0, mask);
-  }
-  cache.reset_stats();
-  for (std::uint64_t i = 0; i < config.measure_accesses; ++i) {
-    cache.access(stream->next(), 0, mask);
-  }
-  const double bytes = static_cast<double>(config.geometry.way_bytes()) * ways;
-  return {bytes, cache.stats(0).miss_ratio()};
-}
-
-EmpiricalMrc profile_exact(
-    const MrcProfilerConfig& config,
-    const std::function<std::unique_ptr<AddressStream>()>& make_stream) {
-  trace::ScopedTimer timer("mrc.profile.exact");
-  const unsigned ways = config.geometry.ways;
-  std::vector<std::pair<double, double>> points(ways);
-  // Each way count replays its own identically-seeded stream into its own
-  // cache and writes its own slot, so the curve is byte-identical to the
-  // serial loop at any worker count.
-  const unsigned jobs = std::min(
-      ways, util::ThreadPool::resolve_jobs(config.jobs, "DICER_SWEEP_JOBS"));
-  auto eval = [&](std::size_t i) {
-    points[i] =
-        replay_one_way(config, static_cast<unsigned>(i) + 1, make_stream);
-  };
-  if (jobs <= 1 || ways <= 1) {
-    for (std::size_t i = 0; i < ways; ++i) eval(i);
-  } else {
-    util::ThreadPool pool(jobs);
-    util::parallel_for(pool, ways, eval);
-  }
-  auto& reg = trace::TimerRegistry::global();
-  reg.add_count("profiler.runs", 1);
-  reg.add_count("profiler.accesses",
-                static_cast<std::uint64_t>(ways) *
-                    (config.warmup_accesses + config.measure_accesses));
-  reg.add_count("profiler.exact_replays", ways);
-  return EmpiricalMrc(std::move(points));
-}
-
-EmpiricalMrc profile_single_pass(
-    const MrcProfilerConfig& config,
-    const std::function<std::unique_ptr<AddressStream>()>& make_stream) {
-  const bool sampled = config.mode == MrcProfilerMode::kSampled;
-  trace::ScopedTimer timer(sampled ? "mrc.profile.sampled"
-                                   : "mrc.profile.single_pass");
-  ReuseProfiler profiler(config.geometry,
-                         sampled ? config.sampling : ShardsConfig{});
-  auto stream = make_stream();
-  for (std::uint64_t i = 0; i < config.warmup_accesses; ++i) {
-    profiler.access(stream->next());
+    profiler.access(stream.next());
   }
   profiler.begin_measurement();
   for (std::uint64_t i = 0; i < config.measure_accesses; ++i) {
-    profiler.access(stream->next());
+    profiler.access(stream.next());
   }
   const ReuseProfilerStats st = profiler.stats();
   auto& reg = trace::TimerRegistry::global();
@@ -90,21 +31,6 @@ EmpiricalMrc profile_single_pass(
   reg.add_count("profiler.sample_rate_ppm",
                 static_cast<std::uint64_t>(st.sample_rate * 1e6 + 0.5));
   return profiler.mrc();
-}
-
-}  // namespace
-
-EmpiricalMrc profile_mrc(
-    const MrcProfilerConfig& config,
-    const std::function<std::unique_ptr<AddressStream>()>& make_stream) {
-  switch (config.mode) {
-    case MrcProfilerMode::kExactReplay:
-      return profile_exact(config, make_stream);
-    case MrcProfilerMode::kSinglePass:
-    case MrcProfilerMode::kSampled:
-      break;
-  }
-  return profile_single_pass(config, make_stream);
 }
 
 }  // namespace dicer::sim

@@ -1,58 +1,39 @@
 // MRC profiler: measures an empirical miss-ratio curve for an address
 // stream, one point per way count from 1..geometry.ways.
 //
-// Three modes:
-//  * kSinglePass (default) — the set-aware reuse-distance profiler
-//    (`ReuseProfiler`): ONE pass over the stream yields every way count at
-//    once, byte-identical to the exact replay oracle.
-//  * kSampled — single pass plus SHARDS set sampling (`config.sampling`),
-//    trading a bounded miss-ratio error (validated at <= 0.02) for only
-//    profiling a hash fraction of the sets.
-//  * kExactReplay — the original oracle: replay the stream through the
-//    trace-driven `SetAssocCache` once per way count. Kept as ground
-//    truth; the replays are independent, so they run in parallel on a
-//    `util::ThreadPool` with byte-identical output at any worker count.
+// There is one profiler, the set-aware single-pass `ReuseProfiler`: one
+// pass over the stream yields every way count at once. `sample_rate`
+// selects its SHARDS set sampling: 1 (the default) profiles every set and
+// is bit-identical to replaying the stream through `SetAssocCache` once
+// per way count (that replay is the test oracle,
+// tests/support/mrc_oracle.hpp); below 1 it profiles only a hash fraction
+// of the sets, for a miss-ratio error validated at <= 0.02.
 //
-// All modes time themselves into trace::TimerRegistry::global()
-// ("mrc.profile.*") and tally a "profiler.*" counter group (accesses,
+// Each run times itself into trace::TimerRegistry::global()
+// ("mrc.profile") and tallies a "profiler.*" counter group (accesses,
 // sampled accesses, distinct blocks, sample rate) surfaced by the bench
 // harness under --profile.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "sim/cache/address_stream.hpp"
 #include "sim/cache/mrc.hpp"
-#include "sim/cache/reuse_profiler.hpp"
 #include "sim/cache/set_assoc_cache.hpp"
 
 namespace dicer::sim {
-
-enum class MrcProfilerMode {
-  kExactReplay,  ///< per-way replay oracle (parallel, byte-identical)
-  kSinglePass,   ///< one-pass reuse-distance profile, exact
-  kSampled,      ///< one-pass with SHARDS set sampling
-};
 
 struct MrcProfilerConfig {
   CacheGeometry geometry{};
   std::uint64_t warmup_accesses = 200'000;   ///< discarded (state only)
   std::uint64_t measure_accesses = 400'000;  ///< counted
-  MrcProfilerMode mode = MrcProfilerMode::kSinglePass;
-  /// kExactReplay worker threads; 0 = $DICER_SWEEP_JOBS, then hardware
-  /// concurrency. Output is byte-identical whatever the value.
-  unsigned jobs = 0;
-  /// kSampled sampling plan (ignored by the other modes).
-  ShardsConfig sampling{.mode = ShardsMode::kFixedRate, .rate = 0.125};
+  /// Fraction of sets profiled, in (0, 1]; 1 is exact.
+  double sample_rate = 1.0;
 };
 
-/// Profile `make_stream` (a factory so each replay gets a fresh,
-/// identically-seeded stream; the one-pass modes call it exactly once)
-/// into an empirical MRC with one point per way count 1..geometry.ways.
-EmpiricalMrc profile_mrc(
-    const MrcProfilerConfig& config,
-    const std::function<std::unique_ptr<AddressStream>()>& make_stream);
+/// Profile `stream` (warmup, then measure accesses drawn from it) into an
+/// empirical MRC with one point per way count 1..geometry.ways.
+EmpiricalMrc profile_mrc(const MrcProfilerConfig& config,
+                         AddressStream& stream);
 
 }  // namespace dicer::sim

@@ -1,41 +1,28 @@
 // Single-pass reuse-distance MRC profiling.
 //
-// profile_mrc's exact oracle replays the whole address stream once per way
-// count (20 warmup+measure replays on the paper geometry). This header
-// turns that into ONE pass:
+// An exact per-way MRC replays the address stream once per way count (20
+// warmup+measure replays on the paper geometry). `ReuseProfiler` gets
+// every way count from ONE pass:
 //
-//  * `ReuseProfiler` — a set-aware Mattson stack profiler. Every cache set
-//    keeps its blocks in LRU order; an access at per-set stack distance d
-//    hits a w-way partition iff d < w (the LRU inclusion property, applied
-//    per set exactly as `SetAssocCache` evicts). One pass therefore yields
-//    the miss count of *every* way count simultaneously — and, unsampled,
-//    the resulting EmpiricalMrc is byte-identical to the exact per-way
-//    replay oracle. Distances saturate at the associativity (deeper is a
-//    miss at every way count), so the stack walk is O(min(d, ways)).
+//  * A set-aware Mattson stack profiler. Every cache set keeps its blocks
+//    in LRU order; an access at per-set stack distance d hits a w-way
+//    partition iff d < w (the LRU inclusion property, applied per set
+//    exactly as `SetAssocCache` evicts). One pass therefore yields the
+//    miss count of *every* way count simultaneously, and at sample rate 1
+//    the resulting EmpiricalMrc is bit-identical to the per-way replay
+//    (the oracle in tests/support/mrc_oracle.hpp). Distances saturate at
+//    the associativity (deeper is a miss at every way count), so the
+//    stack walk is O(min(d, ways)).
 //
-//  * SHARDS-style spatial hash sampling over SETS (fixed-rate and
-//    fixed-size adaptive): a set is profiled iff hash(set) < threshold, so
-//    the sample is chosen spatially, never by behaviour. The fixed-size
-//    mode keeps the tracked-block budget by evicting the sampled set with
-//    the largest hash and lowering the threshold to it (the SHARDS
-//    eviction rule, with sets as the sampling unit); the estimate then
-//    uses only sets sampled at the final rate. The standard sampled-count
-//    correction (SHARDS-adj) shifts the difference between expected and
-//    actual sampled references into the distance-0 bucket.
-//
-//  * `FullyAssociativeProfiler` — the textbook Mattson algorithm (hash map
-//    of last-access times + a Fenwick order-statistic tree over time,
-//    O(N log M)) with classic per-block SHARDS sampling. Set-blind: its
-//    curve ignores conflict misses, which is exactly why the per-way MRC
-//    above profiles per set — near the knee a set-associative cache misses
-//    substantially more than the fully-associative stack predicts. Kept as
-//    the canonical reference and for arbitrary-capacity curves.
+//  * SHARDS-style spatial hash sampling over SETS: below rate 1 a set is
+//    profiled iff hash(set) < rate * 2^64, so the sample is chosen
+//    spatially, never by behaviour. The standard sampled-count correction
+//    (SHARDS-adj) shifts the difference between expected and actual
+//    sampled references into the distance-0 bucket. Rate 1 profiles every
+//    set, and the correction is then exactly zero.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/cache/mrc.hpp"
@@ -43,46 +30,25 @@
 
 namespace dicer::sim {
 
-/// Spatial hash sampling plan (SHARDS).
-enum class ShardsMode {
-  kOff,        ///< profile everything (exact)
-  kFixedRate,  ///< profile a fixed hash fraction of the space
-  kFixedSize,  ///< adapt the rate to a tracked-block budget
-};
-
-struct ShardsConfig {
-  ShardsMode mode = ShardsMode::kOff;
-  /// kFixedRate: fraction of sets (ReuseProfiler) / blocks
-  /// (FullyAssociativeProfiler) profiled. Must be in (0, 1].
-  double rate = 0.125;
-  /// kFixedSize: adaptive budget on tracked blocks (stack entries / map
-  /// size). Must be >= 1.
-  std::uint64_t max_tracked_blocks = 32 * 1024;
-  /// Seed of the spatial hash. Same seed -> same sample, deterministically.
-  std::uint64_t seed = 0x5348415244ULL;
-  /// Apply the SHARDS-adj sampled-count correction to the estimate.
-  bool count_correction = true;
-};
-
 struct ReuseProfilerStats {
   std::uint64_t accesses = 0;        ///< stream accesses consumed in total
   std::uint64_t measured = 0;        ///< accesses inside the measure window
-  std::uint64_t sampled = 0;         ///< measured accesses in surviving sampled sets
+  std::uint64_t sampled = 0;         ///< measured accesses in sampled sets
   std::uint64_t distinct_blocks = 0; ///< tracked blocks (stack entries) at the end
   std::uint64_t sets = 0;            ///< total sets of the geometry
-  std::uint64_t sampled_sets = 0;    ///< sets eligible at the final threshold
-  std::uint64_t evicted_sets = 0;    ///< kFixedSize: sets dropped for the budget
+  std::uint64_t sampled_sets = 0;    ///< sets in the sample
   double sample_rate = 1.0;          ///< sampled_sets / sets
-  double correction = 0.0;           ///< count correction applied to bucket 0
 };
 
 /// Set-aware single-pass reuse-distance profiler (see file comment).
 class ReuseProfiler {
  public:
-  /// Throws std::invalid_argument for geometry `SetAssocCache` rejects,
-  /// and for a sampling rate outside (0, 1] or a zero block budget.
+  /// Profiles the sets whose hash falls below `sample_rate` (all of them
+  /// at 1; at least one, however small the rate). Throws
+  /// std::invalid_argument for geometry `SetAssocCache` rejects and for a
+  /// rate outside (0, 1].
   explicit ReuseProfiler(const CacheGeometry& geometry,
-                         const ShardsConfig& sampling = {});
+                         double sample_rate = 1.0);
 
   /// Feed one byte address.
   void access(std::uint64_t address);
@@ -92,7 +58,7 @@ class ReuseProfiler {
   void begin_measurement() noexcept { measuring_ = true; }
 
   /// Empirical MRC with one point per way count 1..geometry.ways.
-  /// Unsampled, byte-identical to the exact per-way replay oracle.
+  /// At rate 1, bit-identical to the exact per-way replay.
   EmpiricalMrc mrc() const;
 
   /// Sampled-count-corrected distance histogram: bucket d < ways holds
@@ -102,99 +68,30 @@ class ReuseProfiler {
 
   ReuseProfilerStats stats() const;
 
-  const CacheGeometry& geometry() const noexcept { return geom_; }
-
  private:
   static constexpr std::int32_t kUntouched = -1;  ///< sampled, no slot yet
-  static constexpr std::int32_t kUnsampled = -2;  ///< hash >= threshold
-  static constexpr std::int32_t kEvicted = -3;    ///< dropped for the budget
+  static constexpr std::int32_t kUnsampled = -2;  ///< outside the sample
 
-  bool eligible(std::uint64_t set) const;
-  std::int32_t touch_set(std::uint64_t set);
-  void evict_largest_hash();
-  /// Raw (uncorrected) histogram plus its total, from surviving sets.
+  /// Raw (uncorrected) histogram plus its total.
   void raw_histogram(std::vector<std::uint64_t>& hist,
                      std::uint64_t& total) const;
-  double final_rate() const;
+  double sample_rate() const;
 
   CacheGeometry geom_;
-  ShardsConfig sampling_;
   std::uint64_t set_mask_ = 0;
-  unsigned set_bits_ = 0;
   unsigned line_shift_ = 0;
   unsigned ways_ = 0;
   bool measuring_ = false;
 
-  std::uint64_t threshold_ = ~0ull;   ///< sampled iff hash(set) < threshold
-  std::int64_t forced_set_ = -1;      ///< sampled regardless (rate floor)
+  std::uint64_t sampled_sets_ = 0;
   std::uint64_t accesses_ = 0;
   std::uint64_t measured_ = 0;
   std::uint64_t tracked_blocks_ = 0;
-  std::uint64_t evicted_sets_ = 0;
 
-  std::vector<std::uint64_t> set_hash_;   ///< per set, precomputed
   std::vector<std::int32_t> set_slot_;    ///< per set: slot or a k* marker
   std::vector<std::uint64_t> stack_;      ///< slot-major, `ways_` blocks each
   std::vector<std::uint8_t> depth_;       ///< per slot
   std::vector<std::uint64_t> hist_;       ///< per slot, ways_+1 buckets
-  std::vector<std::uint64_t> slot_set_;   ///< slot -> owning set
-  std::vector<std::int32_t> free_slots_;
-  /// kFixedSize: touched sampled sets by descending hash.
-  std::priority_queue<std::pair<std::uint64_t, std::uint64_t>> by_hash_;
-};
-
-/// The textbook Mattson stack algorithm: a hash map of last-access times
-/// and a Fenwick order-statistic tree over (sampled) time, giving exact
-/// fully-associative LRU stack distances in O(log M) per access, with
-/// classic per-block SHARDS sampling on top. `capacities_bytes` fixes the
-/// evaluation grid of the resulting curve (ascending).
-class FullyAssociativeProfiler {
- public:
-  /// Throws std::invalid_argument for a non-power-of-two line size, an
-  /// empty/unsorted capacity grid, or a bad sampling config.
-  FullyAssociativeProfiler(unsigned line_bytes,
-                           std::vector<double> capacities_bytes,
-                           const ShardsConfig& sampling = {});
-
-  void access(std::uint64_t address);
-  void begin_measurement() noexcept { measuring_ = true; }
-
-  /// Miss-ratio point per capacity in the evaluation grid.
-  EmpiricalMrc mrc() const;
-
-  std::uint64_t accesses() const noexcept { return accesses_; }
-  std::uint64_t sampled() const noexcept { return sampled_; }
-  std::uint64_t distinct_blocks() const noexcept {
-    return static_cast<std::uint64_t>(last_time_.size());
-  }
-  double sample_rate() const noexcept;
-
- private:
-  void fenwick_add(std::size_t pos, std::int64_t delta);
-  std::uint64_t fenwick_prefix(std::size_t pos) const;
-  void grow_tree();
-  void evict_largest_hash();
-  void record(double distance_blocks, double weight);
-
-  unsigned line_shift_ = 0;
-  std::vector<double> capacities_bytes_;
-  std::vector<double> capacities_blocks_;
-  ShardsConfig sampling_;
-  bool measuring_ = false;
-
-  std::uint64_t threshold_ = ~0ull;
-  std::uint64_t accesses_ = 0;
-  std::uint64_t measured_ = 0;
-  std::uint64_t sampled_ = 0;  ///< measured accesses that were sampled
-
-  std::uint64_t clock_ = 0;  ///< one tick per sampled access
-  std::unordered_map<std::uint64_t, std::uint64_t> last_time_;
-  std::vector<std::uint64_t> tree_;   ///< Fenwick over sampled time
-  std::vector<std::uint8_t> marker_;  ///< 1 iff some block's last access
-  std::vector<double> bucket_;       ///< per capacity, + deep bucket at end
-  double cold_weight_ = 0.0;
-  double total_weight_ = 0.0;
-  std::priority_queue<std::pair<std::uint64_t, std::uint64_t>> by_hash_;
 };
 
 }  // namespace dicer::sim

@@ -19,7 +19,7 @@ util::CacheFile profile_file(const std::string& path,
                              const std::vector<TraceAppSpec>& specs,
                              const MrcProfilerConfig& config) {
   // Everything that shapes the cached tables: every stream-shaping spec
-  // field plus the profiling geometry, windows, mode and sampling plan.
+  // field plus the profiling geometry, windows and sample rate.
   // Phase parameters (cpi, api, ...) are applied after loading, so they
   // are deliberately excluded.
   util::KeyHasher h;
@@ -30,13 +30,10 @@ util::CacheFile profile_file(const std::string& path,
     h.add(s.base);
   }
   const auto& g = config.geometry;
-  const auto& sh = config.sampling;
   h.add(g.size_bytes).add(g.ways).add(g.line_bytes);
   h.add(config.warmup_accesses).add(config.measure_accesses);
-  h.add(static_cast<int>(config.mode)).add(static_cast<int>(sh.mode));
-  h.add(sh.rate).add(sh.max_tracked_blocks).add(sh.seed);
-  h.add(sh.count_correction);
-  return {path, "trace profile cache", h.key("dicer-trace-mrc-v2"),
+  h.add(config.sample_rate);
+  return {path, "trace profile cache", h.key("dicer-trace-mrc-v3"),
           kTraceHeader};
 }
 
@@ -252,16 +249,13 @@ MrcProfilerConfig default_trace_profile_config() {
       .size_bytes = 20ull * 1024 * 1024, .ways = 20, .line_bytes = 64};
   config.warmup_accesses = 400'000;
   config.measure_accesses = 800'000;
-  config.mode = MrcProfilerMode::kSampled;
-  config.sampling = {.mode = ShardsMode::kFixedRate, .rate = 0.25};
+  config.sample_rate = 0.25;
   return config;
 }
 
 AppProfile profile_trace_app(const TraceAppSpec& spec,
                              const MrcProfilerConfig& config) {
-  const EmpiricalMrc table =
-      profile_mrc(config, [&spec] { return make_trace_stream(spec); });
-  return make_profile(spec, table);
+  return make_profile(spec, profile_mrc(config, *make_trace_stream(spec)));
 }
 
 AppCatalog trace_augmented_catalog(const std::string& cache_path,
@@ -279,9 +273,8 @@ AppCatalog trace_augmented_catalog(const std::string& cache_path,
 
   if (tables.empty()) {
     for (const auto& spec : specs) {
-      const EmpiricalMrc table =
-          profile_mrc(config, [&spec] { return make_trace_stream(spec); });
-      tables[spec.name] = table.points();
+      tables[spec.name] =
+          profile_mrc(config, *make_trace_stream(spec)).points();
     }
     if (!cache_path.empty()) {
       file.save([&](util::CacheRowWriter& row) {

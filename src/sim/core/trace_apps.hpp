@@ -70,7 +70,7 @@ MissRatioCurve fit_mrc(const EmpiricalMrc& table);
 
 /// Default profiling configuration for trace apps: the nearest
 /// power-of-two-sets geometry to the paper LLC (20 MB / 20-way / 64 B),
-/// SHARDS-sampled single pass.
+/// single pass SHARDS-sampled at rate 0.25.
 MrcProfilerConfig default_trace_profile_config();
 
 /// Profile one spec into a single-phase AppProfile (suite "TRACE").

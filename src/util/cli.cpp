@@ -76,6 +76,17 @@ double CliArgs::get_double(const std::string& key, double def) const {
   return r;
 }
 
+unsigned CliArgs::get_count(const std::string& key, unsigned def, unsigned lo,
+                           unsigned hi) const {
+  const long v = get_int(key, def);
+  if (v < static_cast<long>(lo) || v > static_cast<long>(hi)) {
+    throw CliError("invalid value for --" + key + ": '" + std::to_string(v) +
+                   "' (expected an integer in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "])");
+  }
+  return static_cast<unsigned>(v);
+}
+
 bool CliArgs::get_bool(const std::string& key, bool def) const {
   const auto v = get(key);
   if (!v) return def;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -38,6 +39,11 @@ class CliArgs {
   /// Strict floating-point flag: same contract as get_int, and also
   /// throws CliError on "inf" / "nan" (non-finite values).
   double get_double(const std::string& key, double def) const;
+  /// Count flag in [lo, hi]: returns `def` when absent/empty, throws
+  /// CliError naming the flag and the range for anything outside it — a
+  /// negative value included, which a cast to unsigned would wrap.
+  unsigned get_count(const std::string& key, unsigned def, unsigned lo = 0,
+                     unsigned hi = std::numeric_limits<unsigned>::max()) const;
   bool get_bool(const std::string& key, bool def) const;
 
   /// Non-flag positional arguments in order.

@@ -138,8 +138,9 @@ TEST(MrcBestFitPlacement, AvoidsTheCrowdedMachine) {
 }
 
 // The fleet front-ends' count flags reject a value that would wrap in the
-// cast to unsigned (e.g. --jobs -1 asking for 4,294,967,295 workers) with
-// a one-line error naming the flag.
+// cast to unsigned (e.g. --jobs -1 asking for 4,294,967,295 workers), and
+// --cores one outside [2, machine cores], with a one-line error naming the
+// flag.
 TEST(FleetCli, CountFlagsRejectNegativeValues) {
   {
     const char* argv[] = {"fleet_sim", "--jobs", "7", "--machines", "0"};
@@ -154,7 +155,7 @@ TEST(FleetCli, CountFlagsRejectNegativeValues) {
     const FleetConfig fc = examples::fleet_config_from(args);
     EXPECT_EQ(fc.num_machines, 500u);
     EXPECT_EQ(fc.migrate_after, 3u);
-    EXPECT_EQ(examples::count_flag(args, "epochs", 20), 20u);
+    EXPECT_EQ(args.get_count("epochs", 20), 20u);
   }
   for (const char* flag : {"machines", "cores", "migrate-after", "jobs"}) {
     for (const char* bad : {"-1", "-3", "4294967296"}) {
@@ -170,9 +171,14 @@ TEST(FleetCli, CountFlagsRejectNegativeValues) {
       }
     }
   }
+  for (const char* bad : {"1", "11"}) {  // outside [2, machine cores]
+    const char* argv[] = {"fleet_sim", "--cores", bad};
+    EXPECT_THROW(examples::fleet_config_from(util::CliArgs(3, argv)),
+                 util::CliError);
+  }
   const char* argv[] = {"fleet_sim", "--epochs", "-1"};
   const util::CliArgs args(3, argv);
-  EXPECT_THROW(examples::count_flag(args, "epochs", 20), util::CliError);
+  EXPECT_THROW(args.get_count("epochs", 20), util::CliError);
 }
 
 TEST(MakePlacement, KnownNamesAndErrors) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -22,8 +23,7 @@ MrcProfilerConfig test_config() {
                      .line_bytes = 64};
   config.warmup_accesses = 30'000;
   config.measure_accesses = 60'000;
-  config.mode = MrcProfilerMode::kSampled;
-  config.sampling = {.mode = ShardsMode::kFixedRate, .rate = 0.25};
+  config.sample_rate = 0.25;
   return config;
 }
 
@@ -234,7 +234,7 @@ TEST(TraceApps, StaleKeyTriggersReprofile) {
     std::ifstream in(path);
     std::getline(in, old_key);
   }
-  config.sampling.seed ^= 1;  // result-shaping knob -> new key
+  config.sample_rate = 0.125;  // result-shaping knob -> new key
   trace_augmented_catalog(path, specs, config);
   std::string new_key;
   {
@@ -243,6 +243,35 @@ TEST(TraceApps, StaleKeyTriggersReprofile) {
   }
   EXPECT_NE(old_key, new_key);
   std::remove(path.c_str());
+}
+
+// The production profile rows: the 80 `app,bytes,miss_ratio` rows (4
+// default trace apps x 20 ways, exact %.17g cells) that the default
+// config writes to the profile cache, folded with FNV-1a together with
+// the header. The key line is excluded: it names the cache version, not
+// the profile. Harvested before the profiler lost its alternative modes;
+// re-harvest only for an intentional change to the trace specs, their
+// streams or the production sampling rate.
+TEST(TraceApps, DefaultProfileRowsMatchGolden) {
+  const std::string path = test::unique_temp_path("trace_profile_golden.csv");
+  std::remove(path.c_str());
+  trace_augmented_catalog(path);
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));  // "# <key>"
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    line += '\n';
+    for (const char c : line) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+    ++rows;
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(rows, 1u + 4u * 20u);  // header + 4 apps x 20 ways
+  EXPECT_EQ(h, 0xe2d6607a025f435bull) << std::hex << h;
 }
 
 TEST(TraceApps, CatalogAddRejectsDuplicatesAndEmpties) {

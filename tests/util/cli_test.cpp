@@ -95,6 +95,33 @@ TEST(CliArgs, IntAcceptsNegative) {
   EXPECT_EQ(make({"p", "--n=-3"}).get_int("n", 0), -3);
 }
 
+TEST(CliArgs, CountDefaultsAndAcceptsItsBounds) {
+  EXPECT_EQ(make({"p"}).get_count("cores", 10, 2, 10), 10u);
+  EXPECT_EQ(make({"p", "--cores=2"}).get_count("cores", 10, 2, 10), 2u);
+  EXPECT_EQ(make({"p", "--cores", "10"}).get_count("cores", 4, 2, 10), 10u);
+  EXPECT_EQ(make({"p", "--jobs=0"}).get_count("jobs", 3), 0u);
+  EXPECT_EQ(make({"p", "--jobs=4294967295"}).get_count("jobs", 3),
+            4294967295u);
+}
+
+TEST(CliArgs, CountRejectsOutOfRangeNamingFlagAndRange) {
+  for (const char* bad : {"0", "1", "11", "-1", "4294967296"}) {
+    try {
+      make({"p", "--cores", bad}).get_count("cores", 10, 2, 10);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const CliError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("invalid value for --cores: '") + bad +
+                    "' (expected an integer in [2, 10])");
+    }
+  }
+  // Without a range, only what a cast to unsigned would wrap is rejected.
+  EXPECT_THROW(make({"p", "--jobs=-1"}).get_count("jobs", 0), CliError);
+  EXPECT_THROW(make({"p", "--jobs=4294967296"}).get_count("jobs", 0),
+               CliError);
+  EXPECT_THROW(make({"p", "--jobs=2x"}).get_count("jobs", 0), CliError);
+}
+
 TEST(CliArgs, DoubleRejectsTrailingJunk) {
   EXPECT_THROW(make({"p", "--slo=0.9x"}).get_double("slo", 0.0), CliError);
   EXPECT_THROW(make({"p", "--slo=1.5.2"}).get_double("slo", 0.0), CliError);

@@ -12,6 +12,7 @@
 
 #include "sim/cache/mrc.hpp"
 #include "sim/cache/mrc_profiler.hpp"
+#include "support/mrc_oracle.hpp"
 
 namespace dicer::sim {
 namespace {
@@ -29,7 +30,7 @@ TEST(MrcValidation, WorkingSetStreamKneeAtWorkingSet) {
   // below ~1 MB of allocation and near zero above it.
   const auto cfg = small_cache();
   const std::uint64_t ws = 1 << 20;
-  const auto mrc = profile_mrc(cfg, [&] {
+  const auto mrc = test::profile(cfg, [&] {
     return std::make_unique<WorkingSetStream>(ws, 0, util::Xoshiro256(42));
   });
   ASSERT_EQ(mrc.size(), 16u);
@@ -43,7 +44,7 @@ TEST(MrcValidation, WorkingSetMatchesLinearCoverageCurve) {
   // tracks the analytic one within a loose band at every way count.
   const auto cfg = small_cache();
   const std::uint64_t ws = 1 << 20;
-  const auto empirical = profile_mrc(cfg, [&] {
+  const auto empirical = test::profile(cfg, [&] {
     return std::make_unique<WorkingSetStream>(ws, 0, util::Xoshiro256(7));
   });
   const auto analytic =
@@ -56,7 +57,7 @@ TEST(MrcValidation, WorkingSetMatchesLinearCoverageCurve) {
 
 TEST(MrcValidation, StreamingIsFlatAndHigh) {
   const auto cfg = small_cache();
-  const auto mrc = profile_mrc(cfg, [&] {
+  const auto mrc = test::profile(cfg, [&] {
     return std::make_unique<StreamingStream>(64ull << 20, 64, 0);
   });
   for (const auto& [bytes, miss] : mrc.points()) {
@@ -68,7 +69,7 @@ TEST(MrcValidation, StreamingIsFlatAndHigh) {
 TEST(MrcValidation, BimodalShowsTwoPlateaus) {
   const auto cfg = small_cache();
   const std::uint64_t hot = 256 << 10, cold = 4 << 20;
-  const auto mrc = profile_mrc(cfg, [&] {
+  const auto mrc = test::profile(cfg, [&] {
     return std::make_unique<BimodalStream>(hot, cold, 0.8, 0,
                                            util::Xoshiro256(3));
   });
@@ -81,7 +82,7 @@ TEST(MrcValidation, BimodalShowsTwoPlateaus) {
 TEST(MrcValidation, EmpiricalCurvesMonotone) {
   const auto cfg = small_cache();
   for (int seed : {1, 2}) {
-    const auto mrc = profile_mrc(cfg, [&] {
+    const auto mrc = test::profile(cfg, [&] {
       return std::make_unique<MixedStream>(1 << 20, 0.7, 0,
                                            util::Xoshiro256(
                                                static_cast<std::uint64_t>(seed)));
@@ -92,12 +93,12 @@ TEST(MrcValidation, EmpiricalCurvesMonotone) {
 
 // --- Single-pass profiler acceptance --------------------------------------
 //
-// The issue's acceptance bar for the reuse-distance profiler, enforced on
-// the 20-way validation geometry (2.5 MB / 20-way / 64 B = 2048 sets)
-// across every AddressStream family:
-//  * kSinglePass is byte-identical to the exact replay oracle;
-//  * kSampled stays within 0.02 absolute miss ratio of the oracle at
-//    every way count, for both fixed-rate and fixed-size plans.
+// The acceptance bar for the reuse-distance profiler, enforced on the
+// 20-way validation geometry (2.5 MB / 20-way / 64 B = 2048 sets) across
+// every AddressStream family:
+//  * at sample rate 1 it is byte-identical to the exact replay oracle;
+//  * sampled, it stays within 0.02 absolute miss ratio of the oracle at
+//    every way count, at rate 0.125 and at the production rate 0.25.
 
 MrcProfilerConfig accept20() {
   MrcProfilerConfig cfg;
@@ -108,11 +109,9 @@ MrcProfilerConfig accept20() {
   return cfg;
 }
 
-using StreamFactory = std::function<std::unique_ptr<AddressStream>()>;
-
 constexpr std::uint64_t MB = 1 << 20;
 
-std::vector<std::pair<const char*, StreamFactory>> accept_families() {
+std::vector<std::pair<const char*, test::StreamFactory>> accept_families() {
   return {
       {"working_set",
        [] {
@@ -137,12 +136,8 @@ std::vector<std::pair<const char*, StreamFactory>> accept_families() {
 TEST(MrcValidation, SinglePassIsByteIdenticalToOracleOnAllFamilies) {
   for (const auto& [name, make_stream] : accept_families()) {
     SCOPED_TRACE(name);
-    auto exact_cfg = accept20();
-    exact_cfg.mode = MrcProfilerMode::kExactReplay;
-    auto fast_cfg = accept20();
-    fast_cfg.mode = MrcProfilerMode::kSinglePass;
-    const auto oracle = profile_mrc(exact_cfg, make_stream);
-    const auto fast = profile_mrc(fast_cfg, make_stream);
+    const auto oracle = test::exact_replay_mrc(accept20(), make_stream);
+    const auto fast = test::profile(accept20(), make_stream);
     ASSERT_EQ(oracle.size(), 20u);
     ASSERT_EQ(fast.size(), 20u);
     for (std::size_t i = 0; i < 20; ++i) {
@@ -154,21 +149,13 @@ TEST(MrcValidation, SinglePassIsByteIdenticalToOracleOnAllFamilies) {
 }
 
 TEST(MrcValidation, SampledProfilerWithin2PercentOfOracleOnAllFamilies) {
-  const std::vector<std::pair<const char*, ShardsConfig>> plans = {
-      {"fixed_rate", {.mode = ShardsMode::kFixedRate, .rate = 0.125}},
-      {"fixed_size",
-       {.mode = ShardsMode::kFixedSize, .max_tracked_blocks = 8192}},
-  };
   for (const auto& [fname, make_stream] : accept_families()) {
-    auto oracle_cfg = accept20();
-    oracle_cfg.mode = MrcProfilerMode::kExactReplay;
-    const auto oracle = profile_mrc(oracle_cfg, make_stream);
-    for (const auto& [pname, plan] : plans) {
-      SCOPED_TRACE(std::string(fname) + "/" + pname);
+    const auto oracle = test::exact_replay_mrc(accept20(), make_stream);
+    for (const double rate : {0.125, 0.25}) {
+      SCOPED_TRACE(std::string(fname) + "/rate " + std::to_string(rate));
       auto cfg = accept20();
-      cfg.mode = MrcProfilerMode::kSampled;
-      cfg.sampling = plan;
-      const auto sampled = profile_mrc(cfg, make_stream);
+      cfg.sample_rate = rate;
+      const auto sampled = test::profile(cfg, make_stream);
       ASSERT_EQ(sampled.size(), oracle.size());
       for (std::size_t i = 0; i < oracle.size(); ++i) {
         EXPECT_NEAR(sampled.points()[i].second, oracle.points()[i].second,
@@ -186,17 +173,13 @@ TEST(MrcValidation, SinglePassIsMuchFasterThanSerialOracle) {
     return std::make_unique<WorkingSetStream>(1 << 20, 0,
                                               util::Xoshiro256(42));
   };
-  auto exact_cfg = accept20();
-  exact_cfg.mode = MrcProfilerMode::kExactReplay;
-  exact_cfg.jobs = 1;
-  auto fast_cfg = accept20();
-  fast_cfg.mode = MrcProfilerMode::kSinglePass;
+  const auto cfg = accept20();
   // Warm both paths once (allocators, stream code), then time.
-  profile_mrc(fast_cfg, make_stream);
+  test::profile(cfg, make_stream);
   const auto t0 = std::chrono::steady_clock::now();
-  profile_mrc(exact_cfg, make_stream);
+  test::exact_replay_mrc(cfg, make_stream);
   const auto t1 = std::chrono::steady_clock::now();
-  profile_mrc(fast_cfg, make_stream);
+  test::profile(cfg, make_stream);
   const auto t2 = std::chrono::steady_clock::now();
   const double exact_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -210,7 +193,7 @@ TEST(MrcValidation, PartitionedProfileSeesOnlyItsWays) {
   // Profiling with w ways in an n-way cache equals profiling a cache of
   // w/n capacity — way partitioning scales capacity linearly.
   MrcProfilerConfig big = small_cache();
-  const auto mrc = profile_mrc(big, [&] {
+  const auto mrc = test::profile(big, [&] {
     return std::make_unique<WorkingSetStream>(1 << 20, 0,
                                               util::Xoshiro256(11));
   });
