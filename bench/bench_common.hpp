@@ -51,8 +51,7 @@ struct BenchEnv {
     cache_dir = args.get_or("cache-dir", harness::default_cache_dir());
     std::filesystem::create_directories(cache_dir);
     recompute = args.get_bool("recompute", false);
-    const long j = args.get_int("jobs", 0);
-    jobs = j > 0 ? static_cast<unsigned>(j) : 0;
+    jobs = args.get_count("jobs", 0);
     profile = args.get_bool("profile", false);
     if (const auto level = args.get("log-level")) {
       util::set_log_threshold(util::parse_log_level(*level));

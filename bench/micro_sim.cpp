@@ -17,7 +17,6 @@
 #include "sim/cache/set_assoc_cache.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
-#include "sim/machine_batch.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace_counter_sink.hpp"
 #include "util/rng.hpp"
@@ -118,8 +117,8 @@ void BM_MachineStepSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineStepSteadyState);
 
-// Fixture for the batched-stepping pair: single-phase apps keep every
-// machine in steady-state replay, the regime MachineBatch accelerates.
+// Fixture for the interval-stepping pair: single-phase apps keep every
+// machine in steady-state replay, the regime bulk replay commits target.
 std::vector<sim::AppProfile>& steady_profiles() {
   static std::vector<sim::AppProfile> profiles = [] {
     const auto& catalog = sim::default_catalog();
@@ -134,64 +133,59 @@ std::vector<sim::AppProfile>& steady_profiles() {
   return profiles;
 }
 
-constexpr unsigned kBatchBenchMachines = 8;
+constexpr unsigned kIntervalBenchMachines = 8;
 // One policy control interval — the granularity both real consumers (the
-// sweep's run_consolidation_batch, the fleet data plane) drive lanes at.
-constexpr unsigned kBatchBenchQuanta = 10;
+// consolidation grid, the fleet data plane) advance machines at.
+constexpr unsigned kIntervalBenchQuanta = 10;
 
-// Serial baseline for BM_MachineStepBatched: the same 8 machines x 10
-// steady-state apps advanced one control interval (10 quanta) per machine
-// per iteration through Machine::run_for — the exact call shape the sweep
-// and fleet data planes use. Items are machine-quanta, so time-per-item
-// compares directly against the batched run; bench_compare.py pins
-// batched >= 2x faster than this.
-void BM_MachineStepSerial(benchmark::State& state) {
+std::vector<std::unique_ptr<sim::Machine>> steady_machines() {
   auto& profiles = steady_profiles();
-  const double interval = sim::MachineConfig{}.quantum_sec * kBatchBenchQuanta;
   std::vector<std::unique_ptr<sim::Machine>> machines;
-  for (unsigned m = 0; m < kBatchBenchMachines; ++m) {
+  for (unsigned m = 0; m < kIntervalBenchMachines; ++m) {
     machines.push_back(std::make_unique<sim::Machine>(sim::MachineConfig{}));
     for (unsigned c = 0; c < 10; ++c) machines[m]->attach(c, &profiles[c]);
   }
+  return machines;
+}
+
+// Reference for BM_MachineRunInterval: the same 8 machines x 10
+// steady-state apps advanced one control interval per machine per
+// iteration, one step() per quantum. Items are machine-quanta, so
+// time-per-item compares directly; bench_compare.py pins the interval
+// run >= 2x faster than this.
+void BM_MachineStepEachQuantum(benchmark::State& state) {
+  auto machines = steady_machines();
+  for (auto _ : state) {
+    for (auto& m : machines) {
+      for (unsigned q = 0; q < kIntervalBenchQuanta; ++q) m->step();
+    }
+    benchmark::DoNotOptimize(machines[0]->telemetry(0).instructions);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kIntervalBenchMachines * kIntervalBenchQuanta);
+}
+BENCHMARK(BM_MachineStepEachQuantum);
+
+// The same 8 machines x 10 quanta through Machine::run_for(interval) — the
+// call shape the grid and the fleet use, where settled quanta are
+// committed in bulk. replay_pct should sit near 100: a low value means the
+// machines keep re-solving and the pair is not measuring the bulk path.
+void BM_MachineRunInterval(benchmark::State& state) {
+  auto machines = steady_machines();
+  const double interval =
+      sim::MachineConfig{}.quantum_sec * kIntervalBenchQuanta;
   for (auto _ : state) {
     for (auto& m : machines) m->run_for(interval);
     benchmark::DoNotOptimize(machines[0]->telemetry(0).instructions);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kBatchBenchMachines * kBatchBenchQuanta);
+                          kIntervalBenchMachines * kIntervalBenchQuanta);
+  const auto& stats = machines[0]->solver_stats();
+  state.counters["replay_pct"] =
+      100.0 * static_cast<double>(stats.replays) /
+      static_cast<double>(std::max<std::uint64_t>(stats.quanta, 1));
 }
-BENCHMARK(BM_MachineStepSerial);
-
-// The same 8 machines x 10 quanta through one MachineBatch: shared phase
-// table, fused replay commits, whole intervals committed by the budgeted
-// bulk path. fused_pct should sit near 100 — a low value means the lanes
-// keep falling off the fast path and the comparison is measuring fallback
-// steps, not the SoA engine.
-void BM_MachineStepBatched(benchmark::State& state) {
-  auto& profiles = steady_profiles();
-  const double interval = sim::MachineConfig{}.quantum_sec * kBatchBenchQuanta;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  sim::MachineBatch batch;
-  for (unsigned m = 0; m < kBatchBenchMachines; ++m) {
-    machines.push_back(std::make_unique<sim::Machine>(sim::MachineConfig{}));
-    for (unsigned c = 0; c < 10; ++c) machines[m]->attach(c, &profiles[c]);
-    batch.add(*machines[m]);
-  }
-  for (auto _ : state) {
-    for (unsigned m = 0; m < kBatchBenchMachines; ++m) batch.run_for(m, interval);
-    benchmark::DoNotOptimize(machines[0]->telemetry(0).instructions);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kBatchBenchMachines * kBatchBenchQuanta);
-  const auto& bs = batch.stats();
-  const auto total = bs.fused_quanta + bs.fallback_steps;
-  state.counters["fused_pct"] =
-      100.0 * static_cast<double>(bs.fused_quanta) /
-      static_cast<double>(std::max<std::uint64_t>(total, 1));
-  state.counters["shared_phases"] =
-      static_cast<double>(batch.shared_phase_count());
-}
-BENCHMARK(BM_MachineStepBatched);
+BENCHMARK(BM_MachineRunInterval);
 
 // A long consolidation-shaped run: 100 quanta (one 1 s control period)
 // per iteration, crossing app phase boundaries and completions — the
@@ -360,7 +354,7 @@ BENCHMARK(BM_PolicySweep)
     ->Unit(benchmark::kMillisecond);
 
 // A reduced BM_PolicySweep grid on one worker — jobs held at 1 so the
-// number tracks the batched consolidation engine, not thread scaling
+// number tracks the consolidation engine, not thread scaling
 // (which BM_PolicySweep already covers).
 std::vector<harness::BaselineEntry> sweep_bench_sample() {
   const auto& catalog = sim::default_catalog();

@@ -21,7 +21,7 @@ static int run(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string hp_name = args.get_or("hp", "Xalan1");
   const std::string be_name = args.get_or("be", "gcc_base3");
-  const double slo = args.get_double("slo", 0.90);
+  const double slo = args.get_fraction("slo", 0.90);
 
   const auto& catalog = sim::default_catalog();
   const auto& hp = catalog.by_name(hp_name);

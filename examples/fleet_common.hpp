@@ -35,7 +35,7 @@ inline fleet::FleetConfig fleet_config_from(const util::CliArgs& args) {
   fc.policy = args.get_or("policy", "DICER");
   fc.placement = args.get_or("placement", "mrc");
   fc.epoch_sec = args.get_double("epoch", 1.0);
-  fc.slo_norm = args.get_double("slo", 0.90);
+  fc.slo_norm = args.get_fraction("slo", 0.90);
   fc.migrate_after = args.get_count("migrate-after", 3);
   fc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   fc.jobs = args.get_count("jobs", 0);

@@ -22,7 +22,7 @@ static int run(int argc, char** argv) {
   const std::string be_name = args.get_or("be", "lbm1");
   harness::ConsolidationConfig config;
   config.cores_used = args.get_count("cores", 10, 2, config.machine.num_cores);
-  const double slo = args.get_double("slo", 0.90);
+  const double slo = args.get_fraction("slo", 0.90);
 
   const auto& catalog = sim::default_catalog();
   const auto& hp = catalog.by_name(hp_name);

@@ -33,11 +33,12 @@ DEFAULT_BENCHES = [
     "BM_MachineStep10Apps",
     "BM_MachineStepPartitioned",
     "BM_MachineRunPeriod",
-    # The batched-stepping pair: serial baseline and the MachineBatch fused
-    # path over the same 8 machines; --speedup pins batched >= 2x faster.
-    "BM_MachineStepSerial",
-    "BM_MachineStepBatched",
-    # The sweep's chunked workers through run_consolidation_batch.
+    # The interval-stepping pair over the same 8 machines: step() per
+    # quantum and run_for per control interval (bulk replay commits);
+    # --speedup pins the interval run >= 2x faster.
+    "BM_MachineStepEachQuantum",
+    "BM_MachineRunInterval",
+    # The sweep's chunked grid workers on one thread.
     "BM_SweepBatched/real_time",
     "BM_ProfileMrcSampled",
     # The single-worker fleet epoch (control plane + data plane + ordered

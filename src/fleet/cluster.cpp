@@ -6,7 +6,6 @@
 
 #include "metrics/metrics.hpp"
 #include "policy/factory.hpp"
-#include "sim/machine_batch.hpp"
 #include "rdt/capability.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
@@ -110,6 +109,9 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   if (config.epoch_sec < config.machine.quantum_sec - kEps) {
     throw std::invalid_argument("Cluster: epoch shorter than one quantum");
   }
+  if (!(config.slo_norm > 0.0 && config.slo_norm <= 1.0)) {
+    throw std::invalid_argument("Cluster: slo_norm outside (0, 1]");
+  }
 
   jobs_ = util::ThreadPool::resolve_jobs(config.jobs, "DICER_FLEET_JOBS");
   if (jobs_ > 1) pool_ = std::make_unique<util::ThreadPool>(jobs_);
@@ -133,27 +135,14 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   epoch_stats_.reserve(nodes_.size());
   bind_metrics();
 
-  // Carve the fleet into contiguous data-plane batches: each stepping task
-  // advances one batch, whose lanes share a phase table and the fused
-  // replay path. Build once at boot — machines never move between batches,
-  // so mid-life snapshots stay valid across epochs.
-  // ~4 batches per worker keeps the shards load-balanced under uneven
-  // policy intervals while amortising the shared table.
-  const std::size_t per =
-      std::clamp(config_.num_machines / (jobs_ * 4), 1u, 32u);
-  for (std::size_t start = 0; start < nodes_.size(); start += per) {
-    auto batch = std::make_unique<sim::MachineBatch>();
-    const std::size_t end = std::min(nodes_.size(), start + per);
-    for (std::size_t i = start; i < end; ++i) {
-      batch->add(*nodes_[i].machine);
-    }
-    batch_start_.push_back(start);
-    batches_.push_back(std::move(batch));
-  }
+  // ~4 contiguous step shards per worker keeps the data plane
+  // load-balanced under uneven policy intervals.
+  shard_machines_ = std::clamp(config_.num_machines / (jobs_ * 4), 1u, 32u);
   DICER_INFO << "fleet: booted " << nodes_.size() << " machines ("
              << config.policy << " policy, " << placement_->name()
-             << " placement, " << jobs_ << " jobs, " << batches_.size()
-             << " step batches)";
+             << " placement, " << jobs_ << " jobs, "
+             << (nodes_.size() + shard_machines_ - 1) / shard_machines_
+             << " step shards)";
 }
 
 Cluster::~Cluster() = default;
@@ -369,33 +358,34 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
 
 void Cluster::step_all(double epoch_end) {
   epoch_stats_.resize(nodes_.size());
-  // Task b advances one MachineBatch's machine slice. Each lane runs the
-  // single-machine control loop, clipped to the epoch boundary: run to the
-  // next policy deadline (or the boundary, whichever is first), then let
-  // the policy act — a pure function of the node's own state. Batch
-  // stepping is bit-equal to Machine::run_until by construction and the
-  // reduction stays index-ordered, so CSV/metrics exports are
-  // byte-identical at any `jobs` (and hence any batch slicing).
-  auto step_batch = [&](std::size_t b) {
-    sim::MachineBatch& batch = *batches_[b];
-    const std::size_t start = batch_start_[b];
-    for (unsigned k = 0; k < batch.size(); ++k) {
-      const std::size_t i = start + k;
+  // Task b advances the contiguous machine range of shard b. Each machine
+  // runs the single-machine control loop, clipped to the epoch boundary:
+  // run to the next policy deadline (or the boundary, whichever is first),
+  // then let the policy act — a pure function of the node's own state.
+  // Machines never interact mid-epoch and the reduction stays
+  // index-ordered, so CSV/metrics exports are byte-identical at any `jobs`
+  // (and hence any shard slicing).
+  const std::size_t shards =
+      (nodes_.size() + shard_machines_ - 1) / shard_machines_;
+  auto step_shard = [&](std::size_t b) {
+    const std::size_t end =
+        std::min(nodes_.size(), (b + 1) * shard_machines_);
+    for (std::size_t i = b * shard_machines_; i < end; ++i) {
       Node& node = nodes_[i];
       sim::Machine& machine = *node.machine;
       while (machine.time_sec() < epoch_end - kEps) {
         const double interval = std::max(node.policy->interval_sec(),
                                          config_.machine.quantum_sec);
-        batch.run_until(k, std::min(machine.time_sec() + interval, epoch_end));
+        machine.run_until(std::min(machine.time_sec() + interval, epoch_end));
         node.policy->act(node.ctx);
       }
       fill_epoch_stat(i);
     }
   };
-  if (!pool_ || batches_.size() <= 1) {
-    for (std::size_t b = 0; b < batches_.size(); ++b) step_batch(b);
+  if (!pool_ || shards <= 1) {
+    for (std::size_t b = 0; b < shards; ++b) step_shard(b);
   } else {
-    util::parallel_for(*pool_, batches_.size(), step_batch);
+    util::parallel_for(*pool_, shards, step_shard);
   }
 }
 

@@ -13,10 +13,10 @@
 //      -> SLO-triggered migrations -> arrivals, each arrival decided by the
 //      PlacementEngine off the PlacementIndex and committed (index, then
 //      machine) before the next one is looked at
-//   2. data plane: every machine steps to the epoch boundary, sharded
-//      across a util::ThreadPool — machine i is task i, machines never
-//      interact mid-epoch, so any worker count replays the serial fleet
-//      bit-for-bit
+//   2. data plane: every machine steps to the epoch boundary through
+//      Machine::run_until, in contiguous shards of machines spread across a
+//      util::ThreadPool — machines never interact mid-epoch, so any worker
+//      count replays the serial fleet bit-for-bit
 //   3. reduction (single-threaded, machine-index order): each shard left a
 //      MachineEpochStat (EFU / HP QoS / link rho from telemetry deltas) in
 //      its machine's slot; the fold walks them in index order into one
@@ -149,7 +149,7 @@ class Cluster {
   /// Builds num_machines booted machines (HP attached, policy set up).
   /// `catalog` must outlive the cluster. Throws std::invalid_argument on
   /// a nonsensical config (no machines, cores out of range, epoch shorter
-  /// than a quantum).
+  /// than a quantum, slo_norm outside (0, 1]).
   Cluster(const FleetConfig& config, const sim::AppCatalog& catalog);
   ~Cluster();
 
@@ -277,14 +277,10 @@ class Cluster {
   /// (reset every reduction; independent of config.metrics).
   telemetry::Histogram epoch_efu_hist_;
   telemetry::Histogram epoch_slowdown_hist_;
-  /// Persistent data-plane batches over contiguous machine ranges; batch b
-  /// covers machines [batch_start_[b], batch_start_[b] + batches_[b]->size())
-  /// and lane k of batch b is machine batch_start_[b] + k. Sized at boot,
-  /// ~4 batches per worker (clamp(N / (jobs * 4), 1, 32) machines each).
-  /// Declared after nodes_ so the batches are destroyed first and can
-  /// unhook their shared phase tables from the machines.
-  std::vector<std::unique_ptr<sim::MachineBatch>> batches_;
-  std::vector<std::size_t> batch_start_;
+  /// Machines per data-plane step shard: shard b steps machines
+  /// [b * shard_machines_, (b + 1) * shard_machines_), ~4 shards per worker
+  /// (clamp(N / (jobs * 4), 1, 32)).
+  std::size_t shard_machines_ = 1;
 };
 
 }  // namespace dicer::fleet

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "rdt/capability.hpp"
-#include "sim/machine_batch.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -42,58 +41,56 @@ std::vector<metrics::IpcPair> ConsolidationResult::ipc_pairs(
 
 namespace {
 
-void check_cores(unsigned cores_used, const ConsolidationConfig& config,
-                 const char* who) {
-  if (cores_used < 2 || cores_used > config.machine.num_cores) {
-    throw std::invalid_argument(std::string(who) +
-                                ": cores_used must be in [2, machine cores]");
-  }
-}
-
 /// One consolidation's platform: the machine, its RDT surface and the
 /// policy context, HP attached to core 0 and a BE to every other used core.
-struct Lane {
+struct Platform {
   std::unique_ptr<sim::Machine> machine;
   std::unique_ptr<rdt::CatController> cat;
   std::unique_ptr<rdt::Monitor> monitor;
   std::unique_ptr<rdt::MbaController> mba;
   policy::PolicyContext ctx;
-  unsigned batch_lane = 0;  ///< index in the MachineBatch
 };
 
-Lane make_lane(const sim::AppProfile& hp, const sim::AppProfile& be,
-               unsigned cores_used, const ConsolidationConfig& config) {
-  Lane ls;
+Platform make_platform(const sim::AppProfile& hp, const sim::AppProfile& be,
+                       const ConsolidationConfig& config) {
+  Platform pf;
   sim::MachineConfig machine_config = config.machine;
   if (!machine_config.tracer) machine_config.tracer = config.tracer;
-  ls.machine = std::make_unique<sim::Machine>(machine_config);
-  const auto cap = rdt::Capability::probe(*ls.machine, config.enable_mba);
-  ls.cat = std::make_unique<rdt::CatController>(*ls.machine, cap);
-  ls.monitor = std::make_unique<rdt::Monitor>(*ls.machine, cap, config.tracer);
+  pf.machine = std::make_unique<sim::Machine>(machine_config);
+  const auto cap = rdt::Capability::probe(*pf.machine, config.enable_mba);
+  pf.cat = std::make_unique<rdt::CatController>(*pf.machine, cap);
+  pf.monitor = std::make_unique<rdt::Monitor>(*pf.machine, cap, config.tracer);
   if (config.enable_mba) {
-    ls.mba = std::make_unique<rdt::MbaController>(*ls.machine, cap);
+    pf.mba = std::make_unique<rdt::MbaController>(*pf.machine, cap);
   }
-  ls.ctx.machine = ls.machine.get();
-  ls.ctx.cat = ls.cat.get();
-  ls.ctx.monitor = ls.monitor.get();
-  ls.ctx.mba = ls.mba.get();
-  ls.ctx.hp_core = 0;
-  ls.ctx.tracer = config.tracer;
-  for (unsigned c = 1; c < cores_used; ++c) ls.ctx.be_cores.push_back(c);
-  ls.machine->attach(ls.ctx.hp_core, &hp);
-  for (unsigned c : ls.ctx.be_cores) ls.machine->attach(c, &be);
-  return ls;
+  pf.ctx.machine = pf.machine.get();
+  pf.ctx.cat = pf.cat.get();
+  pf.ctx.monitor = pf.monitor.get();
+  pf.ctx.mba = pf.mba.get();
+  pf.ctx.hp_core = 0;
+  pf.ctx.tracer = config.tracer;
+  for (unsigned c = 1; c < config.cores_used; ++c) {
+    pf.ctx.be_cores.push_back(c);
+  }
+  pf.machine->attach(pf.ctx.hp_core, &hp);
+  for (unsigned c : pf.ctx.be_cores) pf.machine->attach(c, &be);
+  return pf;
 }
 
-/// Drive a lane's policy control loop to completion and assemble its
-/// result, advancing the lane's machine through `batch`.
-ConsolidationResult drive_lane(Lane& ls, sim::MachineBatch& batch,
-                               const sim::AppProfile& hp,
-                               const sim::AppProfile& be,
-                               policy::Policy& policy, unsigned cores_used,
-                               const ConsolidationConfig& config) {
+}  // namespace
+
+ConsolidationResult run_consolidation(const sim::AppProfile& hp,
+                                      const sim::AppProfile& be,
+                                      policy::Policy& policy,
+                                      const ConsolidationConfig& config) {
+  const unsigned cores_used = config.cores_used;
+  if (cores_used < 2 || cores_used > config.machine.num_cores) {
+    throw std::invalid_argument(
+        "run_consolidation: cores_used must be in [2, machine cores]");
+  }
+  Platform pf = make_platform(hp, be, config);
   trace::ScopedTimer run_timer("harness.run_consolidation", config.tracer);
-  sim::Machine& machine = *ls.machine;
+  sim::Machine& machine = *pf.machine;
   auto& tr = trace::resolve(config.tracer);
   if (tr.enabled(trace::Kind::kRunBegin)) {
     tr.emit(trace::Kind::kRunBegin, machine.time_sec(),
@@ -103,7 +100,7 @@ ConsolidationResult drive_lane(Lane& ls, sim::MachineBatch& batch,
              {"cores", cores_used}});
   }
 
-  policy.setup(ls.ctx);
+  policy.setup(pf.ctx);
 
   // Drive the policy's control loop until everyone has completed at least
   // one full run (paper §4.1) and the minimum window has elapsed, or the
@@ -114,16 +111,16 @@ ConsolidationResult drive_lane(Lane& ls, sim::MachineBatch& batch,
   for (;;) {
     const double interval =
         std::max(policy.interval_sec(), config.machine.quantum_sec);
-    batch.run_for(ls.batch_lane, interval);
+    machine.run_for(interval);
     rho_integral +=
         std::min(machine.last_link_utilisation(), 1.0) *
         (machine.time_sec() - t_prev);
     t_prev = machine.time_sec();
-    policy.act(ls.ctx);
+    policy.act(pf.ctx);
 
     const double t = machine.time_sec();
-    bool everyone_done = machine.telemetry(ls.ctx.hp_core).completions > 0;
-    for (unsigned c : ls.ctx.be_cores) {
+    bool everyone_done = machine.telemetry(pf.ctx.hp_core).completions > 0;
+    for (unsigned c : pf.ctx.be_cores) {
       everyone_done = everyone_done && machine.telemetry(c).completions > 0;
     }
     if (everyone_done && t >= config.min_window_sec) break;
@@ -132,17 +129,17 @@ ConsolidationResult drive_lane(Lane& ls, sim::MachineBatch& batch,
       break;
     }
   }
-  policy.teardown(ls.ctx);
+  policy.teardown(pf.ctx);
 
   ConsolidationResult res;
   res.policy = policy.name();
   res.window_sec = machine.time_sec();
   res.window_capped = capped;
-  const auto& hp_tel = machine.telemetry(ls.ctx.hp_core);
+  const auto& hp_tel = machine.telemetry(pf.ctx.hp_core);
   res.hp_ipc = hp_tel.instructions / hp_tel.active_cycles;
   res.hp_completions = hp_tel.completions;
   double be_sum = 0.0;
-  for (unsigned c : ls.ctx.be_cores) {
+  for (unsigned c : pf.ctx.be_cores) {
     const auto& tel = machine.telemetry(c);
     const double ipc = tel.instructions / tel.active_cycles;
     res.be_ipcs.push_back(ipc);
@@ -173,50 +170,6 @@ ConsolidationResult drive_lane(Lane& ls, sim::MachineBatch& batch,
   return res;
 }
 
-}  // namespace
-
-ConsolidationResult run_consolidation(const sim::AppProfile& hp,
-                                      const sim::AppProfile& be,
-                                      policy::Policy& policy,
-                                      const ConsolidationConfig& config) {
-  check_cores(config.cores_used, config, "run_consolidation");
-  return std::move(
-      run_consolidation_batch({{&hp, &be, &policy, config.cores_used}},
-                              config)[0]);
-}
-
-std::vector<ConsolidationResult> run_consolidation_batch(
-    const std::vector<BatchConsolidationTask>& tasks,
-    const ConsolidationConfig& base) {
-  for (const auto& t : tasks) {
-    if (!t.hp || !t.be || !t.policy) {
-      throw std::invalid_argument(
-          "run_consolidation_batch: task missing hp/be/policy");
-    }
-    check_cores(t.cores_used, base, "run_consolidation_batch");
-  }
-  // Lanes are declared before the batch so the batch (which unhooks its
-  // shared phase table from every machine on destruction) dies first.
-  // Every lane is built before any runs, so each lane's policy sees the
-  // same pristine time-0 machine it would serially.
-  std::vector<Lane> lanes;
-  sim::MachineBatch batch;
-  lanes.reserve(tasks.size());
-  for (const auto& t : tasks) {
-    lanes.push_back(make_lane(*t.hp, *t.be, t.cores_used, base));
-    lanes.back().batch_lane = batch.add(*lanes.back().machine);
-  }
-
-  std::vector<ConsolidationResult> out;
-  out.reserve(tasks.size());
-  for (std::size_t k = 0; k < tasks.size(); ++k) {
-    const BatchConsolidationTask& t = tasks[k];
-    out.push_back(drive_lane(lanes[k], batch, *t.hp, *t.be, *t.policy,
-                             t.cores_used, base));
-  }
-  return out;
-}
-
 unsigned resolve_sweep_jobs(unsigned requested) {
   return util::ThreadPool::resolve_jobs(requested, "DICER_SWEEP_JOBS");
 }
@@ -227,24 +180,22 @@ void run_consolidation_grid(const std::vector<GridCell>& cells,
                             const ConsolidationConfig& base, unsigned jobs,
                             const char* label) {
   jobs = resolve_sweep_jobs(jobs);
-  // Consecutive cells go through one MachineBatch, whose phase table dedups
-  // across lanes that share an app.
   const std::size_t n_chunks =
       (cells.size() + kGridChunkCells - 1) / kGridChunkCells;
   std::atomic<std::size_t> finished{0};
   auto eval_chunk = [&](std::size_t chunk) {
     const std::size_t begin = chunk * kGridChunkCells;
     const std::size_t end = std::min(begin + kGridChunkCells, cells.size());
+    // Every policy is built before any cell runs, so a failing build
+    // aborts its whole chunk.
     std::vector<std::unique_ptr<policy::Policy>> policies;
-    std::vector<BatchConsolidationTask> tasks;
+    for (std::size_t i = begin; i < end; ++i) policies.push_back(make_policy(i));
+    ConsolidationConfig config = base;
     for (std::size_t i = begin; i < end; ++i) {
-      policies.push_back(make_policy(i));
       const GridCell& c = cells[i];
-      tasks.push_back({c.hp, c.be, policies.back().get(), c.cores_used});
-    }
-    const auto results = run_consolidation_batch(tasks, base);
-    for (std::size_t i = begin; i < end; ++i) {
-      done(i, results[i - begin], *policies[i - begin]);
+      policy::Policy& policy = *policies[i - begin];
+      config.cores_used = c.cores_used;
+      done(i, run_consolidation(*c.hp, *c.be, policy, config), policy);
     }
     const std::size_t n = end - begin;
     const std::size_t d = finished.fetch_add(n, std::memory_order_relaxed) + n;

@@ -52,32 +52,14 @@ struct ConsolidationResult {
 };
 
 /// Run one consolidation of `hp` + (cores_used-1) x `be` under `policy`:
-/// a one-task run_consolidation_batch.
+/// a fresh machine advanced one policy interval at a time through
+/// Machine::run_for (whose bulk replay commits carry the settled
+/// stretches), the policy acting between intervals. Throws
+/// std::invalid_argument unless cores_used is in [2, machine cores].
 ConsolidationResult run_consolidation(const sim::AppProfile& hp,
                                       const sim::AppProfile& be,
                                       policy::Policy& policy,
                                       const ConsolidationConfig& config = {});
-
-/// One lane of a batched consolidation run. `policy` is caller-owned and
-/// must be a distinct instance per task (policies carry per-run state);
-/// `cores_used` overrides base.cores_used for this lane.
-struct BatchConsolidationTask {
-  const sim::AppProfile* hp = nullptr;
-  const sim::AppProfile* be = nullptr;
-  policy::Policy* policy = nullptr;
-  unsigned cores_used = 10;
-};
-
-/// Run every task's consolidation through one sim::MachineBatch: the lanes
-/// share a deduplicated phase-constant table and each lane's steady-state
-/// quanta take the batched fused-replay path. Every ConsolidationResult is
-/// byte-identical to running its task alone — batching changes the wall
-/// clock, never a result bit. Machines are
-/// stepped lane-major, one lane's control loop run to completion before
-/// the next starts.
-std::vector<ConsolidationResult> run_consolidation_batch(
-    const std::vector<BatchConsolidationTask>& tasks,
-    const ConsolidationConfig& base = {});
 
 /// Resolve a requested worker count: 0 consults $DICER_SWEEP_JOBS, then
 /// falls back to hardware concurrency; the result is always >= 1.
@@ -100,13 +82,14 @@ using GridPolicyFactory =
 using GridCellDone = std::function<void(
     std::size_t, const ConsolidationResult&, const policy::Policy&)>;
 
-/// Consecutive cells per run_consolidation_batch chunk of a grid.
+/// Consecutive cells per pool task of a grid.
 inline constexpr std::size_t kGridChunkCells = 8;
 
 /// Evaluate a grid of independent consolidations — the one engine of the
 /// baseline study, the policy sweep and the DICER ablation. Chunks of
-/// kGridChunkCells consecutive cells run through run_consolidation_batch
-/// on `jobs` pool workers (0 = resolve_sweep_jobs). Every cell's result is
+/// kGridChunkCells consecutive cells run on `jobs` pool workers
+/// (0 = resolve_sweep_jobs): a chunk builds its policies, then calls
+/// run_consolidation once per cell, in order. Every cell's result is
 /// byte-identical for any worker count. The first failing cell's exception
 /// (in cell order) is rethrown; in parallel, after every chunk has
 /// finished. Progress is logged at info level under `label`.

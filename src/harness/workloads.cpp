@@ -143,8 +143,7 @@ BaselineStudy baseline_study(const sim::AppCatalog& catalog,
         solo_steady_state(p, config.machine.llc.ways, config.machine).ipc;
   }
 
-  // Pair-major cells, UM then CT for each (hp, be): a chunk's lanes share
-  // one HP row, so the batch's phase table dedups across them.
+  // Pair-major cells, UM then CT for each (hp, be).
   BaselineStudy study;
   study.config = config;
   study.entries.reserve(catalog.size() * catalog.size());

@@ -39,10 +39,6 @@ AppRuntime::AppRuntime(const AppProfile* profile) : profile_(profile) {
   }
 }
 
-const AppPhase& AppRuntime::current_phase() const noexcept {
-  return profile_->phases[phase_];
-}
-
 unsigned AppRuntime::advance_slow(double instructions) {
   unsigned completed = 0;
   retired_total_ += instructions;

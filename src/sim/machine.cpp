@@ -9,37 +9,28 @@
 
 namespace dicer::sim {
 
-PhaseConst& PhaseConstTable::get(const AppPhase* ph) {
-  const auto [it, inserted] = map_.try_emplace(ph);
-  PhaseConst& pc = it->second;
-  if (!inserted) return pc;
-  pc.sf = ph->mrc.stream_fraction();
-  pc.one_minus_sf = 1.0 - pc.sf;
-  pc.floor_m = ph->mrc.floor();
-  pc.span_m = std::max(ph->mrc.ceiling() - pc.floor_m, 1e-9);
-  const auto& comps = ph->mrc.components();
+void PhaseConst::build(const AppPhase& ph) {
+  phase = &ph;
+  sf = ph.mrc.stream_fraction();
+  one_minus_sf = 1.0 - sf;
+  floor_m = ph.mrc.floor();
+  span_m = std::max(ph.mrc.ceiling() - floor_m, 1e-9);
+  wfrac.clear();
+  const auto& comps = ph.mrc.components();
   double wsum = 0.0;
   for (const auto& c : comps) wsum += c.weight;
   if (wsum > 0.0) {
-    pc.wfrac.reserve(comps.size());
-    pc.ws.reserve(comps.size());
-    for (const auto& c : comps) {
-      pc.wfrac.push_back(c.weight / wsum);
-      pc.ws.push_back(c.ws_bytes);
-    }
+    for (const auto& c : comps) wfrac.push_back(c.weight / wsum);
   }
-  return pc;
+  memo_occ = -1.0;
+  memo_miss = 1.0;
 }
 
 namespace {
 
-/// The damped fixed point over one lane's active set, operating on the
-/// lane's flat scratch arrays in place. Pure code motion from
-/// Machine::solve_quantum (identical operations in identical order, so the
-/// floating-point results are bit-for-bit unchanged), parameterised on the
-/// lane state so a lone machine and a batch lane share one implementation.
-/// Returns true iff the final round reproduced every IPS bit-exactly;
-/// `rounds_used` reports how many rounds ran.
+/// The damped fixed point over the active set, operating on the flat
+/// scratch arrays in place. Returns true iff the final round reproduced
+/// every IPS bit-exactly; `rounds_used` reports how many rounds ran.
 bool solve_fixed_point(const MachineConfig& config,
                        const std::vector<CacheRegion>& regions,
                        MemoryLink& link,
@@ -57,15 +48,15 @@ bool solve_fixed_point(const MachineConfig& config,
     //    proportional to its miss-mass weight.
     for (std::size_t i = 0; i < n; ++i) {
       const AppPhase& ph = *s.phase[i];
-      const PhaseConst& pc = *s.pc[i];
+      const PhaseConst& pc = s.pc[i];
       const double touch = ph.api * s.ips[i] * line;
       auto& cd = s.cache_demand[i];
-      const std::size_t comps = pc.wfrac.size();
-      cd.reuse.resize(comps);
-      for (std::size_t j = 0; j < comps; ++j) {
+      const auto& comps = ph.mrc.components();
+      cd.reuse.resize(pc.wfrac.size());
+      for (std::size_t j = 0; j < pc.wfrac.size(); ++j) {
         cd.reuse[j].rate_bytes_per_sec =
             touch * pc.one_minus_sf * pc.wfrac[j];
-        cd.reuse[j].footprint_bytes = pc.ws[j];
+        cd.reuse[j].footprint_bytes = comps[j].ws_bytes;
       }
       cd.stream_bytes_per_sec = touch * pc.sf;
     }
@@ -74,12 +65,17 @@ bool solve_fixed_point(const MachineConfig& config,
 
     // 2. Miss ratios and bandwidth demand. Occupancies repeat across
     //    rounds/quanta in steady state, so each core memoises its last
-    //    (occupancy, miss) evaluation.
+    //    (occupancy, miss) evaluation; neighbours running the same phase
+    //    at the same occupancy (a consolidation's identical BEs) share
+    //    one evaluation.
     for (std::size_t i = 0; i < n; ++i) {
-      PhaseConst& pc = *s.pc[i];
+      PhaseConst& pc = s.pc[i];
       if (s.occ[i] != pc.memo_occ) {
         pc.memo_occ = s.occ[i];
-        pc.memo_miss = s.phase[i]->mrc.at(s.occ[i]);
+        pc.memo_miss = i > 0 && s.phase[i] == s.phase[i - 1] &&
+                               s.occ[i] == s.occ[i - 1]
+                           ? s.miss[i - 1]
+                           : s.phase[i]->mrc.at(s.occ[i]);
       }
       s.miss[i] = pc.memo_miss;
       s.demand[i] = s.phase[i]->api * s.miss[i] * s.ips[i] * line *
@@ -104,7 +100,7 @@ bool solve_fixed_point(const MachineConfig& config,
     bool round_stable = true;
     for (std::size_t i = 0; i < n; ++i) {
       const AppPhase& ph = *s.phase[i];
-      const PhaseConst& pc = *s.pc[i];
+      const PhaseConst& pc = s.pc[i];
       // Cache starvation serialises reuse misses: degrade MLP with the
       // excess miss ratio above the app's best case.
       const double excess =
@@ -172,6 +168,7 @@ std::uint64_t SolverStats::total_rounds() const noexcept {
 
 Machine::Machine(const MachineConfig& config)
     : config_(config),
+      tracer_(&trace::resolve(config.tracer)),
       apps_(config.num_cores),
       masks_(config.num_cores, WayMask::full(config.llc.ways)),
       mem_throttle_(config.num_cores, 1.0),
@@ -209,6 +206,7 @@ void Machine::invalidate_regions() noexcept {
 void Machine::invalidate_solve() noexcept {
   if (solve_cache_.armed) {
     solve_cache_.armed = false;
+    solve_cache_.budget = 0;
     ++stats_.invalidations_actuator;
   }
 }
@@ -264,12 +262,6 @@ const AppRuntime& Machine::runtime(unsigned core) const {
   return *apps_[core];
 }
 
-AppRuntime& Machine::runtime(unsigned core) {
-  check_core(core);
-  if (!apps_[core]) throw std::logic_error("Machine::runtime: core is idle");
-  return *apps_[core];
-}
-
 void Machine::set_fill_mask(unsigned core, WayMask mask) {
   check_core(core);
   if (mask.empty()) {
@@ -318,54 +310,48 @@ void Machine::step() {
   const double freq = config_.freq_hz;
   auto& s = scratch_;
 
-  // Collect active cores.
-  s.active.clear();
-  for (unsigned c = 0; c < config_.num_cores; ++c) {
-    if (apps_[c]) s.active.push_back(c);
-  }
   time_sec_ += dt;
-  if (s.active.empty()) return;
 
-  const std::size_t n = s.active.size();
-  ++stats_.quanta;
-
-  // Current phase per active core — both the replay fingerprint and the
-  // solve key off it. (An app that completed and restarted into the same
-  // phase is the same solver input: the solve depends on the phase, not on
-  // the position within it.)
-  s.phase.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    s.phase.push_back(&apps_[s.active[i]]->current_phase());
+  // While armed, no actuator has run since the arming solve (attach,
+  // detach, masks and throttles disarm), so s.active still lists the
+  // active cores and s.phase holds the phases that solve was computed for:
+  // the replay fingerprint. (An app that completed and restarted into the
+  // same phase is the same solver input: the solve depends on the phase,
+  // not on the position within it.)
+  bool replayed = solve_cache_.armed;
+  for (std::size_t i = 0; replayed && i < s.active.size(); ++i) {
+    replayed = &apps_[s.active[i]]->current_phase() == s.phase[i];
   }
-
-  bool replayed = false;
-  if (solve_cache_.armed) {
-    if (s.active == solve_cache_.active && s.phase == solve_cache_.phase) {
-      // Identical inputs, and the previous solve ended on a round that
-      // reproduced every IPS bit-exactly: re-running the fixed point would
-      // retrace that round and change nothing, so the scratch state
-      // (ips/occ/arbitration) and last_rho_/last_traffic_ already hold this
-      // quantum's exact solution. Only progress and telemetry move.
-      replayed = true;
-      ++stats_.replays;
-    } else {
+  if (replayed) {
+    // Identical inputs, and the previous solve ended on a round that
+    // reproduced every IPS bit-exactly: re-running the fixed point would
+    // retrace that round and change nothing, so the scratch state
+    // (ips/occ/arbitration) and last_rho_/last_traffic_ already hold this
+    // quantum's exact solution. Only progress and telemetry move.
+    ++stats_.replays;
+  } else {
+    if (solve_cache_.armed) {
       solve_cache_.armed = false;
       ++stats_.invalidations_fingerprint;
     }
-  }
-
-  if (!replayed) {
-    const bool stable = solve_quantum();
+    s.active.clear();
+    for (unsigned c = 0; c < config_.num_cores; ++c) {
+      if (apps_[c]) s.active.push_back(c);
+    }
+    if (s.active.empty()) return;
+    s.phase.clear();
+    for (const unsigned core : s.active) {
+      s.phase.push_back(&apps_[core]->current_phase());
+    }
+    solve_cache_.armed = solve_quantum();
     last_rho_ = s.arb.raw_utilisation;
     last_traffic_ = s.arb.total_achieved_bytes_per_sec;
-    if (stable) {
-      solve_cache_.armed = true;
-      solve_cache_.active = s.active;
-      solve_cache_.phase = s.phase;
-    }
   }
+  ++stats_.quanta;
+  const std::size_t n = s.active.size();
 
   // Commit the quantum.
+  bool restarted = false;
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned core = s.active[i];
     auto& tel = telemetry_[core];
@@ -378,9 +364,23 @@ void Machine::step() {
     tel.completions += completed;
     tel.last_quantum_ipc = s.ips[i] / freq;
     ips_seed_[core] = s.ips[i];
+    restarted = restarted || completed > 0;
+  }
+  // A replayed quantum spends one quantum of the budget. A fresh budget is
+  // earned from the post-commit state when the cache was just armed, or
+  // when a spent budget's limiting app restarted its run — the one way
+  // back into the phase the solve was computed for. Until then a
+  // recomputed budget would be 0 anyway.
+  auto& budget = solve_cache_.budget;
+  if (!solve_cache_.armed) {
+    budget = 0;
+  } else if (replayed && budget > 0) {
+    --budget;
+  } else if (!replayed || restarted) {
+    budget = replay_budget();
   }
 
-  auto& tr = trace::resolve(config_.tracer);
+  auto& tr = *tracer_;
   if (tr.enabled(trace::Kind::kQuantum)) {
     std::vector<trace::Field> fields;
     fields.reserve(2 + 2 * n);
@@ -402,14 +402,12 @@ bool Machine::solve_quantum() {
   const double freq = config_.freq_hz;
   refresh_regions();
 
-  // A null check, not a self-pointer, so a moved Machine stays valid.
-  PhaseConstTable& phases = shared_phases_ ? *shared_phases_ : own_phases_;
-  s.pc.clear();
+  if (s.pc.size() < n) s.pc.resize(n);
   s.ips.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned core = s.active[i];
     const AppPhase* ph = s.phase[i];
-    s.pc.push_back(&phases.get(ph));
+    if (s.pc[i].phase != ph) s.pc[i].build(*ph);
 
     // Warm-started state.
     const double seed = ips_seed_[core];
@@ -440,16 +438,102 @@ bool Machine::solve_quantum() {
   return stable;
 }
 
+std::uint64_t Machine::replay_budget() const {
+  const auto& s = scratch_;
+  const double dt = config_.quantum_sec;
+  std::uint64_t budget = UINT64_MAX;  // armed, so at least one slot
+  for (std::size_t i = 0; i < s.active.size(); ++i) {
+    const AppRuntime& rt = *apps_[s.active[i]];
+    if (&rt.current_phase() != s.phase[i]) return 0;
+    const double instr = s.ips[i] * dt;
+    const double remaining = rt.phase_remaining();
+    std::uint64_t safe_quanta = 0;
+    if (instr > 0.0 && remaining > instr) {
+      const double safe = std::floor(remaining / instr) - 2.0;
+      if (safe > 0.0) safe_quanta = static_cast<std::uint64_t>(safe);
+    }
+    budget = std::min(budget, safe_quanta);
+  }
+  return budget;
+}
+
+void Machine::commit_replayed(std::uint64_t quanta) {
+  const auto& s = scratch_;
+  const double dt = config_.quantum_sec;
+  const double cycles = config_.freq_hz * dt;
+  double t = time_sec_;
+  for (std::uint64_t q = 0; q < quanta; ++q) t += dt;
+  time_sec_ = t;
+  stats_.quanta += quanta;
+  stats_.replays += quanta;
+  solve_cache_.budget -= quanta;
+  // While armed, scratch holds the arming solve, indexed like `active`:
+  // these are the products a replayed step() forms every quantum. Inside
+  // the budget advance() takes its within-phase path, two additions and
+  // no completion. Strict FP semantics keep the compiler from
+  // reassociating the chains, so every committed bit matches.
+  for (std::size_t i = 0; i < s.active.size(); ++i) {
+    const unsigned core = s.active[i];
+    AppRuntime& rt = *apps_[core];
+    CoreTelemetry& tel = telemetry_[core];
+    const double instr = s.ips[i] * dt;
+    const double dbytes = s.arb.achieved_bytes_per_sec[i] * dt;
+    double retired = rt.retired_total_;
+    double into = rt.into_phase_;
+    double t_instr = tel.instructions;
+    double t_cyc = tel.active_cycles;
+    double t_mem = tel.mem_bytes;
+    for (std::uint64_t q = 0; q < quanta; ++q) {
+      retired += instr;
+      into += instr;
+      t_instr += instr;
+      t_cyc += cycles;
+      t_mem += dbytes;
+    }
+    rt.retired_total_ = retired;
+    rt.into_phase_ = into;
+    tel.instructions = t_instr;
+    tel.active_cycles = t_cyc;
+    tel.mem_bytes = t_mem;
+  }
+}
+
 void Machine::run_for(double seconds) {
-  const auto quanta = static_cast<std::uint64_t>(
-      std::ceil(seconds / config_.quantum_sec - 1e-9));
-  for (std::uint64_t q = 0; q < std::max<std::uint64_t>(quanta, 1); ++q) {
-    step();
+  const double dt = config_.quantum_sec;
+  const auto quanta = std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(seconds / dt - 1e-9)), 1);
+  // A kQuantum subscriber needs every quantum's event from step().
+  const bool bulk = !tracer_->enabled(trace::Kind::kQuantum);
+  for (std::uint64_t done = 0; done < quanta;) {
+    if (bulk && solve_cache_.budget > 0) {
+      const std::uint64_t k = std::min(solve_cache_.budget, quanta - done);
+      commit_replayed(k);
+      done += k;
+    } else {
+      step();
+      ++done;
+    }
   }
 }
 
 void Machine::run_until(double t_sec) {
-  while (time_sec_ < t_sec - 1e-9) step();
+  const bool bulk = !tracer_->enabled(trace::Kind::kQuantum);
+  while (time_sec_ < t_sec - 1e-9) {
+    if (bulk && solve_cache_.budget > 0) {
+      // Quanta left to the boundary, less the budget's 2-quantum margin:
+      // undershooting is harmless (the tail is stepped against the exact
+      // condition), and the margin rules out overshooting despite the
+      // rounding accumulated in time_sec_.
+      const double est =
+          std::floor((t_sec - 1e-9 - time_sec_) / config_.quantum_sec);
+      if (est > 2.0) {
+        commit_replayed(std::min(solve_cache_.budget,
+                                 static_cast<std::uint64_t>(est - 2.0)));
+        continue;
+      }
+    }
+    step();
+  }
 }
 
 }  // namespace dicer::sim

@@ -16,7 +16,12 @@
 // because occupancy depends on IPS (pressure), IPS depends on latency,
 // and latency depends on everyone's bandwidth, which depends on IPS.
 // The loop warm-starts from the previous quantum and converges in a few
-// damped rounds.
+// damped rounds. A solve whose last round reproduces every IPS bit-exactly
+// arms a replay cache: later quanta with the same active apps in the same
+// phases reuse its solution without solving. run_for/run_until also commit
+// whole stretches of replayed quanta that provably stay inside every app's
+// phase in one bulk pass (DESIGN.md §5e); every other quantum goes through
+// step(), the reference path, and the results are bit-identical either way.
 //
 // The Machine knows nothing about policies or priorities: it exposes
 // exactly the actuator CAT has (a fill mask per core) and the observables
@@ -26,7 +31,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/cache/occupancy_model.hpp"
@@ -114,49 +118,35 @@ struct CoreTelemetry {
   double last_quantum_ipc = 0.0; ///< diagnostic convenience
 };
 
-/// Per-phase constants hoisted out of the fixed-point rounds: built once
-/// per distinct phase, not once per round of every quantum. All fields but
-/// the memo pair are pure functions of the phase, which is what lets every
-/// core (and every MachineBatch lane) running it share one PhaseConst.
+/// Per-phase constants hoisted out of the fixed-point rounds: built when a
+/// solve slot's phase changes, not once per round of every quantum. All
+/// fields but the memo pair are pure functions of the phase; the memo pair
+/// is value-safe too, because mrc.at() is pure — a refreshed memo
+/// reproduces the exact value any other slot would compute.
 struct PhaseConst {
+  const AppPhase* phase = nullptr;  ///< the phase these were built from
   double sf = 0.0;            ///< mrc.stream_fraction()
   double one_minus_sf = 1.0;  ///< 1 - sf, as the demand split computes it
   double floor_m = 0.0;       ///< mrc.floor()
   double span_m = 1e-9;       ///< max(mrc.ceiling() - floor, 1e-9)
   std::vector<double> wfrac;  ///< weight_j / sum(weights); empty if sum<=0
-  std::vector<double> ws;     ///< component working-set bytes (with wfrac)
   double memo_occ = -1.0;     ///< last mrc.at() argument
   double memo_miss = 1.0;     ///< and its value (occupancies repeat in
                               ///< steady state; at() is pow-heavy)
-};
 
-/// Deduplicated PhaseConst storage keyed by phase identity. A machine
-/// resolves through its own table, or through its MachineBatch's shared one
-/// while enrolled, so N lanes running the same app build (and keep hot) one
-/// PhaseConst per distinct phase instead of one per core per machine. The
-/// memo pair is value-safe to share — mrc.at() is pure, so a memo refresh
-/// from any core or lane reproduces the exact value every other would
-/// compute. Node-based map: references stay stable across inserts.
-/// Not thread-safe; a machine or batch (and thus its table) is driven by
-/// one thread at a time.
-class PhaseConstTable {
- public:
-  /// The shared PhaseConst for `phase`, built on first use.
-  PhaseConst& get(const AppPhase* phase);
-  std::size_t size() const noexcept { return map_.size(); }
-
- private:
-  std::unordered_map<const AppPhase*, PhaseConst> map_;
+  /// Rebuild every field for `ph` (reusing the vectors' storage).
+  void build(const AppPhase& ph);
 };
 
 /// Buffers reused across quanta so the steady-state step() performs no
-/// heap allocation. Sized to the active-app count each step; one lane's
-/// arrays are the flat per-slot state the fixed point iterates over.
+/// heap allocation. Sized to the active-app count each step: slot i holds
+/// the i-th active core's solver state, and pc[i] its phase constants
+/// (kept across quanta, rebuilt when the slot's phase changes).
 struct StepScratch {
   std::vector<unsigned> active;
   std::vector<WayMask> active_masks;
   std::vector<const AppPhase*> phase;
-  std::vector<PhaseConst*> pc;
+  std::vector<PhaseConst> pc;
   std::vector<double> ips;
   std::vector<double> occ;
   std::vector<double> miss;
@@ -165,8 +155,6 @@ struct StepScratch {
   LinkArbitration arb;
   OccupancyScratch occupancy;
 };
-
-class MachineBatch;
 
 class Machine {
  public:
@@ -185,9 +173,9 @@ class Machine {
   /// the previous one's partition.
   void detach(unsigned core);
   bool occupied(unsigned core) const;
-  /// The runtime of the app on `core`; throws if none.
+  /// The runtime of the app on `core`; throws if none. Read-only: an app
+  /// advances only through the machine's own stepping.
   const AppRuntime& runtime(unsigned core) const;
-  AppRuntime& runtime(unsigned core);
 
   /// CAT actuator: set the fill mask for a core. Must be non-empty and
   /// within the cache's ways. (Contiguity is enforced by rdt::CatController,
@@ -203,10 +191,14 @@ class Machine {
   /// Advance one quantum (config().quantum_sec).
   void step();
   /// Advance by `seconds` in whole quanta (rounds up to >= 1 quantum).
+  /// Bit-identical to calling step() that many times; while the solve
+  /// cache is armed, quanta inside the replay budget are committed in bulk
+  /// (see commit_replayed).
   void run_for(double seconds);
   /// Advance until time_sec() >= t_sec (no-op if already there). Unlike
   /// run_for, never overshoots by a whole interval — the fleet layer uses
-  /// it to land every machine exactly on an epoch boundary.
+  /// it to land every machine exactly on an epoch boundary. Bit-identical
+  /// to the equivalent step() loop, with the same bulk commits.
   void run_until(double t_sec);
 
   const CoreTelemetry& telemetry(unsigned core) const;
@@ -227,17 +219,26 @@ class Machine {
   const SolverStats& solver_stats() const noexcept { return stats_; }
 
  private:
-  /// Fingerprint of the inputs behind the last bit-stable solve. While
-  /// armed, a quantum whose active-core list and per-core phase pointers
-  /// match replays the scratch state (ips/occ/arbitration) verbatim —
+  /// Replay state behind the last bit-stable solve. While armed, a
+  /// quantum whose active apps are all still in the phases scratch_.phase
+  /// records replays the scratch state (ips/occ/arbitration) verbatim —
   /// exact, because a bit-stable solve is a floating-point fixed point and
-  /// re-running it on the same inputs reproduces every bit. Masks and MBA
-  /// throttles need no per-step compare: their actuators disarm the cache
-  /// on any real change.
+  /// re-running it on the same inputs reproduces every bit. The active
+  /// set, masks and MBA throttles need no per-step compare: their
+  /// actuators disarm the cache on any real change.
+  ///
+  /// `budget` counts the quanta every active app can provably advance
+  /// without reaching its phase boundary: the minimum over slots of
+  /// floor(phase_remaining / instructions per quantum) - 2. The 2-quantum
+  /// margin dominates the rounding k additions accumulate, so quanta
+  /// inside the budget need no boundary check and can be committed in
+  /// bulk. It is earned when a step() arms the cache (0 if that quantum's
+  /// own commit crossed into another phase, which must not be replayed),
+  /// spent one per replayed quantum, earned again when a run restarts into
+  /// the solved phase, and zero while disarmed.
   struct SolveCache {
     bool armed = false;
-    std::vector<unsigned> active;
-    std::vector<const AppPhase*> phase;
+    std::uint64_t budget = 0;
   };
 
   void check_core(unsigned core) const;
@@ -248,14 +249,21 @@ class Machine {
   /// result); returns true iff the final round reproduced every IPS
   /// bit-exactly.
   bool solve_quantum();
+  /// The replay budget from the current state (0 if any active app's
+  /// phase differs from the one the armed solve was computed for).
+  std::uint64_t replay_budget() const;
+  /// Commit `quanta` replayed quanta at once (quanta <= the budget). Each
+  /// accumulator takes exactly the additions `quanta` replayed step()s
+  /// make, in the same order — never a multiply, since FP addition does
+  /// not distribute — with the running values held in registers. Writes a
+  /// replayed step() makes with unchanged values (occupancy, last-quantum
+  /// IPC, the IPS seed) are skipped.
+  void commit_replayed(std::uint64_t quanta);
 
-  /// MachineBatch snapshots the scratch/solve-cache state to fuse replayed
-  /// quanta and installs shared_phases_; everything it reads or writes is
-  /// exactly what a serial replayed step() would.
-  friend class MachineBatch;
   friend struct MachineTestPeer;
 
   MachineConfig config_;
+  trace::Tracer* tracer_;  ///< config_.tracer, resolved once
   double time_sec_ = 0.0;
   std::vector<std::optional<AppRuntime>> apps_;
   std::vector<WayMask> masks_;
@@ -265,12 +273,6 @@ class Machine {
   MemoryLink link_;
   double last_rho_ = 0.0;
   double last_traffic_ = 0.0;
-  PhaseConstTable own_phases_;  ///< used while not in a batch
-  /// Batch-shared PhaseConst storage: set by MachineBatch::add, cleared by
-  /// the batch's destructor. While set, solve_quantum resolves PhaseConsts
-  /// through it instead of own_phases_ — same values either way, one copy
-  /// per distinct phase across the whole batch.
-  PhaseConstTable* shared_phases_ = nullptr;
   std::vector<CacheRegion> regions_;     ///< cached decomposition
   bool regions_valid_ = false;
   StepScratch scratch_;

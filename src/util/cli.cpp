@@ -87,6 +87,15 @@ unsigned CliArgs::get_count(const std::string& key, unsigned def, unsigned lo,
   return static_cast<unsigned>(v);
 }
 
+double CliArgs::get_fraction(const std::string& key, double def) const {
+  const double v = get_double(key, def);
+  if (!(v > 0.0 && v <= 1.0)) {
+    throw CliError("invalid value for --" + key + ": '" + get_or(key, "") +
+                   "' (expected a number in (0, 1])");
+  }
+  return v;
+}
+
 bool CliArgs::get_bool(const std::string& key, bool def) const {
   const auto v = get(key);
   if (!v) return def;

@@ -44,6 +44,9 @@ class CliArgs {
   /// negative value included, which a cast to unsigned would wrap.
   unsigned get_count(const std::string& key, unsigned def, unsigned lo = 0,
                      unsigned hi = std::numeric_limits<unsigned>::max()) const;
+  /// Fraction flag in (0, 1] (an SLO, a share): returns `def` when
+  /// absent/empty, throws CliError naming the flag for anything outside.
+  double get_fraction(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 
   /// Non-flag positional arguments in order.

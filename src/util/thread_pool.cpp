@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <string>
 
 #include "util/log.hpp"
 
@@ -32,7 +33,19 @@ unsigned ThreadPool::hardware_workers() noexcept {
 }
 
 unsigned ThreadPool::resolve_jobs(unsigned requested, const char* env_var) {
-  if (requested != 0) return requested;
+  // More workers than 4x the hardware threads only adds contention;
+  // clamp (loudly) instead of oversubscribing by orders of magnitude.
+  const unsigned long cap = 4ul * hardware_workers();
+  const auto capped = [cap](unsigned long v, const std::string& source) {
+    if (v <= cap) return static_cast<unsigned>(v);
+    DICER_WARN << source << " exceeds 4x hardware concurrency; clamping to "
+               << cap;
+    return static_cast<unsigned>(cap);
+  };
+  if (requested != 0) {
+    return capped(requested,
+                  "a request for " + std::to_string(requested) + " workers");
+  }
   if (env_var != nullptr) {
     if (const char* env = std::getenv(env_var)) {
       // Strict parse: digits only. strtoul alone would accept leading
@@ -53,15 +66,7 @@ unsigned ThreadPool::resolve_jobs(unsigned requested, const char* env_var) {
                    << hardware_workers() << " workers";
         return hardware_workers();
       }
-      // More workers than 4x the hardware threads only adds contention;
-      // clamp (loudly) instead of oversubscribing by orders of magnitude.
-      const unsigned long cap = 4ul * hardware_workers();
-      if (v > cap) {
-        DICER_WARN << env_var << "=" << v << " exceeds 4x hardware "
-                   << "concurrency; clamping to " << cap;
-        return static_cast<unsigned>(cap);
-      }
-      return static_cast<unsigned>(v);
+      return capped(v, std::string(env_var) + "=" + std::to_string(v));
     }
   }
   return hardware_workers();

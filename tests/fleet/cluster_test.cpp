@@ -78,6 +78,19 @@ TEST(Cluster, ValidatesConfig) {
   EXPECT_THROW(Cluster(fc, catalog), std::invalid_argument);
 }
 
+TEST(Cluster, RejectsSloOutsideTheUnitInterval) {
+  // slo_norm 2 would mark every machine as violating, -1 none.
+  const auto& catalog = sim::default_catalog();
+  for (const double slo : {2.0, -1.0, 0.0, 1.0000001}) {
+    FleetConfig fc = small_config();
+    fc.slo_norm = slo;
+    EXPECT_THROW(Cluster(fc, catalog), std::invalid_argument) << slo;
+  }
+  FleetConfig fc = small_config();
+  fc.slo_norm = 1.0;  // "never slower than alone" is a legal SLO
+  EXPECT_NO_THROW(Cluster(fc, catalog));
+}
+
 TEST(Cluster, EpochInvariants) {
   Cluster cluster(small_config(), sim::default_catalog());
   std::uint64_t placed = 0, rejected = 0, departed = 0;
@@ -143,15 +156,15 @@ TEST(Cluster, CsvIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial, run_csv(fc, 5));
 }
 
-// The same contract across data-plane batch slicings: the fleet carves
-// clamp(N / (jobs * 4), 1, 32) machines per MachineBatch, so jobs and the
-// machine count pick the slicing — and never a result byte.
-TEST(Cluster, CsvIsByteIdenticalAcrossBatchStepping) {
+// The same contract across data-plane step shards: the fleet steps
+// clamp(N / (jobs * 4), 1, 32) contiguous machines per shard, so jobs and
+// the machine count pick the slicing — and never a result byte.
+TEST(Cluster, CsvIsByteIdenticalAcrossStepShards) {
   FleetConfig fc = small_config();
   fc.num_machines = 18;
   fc.jobs = 1;  // 18 / 4 -> 4,4,4,4,2: an uneven last slice
   const std::string uneven = run_csv(fc, 5);
-  fc.jobs = 8;  // 18 / 32 -> 1: one machine per batch
+  fc.jobs = 8;  // 18 / 32 -> 1: one machine per shard
   EXPECT_EQ(uneven, run_csv(fc, 5));
   fc.jobs = 2;  // 18 / 8 -> 2: nine even slices, run on two workers
   EXPECT_EQ(uneven, run_csv(fc, 5));

@@ -73,17 +73,17 @@ TEST(FleetMetricsExport, ByteIdenticalAcrossWorkerCounts) {
             std::string::npos);
 }
 
-TEST(FleetMetricsExport, ByteIdenticalAcrossBatchStepping) {
-  // The batched data plane (MachineBatch shards of clamp(N / (jobs * 4),
-  // 1, 32) machines) must leave every export — Prometheus text (including
-  // the dicer_solver_* counters the fused path feeds) and per-epoch JSONL
-  // — byte-identical at any batch slicing.
+TEST(FleetMetricsExport, ByteIdenticalAcrossStepShards) {
+  // The sharded data plane (shards of clamp(N / (jobs * 4), 1, 32)
+  // contiguous machines) must leave every export — Prometheus text
+  // (including the dicer_solver_* counters the bulk replay commits feed)
+  // and per-epoch JSONL — byte-identical at any shard slicing.
   FleetConfig fc = small_config();
   fc.num_machines = 18;
   fc.jobs = 1;  // 18 / 4 -> 4,4,4,4,2: an uneven last slice
   const RunOutput uneven = run_config_with_metrics(fc);
 
-  fc.jobs = 8;  // 18 / 32 -> 1: one machine per batch, on 8 workers
+  fc.jobs = 8;  // 18 / 32 -> 1: one machine per shard, on 8 workers
   const RunOutput single = run_config_with_metrics(fc);
   EXPECT_EQ(uneven.prometheus, single.prometheus);
   EXPECT_EQ(uneven.jsonl, single.jsonl);
@@ -93,7 +93,7 @@ TEST(FleetMetricsExport, ByteIdenticalAcrossBatchStepping) {
   EXPECT_EQ(uneven.prometheus, pairs.prometheus);
   EXPECT_EQ(uneven.jsonl, pairs.jsonl);
 
-  // The fused path actually carried quanta (not a vacuous comparison).
+  // Replayed quanta were counted (not a vacuous comparison).
   EXPECT_NE(uneven.prometheus.find("dicer_solver_replays_total"),
             std::string::npos);
 }

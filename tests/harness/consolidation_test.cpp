@@ -96,11 +96,34 @@ TEST(Consolidation, IdenticalBesGetIdenticalIpc) {
   }
 }
 
-TEST(Consolidation, BatchMatchesSerialExactly) {
-  // run_consolidation_batch is the sweep's chunked fast path: every lane's
-  // result must equal run_consolidation's bit for bit — IPCs, window,
-  // completions, link utilisation and the full solver-stat vector —
-  // across mixed policies and core counts in one batch.
+void expect_same_result(const ConsolidationResult& a,
+                        const ConsolidationResult& b, std::size_t i) {
+  EXPECT_EQ(a.policy, b.policy) << "cell " << i;
+  EXPECT_EQ(a.window_sec, b.window_sec) << "cell " << i;
+  EXPECT_EQ(a.window_capped, b.window_capped) << "cell " << i;
+  EXPECT_EQ(a.hp_ipc, b.hp_ipc) << "cell " << i;
+  EXPECT_EQ(a.be_ipc_mean, b.be_ipc_mean) << "cell " << i;
+  EXPECT_EQ(a.be_ipcs, b.be_ipcs) << "cell " << i;
+  EXPECT_EQ(a.hp_completions, b.hp_completions) << "cell " << i;
+  EXPECT_EQ(a.be_completions, b.be_completions) << "cell " << i;
+  EXPECT_EQ(a.avg_link_utilisation, b.avg_link_utilisation) << "cell " << i;
+  EXPECT_EQ(a.solver.quanta, b.solver.quanta) << "cell " << i;
+  EXPECT_EQ(a.solver.replays, b.solver.replays) << "cell " << i;
+  EXPECT_EQ(a.solver.solves, b.solver.solves) << "cell " << i;
+  EXPECT_EQ(a.solver.stable_solves, b.solver.stable_solves) << "cell " << i;
+  EXPECT_EQ(a.solver.invalidations_actuator, b.solver.invalidations_actuator)
+      << "cell " << i;
+  EXPECT_EQ(a.solver.invalidations_fingerprint,
+            b.solver.invalidations_fingerprint)
+      << "cell " << i;
+  EXPECT_EQ(a.solver.rounds_hist, b.solver.rounds_hist) << "cell " << i;
+}
+
+TEST(ConsolidationGrid, MixedPoliciesAndCoresMatchSerialExactly) {
+  // One chunk mixing policies, apps and core counts on one worker: every
+  // cell's result — IPCs, window, completions, link utilisation and the
+  // full solver-stat vector — equals run_consolidation's bit for bit, so
+  // neither the chunk nor its shared policy build changes a result.
   struct Spec {
     const char* hp;
     const char* be;
@@ -113,71 +136,26 @@ TEST(Consolidation, BatchMatchesSerialExactly) {
       {"namd1", "bzip22", "CT", 3},
       {"milc1", "gcc_base3", "DICER", 4},
   };
+  std::vector<GridCell> cells;
+  for (const auto& s : specs) cells.push_back({&app(s.hp), &app(s.be), s.cores});
   ConsolidationConfig base;
-  base.cores_used = 0;  // ignored: every task overrides
+  base.cores_used = 0;  // ignored: every cell overrides
+  std::vector<ConsolidationResult> out(cells.size());
+  run_consolidation_grid(
+      cells, [&](std::size_t i) { return policy::make_policy(specs[i].policy); },
+      [&](std::size_t i, const ConsolidationResult& res, const policy::Policy&) {
+        out[i] = res;
+      },
+      base, /*jobs=*/1);
 
-  std::vector<std::unique_ptr<policy::Policy>> policies;
-  std::vector<BatchConsolidationTask> tasks;
-  for (const auto& s : specs) {
-    policies.push_back(policy::make_policy(s.policy));
-    tasks.push_back({&app(s.hp), &app(s.be), policies.back().get(), s.cores});
-  }
-  const auto batched = run_consolidation_batch(tasks, base);
-
-  ASSERT_EQ(batched.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto& s = specs[i];
     ConsolidationConfig cfg = base;
-    cfg.cores_used = s.cores;
-    const auto pol = policy::make_policy(s.policy);
-    const auto serial = run_consolidation(app(s.hp), app(s.be), *pol, cfg);
-    const auto& b = batched[i];
-    EXPECT_EQ(b.policy, serial.policy) << "lane " << i;
-    EXPECT_EQ(b.window_sec, serial.window_sec) << "lane " << i;
-    EXPECT_EQ(b.window_capped, serial.window_capped) << "lane " << i;
-    EXPECT_EQ(b.hp_ipc, serial.hp_ipc) << "lane " << i;
-    EXPECT_EQ(b.be_ipc_mean, serial.be_ipc_mean) << "lane " << i;
-    EXPECT_EQ(b.be_ipcs, serial.be_ipcs) << "lane " << i;
-    EXPECT_EQ(b.hp_completions, serial.hp_completions) << "lane " << i;
-    EXPECT_EQ(b.be_completions, serial.be_completions) << "lane " << i;
-    EXPECT_EQ(b.avg_link_utilisation, serial.avg_link_utilisation)
-        << "lane " << i;
-    EXPECT_EQ(b.solver.quanta, serial.solver.quanta) << "lane " << i;
-    EXPECT_EQ(b.solver.replays, serial.solver.replays) << "lane " << i;
-    EXPECT_EQ(b.solver.solves, serial.solver.solves) << "lane " << i;
-    EXPECT_EQ(b.solver.stable_solves, serial.solver.stable_solves)
-        << "lane " << i;
-    EXPECT_EQ(b.solver.invalidations_actuator,
-              serial.solver.invalidations_actuator)
-        << "lane " << i;
-    EXPECT_EQ(b.solver.invalidations_fingerprint,
-              serial.solver.invalidations_fingerprint)
-        << "lane " << i;
+    cfg.cores_used = specs[i].cores;
+    const auto pol = policy::make_policy(specs[i].policy);
+    expect_same_result(
+        out[i], run_consolidation(app(specs[i].hp), app(specs[i].be), *pol, cfg),
+        i);
   }
-}
-
-TEST(Consolidation, BatchValidatesTasks) {
-  policy::Unmanaged um;
-  const auto& hp = app("milc1");
-  const auto& be = app("gcc_base3");
-  EXPECT_THROW(run_consolidation_batch({{nullptr, &be, &um, 4}}, {}),
-               std::invalid_argument);
-  EXPECT_THROW(run_consolidation_batch({{&hp, &be, nullptr, 4}}, {}),
-               std::invalid_argument);
-  EXPECT_THROW(run_consolidation_batch({{&hp, &be, &um, 1}}, {}),
-               std::invalid_argument);
-  EXPECT_TRUE(run_consolidation_batch({}, {}).empty());
-}
-
-void expect_same_result(const ConsolidationResult& a,
-                        const ConsolidationResult& b, std::size_t i) {
-  EXPECT_EQ(a.policy, b.policy) << "cell " << i;
-  EXPECT_EQ(a.window_sec, b.window_sec) << "cell " << i;
-  EXPECT_EQ(a.hp_ipc, b.hp_ipc) << "cell " << i;
-  EXPECT_EQ(a.be_ipcs, b.be_ipcs) << "cell " << i;
-  EXPECT_EQ(a.avg_link_utilisation, b.avg_link_utilisation) << "cell " << i;
-  EXPECT_EQ(a.solver.quanta, b.solver.quanta) << "cell " << i;
-  EXPECT_EQ(a.solver.solves, b.solver.solves) << "cell " << i;
 }
 
 TEST(ConsolidationGrid, ResultsComeBackInCellOrder) {

@@ -231,9 +231,9 @@ TEST(Machine, DeterministicAcrossRuns) {
 }
 
 TEST(Machine, MovedMachineStepsLikeTheOriginal) {
-  // A machine outside any batch resolves phase constants through its own
-  // table, found by a null check on the batch pointer — no self-pointer
-  // for a move to leave dangling.
+  // Phase constants, scratch and the solve cache live in the machine by
+  // value and point only at app profiles — no self-pointer for a move to
+  // leave dangling.
   Machine a{MachineConfig{}};
   Machine ref{MachineConfig{}};
   for (Machine* m : {&a, &ref}) {
@@ -242,7 +242,7 @@ TEST(Machine, MovedMachineStepsLikeTheOriginal) {
     m->run_for(0.5);
   }
   Machine moved = std::move(a);
-  moved.attach(2, &app("lbm1"));  // a new phase: a fresh table entry
+  moved.attach(2, &app("lbm1"));  // a new phase: fresh phase constants
   ref.attach(2, &app("lbm1"));
   moved.run_for(0.5);
   ref.run_for(0.5);

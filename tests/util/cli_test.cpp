@@ -122,6 +122,38 @@ TEST(CliArgs, CountRejectsOutOfRangeNamingFlagAndRange) {
   EXPECT_THROW(make({"p", "--jobs=2x"}).get_count("jobs", 0), CliError);
 }
 
+TEST(CliArgs, CountRejectsNegativeJobs) {
+  // A bench's --jobs -3 used to mean "auto"; it is an error naming --jobs.
+  try {
+    make({"p", "--jobs", "-3"}).get_count("jobs", 0);
+    ADD_FAILURE() << "--jobs -3 was accepted";
+  } catch (const CliError& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos);
+  }
+}
+
+TEST(CliArgs, FractionAcceptsTheUnitInterval) {
+  EXPECT_EQ(make({"p"}).get_fraction("slo", 0.9), 0.9);
+  EXPECT_EQ(make({"p", "--slo=1"}).get_fraction("slo", 0.9), 1.0);
+  EXPECT_EQ(make({"p", "--slo", "0.5"}).get_fraction("slo", 0.9), 0.5);
+  EXPECT_EQ(make({"p", "--slo=1e-3"}).get_fraction("slo", 0.9), 1e-3);
+}
+
+TEST(CliArgs, FractionRejectsOutsideTheUnitIntervalNamingFlag) {
+  for (const char* bad : {"2", "-1", "0", "1.0000001", "-0"}) {
+    try {
+      make({"p", "--slo", bad}).get_fraction("slo", 0.9);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const CliError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("invalid value for --slo: '") + bad +
+                    "' (expected a number in (0, 1])");
+    }
+  }
+  EXPECT_THROW(make({"p", "--slo=nan"}).get_fraction("slo", 0.9), CliError);
+  EXPECT_THROW(make({"p", "--slo=0.9x"}).get_fraction("slo", 0.9), CliError);
+}
+
 TEST(CliArgs, DoubleRejectsTrailingJunk) {
   EXPECT_THROW(make({"p", "--slo=0.9x"}).get_double("slo", 0.0), CliError);
   EXPECT_THROW(make({"p", "--slo=1.5.2"}).get_double("slo", 0.0), CliError);

@@ -138,6 +138,16 @@ TEST(ResolveJobs, ClampsOversubscription) {
             4u * ThreadPool::hardware_workers());
 }
 
+TEST(ResolveJobs, ClampsExplicitOversubscription) {
+  // An explicit request gets the env value's cap: 100000 workers would
+  // spawn 100000 threads.
+  EnvGuard env(kVar, nullptr);
+  const unsigned cap = 4u * ThreadPool::hardware_workers();
+  EXPECT_EQ(ThreadPool::resolve_jobs(100000, kVar), cap);
+  EXPECT_EQ(ThreadPool::resolve_jobs(cap, kVar), cap);
+  EXPECT_EQ(ThreadPool::resolve_jobs(cap + 1, nullptr), cap);
+}
+
 TEST(ResolveJobs, AcceptsSaneValueAtCap) {
   const unsigned cap = 4u * ThreadPool::hardware_workers();
   EnvGuard env(kVar, std::to_string(cap).c_str());
