@@ -59,11 +59,38 @@ void BM_MachineStepPartitioned(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineStepPartitioned);
 
+// The cost of one quantum solve. A converged solve arms replay, so the two
+// benches above mostly replay; here an MBA throttle flips before every
+// step, which disarms the replay cache, so every quantum solves from the
+// previous quantum's warm start (the shape a DICER actuation leaves).
+void BM_MachineSolveAfterActuation(benchmark::State& state) {
+  sim::Machine machine{sim::MachineConfig{}};
+  const auto& catalog = sim::default_catalog();
+  for (unsigned c = 0; c < 10; ++c) {
+    machine.attach(c, &catalog.at(c * 5));
+  }
+  unsigned flip = 0;
+  for (auto _ : state) {
+    machine.set_mem_throttle(1, (flip++ & 1) != 0 ? 0.9 : 1.0);
+    machine.step();
+    benchmark::DoNotOptimize(machine.telemetry(0).instructions);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  const auto& stats = machine.solver_stats();
+  state.counters["rounds_per_solve"] =
+      static_cast<double>(stats.total_rounds()) /
+      static_cast<double>(std::max<std::uint64_t>(stats.solves, 1));
+  state.counters["solve_pct"] =
+      100.0 * static_cast<double>(stats.solves) /
+      static_cast<double>(std::max<std::uint64_t>(stats.quanta, 1));
+}
+BENCHMARK(BM_MachineSolveAfterActuation);
+
 // Worst case for the cached region decomposition: every step is preceded
 // by a repartition, so the cache misses each quantum and the full
-// decompose + layout rebuild + cold bisection runs. The gap between this
-// and BM_MachineStep10Apps is the price of one mask churn; a controller
-// acting once per second amortises it over ~100 quanta.
+// decompose + layout rebuild + cold occupancy solve runs. The gap between
+// this and BM_MachineSolveAfterActuation is the price of one mask churn; a
+// controller acting once per second amortises it over ~100 quanta.
 void BM_MachineStepMaskChurn(benchmark::State& state) {
   sim::Machine machine{sim::MachineConfig{}};
   const auto& catalog = sim::default_catalog();
@@ -88,8 +115,8 @@ BENCHMARK(BM_MachineStepMaskChurn);
 // quantum's solver inputs are unchanged, so the steady-state replay path
 // carries the whole benchmark. This is the regime the policy sweep spends
 // most of its time in (solo runs and settled consolidation stretches);
-// BM_MachineStep10Apps, with its 50 phase schedules, bounds the other end
-// where drift solves dominate.
+// BM_MachineSolveAfterActuation bounds the other end, where every quantum
+// solves.
 void BM_MachineStepSteadyState(benchmark::State& state) {
   const auto& catalog = sim::default_catalog();
   static std::vector<sim::AppProfile> profiles = [&] {

@@ -32,6 +32,8 @@ DEFAULT_BENCHES = [
     "BM_MachineStepSteadyState",
     "BM_MachineStep10Apps",
     "BM_MachineStepPartitioned",
+    # Every quantum solves: a throttle flips before each step.
+    "BM_MachineSolveAfterActuation",
     "BM_MachineRunPeriod",
     # The interval-stepping pair over the same 8 machines: step() per
     # quantum and run_for per control interval (bulk replay commits);

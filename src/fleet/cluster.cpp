@@ -223,7 +223,8 @@ void Cluster::bind_metrics() {
   metrics_.solver_solves = &reg->counter("dicer_solver_solves_total",
                                          "quanta that ran the fixed point");
   metrics_.solver_stable = &reg->counter(
-      "dicer_solver_stable_solves_total", "solves that exited bit-stable");
+      "dicer_solver_stable_solves_total",
+      "solves that converged and armed replay");
   metrics_.solver_rounds = &reg->counter("dicer_solver_rounds_total",
                                          "fixed-point rounds executed");
   metrics_.solver_inv_actuator =

@@ -54,6 +54,68 @@ std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
   return regions;
 }
 
+namespace {
+
+/// The characteristic time at which a region that fills before t_max
+/// holds exactly its capacity. Its total occupancy
+///     total(t) = S*t + sum_j min(r_j*t, fp_j)
+/// (S the summed streaming rate, r_j/fp_j each reuse component's rate and
+/// footprint, all scaled by the sharer's capacity fraction) is continuous,
+/// piecewise linear and non-decreasing, with a breakpoint where each
+/// component saturates at t = fp_j/r_j. Walking the sorted breakpoints
+/// finds the segment that crosses the capacity, and t_c solves that
+/// segment's line exactly: no grid, so the result is accurate to a few
+/// ulps however narrow the region.
+double fill_time(const CacheRegion& r, const OccupancyScratch::RegionState& rs,
+                 const std::vector<CacheDemand>& demand,
+                 OccupancyScratch& scratch) {
+  auto& knots = scratch.knots;
+  knots.clear();
+  double stream = 0.0;
+  for (std::size_t k = 0; k < r.sharers.size(); ++k) {
+    const auto& d = demand[r.sharers[k]];
+    const double f = rs.frac[k];
+    stream += d.stream_bytes_per_sec * f;
+    for (const auto& c : d.reuse) {
+      const double rate = c.rate_bytes_per_sec * f;
+      // A component that is never touched holds nothing at any t.
+      if (rate > 0.0) {
+        const double fp = c.footprint_bytes * f;
+        knots.push_back({fp / rate, rate, fp});
+      }
+    }
+  }
+  std::sort(knots.begin(), knots.end(),
+            [](const OccupancyScratch::Knot& a,
+               const OccupancyScratch::Knot& b) { return a.t < b.t; });
+  // Past knot k-1 the slope is stream + (rates of knots k..end) and the
+  // intercept the footprints of knots 0..k-1. The rates are turned into
+  // suffix sums in place, summed afresh backwards rather than updated by
+  // subtraction, which would cancel catastrophically next to a dominant
+  // rate.
+  const std::size_t m = knots.size();
+  for (std::size_t k = m; k-- > 1;) knots[k - 1].rate += knots[k].rate;
+  const double cap = r.capacity_bytes;
+  double held = 0.0;  // footprints of the knots already passed
+  double lo = 0.0;
+  for (std::size_t k = 0; k < m; ++k) {
+    const double slope = stream + knots[k].rate;  // > 0: rate > 0
+    if (slope * knots[k].t + held >= cap) {
+      // The crossing lies on [lo, knots[k].t]; clamp away the rounding
+      // that could place the line's root just outside its segment.
+      return std::clamp((cap - held) / slope, lo, knots[k].t);
+    }
+    held += knots[k].fp;
+    lo = knots[k].t;
+  }
+  // Past the last knot only the streams still grow. The caller checked
+  // that the region fills by t_max, so stream > 0 unless rounding put the
+  // footprints' sum just below the capacity.
+  return stream > 0.0 ? std::max((cap - held) / stream, lo) : lo;
+}
+
+}  // namespace
+
 void solve_occupancy(const std::vector<CacheRegion>& regions,
                      const std::vector<CacheDemand>& demand,
                      const OccupancySolverConfig& config,
@@ -107,7 +169,7 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
 
     if (rs.memo_valid && rs.inputs == cur) {
       // Warm start: identical inputs reach the identical fixed point, so
-      // the stored solution is reused verbatim and the bisection skipped.
+      // the stored solution is reused verbatim and the solve skipped.
       for (std::size_t k = 0; k < r.sharers.size(); ++k) {
         occ[r.sharers[k]] += rs.contrib[k];
       }
@@ -116,10 +178,7 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     rs.memo_valid = false;
     rs.inputs = cur;
     const std::size_t num_sharers = r.sharers.size();
-    // Total occupancy the region would hold at characteristic time t,
-    // reading straight from the nested demand vectors. `*` is
-    // left-associative, so stream*frac*t groups as (stream*frac)*t —
-    // bit-identical to the hoisted form used by the bisection below.
+    // Total occupancy the region would hold at characteristic time t.
     auto total_at_inline = [&](double t) {
       double sum = 0.0;
       for (std::size_t k = 0; k < num_sharers; ++k) {
@@ -139,49 +198,10 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     if (total_at_inline(t_max) <= r.capacity_bytes) {
       // The region never fills: every sharer keeps its full (scaled)
       // footprint plus its entire streaming window. One evaluation, no
-      // bisection — and no point paying for the hoisted arrays below.
+      // breakpoint sort.
       t_c = t_max;
     } else {
-      // Hoist the frac products out of the t-sweep: the bisection is a
-      // latency chain of ~50 sequential evaluations, and each used to
-      // re-derive rate*frac / footprint*frac from the nested demand
-      // vectors. The raw inputs are already saved in rs.inputs, so the
-      // flattening buffer is scaled in place — no extra allocation. Same
-      // operand pairs, same rounding, same summation order as the inline
-      // evaluation — byte-identical t_c and contributions.
-      auto& h = cur;
-      auto& he = scratch.flat_end;
-      std::size_t s = 0;
-      for (std::size_t k = 0; k < num_sharers; ++k) {
-        const double f = rs.frac[k];
-        h[s++] *= f;
-        const std::size_t comps = demand[r.sharers[k]].reuse.size();
-        for (std::size_t c = 0; c < comps; ++c) {
-          h[s++] *= f;
-          h[s++] *= f;
-        }
-        he[k] = s;
-      }
-      auto total_at = [&](double t) {
-        double sum = 0.0;
-        std::size_t j = 0;
-        for (std::size_t k = 0; k < num_sharers; ++k) {
-          double app_occ = h[j++] * t;
-          const std::size_t end = he[k];
-          for (; j < end; j += 2) {
-            app_occ += std::min(h[j] * t, h[j + 1]);
-          }
-          sum += app_occ;
-        }
-        return sum;
-      };
-      double lo = 0.0, hi = t_max;
-      for (unsigned i = 0; i < config.bisection_steps; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (total_at(mid) < r.capacity_bytes) lo = mid;
-        else hi = mid;
-      }
-      t_c = 0.5 * (lo + hi);
+      t_c = std::min(fill_time(r, rs, demand, scratch), t_max);
     }
     rs.t_c = t_c;
     rs.memo_valid = true;

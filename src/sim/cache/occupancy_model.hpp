@@ -13,8 +13,13 @@
 // conversely is fully resident once T_c covers it, which is why an
 // L2-resident app keeps its data even next to nine miss-storming
 // neighbours), and stream_rate is compulsory/streaming traffic whose
-// lines are unique forever. T_c solves sum_i occ_i(T_c) = capacity and is
-// found by bisection (occ_i is monotonically non-decreasing in T).
+// lines are unique forever. T_c solves sum_i occ_i(T_c) = capacity. The
+// sum is continuous, non-decreasing and piecewise linear in T, with one
+// breakpoint per reuse component (where T covers its footprint), so T_c is
+// solved exactly: sort the breakpoints, find the segment that crosses the
+// capacity, and solve its line. The machine's outer fixed point converges
+// to 1e-9 relative, which a grid search over T could not resolve on a
+// one-way region.
 //
 // This reproduces the paper's UM observations (milc left unmanaged "gains
 // control of around 26% of the LLC" against nine gcc BEs) and the crucial
@@ -29,7 +34,6 @@
 // to region capacity.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -67,7 +71,6 @@ std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
                                            double way_bytes);
 
 struct OccupancySolverConfig {
-  unsigned bisection_steps = 48;
   /// Upper bound on the characteristic time (seconds). Past this the cache
   /// is considered not filling (all footprints resident, spare unused).
   double max_characteristic_time_sec = 1e3;
@@ -80,7 +83,7 @@ struct OccupancySolverConfig {
 /// region/app counts change, and each region remembers the characteristic
 /// time of its last solve together with the exact inputs that produced it —
 /// when a region's demand is bit-identical to the previous call the
-/// bisection is skipped and the stored t_c reused verbatim. In the
+/// solve is skipped and the stored t_c reused verbatim. In the
 /// machine's steady state (converged fixed point, unchanged masks) that
 /// turns the per-quantum solve into a handful of comparisons. Results are
 /// byte-identical with or without scratch reuse.
@@ -94,16 +97,19 @@ struct OccupancyScratch {
   };
   std::vector<double> avail;        ///< per-app total eligible capacity
   std::vector<RegionState> regions; ///< parallel to the region vector
-  /// Per-call flattening buffer. Doubles as the bisection's hoisted-constant
-  /// store: once the raw values are saved into the region's `inputs` memo,
-  /// each entry is scaled in place by its sharer's capacity fraction so the
-  /// ~50-evaluation t-sweep walks one flat array instead of re-deriving
-  /// rate*frac / footprint*frac from the nested demand vectors every step.
+  /// Per-call flattening buffer: the region's raw demand, compared with
+  /// (and saved as) the region's `inputs` memo.
   std::vector<double> flat;
-  /// Per-sharer end offsets into `flat` for the bisection's t-sweep (a
-  /// region has at most 64 sharers — decompose_regions enforces it). Fixed
-  /// storage keeps the convenience wrapper's cold path allocation-free.
-  std::array<std::size_t, 64> flat_end{};
+  /// One reuse component of the region being solved, at its saturation
+  /// breakpoint t = fp / rate (rate and footprint scaled by the sharer's
+  /// capacity fraction). Once sorted by t, `rate` becomes the summed rate
+  /// of this knot and every later one.
+  struct Knot {
+    double t;
+    double rate;
+    double fp;
+  };
+  std::vector<Knot> knots;
   bool layout_valid = false;
 
   /// Must be called whenever the region decomposition changes shape or

@@ -1,6 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -28,116 +29,210 @@ void PhaseConst::build(const AppPhase& ph) {
 
 namespace {
 
-/// The damped fixed point over the active set, operating on the flat
-/// scratch arrays in place. Returns true iff the final round reproduced
-/// every IPS bit-exactly; `rounds_used` reports how many rounds ran.
-bool solve_fixed_point(const MachineConfig& config,
-                       const std::vector<CacheRegion>& regions,
-                       MemoryLink& link,
-                       const std::vector<double>& mem_throttle,
-                       StepScratch& s, unsigned& rounds_used) {
+constexpr std::size_t kMaxCores = 64;  ///< cores a machine may have
+/// Anderson history depth: the secant columns the mixing step fits.
+constexpr std::size_t kAndersonDepth = 3;
+
+/// One evaluation of the coupled map F at the IPS estimates in s.ips:
+/// occupancy, miss ratios, link arbitration and uncore latency under them
+/// (left in the scratch state, which therefore always describes s.ips),
+/// and into `target` the IPS each core would run at under that state.
+void evaluate(const MachineConfig& config,
+              const std::vector<CacheRegion>& regions, MemoryLink& link,
+              const std::vector<double>& mem_throttle, StepScratch& s,
+              double* target) {
   const std::size_t n = s.active.size();
   const double freq = config.freq_hz;
   const double line = config.llc.line_bytes;
 
+  // 1. Occupancy under current IPS estimates (Che working-set model).
+  //    Each MRC component becomes a reuse component whose touch rate is
+  //    proportional to its miss-mass weight.
+  for (std::size_t i = 0; i < n; ++i) {
+    const AppPhase& ph = *s.phase[i];
+    const PhaseConst& pc = s.pc[i];
+    const double touch = ph.api * s.ips[i] * line;
+    auto& cd = s.cache_demand[i];
+    const auto& comps = ph.mrc.components();
+    cd.reuse.resize(pc.wfrac.size());
+    for (std::size_t j = 0; j < pc.wfrac.size(); ++j) {
+      cd.reuse[j].rate_bytes_per_sec = touch * pc.one_minus_sf * pc.wfrac[j];
+      cd.reuse[j].footprint_bytes = comps[j].ws_bytes;
+    }
+    cd.stream_bytes_per_sec = touch * pc.sf;
+  }
+  solve_occupancy(regions, s.cache_demand, config.occupancy, s.occupancy,
+                  s.occ);
+
+  // 2. Miss ratios and bandwidth demand. Occupancies repeat across
+  //    rounds/quanta in steady state, so each core memoises its last
+  //    (occupancy, miss) evaluation; neighbours running the same phase at
+  //    the same occupancy (a consolidation's identical BEs) share one
+  //    evaluation.
+  for (std::size_t i = 0; i < n; ++i) {
+    PhaseConst& pc = s.pc[i];
+    if (s.occ[i] != pc.memo_occ) {
+      pc.memo_occ = s.occ[i];
+      pc.memo_miss =
+          i > 0 && s.phase[i] == s.phase[i - 1] && s.occ[i] == s.occ[i - 1]
+              ? s.miss[i - 1]
+              : s.phase[i]->mrc.at(s.occ[i]);
+    }
+    s.miss[i] = pc.memo_miss;
+    s.demand[i] = s.phase[i]->api * s.miss[i] * s.ips[i] * line *
+                  (1.0 + s.phase[i]->wb_ratio);
+  }
+  link.arbitrate_into(s.demand, s.arb);
+
+  // 3. New IPC estimates under the arbitrated latency; bandwidth cap when
+  //    the link is oversubscribed. The LLC hit path is shared too: ring /
+  //    LLC-port pressure from everyone's access rate inflates it.
+  double total_accesses = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total_accesses += s.phase[i]->api * s.ips[i];
+  }
+  const double hit_latency =
+      config.llc_hit_latency_cycles *
+      (1.0 + config.uncore_contention_coeff *
+                 std::sqrt(std::min(
+                     total_accesses / config.uncore_access_ref_per_sec, 1.0)));
+  for (std::size_t i = 0; i < n; ++i) {
+    const AppPhase& ph = *s.phase[i];
+    const PhaseConst& pc = s.pc[i];
+    // Cache starvation serialises reuse misses: degrade MLP with the
+    // excess miss ratio above the app's best case.
+    const double excess =
+        std::clamp((s.miss[i] - pc.floor_m) / pc.span_m, 0.0, 1.0);
+    const double mlp_eff = ph.mlp * (1.0 - config.mlp_squeeze * excess);
+    // An MBA throttle delays a core's memory requests: its exposed memory
+    // latency stretches by 1/throttle, and its demand falls as its IPS
+    // falls — the same route real MBA takes effect through.
+    const double cpi =
+        ph.cpi_core +
+        ph.api * ((1.0 - s.miss[i]) * hit_latency +
+                  s.miss[i] * s.arb.effective_latency_cycles /
+                      (mlp_eff * mem_throttle[s.active[i]]));
+    target[i] = freq / cpi;
+  }
+}
+
+/// Solve x = F(x) over the active set from the warm start in s.ips, with
+/// Anderson-accelerated mixing (depth kAndersonDepth). Each round
+/// evaluates F at the current iterate and stops, converged, once
+/// max_i |F(x)_i - x_i| / x_i < tolerance: that round's inputs are kept
+/// as the solution, with no final update, so re-solving a converged state
+/// exits in round 1 with identical bits. Otherwise the next iterate mixes
+/// a `beta` share of the residual into the least-squares secant
+/// combination of the last rounds (plain mixing while there is no
+/// history). Safeguards: a round whose residual grew restarts the history
+/// and halves beta, down to half its configured value; an iterate that is
+/// not finite and positive falls back to plain mixing, which stays
+/// positive because F is. Returns true iff the solve converged within
+/// config.fixed_point_rounds; `rounds_used` reports the evaluations.
+bool solve_fixed_point(const MachineConfig& config,
+                       const std::vector<CacheRegion>& regions,
+                       MemoryLink& link,
+                       const std::vector<double>& mem_throttle,
+                       StepScratch& s, double tolerance,
+                       unsigned& rounds_used) {
+  const std::size_t n = s.active.size();
+  // Solve-local workspace: nothing here outlives the solve, so it lives
+  // on the stack rather than in every machine's scratch.
+  std::array<double, kMaxCores> target{}, g{}, w{}, prev_x{}, prev_g{};
+  // History columns, newest first: dx[j*n + i], dg[j*n + i]; q is the
+  // orthonormalised (1/w-scaled) dg of the current round.
+  std::array<double, kAndersonDepth * kMaxCores> dx{}, dg{}, q{};
+  std::array<double, kAndersonDepth * kAndersonDepth> r{};
+  std::array<double, kAndersonDepth> gamma{};
+
+  // The least-squares fit weighs each core's residual relative to its
+  // warm start, the same scale the stopping test measures it on.
+  for (std::size_t i = 0; i < n; ++i) w[i] = s.ips[i];
+
+  const double beta_floor = 0.5 * config.fixed_point_damping;
+  double beta = config.fixed_point_damping;
+  double prev_res = 0.0;
+  std::size_t depth = 0;
   rounds_used = 0;
-  bool stable = false;
   for (unsigned round = 0; round < config.fixed_point_rounds; ++round) {
-    // 1. Occupancy under current IPS estimates (Che working-set model).
-    //    Each MRC component becomes a reuse component whose touch rate is
-    //    proportional to its miss-mass weight.
-    for (std::size_t i = 0; i < n; ++i) {
-      const AppPhase& ph = *s.phase[i];
-      const PhaseConst& pc = s.pc[i];
-      const double touch = ph.api * s.ips[i] * line;
-      auto& cd = s.cache_demand[i];
-      const auto& comps = ph.mrc.components();
-      cd.reuse.resize(pc.wfrac.size());
-      for (std::size_t j = 0; j < pc.wfrac.size(); ++j) {
-        cd.reuse[j].rate_bytes_per_sec =
-            touch * pc.one_minus_sf * pc.wfrac[j];
-        cd.reuse[j].footprint_bytes = comps[j].ws_bytes;
-      }
-      cd.stream_bytes_per_sec = touch * pc.sf;
-    }
-    solve_occupancy(regions, s.cache_demand, config.occupancy, s.occupancy,
-                    s.occ);
-
-    // 2. Miss ratios and bandwidth demand. Occupancies repeat across
-    //    rounds/quanta in steady state, so each core memoises its last
-    //    (occupancy, miss) evaluation; neighbours running the same phase
-    //    at the same occupancy (a consolidation's identical BEs) share
-    //    one evaluation.
-    for (std::size_t i = 0; i < n; ++i) {
-      PhaseConst& pc = s.pc[i];
-      if (s.occ[i] != pc.memo_occ) {
-        pc.memo_occ = s.occ[i];
-        pc.memo_miss = i > 0 && s.phase[i] == s.phase[i - 1] &&
-                               s.occ[i] == s.occ[i - 1]
-                           ? s.miss[i - 1]
-                           : s.phase[i]->mrc.at(s.occ[i]);
-      }
-      s.miss[i] = pc.memo_miss;
-      s.demand[i] = s.phase[i]->api * s.miss[i] * s.ips[i] * line *
-                    (1.0 + s.phase[i]->wb_ratio);
-    }
-    link.arbitrate_into(s.demand, s.arb);
-
-    // 3. New IPC estimates under the arbitrated latency; bandwidth cap when
-    //    the link is oversubscribed. The LLC hit path is shared too: ring /
-    //    LLC-port pressure from everyone's access rate inflates it.
-    double total_accesses = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      total_accesses += s.phase[i]->api * s.ips[i];
-    }
-    const double hit_latency =
-        config.llc_hit_latency_cycles *
-        (1.0 +
-         config.uncore_contention_coeff *
-             std::sqrt(std::min(
-                 total_accesses / config.uncore_access_ref_per_sec, 1.0)));
-    double worst_rel = 0.0;
-    bool round_stable = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const AppPhase& ph = *s.phase[i];
-      const PhaseConst& pc = s.pc[i];
-      // Cache starvation serialises reuse misses: degrade MLP with the
-      // excess miss ratio above the app's best case.
-      const double excess =
-          std::clamp((s.miss[i] - pc.floor_m) / pc.span_m, 0.0, 1.0);
-      const double mlp_eff =
-          ph.mlp *
-          (1.0 - config.mlp_squeeze * excess);
-      // An MBA throttle delays a core's memory requests: its exposed memory
-      // latency stretches by 1/throttle, and its demand falls as its IPS
-      // falls — the same route real MBA takes effect through.
-      const double cpi =
-          ph.cpi_core +
-          ph.api *
-              ((1.0 - s.miss[i]) * hit_latency +
-               s.miss[i] * s.arb.effective_latency_cycles /
-                   (mlp_eff * mem_throttle[s.active[i]]));
-      const double target = freq / cpi;
-      const double next =
-          config.fixed_point_damping * target +
-          (1.0 - config.fixed_point_damping) * s.ips[i];
-      if (next != s.ips[i]) round_stable = false;
-      worst_rel = std::max(worst_rel, std::fabs(next - s.ips[i]) /
-                                          std::max(s.ips[i], 1.0));
-      s.ips[i] = next;
-    }
+    evaluate(config, regions, link, mem_throttle, s, target.data());
     ++rounds_used;
-    if (worst_rel < 1e-4) {
-      // The damped update is idempotent once a round reproduces every IPS
-      // bit-exactly (round_stable, i.e. worst_rel == 0): the remaining
-      // rounds are provably no-ops. The looser tolerance break subsumes
-      // that exit, so this preserves the exact historical exit round;
-      // round_stable's job is to license cross-quantum replay.
-      stable = round_stable;
-      break;
+    double res = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      g[i] = target[i] - s.ips[i];
+      res = std::max(res, std::fabs(g[i]) / s.ips[i]);
+    }
+    if (res < tolerance) return true;
+    if (rounds_used == config.fixed_point_rounds) break;
+
+    if (round > 0 && res > prev_res) {
+      depth = 0;
+      beta = std::max(0.5 * beta, beta_floor);
+    } else if (round > 0) {
+      // Shift the history one column older and add the newest secant.
+      depth = std::min(depth + 1, kAndersonDepth);
+      for (std::size_t j = depth - 1; j > 0; --j) {
+        std::copy_n(&dx[(j - 1) * n], n, &dx[j * n]);
+        std::copy_n(&dg[(j - 1) * n], n, &dg[j * n]);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        dx[i] = s.ips[i] - prev_x[i];
+        dg[i] = g[i] - prev_g[i];
+      }
+    }
+    prev_res = res;
+    std::copy_n(s.ips.begin(), n, prev_x.begin());
+    std::copy_n(g.begin(), n, prev_g.begin());
+
+    // gamma = argmin || (g - dg gamma) / w ||_2 by modified Gram-Schmidt.
+    // A column (nearly) dependent on the newer ones ends the fit there:
+    // it and every older column are left out this round.
+    std::size_t used = 0;
+    for (std::size_t j = 0; j < depth; ++j) {
+      double* v = &q[j * n];
+      double norm0 = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = dg[j * n + i] / w[i];
+        norm0 += v[i] * v[i];
+      }
+      for (std::size_t k = 0; k < j; ++k) {
+        const double* qk = &q[k * n];
+        double dot = 0.0;
+        for (std::size_t i = 0; i < n; ++i) dot += qk[i] * v[i];
+        r[k * kAndersonDepth + j] = dot;
+        for (std::size_t i = 0; i < n; ++i) v[i] -= dot * qk[i];
+      }
+      double norm = 0.0;
+      for (std::size_t i = 0; i < n; ++i) norm += v[i] * v[i];
+      if (!(norm > 1e-20 * norm0)) break;
+      norm = std::sqrt(norm);
+      r[j * kAndersonDepth + j] = norm;
+      for (std::size_t i = 0; i < n; ++i) v[i] /= norm;
+      ++used;
+    }
+    for (std::size_t k = used; k-- > 0;) {
+      double b = 0.0;
+      for (std::size_t i = 0; i < n; ++i) b += q[k * n + i] * (g[i] / w[i]);
+      for (std::size_t j = k + 1; j < used; ++j) {
+        b -= r[k * kAndersonDepth + j] * gamma[j];
+      }
+      gamma[k] = b / r[k * kAndersonDepth + k];
+    }
+
+    bool ok = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      double next = s.ips[i] + beta * g[i];
+      for (std::size_t j = 0; j < used; ++j) {
+        next -= gamma[j] * (dx[j * n + i] + beta * dg[j * n + i]);
+      }
+      target[i] = next;
+      ok = ok && std::isfinite(next) && next > 0.0;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      s.ips[i] = ok ? target[i] : s.ips[i] + beta * g[i];
     }
   }
-  return stable;
+  return false;
 }
 
 }  // namespace
@@ -148,6 +243,7 @@ void SolverStats::merge(const SolverStats& other) {
   solves += other.solves;
   stable_solves += other.stable_solves;
   unstable_solves += other.unstable_solves;
+  rounds_past_hist += other.rounds_past_hist;
   invalidations_actuator += other.invalidations_actuator;
   invalidations_fingerprint += other.invalidations_fingerprint;
   if (rounds_hist.size() < other.rounds_hist.size()) {
@@ -159,7 +255,7 @@ void SolverStats::merge(const SolverStats& other) {
 }
 
 std::uint64_t SolverStats::total_rounds() const noexcept {
-  std::uint64_t total = 0;
+  std::uint64_t total = rounds_past_hist;
   for (std::size_t r = 0; r < rounds_hist.size(); ++r) {
     total += rounds_hist[r] * (r + 1);
   }
@@ -175,7 +271,7 @@ Machine::Machine(const MachineConfig& config)
       telemetry_(config.num_cores),
       ips_seed_(config.num_cores, 0.0),
       link_(config.link) {
-  if (config_.num_cores == 0 || config_.num_cores > 64) {
+  if (config_.num_cores == 0 || config_.num_cores > kMaxCores) {
     throw std::invalid_argument("Machine: core count outside 1..64");
   }
   if (config_.llc.ways == 0 || config_.llc.ways > kMaxWays) {
@@ -187,7 +283,14 @@ Machine::Machine(const MachineConfig& config)
   if (config_.freq_hz <= 0.0) {
     throw std::invalid_argument("Machine: frequency must be > 0");
   }
-  stats_.rounds_hist.assign(std::max(config_.fixed_point_rounds, 1u), 0);
+  if (config_.fixed_point_rounds == 0) {
+    throw std::invalid_argument("Machine: fixed_point_rounds must be > 0");
+  }
+  if (!(config_.fixed_point_damping > 0.0 &&
+        config_.fixed_point_damping <= 1.0)) {
+    throw std::invalid_argument("Machine: fixed_point_damping outside (0, 1]");
+  }
+  stats_.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);
 }
 
 void Machine::check_core(unsigned core) const {
@@ -323,9 +426,9 @@ void Machine::step() {
     replayed = &apps_[s.active[i]]->current_phase() == s.phase[i];
   }
   if (replayed) {
-    // Identical inputs, and the previous solve ended on a round that
-    // reproduced every IPS bit-exactly: re-running the fixed point would
-    // retrace that round and change nothing, so the scratch state
+    // Identical inputs, and the previous solve converged on the inputs it
+    // kept: re-running the fixed point would evaluate that round again,
+    // converge in round 1 and change nothing, so the scratch state
     // (ips/occ/arbitration) and last_rho_/last_traffic_ already hold this
     // quantum's exact solution. Only progress and telemetry move.
     ++stats_.replays;
@@ -420,22 +523,21 @@ bool Machine::solve_quantum() {
   s.cache_demand.resize(n);
 
   unsigned rounds_used = 0;
-  const bool stable =
-      solve_fixed_point(config_, regions_, link_, mem_throttle_, s,
-                        rounds_used);
+  const bool converged = solve_fixed_point(
+      config_, regions_, link_, mem_throttle_, s, tolerance_, rounds_used);
 
   ++stats_.solves;
   if (rounds_used > 0) {
-    const std::size_t slot =
-        std::min<std::size_t>(rounds_used, stats_.rounds_hist.size()) - 1;
-    ++stats_.rounds_hist[slot];
+    const std::size_t buckets = stats_.rounds_hist.size();
+    ++stats_.rounds_hist[std::min<std::size_t>(rounds_used, buckets) - 1];
+    if (rounds_used > buckets) stats_.rounds_past_hist += rounds_used - buckets;
   }
-  if (stable) {
+  if (converged) {
     ++stats_.stable_solves;
   } else {
     ++stats_.unstable_solves;
   }
-  return stable;
+  return converged;
 }
 
 std::uint64_t Machine::replay_budget() const {

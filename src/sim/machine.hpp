@@ -15,11 +15,13 @@
 //
 // because occupancy depends on IPS (pressure), IPS depends on latency,
 // and latency depends on everyone's bandwidth, which depends on IPS.
-// The loop warm-starts from the previous quantum and converges in a few
-// damped rounds. A solve whose last round reproduces every IPS bit-exactly
-// arms a replay cache: later quanta with the same active apps in the same
-// phases reuse its solution without solving. run_for/run_until also commit
-// whole stretches of replayed quanta that provably stay inside every app's
+// The solve warm-starts from the previous quantum and runs Anderson-
+// accelerated rounds until every core's IPS is self-consistent to 1e-9
+// relative; a converged solve keeps the inputs of its last round, so
+// re-solving it reproduces every bit. A converged solve arms a replay
+// cache: later quanta with the same active apps in the same phases reuse
+// its solution without solving. run_for/run_until also commit whole
+// stretches of replayed quanta that provably stay inside every app's
 // phase in one bulk pass (DESIGN.md §5e); every other quantum goes through
 // step(), the reference path, and the results are bit-identical either way.
 //
@@ -71,7 +73,12 @@ struct MachineConfig {
   /// Fig 5/6 BE series do.
   double mlp_squeeze = 0.5;
   double quantum_sec = 0.010;
-  unsigned fixed_point_rounds = 8;
+  /// Round cap of the quantum solve. A solve that reaches it unconverged
+  /// keeps its last round's state and does not arm replay.
+  unsigned fixed_point_rounds = 64;
+  /// Anderson mixing: the share of each round's residual the next iterate
+  /// takes, in (0, 1]. A round whose residual grew halves it, down to half
+  /// this value.
   double fixed_point_damping = 0.5;
   OccupancySolverConfig occupancy{};
   /// Event sink for per-quantum counters (trace::Kind::kQuantum: rho,
@@ -88,22 +95,30 @@ struct MachineConfig {
 
 /// Counters for the convergence-aware quantum solve. `quanta` splits into
 /// `replays` (served from the steady-state cache) and `solves` (ran the
-/// fixed point); solves split into bit-stable and unstable exits; the
+/// fixed point); solves split into converged and capped exits; the
 /// histogram records how many rounds each solve used. Invalidation causes
 /// count only drops of an *armed* replay cache, by who dropped it.
 struct SolverStats {
+  /// Histogram buckets: the last one counts every solve of at least that
+  /// many rounds, whatever the round cap. A fleet keeps two copies per
+  /// machine, so the size is fixed small.
+  static constexpr std::size_t kRoundsBuckets = 8;
+
   std::uint64_t quanta = 0;   ///< step() calls with >= 1 active core
   std::uint64_t replays = 0;  ///< quanta replayed without solving
   std::uint64_t solves = 0;   ///< quanta that ran the fixed point
-  std::uint64_t stable_solves = 0;    ///< last round reproduced IPS bit-exactly
-  std::uint64_t unstable_solves = 0;  ///< exited above bit-stability
+  std::uint64_t stable_solves = 0;    ///< converged (armed replay)
+  std::uint64_t unstable_solves = 0;  ///< hit the round cap unconverged
   std::uint64_t invalidations_actuator = 0;    ///< attach/detach/mask/throttle
   std::uint64_t invalidations_fingerprint = 0; ///< phase / active-set drift
   std::vector<std::uint64_t> rounds_hist;  ///< rounds used per solve, at r-1
+  /// Rounds the last bucket's solves used beyond kRoundsBuckets each, so
+  /// total_rounds() stays exact.
+  std::uint64_t rounds_past_hist = 0;
 
   /// Accumulate `other` into this (histograms are size-matched by growth).
   void merge(const SolverStats& other);
-  /// Sum of rounds over all solves (the histogram's first moment).
+  /// Sum of rounds over all solves.
   std::uint64_t total_rounds() const noexcept;
 };
 
@@ -219,13 +234,13 @@ class Machine {
   const SolverStats& solver_stats() const noexcept { return stats_; }
 
  private:
-  /// Replay state behind the last bit-stable solve. While armed, a
+  /// Replay state behind the last converged solve. While armed, a
   /// quantum whose active apps are all still in the phases scratch_.phase
   /// records replays the scratch state (ips/occ/arbitration) verbatim —
-  /// exact, because a bit-stable solve is a floating-point fixed point and
-  /// re-running it on the same inputs reproduces every bit. The active
-  /// set, masks and MBA throttles need no per-step compare: their
-  /// actuators disarm the cache on any real change.
+  /// exact, because a converged solve keeps the inputs of its final round
+  /// and re-solving them on the same inputs exits in round 1 with the same
+  /// bits. The active set, masks and MBA throttles need no per-step
+  /// compare: their actuators disarm the cache on any real change.
   ///
   /// `budget` counts the quanta every active app can provably advance
   /// without reaching its phase boundary: the minimum over slots of
@@ -246,8 +261,7 @@ class Machine {
   void invalidate_regions() noexcept;
   void invalidate_solve() noexcept;
   /// Run the fixed point for the current quantum (scratch holds the
-  /// result); returns true iff the final round reproduced every IPS
-  /// bit-exactly.
+  /// result); returns true iff it converged.
   bool solve_quantum();
   /// The replay budget from the current state (0 if any active app's
   /// phase differs from the one the armed solve was computed for).
@@ -278,6 +292,9 @@ class Machine {
   StepScratch scratch_;
   SolveCache solve_cache_;
   SolverStats stats_;
+  /// Relative residual below which a solve has converged. Not a config
+  /// field: the tests tighten it to bound the error the default leaves.
+  double tolerance_ = 1e-9;
 };
 
 }  // namespace dicer::sim

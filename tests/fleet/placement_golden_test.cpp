@@ -6,9 +6,13 @@
 // of the run's metrics registry. The `mrc` log hash was harvested from the
 // linear-scan `mrc` engine, so it guards that any faster resolution of the
 // same argmax returns the same decision, bit for bit; the other values
-// pin the tenancy bookkeeping behind every export. Re-harvest only for an
-// intentional change to the placement model, the churn or an export
-// format, and say so in the change description.
+// pin the tenancy bookkeeping behind every export. The CSV and Prometheus
+// hashes were re-harvested when the quantum solve began to converge: the
+// simulated IPCs behind them moved, and the solver counter's help text
+// changed, while every decision and the log hashes stayed the same.
+// Re-harvest only for an intentional change to the placement model, the
+// simulator, the churn or an export format, and say so in the change
+// description.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -104,19 +108,19 @@ void expect_golden(const std::string& engine, const Golden& want) {
 }
 
 TEST(PlacementGolden, RandomExportsOn1500Machines) {
-  expect_golden("random", {6896, 0x6b94655563e69e1aull, 0x893d8e95243b0212ull,
-                          0xdbacd5419e5eb448ull});
+  expect_golden("random", {6896, 0x6b94655563e69e1aull, 0xb36a4ee178385969ull,
+                          0xb57b37d210be2352ull});
 }
 
 TEST(PlacementGolden, LeastLoadedExportsOn1500Machines) {
   expect_golden("least-loaded",
-                {6955, 0x112c629c8e433e64ull, 0x8a7899560d49b6b0ull,
-                 0xf4213c74b70c298bull});
+                {6955, 0x112c629c8e433e64ull, 0x1d96b872e9e403dbull,
+                 0x63414e1cfb1813bbull});
 }
 
 TEST(PlacementGolden, MrcDecisionsOn1500MachinesMatchTheLinearScan) {
-  expect_golden("mrc", {7054, 0xe57db112b6139548ull, 0xfac6413efc74890dull,
-                       0x0634f3478165b87aull});
+  expect_golden("mrc", {7054, 0xe57db112b6139548ull, 0x93f1bc2e81d82ed2ull,
+                       0x3f3ca4ce26fc7d78ull});
 }
 
 }  // namespace

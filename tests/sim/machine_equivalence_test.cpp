@@ -1,8 +1,9 @@
 // Equivalence tests for the Machine's speed paths, each checked against a
 // slower reference with exact floating-point equality — never NEAR: the
 // sweep cache, the golden figures and the fleet exports pin bytes.
-//   - Replay + bit-stable early exit vs a reference machine that runs the
-//     full fixed point every quantum, under arbitrary actuator churn.
+//   - Replay of converged solves vs a reference machine that runs the
+//     full fixed point every quantum, under arbitrary actuator churn and
+//     at the memory link's knee, where the solve is hardest.
 //   - run_for/run_until, whose bulk replay commits advance whole budgeted
 //     stretches at once, vs a twin machine advanced by step() — across
 //     actuator churn, phase boundaries and whole-run restarts. Each bulk
@@ -38,6 +39,8 @@ struct MachineTestPeer {
   static std::uint64_t replay_budget(const Machine& m) {
     return m.solve_cache_.budget;
   }
+  /// The relative residual the machine's solves converge to.
+  static double& tolerance(Machine& m) { return m.tolerance_; }
 };
 
 namespace {
@@ -157,7 +160,7 @@ TEST(MachineEquivalence, ShortcutsAreBitIdenticalUnderRandomChurn) {
   for (int round = 0; round < 60; ++round) {
     churn_once(rng, occupied, a, b);
 
-    // Settle long enough for the fixed point to go bit-stable and the
+    // Settle long enough for the fixed point to converge and the
     // replay cache to arm and serve (phase changes keep breaking it).
     const std::uint64_t quanta = 50 + rng.below(250);
     for (std::uint64_t q = 0; q < quanta; ++q) {
@@ -386,6 +389,73 @@ TEST(MachineEquivalence, RunForAndRunUntilMatchSerialRounding) {
   expect_machines_identical(a, b, a.solver_stats().quanta);
   expect_solver_stats_equal(a.solver_stats(), b.solver_stats());
   EXPECT_GE(bulk_calls, 8u);
+}
+
+TEST(MachineEquivalence, StreamingBesAtTheLinkKneeConverge) {
+  // An HP isolated on 19 ways and nine identical streaming BEs on the
+  // remaining way, loaded onto the steep rho^8 knee of the link's latency
+  // curve (rho ~0.93): an iteration that only damps its updates cycles
+  // here forever. Every solve must converge, replaying must stay
+  // bit-identical to re-solving every quantum, and tightening the
+  // tolerance a thousandfold must move no output by more than 1e-8.
+  AppProfile be;
+  be.name = "knee_streamer";
+  AppPhase phase;
+  phase.instructions = 1e12;
+  phase.cpi_core = 0.5;
+  phase.api = 0.024;
+  phase.mrc = MissRatioCurve::streaming(0.9);
+  phase.mlp = 4.0;
+  be.phases.push_back(phase);
+
+  Machine a{MachineConfig{}}, b{MachineConfig{}}, tight{MachineConfig{}};
+  MachineTestPeer::tolerance(tight) = MachineTestPeer::tolerance(a) / 1000.0;
+  for (Machine* m : {&a, &b, &tight}) {
+    m->attach(0, &default_catalog().by_name("omnetpp1"));
+    m->set_fill_mask(0, WayMask::high(19, 20));
+    for (unsigned c = 1; c < 10; ++c) {
+      m->attach(c, &be);
+      m->set_fill_mask(c, WayMask::low(1));
+    }
+  }
+
+  auto near = [](double x, double y) {
+    return std::fabs(x - y) <= 1e-8 * std::max(std::fabs(x), std::fabs(y));
+  };
+  for (std::uint64_t q = 1; q <= 300; ++q) {
+    if (q % 100 == 0) {  // re-solve from a warm start after an actuation
+      const double fraction = q == 100 ? 0.7 : 1.0;
+      for (Machine* m : {&a, &b, &tight}) m->set_mem_throttle(4, fraction);
+    }
+    a.step();
+    MachineTestPeer::step_without_replay(b);
+    tight.step();
+    expect_machines_identical(a, b, q);
+    EXPECT_TRUE(near(a.last_link_utilisation(),
+                     tight.last_link_utilisation()))
+        << "step " << q;
+    for (unsigned c = 0; c < a.num_cores(); ++c) {
+      EXPECT_TRUE(near(a.telemetry(c).last_quantum_ipc,
+                       tight.telemetry(c).last_quantum_ipc))
+          << "core " << c << " step " << q;
+      EXPECT_TRUE(near(a.telemetry(c).occupancy_bytes,
+                       tight.telemetry(c).occupancy_bytes))
+          << "core " << c << " step " << q;
+    }
+    if (::testing::Test::HasFatalFailure() ||
+        ::testing::Test::HasNonfatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(a.last_link_utilisation(), 0.9);
+  EXPECT_LT(a.last_link_utilisation(), 1.0);
+  for (Machine* m : {&a, &b, &tight}) {
+    const auto& s = m->solver_stats();
+    EXPECT_EQ(s.unstable_solves, 0u);
+    EXPECT_EQ(s.stable_solves, s.solves);
+  }
+  EXPECT_EQ(a.solver_stats().solves, 3u);  // the start and two actuations
+  EXPECT_EQ(b.solver_stats().solves, 300u);
 }
 
 }  // namespace

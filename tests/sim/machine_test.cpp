@@ -26,6 +26,14 @@ TEST(Machine, ValidatesConfig) {
   c = MachineConfig{};
   c.llc.ways = 0;
   EXPECT_THROW(Machine{c}, std::invalid_argument);
+  c = MachineConfig{};
+  c.fixed_point_rounds = 0;
+  EXPECT_THROW(Machine{c}, std::invalid_argument);
+  for (const double mixing : {0.0, -0.5, 1.5}) {
+    c = MachineConfig{};
+    c.fixed_point_damping = mixing;
+    EXPECT_THROW(Machine{c}, std::invalid_argument) << mixing;
+  }
 }
 
 TEST(Machine, AttachDetachLifecycle) {
@@ -313,6 +321,30 @@ TEST(Machine, SolverStatsMergeAccumulates) {
   EXPECT_EQ(a.rounds_hist[1], 4u);
   EXPECT_EQ(a.rounds_hist[2], 1u);
   EXPECT_EQ(a.total_rounds(), 5u * 1 + 4u * 2 + 1u * 3);
+}
+
+TEST(Machine, SolverStatsCountRoundsPastTheLastBucket) {
+  // The histogram's last bucket holds every solve of at least
+  // kRoundsBuckets rounds; the rounds beyond that are counted apart, so
+  // total_rounds() stays exact for long solves.
+  Machine m{MachineConfig{}};
+  m.attach(0, &app("omnetpp1"));
+  for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("lbm1"));
+  m.run_for(1.0);
+  const auto& s = m.solver_stats();
+  ASSERT_EQ(s.rounds_hist.size(), SolverStats::kRoundsBuckets);
+  EXPECT_GT(s.rounds_hist.back(), 0u);
+
+  SolverStats a, b;
+  a.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);
+  b.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);
+  a.rounds_hist.back() = 2;  // e.g. solves of 8 and 11 rounds
+  a.rounds_past_hist = 3;
+  b.rounds_hist.back() = 1;  // and one of 20
+  b.rounds_past_hist = 12;
+  a.merge(b);
+  EXPECT_EQ(a.rounds_hist.back(), 3u);
+  EXPECT_EQ(a.total_rounds(), 8u + 11u + 20u);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+
+#include "util/rng.hpp"
 
 namespace dicer::sim {
 namespace {
@@ -243,6 +246,132 @@ TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
                        solve_occupancy(regions_one, 1, d1));
   expect_bitwise_equal(solve_with_scratch(regions_three, d3, scratch),
                        solve_occupancy(regions_three, 3, d3));
+}
+
+// --- exact fill time vs a long double bisection oracle --------------------
+
+/// Reference occupancies: each region's characteristic time by 200 steps
+/// of long double bisection over [0, t_max] — far past the precision of
+/// either type — then every sharer's holding at that time, with the same
+/// never-fills convention as the solver.
+std::vector<long double> oracle_occupancy(
+    const std::vector<CacheRegion>& regions,
+    const std::vector<CacheDemand>& demand) {
+  const long double t_max =
+      OccupancySolverConfig{}.max_characteristic_time_sec;
+  std::vector<long double> avail(demand.size(), 0.0L);
+  std::vector<long double> occ(demand.size(), 0.0L);
+  for (const auto& r : regions) {
+    for (std::size_t a : r.sharers) avail[a] += r.capacity_bytes;
+  }
+  for (const auto& r : regions) {
+    const long double cap = r.capacity_bytes;
+    auto held = [&](std::size_t a, long double t) {
+      const long double f = cap / avail[a];
+      const auto& d = demand[a];
+      long double h = d.stream_bytes_per_sec * f * t;
+      for (const auto& c : d.reuse) {
+        h += std::min<long double>(c.rate_bytes_per_sec * f * t,
+                                   c.footprint_bytes * f);
+      }
+      return h;
+    };
+    auto total_at = [&](long double t) {
+      long double sum = 0.0L;
+      for (std::size_t a : r.sharers) sum += held(a, t);
+      return sum;
+    };
+    long double t = t_max;
+    if (total_at(t_max) > cap) {
+      long double lo = 0.0L, hi = t_max;
+      for (int i = 0; i < 200; ++i) {
+        const long double mid = 0.5L * (lo + hi);
+        if (total_at(mid) < cap) lo = mid;
+        else hi = mid;
+      }
+      t = 0.5L * (lo + hi);
+    }
+    for (std::size_t a : r.sharers) occ[a] += held(a, t);
+  }
+  return occ;
+}
+
+/// Every app's occupancy within 1e-12 of the LLC's capacity of the
+/// oracle's. A grid search over [0, t_max] misses this by orders of
+/// magnitude on a one-way region, where t_c is ~1e-4 s.
+void expect_matches_oracle(const std::vector<CacheRegion>& regions,
+                           const std::vector<CacheDemand>& demand) {
+  const auto occ = solve_occupancy(regions, demand.size(), demand);
+  const auto want = oracle_occupancy(regions, demand);
+  for (std::size_t a = 0; a < demand.size(); ++a) {
+    EXPECT_NEAR(occ[a], static_cast<double>(want[a]), 1e-12 * 20 * MB)
+        << "app " << a;
+  }
+}
+
+/// An app shaped like MissRatioCurve::streaming's: nearly all traffic is
+/// compulsory, plus a token 512 KB reuse component.
+CacheDemand streamer(double rate) {
+  CacheDemand d;
+  d.stream_bytes_per_sec = 0.95 * rate;
+  d.reuse = {{0.05 * rate, 0.5 * MB}};
+  return d;
+}
+
+TEST(OccupancyOracle, OneWayStreamerRegion) {
+  // The CT layout: an HP alone on 19 ways, nine streaming BEs sharing
+  // one. The BE region fills in ~1e-4 s.
+  std::vector<WayMask> masks = {WayMask::high(19, 20)};
+  std::vector<CacheDemand> demand = {reuse_app(2 * GBs, 30 * MB)};
+  for (int i = 0; i < 9; ++i) {
+    masks.push_back(WayMask::low(1));
+    demand.push_back(streamer((0.9 + 0.01 * i) * GBs));
+  }
+  expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB), demand);
+}
+
+TEST(OccupancyOracle, ComponentsSaturatingOnBothSidesOfTheCrossing) {
+  // Hot sets saturate before t_c, lukewarm tails after it; a never-touched
+  // component and an empty footprint hold nothing at any t.
+  std::vector<WayMask> masks(4, WayMask::full(20));
+  CacheDemand multi;
+  multi.reuse = {{1 * GBs, 1 * MB}, {0.05 * GBs, 20 * MB}, {0.0, 4 * MB}};
+  CacheDemand empty_fp;
+  empty_fp.reuse = {{1 * GBs, 0.0}};
+  empty_fp.stream_bytes_per_sec = 0.1 * GBs;
+  expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB),
+                        {multi, empty_fp, reuse_app(0.3 * GBs, 6 * MB),
+                         stream_app(1.5 * GBs)});
+}
+
+TEST(OccupancyOracle, RegionThatNeverFills) {
+  std::vector<WayMask> masks(2, WayMask::full(20));
+  expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB),
+                        {reuse_app(1 * GBs, 2 * MB), reuse_app(1 * GBs, 3 * MB)});
+}
+
+TEST(OccupancyOracle, RandomLayoutsAndDemands) {
+  util::Xoshiro256 rng(0x0CC0ULL);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t apps = 1 + rng.below(10);
+    std::vector<WayMask> masks;
+    std::vector<CacheDemand> demand;
+    for (std::size_t a = 0; a < apps; ++a) {
+      const unsigned width = 1 + static_cast<unsigned>(rng.below(20));
+      const unsigned shift = static_cast<unsigned>(rng.below(21 - width));
+      masks.push_back(WayMask::span(shift, width));
+      CacheDemand d;
+      if (rng.below(2) == 0) d.stream_bytes_per_sec = rng.uniform(0.0, 3.0) * GBs;
+      const std::uint64_t comps = rng.below(4);
+      for (std::uint64_t c = 0; c < comps; ++c) {
+        d.reuse.push_back({rng.uniform(0.0, 2.0) * GBs,
+                           rng.uniform(0.0, 40.0) * MB});
+      }
+      demand.push_back(std::move(d));
+    }
+    SCOPED_TRACE(trial);
+    expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB), demand);
+  }
 }
 
 // Conservation holds across arbitrary mask layouts.
