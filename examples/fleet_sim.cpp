@@ -36,8 +36,8 @@
 // predict_efu() evaluations.
 //
 // --profile also prints the placement index's deterministic work counts:
-// decisions, index mutations, predict_efu() evaluations and tree nodes
-// visited.
+// decisions, index mutations, predict_efu() evaluations, tree nodes
+// visited, and the placement classes live at the end and created in all.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -191,7 +191,9 @@ static int run(int argc, char** argv) {
               << " decisions, " << index->mutations()
               << " index mutations, " << index->efu_predictions()
               << " predict_efu evaluations, " << index->tree_node_visits()
-              << " tree nodes visited\n";
+              << " tree nodes visited, " << index->live_classes()
+              << " live classes, " << index->classes_created()
+              << " classes created\n";
   }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "fleet/cluster.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -398,8 +399,8 @@ void Cluster::fill_epoch_stat(std::size_t i) {
   MachineEpochStat st;
   st.machine = machine;
   st.hp = hp.profile;
-  std::vector<metrics::IpcPair> pairs;
-  pairs.reserve(config_.cores_used);
+  std::array<metrics::IpcPair, sim::kMaxCores> pairs;
+  std::size_t n_pairs = 0;
   for (unsigned c = 0; c < config_.cores_used; ++c) {
     const auto& tel = node.machine->telemetry(c);
     const double d_instr = tel.instructions - node.instr_base[c];
@@ -411,15 +412,33 @@ void Cluster::fill_epoch_stat(std::size_t i) {
     if (!app || d_cycles <= 0.0) continue;
     const double ipc = d_instr / d_cycles;
     const double alone = app->ipc_alone;
-    pairs.push_back({alone, ipc});
+    pairs[n_pairs++] = {alone, ipc};
     if (c == 0 && alone > 0.0) {
       st.hp_norm = ipc / alone;
       st.hp_slowdown = ipc > 0.0 ? alone / ipc : 0.0;
     }
   }
-  st.efu = metrics::effective_utilisation(pairs);
+  st.efu = metrics::effective_utilisation({pairs.data(), n_pairs});
   st.link_rho = std::min(node.machine->last_link_utilisation(), 1.0);
   st.slo_violated = st.hp_norm < config_.slo_norm;
+  const sim::SolverStats& ss = node.machine->solver_stats();
+  const SolverCounts now{ss.quanta,
+                         ss.replays,
+                         ss.solves,
+                         ss.stable_solves,
+                         ss.total_rounds(),
+                         ss.invalidations_actuator,
+                         ss.invalidations_fingerprint};
+  const SolverCounts& base = node.solver_base;
+  st.solver = {now.quanta - base.quanta,
+               now.replays - base.replays,
+               now.solves - base.solves,
+               now.stable_solves - base.stable_solves,
+               now.rounds - base.rounds,
+               now.invalidations_actuator - base.invalidations_actuator,
+               now.invalidations_fingerprint -
+                   base.invalidations_fingerprint};
+  node.solver_base = now;
   epoch_stats_[i] = st;
 }
 
@@ -459,21 +478,14 @@ void Cluster::reduce(EpochMetrics& m) {
       for (const Tenant& t : index_->tenants(static_cast<unsigned>(i))) {
         if (t.sig) metrics_.tenant_footprint->record(t.sig->footprint_bytes);
       }
-      const sim::SolverStats& ss = node.machine->solver_stats();
-      metrics_.solver_quanta->inc(ss.quanta - node.solver_base.quanta);
-      metrics_.solver_replays->inc(ss.replays - node.solver_base.replays);
-      metrics_.solver_solves->inc(ss.solves - node.solver_base.solves);
-      metrics_.solver_stable->inc(ss.stable_solves -
-                                  node.solver_base.stable_solves);
-      metrics_.solver_rounds->inc(ss.total_rounds() -
-                                  node.solver_base.total_rounds());
-      metrics_.solver_inv_actuator->inc(
-          ss.invalidations_actuator -
-          node.solver_base.invalidations_actuator);
-      metrics_.solver_inv_fingerprint->inc(
-          ss.invalidations_fingerprint -
-          node.solver_base.invalidations_fingerprint);
-      node.solver_base = ss;
+      const SolverCounts& d = st.solver;
+      metrics_.solver_quanta->inc(d.quanta);
+      metrics_.solver_replays->inc(d.replays);
+      metrics_.solver_solves->inc(d.solves);
+      metrics_.solver_stable->inc(d.stable_solves);
+      metrics_.solver_rounds->inc(d.rounds);
+      metrics_.solver_inv_actuator->inc(d.invalidations_actuator);
+      metrics_.solver_inv_fingerprint->inc(d.invalidations_fingerprint);
     }
   }
   const auto n = static_cast<double>(nodes_.size());

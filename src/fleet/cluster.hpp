@@ -118,6 +118,18 @@ std::string epoch_csv_row(const EpochMetrics& m);
 /// %.17g doubles) — the per-epoch JSONL time series for offline plotting.
 std::string epoch_jsonl_row(const EpochMetrics& m);
 
+/// The solver counters the fleet exports: a machine's cumulative values,
+/// or their deltas over one epoch.
+struct SolverCounts {
+  std::uint64_t quanta = 0;
+  std::uint64_t replays = 0;
+  std::uint64_t solves = 0;
+  std::uint64_t stable_solves = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t invalidations_actuator = 0;
+  std::uint64_t invalidations_fingerprint = 0;
+};
+
 /// One machine's contribution to an epoch, computed by its stepping shard
 /// and folded fleet-wide in machine-index order. `fleet_top` ranks its
 /// worst-K table from these.
@@ -130,6 +142,7 @@ struct MachineEpochStat {
   double link_rho = 0.0;     ///< end-of-epoch link utilisation, capped at 1
   unsigned tenants = 0;      ///< BE tenants at epoch end
   bool slo_violated = false; ///< hp_norm < slo_norm
+  SolverCounts solver;       ///< solver-counter deltas over the epoch
 };
 
 /// One placement-engine decision, in decision order (arrivals and
@@ -203,8 +216,8 @@ class Cluster {
     /// Telemetry baselines for epoch deltas, indexed by core.
     std::vector<double> instr_base;
     std::vector<double> cycles_base;
-    /// SolverStats scalars at the last registry fold (per-epoch deltas).
-    sim::SolverStats solver_base;
+    /// Solver counters at the last epoch stat (per-epoch deltas).
+    SolverCounts solver_base;
   };
 
   /// Registry handles resolved once at boot (all null when

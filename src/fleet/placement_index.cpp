@@ -80,9 +80,7 @@ unsigned PlacementIndex::add_machine(const sim::AppProfile* hp) {
   slots_.push_back(std::move(slot));
   open_.push_back(true);
   by_free_[be_slots_].insert(index);
-  for (AppTree& t : trees_) {
-    if (!t.leaf.empty()) t = AppTree{};
-  }
+  reclass(index);
   return index;
 }
 
@@ -120,7 +118,8 @@ unsigned PlacementIndex::admit(unsigned machine, const Tenant& tenant) {
   rebucket(machine, slot.free_cores, slot.free_cores - 1);
   --slot.free_cores;
   ++running_;
-  touch(machine);
+  ++mutations_;
+  reclass(machine);
   return core;
 }
 
@@ -133,7 +132,8 @@ Tenant PlacementIndex::detach(unsigned machine, unsigned core) {
   rebucket(machine, slot.free_cores, slot.free_cores + 1);
   ++slot.free_cores;
   --running_;
-  touch(machine);
+  ++mutations_;
+  reclass(machine);
   return gone;
 }
 
@@ -181,40 +181,124 @@ std::optional<unsigned> PlacementIndex::least_loaded(
   return std::nullopt;
 }
 
-// --- marginal-EFU trees -----------------------------------------------------
+// --- placement classes -----------------------------------------------------
 
-void PlacementIndex::touch(unsigned machine) {
-  ++mutations_;
-  slots_[machine].before = kStale;
-  for (AppTree& t : trees_) {
-    if (!t.leaf.empty() && !t.queued[machine]) {
-      t.queued[machine] = true;
-      t.pending.push_back(machine);
+std::size_t PlacementIndex::ClassKeyHash::operator()(
+    const ClassKey& key) const noexcept {
+  std::size_t h = key.size();
+  for (const AppSignal* sig : key) {
+    h ^= sig->id + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
+void PlacementIndex::reclass(unsigned machine) {
+  if (!classed_) return;
+  Slot& slot = slots_[machine];
+  // The left slot, when the class died or its representative moved. Its
+  // re-fix is queued last, and not at all when a new class refills the
+  // slot, which queues it anyway.
+  std::uint32_t refix = kNone;
+  if (slot.cls != kNone) {
+    Class& c = classes_[slot.cls];
+    c.members.erase(machine);
+    if (c.members.empty()) {
+      class_of_.erase(c.key);
+      c.rep = kNone;
+      free_slots_.push_back(slot.cls);
+      refix = slot.cls;
+    } else if (c.rep == machine) {
+      c.rep = *c.members.begin();
+      refix = slot.cls;
     }
+    slot.cls = kNone;
+  }
+  if (slot.free_cores > 0) {
+    tenant_signals(machine, key_);
+    key_.push_back(slot.hp);
+    const auto [it, fresh] = class_of_.try_emplace(key_, kNone);
+    if (fresh) {
+      it->second = claim_slot();
+      Class& c = classes_[it->second];
+      c.key = key_;
+      c.members.insert(machine);
+      c.rep = machine;
+      c.before = kStale;
+      ++created_;
+      enqueue(it->second, true);
+      if (it->second == refix) refix = kNone;
+    } else {
+      Class& c = classes_[it->second];
+      // Classification adds machines in index order: the hint is exact.
+      c.members.emplace_hint(c.members.end(), machine);
+      if (machine < c.rep) {
+        c.rep = machine;
+        enqueue(it->second, false);
+      }
+    }
+    slot.cls = it->second;
+  }
+  if (refix != kNone) enqueue(refix, false);
+}
+
+std::uint32_t PlacementIndex::claim_slot() {
+  if (free_slots_.empty()) {
+    // Live classes never outnumber open machines, so the cap leaves room.
+    const std::size_t old = classes_.size();
+    const std::size_t cap = std::min(std::max<std::size_t>(1, 2 * old),
+                                     slots_.size());
+    classes_.resize(cap);
+    for (std::size_t s = cap; s-- > old;) {
+      free_slots_.push_back(static_cast<std::uint32_t>(s));
+    }
+    for (AppTree& t : trees_) {
+      if (!t.built) continue;
+      t.leaf.resize(cap);
+      t.win.resize(cap);
+      t.state.resize(cap, 0);
+      t.relayout = true;
+    }
+  }
+  const std::uint32_t s = free_slots_.back();
+  free_slots_.pop_back();
+  return s;
+}
+
+void PlacementIndex::enqueue(std::uint32_t s, bool unscored) {
+  for (AppTree& t : trees_) {
+    if (!t.built) continue;
+    if (!(t.state[s] & kQueued)) t.pending.push_back(s);
+    t.state[s] |= unscored ? kQueued | kUnscored : kQueued;
   }
 }
 
-double PlacementIndex::score(unsigned machine, const AppSignal& app) {
-  Slot& slot = slots_[machine];
-  if (slot.free_cores == 0) return -std::numeric_limits<double>::infinity();
-  tenant_signals(machine, bes_);
-  if (std::isnan(slot.before)) {
-    slot.before = predict_efu(*dir_, *slot.hp, bes_, pairs_);
+// --- marginal-EFU trees -----------------------------------------------------
+
+double PlacementIndex::score(std::uint32_t s, const AppSignal& app) {
+  Class& c = classes_[s];
+  const AppSignal& hp = *c.key.back();
+  bes_.assign(c.key.begin(), c.key.end() - 1);
+  if (std::isnan(c.before)) {
+    c.before = predict_efu(*dir_, hp, bes_, pairs_);
     ++predictions_;
   }
   bes_.push_back(&app);
   ++predictions_;
-  return predict_efu(*dir_, *slot.hp, bes_, pairs_) - slot.before;
+  return predict_efu(*dir_, hp, bes_, pairs_) - c.before;
 }
 
 bool PlacementIndex::beats(const AppTree& t, std::uint32_t a,
-                           std::uint32_t b) {
-  return t.leaf[a] > t.leaf[b] || (t.leaf[a] == t.leaf[b] && a < b);
+                           std::uint32_t b) const {
+  const std::uint32_t ra = a == kNone ? kNone : classes_[a].rep;
+  const std::uint32_t rb = b == kNone ? kNone : classes_[b].rep;
+  if (ra == kNone) return false;
+  if (rb == kNone) return true;
+  return t.leaf[a] > t.leaf[b] || (t.leaf[a] == t.leaf[b] && ra < rb);
 }
 
 std::uint32_t PlacementIndex::winner(const AppTree& t,
                                      std::size_t node) const {
-  const std::size_t n = slots_.size();
+  const std::size_t n = classes_.size();
   return node >= n ? static_cast<std::uint32_t>(node - n) : t.win[node];
 }
 
@@ -226,56 +310,62 @@ void PlacementIndex::fix(AppTree& t, std::size_t i) {
 }
 
 void PlacementIndex::build(AppTree& t, const AppSignal& app) {
-  const std::size_t n = slots_.size();
-  t.leaf.resize(n);
-  for (unsigned m = 0; m < n; ++m) t.leaf[m] = score(m, app);
+  const std::size_t n = classes_.size();
+  t.leaf.assign(n, 0.0);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (classes_[s].rep != kNone) t.leaf[s] = score(s, app);
+  }
   t.win.resize(n);
-  for (std::size_t i = n - 1; i >= 1; --i) fix(t, i);
-  t.queued.assign(n, false);
+  for (std::size_t i = n; i-- > 1;) fix(t, i);
+  t.state.assign(n, 0);
+  t.built = true;
 }
 
 void PlacementIndex::refresh(AppTree& t, const AppSignal& app) {
-  const std::size_t n = slots_.size();
-  // Re-score the backlog. A leaf that kept its value moves nothing above
-  // it; a changed one stays marked in `queued` while its ancestors are
-  // recomputed.
-  auto& nodes = repair_scratch_;
-  nodes.clear();
-  for (const std::uint32_t m : t.pending) {
-    const double d = score(m, app);
-    const bool same = d == t.leaf[m];
-    t.leaf[m] = d;
-    if (same) {
-      t.queued[m] = false;
-    } else {
-      nodes.push_back((n + m) / 2);
+  const std::size_t n = classes_.size();
+  // Score the new classes. Every queued slot stays marked in `state`
+  // while its ancestors are recomputed: its leaf, its representative or
+  // its liveness changed.
+  for (const std::uint32_t s : t.pending) {
+    if ((t.state[s] & kUnscored) && classes_[s].rep != kNone) {
+      t.leaf[s] = score(s, app);
+    }
+    t.state[s] = kQueued;
+  }
+  if (t.relayout) {
+    for (std::size_t i = n; i-- > 1;) fix(t, i);
+    t.relayout = false;
+  } else {
+    auto& nodes = repair_scratch_;
+    nodes.clear();
+    for (const std::uint32_t s : t.pending) nodes.push_back((n + s) / 2);
+    // Recompute the ancestors in rounds of decreasing node index, so a
+    // node comes after its children (which have higher indices); the next
+    // round is the parents, which keep that order. A node whose winner is
+    // the same unqueued slot as before moves nothing above it.
+    std::sort(nodes.begin(), nodes.end(), std::greater<>());
+    for (;;) {
+      nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+      if (!nodes.empty() && nodes.back() == 0) nodes.pop_back();  // root's
+      if (nodes.empty()) break;
+      std::size_t moved = 0;
+      for (const std::size_t i : nodes) {
+        const std::uint32_t old = t.win[i];
+        fix(t, i);
+        if (t.win[i] != old || (t.state[t.win[i]] & kQueued)) {
+          nodes[moved++] = i / 2;
+        }
+      }
+      nodes.resize(moved);
     }
   }
-  // Recompute the ancestors in rounds of decreasing node index, so a node
-  // comes after its children (which have higher indices); the next round
-  // is the parents, which keep that order. A node whose winner is the
-  // same machine as before, with an unchanged leaf, moves nothing above
-  // it.
-  std::sort(nodes.begin(), nodes.end(), std::greater<>());
-  for (;;) {
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    if (!nodes.empty() && nodes.back() == 0) nodes.pop_back();  // above root
-    if (nodes.empty()) break;
-    std::size_t moved = 0;
-    for (const std::size_t i : nodes) {
-      const std::uint32_t old = t.win[i];
-      fix(t, i);
-      if (t.win[i] != old || t.queued[t.win[i]]) nodes[moved++] = i / 2;
-    }
-    nodes.resize(moved);
-  }
-  for (const std::uint32_t m : t.pending) t.queued[m] = false;
+  for (const std::uint32_t s : t.pending) t.state[s] = 0;
   t.pending.clear();
 }
 
 std::uint32_t PlacementIndex::best_in(const AppTree& t, std::size_t lo,
                                       std::size_t hi, std::uint32_t best) {
-  const std::size_t n = slots_.size();
+  const std::size_t n = classes_.size();
   for (lo += n, hi += n; lo < hi; lo /= 2, hi /= 2) {
     if (lo & 1) {
       const std::uint32_t w = winner(t, lo++);
@@ -293,35 +383,47 @@ std::uint32_t PlacementIndex::best_in(const AppTree& t, std::size_t lo,
 
 std::optional<unsigned> PlacementIndex::best_fit(
     const AppSignal& app, std::optional<unsigned> exclude) {
-  const std::size_t n = slots_.size();
-  if (n == 0) return std::nullopt;
+  if (!classed_) {
+    classed_ = true;
+    for (unsigned m = 0; m < slots_.size(); ++m) reclass(m);
+  }
   AppTree& t = trees_.at(app.id);
-  if (t.leaf.empty()) {
-    build(t, app);
-  } else {
+  if (t.built) {
     refresh(t, app);
+  } else {
+    build(t, app);
   }
-  std::uint32_t best = winner(t, 1);
-  if (exclude && *exclude == best) {
-    // The best of the two ranges around the excluded winner, folded into
-    // a seed that is neither: "better" is a total order, so the left
-    // range wins ties by index alone.
-    if (n == 1) return std::nullopt;
-    const std::size_t ex = *exclude;
-    best = best_in(t, 0, ex, ex == 0 ? 1 : 0);
-    best = best_in(t, ex + 1, n, best);
+  if (classes_.empty()) return std::nullopt;  // never an open machine
+  const std::uint32_t w = winner(t, 1);
+  const Class& top = classes_[w];
+  if (top.rep == kNone) return std::nullopt;  // no open machine
+  if (!exclude || *exclude != top.rep) return top.rep;
+  // The excluded representative's next member ties it on the leaf; it
+  // goes unless the best other class ties too with a lower representative.
+  const std::uint32_t other =
+      best_in(t, w + 1, classes_.size(), best_in(t, 0, w, kNone));
+  const auto next = std::next(top.members.begin());
+  if (next != top.members.end() &&
+      (other == kNone || t.leaf[w] > t.leaf[other] ||
+       *next < classes_[other].rep)) {
+    return *next;
   }
-  if (slots_[best].free_cores == 0) return std::nullopt;
-  return best;
+  if (other == kNone) return std::nullopt;
+  return classes_[other].rep;
 }
 
 double PlacementIndex::marginal_efu(unsigned machine,
                                     const AppSignal& app) const {
   const AppTree& t = trees_.at(app.id);
-  if (t.leaf.empty()) {
+  if (!t.built) {
     throw std::logic_error("PlacementIndex: app has no tree before best_fit");
   }
-  return t.leaf.at(machine);
+  const std::uint32_t s = at(machine).cls;
+  if (s == kNone) return -std::numeric_limits<double>::infinity();
+  if (t.state[s] & kUnscored) {
+    throw std::logic_error("PlacementIndex: class created since best_fit");
+  }
+  return t.leaf[s];
 }
 
 std::size_t PlacementIndex::backlog(std::size_t app_id) const {

@@ -19,28 +19,42 @@
 //   - free-core buckets (one ordered set per free-core count) so
 //     `least-loaded` resolves as "lowest index in the highest non-empty
 //     bucket" instead of a full scan;
-//   - one tournament tree per app over the app's marginal-EFU deltas
-//     (the `mrc` engine's score cache), so `mrc` reads its argmax off a
-//     root instead of scanning N machines. Leaf m holds the marginal EFU
-//     of the app joining machine m — predict_efu() with the app minus the
-//     machine's cached "before" predict_efu(), which every app shares —
-//     or -inf when m has no free core. Each internal node holds the
-//     uint32 index of the better of its two children, and ties go to the
-//     lower machine index, so the root is exactly the first strictly
-//     better machine of an index-order scan. A tree is built on the app's
-//     first query: 12 B and a bit per machine (a double leaf, a uint32
-//     winner and a "queued" flag).
+//   - placement classes, and one tournament tree per app over them (the
+//     `mrc` engine's score cache), so `mrc` reads its argmax off a root.
 //
-// Refresh is lazy. admit/detach queue the touched machine, once, on every
-// tree's backlog. An app's next query re-scores only its queued
-// machines and recomputes the ancestors of the leaves whose value
-// changed, each once, stopping wherever a node keeps its winner, so a
-// decision costs at most O(machines touched since the app's last query x
-// log N), and never more than a rebuild, instead of O(N). A backlog holds
-// each machine at most once, so memory stays flat however long an app
-// goes unqueried. predict_efu() is a pure function of (HP, tenant list,
-// app), so a cached leaf is the bit-identical double a recomputation
-// would produce.
+// A placement class is the key (HP signal, core-ordered BE signals) shared
+// by one or more *open* machines: exactly the operands of predict_efu(),
+// so every member scores the same bit-identical double. A 10k-machine
+// fleet starts in one class per HP app and stays within a few hundred
+// live classes. Each class keeps its members, its representative (the
+// lowest-index member) and its "before" predict_efu(), computed once per
+// class lifetime and shared by every app. The first best_fit() sorts
+// the fleet into classes; from then on admit/detach (and add_machine)
+// move one machine between classes, and a closed machine belongs to none.
+// So boot, and fleets placed by the class-blind engines, pay no class
+// upkeep.
+//
+// Class slots are recycled; their count doubles as the live-class
+// high-water mark needs, capped at the machine count. An app's tree has
+// one leaf per slot: the marginal EFU of the app joining the class
+// (predict_efu() with the app minus the class's "before"), computed once
+// per class lifetime. Each
+// internal node holds the better of its two children's slots: higher
+// leaf, then lower representative, and a dead slot loses to any live one.
+// So the root's representative is exactly the first strictly better
+// machine of an index-order scan. A tree is built on the app's first
+// query: 13 B per slot (a double leaf, a uint32 winner, a state byte).
+//
+// Refresh is lazy. A mutation that creates a class queues its slot for
+// scoring on every tree's backlog; one that kills a class or changes its
+// representative queues only a re-fix of the slot's ancestors; one that
+// does neither (a non-representative member moving to an existing class)
+// queues nothing. An app's next query scores its queued new classes and
+// recomputes the ancestors of its queued slots, each once, so a decision
+// costs O(classes touched since the app's last query x log C). A backlog
+// holds each slot at most once. Excluding the winning class's
+// representative (a migration source) falls back to its next member,
+// which ties it on the leaf, or to the best other class.
 //
 // Single-threaded like the rest of the control plane; `const` reads are
 // safe from anywhere, mutations are not.
@@ -50,6 +64,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "fleet/directory.hpp"
@@ -71,9 +86,9 @@ class PlacementIndex {
   PlacementIndex(const AppDirectory& dir, unsigned be_slots);
 
   /// Register the next machine (indices are assigned 0, 1, ... in call
-  /// order) hosting `hp` and no tenants. Returns its index. Machines join
-  /// before placement starts: a machine added later drops every app's
-  /// tree, and the app's next query rebuilds it.
+  /// order) hosting `hp` and no tenants. Returns its index. Once classes
+  /// exist the machine joins its HP's empty class like any other class
+  /// move, so machines may be added after placement has started.
   unsigned add_machine(const sim::AppProfile* hp);
 
   /// `tenant` lands on `machine`'s lowest free BE core, which is returned.
@@ -120,18 +135,24 @@ class PlacementIndex {
   /// control plane's tenancy churn.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
-  // --- marginal-EFU trees (read by the `mrc` engine) ---
+  // --- placement classes and marginal-EFU trees (read by `mrc`) ---
   /// The open machine other than `exclude` that `app` raises the most
   /// predicted EFU on (lowest index on ties), or nullopt when there is
   /// none. `exclude` may be out of range (then nothing is excluded).
   std::optional<unsigned> best_fit(const AppSignal& app,
                                    std::optional<unsigned> exclude);
-  /// `app`'s leaf for `machine` as of the app's last best_fit(): the
-  /// marginal EFU of the app joining it, or -inf if it was closed then.
-  /// Throws std::logic_error before the app's first best_fit().
+  /// The marginal EFU of `app` joining `machine`: its class's leaf in the
+  /// app's tree, or -inf when the machine is closed. Throws
+  /// std::logic_error before the app's first best_fit(), and when the
+  /// machine's class was created after the app's last best_fit().
   double marginal_efu(unsigned machine, const AppSignal& app) const;
-  /// Machines queued for re-scoring in `app_id`'s tree (at most N).
+  /// Class slots queued in `app_id`'s tree (at most the slot count).
   std::size_t backlog(std::size_t app_id) const;
+  /// Classes with at least one open member (0 before the first
+  /// best_fit(), which classifies every machine).
+  std::size_t live_classes() const noexcept { return class_of_.size(); }
+  /// Monotone count of classes created (each is scored afresh).
+  std::uint64_t classes_created() const noexcept { return created_; }
 
   /// Monotone count of predict_efu() evaluations the index has made.
   std::uint64_t efu_predictions() const noexcept { return predictions_; }
@@ -140,32 +161,51 @@ class PlacementIndex {
   std::uint64_t tree_node_visits() const noexcept { return node_visits_; }
 
  private:
-  /// The stale mark of a machine's "before" score.
+  /// No class / no machine.
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+  /// The not-yet-computed mark of a class's "before" score.
   static constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
 
   struct Slot {
     const AppSignal* hp = nullptr;
     std::vector<Tenant> tenants;  ///< by core (0 unused — core 0 is the HP)
     unsigned free_cores = 0;
-    /// predict_efu() of the current tenant set; NaN = stale.
-    double before = kStale;
+    std::uint32_t cls = kNone;  ///< class slot; kNone: closed/unclassified
   };
 
-  /// One app's tournament tree, empty until the app's first query builds
-  /// it. Node N + m is leaf m; internal node i in [1, N) holds the better
-  /// of nodes 2i and 2i + 1, so node 1 is the winner over every leaf (any
-  /// N, not only powers of two, because "better" is a total order on
-  /// machines).
-  struct AppTree {
-    /// Marginal EFU of the app joining each machine, -inf when the
-    /// machine has no free core. A queued leaf keeps its old value until
-    /// the next query compares the two.
-    std::vector<double> leaf;
-    std::vector<std::uint32_t> win;  ///< [1, N)
-    /// Machines mutated since the last query, each once.
-    std::vector<std::uint32_t> pending;
-    std::vector<bool> queued;  ///< by machine: in `pending`
+  /// The running BEs in core order, then the HP: predict_efu()'s operands.
+  using ClassKey = std::vector<const AppSignal*>;
+  struct ClassKeyHash {
+    std::size_t operator()(const ClassKey& key) const noexcept;
   };
+
+  /// One class slot; dead (rep == kNone) until a key claims it.
+  struct Class {
+    ClassKey key;
+    std::set<unsigned> members;  ///< open machines with this key
+    std::uint32_t rep = kNone;   ///< lowest member
+    double before = kStale;      ///< predict_efu(key), once per lifetime
+  };
+
+  /// One app's tournament tree over the class slots, unbuilt until the
+  /// app's first query. Node C + s is leaf s; internal node i in [1, C)
+  /// holds the better of nodes 2i and 2i + 1, so node 1 is the winner
+  /// over every slot.
+  struct AppTree {
+    /// Marginal EFU of the app joining each slot's class, valid for live
+    /// slots that are not kUnscored.
+    std::vector<double> leaf;
+    std::vector<std::uint32_t> win;  ///< [1, C)
+    /// Slots whose class changed since the last query, each once.
+    std::vector<std::uint32_t> pending;
+    std::vector<std::uint8_t> state;  ///< by slot: kQueued | kUnscored
+    bool built = false;
+    /// The slot count grew since the last query: rebuild every node.
+    bool relayout = false;
+  };
+  static constexpr std::uint8_t kQueued = 1;    ///< in `pending`
+  static constexpr std::uint8_t kUnscored = 2;  ///< leaf not yet computed
 
   /// Fenwick tree over the 0/1 "machine is open" bits: point update,
   /// prefix count and k-th-set-bit select, all O(log N). Grows by
@@ -189,24 +229,31 @@ class PlacementIndex {
   /// Move `machine` between free-core buckets and the open-bits tree when
   /// its free count changes from `from` to `to`.
   void rebucket(unsigned machine, unsigned from, unsigned to);
-  /// Record a tenant-set mutation of `machine`: stale "before", backlog
-  /// entries.
-  void touch(unsigned machine);
-  /// The marginal EFU of `app` joining `machine`: -inf for a closed
-  /// machine (computing the shared "before" if it is stale).
-  double score(unsigned machine, const AppSignal& app);
-  /// Score every leaf of `t` and build its winners.
+  /// Move `machine` out of its class and into the one its tenants and
+  /// free cores now key (none when it is closed). A no-op until the
+  /// first best_fit() classifies the fleet.
+  void reclass(unsigned machine);
+  /// A free class slot, doubling the slot count (capped at the machine
+  /// count) and growing every built tree when none is left.
+  std::uint32_t claim_slot();
+  /// Queue slot `s` on every built tree's backlog, for a re-fix and, when
+  /// `unscored`, a fresh leaf.
+  void enqueue(std::uint32_t s, bool unscored);
+  /// The marginal EFU of `app` joining live class `s` (computing the
+  /// class's shared "before" on its first use).
+  double score(std::uint32_t s, const AppSignal& app);
+  /// Score every live slot of `t` and build its winners.
   void build(AppTree& t, const AppSignal& app);
-  /// Re-score `t`'s backlog and bring its winners up to date.
+  /// Score `t`'s queued new classes and bring its winners up to date.
   void refresh(AppTree& t, const AppSignal& app);
-  /// Whether machine `a` beats machine `b` in `t`: higher leaf, or equal
-  /// leaf and lower index.
-  static bool beats(const AppTree& t, std::uint32_t a, std::uint32_t b);
-  /// The machine winning node `node` of `t`.
+  /// Whether slot `a` beats slot `b` in `t`: live, then higher leaf, then
+  /// lower representative. kNone is a dead slot.
+  bool beats(const AppTree& t, std::uint32_t a, std::uint32_t b) const;
+  /// The slot winning node `node` of `t`.
   std::uint32_t winner(const AppTree& t, std::size_t node) const;
   /// Recompute internal node `i` of `t` from its children.
   void fix(AppTree& t, std::size_t i);
-  /// The better of `best` and every machine in [lo, hi) of `t`.
+  /// The better of `best` and every slot in [lo, hi) of `t`.
   std::uint32_t best_in(const AppTree& t, std::size_t lo, std::size_t hi,
                         std::uint32_t best);
 
@@ -216,14 +263,22 @@ class PlacementIndex {
   std::uint64_t mutations_ = 0;
   std::uint64_t predictions_ = 0;
   std::uint64_t node_visits_ = 0;
+  std::uint64_t created_ = 0;
+  /// Machines are kept in classes; false until the first best_fit(), so
+  /// boot and the class-blind engines pay no class upkeep.
+  bool classed_ = false;
   std::vector<Slot> slots_;
   OpenBits open_;
   /// by_free_[f] = machines with exactly f free cores, f in [1, be_slots]
   /// (fully-busy machines are tracked by free_cores == 0 alone — no
   /// placement path enumerates them).
   std::vector<std::set<unsigned>> by_free_;
+  std::vector<Class> classes_;  ///< by slot
+  std::unordered_map<ClassKey, std::uint32_t, ClassKeyHash> class_of_;
+  std::vector<std::uint32_t> free_slots_;  ///< dead slots, next at back
   std::vector<AppTree> trees_;  ///< by AppSignal::id
-  /// Scoring and repair scratch (allocation-free after warm-up).
+  /// Key, scoring and repair scratch (allocation-free after warm-up).
+  ClassKey key_;
   std::vector<const AppSignal*> bes_;
   std::vector<metrics::IpcPair> pairs_;
   std::vector<std::size_t> repair_scratch_;

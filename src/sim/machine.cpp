@@ -29,7 +29,6 @@ void PhaseConst::build(const AppPhase& ph) {
 
 namespace {
 
-constexpr std::size_t kMaxCores = 64;  ///< cores a machine may have
 /// Anderson history depth: the secant columns the mixing step fits.
 constexpr std::size_t kAndersonDepth = 3;
 

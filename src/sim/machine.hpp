@@ -47,6 +47,9 @@ class Tracer;
 
 namespace dicer::sim {
 
+/// Cores a machine may have.
+inline constexpr std::size_t kMaxCores = 64;
+
 struct MachineConfig {
   unsigned num_cores = 10;
   double freq_hz = 2.2e9;

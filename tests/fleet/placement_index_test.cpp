@@ -224,40 +224,216 @@ TEST(PlacementIndex, TenantSignalsAreCoreOrdered) {
   EXPECT_EQ(index.tenants_running(), 3u);
 }
 
-// Mutations must invalidate the cached scores; untouched machines must
-// keep theirs, and every app shares a machine's "before" score.
+// Scores are cached per placement class: machines sharing (HP, core-ordered
+// tenants) share one "before" and one leaf per app, a mutation queues work
+// only when it creates a class, kills one or moves its representative, and
+// a queued class is re-scored only when it is new.
 TEST(PlacementIndex, DirtyScoreProtocolInvalidatesOnMutation) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
   PlacementIndex index(dir, 2);
-  index.add_machine(&catalog.at(0));
-  index.add_machine(&catalog.at(1));
+  for (const std::size_t hp : {0u, 0u, 1u, 0u}) {
+    index.add_machine(&catalog.at(hp));
+  }
+  EXPECT_EQ(index.live_classes(), 0u);  // until the first query
   const AppSignal& app = dir.signal(catalog.at(3).name);
   const AppSignal& other = dir.signal(catalog.at(4).name);
+  const Tenant x{0, &dir.signal(catalog.at(2).name)};
 
   index.best_fit(app, std::nullopt);
+  EXPECT_EQ(index.live_classes(), 2u);  // {hp 0}: 0, 1, 3; {hp 1}: 2
+  EXPECT_EQ(index.classes_created(), 2u);
   EXPECT_EQ(index.efu_predictions(), 4u);  // a "before" and an "after" each
   const double d0 = index.marginal_efu(0, app);
-  const double d1 = index.marginal_efu(1, app);
+  EXPECT_EQ(index.marginal_efu(1, app), d0);  // one class, one leaf
+  EXPECT_EQ(index.marginal_efu(3, app), d0);
+  const double d2 = index.marginal_efu(2, app);
   index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 4u);  // clean: cache hits
   index.best_fit(other, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 6u);  // the "befores" are shared
 
-  index.admit(0, {0, &dir.signal(catalog.at(2).name)});
+  // Machine 1 is not its class's representative: it leaves {hp 0}
+  // without queuing it, and founds {hp 0, x}, queued for scoring.
+  index.admit(1, x);
+  EXPECT_EQ(index.live_classes(), 3u);
+  EXPECT_EQ(index.classes_created(), 3u);
   EXPECT_EQ(index.backlog(app.id), 1u);
-  EXPECT_EQ(index.marginal_efu(0, app), d0);  // queued: the old leaf
+  EXPECT_THROW(index.marginal_efu(1, app), std::logic_error);  // unscored
+  EXPECT_EQ(index.marginal_efu(0, app), d0);
   index.best_fit(app, std::nullopt);
-  EXPECT_EQ(index.efu_predictions(), 8u);  // machine 0 re-scored only
-  EXPECT_EQ(index.marginal_efu(1, app), d1);
+  EXPECT_EQ(index.efu_predictions(), 8u);  // the new class only
+  const double dx = index.marginal_efu(1, app);
+  EXPECT_EQ(index.marginal_efu(2, app), d2);
   EXPECT_EQ(index.backlog(app.id), 0u);
   EXPECT_EQ(index.backlog(other.id), 1u);
 
-  // Back to the old tenant set: a fresh score, bit-identical to the first.
-  index.detach(0, 1);
+  // Machine 3 joins {hp 0, x} behind its representative: nothing queued.
+  index.admit(3, x);
+  EXPECT_EQ(index.classes_created(), 3u);
+  EXPECT_EQ(index.backlog(app.id), 0u);
+  EXPECT_EQ(index.marginal_efu(3, app), dx);
+
+  // Machine 1 leaves: {hp 0, x}'s representative moves to 3, a re-fix
+  // with no new score; machine 1 rejoins {hp 0} behind machine 0.
+  index.detach(1, 1);
+  EXPECT_EQ(index.backlog(app.id), 1u);
   index.best_fit(app, std::nullopt);
-  EXPECT_EQ(index.marginal_efu(0, app), d0);
+  EXPECT_EQ(index.efu_predictions(), 8u);
+  EXPECT_EQ(index.marginal_efu(1, app), d0);
+
+  // Machine 3 leaves: {hp 0, x} dies (a re-fix), and comes back to life
+  // as a new class, scored afresh to the bit-identical leaf.
+  index.detach(3, 1);
+  EXPECT_EQ(index.live_classes(), 2u);
+  index.best_fit(app, std::nullopt);
+  EXPECT_EQ(index.efu_predictions(), 8u);
+  index.admit(0, x);
+  EXPECT_EQ(index.classes_created(), 4u);
+  index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 10u);
+  EXPECT_EQ(index.marginal_efu(0, app), dx);
+}
+
+// N identical empty machines are one class: each app scores it once, and
+// ties go to the lowest index whichever app asks.
+TEST(PlacementIndex, IdenticalMachinesCostOneScorePerApp) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  constexpr unsigned kMachines = 64;
+  PlacementIndex index(dir, 3);
+  for (unsigned m = 0; m < kMachines; ++m) index.add_machine(&catalog.at(2));
+  for (std::size_t a = 0; a < 5; ++a) {
+    const AppSignal& app = dir.signal(catalog.at(10 + a).name);
+    EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
+    EXPECT_EQ(index.efu_predictions(), 2 + a);  // one "before", then afters
+  }
+  EXPECT_EQ(index.live_classes(), 1u);
+}
+
+// Admitting onto a class's representative hands the role to its
+// next-lowest member; detaching restores it. Neither costs a score.
+TEST(PlacementIndex, AdmitOntoRepresentativeMovesItToTheNextMember) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  PlacementIndex index(dir, 1);  // one BE slot: an admit closes a machine
+  for (unsigned m = 0; m < 8; ++m) index.add_machine(&catalog.at(2));
+  const AppSignal& app = dir.signal(catalog.at(7).name);
+  const Tenant t{0, &dir.signal(catalog.at(3).name)};
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
+  const std::uint64_t scored = index.efu_predictions();
+
+  index.admit(0, t);
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 1u);
+  EXPECT_EQ(index.best_fit(app, 1u), 2u);
+  index.admit(2, t);  // a non-representative closes: the tie stays at 1
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 1u);
+  EXPECT_EQ(index.best_fit(app, 1u), 3u);
+  index.detach(0, 1);
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
+  EXPECT_EQ(index.best_fit(app, 0u), 1u);
+  EXPECT_EQ(index.efu_predictions(), scored);
+  EXPECT_EQ(index.classes_created(), 1u);
+}
+
+// Excluding the winning class's representative (a migration source)
+// falls back to its second member, which ties it, and to the best other
+// class once it has none.
+TEST(PlacementIndex, ExcludedRepresentativeFallsBackToItsClassThenTheNext) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  const AppSignal& app = dir.signal(catalog.at(7).name);
+  std::vector<metrics::IpcPair> pairs;
+  const auto gain = [&](const sim::AppProfile& hp) {
+    const AppSignal& hp_sig = dir.signal(hp.name);
+    return predict_efu(dir, hp_sig, {&app}, pairs) -
+           predict_efu(dir, hp_sig, {}, pairs);
+  };
+  const sim::AppProfile* top = &catalog.at(0);
+  const sim::AppProfile* low = &catalog.at(0);
+  for (const auto& hp : catalog.profiles()) {
+    if (gain(hp) > gain(*top)) top = &hp;
+    if (gain(hp) < gain(*low)) low = &hp;
+  }
+  ASSERT_GT(gain(*top), gain(*low));
+
+  PlacementIndex index(dir, 1);
+  for (unsigned m = 0; m < 10; ++m) {
+    index.add_machine(m == 5 || m == 9 ? top : low);
+  }
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 5u);
+  EXPECT_EQ(index.best_fit(app, 5u), 9u);  // the class's second member
+  EXPECT_EQ(index.best_fit(app, 9u), 5u);  // not the representative
+  index.admit(9, {0, &dir.signal(catalog.at(3).name)});
+  EXPECT_EQ(index.best_fit(app, 5u), 0u);  // the next class
+  index.admit(5, {0, &dir.signal(catalog.at(3).name)});
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
+  EXPECT_EQ(index.best_fit(app, 0u), 1u);
+}
+
+// Two HPs the app gains exactly as much next to make two classes with
+// equal leaves: the lower representative wins, and when the winner's
+// representative is excluded, its class's next member still loses the
+// tie to a lower-index machine of the other class.
+TEST(PlacementIndex, EqualLeavesAcrossClassesGoToTheLowerIndex) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  const AppSignal& app = dir.signal(catalog.at(0).name);
+  std::vector<metrics::IpcPair> pairs;
+  const auto gain = [&](const sim::AppProfile& hp) {
+    const AppSignal& hp_sig = dir.signal(hp.name);
+    return predict_efu(dir, hp_sig, {&app}, pairs) -
+           predict_efu(dir, hp_sig, {}, pairs);
+  };
+  const sim::AppProfile* a = nullptr;
+  const sim::AppProfile* b = nullptr;
+  for (std::size_t i = 0; i < catalog.size() && !b; ++i) {
+    for (std::size_t j = i + 1; j < catalog.size() && !b; ++j) {
+      if (gain(catalog.at(i)) == gain(catalog.at(j))) {
+        a = &catalog.at(i);
+        b = &catalog.at(j);
+      }
+    }
+  }
+  ASSERT_NE(b, nullptr) << "no two HPs tie for " << app.profile->name;
+
+  PlacementIndex index(dir, 1);
+  for (const auto* hp : {a, b, a, b}) index.add_machine(hp);
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
+  EXPECT_EQ(index.live_classes(), 2u);  // {a}: 0, 2; {b}: 1, 3
+  EXPECT_EQ(index.marginal_efu(0, app), index.marginal_efu(1, app));
+  EXPECT_EQ(index.best_fit(app, 0u), 1u);  // not 2, its class's next
+  index.admit(1, {0, &dir.signal(catalog.at(3).name)});
+  EXPECT_EQ(index.best_fit(app, 0u), 2u);  // now {a}'s next member
+  index.admit(0, {0, &dir.signal(catalog.at(3).name)});
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 2u);
+  EXPECT_EQ(index.best_fit(app, 2u), 3u);  // the other class
+}
+
+// A dead class's slot taken by a new key is scored afresh, never read as
+// the old key's leaf.
+TEST(PlacementIndex, ReusedClassSlotIsRescored) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  PlacementIndex index(dir, 2);
+  index.add_machine(&catalog.at(0));  // one class, one slot
+  const AppSignal& app = dir.signal(catalog.at(3).name);
+  const AppSignal& be = dir.signal(catalog.at(2).name);
+  index.best_fit(app, std::nullopt);
+  const double empty = index.marginal_efu(0, app);
+  EXPECT_EQ(index.efu_predictions(), 2u);
+
+  index.admit(0, {0, &be});  // {hp} dies, {hp, be} takes its slot
+  EXPECT_EQ(index.live_classes(), 1u);
+  EXPECT_EQ(index.classes_created(), 2u);
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
+  EXPECT_EQ(index.efu_predictions(), 4u);
+  std::vector<metrics::IpcPair> pairs;
+  const AppSignal& hp = index.hp(0);
+  const double want = predict_efu(dir, hp, {&be, &app}, pairs) -
+                      predict_efu(dir, hp, {&be}, pairs);
+  EXPECT_EQ(index.marginal_efu(0, app), want);
+  EXPECT_NE(want, empty);
 }
 
 // A long cluster churn run: after every epoch the live index agrees with

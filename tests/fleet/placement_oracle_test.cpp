@@ -4,9 +4,9 @@
 // The reference materialises one MachineView per machine for every
 // decision and rescans all of them — the plain O(machines x tenants)
 // algorithm that each engine's indexed resolution (order statistics,
-// free-core buckets, per-app tournament trees over lazily refreshed
-// marginal-EFU leaves) must reproduce bit for bit: the same decision, the
-// same tie-break and the same RNG draws.
+// free-core buckets, per-app tournament trees over the lazily refreshed
+// marginal-EFU leaves of placement classes) must reproduce bit for bit:
+// the same decision, the same tie-break and the same RNG draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -324,8 +324,9 @@ TEST(PlacementOracle, ExcludedMiddleWinnerFallsBackToTheLeftTie) {
 }
 
 // An app scored once and then left unqueried while 10 x N mutations land
-// keeps a backlog of at most N machines, and its next decision is still
-// the reference's, with every leaf refreshed to the current marginal EFU.
+// keeps a backlog of at most one entry per class slot ever used (the
+// live-class high-water mark), and its next decision is still the
+// reference's, with every open machine's leaf at its current marginal EFU.
 TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
@@ -344,6 +345,7 @@ TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
   mrc.place(first, index, std::nullopt);
 
   std::size_t max_backlog = 0;
+  std::size_t high_water = index.live_classes();
   for (unsigned step = 0; step < 10 * kMachines; ++step) {
     const auto m = static_cast<unsigned>(rng.below(kMachines));
     const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
@@ -352,15 +354,17 @@ TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
     } else {
       index.admit(m, tenant_of(dir, catalog.at(rng.below(catalog.size()))));
     }
+    high_water = std::max(high_water, index.live_classes());
+    ASSERT_LE(index.live_classes(), index.open_count()) << "step " << step;
     // Another app decides; the first one is never queried.
     auto other = &catalog.at(rng.below(catalog.size()));
     if (other == &first) other = &catalog.at(12);
     mrc.place(*other, index, std::nullopt);
     const std::size_t backlog = index.backlog(first_sig.id);
-    ASSERT_LE(backlog, kMachines) << "step " << step;
+    ASSERT_LE(backlog, high_water) << "step " << step;
     max_backlog = std::max(max_backlog, backlog);
   }
-  EXPECT_EQ(max_backlog, kMachines);  // every machine was touched
+  EXPECT_EQ(max_backlog, high_water);  // every slot was touched
   EXPECT_EQ(mrc.place(first, index, std::nullopt),
             oracle.place(first, views_of(index, std::nullopt)));
   EXPECT_EQ(index.backlog(first_sig.id), 0u);
@@ -377,6 +381,82 @@ TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
               predict_efu(dir, hp, bes, pairs) - before)
         << "machine " << m;
   }
+}
+
+// Few HP apps and few tenant apps make large classes and many exact ties,
+// within a class and (the three HPs give catalog app 0 the same gain on an
+// empty machine) across classes: after every admit or detach, `mrc`
+// decides like the full scan for a random app, with nothing excluded,
+// with the scan's own winner excluded (the representative fallback) and
+// with a random machine excluded.
+TEST(PlacementOracle, ClassTiesMatchFullScanUnderRandomChurn) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  constexpr unsigned kMachines = 96;
+  constexpr unsigned kBeSlots = 3;
+  const std::vector<const sim::AppProfile*> hps{
+      &catalog.at(17), &catalog.at(34), &catalog.at(36)};
+  const std::vector<const sim::AppProfile*> apps{
+      &catalog.at(0), &catalog.at(2), &catalog.at(7), &catalog.at(13)};
+  std::vector<metrics::IpcPair> pairs;
+  const AppSignal& app0 = dir.signal(apps[0]->name);
+  for (const auto* hp : hps) {
+    const AppSignal& hp_sig = dir.signal(hp->name);
+    ASSERT_EQ(predict_efu(dir, hp_sig, {&app0}, pairs) -
+                  predict_efu(dir, hp_sig, {}, pairs),
+              predict_efu(dir, dir.signal(hps[0]->name), {&app0}, pairs) -
+                  predict_efu(dir, dir.signal(hps[0]->name), {}, pairs))
+        << hp->name;
+  }
+
+  PlacementIndex index(dir, kBeSlots);
+  util::Xoshiro256 rng(31);
+  for (unsigned m = 0; m < kMachines; ++m) {
+    index.add_machine(hps[rng.below(hps.size())]);
+  }
+  MrcBestFitPlacement mrc(dir);
+  FullScan oracle("mrc", dir, 0);
+  mrc.place(*apps[0], index, std::nullopt);
+  EXPECT_EQ(index.live_classes(), hps.size());
+
+  std::uint64_t fallbacks = 0;
+  std::vector<const AppSignal*> winner_key, fallback_key;
+  for (int step = 0; step < 3000; ++step) {
+    // Drift between mostly full and mostly empty so that both closed
+    // machines and large empty classes recur.
+    const std::uint64_t admit_pct = (step / 500) % 2 == 0 ? 70 : 30;
+    const auto m = static_cast<unsigned>(rng.below(kMachines));
+    if (rng.below(100) < admit_pct) {
+      if (index.is_open(m)) {
+        index.admit(m, tenant_of(dir, *apps[rng.below(apps.size())]));
+      }
+    } else {
+      const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+      if (index.tenants(m)[c].sig != nullptr) index.detach(m, c);
+    }
+    ASSERT_LE(index.live_classes(), index.open_count());
+
+    const auto& app = *apps[rng.below(apps.size())];
+    const auto scan = oracle.place(app, views_of(index, std::nullopt));
+    ASSERT_EQ(mrc.place(app, index, std::nullopt), scan) << "step " << step;
+    if (scan) {
+      const auto without = oracle.place(app, views_of(index, *scan));
+      ASSERT_EQ(mrc.place(app, index, *scan), without) << "step " << step;
+      if (without) {
+        index.tenant_signals(*scan, winner_key);
+        index.tenant_signals(*without, fallback_key);
+        if (fallback_key == winner_key &&
+            &index.hp(*without) == &index.hp(*scan)) {
+          ++fallbacks;  // the same class's next member
+        }
+      }
+    }
+    const auto ex = static_cast<unsigned>(rng.below(kMachines));
+    ASSERT_EQ(mrc.place(app, index, ex),
+              oracle.place(app, views_of(index, ex)))
+        << "step " << step << " exclude " << ex;
+  }
+  EXPECT_GT(fallbacks, 100u);
 }
 
 }  // namespace
