@@ -32,13 +32,24 @@ MissRatioCurve::MissRatioCurve(double floor,
 }
 
 double MissRatioCurve::at(double bytes) const noexcept {
+  double slope = 0.0;
+  return miss_and_slope(bytes, slope);
+}
+
+double MissRatioCurve::miss_and_slope(double bytes,
+                                      double& slope) const noexcept {
   const double x = std::max(bytes, 0.0);
   double m = floor_;
+  double dm = 0.0;
   for (const auto& c : components_) {
     const double coverage = std::min(x / c.ws_bytes, 1.0);
     if (coverage >= 1.0) continue;  // fully resident: contributes ~0
-    m += c.weight * std::pow(1.0 - coverage, c.shape);
+    const double uncovered = 1.0 - coverage;
+    const double term = c.weight * std::pow(uncovered, c.shape);
+    m += term;
+    dm -= term * c.shape / (uncovered * c.ws_bytes);
   }
+  slope = m > 1.0 ? 0.0 : dm;
   return std::min(m, 1.0);
 }
 

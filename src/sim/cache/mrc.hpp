@@ -49,6 +49,11 @@ class MissRatioCurve {
 
   /// Miss ratio for an effective allocation of `bytes` (>= 0).
   double at(double bytes) const noexcept;
+  /// at(bytes) together with its derivative dm/dbytes (<= 0) in `slope`:
+  /// -sum over partly covered components of
+  /// weight * shape * (1 - c)^shape / ((1 - c) * ws), from the same pow
+  /// as the miss ratio; 0 where the miss ratio clamps at 1.
+  double miss_and_slope(double bytes, double& slope) const noexcept;
 
   /// Asymptotic miss ratio with unbounded cache.
   double floor() const noexcept { return floor_; }

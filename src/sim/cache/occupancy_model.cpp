@@ -137,8 +137,6 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       const auto& r = regions[ri];
       auto& rs = scratch.regions[ri];
-      rs.memo_valid = false;
-      rs.inputs.clear();
       rs.frac.assign(r.sharers.size(), 0.0);
       for (std::size_t k = 0; k < r.sharers.size(); ++k) {
         const std::size_t a = r.sharers[k];
@@ -153,30 +151,6 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     const auto& r = regions[ri];
     if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
     auto& rs = scratch.regions[ri];
-
-    // Flatten this region's inputs (per sharer: stream rate, then each
-    // reuse component) to detect a bit-identical re-solve.
-    auto& cur = scratch.flat;
-    cur.clear();
-    for (std::size_t a : r.sharers) {
-      const auto& d = demand[a];
-      cur.push_back(d.stream_bytes_per_sec);
-      for (const auto& c : d.reuse) {
-        cur.push_back(c.rate_bytes_per_sec);
-        cur.push_back(c.footprint_bytes);
-      }
-    }
-
-    if (rs.memo_valid && rs.inputs == cur) {
-      // Warm start: identical inputs reach the identical fixed point, so
-      // the stored solution is reused verbatim and the solve skipped.
-      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-        occ[r.sharers[k]] += rs.contrib[k];
-      }
-      continue;
-    }
-    rs.memo_valid = false;
-    rs.inputs = cur;
     const std::size_t num_sharers = r.sharers.size();
     // Total occupancy the region would hold at characteristic time t.
     auto total_at_inline = [&](double t) {
@@ -204,9 +178,7 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
       t_c = std::min(fill_time(r, rs, demand, scratch), t_max);
     }
     rs.t_c = t_c;
-    rs.memo_valid = true;
 
-    rs.contrib.resize(num_sharers);
     for (std::size_t k = 0; k < num_sharers; ++k) {
       const auto& d = demand[r.sharers[k]];
       const double f = rs.frac[k];
@@ -215,8 +187,48 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
         app_occ +=
             std::min(c.rate_bytes_per_sec * f * t_c, c.footprint_bytes * f);
       }
-      rs.contrib[k] = app_occ;
       occ[r.sharers[k]] += app_occ;
+    }
+  }
+}
+
+void occupancy_sensitivity(const std::vector<CacheRegion>& regions,
+                           const std::vector<CacheDemand>& demand,
+                           const OccupancySolverConfig& config,
+                           const OccupancyScratch& scratch, double* sens) {
+  const std::size_t n = demand.size();
+  std::fill_n(sens, n * n, 0.0);
+  std::array<double, 64> beta{};  // decompose_regions caps apps at 64
+  for (std::size_t ri = 0; ri < regions.size(); ++ri) {
+    const auto& r = regions[ri];
+    if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
+    const auto& rs = scratch.regions[ri];
+    const double t_c = rs.t_c;
+    // beta_k: how fast sharer k's holding grows with t at t_c, i.e. its
+    // streaming rate plus the reuse rates the min() in solve_occupancy
+    // leaves unsaturated there.
+    double total = 0.0;
+    for (std::size_t k = 0; k < r.sharers.size(); ++k) {
+      const auto& d = demand[r.sharers[k]];
+      const double f = rs.frac[k];
+      double b = d.stream_bytes_per_sec * f;
+      for (const auto& c : d.reuse) {
+        if (c.rate_bytes_per_sec * f * t_c < c.footprint_bytes * f) {
+          b += c.rate_bytes_per_sec * f;
+        }
+      }
+      beta[k] = b;
+      total += b;
+    }
+    const bool fills = t_c < config.max_characteristic_time_sec && total > 0.0;
+    for (std::size_t k = 0; k < r.sharers.size(); ++k) {
+      const std::size_t i = r.sharers[k];
+      sens[i * n + i] += beta[k] * t_c;
+      if (!fills) continue;
+      const double share = beta[k] * t_c / total;
+      for (std::size_t l = 0; l < r.sharers.size(); ++l) {
+        sens[i * n + r.sharers[l]] -= share * beta[l];
+      }
     }
   }
 }

@@ -76,30 +76,20 @@ struct OccupancySolverConfig {
   double max_characteristic_time_sec = 1e3;
 };
 
-/// Reusable buffers + cross-call memoisation for solve_occupancy. Owned by
-/// the caller, one per solver stream (e.g. one per sim::Machine) and one per
-/// solver config: the layout-derived state (per-app eligible capacity,
-/// per-region capacity fractions) is rebuilt after invalidate() or when the
-/// region/app counts change, and each region remembers the characteristic
-/// time of its last solve together with the exact inputs that produced it —
-/// when a region's demand is bit-identical to the previous call the
-/// solve is skipped and the stored t_c reused verbatim. In the
-/// machine's steady state (converged fixed point, unchanged masks) that
-/// turns the per-quantum solve into a handful of comparisons. Results are
-/// byte-identical with or without scratch reuse.
+/// Reusable buffers for solve_occupancy. Owned by the caller, one per
+/// solver stream (e.g. one per sim::Machine) and one per solver config.
+/// The layout-derived state (per-app eligible capacity, per-region
+/// capacity fractions) is rebuilt after invalidate() or when the
+/// region/app counts change; every call solves each region afresh and
+/// keeps its characteristic time, which occupancy_sensitivity reads.
+/// Results are byte-identical with or without scratch reuse.
 struct OccupancyScratch {
   struct RegionState {
-    double t_c = 0.0;            ///< characteristic time of the last solve
-    bool memo_valid = false;     ///< t_c/inputs describe a completed solve
-    std::vector<double> frac;    ///< capacity fraction per sharer (layout)
-    std::vector<double> inputs;  ///< flattened demand behind the stored t_c
-    std::vector<double> contrib; ///< per-sharer occupancy at the stored t_c
+    double t_c = 0.0;          ///< characteristic time of the last solve
+    std::vector<double> frac;  ///< capacity fraction per sharer (layout)
   };
   std::vector<double> avail;        ///< per-app total eligible capacity
   std::vector<RegionState> regions; ///< parallel to the region vector
-  /// Per-call flattening buffer: the region's raw demand, compared with
-  /// (and saved as) the region's `inputs` memo.
-  std::vector<double> flat;
   /// One reuse component of the region being solved, at its saturation
   /// breakpoint t = fp / rate (rate and footprint scaled by the sharer's
   /// capacity fraction). Once sorted by t, `rate` becomes the summed rate
@@ -125,12 +115,27 @@ std::vector<double> solve_occupancy(const std::vector<CacheRegion>& regions,
                                     const std::vector<CacheDemand>& demand,
                                     const OccupancySolverConfig& config = {});
 
-/// Allocation-free variant: byte-identical results, but reuses `scratch`
-/// (buffers + warm-start memo) and writes into `occ`, resized to
-/// demand.size(). The steady-state path performs no heap allocation.
+/// Allocation-free variant: byte-identical results, but reuses `scratch`'s
+/// buffers and writes into `occ`, resized to demand.size(). The
+/// steady-state path performs no heap allocation.
 void solve_occupancy(const std::vector<CacheRegion>& regions,
                      const std::vector<CacheDemand>& demand,
                      const OccupancySolverConfig& config,
                      OccupancyScratch& scratch, std::vector<double>& occ);
+
+/// The sensitivity of the last solve_occupancy call on `scratch` (same
+/// regions, demand and config): into `sens`, row-major n x n with n =
+/// demand.size(), d occ_i / d ln s_k, where s_k scales every rate of app
+/// k (streaming and reuse) alike. Inside a region a sharer holds
+/// beta_i * T_c plus its saturated footprints, beta_i being its streaming
+/// rate plus its unsaturated reuse rates (capacity-scaled), so scaling app
+/// k grows its own holding by beta_k * T_c and, in a region that fills
+/// (T_c < t_max), shortens T_c by T_c * beta_k / sum_j beta_j for every
+/// sharer. Exact away from the kinks where a component saturates or a
+/// region starts to fill.
+void occupancy_sensitivity(const std::vector<CacheRegion>& regions,
+                           const std::vector<CacheDemand>& demand,
+                           const OccupancySolverConfig& config,
+                           const OccupancyScratch& scratch, double* sens);
 
 }  // namespace dicer::sim

@@ -25,24 +25,48 @@ void PhaseConst::build(const AppPhase& ph) {
   }
   memo_occ = -1.0;
   memo_miss = 1.0;
+  memo_slope = 0.0;
 }
 
 namespace {
 
-/// Anderson history depth: the secant columns the mixing step fits.
-constexpr std::size_t kAndersonDepth = 3;
+/// Solve a * x = b in place by Gaussian elimination with partial pivoting:
+/// `a` is row-major n x n and is destroyed, `b` becomes x. False if a
+/// pivot vanishes (or is not a number).
+bool lu_solve(std::size_t n, double* a, double* b) {
+  for (std::size_t c = 0; c < n; ++c) {
+    std::size_t p = c;
+    for (std::size_t r = c + 1; r < n; ++r) {
+      if (std::fabs(a[r * n + c]) > std::fabs(a[p * n + c])) p = r;
+    }
+    if (!(a[p * n + c] != 0.0)) return false;
+    if (p != c) {
+      std::swap_ranges(a + c * n + c, a + c * n + n, a + p * n + c);
+      std::swap(b[c], b[p]);
+    }
+    const double pivot = a[c * n + c];
+    for (std::size_t r = c + 1; r < n; ++r) {
+      const double f = a[r * n + c] / pivot;
+      if (f == 0.0) continue;
+      for (std::size_t k = c + 1; k < n; ++k) a[r * n + k] -= f * a[c * n + k];
+      b[r] -= f * b[c];
+    }
+  }
+  for (std::size_t c = n; c-- > 0;) {
+    double v = b[c];
+    for (std::size_t k = c + 1; k < n; ++k) v -= a[c * n + k] * b[k];
+    b[c] = v / a[c * n + c];
+  }
+  return true;
+}
 
-/// One evaluation of the coupled map F at the IPS estimates in s.ips:
-/// occupancy, miss ratios, link arbitration and uncore latency under them
-/// (left in the scratch state, which therefore always describes s.ips),
-/// and into `target` the IPS each core would run at under that state.
-void evaluate(const MachineConfig& config,
-              const std::vector<CacheRegion>& regions, MemoryLink& link,
-              const std::vector<double>& mem_throttle, StepScratch& s,
-              double* target) {
+}  // namespace
+
+void Machine::evaluate(double* target) {
+  auto& s = scratch_;
   const std::size_t n = s.active.size();
-  const double freq = config.freq_hz;
-  const double line = config.llc.line_bytes;
+  const double freq = config_.freq_hz;
+  const double line = config_.llc.line_bytes;
 
   // 1. Occupancy under current IPS estimates (Che working-set model).
   //    Each MRC component becomes a reuse component whose touch rate is
@@ -60,28 +84,31 @@ void evaluate(const MachineConfig& config,
     }
     cd.stream_bytes_per_sec = touch * pc.sf;
   }
-  solve_occupancy(regions, s.cache_demand, config.occupancy, s.occupancy,
+  solve_occupancy(regions_, s.cache_demand, config_.occupancy, s.occupancy,
                   s.occ);
 
-  // 2. Miss ratios and bandwidth demand. Occupancies repeat across
-  //    rounds/quanta in steady state, so each core memoises its last
-  //    (occupancy, miss) evaluation; neighbours running the same phase at
-  //    the same occupancy (a consolidation's identical BEs) share one
-  //    evaluation.
+  // 2. Miss ratios (and their slopes, for the Jacobian) and bandwidth
+  //    demand. Occupancies repeat across rounds/quanta in steady state, so
+  //    each core memoises its last evaluation; neighbours running the same
+  //    phase at the same occupancy (a consolidation's identical BEs) share
+  //    one evaluation.
   for (std::size_t i = 0; i < n; ++i) {
     PhaseConst& pc = s.pc[i];
     if (s.occ[i] != pc.memo_occ) {
       pc.memo_occ = s.occ[i];
-      pc.memo_miss =
-          i > 0 && s.phase[i] == s.phase[i - 1] && s.occ[i] == s.occ[i - 1]
-              ? s.miss[i - 1]
-              : s.phase[i]->mrc.at(s.occ[i]);
+      if (i > 0 && s.phase[i] == s.phase[i - 1] && s.occ[i] == s.occ[i - 1]) {
+        pc.memo_miss = s.miss[i - 1];
+        pc.memo_slope = s.miss_slope[i - 1];
+      } else {
+        pc.memo_miss = s.phase[i]->mrc.miss_and_slope(s.occ[i], pc.memo_slope);
+      }
     }
     s.miss[i] = pc.memo_miss;
+    s.miss_slope[i] = pc.memo_slope;
     s.demand[i] = s.phase[i]->api * s.miss[i] * s.ips[i] * line *
                   (1.0 + s.phase[i]->wb_ratio);
   }
-  link.arbitrate_into(s.demand, s.arb);
+  link_.arbitrate_into(s.demand, s.arb);
 
   // 3. New IPC estimates under the arbitrated latency; bandwidth cap when
   //    the link is oversubscribed. The LLC hit path is shared too: ring /
@@ -91,10 +118,10 @@ void evaluate(const MachineConfig& config,
     total_accesses += s.phase[i]->api * s.ips[i];
   }
   const double hit_latency =
-      config.llc_hit_latency_cycles *
-      (1.0 + config.uncore_contention_coeff *
+      config_.llc_hit_latency_cycles *
+      (1.0 + config_.uncore_contention_coeff *
                  std::sqrt(std::min(
-                     total_accesses / config.uncore_access_ref_per_sec, 1.0)));
+                     total_accesses / config_.uncore_access_ref_per_sec, 1.0)));
   for (std::size_t i = 0; i < n; ++i) {
     const AppPhase& ph = *s.phase[i];
     const PhaseConst& pc = s.pc[i];
@@ -102,7 +129,7 @@ void evaluate(const MachineConfig& config,
     // excess miss ratio above the app's best case.
     const double excess =
         std::clamp((s.miss[i] - pc.floor_m) / pc.span_m, 0.0, 1.0);
-    const double mlp_eff = ph.mlp * (1.0 - config.mlp_squeeze * excess);
+    const double mlp_eff = ph.mlp * (1.0 - config_.mlp_squeeze * excess);
     // An MBA throttle delays a core's memory requests: its exposed memory
     // latency stretches by 1/throttle, and its demand falls as its IPS
     // falls — the same route real MBA takes effect through.
@@ -110,131 +137,136 @@ void evaluate(const MachineConfig& config,
         ph.cpi_core +
         ph.api * ((1.0 - s.miss[i]) * hit_latency +
                   s.miss[i] * s.arb.effective_latency_cycles /
-                      (mlp_eff * mem_throttle[s.active[i]]));
+                      (mlp_eff * mem_throttle_[s.active[i]]));
     target[i] = freq / cpi;
   }
 }
 
-/// Solve x = F(x) over the active set from the warm start in s.ips, with
-/// Anderson-accelerated mixing (depth kAndersonDepth). Each round
-/// evaluates F at the current iterate and stops, converged, once
-/// max_i |F(x)_i - x_i| / x_i < tolerance: that round's inputs are kept
-/// as the solution, with no final update, so re-solving a converged state
-/// exits in round 1 with identical bits. Otherwise the next iterate mixes
-/// a `beta` share of the residual into the least-squares secant
-/// combination of the last rounds (plain mixing while there is no
-/// history). Safeguards: a round whose residual grew restarts the history
-/// and halves beta, down to half its configured value; an iterate that is
-/// not finite and positive falls back to plain mixing, which stays
-/// positive because F is. Returns true iff the solve converged within
-/// config.fixed_point_rounds; `rounds_used` reports the evaluations.
-bool solve_fixed_point(const MachineConfig& config,
-                       const std::vector<CacheRegion>& regions,
-                       MemoryLink& link,
-                       const std::vector<double>& mem_throttle,
-                       StepScratch& s, double tolerance,
-                       unsigned& rounds_used) {
+void Machine::jacobian(const double* target, double* jac) {
+  // F_i = freq / cpi_i with
+  //   cpi_i = cpi_core + api_i ((1 - m_i) H + m_i L / (mlp_eff_i theta_i)),
+  // so dF_i/dx_k = -(F_i^2 / freq) dcpi_i/dx_k, and cpi_i moves through
+  // three channels: its own miss ratio m_i (directly and through the MLP
+  // squeeze), the shared hit latency H (through the total access rate),
+  // and the shared link latency L (through rho, which every core's demand
+  // feeds, misses included).
+  auto& s = scratch_;
   const std::size_t n = s.active.size();
-  // Solve-local workspace: nothing here outlives the solve, so it lives
-  // on the stack rather than in every machine's scratch.
-  std::array<double, kMaxCores> target{}, g{}, w{}, prev_x{}, prev_g{};
-  // History columns, newest first: dx[j*n + i], dg[j*n + i]; q is the
-  // orthonormalised (1/w-scaled) dg of the current round.
-  std::array<double, kAndersonDepth * kMaxCores> dx{}, dg{}, q{};
-  std::array<double, kAndersonDepth * kAndersonDepth> r{};
-  std::array<double, kAndersonDepth> gamma{};
+  const double line = config_.llc.line_bytes;
 
-  // The least-squares fit weighs each core's residual relative to its
-  // warm start, the same scale the stopping test measures it on.
-  for (std::size_t i = 0; i < n; ++i) w[i] = s.ips[i];
+  // The occupancy model's sensitivity d occ_i / d ln x_k (every rate of
+  // app k is proportional to x_k): dm_i/dx_k = slope_i * sens_ik / x_k.
+  occupancy_sensitivity(regions_, s.cache_demand, config_.occupancy,
+                        s.occupancy, jac);
 
-  const double beta_floor = 0.5 * config.fixed_point_damping;
-  double beta = config.fixed_point_damping;
-  double prev_res = 0.0;
-  std::size_t depth = 0;
+  // drho/dx_k: demand_j = e_j m_j x_j moves with x_k directly (j = k) and
+  // through every m_j.
+  const double capacity = link_.config().capacity_bytes_per_sec;
+  std::array<double, kMaxCores> inv_x{}, api{}, rho_per_miss{}, drho{};
+  double total_accesses = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const AppPhase& ph = *s.phase[k];
+    inv_x[k] = 1.0 / s.ips[k];
+    api[k] = ph.api;
+    rho_per_miss[k] = ph.api * line * (1.0 + ph.wb_ratio) / capacity;
+    drho[k] = rho_per_miss[k] * s.miss[k];
+    total_accesses += ph.api * s.ips[k];
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const double w = rho_per_miss[j] * s.ips[j] * s.miss_slope[j];
+    if (w == 0.0) continue;
+    for (std::size_t k = 0; k < n; ++k) {
+      drho[k] += w * jac[j * n + k] * inv_x[k];
+    }
+  }
+
+  // dH/d(total accesses): the square-root rise, flat once saturated.
+  const double ref = config_.uncore_access_ref_per_sec;
+  const double load = total_accesses / ref;
+  const double hit_latency =
+      config_.llc_hit_latency_cycles *
+      (1.0 + config_.uncore_contention_coeff * std::sqrt(std::min(load, 1.0)));
+  const double dhit = load > 0.0 && load < 1.0
+                          ? config_.llc_hit_latency_cycles *
+                                config_.uncore_contention_coeff * 0.5 /
+                                (std::sqrt(load) * ref)
+                          : 0.0;
+  const double mem_latency = s.arb.effective_latency_cycles;
+  const double dmem = link_.latency_slope_at(s.arb.raw_utilisation);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const AppPhase& ph = *s.phase[i];
+    const PhaseConst& pc = s.pc[i];
+    const double m = s.miss[i];
+    const double excess = (m - pc.floor_m) / pc.span_m;
+    const double mlp_eff =
+        ph.mlp * (1.0 - config_.mlp_squeeze * std::clamp(excess, 0.0, 1.0));
+    const double dmlp = excess > 0.0 && excess < 1.0
+                            ? -ph.mlp * config_.mlp_squeeze / pc.span_m
+                            : 0.0;
+    const double theta = mem_throttle_[s.active[i]];
+    const double stall = mem_latency / (mlp_eff * theta);
+    // dF_i by channel: per unit sens_ik / x_k (through m_i), per
+    // access/s, per unit rho.
+    const double scale = -target[i] * target[i] / config_.freq_hz;
+    const double by_occ = scale * ph.api *
+                          (stall - hit_latency - m * stall / mlp_eff * dmlp) *
+                          s.miss_slope[i];
+    const double by_access = scale * ph.api * (1.0 - m) * dhit;
+    const double by_rho = scale * ph.api * m / (mlp_eff * theta) * dmem;
+    double* row = jac + i * n;
+    for (std::size_t k = 0; k < n; ++k) {
+      row[k] = by_occ * row[k] * inv_x[k] + by_access * api[k] +
+               by_rho * drho[k];
+    }
+  }
+}
+
+/// Newton's method on G(x) = F(x) - x. Each round evaluates F at the
+/// current iterate and stops, converged, once max_i |G_i| / x_i <
+/// tolerance: that round's inputs are kept as the solution, with no final
+/// update, so re-solving a converged state exits in round 1 with identical
+/// bits. Otherwise the next iterate is x + d with (I - J) d = G, J = dF/dx
+/// from jacobian(). Safeguard: an iterate that is not finite and positive
+/// (or a singular I - J) falls back to the half step x + G/2, which stays
+/// positive because F is.
+bool Machine::solve_fixed_point(unsigned& rounds_used) {
+  auto& s = scratch_;
+  const std::size_t n = s.active.size();
+  // Solve-local vectors live on the stack; the n x n system lives in the
+  // scratch (sized by solve_quantum), which spares zeroing a
+  // kMaxCores-squared block on every solve.
+  std::array<double, kMaxCores> target{}, g{}, d{};
+  double* a = s.jac.data();
   rounds_used = 0;
-  for (unsigned round = 0; round < config.fixed_point_rounds; ++round) {
-    evaluate(config, regions, link, mem_throttle, s, target.data());
+  for (unsigned round = 0; round < config_.fixed_point_rounds; ++round) {
+    evaluate(target.data());
     ++rounds_used;
     double res = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       g[i] = target[i] - s.ips[i];
       res = std::max(res, std::fabs(g[i]) / s.ips[i]);
     }
-    if (res < tolerance) return true;
-    if (rounds_used == config.fixed_point_rounds) break;
+    if (res < tolerance_) return true;
+    if (rounds_used == config_.fixed_point_rounds) break;
 
-    if (round > 0 && res > prev_res) {
-      depth = 0;
-      beta = std::max(0.5 * beta, beta_floor);
-    } else if (round > 0) {
-      // Shift the history one column older and add the newest secant.
-      depth = std::min(depth + 1, kAndersonDepth);
-      for (std::size_t j = depth - 1; j > 0; --j) {
-        std::copy_n(&dx[(j - 1) * n], n, &dx[j * n]);
-        std::copy_n(&dg[(j - 1) * n], n, &dg[j * n]);
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        dx[i] = s.ips[i] - prev_x[i];
-        dg[i] = g[i] - prev_g[i];
-      }
-    }
-    prev_res = res;
-    std::copy_n(s.ips.begin(), n, prev_x.begin());
-    std::copy_n(g.begin(), n, prev_g.begin());
-
-    // gamma = argmin || (g - dg gamma) / w ||_2 by modified Gram-Schmidt.
-    // A column (nearly) dependent on the newer ones ends the fit there:
-    // it and every older column are left out this round.
-    std::size_t used = 0;
-    for (std::size_t j = 0; j < depth; ++j) {
-      double* v = &q[j * n];
-      double norm0 = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        v[i] = dg[j * n + i] / w[i];
-        norm0 += v[i] * v[i];
-      }
-      for (std::size_t k = 0; k < j; ++k) {
-        const double* qk = &q[k * n];
-        double dot = 0.0;
-        for (std::size_t i = 0; i < n; ++i) dot += qk[i] * v[i];
-        r[k * kAndersonDepth + j] = dot;
-        for (std::size_t i = 0; i < n; ++i) v[i] -= dot * qk[i];
-      }
-      double norm = 0.0;
-      for (std::size_t i = 0; i < n; ++i) norm += v[i] * v[i];
-      if (!(norm > 1e-20 * norm0)) break;
-      norm = std::sqrt(norm);
-      r[j * kAndersonDepth + j] = norm;
-      for (std::size_t i = 0; i < n; ++i) v[i] /= norm;
-      ++used;
-    }
-    for (std::size_t k = used; k-- > 0;) {
-      double b = 0.0;
-      for (std::size_t i = 0; i < n; ++i) b += q[k * n + i] * (g[i] / w[i]);
-      for (std::size_t j = k + 1; j < used; ++j) {
-        b -= r[k * kAndersonDepth + j] * gamma[j];
-      }
-      gamma[k] = b / r[k * kAndersonDepth + k];
-    }
-
-    bool ok = true;
+    // (J - I) d = -G, the same system as (I - J) d = G.
+    jacobian(target.data(), a);
     for (std::size_t i = 0; i < n; ++i) {
-      double next = s.ips[i] + beta * g[i];
-      for (std::size_t j = 0; j < used; ++j) {
-        next -= gamma[j] * (dx[j * n + i] + beta * dg[j * n + i]);
-      }
-      target[i] = next;
-      ok = ok && std::isfinite(next) && next > 0.0;
+      a[i * n + i] -= 1.0;
+      d[i] = -g[i];
+    }
+    bool ok = lu_solve(n, a, d.data());
+    for (std::size_t i = 0; ok && i < n; ++i) {
+      d[i] += s.ips[i];
+      ok = std::isfinite(d[i]) && d[i] > 0.0;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      s.ips[i] = ok ? target[i] : s.ips[i] + beta * g[i];
+      s.ips[i] = ok ? d[i] : s.ips[i] + 0.5 * g[i];
     }
   }
   return false;
 }
-
-}  // namespace
 
 void SolverStats::merge(const SolverStats& other) {
   quanta += other.quanta;
@@ -284,10 +316,6 @@ Machine::Machine(const MachineConfig& config)
   }
   if (config_.fixed_point_rounds == 0) {
     throw std::invalid_argument("Machine: fixed_point_rounds must be > 0");
-  }
-  if (!(config_.fixed_point_damping > 0.0 &&
-        config_.fixed_point_damping <= 1.0)) {
-    throw std::invalid_argument("Machine: fixed_point_damping outside (0, 1]");
   }
   stats_.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);
 }
@@ -518,12 +546,13 @@ bool Machine::solve_quantum() {
 
   s.occ.assign(n, 0.0);
   s.miss.assign(n, 1.0);
+  s.miss_slope.assign(n, 0.0);
+  s.jac.resize(n * n);
   s.demand.assign(n, 0.0);
   s.cache_demand.resize(n);
 
   unsigned rounds_used = 0;
-  const bool converged = solve_fixed_point(
-      config_, regions_, link_, mem_throttle_, s, tolerance_, rounds_used);
+  const bool converged = solve_fixed_point(rounds_used);
 
   ++stats_.solves;
   if (rounds_used > 0) {

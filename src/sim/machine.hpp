@@ -15,10 +15,16 @@
 //
 // because occupancy depends on IPS (pressure), IPS depends on latency,
 // and latency depends on everyone's bandwidth, which depends on IPS.
-// The solve warm-starts from the previous quantum and runs Anderson-
-// accelerated rounds until every core's IPS is self-consistent to 1e-9
-// relative; a converged solve keeps the inputs of its last round, so
-// re-solving it reproduces every bit. A converged solve arms a replay
+// The solve warm-starts from the previous quantum and runs Newton's method
+// on G(x) = F(x) - x until every core's IPS is self-consistent to 1e-9
+// relative. F is structured, so its Jacobian is assembled analytically
+// from the values an evaluation already holds: each core's miss ratio
+// moves with every IPS that shares a cache region with it (through the
+// occupancy model's sensitivity and the MRC's slope, and on to the core's
+// MLP squeeze), and two shared scalars add rank-one terms — the uncore
+// hit latency through the total access rate, and the link latency through
+// rho, which every core's misses feed. A converged solve keeps the inputs
+// of its last round, so re-solving it reproduces every bit. It arms a replay
 // cache: later quanta with the same active apps in the same phases reuse
 // its solution without solving. run_for/run_until also commit whole
 // stretches of replayed quanta that provably stay inside every app's
@@ -79,10 +85,6 @@ struct MachineConfig {
   /// Round cap of the quantum solve. A solve that reaches it unconverged
   /// keeps its last round's state and does not arm replay.
   unsigned fixed_point_rounds = 64;
-  /// Anderson mixing: the share of each round's residual the next iterate
-  /// takes, in (0, 1]. A round whose residual grew halves it, down to half
-  /// this value.
-  double fixed_point_damping = 0.5;
   OccupancySolverConfig occupancy{};
   /// Event sink for per-quantum counters (trace::Kind::kQuantum: rho,
   /// achieved traffic, per-core IPC and LLC occupancy). Null resolves to
@@ -138,9 +140,9 @@ struct CoreTelemetry {
 
 /// Per-phase constants hoisted out of the fixed-point rounds: built when a
 /// solve slot's phase changes, not once per round of every quantum. All
-/// fields but the memo pair are pure functions of the phase; the memo pair
-/// is value-safe too, because mrc.at() is pure — a refreshed memo
-/// reproduces the exact value any other slot would compute.
+/// fields but the memo are pure functions of the phase; the memo is
+/// value-safe too, because mrc.miss_and_slope() is pure — a refreshed memo
+/// reproduces the exact values any other slot would compute.
 struct PhaseConst {
   const AppPhase* phase = nullptr;  ///< the phase these were built from
   double sf = 0.0;            ///< mrc.stream_fraction()
@@ -148,9 +150,10 @@ struct PhaseConst {
   double floor_m = 0.0;       ///< mrc.floor()
   double span_m = 1e-9;       ///< max(mrc.ceiling() - floor, 1e-9)
   std::vector<double> wfrac;  ///< weight_j / sum(weights); empty if sum<=0
-  double memo_occ = -1.0;     ///< last mrc.at() argument
+  double memo_occ = -1.0;     ///< last mrc.miss_and_slope() argument
   double memo_miss = 1.0;     ///< and its value (occupancies repeat in
                               ///< steady state; at() is pow-heavy)
+  double memo_slope = 0.0;    ///< and its slope dm/docc
 
   /// Rebuild every field for `ph` (reusing the vectors' storage).
   void build(const AppPhase& ph);
@@ -168,6 +171,8 @@ struct StepScratch {
   std::vector<double> ips;
   std::vector<double> occ;
   std::vector<double> miss;
+  std::vector<double> miss_slope;  ///< dm/docc at each slot's occupancy
+  std::vector<double> jac;  ///< the Newton system, n x n row-major
   std::vector<double> demand;
   std::vector<CacheDemand> cache_demand;
   LinkArbitration arb;
@@ -266,6 +271,18 @@ class Machine {
   /// Run the fixed point for the current quantum (scratch holds the
   /// result); returns true iff it converged.
   bool solve_quantum();
+  /// Newton's method on G(x) = F(x) - x from the warm start in
+  /// scratch_.ips; true iff it converged within fixed_point_rounds.
+  /// `rounds_used` reports the evaluations of F.
+  bool solve_fixed_point(unsigned& rounds_used);
+  /// One evaluation of the coupled map F at scratch_.ips: occupancy, miss
+  /// ratios, link arbitration and uncore latency under those IPS (left in
+  /// scratch_, which therefore always describes scratch_.ips), and into
+  /// `target` the IPS each active core would run at under that state.
+  void evaluate(double* target);
+  /// The Jacobian dF/dx at scratch_.ips into `jac` (row-major n x n),
+  /// from the state the last evaluate() there left and its `target`.
+  void jacobian(const double* target, double* jac);
   /// The replay budget from the current state (0 if any active app's
   /// phase differs from the one the armed solve was computed for).
   std::uint64_t replay_budget() const;

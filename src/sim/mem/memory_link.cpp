@@ -29,6 +29,20 @@ double MemoryLink::latency_at(double raw_utilisation) const noexcept {
   return config_.base_latency_cycles * congestion * oversubscription;
 }
 
+double MemoryLink::latency_slope_at(double raw_utilisation) const noexcept {
+  const auto& c = config_;
+  if (raw_utilisation >= 1.0) {
+    return c.base_latency_cycles *
+           (1.0 + c.congestion_linear + c.congestion_amplitude);
+  }
+  const double knee =
+      raw_utilisation > 0.0
+          ? c.congestion_amplitude * c.congestion_exponent *
+                std::pow(raw_utilisation, c.congestion_exponent - 1.0)
+          : 0.0;
+  return c.base_latency_cycles * (c.congestion_linear + knee);
+}
+
 LinkArbitration MemoryLink::arbitrate(
     std::span<const double> demand_bytes_per_sec) const {
   LinkArbitration out;

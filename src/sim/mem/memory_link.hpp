@@ -71,6 +71,10 @@ class MemoryLink {
   /// Congestion latency for a *raw* utilisation (may exceed 1); exposed for
   /// tests and the link-model micro bench.
   double latency_at(double raw_utilisation) const noexcept;
+  /// Its derivative in the raw utilisation: the congestion polynomial's
+  /// slope base * (lin + A * p * rho^(p-1)) below saturation, and the
+  /// oversubscription stretch's base * f(1) at and above it.
+  double latency_slope_at(double raw_utilisation) const noexcept;
 
  private:
   MemoryLinkConfig config_;

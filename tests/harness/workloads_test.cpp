@@ -141,9 +141,6 @@ TEST(BaselineCache, KeyHashesConfigExactly) {
   });
   add("quantum_sec", [](auto& c) { c.machine.quantum_sec *= 1.0000001; });
   add("freq_hz", [](auto& c) { c.machine.freq_hz += 1.0; });
-  add("fixed_point_damping", [](auto& c) {
-    c.machine.fixed_point_damping = 0.5000001;
-  });
   for (const auto& [field, config] : nearby) {
     EXPECT_FALSE(load_baseline_cache(path, catalog, config).has_value())
         << "cache reused across a " << field << " change";

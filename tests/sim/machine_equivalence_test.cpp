@@ -19,30 +19,10 @@
 #include "sim/cache/way_mask.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
+#include "support/machine_test_peer.hpp"
 #include "util/rng.hpp"
 
 namespace dicer::sim {
-
-/// The test-side oracle: steps a machine with its replay cache disarmed,
-/// so every quantum runs the full fixed point — the pre-shortcut solve
-/// path. Clearing the flag directly (not via an actuator) counts no
-/// invalidation, so the reference's solver stats stay those of a machine
-/// that never replays.
-struct MachineTestPeer {
-  static void step_without_replay(Machine& m) {
-    m.solve_cache_.armed = false;
-    m.step();
-  }
-  /// Quanta run_for/run_until may commit in bulk right now; they take the
-  /// bulk path whenever this is positive (and no kQuantum subscriber
-  /// listens).
-  static std::uint64_t replay_budget(const Machine& m) {
-    return m.solve_cache_.budget;
-  }
-  /// The relative residual the machine's solves converge to.
-  static double& tolerance(Machine& m) { return m.tolerance_; }
-};
-
 namespace {
 
 void expect_machines_identical(Machine& a, Machine& b, std::uint64_t step) {

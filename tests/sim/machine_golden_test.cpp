@@ -5,16 +5,18 @@
 // warm-started occupancy optimisation (commit 0d2c1dc), so these tests
 // proved the optimised step() byte-identical to the original, not merely
 // close: every comparison is exact double equality. They were re-harvested
-// once, when the quantum solve began to converge (exact occupancy and an
+// when the quantum solve began to converge (exact occupancy and an
 // accelerated fixed point): the damped iteration before it lagged its
-// fixed point, so every value moved, by up to ~3e-5 relative here. If an
-// intentional model change ever lands, re-harvest the constants and say
-// so in the PR.
+// fixed point, so every value moved, by up to ~3e-5 relative here. And
+// again when Newton's method replaced Anderson mixing: both stop within
+// 1e-9 of the same fixed point, so values moved by at most ~1e-9
+// relative. If an intentional model change ever lands, re-harvest the
+// constants and say so in the change description.
 //
 // The companion invalidation tests pin the *caching contract*: the region
 // decomposition cache must track every actuator path (set_fill_mask,
-// attach, detach) exactly, and stale occupancy memos must never survive a
-// mask change.
+// attach, detach) exactly, and stale occupancy state (the solver's layout
+// cache, a replayed solution) must never survive a mask change.
 #include "sim/machine.hpp"
 
 #include <gtest/gtest.h>
@@ -51,12 +53,12 @@ TEST(MachineGolden, UnmanagedMelee) {
   m.attach(0, &app("milc1"));
   for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("gcc_base3"));
   m.run_for(2.0);
-  EXPECT_EQ(m.last_link_utilisation(), 0.36068346790674177);
-  EXPECT_EQ(m.last_link_traffic(), 3079335107.253808);
-  expect_core_exact(m, {0, 3048604387.7471442, 2814756409.3505378,
-                        4458651.2978228312, 0.58663891510902932});
-  expect_core_exact(m, {1, 4380048284.4373531, 257197171.92169812,
-                        2417305.4113530191, 0.99324373362115292});
+  EXPECT_EQ(m.last_link_utilisation(), 0.36068346817633717);
+  EXPECT_EQ(m.last_link_traffic(), 3079335109.5554786);
+  expect_core_exact(m, {0, 3048604388.091805, 2814756409.6838155,
+                        4458651.2983159609, 0.58663891557585146});
+  expect_core_exact(m, {1, 4380048284.0370054, 257197171.90009427,
+                        2417305.4112982266, 0.99324373427916679});
 }
 
 TEST(MachineGolden, StaticPartition) {
@@ -67,12 +69,12 @@ TEST(MachineGolden, StaticPartition) {
   m.set_fill_mask(0, WayMask::high(19, 20));
   for (unsigned c = 1; c < 10; ++c) m.set_fill_mask(c, WayMask::low(1));
   m.run_for(2.0);
-  EXPECT_EQ(m.last_link_utilisation(), 0.50350295381311061);
-  EXPECT_EQ(m.last_link_traffic(), 4298656468.1794319);
-  expect_core_exact(m, {0, 2798931848.8972754, 175309467.89510202,
-                        24903680, 0.63612087474938372});
-  expect_core_exact(m, {1, 2758351879.0978732, 935778163.16263807,
-                        145635.55555555556, 0.62689815434042639});
+  EXPECT_EQ(m.last_link_utilisation(), 0.50350295372774934);
+  EXPECT_EQ(m.last_link_traffic(), 4298656467.4506598);
+  expect_core_exact(m, {0, 2798931850.0677471, 175309467.96841252,
+                        24903680, 0.63612087501539893});
+  expect_core_exact(m, {1, 2758351878.5964961, 935778162.99254763,
+                        145635.5555555555, 0.62689815422647599});
 }
 
 TEST(MachineGolden, ActuatorChurnMidRun) {
@@ -91,14 +93,14 @@ TEST(MachineGolden, ActuatorChurnMidRun) {
   m.attach(2, &app("bzip22"));
   m.set_fill_mask(2, WayMask::low(10));
   m.run_for(0.5);
-  EXPECT_EQ(m.last_link_utilisation(), 0.29559828261726051);
-  EXPECT_EQ(m.last_link_traffic(), 2523670337.8448615);
-  expect_core_exact(m, {0, 2567339547.8805914, 500002629.03302801,
-                        13107200, 0.58959061167830629});
-  expect_core_exact(m, {1, 2685230604.9294677, 3472933200.2431989,
-                        9758438.9070315994, 0.34332902824706241});
-  expect_core_exact(m, {2, 3302893157.150507, 180291834.6447148,
-                        3348761.0929684001, 0.93985270422120237});
+  EXPECT_EQ(m.last_link_utilisation(), 0.29559828260518456);
+  EXPECT_EQ(m.last_link_traffic(), 2523670337.7417631);
+  expect_core_exact(m, {0, 2567339546.8691607, 500002628.88433748,
+                        13107200.000000002, 0.58959061167284432});
+  expect_core_exact(m, {1, 2685230604.8299952, 3472933200.0687151,
+                        9758438.9070250317, 0.34332902823186678});
+  expect_core_exact(m, {2, 3302893157.1584291, 180291834.63690937,
+                        3348761.0929749697, 0.93985270418451627});
 }
 
 // --- region-decomposition cache invalidation ------------------------------
@@ -160,8 +162,8 @@ TEST(MachineRegionCache, TracksEveryActuatorPath) {
 TEST(MachineRegionCache, StaleOccupancyNeverSurvivesShrink) {
   // Drive a cache-hungry app to a large steady-state occupancy, then
   // shrink its partition: the next quanta must confine it to the new
-  // region's capacity. A stale decomposition or occupancy memo would keep
-  // reporting the old ~20 MB holding.
+  // region's capacity. A stale decomposition, layout cache or replayed
+  // solution would keep reporting the old ~20 MB holding.
   Machine m{MachineConfig{}};
   m.attach(0, &app("omnetpp1"));
   m.run_for(1.0);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/core/catalog.hpp"
+#include "support/machine_test_peer.hpp"
 
 namespace dicer::sim {
 namespace {
@@ -29,11 +30,6 @@ TEST(Machine, ValidatesConfig) {
   c = MachineConfig{};
   c.fixed_point_rounds = 0;
   EXPECT_THROW(Machine{c}, std::invalid_argument);
-  for (const double mixing : {0.0, -0.5, 1.5}) {
-    c = MachineConfig{};
-    c.fixed_point_damping = mixing;
-    EXPECT_THROW(Machine{c}, std::invalid_argument) << mixing;
-  }
 }
 
 TEST(Machine, AttachDetachLifecycle) {
@@ -326,14 +322,18 @@ TEST(Machine, SolverStatsMergeAccumulates) {
 TEST(Machine, SolverStatsCountRoundsPastTheLastBucket) {
   // The histogram's last bucket holds every solve of at least
   // kRoundsBuckets rounds; the rounds beyond that are counted apart, so
-  // total_rounds() stays exact for long solves.
+  // total_rounds() stays exact for long solves. A tolerance no residual
+  // can beat runs every solve to the round cap.
   Machine m{MachineConfig{}};
+  MachineTestPeer::tolerance(m) = 0.0;
   m.attach(0, &app("omnetpp1"));
   for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("lbm1"));
-  m.run_for(1.0);
+  m.run_for(0.05);
   const auto& s = m.solver_stats();
   ASSERT_EQ(s.rounds_hist.size(), SolverStats::kRoundsBuckets);
   EXPECT_GT(s.rounds_hist.back(), 0u);
+  EXPECT_EQ(s.unstable_solves, s.solves);
+  EXPECT_EQ(s.total_rounds(), s.solves * m.config().fixed_point_rounds);
 
   SolverStats a, b;
   a.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);

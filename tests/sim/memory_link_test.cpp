@@ -58,6 +58,18 @@ TEST(MemoryLink, OversubscriptionStretchesLinearly) {
   EXPECT_NEAR(link.latency_at(3.0), 3.0 * at1, 1e-9);
 }
 
+TEST(MemoryLink, LatencySlopeMatchesCentralDifferences) {
+  // Below saturation the knee polynomial's slope, above it the
+  // oversubscription stretch's.
+  MemoryLink link;
+  for (const double rho : {0.05, 0.3, 0.73, 0.93, 0.999, 1.2, 3.0}) {
+    const double h = 1e-7;
+    const double fd =
+        (link.latency_at(rho + h) - link.latency_at(rho - h)) / (2.0 * h);
+    EXPECT_NEAR(link.latency_slope_at(rho), fd, 1e-6 * fd) << "rho " << rho;
+  }
+}
+
 TEST(MemoryLink, ArbitrationUnderCapacity) {
   MemoryLink link;
   const std::vector<double> demand = {1e9, 2e9};

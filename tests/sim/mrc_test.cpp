@@ -134,6 +134,23 @@ TEST_P(MrcProperty, MonotoneNonIncreasingAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Curves, MrcProperty, ::testing::Range(0, 5));
 
+TEST_P(MrcProperty, MissAndSlopeMatchAtAndCentralDifferences) {
+  // The miss ratio is at()'s; the slope is the curve's derivative
+  // wherever no component is just covered.
+  const auto mrc = curves()[static_cast<std::size_t>(GetParam())];
+  for (double x = 0.1 * MB; x <= 64 * MB; x += 0.37 * MB) {
+    double slope = 1.0;
+    EXPECT_EQ(mrc.miss_and_slope(x, slope), mrc.at(x)) << "at " << x;
+    const double h = 1e-6 * x;
+    const double fd = (mrc.at(x + h) - mrc.at(x - h)) / (2.0 * h);
+    EXPECT_LE(slope, 0.0) << "at " << x;
+    EXPECT_NEAR(slope, fd, 1e-6 * std::fabs(fd) + 1e-22) << "at " << x;
+  }
+  double slope = 1.0;
+  EXPECT_EQ(mrc.miss_and_slope(1e15, slope), mrc.at(1e15));
+  EXPECT_EQ(slope, 0.0);  // every working set covered
+}
+
 TEST(EmpiricalMrc, InterpolatesLinearly) {
   EmpiricalMrc mrc({{0.0, 1.0}, {10.0, 0.5}, {20.0, 0.1}});
   EXPECT_DOUBLE_EQ(mrc.at(5.0), 0.75);

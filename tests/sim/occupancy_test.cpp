@@ -193,7 +193,7 @@ TEST(OccupancyScratchSolver, MatchesAllocatingSolverBitwise) {
   }
 }
 
-TEST(OccupancyScratchSolver, MemoHitReproducesColdSolve) {
+TEST(OccupancyScratchSolver, RepeatedSolveReproducesColdSolve) {
   std::vector<WayMask> masks(4, WayMask::full(20));
   const auto regions = decompose_regions(masks, 20, MB);
   const std::vector<CacheDemand> demand = {
@@ -201,10 +201,10 @@ TEST(OccupancyScratchSolver, MemoHitReproducesColdSolve) {
       reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
   OccupancyScratch scratch;
   const auto cold = solve_with_scratch(regions, demand, scratch);
-  // Second call with identical inputs takes the warm-start path.
+  // A second call with identical inputs through the same scratch.
   expect_bitwise_equal(solve_with_scratch(regions, demand, scratch), cold);
-  // A one-ulp nudge of a single rate must defeat the memo: the result has
-  // to match a fresh solve of the nudged demand, not the stale one.
+  // A one-ulp nudge of a single rate must match a fresh solve of the
+  // nudged demand, not reproduce the previous one.
   auto nudged = demand;
   nudged[1].reuse[0].rate_bytes_per_sec =
       std::nextafter(nudged[1].reuse[0].rate_bytes_per_sec, 2e18);
@@ -371,6 +371,61 @@ TEST(OccupancyOracle, RandomLayoutsAndDemands) {
     }
     SCOPED_TRACE(trial);
     expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB), demand);
+  }
+}
+
+// --- sensitivity to each app's rates -------------------------------------
+
+/// Every rate of `d` scaled by `s`.
+CacheDemand scaled(CacheDemand d, double s) {
+  d.stream_bytes_per_sec *= s;
+  for (auto& c : d.reuse) c.rate_bytes_per_sec *= s;
+  return d;
+}
+
+TEST(OccupancySensitivity, MatchesCentralDifferences) {
+  // d occ_i / d ln s_k against central differences in ln s_k, on random
+  // layouts: filling and non-filling regions, overlapping masks, saturated
+  // and unsaturated components.
+  util::Xoshiro256 rng(0x5E45ULL);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t apps = 1 + rng.below(10);
+    std::vector<WayMask> masks;
+    std::vector<CacheDemand> demand;
+    for (std::size_t a = 0; a < apps; ++a) {
+      const unsigned width = 1 + static_cast<unsigned>(rng.below(20));
+      const unsigned shift = static_cast<unsigned>(rng.below(21 - width));
+      masks.push_back(WayMask::span(shift, width));
+      CacheDemand d;
+      d.stream_bytes_per_sec = rng.uniform(0.0, 0.3) * GBs;
+      for (int c = 0; c < 3; ++c) {
+        d.reuse.push_back({rng.uniform(0.01, 2.0) * GBs,
+                           rng.uniform(0.1, 20.0) * MB});
+      }
+      demand.push_back(std::move(d));
+    }
+    const auto regions = decompose_regions(masks, 20, 1.25 * MB);
+    OccupancyScratch scratch;
+    std::vector<double> occ;
+    solve_occupancy(regions, demand, OccupancySolverConfig{}, scratch, occ);
+    std::vector<double> sens(apps * apps);
+    occupancy_sensitivity(regions, demand, OccupancySolverConfig{}, scratch,
+                          sens.data());
+    SCOPED_TRACE(trial);
+    const double h = 1e-7;
+    for (std::size_t k = 0; k < apps; ++k) {
+      auto up = demand, down = demand;
+      up[k] = scaled(demand[k], 1.0 + h);
+      down[k] = scaled(demand[k], 1.0 - h);
+      const auto occ_up = solve_occupancy(regions, apps, up);
+      const auto occ_down = solve_occupancy(regions, apps, down);
+      for (std::size_t i = 0; i < apps; ++i) {
+        const double fd = (occ_up[i] - occ_down[i]) /
+                          (std::log1p(h) - std::log1p(-h));
+        EXPECT_NEAR(sens[i * apps + k], fd, 1e-5 * MB)
+            << "d occ_" << i << " / d ln s_" << k;
+      }
+    }
   }
 }
 

@@ -1,0 +1,57 @@
+// The test-side view into sim::Machine (a friend of it): the reference
+// stepping path the equivalence tests compare against, the replay budget,
+// the solve tolerance, the solver state, and the quantum map F with its
+// Jacobian, so tests can check the solver against independent
+// computations.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "sim/machine.hpp"
+
+namespace dicer::sim {
+
+struct MachineTestPeer {
+  /// Steps `m` with its replay cache disarmed, so the quantum runs the
+  /// full fixed point — the pre-shortcut solve path. Clearing the flag
+  /// directly (not via an actuator) counts no invalidation, so the
+  /// reference's solver stats stay those of a machine that never replays.
+  static void step_without_replay(Machine& m) {
+    m.solve_cache_.armed = false;
+    m.step();
+  }
+  /// Quanta run_for/run_until may commit in bulk right now; they take the
+  /// bulk path whenever this is positive (and no kQuantum subscriber
+  /// listens).
+  static std::uint64_t replay_budget(const Machine& m) {
+    return m.solve_cache_.budget;
+  }
+  /// The relative residual the machine's solves converge to.
+  static double& tolerance(Machine& m) { return m.tolerance_; }
+
+  /// The solver state of the last quantum: active cores, their phases, and
+  /// the IPS (`ips`, in core order) that evaluate_map and jacobian work
+  /// at, with the occupancy and link state the last evaluation there
+  /// left. Valid after a step() that solved, until the next actuation.
+  static StepScratch& scratch(Machine& m) { return m.scratch_; }
+  /// Per core, the IPS the next solve warm-starts from (0: none yet).
+  static const std::vector<double>& ips_seed(const Machine& m) {
+    return m.ips_seed_;
+  }
+  /// F at scratch(m).ips.
+  static std::vector<double> evaluate_map(Machine& m) {
+    std::vector<double> target(m.scratch_.active.size());
+    m.evaluate(target.data());
+    return target;
+  }
+  /// The analytic dF/dx at scratch(m).ips, row-major.
+  static std::vector<double> jacobian(Machine& m) {
+    const auto target = evaluate_map(m);
+    std::vector<double> jac(target.size() * target.size());
+    m.jacobian(target.data(), jac.data());
+    return jac;
+  }
+};
+
+}  // namespace dicer::sim
