@@ -544,6 +544,51 @@ void BM_FleetPlacementIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetPlacementIndexed)->Unit(benchmark::kMillisecond);
 
+// The saturated-fleet placement pattern: an 800-machine fleet with every
+// BE slot full but for a standing pool of 200 vacated ones (the departures
+// an epoch of fleet_saturated accumulates), so most open machines are
+// singleton placement classes. Each iteration detaches a random tenant,
+// opening or growing one, then places and admits an arrival, closing
+// another: a scan over ~200 live classes plus the fresh classes' scores.
+void BM_FleetPlacementSaturated(benchmark::State& state) {
+  const auto& catalog = sim::default_catalog();
+  const sim::MachineConfig mc;
+  const fleet::AppDirectory dir(catalog, mc);
+  constexpr unsigned kMachines = 800;
+  constexpr unsigned kBeSlots = 9;
+  fleet::PlacementIndex index(dir, kBeSlots);
+  util::Xoshiro256 rng(23);
+  const auto tenant = [&] {
+    return fleet::Tenant{0, &dir.signal(catalog.at(rng.below(catalog.size())).name)};
+  };
+  for (unsigned m = 0; m < kMachines; ++m) {
+    index.add_machine(&catalog.at(rng.below(catalog.size())));
+    for (unsigned c = 1; c <= kBeSlots; ++c) index.admit(m, tenant());
+  }
+  const auto detach_random = [&] {
+    for (;;) {
+      const auto m = static_cast<unsigned>(rng.below(kMachines));
+      const unsigned c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+      if (index.tenants(m)[c].sig) {
+        index.detach(m, c);
+        return;
+      }
+    }
+  };
+  for (int i = 0; i < 200; ++i) detach_random();
+  fleet::MrcBestFitPlacement engine(dir);
+  for (auto _ : state) {
+    detach_random();
+    const fleet::Tenant arrival = tenant();
+    const auto dest = engine.place(*arrival.sig->profile, index, std::nullopt);
+    benchmark::DoNotOptimize(dest);
+    if (dest) index.admit(*dest, arrival);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["machines"] = static_cast<double>(kMachines);
+}
+BENCHMARK(BM_FleetPlacementSaturated)->Unit(benchmark::kMicrosecond);
+
 // A churn-heavy epoch at fleet scale: 10k machines, ~400 arrivals/sec into
 // mrc placement. The cluster is built once and stepped across benchmark
 // batches (tenant population reaches steady state after the first epochs),

@@ -36,8 +36,9 @@
 // predict_efu() evaluations.
 //
 // --profile also prints the placement index's deterministic work counts:
-// decisions, index mutations, predict_efu() evaluations, tree nodes
-// visited, and the placement classes live at the end and created in all.
+// decisions, index mutations, predict_efu() evaluations, live classes
+// read by best-fit scans, and the placement classes live at the end and
+// created in all.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -190,8 +191,8 @@ static int run(int argc, char** argv) {
     std::cerr << "placement work: " << cluster.placement_log().size()
               << " decisions, " << index->mutations()
               << " index mutations, " << index->efu_predictions()
-              << " predict_efu evaluations, " << index->tree_node_visits()
-              << " tree nodes visited, " << index->live_classes()
+              << " predict_efu evaluations, " << index->class_scans()
+              << " classes scanned, " << index->live_classes()
               << " live classes, " << index->classes_created()
               << " classes created\n";
   }

@@ -1,6 +1,7 @@
 #include "fleet/directory.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -52,8 +53,15 @@ const AppSignal& AppDirectory::signal(const std::string& name) const {
 }
 
 double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
-                   const std::vector<const AppSignal*>& bes,
-                   std::vector<metrics::IpcPair>& pairs) {
+                   std::span<const AppSignal* const> bes,
+                   const AppSignal* joining) {
+  const std::size_t n_bes = bes.size() + (joining ? 1 : 0);
+  // Per-thread scratch: zeroing kMaxCores stack entries on every call
+  // would cost a large share of it. Only the first `n` entries are read.
+  thread_local std::array<metrics::IpcPair, sim::kMaxCores> pairs;
+  if (n_bes >= pairs.size()) {
+    throw std::length_error("predict_efu: more apps than sim::kMaxCores");
+  }
   const auto& machine = dir.machine();
   const auto total_ways = machine.llc.ways;
 
@@ -69,28 +77,31 @@ double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
   // even split.
   double footprint_sum = 0.0;
   for (const auto* s : bes) footprint_sum += s->footprint_bytes;
+  if (joining) footprint_sum += joining->footprint_bytes;
 
-  pairs.clear();
+  std::size_t n = 0;
   double demand = hp_sig.bw_by_ways[hp_ways - 1];
-  pairs.push_back({hp_sig.ipc_alone, hp_sig.ipc_at_ways(hp_ways)});
-  for (const auto* s : bes) {
+  pairs[n++] = {hp_sig.ipc_alone, hp_sig.ipc_at_ways(hp_ways)};
+  const auto add = [&](const AppSignal& s) {
     const double share =
         footprint_sum > 0.0
-            ? be_ways * (s->footprint_bytes / footprint_sum)
-            : be_ways / static_cast<double>(bes.size());
+            ? be_ways * (s.footprint_bytes / footprint_sum)
+            : be_ways / static_cast<double>(n_bes);
     const double w = std::clamp(share, 1.0, be_ways);
-    pairs.push_back({s->ipc_alone, s->ipc_at_ways(w)});
-    demand += s->bw_by_ways[static_cast<std::size_t>(w) - 1];
-  }
+    pairs[n++] = {s.ipc_alone, s.ipc_at_ways(w)};
+    demand += s.bw_by_ways[static_cast<std::size_t>(w) - 1];
+  };
+  for (const auto* s : bes) add(*s);
+  if (joining) add(*joining);
 
   // Oversubscribing the memory link slows everyone proportionally —
   // a crude but monotone stand-in for the saturating-link model.
   const double capacity = machine.link.capacity_bytes_per_sec;
   const double link_factor =
       demand > capacity && demand > 0.0 ? capacity / demand : 1.0;
-  for (auto& p : pairs) p.colocated *= link_factor;
+  for (std::size_t i = 0; i < n; ++i) pairs[i].colocated *= link_factor;
 
-  return metrics::effective_utilisation(pairs);
+  return metrics::effective_utilisation({pairs.data(), n});
 }
 
 }  // namespace dicer::fleet

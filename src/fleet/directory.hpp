@@ -16,6 +16,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@ namespace dicer::fleet {
 struct AppSignal {
   const sim::AppProfile* profile = nullptr;
   /// Dense directory-local id in [0, AppDirectory::size()) — the key the
-  /// PlacementIndex per-machine score caches are bucketed by.
+  /// PlacementIndex per-app score caches are indexed by.
   std::size_t id = 0;
   /// Solo steady-state IPC with w ways, at index w-1 (w in 1..llc.ways).
   std::vector<double> ipc_by_ways;
@@ -66,10 +67,12 @@ class AppDirectory {
 };
 
 /// Predicted EFU of a machine running `hp_sig`'s HP plus the BEs `bes`
-/// (in core order — the floating-point sums walk them in that order). A
-/// pure function of its operands; `pairs` is caller-owned scratch.
+/// (in core order — the floating-point sums walk them in that order) and,
+/// when given, `joining` after them: the machine as it would be with one
+/// more tenant. A pure function of its operands; allocation-free. Throws
+/// std::length_error when the apps outnumber sim::kMaxCores.
 double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
-                   const std::vector<const AppSignal*>& bes,
-                   std::vector<metrics::IpcPair>& pairs);
+                   std::span<const AppSignal* const> bes,
+                   const AppSignal* joining = nullptr);
 
 }  // namespace dicer::fleet

@@ -15,15 +15,15 @@
 //                 discounted when predicted bandwidth demand
 //                 oversubscribes the memory link (Com-CAS-style footprint
 //                 packing driven by the sampled-MRC app directory). Exact
-//                 over every open machine, read off the index's per-app
-//                 tournament tree over placement classes in O(classes
-//                 touched since the app's last decision x log C).
+//                 over every open machine: one pass over the index's
+//                 live placement classes, scoring only the classes
+//                 created since the app's last decision.
 //
 // Every engine decides off the persistent fleet::PlacementIndex in one
 // serial pass: `random` maps its draw through the index's open-set order
 // statistics, `least-loaded` reads its free-core buckets, and `mrc` reads
-// the index's score cache — the leaves of its per-app marginal-EFU trees,
-// one per placement class — so a class is scored once per app. Ties go to
+// the index's score cache — one marginal EFU per (placement class, app)
+// — so a class is scored once per app. Ties go to
 // the lowest machine index (the first strictly better candidate in index
 // order). A from-scratch full-scan reference of all three engines lives
 // in the tests and pins every decision, tie-break and RNG draw.
@@ -78,7 +78,7 @@ class LeastLoadedPlacement final : public PlacementEngine {
 
 /// Best fit on the marginal EFU: the open machine whose predicted EFU
 /// rises most (or drops least) when `app` joins, lowest index on ties —
-/// read off the index's per-app tournament tree over placement classes.
+/// one scan of the index's live placement classes.
 class MrcBestFitPlacement final : public PlacementEngine {
  public:
   /// `directory` must outlive the engine.

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -24,11 +25,12 @@ void PlacementIndex::OpenBits::push_back(bool open) {
 
 void PlacementIndex::OpenBits::set(std::size_t i, bool open) {
   if (bits_[i] == open) return;
-  const std::int64_t d = open ? 1 : -1;
+  // Two's-complement wrap-around: adding ~0 subtracts one.
+  const std::uint64_t d = open ? 1 : ~std::uint64_t{0};
   bits_[i] = open;
   total_ += d;
   for (std::size_t j = i + 1; j < tree_.size(); j += j & (~j + 1)) {
-    tree_[j] += static_cast<std::uint64_t>(d);
+    tree_[j] += d;
   }
 }
 
@@ -65,7 +67,7 @@ PlacementIndex::PlacementIndex(const AppDirectory& dir, unsigned be_slots)
     : dir_(&dir),
       be_slots_(be_slots),
       by_free_(be_slots + 1),
-      trees_(dir.size()) {
+      apps_(dir.size()) {
   if (be_slots == 0) {
     throw std::invalid_argument("PlacementIndex: need at least one BE slot");
   }
@@ -195,21 +197,18 @@ std::size_t PlacementIndex::ClassKeyHash::operator()(
 void PlacementIndex::reclass(unsigned machine) {
   if (!classed_) return;
   Slot& slot = slots_[machine];
-  // The left slot, when the class died or its representative moved. Its
-  // re-fix is queued last, and not at all when a new class refills the
-  // slot, which queues it anyway.
-  std::uint32_t refix = kNone;
   if (slot.cls != kNone) {
     Class& c = classes_[slot.cls];
     c.members.erase(machine);
     if (c.members.empty()) {
       class_of_.erase(c.key);
-      c.rep = kNone;
+      // Swap-remove from the live list.
+      classes_[live_.back().slot].live_pos = c.live_pos;
+      live_[c.live_pos] = live_.back();
+      live_.pop_back();
       free_slots_.push_back(slot.cls);
-      refix = slot.cls;
-    } else if (c.rep == machine) {
-      c.rep = *c.members.begin();
-      refix = slot.cls;
+    } else if (live_[c.live_pos].rep == machine) {
+      live_[c.live_pos].rep = *c.members.begin();
     }
     slot.cls = kNone;
   }
@@ -218,30 +217,24 @@ void PlacementIndex::reclass(unsigned machine) {
     key_.push_back(slot.hp);
     const auto [it, fresh] = class_of_.try_emplace(key_, kNone);
     if (fresh) {
-      it->second = claim_slot();
+      it->second = claim_slot(machine);
       Class& c = classes_[it->second];
       c.key = key_;
       c.members.insert(machine);
-      c.rep = machine;
       c.before = kStale;
       ++created_;
-      enqueue(it->second, true);
-      if (it->second == refix) refix = kNone;
     } else {
       Class& c = classes_[it->second];
       // Classification adds machines in index order: the hint is exact.
       c.members.emplace_hint(c.members.end(), machine);
-      if (machine < c.rep) {
-        c.rep = machine;
-        enqueue(it->second, false);
-      }
+      std::uint32_t& rep = live_[c.live_pos].rep;
+      rep = std::min(rep, machine);
     }
     slot.cls = it->second;
   }
-  if (refix != kNone) enqueue(refix, false);
 }
 
-std::uint32_t PlacementIndex::claim_slot() {
+std::uint32_t PlacementIndex::claim_slot(std::uint32_t rep) {
   if (free_slots_.empty()) {
     // Live classes never outnumber open machines, so the cap leaves room.
     const std::size_t old = classes_.size();
@@ -251,134 +244,34 @@ std::uint32_t PlacementIndex::claim_slot() {
     for (std::size_t s = cap; s-- > old;) {
       free_slots_.push_back(static_cast<std::uint32_t>(s));
     }
-    for (AppTree& t : trees_) {
-      if (!t.built) continue;
-      t.leaf.resize(cap);
-      t.win.resize(cap);
-      t.state.resize(cap, 0);
-      t.relayout = true;
-    }
   }
   const std::uint32_t s = free_slots_.back();
   free_slots_.pop_back();
+  if (++gen_ == 0) {
+    // The generations wrapped: renumber the live classes from 1 and
+    // forget every score, so no stale stamp can match a reused number.
+    for (LiveClass& l : live_) l.gen = ++gen_;
+    ++gen_;
+    for (AppScores& a : apps_) std::fill(a.gen.begin(), a.gen.end(), 0);
+  }
+  classes_[s].live_pos = static_cast<std::uint32_t>(live_.size());
+  live_.push_back({s, gen_, rep});
   return s;
 }
 
-void PlacementIndex::enqueue(std::uint32_t s, bool unscored) {
-  for (AppTree& t : trees_) {
-    if (!t.built) continue;
-    if (!(t.state[s] & kQueued)) t.pending.push_back(s);
-    t.state[s] |= unscored ? kQueued | kUnscored : kQueued;
-  }
-}
-
-// --- marginal-EFU trees -----------------------------------------------------
+// --- marginal-EFU scores ----------------------------------------------------
 
 double PlacementIndex::score(std::uint32_t s, const AppSignal& app) {
   Class& c = classes_[s];
   const AppSignal& hp = *c.key.back();
-  bes_.assign(c.key.begin(), c.key.end() - 1);
+  const std::span<const AppSignal* const> bes(c.key.data(),
+                                              c.key.size() - 1);
   if (std::isnan(c.before)) {
-    c.before = predict_efu(*dir_, hp, bes_, pairs_);
+    c.before = predict_efu(*dir_, hp, bes);
     ++predictions_;
   }
-  bes_.push_back(&app);
   ++predictions_;
-  return predict_efu(*dir_, hp, bes_, pairs_) - c.before;
-}
-
-bool PlacementIndex::beats(const AppTree& t, std::uint32_t a,
-                           std::uint32_t b) const {
-  const std::uint32_t ra = a == kNone ? kNone : classes_[a].rep;
-  const std::uint32_t rb = b == kNone ? kNone : classes_[b].rep;
-  if (ra == kNone) return false;
-  if (rb == kNone) return true;
-  return t.leaf[a] > t.leaf[b] || (t.leaf[a] == t.leaf[b] && ra < rb);
-}
-
-std::uint32_t PlacementIndex::winner(const AppTree& t,
-                                     std::size_t node) const {
-  const std::size_t n = classes_.size();
-  return node >= n ? static_cast<std::uint32_t>(node - n) : t.win[node];
-}
-
-void PlacementIndex::fix(AppTree& t, std::size_t i) {
-  const std::uint32_t l = winner(t, 2 * i);
-  const std::uint32_t r = winner(t, 2 * i + 1);
-  t.win[i] = beats(t, r, l) ? r : l;
-  ++node_visits_;
-}
-
-void PlacementIndex::build(AppTree& t, const AppSignal& app) {
-  const std::size_t n = classes_.size();
-  t.leaf.assign(n, 0.0);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (classes_[s].rep != kNone) t.leaf[s] = score(s, app);
-  }
-  t.win.resize(n);
-  for (std::size_t i = n; i-- > 1;) fix(t, i);
-  t.state.assign(n, 0);
-  t.built = true;
-}
-
-void PlacementIndex::refresh(AppTree& t, const AppSignal& app) {
-  const std::size_t n = classes_.size();
-  // Score the new classes. Every queued slot stays marked in `state`
-  // while its ancestors are recomputed: its leaf, its representative or
-  // its liveness changed.
-  for (const std::uint32_t s : t.pending) {
-    if ((t.state[s] & kUnscored) && classes_[s].rep != kNone) {
-      t.leaf[s] = score(s, app);
-    }
-    t.state[s] = kQueued;
-  }
-  if (t.relayout) {
-    for (std::size_t i = n; i-- > 1;) fix(t, i);
-    t.relayout = false;
-  } else {
-    auto& nodes = repair_scratch_;
-    nodes.clear();
-    for (const std::uint32_t s : t.pending) nodes.push_back((n + s) / 2);
-    // Recompute the ancestors in rounds of decreasing node index, so a
-    // node comes after its children (which have higher indices); the next
-    // round is the parents, which keep that order. A node whose winner is
-    // the same unqueued slot as before moves nothing above it.
-    std::sort(nodes.begin(), nodes.end(), std::greater<>());
-    for (;;) {
-      nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-      if (!nodes.empty() && nodes.back() == 0) nodes.pop_back();  // root's
-      if (nodes.empty()) break;
-      std::size_t moved = 0;
-      for (const std::size_t i : nodes) {
-        const std::uint32_t old = t.win[i];
-        fix(t, i);
-        if (t.win[i] != old || (t.state[t.win[i]] & kQueued)) {
-          nodes[moved++] = i / 2;
-        }
-      }
-      nodes.resize(moved);
-    }
-  }
-  for (const std::uint32_t s : t.pending) t.state[s] = 0;
-  t.pending.clear();
-}
-
-std::uint32_t PlacementIndex::best_in(const AppTree& t, std::size_t lo,
-                                      std::size_t hi, std::uint32_t best) {
-  const std::size_t n = classes_.size();
-  for (lo += n, hi += n; lo < hi; lo /= 2, hi /= 2) {
-    if (lo & 1) {
-      const std::uint32_t w = winner(t, lo++);
-      if (beats(t, w, best)) best = w;
-      ++node_visits_;
-    }
-    if (hi & 1) {
-      const std::uint32_t w = winner(t, --hi);
-      if (beats(t, w, best)) best = w;
-      ++node_visits_;
-    }
-  }
-  return best;
+  return predict_efu(*dir_, hp, bes, &app) - c.before;
 }
 
 std::optional<unsigned> PlacementIndex::best_fit(
@@ -387,47 +280,52 @@ std::optional<unsigned> PlacementIndex::best_fit(
     classed_ = true;
     for (unsigned m = 0; m < slots_.size(); ++m) reclass(m);
   }
-  AppTree& t = trees_.at(app.id);
-  if (t.built) {
-    refresh(t, app);
-  } else {
-    build(t, app);
+  AppScores& a = apps_.at(app.id);
+  a.queried = true;
+  if (a.gen.size() < classes_.size()) {
+    a.score.resize(classes_.size());
+    a.gen.resize(classes_.size(), 0);
   }
-  if (classes_.empty()) return std::nullopt;  // never an open machine
-  const std::uint32_t w = winner(t, 1);
-  const Class& top = classes_[w];
-  if (top.rep == kNone) return std::nullopt;  // no open machine
-  if (!exclude || *exclude != top.rep) return top.rep;
-  // The excluded representative's next member ties it on the leaf; it
-  // goes unless the best other class ties too with a lower representative.
-  const std::uint32_t other =
-      best_in(t, w + 1, classes_.size(), best_in(t, 0, w, kNone));
-  const auto next = std::next(top.members.begin());
-  if (next != top.members.end() &&
-      (other == kNone || t.leaf[w] > t.leaf[other] ||
-       *next < classes_[other].rep)) {
-    return *next;
+  const std::uint32_t excluded = exclude ? *exclude : kNone;
+  std::uint32_t best = kNone;
+  double best_score = 0.0;
+  for (const LiveClass& l : live_) {
+    if (a.gen[l.slot] != l.gen) {
+      a.score[l.slot] = score(l.slot, app);
+      a.gen[l.slot] = l.gen;
+    }
+    // An excluded representative hands the class to its next member,
+    // which ties it on the score.
+    std::uint32_t cand = l.rep;
+    if (cand == excluded) {
+      const auto& members = classes_[l.slot].members;
+      const auto next = std::next(members.begin());
+      if (next == members.end()) continue;
+      cand = *next;
+    }
+    const double v = a.score[l.slot];
+    if (best == kNone || v > best_score || (v == best_score && cand < best)) {
+      best = cand;
+      best_score = v;
+    }
   }
-  if (other == kNone) return std::nullopt;
-  return classes_[other].rep;
+  scans_ += live_.size();
+  if (best == kNone) return std::nullopt;
+  return best;
 }
 
 double PlacementIndex::marginal_efu(unsigned machine,
                                     const AppSignal& app) const {
-  const AppTree& t = trees_.at(app.id);
-  if (!t.built) {
-    throw std::logic_error("PlacementIndex: app has no tree before best_fit");
+  const AppScores& a = apps_.at(app.id);
+  if (!a.queried) {
+    throw std::logic_error("PlacementIndex: app has no scores before best_fit");
   }
   const std::uint32_t s = at(machine).cls;
   if (s == kNone) return -std::numeric_limits<double>::infinity();
-  if (t.state[s] & kUnscored) {
+  if (s >= a.gen.size() || a.gen[s] != live_[classes_[s].live_pos].gen) {
     throw std::logic_error("PlacementIndex: class created since best_fit");
   }
-  return t.leaf[s];
-}
-
-std::size_t PlacementIndex::backlog(std::size_t app_id) const {
-  return app_id < trees_.size() ? trees_[app_id].pending.size() : 0;
+  return a.score[s];
 }
 
 }  // namespace dicer::fleet

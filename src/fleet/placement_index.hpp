@@ -19,8 +19,8 @@
 //   - free-core buckets (one ordered set per free-core count) so
 //     `least-loaded` resolves as "lowest index in the highest non-empty
 //     bucket" instead of a full scan;
-//   - placement classes, and one tournament tree per app over them (the
-//     `mrc` engine's score cache), so `mrc` reads its argmax off a root.
+//   - placement classes with a per-app score cache over them, so `mrc`
+//     reads its argmax off one pass over the live classes.
 //
 // A placement class is the key (HP signal, core-ordered BE signals) shared
 // by one or more *open* machines: exactly the operands of predict_efu(),
@@ -35,26 +35,22 @@
 // upkeep.
 //
 // Class slots are recycled; their count doubles as the live-class
-// high-water mark needs, capped at the machine count. An app's tree has
-// one leaf per slot: the marginal EFU of the app joining the class
-// (predict_efu() with the app minus the class's "before"), computed once
-// per class lifetime. Each
-// internal node holds the better of its two children's slots: higher
-// leaf, then lower representative, and a dead slot loses to any live one.
-// So the root's representative is exactly the first strictly better
-// machine of an index-order scan. A tree is built on the app's first
-// query: 13 B per slot (a double leaf, a uint32 winner, a state byte).
-//
-// Refresh is lazy. A mutation that creates a class queues its slot for
-// scoring on every tree's backlog; one that kills a class or changes its
-// representative queues only a re-fix of the slot's ancestors; one that
-// does neither (a non-representative member moving to an existing class)
-// queues nothing. An app's next query scores its queued new classes and
-// recomputes the ancestors of its queued slots, each once, so a decision
-// costs O(classes touched since the app's last query x log C). A backlog
-// holds each slot at most once. Excluding the winning class's
-// representative (a migration source) falls back to its next member,
-// which ties it on the leaf, or to the best other class.
+// high-water mark needs, capped at the machine count. The live slots sit
+// in a dense list (swap-removed when a class dies), and a slot gets a
+// fresh generation number each time a class claims it. An app's score
+// cache holds, per slot, the marginal EFU of the app joining the class
+// (predict_efu() with the app minus the class's "before") and the
+// generation it was computed for: 12 B per slot, allocated on the app's
+// first query. best_fit() walks the live list once, scores each class
+// whose generation the app has not seen (so each (class, app) pair is
+// scored at most once per class lifetime), and keeps the maximum by
+// higher score, then lower representative: exactly the first strictly
+// better machine of an index-order scan. When the representative is the
+// excluded machine (a migration source), the class competes with its
+// next member, which ties it on the score, or drops out when it has
+// none. A mutation costs no per-app work at all; a decision costs one
+// pass over the live classes plus the scores of the classes created
+// since the app's last decision.
 //
 // Single-threaded like the rest of the control plane; `const` reads are
 // safe from anywhere, mutations are not.
@@ -92,10 +88,10 @@ class PlacementIndex {
   unsigned add_machine(const sim::AppProfile* hp);
 
   /// `tenant` lands on `machine`'s lowest free BE core, which is returned.
-  /// O(log N + A) for A apps with a tree. Throws std::logic_error when
-  /// the machine is full or the tenant has no signal.
+  /// O(log N). Throws std::logic_error when the machine is full or the
+  /// tenant has no signal.
   unsigned admit(unsigned machine, const Tenant& tenant);
-  /// The tenant on `machine`'s `core` leaves; returns it. O(log N + A).
+  /// The tenant on `machine`'s `core` leaves; returns it. O(log N).
   Tenant detach(unsigned machine, unsigned core);
 
   std::size_t size() const noexcept { return slots_.size(); }
@@ -135,19 +131,17 @@ class PlacementIndex {
   /// control plane's tenancy churn.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
-  // --- placement classes and marginal-EFU trees (read by `mrc`) ---
+  // --- placement classes and their marginal-EFU scores (read by `mrc`) ---
   /// The open machine other than `exclude` that `app` raises the most
   /// predicted EFU on (lowest index on ties), or nullopt when there is
   /// none. `exclude` may be out of range (then nothing is excluded).
   std::optional<unsigned> best_fit(const AppSignal& app,
                                    std::optional<unsigned> exclude);
-  /// The marginal EFU of `app` joining `machine`: its class's leaf in the
-  /// app's tree, or -inf when the machine is closed. Throws
+  /// The marginal EFU of `app` joining `machine`: its class's cached
+  /// score for the app, or -inf when the machine is closed. Throws
   /// std::logic_error before the app's first best_fit(), and when the
   /// machine's class was created after the app's last best_fit().
   double marginal_efu(unsigned machine, const AppSignal& app) const;
-  /// Class slots queued in `app_id`'s tree (at most the slot count).
-  std::size_t backlog(std::size_t app_id) const;
   /// Classes with at least one open member (0 before the first
   /// best_fit(), which classifies every machine).
   std::size_t live_classes() const noexcept { return class_of_.size(); }
@@ -156,9 +150,8 @@ class PlacementIndex {
 
   /// Monotone count of predict_efu() evaluations the index has made.
   std::uint64_t efu_predictions() const noexcept { return predictions_; }
-  /// Monotone count of tree nodes visited: internal nodes recomputed by
-  /// repairs and rebuilds, plus nodes read by excluded-winner queries.
-  std::uint64_t tree_node_visits() const noexcept { return node_visits_; }
+  /// Monotone count of live classes read by best_fit() scans.
+  std::uint64_t class_scans() const noexcept { return scans_; }
 
  private:
   /// No class / no machine.
@@ -180,32 +173,28 @@ class PlacementIndex {
     std::size_t operator()(const ClassKey& key) const noexcept;
   };
 
-  /// One class slot; dead (rep == kNone) until a key claims it.
+  /// One class slot; live while it is on the live list.
   struct Class {
     ClassKey key;
     std::set<unsigned> members;  ///< open machines with this key
-    std::uint32_t rep = kNone;   ///< lowest member
+    std::uint32_t live_pos = 0;  ///< its entry in `live_`
     double before = kStale;      ///< predict_efu(key), once per lifetime
   };
 
-  /// One app's tournament tree over the class slots, unbuilt until the
-  /// app's first query. Node C + s is leaf s; internal node i in [1, C)
-  /// holds the better of nodes 2i and 2i + 1, so node 1 is the winner
-  /// over every slot.
-  struct AppTree {
-    /// Marginal EFU of the app joining each slot's class, valid for live
-    /// slots that are not kUnscored.
-    std::vector<double> leaf;
-    std::vector<std::uint32_t> win;  ///< [1, C)
-    /// Slots whose class changed since the last query, each once.
-    std::vector<std::uint32_t> pending;
-    std::vector<std::uint8_t> state;  ///< by slot: kQueued | kUnscored
-    bool built = false;
-    /// The slot count grew since the last query: rebuild every node.
-    bool relayout = false;
+  /// A live class's scan entry: all best_fit() reads of it but a score.
+  struct LiveClass {
+    std::uint32_t slot = kNone;
+    std::uint32_t gen = 0;      ///< claim number of the slot, from 1
+    std::uint32_t rep = kNone;  ///< lowest member
   };
-  static constexpr std::uint8_t kQueued = 1;    ///< in `pending`
-  static constexpr std::uint8_t kUnscored = 2;  ///< leaf not yet computed
+
+  /// One app's score cache over the class slots, empty until the app's
+  /// first query. Slot s holds a score of the class of generation gen[s].
+  struct AppScores {
+    std::vector<double> score;
+    std::vector<std::uint32_t> gen;
+    bool queried = false;
+  };
 
   /// Fenwick tree over the 0/1 "machine is open" bits: point update,
   /// prefix count and k-th-set-bit select, all O(log N). Grows by
@@ -234,36 +223,21 @@ class PlacementIndex {
   /// first best_fit() classifies the fleet.
   void reclass(unsigned machine);
   /// A free class slot, doubling the slot count (capped at the machine
-  /// count) and growing every built tree when none is left.
-  std::uint32_t claim_slot();
-  /// Queue slot `s` on every built tree's backlog, for a re-fix and, when
-  /// `unscored`, a fresh leaf.
-  void enqueue(std::uint32_t s, bool unscored);
+  /// count) when none is left, entered on the live list under a fresh
+  /// generation with `rep` as its representative.
+  std::uint32_t claim_slot(std::uint32_t rep);
   /// The marginal EFU of `app` joining live class `s` (computing the
   /// class's shared "before" on its first use).
   double score(std::uint32_t s, const AppSignal& app);
-  /// Score every live slot of `t` and build its winners.
-  void build(AppTree& t, const AppSignal& app);
-  /// Score `t`'s queued new classes and bring its winners up to date.
-  void refresh(AppTree& t, const AppSignal& app);
-  /// Whether slot `a` beats slot `b` in `t`: live, then higher leaf, then
-  /// lower representative. kNone is a dead slot.
-  bool beats(const AppTree& t, std::uint32_t a, std::uint32_t b) const;
-  /// The slot winning node `node` of `t`.
-  std::uint32_t winner(const AppTree& t, std::size_t node) const;
-  /// Recompute internal node `i` of `t` from its children.
-  void fix(AppTree& t, std::size_t i);
-  /// The better of `best` and every slot in [lo, hi) of `t`.
-  std::uint32_t best_in(const AppTree& t, std::size_t lo, std::size_t hi,
-                        std::uint32_t best);
 
   const AppDirectory* dir_;
   unsigned be_slots_;
   std::uint64_t running_ = 0;
   std::uint64_t mutations_ = 0;
   std::uint64_t predictions_ = 0;
-  std::uint64_t node_visits_ = 0;
+  std::uint64_t scans_ = 0;
   std::uint64_t created_ = 0;
+  std::uint32_t gen_ = 0;  ///< the last generation handed out
   /// Machines are kept in classes; false until the first best_fit(), so
   /// boot and the class-blind engines pay no class upkeep.
   bool classed_ = false;
@@ -274,14 +248,11 @@ class PlacementIndex {
   /// placement path enumerates them).
   std::vector<std::set<unsigned>> by_free_;
   std::vector<Class> classes_;  ///< by slot
+  std::vector<LiveClass> live_;  ///< in no order
   std::unordered_map<ClassKey, std::uint32_t, ClassKeyHash> class_of_;
   std::vector<std::uint32_t> free_slots_;  ///< dead slots, next at back
-  std::vector<AppTree> trees_;  ///< by AppSignal::id
-  /// Key, scoring and repair scratch (allocation-free after warm-up).
-  ClassKey key_;
-  std::vector<const AppSignal*> bes_;
-  std::vector<metrics::IpcPair> pairs_;
-  std::vector<std::size_t> repair_scratch_;
+  std::vector<AppScores> apps_;  ///< by AppSignal::id
+  ClassKey key_;  ///< key scratch (allocation-free after warm-up)
 };
 
 }  // namespace dicer::fleet

@@ -62,37 +62,37 @@ struct Shadow {
   }
 };
 
-/// For every app in `apps` (the apps whose trees the test allocated): each
-/// open machine's leaf equals a from-scratch marginal EFU, and the tree's
-/// root equals the argmax of the refreshed leaves — the first strictly
-/// better open machine in index order.
-void expect_trees_match(PlacementIndex& index, const Shadow& shadow,
-                        const AppDirectory& dir,
-                        const std::set<const AppSignal*>& apps) {
+/// For every app in `apps` (the apps the test has queried): one scan
+/// reads each live class once, each open machine's cached score equals a
+/// from-scratch marginal EFU, and the decision equals the argmax of those
+/// scores — the first strictly better open machine in index order.
+void expect_scores_match(PlacementIndex& index, const Shadow& shadow,
+                         const AppDirectory& dir,
+                         const std::set<const AppSignal*>& apps) {
   std::vector<const AppSignal*> bes;
-  std::vector<metrics::IpcPair> pairs;
   for (const AppSignal* app : apps) {
-    const auto root = index.best_fit(*app, std::nullopt);
+    const std::uint64_t scans = index.class_scans();
+    const auto got = index.best_fit(*app, std::nullopt);
+    EXPECT_EQ(index.class_scans() - scans, index.live_classes());
     std::optional<unsigned> argmax;
     double best = 0.0;
     for (const unsigned m : shadow.open()) {
-      const double leaf = index.marginal_efu(m, *app);
+      const double score = index.marginal_efu(m, *app);
       bes.clear();
       for (unsigned c = 1; c <= shadow.be_slots; ++c) {
         if (shadow.grid[m][c]) bes.push_back(shadow.grid[m][c]);
       }
       const AppSignal& hp = index.hp(m);
-      const double before = predict_efu(dir, hp, bes, pairs);
+      const double before = predict_efu(dir, hp, bes);
       bes.push_back(app);
-      EXPECT_EQ(leaf, predict_efu(dir, hp, bes, pairs) - before)
+      EXPECT_EQ(score, predict_efu(dir, hp, bes) - before)
           << "machine " << m << " app " << app->id;
-      if (!argmax || leaf > best) {
+      if (!argmax || score > best) {
         argmax = m;
-        best = leaf;
+        best = score;
       }
     }
-    EXPECT_EQ(root, argmax) << "app " << app->id;
-    EXPECT_EQ(index.backlog(app->id), 0u);
+    EXPECT_EQ(got, argmax) << "app " << app->id;
   }
 }
 
@@ -130,8 +130,8 @@ void expect_matches(const PlacementIndex& index, const Shadow& shadow) {
 // mutation, the incrementally-maintained index agrees with a from-scratch
 // rebuild on every machine's tenants (each admission on the lowest free
 // core), the tenant count, the open-set order statistics, the
-// least-loaded winner and every built marginal-EFU tree (one more app
-// queried per step until all are).
+// least-loaded winner and every queried app's marginal-EFU scores and
+// decision (one more app queried per step until all are).
 TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
   const auto& catalog = sim::default_catalog();
   const sim::MachineConfig mc;
@@ -151,7 +151,7 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
     expect_matches(index, shadow);
   }
 
-  std::set<const AppSignal*> trees;
+  std::set<const AppSignal*> queried;
   for (int step = 0; step < 600; ++step) {
     const auto m = static_cast<unsigned>(rng.below(kMachines));
     const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
@@ -168,8 +168,8 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
       shadow.grid[m][lowest] = app;
     }
     expect_matches(index, shadow);
-    expect_trees_match(index, shadow, dir, trees);
-    trees.insert(&dir.signal(catalog.at(rng.below(catalog.size())).name));
+    expect_scores_match(index, shadow, dir, queried);
+    queried.insert(&dir.signal(catalog.at(rng.below(catalog.size())).name));
   }
 }
 
@@ -192,7 +192,7 @@ TEST(PlacementIndex, ValidatesArguments) {
   EXPECT_EQ(index.admit(0, tenant), 2u);
   EXPECT_THROW(index.admit(0, tenant), std::logic_error);  // machine full
   EXPECT_THROW(index.nth_open(0), std::out_of_range);
-  // Leaves exist only once a query has built the app's tree.
+  // Scores exist only once the app has been queried.
   EXPECT_THROW(index.marginal_efu(0, *tenant.sig), std::logic_error);
   EXPECT_FALSE(index.best_fit(*tenant.sig, std::nullopt).has_value());
   EXPECT_EQ(index.marginal_efu(0, *tenant.sig),
@@ -225,9 +225,10 @@ TEST(PlacementIndex, TenantSignalsAreCoreOrdered) {
 }
 
 // Scores are cached per placement class: machines sharing (HP, core-ordered
-// tenants) share one "before" and one leaf per app, a mutation queues work
-// only when it creates a class, kills one or moves its representative, and
-// a queued class is re-scored only when it is new.
+// tenants) share one "before" and one score per app, a query scans every
+// live class once, and only a class created since the app's last query is
+// scored (it reads as unscored until then); a mutation that moves a
+// representative, or joins an existing class, costs no score.
 TEST(PlacementIndex, DirtyScoreProtocolInvalidatesOnMutation) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
@@ -243,53 +244,57 @@ TEST(PlacementIndex, DirtyScoreProtocolInvalidatesOnMutation) {
   index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.live_classes(), 2u);  // {hp 0}: 0, 1, 3; {hp 1}: 2
   EXPECT_EQ(index.classes_created(), 2u);
+  EXPECT_EQ(index.class_scans(), 2u);
   EXPECT_EQ(index.efu_predictions(), 4u);  // a "before" and an "after" each
   const double d0 = index.marginal_efu(0, app);
-  EXPECT_EQ(index.marginal_efu(1, app), d0);  // one class, one leaf
+  EXPECT_EQ(index.marginal_efu(1, app), d0);  // one class, one score
   EXPECT_EQ(index.marginal_efu(3, app), d0);
   const double d2 = index.marginal_efu(2, app);
+  EXPECT_THROW(index.marginal_efu(0, other), std::logic_error);  // unqueried
   index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 4u);  // clean: cache hits
+  EXPECT_EQ(index.class_scans(), 4u);
   index.best_fit(other, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 6u);  // the "befores" are shared
 
-  // Machine 1 is not its class's representative: it leaves {hp 0}
-  // without queuing it, and founds {hp 0, x}, queued for scoring.
+  // Machine 1 is not its class's representative: it leaves {hp 0}, and
+  // founds {hp 0, x}, unscored until the next query.
   index.admit(1, x);
   EXPECT_EQ(index.live_classes(), 3u);
   EXPECT_EQ(index.classes_created(), 3u);
-  EXPECT_EQ(index.backlog(app.id), 1u);
+  EXPECT_EQ(index.efu_predictions(), 6u);  // a mutation scores nothing
   EXPECT_THROW(index.marginal_efu(1, app), std::logic_error);  // unscored
   EXPECT_EQ(index.marginal_efu(0, app), d0);
   index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 8u);  // the new class only
+  EXPECT_EQ(index.class_scans(), 9u);
   const double dx = index.marginal_efu(1, app);
   EXPECT_EQ(index.marginal_efu(2, app), d2);
-  EXPECT_EQ(index.backlog(app.id), 0u);
-  EXPECT_EQ(index.backlog(other.id), 1u);
+  EXPECT_THROW(index.marginal_efu(1, other), std::logic_error);
 
-  // Machine 3 joins {hp 0, x} behind its representative: nothing queued.
+  // Machine 3 joins {hp 0, x} behind its representative: no new class.
   index.admit(3, x);
   EXPECT_EQ(index.classes_created(), 3u);
-  EXPECT_EQ(index.backlog(app.id), 0u);
   EXPECT_EQ(index.marginal_efu(3, app), dx);
 
-  // Machine 1 leaves: {hp 0, x}'s representative moves to 3, a re-fix
-  // with no new score; machine 1 rejoins {hp 0} behind machine 0.
+  // Machine 1 leaves: {hp 0, x}'s representative moves to 3 with no new
+  // score; machine 1 rejoins {hp 0} behind machine 0.
   index.detach(1, 1);
-  EXPECT_EQ(index.backlog(app.id), 1u);
+  EXPECT_EQ(index.marginal_efu(3, app), dx);
   index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 8u);
   EXPECT_EQ(index.marginal_efu(1, app), d0);
 
-  // Machine 3 leaves: {hp 0, x} dies (a re-fix), and comes back to life
-  // as a new class, scored afresh to the bit-identical leaf.
+  // Machine 3 leaves: {hp 0, x} dies, and comes back to life as a new
+  // class in the recycled slot, scored afresh to the bit-identical value.
   index.detach(3, 1);
   EXPECT_EQ(index.live_classes(), 2u);
   index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 8u);
+  EXPECT_EQ(index.class_scans(), 14u);
   index.admit(0, x);
   EXPECT_EQ(index.classes_created(), 4u);
+  EXPECT_THROW(index.marginal_efu(0, app), std::logic_error);
   index.best_fit(app, std::nullopt);
   EXPECT_EQ(index.efu_predictions(), 10u);
   EXPECT_EQ(index.marginal_efu(0, app), dx);
@@ -343,11 +348,9 @@ TEST(PlacementIndex, ExcludedRepresentativeFallsBackToItsClassThenTheNext) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
   const AppSignal& app = dir.signal(catalog.at(7).name);
-  std::vector<metrics::IpcPair> pairs;
   const auto gain = [&](const sim::AppProfile& hp) {
     const AppSignal& hp_sig = dir.signal(hp.name);
-    return predict_efu(dir, hp_sig, {&app}, pairs) -
-           predict_efu(dir, hp_sig, {}, pairs);
+    return predict_efu(dir, hp_sig, {}, &app) - predict_efu(dir, hp_sig, {});
   };
   const sim::AppProfile* top = &catalog.at(0);
   const sim::AppProfile* low = &catalog.at(0);
@@ -379,11 +382,9 @@ TEST(PlacementIndex, EqualLeavesAcrossClassesGoToTheLowerIndex) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
   const AppSignal& app = dir.signal(catalog.at(0).name);
-  std::vector<metrics::IpcPair> pairs;
   const auto gain = [&](const sim::AppProfile& hp) {
     const AppSignal& hp_sig = dir.signal(hp.name);
-    return predict_efu(dir, hp_sig, {&app}, pairs) -
-           predict_efu(dir, hp_sig, {}, pairs);
+    return predict_efu(dir, hp_sig, {}, &app) - predict_efu(dir, hp_sig, {});
   };
   const sim::AppProfile* a = nullptr;
   const sim::AppProfile* b = nullptr;
@@ -411,7 +412,7 @@ TEST(PlacementIndex, EqualLeavesAcrossClassesGoToTheLowerIndex) {
 }
 
 // A dead class's slot taken by a new key is scored afresh, never read as
-// the old key's leaf.
+// the old key's score.
 TEST(PlacementIndex, ReusedClassSlotIsRescored) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
@@ -428,10 +429,10 @@ TEST(PlacementIndex, ReusedClassSlotIsRescored) {
   EXPECT_EQ(index.classes_created(), 2u);
   EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
   EXPECT_EQ(index.efu_predictions(), 4u);
-  std::vector<metrics::IpcPair> pairs;
   const AppSignal& hp = index.hp(0);
-  const double want = predict_efu(dir, hp, {&be, &app}, pairs) -
-                      predict_efu(dir, hp, {&be}, pairs);
+  const std::vector<const AppSignal*> bes{&be};
+  const double want =
+      predict_efu(dir, hp, bes, &app) - predict_efu(dir, hp, bes);
   EXPECT_EQ(index.marginal_efu(0, app), want);
   EXPECT_NE(want, empty);
 }

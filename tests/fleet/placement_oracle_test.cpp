@@ -4,9 +4,11 @@
 // The reference materialises one MachineView per machine for every
 // decision and rescans all of them — the plain O(machines x tenants)
 // algorithm that each engine's indexed resolution (order statistics,
-// free-core buckets, per-app tournament trees over the lazily refreshed
-// marginal-EFU leaves of placement classes) must reproduce bit for bit:
-// the same decision, the same tie-break and the same RNG draws.
+// free-core buckets, one scan over the live placement classes and their
+// cached marginal-EFU scores) must reproduce bit for bit: the same
+// decision, the same tie-break and the same RNG draws. The reference
+// scores a machine by appending the app to its tenant list, so it also
+// pins the index's joining-app predict_efu() to the appended operands.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,10 +101,9 @@ class FullScan {
     const AppSignal& hp = dir_->signal(view.hp->name);
     std::vector<const AppSignal*> bes;
     for (const auto* t : view.tenants) bes.push_back(&dir_->signal(t->name));
-    std::vector<metrics::IpcPair> pairs;
-    const double before = predict_efu(*dir_, hp, bes, pairs);
+    const double before = predict_efu(*dir_, hp, bes);
     bes.push_back(&dir_->signal(app.name));
-    return predict_efu(*dir_, hp, bes, pairs) - before;
+    return predict_efu(*dir_, hp, bes) - before;
   }
 
   std::string name_;
@@ -227,12 +228,12 @@ void expect_every_engine_matches(std::vector<EnginePair>& engines,
   }
 }
 
-// Tie-breaks and range edges of the tree argmax: a fleet of identical
+// Tie-breaks and range edges of the scan's argmax: a fleet of identical
 // empty machines (every marginal EFU equal) must resolve to the lowest
 // index, and to the next-lowest when that one is excluded, at N = 1, a
 // power of two and a non-power of two, with the excluded machine at
 // either end, in the middle and out of range.
-TEST(PlacementOracle, TreeTieBreaksAndExclusionEdgesMatchFullScan) {
+TEST(PlacementOracle, ScanTieBreaksAndExclusionEdgesMatchFullScan) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
   const auto& hp = catalog.at(0);
@@ -281,19 +282,18 @@ TEST(PlacementOracle, TreeTieBreaksAndExclusionEdgesMatchFullScan) {
 
 // A strict winner in the middle of equal machines: excluding it must fall
 // back to the lowest-index tie across both ranges around it. Machines
-// added after the app's tree exists drop it, and the next query rebuilds
-// it over every machine.
+// added after the app's first query join its classes (or found new ones,
+// scored on the next query) like any other class move.
 TEST(PlacementOracle, ExcludedMiddleWinnerFallsBackToTheLeftTie) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
   const auto& app = catalog.at(7);
   // The HP the app gains most next to (`top`), and one it gains less next
   // to (`low`), on an otherwise empty machine.
-  std::vector<metrics::IpcPair> pairs;
   const auto gain = [&](const sim::AppProfile& hp) {
     const AppSignal& hp_sig = dir.signal(hp.name);
-    const double alone = predict_efu(dir, hp_sig, {}, pairs);
-    return predict_efu(dir, hp_sig, {&dir.signal(app.name)}, pairs) - alone;
+    const double alone = predict_efu(dir, hp_sig, {});
+    return predict_efu(dir, hp_sig, {}, &dir.signal(app.name)) - alone;
   };
   const sim::AppProfile* top = &catalog.at(0);
   const sim::AppProfile* low = &catalog.at(0);
@@ -324,10 +324,12 @@ TEST(PlacementOracle, ExcludedMiddleWinnerFallsBackToTheLeftTie) {
 }
 
 // An app scored once and then left unqueried while 10 x N mutations land
-// keeps a backlog of at most one entry per class slot ever used (the
-// live-class high-water mark), and its next decision is still the
-// reference's, with every open machine's leaf at its current marginal EFU.
-TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
+// and other apps decide costs the index nothing per mutation: its next
+// decision is one scan of the live classes (never more than the open
+// machines), scores at most each live class once plus its "before", and
+// is the reference's, with every open machine's score at its current
+// marginal EFU.
+TEST(PlacementOracle, UnqueriedAppCatchesUpInOneScanOfTheLiveClasses) {
   const auto& catalog = sim::default_catalog();
   const AppDirectory dir(catalog, sim::MachineConfig{});
   constexpr unsigned kMachines = 40;
@@ -344,41 +346,44 @@ TEST(PlacementOracle, UnqueriedAppKeepsABoundedBacklog) {
   FullScan oracle("mrc", dir, 0);
   mrc.place(first, index, std::nullopt);
 
-  std::size_t max_backlog = 0;
-  std::size_t high_water = index.live_classes();
+  const std::uint64_t created = index.classes_created();
   for (unsigned step = 0; step < 10 * kMachines; ++step) {
     const auto m = static_cast<unsigned>(rng.below(kMachines));
     const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+    const std::uint64_t scored = index.efu_predictions();
+    const std::uint64_t scanned = index.class_scans();
     if (index.tenants(m)[c].sig != nullptr) {
       index.detach(m, c);
     } else {
       index.admit(m, tenant_of(dir, catalog.at(rng.below(catalog.size()))));
     }
-    high_water = std::max(high_water, index.live_classes());
+    ASSERT_EQ(index.efu_predictions(), scored) << "step " << step;
+    ASSERT_EQ(index.class_scans(), scanned) << "step " << step;
     ASSERT_LE(index.live_classes(), index.open_count()) << "step " << step;
     // Another app decides; the first one is never queried.
     auto other = &catalog.at(rng.below(catalog.size()));
     if (other == &first) other = &catalog.at(12);
     mrc.place(*other, index, std::nullopt);
-    const std::size_t backlog = index.backlog(first_sig.id);
-    ASSERT_LE(backlog, high_water) << "step " << step;
-    max_backlog = std::max(max_backlog, backlog);
   }
-  EXPECT_EQ(max_backlog, high_water);  // every slot was touched
+  // The churn replaced the classes many times over.
+  EXPECT_GT(index.classes_created() - created, 4 * kMachines);
+
+  const std::uint64_t scans = index.class_scans();
+  const std::uint64_t predictions = index.efu_predictions();
   EXPECT_EQ(mrc.place(first, index, std::nullopt),
             oracle.place(first, views_of(index, std::nullopt)));
-  EXPECT_EQ(index.backlog(first_sig.id), 0u);
+  EXPECT_EQ(index.class_scans() - scans, index.live_classes());
+  EXPECT_LE(index.efu_predictions() - predictions, 2 * index.live_classes());
 
   std::vector<const AppSignal*> bes;
-  std::vector<metrics::IpcPair> pairs;
   for (unsigned m = 0; m < kMachines; ++m) {
     if (!index.is_open(m)) continue;
     index.tenant_signals(m, bes);
     const AppSignal& hp = index.hp(m);
-    const double before = predict_efu(dir, hp, bes, pairs);
+    const double before = predict_efu(dir, hp, bes);
     bes.push_back(&first_sig);
     EXPECT_EQ(index.marginal_efu(m, first_sig),
-              predict_efu(dir, hp, bes, pairs) - before)
+              predict_efu(dir, hp, bes) - before)
         << "machine " << m;
   }
 }
@@ -398,15 +403,13 @@ TEST(PlacementOracle, ClassTiesMatchFullScanUnderRandomChurn) {
       &catalog.at(17), &catalog.at(34), &catalog.at(36)};
   const std::vector<const sim::AppProfile*> apps{
       &catalog.at(0), &catalog.at(2), &catalog.at(7), &catalog.at(13)};
-  std::vector<metrics::IpcPair> pairs;
   const AppSignal& app0 = dir.signal(apps[0]->name);
+  const auto gain = [&](const sim::AppProfile& hp) {
+    const AppSignal& hp_sig = dir.signal(hp.name);
+    return predict_efu(dir, hp_sig, {}, &app0) - predict_efu(dir, hp_sig, {});
+  };
   for (const auto* hp : hps) {
-    const AppSignal& hp_sig = dir.signal(hp->name);
-    ASSERT_EQ(predict_efu(dir, hp_sig, {&app0}, pairs) -
-                  predict_efu(dir, hp_sig, {}, pairs),
-              predict_efu(dir, dir.signal(hps[0]->name), {&app0}, pairs) -
-                  predict_efu(dir, dir.signal(hps[0]->name), {}, pairs))
-        << hp->name;
+    ASSERT_EQ(gain(*hp), gain(*hps[0])) << hp->name;
   }
 
   PlacementIndex index(dir, kBeSlots);
@@ -457,6 +460,67 @@ TEST(PlacementOracle, ClassTiesMatchFullScanUnderRandomChurn) {
         << "step " << step << " exclude " << ex;
   }
   EXPECT_GT(fallbacks, 100u);
+}
+
+// The saturated-fleet pattern: every BE slot full, so each departure opens
+// a singleton class and each fill closes one, recycling class slots
+// constantly. After every departure, `mrc` decides like the full scan for
+// a random app with nothing excluded, with the scan's winner excluded and
+// with a random machine excluded; the arrival then lands on the winner
+// unless the fleet is down to its drifting target of open slots. Each
+// (class, app) pair is scored at most once, plus one "before" per class.
+TEST(PlacementOracle, SaturatedSingletonClassesMatchFullScan) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  constexpr unsigned kMachines = 120;
+  constexpr unsigned kBeSlots = 3;
+
+  PlacementIndex index(dir, kBeSlots);
+  util::Xoshiro256 rng(4242);
+  const auto random_app = [&]() -> const sim::AppProfile& {
+    return catalog.at(rng.below(catalog.size()));
+  };
+  for (unsigned m = 0; m < kMachines; ++m) {
+    index.add_machine(&random_app());
+    while (index.is_open(m)) index.admit(m, tenant_of(dir, random_app()));
+  }
+  MrcBestFitPlacement mrc(dir);
+  FullScan oracle("mrc", dir, 0);
+  EXPECT_FALSE(mrc.place(random_app(), index, std::nullopt).has_value());
+
+  std::uint64_t winner_excluded_placed = 0;
+  std::size_t max_live = 0;
+  for (int step = 0; step < 3000; ++step) {
+    for (;;) {
+      const auto m = static_cast<unsigned>(rng.below(kMachines));
+      const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+      if (index.tenants(m)[c].sig == nullptr) continue;
+      index.detach(m, c);
+      break;
+    }
+    const auto& app = random_app();
+    const auto scan = oracle.place(app, views_of(index, std::nullopt));
+    ASSERT_TRUE(scan.has_value());
+    ASSERT_EQ(mrc.place(app, index, std::nullopt), scan) << "step " << step;
+    const auto without = oracle.place(app, views_of(index, *scan));
+    ASSERT_EQ(mrc.place(app, index, *scan), without) << "step " << step;
+    if (without) ++winner_excluded_placed;
+    const auto ex = static_cast<unsigned>(rng.below(kMachines));
+    ASSERT_EQ(mrc.place(app, index, ex), oracle.place(app, views_of(index, ex)))
+        << "step " << step << " exclude " << ex;
+    max_live = std::max(max_live, index.live_classes());
+
+    // Open slots drift between 1 and 8 in rounds of 300 steps.
+    const std::uint64_t target = 1 + static_cast<unsigned>(step / 300) % 8;
+    const std::uint64_t open_slots =
+        std::uint64_t{kMachines} * kBeSlots - index.tenants_running();
+    if (open_slots > target) index.admit(*scan, tenant_of(dir, app));
+  }
+  EXPECT_GT(winner_excluded_placed, 1000u);
+  EXPECT_GE(max_live, 6u);
+  EXPECT_GT(index.classes_created(), 1000u);
+  EXPECT_LE(index.efu_predictions(),
+            index.classes_created() * (catalog.size() + 1));
 }
 
 }  // namespace

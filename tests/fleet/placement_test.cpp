@@ -114,14 +114,34 @@ TEST(MrcBestFitPlacement, ScoreDropsWithCrowding) {
   const auto& dir = shared_directory();
   const AppSignal& hp = dir.signal(sim::default_catalog().at(0).name);
   const AppSignal& app = dir.signal("milc1");
-  std::vector<metrics::IpcPair> pairs;
   std::vector<const AppSignal*> bes{&app};
-  const double empty_score = predict_efu(dir, hp, bes, pairs);
+  const double empty_score = predict_efu(dir, hp, bes);
   // Pile four more copies of a cache-hungry app onto the same machine.
   bes.insert(bes.end(), 4, &app);
-  const double crowded_score = predict_efu(dir, hp, bes, pairs);
+  const double crowded_score = predict_efu(dir, hp, bes);
   EXPECT_GT(empty_score, 0.0);
   EXPECT_LT(crowded_score, empty_score);
+}
+
+// A joining app scores bit-identically to the same app appended after the
+// BEs (it is the last operand of every sum), for zero to nine BEs of
+// mixed footprints; more apps than sim::kMaxCores are refused.
+TEST(MrcBestFitPlacement, JoiningAppScoresLikeAnAppendedTenant) {
+  const auto& dir = shared_directory();
+  const auto& catalog = sim::default_catalog();
+  const AppSignal& hp = dir.signal(catalog.at(4).name);
+  const AppSignal& app = dir.signal(catalog.at(9).name);
+  std::vector<const AppSignal*> bes;
+  for (std::size_t n = 0; n < 10; ++n) {
+    std::vector<const AppSignal*> with = bes;
+    with.push_back(&app);
+    EXPECT_EQ(predict_efu(dir, hp, bes, &app), predict_efu(dir, hp, with))
+        << n << " BEs";
+    bes.push_back(&dir.signal(catalog.at(7 * n % catalog.size()).name));
+  }
+  bes.assign(sim::kMaxCores - 1, &app);
+  EXPECT_NO_THROW(predict_efu(dir, hp, bes));
+  EXPECT_THROW(predict_efu(dir, hp, bes, &app), std::length_error);
 }
 
 TEST(MrcBestFitPlacement, AvoidsTheCrowdedMachine) {
