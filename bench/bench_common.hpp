@@ -10,19 +10,14 @@
 //                      and the ablation (default $DICER_SWEEP_JOBS, else
 //                      all hardware threads; results are identical for any
 //                      worker count)
-//   --log-level L      debug|info|warn|error|off (same as DICER_LOG; the
-//                      flag wins over the env var)
-//   --trace PATH       record structured trace events to PATH for the
-//                      whole bench run — JSONL, or CSV when PATH ends in
-//                      .csv (same as DICER_TRACE; the flag wins)
-//   --profile          print the scoped-timer profile (sweep stages,
-//                      per-consolidation cost) to stderr on exit
+//   --log-level L, --trace PATH, --profile
+//                      the observability flags (util/observability.hpp);
+//                      --profile prints sweep stages and per-consolidation
+//                      cost
 #pragma once
 
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,10 +26,8 @@
 #include "sim/core/catalog.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
+#include "util/observability.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace dicer::bench {
 
@@ -43,42 +36,18 @@ struct BenchEnv {
   std::string cache_dir;
   bool recompute = false;
   unsigned jobs = 0;  ///< grid workers; 0 = auto (env, then hardware)
-  bool profile = false;
-  std::shared_ptr<trace::Sink> trace_sink;  ///< set iff --trace/DICER_TRACE
-  std::string trace_path;
+  util::ObservabilityFlags observability;
 
-  explicit BenchEnv(int argc, char** argv) : args(argc, argv) {
-    cache_dir = args.get_or("cache-dir", harness::default_cache_dir());
-    std::filesystem::create_directories(cache_dir);
-    recompute = args.get_bool("recompute", false);
-    jobs = args.get_count("jobs", 0);
-    profile = args.get_bool("profile", false);
-    if (const auto level = args.get("log-level")) {
-      util::set_log_threshold(util::parse_log_level(*level));
-    }
-    trace_path = args.get_or("trace", "");
-    if (trace_path.empty()) {
-      if (const char* env = std::getenv("DICER_TRACE")) trace_path = env;
-    }
-    if (!trace_path.empty()) {
-      trace_sink = trace::make_file_sink(trace_path);
-      trace::Tracer::global().add_sink(trace_sink);
-    }
-  }
-
-  BenchEnv(const BenchEnv&) = delete;
-  BenchEnv& operator=(const BenchEnv&) = delete;
-
-  ~BenchEnv() {
-    if (trace_sink) {
-      trace::Tracer::global().remove_sink(trace_sink);  // flushes
-      std::cerr << "trace: " << trace_path << "\n";
-    }
-    if (profile) {
-      const std::string table = trace::TimerRegistry::global().format();
-      if (!table.empty()) std::cerr << "\n" << table;
-    }
-  }
+  explicit BenchEnv(int argc, char** argv)
+      : args(argc, argv),
+        cache_dir([this] {
+          auto dir = args.get_or("cache-dir", harness::default_cache_dir());
+          std::filesystem::create_directories(dir);
+          return dir;
+        }()),
+        recompute(args.get_bool("recompute", false)),
+        jobs(args.get_count("jobs", 0)),
+        observability(args) {}
 
   std::string path(const std::string& filename) const {
     return (std::filesystem::path(cache_dir) / filename).string();

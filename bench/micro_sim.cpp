@@ -10,7 +10,7 @@
 #include "harness/solo.hpp"
 #include "harness/sweep.hpp"
 #include "policy/dicer.hpp"
-#include "rdt/capability.hpp"
+#include "policy/host.hpp"
 #include "sim/cache/address_stream.hpp"
 #include "sim/cache/mrc_profiler.hpp"
 #include "sim/cache/occupancy_model.hpp"
@@ -193,16 +193,16 @@ void BM_MachineStepEachQuantum(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineStepEachQuantum);
 
-// The same 8 machines x 10 quanta through Machine::run_for(interval) — the
-// call shape the grid and the fleet use, where settled quanta are
-// committed in bulk. replay_pct should sit near 100: a low value means the
-// machines keep re-solving and the pair is not measuring the bulk path.
+// The same 8 machines x 10 quanta through Machine::run_until, one interval
+// ahead — the call shape the grid and the fleet use, where settled quanta
+// are committed in bulk. replay_pct should sit near 100: a low value means
+// the machines keep re-solving and the pair is not measuring the bulk path.
 void BM_MachineRunInterval(benchmark::State& state) {
   auto machines = steady_machines();
   const double interval =
       sim::MachineConfig{}.quantum_sec * kIntervalBenchQuanta;
   for (auto _ : state) {
-    for (auto& m : machines) m->run_for(interval);
+    for (auto& m : machines) m->run_until(m->time_sec() + interval);
     benchmark::DoNotOptimize(machines[0]->telemetry(0).instructions);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -226,7 +226,7 @@ void BM_MachineRunPeriod(benchmark::State& state) {
     machine.attach(c, &catalog.by_name("gcc_base3"));
   }
   for (auto _ : state) {
-    machine.run_for(1.0);
+    machine.run_until(machine.time_sec() + 1.0);
     benchmark::DoNotOptimize(machine.telemetry(0).instructions);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100);
@@ -311,26 +311,14 @@ BENCHMARK(BM_SoloSteadyState);
 // machine) on a live consolidation. The paper's controller runs once per
 // second on a real server; here one act() costs microseconds.
 void BM_DicerAct(benchmark::State& state) {
-  sim::Machine machine{sim::MachineConfig{}};
   const auto& catalog = sim::default_catalog();
-  machine.attach(0, &catalog.by_name("milc1"));
-  for (unsigned c = 1; c < 10; ++c) {
-    machine.attach(c, &catalog.by_name("gcc_base3"));
-  }
-  const auto cap = rdt::Capability::probe(machine);
-  rdt::CatController cat(machine, cap);
-  rdt::Monitor monitor(machine, cap);
-  policy::PolicyContext ctx;
-  ctx.machine = &machine;
-  ctx.cat = &cat;
-  ctx.monitor = &monitor;
-  ctx.hp_core = 0;
-  for (unsigned c = 1; c < 10; ++c) ctx.be_cores.push_back(c);
+  policy::Host host(policy::HostConfig{}, catalog.by_name("milc1"),
+                    &catalog.by_name("gcc_base3"));
   policy::Dicer dicer;
-  dicer.setup(ctx);
-  machine.run_for(1.0);
+  dicer.setup(host.context());
+  host.machine().run_until(1.0);
   for (auto _ : state) {
-    dicer.act(ctx);
+    dicer.act(host.context());
     benchmark::DoNotOptimize(dicer.hp_ways());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

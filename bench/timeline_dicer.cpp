@@ -19,7 +19,7 @@
 
 #include "bench_common.hpp"
 #include "policy/dicer.hpp"
-#include "rdt/capability.hpp"
+#include "policy/host.hpp"
 
 namespace {
 
@@ -50,9 +50,8 @@ static int run(int argc, char** argv) {
   bench::BenchEnv env(argc, argv);
   const std::string hp_name = env.args.get_or("hp", "GemsFDTD1");
   const std::string be_name = env.args.get_or("be", "gcc_base3");
-  const sim::MachineConfig machine_config;
   const unsigned cores =
-      env.args.get_count("cores", 10, 2, machine_config.num_cores);
+      env.args.get_count("cores", 10, 2, sim::MachineConfig{}.num_cores);
   const double seconds = env.args.get_double("seconds", 40.0);
   bench::print_header("Timeline: DICER per-period controller narrative");
 
@@ -64,28 +63,11 @@ static int run(int argc, char** argv) {
   tracer.add_sink(capture);
 
   const auto& catalog = sim::default_catalog();
-  sim::Machine machine{machine_config};
-  const auto cap = rdt::Capability::probe(machine);
-  rdt::CatController cat(machine, cap);
-  rdt::Monitor monitor(machine, cap);
-
-  policy::PolicyContext ctx;
-  ctx.machine = &machine;
-  ctx.cat = &cat;
-  ctx.monitor = &monitor;
-  ctx.hp_core = 0;
-  machine.attach(0, &catalog.by_name(hp_name));
-  for (unsigned c = 1; c < cores; ++c) {
-    ctx.be_cores.push_back(c);
-    machine.attach(c, &catalog.by_name(be_name));
-  }
-
+  policy::Host host({.cores_used = cores}, catalog.by_name(hp_name),
+                    &catalog.by_name(be_name));
   policy::Dicer dicer;
-  dicer.setup(ctx);
-  while (machine.time_sec() < seconds) {
-    machine.run_for(dicer.interval_sec());
-    dicer.act(ctx);
-  }
+  dicer.setup(host.context());
+  while (host.machine().time_sec() < seconds) host.step(dicer);
 
   tracer.remove_sink(capture);
   const auto events = capture->take();

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "policy/dicer.hpp"
-#include "rdt/capability.hpp"
+#include "policy/host.hpp"
 #include "sim/core/catalog.hpp"
 #include "util/cli.hpp"
 
@@ -20,30 +20,17 @@ static int run(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string hp_name = args.get_or("hp", "GemsFDTD1");
   const std::string be_name = args.get_or("be", "gcc_base3");
-  const sim::MachineConfig machine_config;
   const unsigned cores =
-      args.get_count("cores", 10, 2, machine_config.num_cores);
+      args.get_count("cores", 10, 2, sim::MachineConfig{}.num_cores);
   const double seconds = args.get_double("seconds", 40.0);
 
   const auto& catalog = sim::default_catalog();
-  sim::Machine machine{machine_config};
-  const auto cap = rdt::Capability::probe(machine);
-  rdt::CatController cat(machine, cap);
-  rdt::Monitor monitor(machine, cap);
-
-  policy::PolicyContext ctx;
-  ctx.machine = &machine;
-  ctx.cat = &cat;
-  ctx.monitor = &monitor;
-  ctx.hp_core = 0;
-  machine.attach(0, &catalog.by_name(hp_name));
-  for (unsigned c = 1; c < cores; ++c) {
-    ctx.be_cores.push_back(c);
-    machine.attach(c, &catalog.by_name(be_name));
-  }
+  policy::Host host({.cores_used = cores}, catalog.by_name(hp_name),
+                    &catalog.by_name(be_name));
+  const sim::Machine& machine = host.machine();
 
   policy::Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(host.context());
 
   std::cout << "DICER trace: HP=" << hp_name << " + " << (cores - 1) << "x "
             << be_name << " (BW threshold "
@@ -58,8 +45,7 @@ static int run(int argc, char** argv) {
   double last_instr = 0.0, last_cycles = 0.0, last_hp_bytes = 0.0;
   double last_total_bytes = 0.0, last_t = 0.0;
   while (machine.time_sec() < seconds) {
-    machine.run_for(dicer.interval_sec());
-    dicer.act(ctx);
+    host.step(dicer);
 
     const auto& hp_tel = machine.telemetry(0);
     double total_bytes = 0.0;

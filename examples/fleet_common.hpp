@@ -1,27 +1,14 @@
 // Shared plumbing for the fleet front-ends (fleet_sim, fleet_top): the
-// common --machines/--cores/... -> FleetConfig mapping plus the standard
-// observability flags, matching bench_common.hpp:
-//
-//   --log-level L      debug|info|warn|error|off (same as DICER_LOG; the
-//                      flag wins over the env var)
-//   --trace PATH       record structured trace events to PATH — JSONL, or
-//                      CSV when PATH ends in .csv (same as DICER_TRACE)
-//   --profile          print the scoped-timer profile (fleet.epoch /
-//                      fleet.placement / fleet.step / fleet.reduce) to
-//                      stderr on exit
+// common --machines/--cores/... -> FleetConfig mapping. The observability
+// flags come from util/observability.hpp, as in the benches; --profile
+// prints fleet.epoch / fleet.placement / fleet.step / fleet.reduce.
 #pragma once
 
-#include <cstdlib>
-#include <iostream>
-#include <memory>
 #include <string>
 
 #include "fleet/cluster.hpp"
 #include "sim/core/trace_apps.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
-#include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace dicer::examples {
 
@@ -60,43 +47,5 @@ inline sim::AppCatalog catalog_from(const util::CliArgs& args) {
   return name == "trace" ? sim::trace_augmented_catalog()
                          : sim::AppCatalog();
 }
-
-/// RAII for the observability flags: applies --log-level, attaches a
-/// --trace/DICER_TRACE file sink to the global tracer, and prints the
-/// scoped-timer profile on destruction under --profile.
-struct FleetEnv {
-  bool profile = false;
-  std::shared_ptr<trace::Sink> trace_sink;
-  std::string trace_path;
-
-  explicit FleetEnv(const util::CliArgs& args) {
-    profile = args.get_bool("profile", false);
-    if (const auto level = args.get("log-level")) {
-      util::set_log_threshold(util::parse_log_level(*level));
-    }
-    trace_path = args.get_or("trace", "");
-    if (trace_path.empty()) {
-      if (const char* env = std::getenv("DICER_TRACE")) trace_path = env;
-    }
-    if (!trace_path.empty()) {
-      trace_sink = trace::make_file_sink(trace_path);
-      trace::Tracer::global().add_sink(trace_sink);
-    }
-  }
-
-  FleetEnv(const FleetEnv&) = delete;
-  FleetEnv& operator=(const FleetEnv&) = delete;
-
-  ~FleetEnv() {
-    if (trace_sink) {
-      trace::Tracer::global().remove_sink(trace_sink);  // flushes
-      std::cerr << "trace: " << trace_path << "\n";
-    }
-    if (profile) {
-      const std::string table = trace::TimerRegistry::global().format();
-      if (!table.empty()) std::cerr << "\n" << table;
-    }
-  }
-};
 
 }  // namespace dicer::examples

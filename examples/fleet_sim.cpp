@@ -52,6 +52,7 @@
 #include "telemetry/trace_counter_sink.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/observability.hpp"
 #include "util/table.hpp"
 
 /// Wall-clock milliseconds spent deciding placements so far (arrivals and
@@ -77,7 +78,7 @@ static int run(int argc, char** argv) {
   const std::string jsonl_path = args.get_or("metrics-jsonl", "");
 
   const sim::AppCatalog catalog = examples::catalog_from(args);
-  examples::FleetEnv env(args);
+  util::ObservabilityFlags env(args);
   fleet::FleetConfig fc = examples::fleet_config_from(args);
 
   if (args.get_bool("compare", false)) {

@@ -29,6 +29,7 @@
 #include "fleet/cluster.hpp"
 #include "fleet/dashboard.hpp"
 #include "util/cli.hpp"
+#include "util/observability.hpp"
 
 static int run(int argc, char** argv) {
   using namespace dicer;
@@ -38,7 +39,7 @@ static int run(int argc, char** argv) {
   const auto refresh_ms = args.get_int("refresh-ms", 0);
 
   const sim::AppCatalog catalog = examples::catalog_from(args);
-  examples::FleetEnv env(args);
+  util::ObservabilityFlags env(args);
   fleet::FleetConfig fc = examples::fleet_config_from(args);
 
   const bool tty = isatty(fileno(stdout)) != 0;

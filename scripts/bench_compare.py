@@ -36,7 +36,7 @@ DEFAULT_BENCHES = [
     "BM_MachineSolveAfterActuation",
     "BM_MachineRunPeriod",
     # The interval-stepping pair over the same 8 machines: step() per
-    # quantum and run_for per control interval (bulk replay commits);
+    # quantum and run_until per control interval (bulk replay commits);
     # --speedup pins the interval run >= 2x faster.
     "BM_MachineStepEachQuantum",
     "BM_MachineRunInterval",

@@ -7,7 +7,6 @@
 
 #include "metrics/metrics.hpp"
 #include "policy/factory.hpp"
-#include "rdt/capability.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -16,8 +15,6 @@
 namespace dicer::fleet {
 
 namespace {
-
-constexpr double kEps = 1e-9;
 
 /// Ratio-valued distributions (EFU, normalised IPC, slowdown, link rho):
 /// ~6% relative resolution from 0.02 up past 6 — tight enough that the
@@ -30,64 +27,71 @@ constexpr telemetry::HistogramSpec kPeriodsSpec{0.25, 1.5, 24};
 
 using util::fmt17;
 
+/// One column of the epoch rows: a count or a real-valued field.
+struct EpochColumn {
+  const char* name;
+  std::uint64_t EpochMetrics::*count;
+  double EpochMetrics::*real;
+};
+
+constexpr EpochColumn kEpochColumns[] = {
+    {"epoch", &EpochMetrics::epoch, nullptr},
+    {"t_sec", nullptr, &EpochMetrics::t_sec},
+    {"tenants", &EpochMetrics::tenants, nullptr},
+    {"occupied_machines", &EpochMetrics::occupied_machines, nullptr},
+    {"arrivals", &EpochMetrics::arrivals, nullptr},
+    {"departures", &EpochMetrics::departures, nullptr},
+    {"rejected", &EpochMetrics::rejected, nullptr},
+    {"migrations", &EpochMetrics::migrations, nullptr},
+    {"fleet_efu", nullptr, &EpochMetrics::fleet_efu},
+    {"hp_norm_mean", nullptr, &EpochMetrics::hp_norm_mean},
+    {"slo_violations", &EpochMetrics::slo_violations, nullptr},
+    {"slo_violation_rate", nullptr, &EpochMetrics::slo_violation_rate},
+    {"link_rho_mean", nullptr, &EpochMetrics::link_rho_mean},
+    {"efu_p50", nullptr, &EpochMetrics::efu_p50},
+    {"efu_p95", nullptr, &EpochMetrics::efu_p95},
+    {"efu_p99", nullptr, &EpochMetrics::efu_p99},
+    {"hp_slowdown_p50", nullptr, &EpochMetrics::hp_slowdown_p50},
+    {"hp_slowdown_p95", nullptr, &EpochMetrics::hp_slowdown_p95},
+    {"hp_slowdown_p99", nullptr, &EpochMetrics::hp_slowdown_p99},
+    {"hp_slowdown_max", nullptr, &EpochMetrics::hp_slowdown_max},
+    {"slo_violation_rate_occupied", nullptr,
+     &EpochMetrics::slo_violation_rate_occupied},
+};
+
+std::string cell(const EpochMetrics& m, const EpochColumn& c) {
+  return c.count ? std::to_string(m.*c.count) : fmt17(m.*c.real);
+}
+
 }  // namespace
 
 std::string epoch_csv_header() {
-  return "epoch,t_sec,tenants,occupied_machines,arrivals,departures,"
-         "rejected,migrations,fleet_efu,hp_norm_mean,slo_violations,"
-         "slo_violation_rate,link_rho_mean,efu_p50,efu_p95,efu_p99,"
-         "hp_slowdown_p50,hp_slowdown_p95,hp_slowdown_p99,hp_slowdown_max,"
-         "slo_violation_rate_occupied";
+  std::string out;
+  for (const auto& c : kEpochColumns) {
+    if (!out.empty()) out += ',';
+    out += c.name;
+  }
+  return out;
 }
 
 std::string epoch_csv_row(const EpochMetrics& m) {
-  std::string row = std::to_string(m.epoch);
-  row += ',' + fmt17(m.t_sec);
-  row += ',' + std::to_string(m.tenants);
-  row += ',' + std::to_string(m.occupied_machines);
-  row += ',' + std::to_string(m.arrivals);
-  row += ',' + std::to_string(m.departures);
-  row += ',' + std::to_string(m.rejected);
-  row += ',' + std::to_string(m.migrations);
-  row += ',' + fmt17(m.fleet_efu);
-  row += ',' + fmt17(m.hp_norm_mean);
-  row += ',' + std::to_string(m.slo_violations);
-  row += ',' + fmt17(m.slo_violation_rate);
-  row += ',' + fmt17(m.link_rho_mean);
-  row += ',' + fmt17(m.efu_p50);
-  row += ',' + fmt17(m.efu_p95);
-  row += ',' + fmt17(m.efu_p99);
-  row += ',' + fmt17(m.hp_slowdown_p50);
-  row += ',' + fmt17(m.hp_slowdown_p95);
-  row += ',' + fmt17(m.hp_slowdown_p99);
-  row += ',' + fmt17(m.hp_slowdown_max);
-  row += ',' + fmt17(m.slo_violation_rate_occupied);
-  return row;
+  std::string out;
+  for (const auto& c : kEpochColumns) {
+    if (!out.empty()) out += ',';
+    out += cell(m, c);
+  }
+  return out;
 }
 
 std::string epoch_jsonl_row(const EpochMetrics& m) {
-  std::string out = "{\"epoch\":" + std::to_string(m.epoch);
-  out += ",\"t_sec\":" + fmt17(m.t_sec);
-  out += ",\"tenants\":" + std::to_string(m.tenants);
-  out += ",\"occupied_machines\":" + std::to_string(m.occupied_machines);
-  out += ",\"arrivals\":" + std::to_string(m.arrivals);
-  out += ",\"departures\":" + std::to_string(m.departures);
-  out += ",\"rejected\":" + std::to_string(m.rejected);
-  out += ",\"migrations\":" + std::to_string(m.migrations);
-  out += ",\"fleet_efu\":" + fmt17(m.fleet_efu);
-  out += ",\"hp_norm_mean\":" + fmt17(m.hp_norm_mean);
-  out += ",\"slo_violations\":" + std::to_string(m.slo_violations);
-  out += ",\"slo_violation_rate\":" + fmt17(m.slo_violation_rate);
-  out += ",\"link_rho_mean\":" + fmt17(m.link_rho_mean);
-  out += ",\"efu_p50\":" + fmt17(m.efu_p50);
-  out += ",\"efu_p95\":" + fmt17(m.efu_p95);
-  out += ",\"efu_p99\":" + fmt17(m.efu_p99);
-  out += ",\"hp_slowdown_p50\":" + fmt17(m.hp_slowdown_p50);
-  out += ",\"hp_slowdown_p95\":" + fmt17(m.hp_slowdown_p95);
-  out += ",\"hp_slowdown_p99\":" + fmt17(m.hp_slowdown_p99);
-  out += ",\"hp_slowdown_max\":" + fmt17(m.hp_slowdown_max);
-  out += ",\"slo_violation_rate_occupied\":" +
-         fmt17(m.slo_violation_rate_occupied);
+  std::string out = "{";
+  for (const auto& c : kEpochColumns) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += c.name;
+    out += "\":";
+    out += cell(m, c);
+  }
   out += '}';
   return out;
 }
@@ -107,7 +111,7 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
     throw std::invalid_argument(
         "Cluster: cores_used must be in [2, machine cores]");
   }
-  if (config.epoch_sec < config.machine.quantum_sec - kEps) {
+  if (config.epoch_sec < config.machine.quantum_sec - sim::kTimeSlackSec) {
     throw std::invalid_argument("Cluster: epoch shorter than one quantum");
   }
   if (!(config.slo_norm > 0.0 && config.slo_norm <= 1.0)) {
@@ -129,9 +133,9 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   for (unsigned i = 0; i < config.num_machines; ++i) {
     index_->add_machine(&catalog.at(rng.below(catalog.size())));
   }
-  nodes_.resize(config.num_machines);
+  nodes_.reserve(config.num_machines);
   for (unsigned i = 0; i < config.num_machines; ++i) {
-    boot_node(nodes_[i], index_->hp(i).profile);
+    nodes_.push_back(boot_node(*index_->hp(i).profile));
   }
   epoch_stats_.reserve(nodes_.size());
   bind_metrics();
@@ -148,32 +152,16 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
 
 Cluster::~Cluster() = default;
 
-void Cluster::boot_node(Node& node, const sim::AppProfile* hp) {
-  sim::MachineConfig mc = config_.machine;
-  // Per-quantum tracing from hundreds of machines would swamp any sink;
-  // fleet telemetry flows through the per-epoch events instead.
-  mc.tracer = config_.tracer;
-  node.machine = std::make_unique<sim::Machine>(mc);
-  const auto cap = rdt::Capability::probe(*node.machine, /*enable_mba=*/false);
-  node.cat = std::make_unique<rdt::CatController>(*node.machine, cap);
-  node.monitor =
-      std::make_unique<rdt::Monitor>(*node.machine, cap, config_.tracer);
-  node.policy = policy::make_policy(config_.policy);
+Cluster::Node Cluster::boot_node(const sim::AppProfile& hp) const {
+  Node node{policy::Host({.machine = config_.machine,
+                          .cores_used = config_.cores_used,
+                          .tracer = config_.tracer},
+                         hp),
+            policy::make_policy(config_.policy)};
   node.instr_base.assign(config_.cores_used, 0.0);
   node.cycles_base.assign(config_.cores_used, 0.0);
-
-  node.ctx.machine = node.machine.get();
-  node.ctx.cat = node.cat.get();
-  node.ctx.monitor = node.monitor.get();
-  node.ctx.mba = nullptr;
-  node.ctx.hp_core = 0;
-  node.ctx.tracer = config_.tracer;
-  for (unsigned c = 1; c < config_.cores_used; ++c) {
-    node.ctx.be_cores.push_back(c);
-  }
-
-  node.machine->attach(0, hp);
-  node.policy->setup(node.ctx);
+  node.policy->setup(node.host.context());
+  return node;
 }
 
 void Cluster::bind_metrics() {
@@ -238,17 +226,17 @@ void Cluster::bind_metrics() {
 
 unsigned Cluster::admit(unsigned m, const Tenant& tenant) {
   const unsigned core = index_->admit(m, tenant);
-  Node& node = nodes_[m];
-  node.machine->attach(core, tenant.sig->profile);
+  policy::Host& host = nodes_[m].host;
+  host.machine().attach(core, tenant.sig->profile);
   // Machine::detach reverted this core to the full mask; re-associating
   // re-applies the BE CLOS mask the machine's policy currently runs.
-  node.cat->associate(core, policy::kBeClos);
-  node.monitor->track(core);
+  host.cat().associate(core, policy::kBeClos);
+  host.monitor().track(core);
   return core;
 }
 
 Tenant Cluster::evict(unsigned m, unsigned core) {
-  nodes_[m].machine->detach(core);
+  nodes_[m].host.machine().detach(core);
   return index_->detach(m, core);
 }
 
@@ -260,7 +248,8 @@ void Cluster::do_departures(double epoch_start, EpochMetrics& m) {
   for (unsigned i = 0; i < nodes_.size(); ++i) {
     const std::vector<Tenant>& tenants = index_->tenants(i);
     for (unsigned c = 1; c < tenants.size(); ++c) {
-      if (tenants[c].sig && tenants[c].depart_t_sec <= epoch_start + kEps) {
+      if (tenants[c].sig &&
+          tenants[c].depart_t_sec <= epoch_start + sim::kTimeSlackSec) {
         evict(i, c);
         ++m.departures;
       }
@@ -361,9 +350,8 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
 void Cluster::step_all(double epoch_end) {
   epoch_stats_.resize(nodes_.size());
   // Task b advances the contiguous machine range of shard b. Each machine
-  // runs the single-machine control loop, clipped to the epoch boundary:
-  // run to the next policy deadline (or the boundary, whichever is first),
-  // then let the policy act — a pure function of the node's own state.
+  // runs the single-machine control loop to the epoch boundary (its host's
+  // last step is cut there) — a pure function of the node's own state.
   // Machines never interact mid-epoch and the reduction stays
   // index-ordered, so CSV/metrics exports are byte-identical at any `jobs`
   // (and hence any shard slicing).
@@ -373,14 +361,7 @@ void Cluster::step_all(double epoch_end) {
     const std::size_t end =
         std::min(nodes_.size(), (b + 1) * shard_machines_);
     for (std::size_t i = b * shard_machines_; i < end; ++i) {
-      Node& node = nodes_[i];
-      sim::Machine& machine = *node.machine;
-      while (machine.time_sec() < epoch_end - kEps) {
-        const double interval = std::max(node.policy->interval_sec(),
-                                         config_.machine.quantum_sec);
-        machine.run_until(std::min(machine.time_sec() + interval, epoch_end));
-        node.policy->act(node.ctx);
-      }
+      nodes_[i].host.run_until(*nodes_[i].policy, epoch_end);
       fill_epoch_stat(i);
     }
   };
@@ -402,7 +383,7 @@ void Cluster::fill_epoch_stat(std::size_t i) {
   std::array<metrics::IpcPair, sim::kMaxCores> pairs;
   std::size_t n_pairs = 0;
   for (unsigned c = 0; c < config_.cores_used; ++c) {
-    const auto& tel = node.machine->telemetry(c);
+    const auto& tel = node.host.machine().telemetry(c);
     const double d_instr = tel.instructions - node.instr_base[c];
     const double d_cycles = tel.active_cycles - node.cycles_base[c];
     node.instr_base[c] = tel.instructions;
@@ -419,9 +400,9 @@ void Cluster::fill_epoch_stat(std::size_t i) {
     }
   }
   st.efu = metrics::effective_utilisation({pairs.data(), n_pairs});
-  st.link_rho = std::min(node.machine->last_link_utilisation(), 1.0);
+  st.link_rho = std::min(node.host.machine().last_link_utilisation(), 1.0);
   st.slo_violated = st.hp_norm < config_.slo_norm;
-  const sim::SolverStats& ss = node.machine->solver_stats();
+  const sim::SolverStats& ss = node.host.machine().solver_stats();
   const SolverCounts now{ss.quanta,
                          ss.replays,
                          ss.solves,

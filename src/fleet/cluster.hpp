@@ -13,8 +13,8 @@
 //      -> SLO-triggered migrations -> arrivals, each arrival decided by the
 //      PlacementEngine off the PlacementIndex and committed (index, then
 //      machine) before the next one is looked at
-//   2. data plane: every machine steps to the epoch boundary through
-//      Machine::run_until, in contiguous shards of machines spread across a
+//   2. data plane: every machine's policy::Host runs its control loop to
+//      the epoch boundary, in contiguous shards of machines spread across a
 //      util::ThreadPool — machines never interact mid-epoch, so any worker
 //      count replays the serial fleet bit-for-bit
 //   3. reduction (single-threaded, machine-index order): each shard left a
@@ -40,9 +40,7 @@
 #include "fleet/directory.hpp"
 #include "fleet/placement.hpp"
 #include "fleet/placement_index.hpp"
-#include "policy/policy.hpp"
-#include "rdt/cat.hpp"
-#include "rdt/monitor.hpp"
+#include "policy/host.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
 #include "telemetry/histogram.hpp"
@@ -204,20 +202,17 @@ class Cluster {
   static double mean_efu(const std::vector<EpochMetrics>& rows);
 
  private:
-  /// One machine plus its whole single-machine control plane. Pointer
-  /// members keep PolicyContext's raw pointers stable if nodes_ moves.
+  /// One machine plus its whole single-machine control plane: the policy
+  /// host (machine, RDT surface, context) and the policy it steps.
   struct Node {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rdt::CatController> cat;
-    std::unique_ptr<rdt::Monitor> monitor;
+    policy::Host host;
     std::unique_ptr<policy::Policy> policy;
-    policy::PolicyContext ctx;
     unsigned slo_streak = 0;  ///< consecutive SLO-violating epochs
     /// Telemetry baselines for epoch deltas, indexed by core.
-    std::vector<double> instr_base;
-    std::vector<double> cycles_base;
+    std::vector<double> instr_base{};
+    std::vector<double> cycles_base{};
     /// Solver counters at the last epoch stat (per-epoch deltas).
-    SolverCounts solver_base;
+    SolverCounts solver_base{};
   };
 
   /// Registry handles resolved once at boot (all null when
@@ -248,7 +243,7 @@ class Cluster {
     telemetry::Counter* solver_inv_fingerprint = nullptr;
   };
 
-  void boot_node(Node& node, const sim::AppProfile* hp);
+  Node boot_node(const sim::AppProfile& hp) const;
   void bind_metrics();
   /// Record `tenant` on machine `m`'s lowest free core in the index and
   /// attach it there (mask re-associated to the BE CLOS — Machine::detach

@@ -39,7 +39,7 @@ AppDirectory::AppDirectory(const sim::AppCatalog& catalog,
     for (const auto& ph : app.phases) {
       s.footprint_bytes = std::max(s.footprint_bytes, ph.mrc.footprint_bytes());
     }
-    s.ways_needed = harness::min_ways_for_fraction(app, hp_fraction, machine);
+    s.ways_needed = harness::min_ways_in_table(s.ipc_by_ways, hp_fraction);
     signals_.emplace(app.name, std::move(s));
   }
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "rdt/capability.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -39,46 +38,6 @@ std::vector<metrics::IpcPair> ConsolidationResult::ipc_pairs(
   return pairs;
 }
 
-namespace {
-
-/// One consolidation's platform: the machine, its RDT surface and the
-/// policy context, HP attached to core 0 and a BE to every other used core.
-struct Platform {
-  std::unique_ptr<sim::Machine> machine;
-  std::unique_ptr<rdt::CatController> cat;
-  std::unique_ptr<rdt::Monitor> monitor;
-  std::unique_ptr<rdt::MbaController> mba;
-  policy::PolicyContext ctx;
-};
-
-Platform make_platform(const sim::AppProfile& hp, const sim::AppProfile& be,
-                       const ConsolidationConfig& config) {
-  Platform pf;
-  sim::MachineConfig machine_config = config.machine;
-  if (!machine_config.tracer) machine_config.tracer = config.tracer;
-  pf.machine = std::make_unique<sim::Machine>(machine_config);
-  const auto cap = rdt::Capability::probe(*pf.machine, config.enable_mba);
-  pf.cat = std::make_unique<rdt::CatController>(*pf.machine, cap);
-  pf.monitor = std::make_unique<rdt::Monitor>(*pf.machine, cap, config.tracer);
-  if (config.enable_mba) {
-    pf.mba = std::make_unique<rdt::MbaController>(*pf.machine, cap);
-  }
-  pf.ctx.machine = pf.machine.get();
-  pf.ctx.cat = pf.cat.get();
-  pf.ctx.monitor = pf.monitor.get();
-  pf.ctx.mba = pf.mba.get();
-  pf.ctx.hp_core = 0;
-  pf.ctx.tracer = config.tracer;
-  for (unsigned c = 1; c < config.cores_used; ++c) {
-    pf.ctx.be_cores.push_back(c);
-  }
-  pf.machine->attach(pf.ctx.hp_core, &hp);
-  for (unsigned c : pf.ctx.be_cores) pf.machine->attach(c, &be);
-  return pf;
-}
-
-}  // namespace
-
 ConsolidationResult run_consolidation(const sim::AppProfile& hp,
                                       const sim::AppProfile& be,
                                       policy::Policy& policy,
@@ -88,9 +47,10 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
     throw std::invalid_argument(
         "run_consolidation: cores_used must be in [2, machine cores]");
   }
-  Platform pf = make_platform(hp, be, config);
+  policy::Host host(config, hp, &be);
   trace::ScopedTimer run_timer("harness.run_consolidation", config.tracer);
-  sim::Machine& machine = *pf.machine;
+  sim::Machine& machine = host.machine();
+  const policy::PolicyContext& ctx = host.context();
   auto& tr = trace::resolve(config.tracer);
   if (tr.enabled(trace::Kind::kRunBegin)) {
     tr.emit(trace::Kind::kRunBegin, machine.time_sec(),
@@ -100,7 +60,7 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
              {"cores", cores_used}});
   }
 
-  policy.setup(pf.ctx);
+  policy.setup(host.context());
 
   // Drive the policy's control loop until everyone has completed at least
   // one full run (paper §4.1) and the minimum window has elapsed, or the
@@ -109,18 +69,14 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
   double t_prev = machine.time_sec();
   bool capped = false;
   for (;;) {
-    const double interval =
-        std::max(policy.interval_sec(), config.machine.quantum_sec);
-    machine.run_for(interval);
-    rho_integral +=
-        std::min(machine.last_link_utilisation(), 1.0) *
-        (machine.time_sec() - t_prev);
-    t_prev = machine.time_sec();
-    policy.act(pf.ctx);
-
+    host.step(policy);
     const double t = machine.time_sec();
-    bool everyone_done = machine.telemetry(pf.ctx.hp_core).completions > 0;
-    for (unsigned c : pf.ctx.be_cores) {
+    rho_integral += std::min(machine.last_link_utilisation(), 1.0) *
+                    (t - t_prev);
+    t_prev = t;
+
+    bool everyone_done = machine.telemetry(ctx.hp_core).completions > 0;
+    for (unsigned c : ctx.be_cores) {
       everyone_done = everyone_done && machine.telemetry(c).completions > 0;
     }
     if (everyone_done && t >= config.min_window_sec) break;
@@ -129,17 +85,17 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
       break;
     }
   }
-  policy.teardown(pf.ctx);
+  policy.teardown(host.context());
 
   ConsolidationResult res;
   res.policy = policy.name();
   res.window_sec = machine.time_sec();
   res.window_capped = capped;
-  const auto& hp_tel = machine.telemetry(pf.ctx.hp_core);
+  const auto& hp_tel = machine.telemetry(ctx.hp_core);
   res.hp_ipc = hp_tel.instructions / hp_tel.active_cycles;
   res.hp_completions = hp_tel.completions;
   double be_sum = 0.0;
-  for (unsigned c : pf.ctx.be_cores) {
+  for (unsigned c : ctx.be_cores) {
     const auto& tel = machine.telemetry(c);
     const double ipc = tel.instructions / tel.active_cycles;
     res.be_ipcs.push_back(ipc);

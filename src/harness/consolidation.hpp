@@ -14,23 +14,19 @@
 #include <vector>
 
 #include "metrics/metrics.hpp"
+#include "policy/host.hpp"
 #include "policy/policy.hpp"
 #include "sim/core/app_profile.hpp"
 #include "sim/machine.hpp"
 
 namespace dicer::harness {
 
-struct ConsolidationConfig {
-  sim::MachineConfig machine{};
-  unsigned cores_used = 10;    ///< 1 HP + (cores_used - 1) BEs
+/// The host's machine, cores, MBA switch and event sink, plus the
+/// consolidation window. The tracer also receives the run_begin/run_end
+/// events that bracket the run, carrying the workload and the results.
+struct ConsolidationConfig : policy::HostConfig {
   double min_window_sec = 20.0;
   double max_window_sec = 240.0;  ///< safety cap (starved BEs)
-  bool enable_mba = false;        ///< expose an MBA controller to the policy
-  /// Event sink for the run (null = process-global tracer). Propagated to
-  /// the policy context, the monitor and — unless machine.tracer is
-  /// already set — the simulated machine, and bracketed by
-  /// run_begin/run_end events carrying the workload and the results.
-  trace::Tracer* tracer = nullptr;
 };
 
 struct ConsolidationResult {
@@ -52,10 +48,10 @@ struct ConsolidationResult {
 };
 
 /// Run one consolidation of `hp` + (cores_used-1) x `be` under `policy`:
-/// a fresh machine advanced one policy interval at a time through
-/// Machine::run_for (whose bulk replay commits carry the settled
-/// stretches), the policy acting between intervals. Throws
-/// std::invalid_argument unless cores_used is in [2, machine cores].
+/// a fresh policy::Host stepped one control step at a time, until every
+/// app has completed a run and the minimum window has passed, or the
+/// safety cap trips. Throws std::invalid_argument unless cores_used is in
+/// [2, machine cores].
 ConsolidationResult run_consolidation(const sim::AppProfile& hp,
                                       const sim::AppProfile& be,
                                       policy::Policy& policy,

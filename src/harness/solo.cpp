@@ -101,16 +101,24 @@ SoloResult solo_simulated(const sim::AppProfile& profile, unsigned ways,
 
 unsigned min_ways_for_fraction(const sim::AppProfile& profile, double fraction,
                                const sim::MachineConfig& config) {
-  if (fraction <= 0.0 || fraction > 1.0) {
-    throw std::invalid_argument("min_ways_for_fraction: bad fraction");
-  }
-  const double full = solo_steady_state(profile, config.llc.ways, config).ipc;
+  std::vector<double> ipc_by_ways;
   for (unsigned w = 1; w <= config.llc.ways; ++w) {
-    if (solo_steady_state(profile, w, config).ipc >= fraction * full) {
-      return w;
-    }
+    ipc_by_ways.push_back(solo_steady_state(profile, w, config).ipc);
   }
-  return config.llc.ways;
+  return min_ways_in_table(ipc_by_ways, fraction);
+}
+
+unsigned min_ways_in_table(std::span<const double> ipc_by_ways,
+                           double fraction) {
+  if (fraction <= 0.0 || fraction > 1.0 || ipc_by_ways.empty()) {
+    throw std::invalid_argument(
+        "min_ways_in_table: fraction outside (0, 1] or empty table");
+  }
+  const double target = fraction * ipc_by_ways.back();
+  for (std::size_t w = 0; w < ipc_by_ways.size(); ++w) {
+    if (ipc_by_ways[w] >= target) return static_cast<unsigned>(w + 1);
+  }
+  return static_cast<unsigned>(ipc_by_ways.size());
 }
 
 }  // namespace dicer::harness

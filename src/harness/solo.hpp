@@ -11,6 +11,7 @@
 // warm caches identically to consolidations.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sim/core/app_profile.hpp"
@@ -41,5 +42,12 @@ SoloResult solo_simulated(const sim::AppProfile& profile, unsigned ways,
 /// [1, config.llc.ways]; by construction the answer exists at the top.
 unsigned min_ways_for_fraction(const sim::AppProfile& profile, double fraction,
                                const sim::MachineConfig& config);
+
+/// The same search over a table of IPC at 1..N ways (N = the full cache):
+/// the minimum ways whose IPC reaches `fraction` of the table's last
+/// entry. Throws std::invalid_argument unless fraction is in (0, 1] and
+/// the table is non-empty.
+unsigned min_ways_in_table(std::span<const double> ipc_by_ways,
+                           double fraction);
 
 }  // namespace dicer::harness

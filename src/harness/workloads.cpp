@@ -33,10 +33,8 @@ std::uint64_t catalog_fingerprint(const sim::AppCatalog& catalog) {
 
 void mix_cache_inputs(util::KeyHasher& h, const sim::AppCatalog& catalog,
                       const ConsolidationConfig& config) {
-  const auto& m = config.machine;
-  h.add(catalog_fingerprint(catalog)).add(m.num_cores).add(m.freq_hz);
-  h.add(m.llc.size_bytes).add(m.llc.ways).add(m.link.capacity_bytes_per_sec);
-  h.add(m.quantum_sec).add(m.fixed_point_rounds);
+  h.add(catalog_fingerprint(catalog));
+  sim::hash_config(h, config.machine);
   h.add(config.min_window_sec).add(config.max_window_sec);
 }
 
@@ -51,7 +49,7 @@ util::CacheFile baseline_file(const std::string& path,
   util::KeyHasher h;
   mix_cache_inputs(h, catalog, config);
   h.add(config.cores_used);
-  return {path, "baseline cache", h.key("dicer-baseline-v7"),
+  return {path, "baseline cache", h.key("dicer-baseline-v8"),
           kBaselineHeader};
 }
 

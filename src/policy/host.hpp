@@ -1,0 +1,53 @@
+// policy::Host — the one place a governed machine is wired: a sim::Machine,
+// its pqos-like RDT surface (CAT, CMT/MBM monitor, MBA when enabled) and the
+// PolicyContext, HP on core 0 and BE slots on cores 1..cores_used-1. Its
+// control step is the paper's periodic loop (§3, Listing 1): advance to the
+// policy's next deadline, then let the policy measure and actuate.
+#pragma once
+
+#include <limits>
+#include <memory>
+
+#include "policy/policy.hpp"
+
+namespace dicer::policy {
+
+struct HostConfig {
+  sim::MachineConfig machine{};
+  unsigned cores_used = 10;  ///< 1 HP + (cores_used - 1) BE slots
+  bool enable_mba = false;   ///< expose an MBA controller to the policy
+  /// Event sink (null = process-global tracer) for the policy context, the
+  /// monitor and — unless machine.tracer is already set — the machine.
+  trace::Tracer* tracer = nullptr;
+};
+
+class Host {
+ public:
+  /// Attaches `hp` to core 0 and, unless null, `be` to every BE slot. The
+  /// caller sets the policy up, through context().
+  Host(const HostConfig& config, const sim::AppProfile& hp,
+       const sim::AppProfile* be = nullptr);
+
+  /// One control step: advance to now + max(interval_sec(), one quantum),
+  /// or to `limit` if that comes first, then act().
+  void step(Policy& policy,
+            double limit = std::numeric_limits<double>::infinity());
+  /// Control steps until the machine reaches `t_sec`; the last one is cut
+  /// at `t_sec`, and the policy acts there too.
+  void run_until(Policy& policy, double t_sec);
+
+  sim::Machine& machine() noexcept { return *machine_; }
+  rdt::CatController& cat() noexcept { return *cat_; }
+  rdt::Monitor& monitor() noexcept { return *monitor_; }
+  PolicyContext& context() noexcept { return ctx_; }
+
+ private:
+  // Heap-held, so the context's pointers survive moving the host.
+  std::unique_ptr<sim::Machine> machine_;
+  std::unique_ptr<rdt::CatController> cat_;
+  std::unique_ptr<rdt::Monitor> monitor_;
+  std::unique_ptr<rdt::MbaController> mba_;
+  PolicyContext ctx_;
+};
+
+}  // namespace dicer::policy

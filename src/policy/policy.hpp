@@ -6,11 +6,11 @@
 // masks, optionally MBA throttles) and observes exclusively through
 // rdt::Monitor — exactly the interface the real DICER has on a Xeon.
 //
-// The harness drives the policy as a timed loop:
+// A policy::Host (policy/host.hpp) drives the policy as a timed loop:
 //
 //     policy->setup(ctx);
 //     while (running) {
-//       machine.run_for(policy->interval_sec());
+//       machine.run_until(machine.time_sec() + policy->interval_sec());
 //       policy->act(ctx);
 //     }
 //
@@ -34,7 +34,7 @@ class Tracer;
 
 namespace dicer::policy {
 
-/// Everything a policy may touch. The harness wires this up per run.
+/// Everything a policy may touch. A policy::Host wires it up.
 struct PolicyContext {
   sim::Machine* machine = nullptr;
   rdt::CatController* cat = nullptr;

@@ -5,10 +5,24 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/cache_file.hpp"
 #include "util/log.hpp"
 #include "util/trace.hpp"
 
 namespace dicer::sim {
+
+void hash_config(util::KeyHasher& h, const MachineConfig& config) {
+  h.add(config.num_cores).add(config.freq_hz);
+  h.add(config.llc.size_bytes).add(config.llc.ways).add(config.llc.line_bytes);
+  const MemoryLinkConfig& link = config.link;
+  h.add(link.capacity_bytes_per_sec).add(link.base_latency_cycles);
+  h.add(link.congestion_linear).add(link.congestion_amplitude);
+  h.add(link.congestion_exponent);
+  h.add(config.llc_hit_latency_cycles).add(config.uncore_contention_coeff);
+  h.add(config.uncore_access_ref_per_sec).add(config.mlp_squeeze);
+  h.add(config.quantum_sec).add(config.fixed_point_rounds);
+  h.add(config.occupancy.max_characteristic_time_sec);
+}
 
 void PhaseConst::build(const AppPhase& ph) {
   phase = &ph;
@@ -587,12 +601,19 @@ std::uint64_t Machine::replay_budget() const {
   return budget;
 }
 
-void Machine::commit_replayed(std::uint64_t quanta) {
+void Machine::commit_replayed(double t_sec) {
   const auto& s = scratch_;
   const double dt = config_.quantum_sec;
   const double cycles = config_.freq_hz * dt;
+  // The clock takes the additions step() would, one quantum at a time,
+  // and stops where step()'s loop in run_until would: at the first quantum
+  // that reaches the target, or at the end of the budget.
   double t = time_sec_;
-  for (std::uint64_t q = 0; q < quanta; ++q) t += dt;
+  std::uint64_t quanta = 0;
+  while (quanta < solve_cache_.budget && t < t_sec - kTimeSlackSec) {
+    t += dt;
+    ++quanta;
+  }
   time_sec_ = t;
   stats_.quanta += quanta;
   stats_.replays += quanta;
@@ -628,41 +649,15 @@ void Machine::commit_replayed(std::uint64_t quanta) {
   }
 }
 
-void Machine::run_for(double seconds) {
-  const double dt = config_.quantum_sec;
-  const auto quanta = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(std::ceil(seconds / dt - 1e-9)), 1);
+void Machine::run_until(double t_sec) {
   // A kQuantum subscriber needs every quantum's event from step().
   const bool bulk = !tracer_->enabled(trace::Kind::kQuantum);
-  for (std::uint64_t done = 0; done < quanta;) {
+  while (!reached(t_sec)) {
     if (bulk && solve_cache_.budget > 0) {
-      const std::uint64_t k = std::min(solve_cache_.budget, quanta - done);
-      commit_replayed(k);
-      done += k;
+      commit_replayed(t_sec);
     } else {
       step();
-      ++done;
     }
-  }
-}
-
-void Machine::run_until(double t_sec) {
-  const bool bulk = !tracer_->enabled(trace::Kind::kQuantum);
-  while (time_sec_ < t_sec - 1e-9) {
-    if (bulk && solve_cache_.budget > 0) {
-      // Quanta left to the boundary, less the budget's 2-quantum margin:
-      // undershooting is harmless (the tail is stepped against the exact
-      // condition), and the margin rules out overshooting despite the
-      // rounding accumulated in time_sec_.
-      const double est =
-          std::floor((t_sec - 1e-9 - time_sec_) / config_.quantum_sec);
-      if (est > 2.0) {
-        commit_replayed(std::min(solve_cache_.budget,
-                                 static_cast<std::uint64_t>(est - 2.0)));
-        continue;
-      }
-    }
-    step();
   }
 }
 

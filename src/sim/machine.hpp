@@ -26,9 +26,10 @@
 // rho, which every core's misses feed. A converged solve keeps the inputs
 // of its last round, so re-solving it reproduces every bit. It arms a replay
 // cache: later quanta with the same active apps in the same phases reuse
-// its solution without solving. run_for/run_until also commit whole
-// stretches of replayed quanta that provably stay inside every app's
-// phase in one bulk pass (DESIGN.md §5e); every other quantum goes through
+// its solution without solving. There is one advance call, run_until: it
+// commits whole stretches of replayed quanta that provably stay inside
+// every app's phase in one bulk pass, landing on exactly the quantum a
+// step() loop would (DESIGN.md §5e); every other quantum goes through
 // step(), the reference path, and the results are bit-identical either way.
 //
 // The Machine knows nothing about policies or priorities: it exposes
@@ -50,11 +51,17 @@
 namespace dicer::trace {
 class Tracer;
 }
+namespace dicer::util {
+class KeyHasher;
+}
 
 namespace dicer::sim {
 
 /// Cores a machine may have.
 inline constexpr std::size_t kMaxCores = 64;
+/// Slack of Machine::reached: the clock is a chain of quantum additions,
+/// so a target k quanta ahead may be reached a few rounding steps below.
+inline constexpr double kTimeSlackSec = 1e-9;
 
 struct MachineConfig {
   unsigned num_cores = 10;
@@ -97,6 +104,11 @@ struct MachineConfig {
     return static_cast<double>(llc.way_bytes());
   }
 };
+
+/// Mix every MachineConfig value the simulator reads — all but the tracer
+/// — into `h`: the machine's part of every cache key, so a config that
+/// differs in any model value never reads another config's results.
+void hash_config(util::KeyHasher& h, const MachineConfig& config);
 
 /// Counters for the convergence-aware quantum solve. `quanta` splits into
 /// `replays` (served from the steady-state cache) and `solves` (ran the
@@ -213,16 +225,14 @@ class Machine {
 
   /// Advance one quantum (config().quantum_sec).
   void step();
-  /// Advance by `seconds` in whole quanta (rounds up to >= 1 quantum).
-  /// Bit-identical to calling step() that many times; while the solve
-  /// cache is armed, quanta inside the replay budget are committed in bulk
-  /// (see commit_replayed).
-  void run_for(double seconds);
-  /// Advance until time_sec() >= t_sec (no-op if already there). Unlike
-  /// run_for, never overshoots by a whole interval — the fleet layer uses
-  /// it to land every machine exactly on an epoch boundary. Bit-identical
-  /// to the equivalent step() loop, with the same bulk commits.
+  /// Advance until reached(t_sec): bit-identical to `while (!reached(t))
+  /// step()`, except that while the solve cache is armed, quanta inside
+  /// the replay budget are committed in bulk (see commit_replayed).
   void run_until(double t_sec);
+  /// True iff time_sec() is within kTimeSlackSec of `t_sec` or past it.
+  bool reached(double t_sec) const noexcept {
+    return time_sec_ >= t_sec - kTimeSlackSec;
+  }
 
   const CoreTelemetry& telemetry(unsigned core) const;
 
@@ -286,13 +296,15 @@ class Machine {
   /// The replay budget from the current state (0 if any active app's
   /// phase differs from the one the armed solve was computed for).
   std::uint64_t replay_budget() const;
-  /// Commit `quanta` replayed quanta at once (quanta <= the budget). Each
-  /// accumulator takes exactly the additions `quanta` replayed step()s
-  /// make, in the same order — never a multiply, since FP addition does
-  /// not distribute — with the running values held in registers. Writes a
-  /// replayed step() makes with unchanged values (occupancy, last-quantum
-  /// IPC, the IPS seed) are skipped.
-  void commit_replayed(std::uint64_t quanta);
+  /// Commit replayed quanta at once, as many as step() would take to
+  /// reach `t_sec`, capped by the budget. The clock walks step()'s own
+  /// `t += dt` chain to find the count; each accumulator then takes
+  /// exactly the additions that many replayed step()s make, in the same
+  /// order — never a multiply, since FP addition does not distribute —
+  /// with the running values held in registers. Writes a replayed step()
+  /// makes with unchanged values (occupancy, last-quantum IPC, the IPS
+  /// seed) are skipped.
+  void commit_replayed(double t_sec);
 
   friend struct MachineTestPeer;
 

@@ -9,6 +9,7 @@
 
 #include "fleet/directory.hpp"
 #include "fleet/placement_index.hpp"
+#include "harness/solo.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
 #include "util/cli.hpp"
@@ -61,6 +62,13 @@ TEST(AppDirectory, SignalsAreSane) {
   const double mid = sig.ipc_at_ways(3.5);
   EXPECT_GE(mid, sig.ipc_by_ways[2] - 1e-12);
   EXPECT_LE(mid, sig.ipc_by_ways[3] + 1e-12);
+  // ways_needed is read off the directory's own table, by the search Fig 2
+  // runs on fresh solo solves at the default 0.95 threshold.
+  for (const auto& app : catalog.profiles()) {
+    EXPECT_EQ(dir.signal(app.name).ways_needed,
+              harness::min_ways_for_fraction(app, 0.95, dir.machine()))
+        << app.name;
+  }
 }
 
 TEST(AppDirectory, UnknownAppThrows) {

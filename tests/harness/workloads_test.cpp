@@ -135,12 +135,45 @@ TEST(BaselineCache, KeyHashesConfigExactly) {
     mutate(c);
     nearby.emplace_back(field, c);
   };
+  // One neighbour per window field and per MachineConfig value the
+  // simulator reads (every field but the tracer).
   add("min_window_sec", [](auto& c) { c.min_window_sec = 0.5000001; });
+  add("max_window_sec", [](auto& c) { c.max_window_sec += 1e-9; });
+  add("num_cores", [](auto& c) { c.machine.num_cores += 1; });
+  add("freq_hz", [](auto& c) { c.machine.freq_hz += 1.0; });
+  add("llc.size_bytes", [](auto& c) { c.machine.llc.size_bytes += 64; });
+  add("llc.ways", [](auto& c) { c.machine.llc.ways += 1; });
+  add("llc.line_bytes", [](auto& c) { c.machine.llc.line_bytes *= 2; });
   add("link capacity", [](auto& c) {
     c.machine.link.capacity_bytes_per_sec += 1.0;
   });
+  add("link base latency", [](auto& c) {
+    c.machine.link.base_latency_cycles += 1e-6;
+  });
+  add("link congestion_linear", [](auto& c) {
+    c.machine.link.congestion_linear += 1e-9;
+  });
+  add("link congestion_amplitude", [](auto& c) {
+    c.machine.link.congestion_amplitude += 1e-9;
+  });
+  add("link congestion_exponent", [](auto& c) {
+    c.machine.link.congestion_exponent += 1e-9;
+  });
+  add("llc_hit_latency_cycles", [](auto& c) {
+    c.machine.llc_hit_latency_cycles += 1e-6;
+  });
+  add("uncore_contention_coeff", [](auto& c) {
+    c.machine.uncore_contention_coeff += 1e-9;
+  });
+  add("uncore_access_ref_per_sec", [](auto& c) {
+    c.machine.uncore_access_ref_per_sec += 1.0;
+  });
+  add("mlp_squeeze", [](auto& c) { c.machine.mlp_squeeze += 1e-9; });
   add("quantum_sec", [](auto& c) { c.machine.quantum_sec *= 1.0000001; });
-  add("freq_hz", [](auto& c) { c.machine.freq_hz += 1.0; });
+  add("fixed_point_rounds", [](auto& c) { c.machine.fixed_point_rounds += 1; });
+  add("occupancy max_characteristic_time_sec", [](auto& c) {
+    c.machine.occupancy.max_characteristic_time_sec *= 2.0;
+  });
   for (const auto& [field, config] : nearby) {
     EXPECT_FALSE(load_baseline_cache(path, catalog, config).has_value())
         << "cache reused across a " << field << " change";

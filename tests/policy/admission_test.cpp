@@ -2,39 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "policy/factory.hpp"
-#include "rdt/capability.hpp"
+#include "policy/host.hpp"
 #include "sim/core/catalog.hpp"
 
 namespace dicer::policy {
 namespace {
 
 struct AdmFixture : ::testing::Test {
-  sim::Machine machine{sim::MachineConfig{}};
-  rdt::Capability cap = rdt::Capability::probe(machine);
-  rdt::CatController cat{machine, cap};
-  rdt::Monitor monitor{machine, cap};
-  PolicyContext ctx;
+  std::optional<Host> host;
 
-  void wire(const char* hp, const char* be, unsigned cores = 10) {
-    ctx.machine = &machine;
-    ctx.cat = &cat;
-    ctx.monitor = &monitor;
-    ctx.hp_core = 0;
+  void wire(const char* hp, const char* be) {
     const auto& catalog = sim::default_catalog();
-    machine.attach(0, &catalog.by_name(hp));
-    for (unsigned c = 1; c < cores; ++c) {
-      ctx.be_cores.push_back(c);
-      machine.attach(c, &catalog.by_name(be));
-    }
+    host.emplace(HostConfig{}, catalog.by_name(hp), &catalog.by_name(be));
   }
+  sim::Machine& machine() { return host->machine(); }
+  PolicyContext& ctx() { return host->context(); }
 
   void drive(Dicer& pol, double seconds) {
-    const double t_end = machine.time_sec() + seconds;
-    while (machine.time_sec() < t_end) {
-      machine.run_for(pol.interval_sec());
-      pol.act(ctx);
-    }
+    const double t_end = machine().time_sec() + seconds;
+    while (machine().time_sec() < t_end) host->step(pol);
   }
 };
 
@@ -54,7 +44,7 @@ TEST_F(AdmFixture, FactoryKnowsIt) {
 TEST_F(AdmFixture, StartsWithAllBesRunning) {
   wire("namd1", "gcc_base3");
   DicerAdmission pol;
-  pol.setup(ctx);
+  pol.setup(ctx());
   EXPECT_EQ(pol.running_bes(), 9u);
   EXPECT_EQ(pol.parked_bes(), 0u);
 }
@@ -62,7 +52,7 @@ TEST_F(AdmFixture, StartsWithAllBesRunning) {
 TEST_F(AdmFixture, NeverParksOnQuietWorkload) {
   wire("omnetpp1", "namd1");
   DicerAdmission pol;
-  pol.setup(ctx);
+  pol.setup(ctx());
   drive(pol, 15.0);
   EXPECT_EQ(pol.parks(), 0u);
   EXPECT_EQ(pol.running_bes(), 9u);
@@ -73,40 +63,24 @@ TEST_F(AdmFixture, ParksBesUnderHopelessSaturation) {
   // partitioning cannot help, so admission control must shed load.
   wire("milc1", "lbm1");
   DicerAdmission pol;
-  pol.setup(ctx);
+  pol.setup(ctx());
   drive(pol, 40.0);
   EXPECT_GT(pol.parks(), 0u);
   EXPECT_LT(pol.running_bes(), 9u);
   // Parked cores are genuinely descheduled.
-  EXPECT_FALSE(machine.occupied(9));
+  EXPECT_FALSE(machine().occupied(9));
 }
 
 TEST_F(AdmFixture, ParkingImprovesHpOverPlainDicer) {
   auto hp_ipc_with = [&](bool admission) {
-    sim::Machine m{sim::MachineConfig{}};
-    const auto c = rdt::Capability::probe(m);
-    rdt::CatController cat2(m, c);
-    rdt::Monitor mon2(m, c);
-    PolicyContext ctx2;
-    ctx2.machine = &m;
-    ctx2.cat = &cat2;
-    ctx2.monitor = &mon2;
-    ctx2.hp_core = 0;
-    const auto& catalog = sim::default_catalog();
-    m.attach(0, &catalog.by_name("milc1"));
-    for (unsigned core = 1; core < 10; ++core) {
-      ctx2.be_cores.push_back(core);
-      m.attach(core, &catalog.by_name("lbm1"));
-    }
+    wire("milc1", "lbm1");
     std::unique_ptr<Dicer> pol;
     if (admission) pol = std::make_unique<DicerAdmission>();
     else pol = std::make_unique<Dicer>();
-    pol->setup(ctx2);
-    while (m.time_sec() < 50.0) {
-      m.run_for(pol->interval_sec());
-      pol->act(ctx2);
-    }
-    return m.telemetry(0).instructions / m.telemetry(0).active_cycles;
+    pol->setup(ctx());
+    while (machine().time_sec() < 50.0) host->step(*pol);
+    const auto& hp = machine().telemetry(0);
+    return hp.instructions / hp.active_cycles;
   };
   EXPECT_GT(hp_ipc_with(true), 1.1 * hp_ipc_with(false));
 }
@@ -116,7 +90,7 @@ TEST_F(AdmFixture, RespectsMinimumRunningBes) {
   cfg.min_running_bes = 7;
   wire("milc1", "lbm1");
   DicerAdmission pol(cfg);
-  pol.setup(ctx);
+  pol.setup(ctx());
   drive(pol, 60.0);
   EXPECT_GE(pol.running_bes(), 7u);
 }
@@ -133,7 +107,7 @@ TEST_F(AdmFixture, ReadmitsWhenLoadLightens) {
   cfg.readmit_fraction = 0.9;
   wire("namd1", "GemsFDTD1");
   DicerAdmission pol(cfg);
-  pol.setup(ctx);
+  pol.setup(ctx());
   drive(pol, 90.0);
   if (pol.parks() > 0) {
     EXPECT_GT(pol.readmissions(), 0u);

@@ -2,31 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include "rdt/capability.hpp"
+#include "policy/host.hpp"
 #include "sim/core/catalog.hpp"
 
 namespace dicer::policy {
 namespace {
 
 struct PolicyFixture : ::testing::Test {
-  sim::Machine machine{sim::MachineConfig{}};
-  rdt::Capability cap = rdt::Capability::probe(machine);
-  rdt::CatController cat{machine, cap};
-  rdt::Monitor monitor{machine, cap};
-  PolicyContext ctx;
-
-  void SetUp() override {
-    ctx.machine = &machine;
-    ctx.cat = &cat;
-    ctx.monitor = &monitor;
-    ctx.hp_core = 0;
-    for (unsigned c = 1; c < 10; ++c) ctx.be_cores.push_back(c);
-    const auto& catalog = sim::default_catalog();
-    machine.attach(0, &catalog.by_name("omnetpp1"));
-    for (unsigned c = 1; c < 10; ++c) {
-      machine.attach(c, &catalog.by_name("gcc_base3"));
-    }
-  }
+  Host host{HostConfig{}, sim::default_catalog().by_name("omnetpp1"),
+            &sim::default_catalog().by_name("gcc_base3")};
+  sim::Machine& machine = host.machine();
+  rdt::CatController& cat = host.cat();
+  rdt::Monitor& monitor = host.monitor();
+  PolicyContext& ctx = host.context();
 };
 
 TEST_F(PolicyFixture, UnmanagedLeavesFullMasks) {
@@ -43,8 +31,7 @@ TEST_F(PolicyFixture, UnmanagedLeavesFullMasks) {
 TEST_F(PolicyFixture, UnmanagedActIsHarmless) {
   Unmanaged um;
   um.setup(ctx);
-  machine.run_for(um.interval_sec());
-  um.act(ctx);
+  host.step(um);
   for (unsigned c = 0; c < 10; ++c) {
     EXPECT_EQ(machine.fill_mask(c), sim::WayMask::full(20));
   }
@@ -90,22 +77,13 @@ TEST_F(PolicyFixture, ContextRequiresWiring) {
 class StaticSplitSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(StaticSplitSweep, PartitionsNeverOverlap) {
-  sim::Machine machine{sim::MachineConfig{}};
-  const auto cap = rdt::Capability::probe(machine);
-  rdt::CatController cat(machine, cap);
-  rdt::Monitor monitor(machine, cap);
-  PolicyContext ctx;
-  ctx.machine = &machine;
-  ctx.cat = &cat;
-  ctx.monitor = &monitor;
-  ctx.hp_core = 0;
-  ctx.be_cores = {1, 2, 3};
   const auto& catalog = sim::default_catalog();
-  machine.attach(0, &catalog.at(0));
+  Host host({.cores_used = 4}, catalog.at(0));
+  sim::Machine& machine = host.machine();
   for (unsigned c = 1; c < 4; ++c) machine.attach(c, &catalog.at(c));
 
   StaticPartition pol(GetParam());
-  pol.setup(ctx);
+  pol.setup(host.context());
   const auto hp = machine.fill_mask(0);
   const auto be = machine.fill_mask(1);
   EXPECT_FALSE(hp.overlaps(be));

@@ -2,39 +2,30 @@
 
 #include <gtest/gtest.h>
 
-#include "rdt/capability.hpp"
+#include <optional>
+
+#include "policy/host.hpp"
 #include "sim/core/catalog.hpp"
 
 namespace dicer::policy {
 namespace {
 
-// Drives a live consolidation under DICER, the way the harness does.
+// Drives a live consolidation under DICER through the policy host, the way
+// the harness does.
 struct DicerFixture : ::testing::Test {
-  sim::Machine machine{sim::MachineConfig{}};
-  rdt::Capability cap = rdt::Capability::probe(machine);
-  rdt::CatController cat{machine, cap};
-  rdt::Monitor monitor{machine, cap};
-  PolicyContext ctx;
+  std::optional<Host> host;
 
   void wire(const char* hp, const char* be, unsigned cores = 10) {
-    ctx.machine = &machine;
-    ctx.cat = &cat;
-    ctx.monitor = &monitor;
-    ctx.hp_core = 0;
     const auto& catalog = sim::default_catalog();
-    machine.attach(0, &catalog.by_name(hp));
-    for (unsigned c = 1; c < cores; ++c) {
-      ctx.be_cores.push_back(c);
-      machine.attach(c, &catalog.by_name(be));
-    }
+    host.emplace(HostConfig{.cores_used = cores}, catalog.by_name(hp),
+                 &catalog.by_name(be));
   }
+  sim::Machine& machine() { return host->machine(); }
+  PolicyContext& ctx() { return host->context(); }
 
   void drive(Dicer& dicer, double seconds) {
-    const double t_end = machine.time_sec() + seconds;
-    while (machine.time_sec() < t_end) {
-      machine.run_for(dicer.interval_sec());
-      dicer.act(ctx);
-    }
+    const double t_end = machine().time_sec() + seconds;
+    while (machine().time_sec() < t_end) host->step(dicer);
   }
 };
 
@@ -72,17 +63,17 @@ TEST_F(DicerFixture, PaperDefaults) {
 TEST_F(DicerFixture, StartsLikeCacheTakeover) {
   wire("omnetpp1", "gcc_base3");
   Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   EXPECT_EQ(dicer.hp_ways(), 19u);
   EXPECT_TRUE(dicer.ct_favoured());
-  EXPECT_EQ(machine.fill_mask(0), sim::WayMask::high(19, 20));
-  EXPECT_EQ(machine.fill_mask(1), sim::WayMask::low(1));
+  EXPECT_EQ(machine().fill_mask(0), sim::WayMask::high(19, 20));
+  EXPECT_EQ(machine().fill_mask(1), sim::WayMask::low(1));
 }
 
 TEST_F(DicerFixture, IntervalIsMonitoringPeriodInSteadyState) {
   wire("omnetpp1", "gcc_base3");
   Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   EXPECT_DOUBLE_EQ(dicer.interval_sec(), 1.0);
 }
 
@@ -91,14 +82,14 @@ TEST_F(DicerFixture, DonatesWaysWhileStable) {
   // shrinking HP's partition and donating to the BEs (Listing 2).
   wire("omnetpp1", "namd1");
   Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 8.0);
   EXPECT_LT(dicer.hp_ways(), 19u);
   EXPECT_GT(dicer.stats().way_donations, 0u);
   EXPECT_TRUE(dicer.ct_favoured());
   EXPECT_EQ(dicer.stats().samplings, 0u);
   // BEs received the donated ways.
-  EXPECT_EQ(machine.fill_mask(1),
+  EXPECT_EQ(machine().fill_mask(1),
             sim::WayMask::low(20 - dicer.hp_ways()));
 }
 
@@ -107,7 +98,7 @@ TEST_F(DicerFixture, SamplesWhenLinkSaturates) {
   // period must reclassify the workload CT-Thwarted and sample.
   wire("milc1", "lbm1");
   Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 10.0);
   EXPECT_FALSE(dicer.ct_favoured());
   EXPECT_GE(dicer.stats().samplings, 1u);
@@ -122,7 +113,7 @@ TEST_F(DicerFixture, SamplingPicksLargeAllocationForCacheHungryHp) {
   cfg.resample_cooldown_periods = 1000;  // sample exactly once
   wire("omnetpp1", "gcc_base3");
   Dicer dicer(cfg);
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 10.0);
   EXPECT_FALSE(dicer.ct_favoured());
   EXPECT_GE(dicer.stats().samplings, 1u);
@@ -141,7 +132,7 @@ TEST_F(DicerFixture, SamplingPicksSmallAllocationForStreamingHp) {
   cfg.resample_cooldown_periods = 1000;
   wire("bwaves1", "gcc_base3");
   Dicer dicer(cfg);
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 10.0);
   EXPECT_FALSE(dicer.ct_favoured());
   EXPECT_GE(dicer.stats().samplings, 1u);
@@ -153,9 +144,8 @@ TEST_F(DicerFixture, SamplingIntervalUsedDuringSampling) {
   cfg.membw_threshold_bytes_per_sec = 1.0;  // any traffic saturates
   wire("milc1", "lbm1");
   Dicer dicer(cfg);
-  dicer.setup(ctx);
-  machine.run_for(dicer.interval_sec());
-  dicer.act(ctx);  // warmup period: saturation detected, sampling starts
+  dicer.setup(ctx());
+  host->step(dicer);  // warmup period: saturation detected, sampling starts
   EXPECT_DOUBLE_EQ(dicer.interval_sec(), dicer.config().sample_interval_sec);
 }
 
@@ -164,7 +154,7 @@ TEST_F(DicerFixture, SamplingPlanRespectsMinimumWays) {
   cfg.min_hp_ways = 3;
   wire("milc1", "lbm1");
   Dicer dicer(cfg);
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 12.0);
   EXPECT_GE(dicer.hp_ways(), 3u);
 }
@@ -174,7 +164,7 @@ TEST_F(DicerFixture, PhaseChangeTriggersReset) {
   // phases: the Eq. 2 detector must fire at least once across restarts.
   wire("GemsFDTD1", "namd1");
   Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 60.0);
   EXPECT_GT(dicer.stats().phase_resets, 0u);
 }
@@ -182,7 +172,7 @@ TEST_F(DicerFixture, PhaseChangeTriggersReset) {
 TEST_F(DicerFixture, StatsPeriodsCounted) {
   wire("omnetpp1", "namd1");
   Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 5.0);
   EXPECT_GE(dicer.stats().periods, 5u);
 }
@@ -190,12 +180,11 @@ TEST_F(DicerFixture, StatsPeriodsCounted) {
 TEST_F(DicerFixture, NeverViolatesPartitionInvariants) {
   wire("mcf1", "gcc_base5");
   Dicer dicer;
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   for (int i = 0; i < 40; ++i) {
-    machine.run_for(dicer.interval_sec());
-    dicer.act(ctx);
-    const auto hp = machine.fill_mask(0);
-    const auto be = machine.fill_mask(1);
+    host->step(dicer);
+    const auto hp = machine().fill_mask(0);
+    const auto be = machine().fill_mask(1);
     EXPECT_FALSE(hp.overlaps(be));
     EXPECT_TRUE(hp.contiguous());
     EXPECT_TRUE(be.contiguous());
@@ -212,7 +201,7 @@ TEST_F(DicerFixture, ResampleCooldownLimitsSamplingRate) {
   DicerConfig with_cooldown;
   with_cooldown.resample_cooldown_periods = 5;
   Dicer dicer(with_cooldown);
-  dicer.setup(ctx);
+  dicer.setup(ctx());
   drive(dicer, 20.0);
   const auto sampled = dicer.stats().samplings;
   EXPECT_GE(sampled, 1u);
@@ -221,30 +210,12 @@ TEST_F(DicerFixture, ResampleCooldownLimitsSamplingRate) {
 
 TEST_F(DicerFixture, LiteralListingResamplesMore) {
   auto run_variant = [&](unsigned cooldown) {
-    sim::Machine m{sim::MachineConfig{}};
-    const auto c = rdt::Capability::probe(m);
-    rdt::CatController cat2(m, c);
-    rdt::Monitor mon2(m, c);
-    PolicyContext ctx2;
-    ctx2.machine = &m;
-    ctx2.cat = &cat2;
-    ctx2.monitor = &mon2;
-    ctx2.hp_core = 0;
-    const auto& catalog = sim::default_catalog();
-    m.attach(0, &catalog.by_name("lbm1"));
-    for (unsigned core = 1; core < 10; ++core) {
-      ctx2.be_cores.push_back(core);
-      m.attach(core, &catalog.by_name("lbm1"));
-    }
+    wire("lbm1", "lbm1");
     DicerConfig cfg;
     cfg.resample_cooldown_periods = cooldown;
     Dicer d(cfg);
-    d.setup(ctx2);
-    const double t_end = 20.0;
-    while (m.time_sec() < t_end) {
-      m.run_for(d.interval_sec());
-      d.act(ctx2);
-    }
+    d.setup(ctx());
+    while (machine().time_sec() < 20.0) host->step(d);
     return d.stats().samplings;
   };
   EXPECT_GT(run_variant(0), run_variant(5));
@@ -256,33 +227,18 @@ TEST_F(DicerFixture, MinWaysExceedingCacheRejectedAtSetup) {
   cfg.min_be_ways = 10;
   wire("omnetpp1", "namd1");
   Dicer dicer(cfg);
-  EXPECT_THROW(dicer.setup(ctx), std::invalid_argument);
+  EXPECT_THROW(dicer.setup(ctx()), std::invalid_argument);
 }
 
 class DicerCoreSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(DicerCoreSweep, RunsCleanlyAtAnyCoreCount) {
-  sim::Machine machine{sim::MachineConfig{}};
-  const auto cap = rdt::Capability::probe(machine);
-  rdt::CatController cat(machine, cap);
-  rdt::Monitor monitor(machine, cap);
-  PolicyContext ctx;
-  ctx.machine = &machine;
-  ctx.cat = &cat;
-  ctx.monitor = &monitor;
-  ctx.hp_core = 0;
   const auto& catalog = sim::default_catalog();
-  machine.attach(0, &catalog.by_name("soplex1"));
-  for (unsigned c = 1; c < GetParam(); ++c) {
-    ctx.be_cores.push_back(c);
-    machine.attach(c, &catalog.by_name("bzip22"));
-  }
+  Host host({.cores_used = GetParam()}, catalog.by_name("soplex1"),
+            &catalog.by_name("bzip22"));
   Dicer dicer;
-  dicer.setup(ctx);
-  for (int i = 0; i < 10; ++i) {
-    machine.run_for(dicer.interval_sec());
-    dicer.act(ctx);
-  }
+  dicer.setup(host.context());
+  for (int i = 0; i < 10; ++i) host.step(dicer);
   EXPECT_GE(dicer.hp_ways(), 1u);
   EXPECT_LE(dicer.hp_ways(), 19u);
 }

@@ -9,7 +9,7 @@
 
 #include "harness/consolidation.hpp"
 #include "policy/dicer.hpp"
-#include "rdt/capability.hpp"
+#include "policy/host.hpp"
 #include "sim/core/catalog.hpp"
 #include "util/trace.hpp"
 
@@ -52,29 +52,11 @@ ScenarioResult run_scenario(const char* hp, const char* be, double seconds,
   auto sink = std::make_shared<trace::MemorySink>();
   tracer.add_sink(sink);
 
-  sim::Machine machine{sim::MachineConfig{}};
-  const auto cap = rdt::Capability::probe(machine);
-  rdt::CatController cat(machine, cap);
-  rdt::Monitor monitor(machine, cap);
-  PolicyContext ctx;
-  ctx.machine = &machine;
-  ctx.cat = &cat;
-  ctx.monitor = &monitor;
-  ctx.hp_core = 0;
-  ctx.tracer = &tracer;
   const auto& catalog = sim::default_catalog();
-  machine.attach(0, &catalog.by_name(hp));
-  for (unsigned c = 1; c < 10; ++c) {
-    ctx.be_cores.push_back(c);
-    machine.attach(c, &catalog.by_name(be));
-  }
-
+  Host host({.tracer = &tracer}, catalog.by_name(hp), &catalog.by_name(be));
   Dicer dicer(cfg);
-  dicer.setup(ctx);
-  while (machine.time_sec() < seconds) {
-    machine.run_for(dicer.interval_sec());
-    dicer.act(ctx);
-  }
+  dicer.setup(host.context());
+  while (host.machine().time_sec() < seconds) host.step(dicer);
   tracer.remove_sink(sink);
   return {sink->take(), dicer.stats(), dicer.hp_ways(), dicer.ct_favoured()};
 }
@@ -204,27 +186,11 @@ TEST(DicerTrace, JsonlByteIdenticalAcrossRuns) {
 // identical with and without a sink attached.
 TEST(DicerTrace, TracingDoesNotChangeControllerBehaviour) {
   auto run_untraced = [] {
-    sim::Machine machine{sim::MachineConfig{}};
-    const auto cap = rdt::Capability::probe(machine);
-    rdt::CatController cat(machine, cap);
-    rdt::Monitor monitor(machine, cap);
-    PolicyContext ctx;
-    ctx.machine = &machine;
-    ctx.cat = &cat;
-    ctx.monitor = &monitor;
-    ctx.hp_core = 0;
     const auto& catalog = sim::default_catalog();
-    machine.attach(0, &catalog.by_name("milc1"));
-    for (unsigned c = 1; c < 10; ++c) {
-      ctx.be_cores.push_back(c);
-      machine.attach(c, &catalog.by_name("lbm1"));
-    }
+    Host host(HostConfig{}, catalog.by_name("milc1"), &catalog.by_name("lbm1"));
     Dicer dicer;
-    dicer.setup(ctx);
-    while (machine.time_sec() < 8.0) {
-      machine.run_for(dicer.interval_sec());
-      dicer.act(ctx);
-    }
+    dicer.setup(host.context());
+    while (host.machine().time_sec() < 8.0) host.step(dicer);
     return dicer.stats();
   };
   const auto traced = run_scenario("milc1", "lbm1", 8.0);

@@ -2,42 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "policy/factory.hpp"
-#include "rdt/capability.hpp"
+#include "policy/host.hpp"
 #include "sim/core/catalog.hpp"
 
 namespace dicer::policy {
 namespace {
 
 struct ExtFixture : ::testing::Test {
-  sim::Machine machine{sim::MachineConfig{}};
-  rdt::Capability cap = rdt::Capability::probe(machine, /*enable_mba=*/true);
-  rdt::CatController cat{machine, cap};
-  rdt::Monitor monitor{machine, cap};
-  rdt::MbaController mba{machine, cap};
-  PolicyContext ctx;
+  std::optional<Host> host;
 
   void wire(const char* hp, const char* be, bool with_mba = true) {
-    ctx.machine = &machine;
-    ctx.cat = &cat;
-    ctx.monitor = &monitor;
-    ctx.mba = with_mba ? &mba : nullptr;
-    ctx.hp_core = 0;
     const auto& catalog = sim::default_catalog();
-    machine.attach(0, &catalog.by_name(hp));
-    for (unsigned c = 1; c < 10; ++c) {
-      ctx.be_cores.push_back(c);
-      machine.attach(c, &catalog.by_name(be));
-    }
+    host.emplace(HostConfig{.enable_mba = with_mba}, catalog.by_name(hp),
+                 &catalog.by_name(be));
   }
+  sim::Machine& machine() { return host->machine(); }
+  PolicyContext& ctx() { return host->context(); }
 
-  template <typename P>
-  void drive(P& pol, double seconds) {
-    const double t_end = machine.time_sec() + seconds;
-    while (machine.time_sec() < t_end) {
-      machine.run_for(pol.interval_sec());
-      pol.act(ctx);
-    }
+  void drive(Policy& pol, double seconds) {
+    const double t_end = machine().time_sec() + seconds;
+    while (machine().time_sec() < t_end) host->step(pol);
   }
 };
 
@@ -46,7 +33,7 @@ TEST_F(ExtFixture, NoBwNeverSamples) {
   // variant must never enter the sampling path.
   wire("milc1", "lbm1");
   DicerNoBw pol;
-  pol.setup(ctx);
+  pol.setup(ctx());
   drive(pol, 15.0);
   EXPECT_EQ(pol.stats().samplings, 0u);
   EXPECT_TRUE(pol.ct_favoured());
@@ -56,25 +43,25 @@ TEST_F(ExtFixture, NoBwNeverSamples) {
 TEST_F(ExtFixture, MbaRequiresController) {
   wire("milc1", "lbm1", /*with_mba=*/false);
   DicerMba pol;
-  EXPECT_THROW(pol.setup(ctx), std::invalid_argument);
+  EXPECT_THROW(pol.setup(ctx()), std::invalid_argument);
 }
 
 TEST_F(ExtFixture, MbaThrottlesBesUnderSaturation) {
   wire("milc1", "lbm1");
   DicerMba pol;
-  pol.setup(ctx);
+  pol.setup(ctx());
   EXPECT_EQ(pol.be_throttle_pct(), 100u);
   drive(pol, 10.0);
   EXPECT_LT(pol.be_throttle_pct(), 100u);
   // The throttle reached the machine through the MBA CLOS plumbing.
-  EXPECT_LT(machine.mem_throttle(1), 1.0);
-  EXPECT_DOUBLE_EQ(machine.mem_throttle(0), 1.0);  // HP never throttled
+  EXPECT_LT(machine().mem_throttle(1), 1.0);
+  EXPECT_DOUBLE_EQ(machine().mem_throttle(0), 1.0);  // HP never throttled
 }
 
 TEST_F(ExtFixture, MbaReleasesWhenQuiet) {
   wire("povray1", "namd1");  // almost no memory traffic
   DicerMba pol;
-  pol.setup(ctx);
+  pol.setup(ctx());
   drive(pol, 6.0);
   EXPECT_EQ(pol.be_throttle_pct(), 100u);
 }
@@ -84,7 +71,7 @@ TEST_F(ExtFixture, MbaRespectsFloor) {
   DicerMbaConfig cfg;
   cfg.min_throttle_pct = 30;
   DicerMba pol(cfg);
-  pol.setup(ctx);
+  pol.setup(ctx());
   drive(pol, 30.0);
   EXPECT_GE(pol.be_throttle_pct(), 30u);
 }

@@ -4,11 +4,12 @@
 //   - Replay of converged solves vs a reference machine that runs the
 //     full fixed point every quantum, under arbitrary actuator churn and
 //     at the memory link's knee, where the solve is hardest.
-//   - run_for/run_until, whose bulk replay commits advance whole budgeted
-//     stretches at once, vs a twin machine advanced by step() — across
-//     actuator churn, phase boundaries and whole-run restarts. Each bulk
-//     test also proves the bulk path ran (a positive replay budget when
-//     run_for/run_until is entered), so it cannot pass vacuously.
+//   - run_until, whose bulk replay commits advance whole budgeted
+//     stretches at once and land where a step() loop would, vs a twin
+//     machine advanced by step() — across actuator churn, phase boundaries,
+//     whole-run restarts and targets between two quanta. Each bulk test
+//     also proves the bulk path ran (a positive replay budget when
+//     run_until is entered), so it cannot pass vacuously.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,7 +171,7 @@ TEST(MachineEquivalence, ShortcutsAreBitIdenticalUnderRandomChurn) {
 
 TEST(MachineEquivalence, SteadyStateFusesAndStaysBitIdentical) {
   // Single-phase apps settle into permanent replay: nearly every interval
-  // must enter run_for with a replay budget to spend, and every byte must
+  // must enter run_until with a replay budget to spend, and every byte must
   // still match the step()-driven twin — also across whole-run restarts,
   // which return each app to the phase its armed solve was computed for
   // and so earn a fresh budget without a re-solve.
@@ -189,7 +190,7 @@ TEST(MachineEquivalence, SteadyStateFusesAndStaysBitIdentical) {
       ++bulk_intervals;
       if (restarted) ++bulk_after_restart;
     }
-    a.run_for(0.5);
+    a.run_until(a.time_sec() + 0.5);
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -204,12 +205,13 @@ TEST(MachineEquivalence, SteadyStateFusesAndStaysBitIdentical) {
 }
 
 TEST(MachineEquivalence, BitIdenticalUnderRandomActuatorChurn) {
-  // A machine driven in control intervals through run_for and a twin
+  // A machine driven in control intervals through run_until and a twin
   // driven by step() go through the same randomized attach/detach, mask
   // and MBA churn, one mutation between intervals as a policy would make
   // it. Multi-phase catalog apps keep phases drifting underneath, so
   // budgets keep running out and being re-earned; churn keeps disarming
-  // the solve cache, so the step() quanta inside run_for get exercised too.
+  // the solve cache, so the step() quanta inside run_until get exercised
+  // too.
   const auto& catalog = default_catalog();
   Machine a{MachineConfig{}}, b{MachineConfig{}};
   util::Xoshiro256 rng(0xBA7C42ULL);
@@ -226,7 +228,7 @@ TEST(MachineEquivalence, BitIdenticalUnderRandomActuatorChurn) {
   for (std::uint64_t it = 1; it <= 150; ++it) {
     churn_once(rng, occupied, a, b);
     if (MachineTestPeer::replay_budget(a) > 0) ++bulk_intervals;
-    a.run_for(intervals[it % 5]);
+    a.run_until(a.time_sec() + intervals[it % 5]);
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -265,7 +267,7 @@ TEST(MachineEquivalence, BulkIntervalCommitsMatchSerialExactly) {
   unsigned bulk_calls = 0;
   for (std::uint64_t it = 1; it <= 120; ++it) {
     if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
-    a.run_for(intervals[it % 5]);
+    a.run_until(a.time_sec() + intervals[it % 5]);
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -283,7 +285,7 @@ TEST(MachineEquivalence, BulkIntervalCommitsMatchSerialExactly) {
   const double target = a.time_sec() + 3.33;
   if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
   a.run_until(target);
-  while (b.time_sec() < target - 1e-9) b.step();
+  while (!b.reached(target)) b.step();
   expect_machines_identical(a, b, 999);
   expect_solver_stats_equal(a.solver_stats(), b.solver_stats());
   EXPECT_GT(bulk_calls, 60u);
@@ -297,7 +299,7 @@ TEST(MachineEquivalence, BulkIntervalCommitsMatchSerialExactly) {
 
 TEST(MachineEquivalence, StepsBetweenIntervalsSpendTheBudget) {
   // A replayed step() spends one quantum of the replay budget, so a
-  // machine advanced by a mix of step() calls and bulk run_for/run_until
+  // machine advanced by a mix of step() calls and bulk run_until
   // intervals must still stop every bulk commit short of each phase
   // boundary. Long step() stretches make a budget that was not spent
   // overrun the boundary by hundreds of quanta.
@@ -312,11 +314,7 @@ TEST(MachineEquivalence, StepsBetweenIntervalsSpendTheBudget) {
   for (std::uint64_t it = 1; it <= 60; ++it) {
     for (std::uint64_t q = 0; q < (it % 4) * 40; ++q) a.step();
     if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
-    if (it % 2 == 0) {
-      a.run_for(0.37);
-    } else {
-      a.run_until(a.time_sec() + 0.61);
-    }
+    a.run_until(a.time_sec() + (it % 2 == 0 ? 0.37 : 0.61));
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -329,11 +327,13 @@ TEST(MachineEquivalence, StepsBetweenIntervalsSpendTheBudget) {
   EXPECT_GT(a.telemetry(0).completions, 1u);
 }
 
-TEST(MachineEquivalence, RunForAndRunUntilMatchSerialRounding) {
-  // run_for advances max(1, ceil(seconds / quantum - 1e-9)) quanta;
-  // run_until steps while time_sec() < t - 1e-9, so it never overshoots
-  // and a boundary already reached is a no-op. Both must hold with the
-  // bulk path active.
+TEST(MachineEquivalence, RunUntilLandsWhereTheStepLoopLands) {
+  // run_until steps while time_sec() < t - kTimeSlackSec: it lands on the
+  // first quantum that reaches t — on t itself when t is quantum-aligned,
+  // part of a quantum past it when t falls between two quanta — and a
+  // target already reached is a no-op. The bulk commit walks the same
+  // clock, so every call here enters with a replay budget and must land
+  // on the twin's quantum count exactly.
   const auto profiles = single_phase_profiles();
   Machine a{MachineConfig{}}, b{MachineConfig{}};
   for (unsigned c = 0; c < 10; ++c) {
@@ -347,24 +347,20 @@ TEST(MachineEquivalence, RunForAndRunUntilMatchSerialRounding) {
   }
 
   unsigned bulk_calls = 0;
-  for (const double span : {0.25, 0.001, 0.10000000000000001, 1.0, 0.5}) {
-    if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
-    a.run_for(span);
-    const auto quanta = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(std::ceil(span / dt - 1e-9)), 1);
-    for (std::uint64_t q = 0; q < quanta; ++q) b.step();
-    ASSERT_EQ(a.time_sec(), b.time_sec()) << "span " << span;
-    ASSERT_EQ(a.solver_stats().quanta, b.solver_stats().quanta)
-        << "span " << span;
-  }
   double t = a.time_sec();
-  for (const double ahead : {0.5, 0.0, 0.123, 1.0}) {
-    t += ahead;  // 0.0: the boundary just reached, a no-op
+  for (const double ahead :
+       {0.25, 0.001, 0.10000000000000001, 0.5, 0.0, 0.123, 0.015, 1.0,
+        0.3749}) {
+    t += ahead;  // 0.0: the target just reached, a no-op
     if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
+    const std::uint64_t quanta = a.solver_stats().quanta;
     a.run_until(t);
-    while (b.time_sec() < t - 1e-9) b.step();
+    std::uint64_t stepped = 0;
+    for (; !b.reached(t); ++stepped) b.step();
     ASSERT_EQ(a.time_sec(), b.time_sec()) << "t " << t;
-    EXPECT_LT(a.time_sec(), t + dt - 1e-9) << "t " << t;
+    ASSERT_EQ(a.solver_stats().quanta - quanta, stepped) << "t " << t;
+    EXPECT_TRUE(a.reached(t)) << "t " << t;
+    EXPECT_LT(a.time_sec(), t + dt - kTimeSlackSec) << "t " << t;
   }
   expect_machines_identical(a, b, a.solver_stats().quanta);
   expect_solver_stats_equal(a.solver_stats(), b.solver_stats());

@@ -52,7 +52,7 @@ TEST(MachineGolden, UnmanagedMelee) {
   Machine m{MachineConfig{}};
   m.attach(0, &app("milc1"));
   for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("gcc_base3"));
-  m.run_for(2.0);
+  m.run_until(m.time_sec() + 2.0);
   EXPECT_EQ(m.last_link_utilisation(), 0.36068346817633717);
   EXPECT_EQ(m.last_link_traffic(), 3079335109.5554786);
   expect_core_exact(m, {0, 3048604388.091805, 2814756409.6838155,
@@ -68,7 +68,7 @@ TEST(MachineGolden, StaticPartition) {
   for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("gcc_base3"));
   m.set_fill_mask(0, WayMask::high(19, 20));
   for (unsigned c = 1; c < 10; ++c) m.set_fill_mask(c, WayMask::low(1));
-  m.run_for(2.0);
+  m.run_until(m.time_sec() + 2.0);
   EXPECT_EQ(m.last_link_utilisation(), 0.50350295372774934);
   EXPECT_EQ(m.last_link_traffic(), 4298656467.4506598);
   expect_core_exact(m, {0, 2798931850.0677471, 175309467.96841252,
@@ -83,16 +83,16 @@ TEST(MachineGolden, ActuatorChurnMidRun) {
   m.attach(0, &app("omnetpp1"));
   m.attach(1, &app("lbm1"));
   m.attach(2, &app("gcc_base3"));
-  m.run_for(0.5);
+  m.run_until(m.time_sec() + 0.5);
   m.set_fill_mask(0, WayMask::high(10, 20));
   m.set_fill_mask(1, WayMask::low(10));
   m.set_mem_throttle(1, 0.5);
-  m.run_for(0.5);
+  m.run_until(m.time_sec() + 0.5);
   m.detach(2);
-  m.run_for(0.5);
+  m.run_until(m.time_sec() + 0.5);
   m.attach(2, &app("bzip22"));
   m.set_fill_mask(2, WayMask::low(10));
-  m.run_for(0.5);
+  m.run_until(m.time_sec() + 0.5);
   EXPECT_EQ(m.last_link_utilisation(), 0.29559828260518456);
   EXPECT_EQ(m.last_link_traffic(), 2523670337.7417631);
   expect_core_exact(m, {0, 2567339546.8691607, 500002628.88433748,
@@ -166,11 +166,11 @@ TEST(MachineRegionCache, StaleOccupancyNeverSurvivesShrink) {
   // solution would keep reporting the old ~20 MB holding.
   Machine m{MachineConfig{}};
   m.attach(0, &app("omnetpp1"));
-  m.run_for(1.0);
+  m.run_until(m.time_sec() + 1.0);
   const double way = m.config().way_bytes();
   EXPECT_GT(m.telemetry(0).occupancy_bytes, 4 * way);
   m.set_fill_mask(0, WayMask::low(2));
-  m.run_for(0.2);
+  m.run_until(m.time_sec() + 0.2);
   EXPECT_LE(m.telemetry(0).occupancy_bytes, 2 * way * 1.001);
 }
 
@@ -188,7 +188,7 @@ TEST(MachineRegionCache, RedundantMaskWritesDoNotChangeResults) {
         m.set_fill_mask(0, WayMask::high(15, 20));
         for (unsigned c = 1; c < 6; ++c) m.set_fill_mask(c, WayMask::low(5));
       }
-      m.run_for(0.2);
+      m.run_until(m.time_sec() + 0.2);
     }
     return m.telemetry(0).instructions;
   };

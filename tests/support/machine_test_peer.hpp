@@ -21,9 +21,8 @@ struct MachineTestPeer {
     m.solve_cache_.armed = false;
     m.step();
   }
-  /// Quanta run_for/run_until may commit in bulk right now; they take the
-  /// bulk path whenever this is positive (and no kQuantum subscriber
-  /// listens).
+  /// Quanta run_until may commit in bulk right now; it takes the bulk path
+  /// whenever this is positive (and no kQuantum subscriber listens).
   static std::uint64_t replay_budget(const Machine& m) {
     return m.solve_cache_.budget;
   }
