@@ -38,7 +38,8 @@
 // --profile also prints the placement index's deterministic work counts:
 // decisions, index mutations, predict_efu() evaluations, live classes
 // read by best-fit scans, and the placement classes live at the end and
-// created in all.
+// created in all; then how many machine-epochs stepped alongside the
+// control plane (machines no placement could touch that epoch).
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -195,7 +196,9 @@ static int run(int argc, char** argv) {
               << " predict_efu evaluations, " << index->class_scans()
               << " classes scanned, " << index->live_classes()
               << " live classes, " << index->classes_created()
-              << " classes created\n";
+              << " classes created; " << cluster.untouchable_machine_epochs()
+              << " of " << cluster.epochs_done() * cluster.num_machines()
+              << " machine-epochs stepped alongside the control plane\n";
   }
   return 0;
 }

@@ -63,6 +63,12 @@ std::string cell(const EpochMetrics& m, const EpochColumn& c) {
   return c.count ? std::to_string(m.*c.count) : fmt17(m.*c.real);
 }
 
+/// Whether `tenant` (a running one) leaves in the epoch starting at
+/// `epoch_start` — the one rule departures and the partition share.
+bool departs(const Tenant& tenant, double epoch_start) {
+  return tenant.depart_t_sec <= epoch_start + sim::kTimeSlackSec;
+}
+
 }  // namespace
 
 std::string epoch_csv_header() {
@@ -138,6 +144,7 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
     nodes_.push_back(boot_node(*index_->hp(i).profile));
   }
   epoch_stats_.reserve(nodes_.size());
+  step_order_.reserve(nodes_.size());
   bind_metrics();
 
   // ~4 contiguous step shards per worker keeps the data plane
@@ -145,9 +152,8 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   shard_machines_ = std::clamp(config_.num_machines / (jobs_ * 4), 1u, 32u);
   DICER_INFO << "fleet: booted " << nodes_.size() << " machines ("
              << config.policy << " policy, " << placement_->name()
-             << " placement, " << jobs_ << " jobs, "
-             << (nodes_.size() + shard_machines_ - 1) / shard_machines_
-             << " step shards)";
+             << " placement, " << jobs_ << " jobs, " << shard_machines_
+             << " machines per step shard)";
 }
 
 Cluster::~Cluster() = default;
@@ -244,12 +250,39 @@ const sim::AppProfile& Cluster::hp_of(unsigned machine) const {
   return *index_->hp(machine).profile;
 }
 
+std::size_t Cluster::partition_machines(double epoch_start) {
+  // Untouchable: closed (no engine places there), no tenant departing
+  // (departures leave it alone) and not a migration source (migrations
+  // evict only from sources). Only departures and migration evictions
+  // open a closed machine, and both skip it, so the whole control plane
+  // leaves its node and index slot untouched this epoch.
+  const auto untouchable = [&](unsigned i) {
+    if (index_->is_open(i)) return false;
+    if (config_.migrate_after != 0 &&
+        nodes_[i].slo_streak >= config_.migrate_after) {
+      return false;
+    }
+    for (const Tenant& t : index_->tenants(i)) {
+      if (t.sig && departs(t, epoch_start)) return false;
+    }
+    return true;
+  };
+  step_order_.clear();
+  for (unsigned i = 0; i < nodes_.size(); ++i) {
+    if (untouchable(i)) step_order_.push_back(i);
+  }
+  const std::size_t n = step_order_.size();
+  for (unsigned i = 0; i < nodes_.size(); ++i) {
+    if (!untouchable(i)) step_order_.push_back(i);
+  }
+  return n;
+}
+
 void Cluster::do_departures(double epoch_start, EpochMetrics& m) {
   for (unsigned i = 0; i < nodes_.size(); ++i) {
     const std::vector<Tenant>& tenants = index_->tenants(i);
     for (unsigned c = 1; c < tenants.size(); ++c) {
-      if (tenants[c].sig &&
-          tenants[c].depart_t_sec <= epoch_start + sim::kTimeSlackSec) {
+      if (tenants[c].sig && departs(tenants[c], epoch_start)) {
         evict(i, c);
         ++m.departures;
       }
@@ -347,28 +380,22 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
   }
 }
 
-void Cluster::step_all(double epoch_end) {
-  epoch_stats_.resize(nodes_.size());
-  // Task b advances the contiguous machine range of shard b. Each machine
-  // runs the single-machine control loop to the epoch boundary (its host's
-  // last step is cut there) — a pure function of the node's own state.
-  // Machines never interact mid-epoch and the reduction stays
-  // index-ordered, so CSV/metrics exports are byte-identical at any `jobs`
-  // (and hence any shard slicing).
-  const std::size_t shards =
-      (nodes_.size() + shard_machines_ - 1) / shard_machines_;
-  auto step_shard = [&](std::size_t b) {
-    const std::size_t end =
-        std::min(nodes_.size(), (b + 1) * shard_machines_);
-    for (std::size_t i = b * shard_machines_; i < end; ++i) {
-      nodes_[i].host.run_until(*nodes_[i].policy, epoch_end);
-      fill_epoch_stat(i);
-    }
-  };
-  if (!pool_ || shards <= 1) {
-    for (std::size_t b = 0; b < shards; ++b) step_shard(b);
-  } else {
-    util::parallel_for(*pool_, shards, step_shard);
+void Cluster::submit_steps(util::TaskGroup& steps, std::size_t begin,
+                           std::size_t end, double epoch_end) {
+  // Each machine runs the single-machine control loop to the epoch
+  // boundary (its host's last step is cut there) — a pure function of the
+  // node's own state. Machines never interact mid-epoch and the reduction
+  // stays index-ordered, so CSV/metrics exports are byte-identical at any
+  // `jobs` (and hence any shard slicing or partition).
+  for (std::size_t b = begin; b < end; b += shard_machines_) {
+    const std::size_t e = std::min(end, b + shard_machines_);
+    steps.run([this, b, e, epoch_end] {
+      for (std::size_t k = b; k < e; ++k) {
+        const unsigned i = step_order_[k];
+        nodes_[i].host.run_until(*nodes_[i].policy, epoch_end);
+        fill_epoch_stat(i);
+      }
+    });
   }
 }
 
@@ -513,6 +540,13 @@ EpochMetrics Cluster::step_epoch() {
   // and all exports remain deterministic.
   auto* tr_timers = &trace::resolve(config_.tracer);
   trace::ScopedTimer epoch_timer("fleet.epoch", tr_timers);
+  // The untouchable machines step while the control plane runs. `steps`
+  // waits for them even when the control plane throws.
+  const std::size_t untouchable = partition_machines(epoch_start);
+  untouchable_machine_epochs_ += untouchable;
+  epoch_stats_.resize(nodes_.size());
+  util::TaskGroup steps(pool_.get());
+  submit_steps(steps, 0, untouchable, epoch_end);
   {
     // The parent scope keeps the historical all-in "control plane" number
     // comparable across versions; the child scopes split it into the three
@@ -532,8 +566,10 @@ EpochMetrics Cluster::step_epoch() {
     }
   }
   {
+    // The rest of the data plane, plus the wait for the overlapped part.
     trace::ScopedTimer t("fleet.step", tr_timers);
-    step_all(epoch_end);
+    submit_steps(steps, untouchable, step_order_.size(), epoch_end);
+    steps.wait();
   }
   {
     trace::ScopedTimer t("fleet.reduce", tr_timers);

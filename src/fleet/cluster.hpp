@@ -9,19 +9,30 @@
 // place, the PlacementIndex: a node holds only its simulation objects and
 // epoch baselines. Time advances in epochs:
 //
+//   0. partition (machine-index order): a machine is *untouchable* this
+//      epoch when it has no free BE slot, no tenant due to depart and no
+//      SLO streak that makes it a migration source. Every engine places
+//      only into open machines, and only departures and migration
+//      evictions open a full one, so the control plane writes nothing of
+//      an untouchable machine's node or index slot, and its scans read
+//      only what a step leaves alone (tenant list, SLO streak)
 //   1. control plane (single-threaded, machine-index order): departures
 //      -> SLO-triggered migrations -> arrivals, each arrival decided by the
 //      PlacementEngine off the PlacementIndex and committed (index, then
 //      machine) before the next one is looked at
 //   2. data plane: every machine's policy::Host runs its control loop to
 //      the epoch boundary, in contiguous shards of machines spread across a
-//      util::ThreadPool — machines never interact mid-epoch, so any worker
-//      count replays the serial fleet bit-for-bit
-//   3. reduction (single-threaded, machine-index order): each shard left a
-//      MachineEpochStat (EFU / HP QoS / link rho from telemetry deltas) in
-//      its machine's slot; the fold walks them in index order into one
-//      EpochMetrics row, the per-epoch percentile histograms and — when
-//      FleetConfig::metrics is set — the telemetry::Registry
+//      util::ThreadPool. The untouchable machines' shards are submitted
+//      before step 1 and step while the main thread places; the rest are
+//      submitted after it. Machines never interact mid-epoch, so any worker
+//      count (and no pool at all, where the shards run inline) replays the
+//      serial fleet bit-for-bit
+//   3. reduction (single-threaded, machine-index order), once every shard
+//      is done: each shard left a MachineEpochStat (EFU / HP QoS / link rho
+//      from telemetry deltas) in its machine's slot; the fold walks them in
+//      index order into one EpochMetrics row, the per-epoch percentile
+//      histograms and — when FleetConfig::metrics is set — the
+//      telemetry::Registry
 //
 // The determinism contract matches the sweep's: same (config, seed) =>
 // byte-identical per-epoch CSV, placement log and metrics exports
@@ -192,6 +203,12 @@ class Cluster {
   const std::vector<PlacementRecord>& placement_log() const noexcept {
     return placement_log_;
   }
+  /// Machine-epochs stepped alongside the control plane so far: the
+  /// untouchable machines of every epoch (a deterministic count, the same
+  /// at any `jobs`).
+  std::uint64_t untouchable_machine_epochs() const noexcept {
+    return untouchable_machine_epochs_;
+  }
   /// Per-machine stats of the most recent epoch, in machine-index order
   /// (empty until the first step_epoch()).
   const std::vector<MachineEpochStat>& last_epoch_stats() const noexcept {
@@ -252,12 +269,20 @@ class Cluster {
   /// Remove the tenant on `core` of machine `m` from the index and the
   /// machine; returns it.
   Tenant evict(unsigned m, unsigned core);
+  /// Fill step_order_ with this epoch's untouchable machines, then the
+  /// rest, each part in index order; returns the untouchable count.
+  std::size_t partition_machines(double epoch_start);
   void do_departures(double epoch_start, EpochMetrics& m);
   void do_migrations(EpochMetrics& m);
   void do_arrivals(double epoch_end, EpochMetrics& m);
-  void step_all(double epoch_end);
+  /// Submit the machines step_order_[begin, end) to `steps` in shards of
+  /// shard_machines_: each task runs its machines to `epoch_end` and
+  /// fills their epoch stats.
+  void submit_steps(util::TaskGroup& steps, std::size_t begin,
+                    std::size_t end, double epoch_end);
   /// Shard-local epoch stat for machine i (pure function of the node's own
-  /// state — runs on whichever worker stepped the machine).
+  /// state and index slot — runs on whichever worker stepped the machine,
+  /// possibly while the control plane mutates other machines).
   void fill_epoch_stat(std::size_t i);
   void reduce(EpochMetrics& m);
 
@@ -285,10 +310,13 @@ class Cluster {
   /// (reset every reduction; independent of config.metrics).
   telemetry::Histogram epoch_efu_hist_;
   telemetry::Histogram epoch_slowdown_hist_;
-  /// Machines per data-plane step shard: shard b steps machines
-  /// [b * shard_machines_, (b + 1) * shard_machines_), ~4 shards per worker
-  /// (clamp(N / (jobs * 4), 1, 32)).
+  /// Machines per data-plane step shard, ~4 shards per worker
+  /// (clamp(N / (jobs * 4), 1, 32)); a shard is a contiguous run of
+  /// step_order_ inside one part of the partition.
   std::size_t shard_machines_ = 1;
+  /// This epoch's machines: the untouchable ones first, then the rest.
+  std::vector<unsigned> step_order_;
+  std::uint64_t untouchable_machine_epochs_ = 0;
 };
 
 }  // namespace dicer::fleet

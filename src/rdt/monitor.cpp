@@ -67,8 +67,9 @@ MonSample Monitor::poll(unsigned core) {
   return sample_from(core, *baselines_[core]);
 }
 
-std::vector<std::pair<unsigned, MonSample>> Monitor::poll_all() {
-  std::vector<std::pair<unsigned, MonSample>> out;
+const std::vector<std::pair<unsigned, MonSample>>& Monitor::poll_all() {
+  thread_local std::vector<std::pair<unsigned, MonSample>> out;
+  out.clear();
   last_total_ = 0.0;
   for (unsigned core = 0; core < baselines_.size(); ++core) {
     if (!baselines_[core]) continue;

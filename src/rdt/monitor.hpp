@@ -49,8 +49,11 @@ class Monitor {
   /// The first poll after track() covers everything since track() time.
   MonSample poll(unsigned core);
 
-  /// Poll all tracked cores at once (one coherent snapshot).
-  std::vector<std::pair<unsigned, MonSample>> poll_all();
+  /// Poll all tracked cores at once (one coherent snapshot), in core
+  /// order. The snapshot lives in a per-thread buffer that the next
+  /// poll_all() on this thread, of any monitor, overwrites: read it before
+  /// polling again. (A buffer per monitor would cost ~1 KB per machine.)
+  const std::vector<std::pair<unsigned, MonSample>>& poll_all();
 
   /// Sum of mbm_bytes_per_sec across all tracked cores at the last
   /// poll_all() — DICER's "MemBW" in Listing 1.

@@ -11,6 +11,13 @@ namespace dicer::sim {
 std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
                                            unsigned total_ways,
                                            double way_bytes) {
+  std::vector<CacheRegion> regions;
+  decompose_regions(masks, total_ways, way_bytes, regions);
+  return regions;
+}
+
+void decompose_regions(const std::vector<WayMask>& masks, unsigned total_ways,
+                       double way_bytes, std::vector<CacheRegion>& regions) {
   // Group ways by the exact set of apps eligible to fill them. Encode the
   // sharer set as a bitmask over apps (supports up to 64 apps; the machine
   // has at most 10 cores). Regions come back ordered by ascending sharer
@@ -39,19 +46,20 @@ std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
   }
   std::sort(sets.begin(), sets.begin() + n);
 
-  std::vector<CacheRegion> regions;
+  std::size_t count = 0;
   for (unsigned i = 0; i < n;) {
     unsigned j = i;
     while (j < n && sets[j] == sets[i]) ++j;
-    CacheRegion r;
+    if (count == regions.size()) regions.emplace_back();
+    CacheRegion& r = regions[count++];
     r.capacity_bytes = way_bytes * (j - i);
+    r.sharers.clear();
     for (std::size_t a = 0; a < masks.size(); ++a) {
       if (sets[i] & (1ull << a)) r.sharers.push_back(a);
     }
-    regions.push_back(std::move(r));
     i = j;
   }
-  return regions;
+  regions.resize(count);
 }
 
 namespace {

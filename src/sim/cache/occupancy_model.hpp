@@ -70,6 +70,11 @@ std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
                                            unsigned total_ways,
                                            double way_bytes);
 
+/// Rebuilding variant: the same regions, written into `regions` in place,
+/// reusing its elements' `sharers` buffers (no allocation once warm).
+void decompose_regions(const std::vector<WayMask>& masks, unsigned total_ways,
+                       double way_bytes, std::vector<CacheRegion>& regions);
+
 struct OccupancySolverConfig {
   /// Upper bound on the characteristic time (seconds). Past this the cache
   /// is considered not filling (all footprints resident, spare unused).

@@ -361,8 +361,8 @@ void Machine::refresh_regions() {
   for (unsigned c = 0; c < config_.num_cores; ++c) {
     if (apps_[c]) scratch_.active_masks.push_back(masks_[c]);
   }
-  regions_ = decompose_regions(scratch_.active_masks, config_.llc.ways,
-                               config_.way_bytes());
+  decompose_regions(scratch_.active_masks, config_.llc.ways,
+                    config_.way_bytes(), regions_);
   regions_valid_ = true;
 }
 

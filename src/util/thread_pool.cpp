@@ -94,22 +94,42 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&body, i] { body(i); }));
+TaskGroup::~TaskGroup() {
+  for (auto& f : pending_) {
+    if (f.valid()) f.wait();
   }
+}
+
+void TaskGroup::run(std::function<void()> task) {
+  if (pool_) {
+    pending_.push_back(pool_->submit(std::move(task)));
+    return;
+  }
+  std::packaged_task<void()> inline_task(std::move(task));
+  pending_.push_back(inline_task.get_future());
+  inline_task();  // an exception lands in the future, as on a worker
+}
+
+void TaskGroup::wait() {
   std::exception_ptr first;
-  for (auto& f : futures) {
+  for (auto& f : pending_) {
     try {
       f.get();
     } catch (...) {
       if (!first) first = std::current_exception();
     }
   }
+  pending_.clear();
   if (first) std::rethrow_exception(first);
+}
+
+void parallel_for(ThreadPool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  TaskGroup group(&pool);
+  for (std::size_t i = 0; i < n; ++i) {
+    group.run([&body, i] { body(i); });
+  }
+  group.wait();
 }
 
 }  // namespace dicer::util

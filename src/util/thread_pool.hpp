@@ -1,9 +1,10 @@
-// Fixed-size worker pool for embarrassingly parallel harness work (the
-// policy sweep, future study fan-outs). Deliberately minimal: a mutex-
-// guarded FIFO queue, submit() returning a std::future that propagates
-// exceptions, and a parallel_for() convenience that fails fast with the
-// first worker exception. Tasks must not submit to the pool they run on
-// (no work stealing, so that can deadlock when all workers wait).
+// Fixed-size worker pool for embarrassingly parallel work (the baseline
+// study, the policy sweep, the fleet's data plane). Deliberately minimal:
+// a mutex-guarded FIFO queue, submit() returning a std::future that
+// propagates exceptions, a TaskGroup that submits now and collects later,
+// and a parallel_for() built on it. Tasks must not submit to the pool
+// they run on (no work stealing, so that can deadlock when all workers
+// wait).
 #pragma once
 
 #include <condition_variable>
@@ -67,6 +68,28 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
+};
+
+/// A batch of tasks collected together: run() starts a task now — on
+/// `pool`, or inline when the pool is null — and wait() blocks until every
+/// task has finished, then rethrows the first exception in submission
+/// order. The destructor waits as well (dropping any exception), so a
+/// throw between run() and wait() never leaves a task running against
+/// the caller's freed locals: declare the group after what its tasks use.
+class TaskGroup {
+ public:
+  explicit TaskGroup(ThreadPool* pool) noexcept : pool_(pool) {}
+  ~TaskGroup();
+
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  void run(std::function<void()> task);
+  void wait();
+
+ private:
+  ThreadPool* pool_;
+  std::vector<std::future<void>> pending_;
 };
 
 /// Run body(i) for every i in [0, n) on `pool`, blocking until all

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/core/catalog.hpp"
+#include "telemetry/exposition.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/trace_counter_sink.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -45,11 +50,9 @@ FleetConfig churny_config(const std::string& placement) {
   return fc;
 }
 
-/// The per-epoch CSV followed by the full placement log.
-std::string run_outputs(const FleetConfig& fc, std::uint64_t epochs) {
-  Cluster cluster(fc, sim::default_catalog());
+/// The full placement log, one line per decision.
+std::string placement_lines(const Cluster& cluster) {
   std::string out;
-  for (const auto& row : cluster.run(epochs)) out += epoch_csv_row(row) + '\n';
   for (const auto& r : cluster.placement_log()) {
     out += std::to_string(r.tenant_id) + ',' + std::to_string(r.epoch) +
            ',' + r.app + ',' + (r.accepted ? '1' : '0') + ',' +
@@ -57,6 +60,14 @@ std::string run_outputs(const FleetConfig& fc, std::uint64_t epochs) {
            ',' + std::to_string(r.core) + '\n';
   }
   return out;
+}
+
+/// The per-epoch CSV followed by the full placement log.
+std::string run_outputs(const FleetConfig& fc, std::uint64_t epochs) {
+  Cluster cluster(fc, sim::default_catalog());
+  std::string out;
+  for (const auto& row : cluster.run(epochs)) out += epoch_csv_row(row) + '\n';
+  return out + placement_lines(cluster);
 }
 
 TEST(Cluster, ValidatesConfig) {
@@ -230,6 +241,110 @@ TEST(Cluster, PhaseTimersRecorded) {
   EXPECT_EQ(count_of("fleet.departures"), departures + 1);
   EXPECT_EQ(count_of("fleet.migrations"), migrations + 1);
   EXPECT_EQ(count_of("fleet.arrivals"), arrivals + 1);
+}
+
+std::vector<std::uint64_t> tenant_ids(const std::vector<Tenant>& tenants) {
+  std::vector<std::uint64_t> ids;
+  for (const Tenant& t : tenants) ids.push_back(t.sig ? t.id : 0);
+  return ids;
+}
+
+struct SaturatedRun {
+  std::string exports;  ///< CSV, placement log, Prometheus, epoch JSONL
+  std::uint64_t untouchable = 0;
+  std::uint64_t migrations = 0;
+};
+
+/// Runs a small fleet held at every BE slot under a tight SLO (migrations
+/// fire every epoch, many machines are closed with nobody leaving),
+/// checking every epoch that the machines the touchability rule (restated
+/// here) calls untouchable are counted, keep their tenants, and are
+/// neither a placement destination nor a migration source.
+SaturatedRun run_saturated(unsigned jobs, std::uint64_t epochs) {
+  FleetConfig fc = small_config();
+  fc.num_machines = 40;
+  fc.cores_used = 3;
+  fc.slo_norm = 0.97;
+  fc.migrate_after = 1;
+  fc.churn.arrival_rate_per_sec = 40.0;
+  fc.churn.mean_lifetime_sec = 8.0;
+  fc.jobs = jobs;
+  trace::Tracer tracer;
+  telemetry::Registry registry;
+  auto counts = std::make_shared<telemetry::TraceCounterSink>(registry);
+  auto events = std::make_shared<trace::MemorySink>();
+  tracer.add_sink(counts);
+  tracer.add_sink(events);
+  fc.tracer = &tracer;
+  fc.metrics = &registry;
+  Cluster cluster(fc, sim::default_catalog());
+  const PlacementIndex& index = *cluster.placement_index();
+  std::vector<bool> violated(fc.num_machines, false);
+  SaturatedRun run;
+  std::string jsonl;
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    // Closed, nobody departing, and (migrate_after 1) no SLO violation in
+    // the last epoch.
+    const double start = static_cast<double>(e) * fc.epoch_sec;
+    std::vector<unsigned> untouchable;
+    std::vector<std::vector<std::uint64_t>> before;
+    for (unsigned m = 0; m < fc.num_machines; ++m) {
+      bool departing = false;
+      for (const Tenant& t : index.tenants(m)) {
+        departing |= t.sig && t.depart_t_sec <= start + sim::kTimeSlackSec;
+      }
+      if (index.is_open(m) || departing || violated[m]) continue;
+      untouchable.push_back(m);
+      before.push_back(tenant_ids(index.tenants(m)));
+    }
+    const std::uint64_t counted = cluster.untouchable_machine_epochs();
+    const std::size_t decisions = cluster.placement_log().size();
+    events->take();
+    const EpochMetrics row = cluster.step_epoch();
+    EXPECT_EQ(cluster.untouchable_machine_epochs() - counted,
+              untouchable.size())
+        << "epoch " << e;
+    const auto& log = cluster.placement_log();
+    for (std::size_t k = 0; k < untouchable.size(); ++k) {
+      const unsigned m = untouchable[k];
+      EXPECT_EQ(tenant_ids(index.tenants(m)), before[k]) << "machine " << m;
+      for (std::size_t d = decisions; d < log.size(); ++d) {
+        EXPECT_FALSE(log[d].accepted && log[d].machine == m)
+            << "machine " << m << " placed into in epoch " << e;
+      }
+      for (const trace::Event& ev : events->events()) {
+        if (ev.kind != trace::Kind::kMigration) continue;
+        EXPECT_NE(trace::field_uint(ev, "from"), m) << "epoch " << e;
+      }
+    }
+    for (unsigned m = 0; m < fc.num_machines; ++m) {
+      violated[m] = cluster.last_epoch_stats()[m].slo_violated;
+    }
+    run.exports += epoch_csv_row(row) + '\n';
+    jsonl += epoch_jsonl_row(row) + '\n';
+    run.migrations += row.migrations;
+  }
+  tracer.remove_sink(counts);
+  tracer.remove_sink(events);
+  run.exports += placement_lines(cluster) +
+                 telemetry::to_prometheus(registry) + jsonl;
+  run.untouchable = cluster.untouchable_machine_epochs();
+  return run;
+}
+
+// The overlap of the data plane with the control plane: machines no
+// decision can reach step while the main thread places, and the exports
+// and the untouchable count are the same at any worker count (no pool at
+// jobs 1, where the same partition runs inline).
+TEST(Cluster, UntouchableMachinesStepAlongsideTheControlPlane) {
+  const SaturatedRun serial = run_saturated(1, 12);
+  EXPECT_GT(serial.untouchable, 0u);
+  EXPECT_GT(serial.migrations, 0u);
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    const SaturatedRun sharded = run_saturated(jobs, 12);
+    EXPECT_EQ(sharded.exports, serial.exports) << "jobs " << jobs;
+    EXPECT_EQ(sharded.untouchable, serial.untouchable) << "jobs " << jobs;
+  }
 }
 
 TEST(Cluster, SeedChangesTheFleet) {

@@ -84,6 +84,24 @@ TEST_F(MonitorFixture, PollAllAggregatesBandwidth) {
   EXPECT_GT(sum, 1e9);  // two streaming apps move real traffic
 }
 
+// poll_all() hands back one reused snapshot: each poll replaces the
+// previous one instead of appending to it.
+TEST_F(MonitorFixture, PollAllReplacesItsSnapshot) {
+  machine.attach(0, &app("milc1"));
+  monitor.track(0);
+  monitor.track(1);
+  machine.run_until(machine.time_sec() + 0.5);
+  const auto& first = monitor.poll_all();
+  ASSERT_EQ(first.size(), 2u);
+  monitor.untrack(1);
+  machine.run_until(machine.time_sec() + 0.5);
+  const auto& second = monitor.poll_all();
+  EXPECT_EQ(&second, &first);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].first, 0u);
+  EXPECT_GT(second[0].second.ipc, 0.0);
+}
+
 TEST_F(MonitorFixture, IdleCoreReportsZeroIpc) {
   monitor.track(4);  // nothing attached
   machine.run_until(machine.time_sec() + 1.0);

@@ -66,6 +66,28 @@ TEST(DecomposeRegions, TooManyAppsThrows) {
   EXPECT_THROW(decompose_regions(masks, 20, MB), std::invalid_argument);
 }
 
+// The in-place rebuild overwrites whatever the vector held — more
+// regions, fewer, stale sharers — and leaves exactly the fresh result.
+TEST(DecomposeRegions, InPlaceRebuildMatchesFreshDecomposition) {
+  const std::vector<std::vector<WayMask>> layouts = {
+      {WayMask::span(0, 10), WayMask::span(5, 10)},             // 3 regions
+      {WayMask::full(20)},                                      // 1 region
+      {WayMask::high(19, 20), WayMask::low(1), WayMask::low(1)},  // 2
+      {},                                                       // none
+      {WayMask::low(4), WayMask::span(2, 6), WayMask::high(3, 20)},
+  };
+  std::vector<CacheRegion> regions;
+  for (const auto& masks : layouts) {
+    decompose_regions(masks, 20, MB, regions);
+    const auto fresh = decompose_regions(masks, 20, MB);
+    ASSERT_EQ(regions.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(regions[i].capacity_bytes, fresh[i].capacity_bytes) << i;
+      EXPECT_EQ(regions[i].sharers, fresh[i].sharers) << i;
+    }
+  }
+}
+
 CacheDemand reuse_app(double rate, double footprint) {
   CacheDemand d;
   d.reuse = {{rate, footprint}};

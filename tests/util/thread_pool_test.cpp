@@ -55,6 +55,61 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
   EXPECT_EQ(ran.load(), 64);
 }
 
+// wait() reports the first exception in submission order, not the first
+// to be thrown: the earlier task throws last in wall time.
+TEST(ThreadPool, TaskGroupRethrowsFirstExceptionInSubmissionOrder) {
+  ThreadPool pool(4);
+  std::atomic<int> completed{0};
+  TaskGroup group(&pool);
+  group.run([] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    throw std::runtime_error("submitted first");
+  });
+  group.run([] { throw std::logic_error("submitted second"); });
+  group.run([&completed] { completed.fetch_add(1); });
+  try {
+    group.wait();
+    FAIL() << "expected exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "submitted first");
+  }
+  EXPECT_EQ(completed.load(), 1);
+}
+
+// A caller that throws between run() and wait() leaves no task running:
+// the group's destructor waits for every one (dropping their exceptions).
+TEST(ThreadPool, TaskGroupDestructorWaitsForItsTasks) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  try {
+    TaskGroup group(&pool);
+    for (int i = 0; i < 8; ++i) {
+      group.run([&ran] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ran.fetch_add(1);
+      });
+    }
+    group.run([] { throw std::logic_error("dropped"); });
+    throw std::runtime_error("caller fails before wait()");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(ran.load(), 8);
+}
+
+// Without a pool the group runs each task inline at run(), and still
+// defers its exception to wait().
+TEST(ThreadPool, TaskGroupWithoutPoolRunsInline) {
+  TaskGroup group(nullptr);
+  int ran = 0;
+  group.run([&ran] { ++ran; });
+  EXPECT_EQ(ran, 1);
+  group.run([] { throw std::runtime_error("inline boom"); });
+  group.run([&ran] { ++ran; });
+  EXPECT_EQ(ran, 2);
+  EXPECT_THROW(group.wait(), std::runtime_error);
+  group.wait();  // the failure was reported once; nothing is pending
+}
+
 TEST(ThreadPool, HardwareWorkersAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_workers(), 1u);
 }
