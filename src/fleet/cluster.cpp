@@ -455,6 +455,7 @@ void Cluster::reduce(EpochMetrics& m) {
   double hp_norm_sum = 0.0;
   double rho_sum = 0.0;
   std::uint64_t occupied_violations = 0;
+  SolverCounts solver;  // the epoch's solver deltas, summed over machines
   epoch_efu_hist_.reset();
   epoch_slowdown_hist_.reset();
   // Single-threaded fold over the shard outputs, strictly in machine-index
@@ -486,15 +487,15 @@ void Cluster::reduce(EpochMetrics& m) {
       for (const Tenant& t : index_->tenants(static_cast<unsigned>(i))) {
         if (t.sig) metrics_.tenant_footprint->record(t.sig->footprint_bytes);
       }
-      const SolverCounts& d = st.solver;
-      metrics_.solver_quanta->inc(d.quanta);
-      metrics_.solver_replays->inc(d.replays);
-      metrics_.solver_solves->inc(d.solves);
-      metrics_.solver_stable->inc(d.stable_solves);
-      metrics_.solver_rounds->inc(d.rounds);
-      metrics_.solver_inv_actuator->inc(d.invalidations_actuator);
-      metrics_.solver_inv_fingerprint->inc(d.invalidations_fingerprint);
     }
+    const SolverCounts& d = st.solver;
+    solver.quanta += d.quanta;
+    solver.replays += d.replays;
+    solver.solves += d.solves;
+    solver.stable_solves += d.stable_solves;
+    solver.rounds += d.rounds;
+    solver.invalidations_actuator += d.invalidations_actuator;
+    solver.invalidations_fingerprint += d.invalidations_fingerprint;
   }
   const auto n = static_cast<double>(nodes_.size());
   m.tenants = tenants_running();
@@ -521,6 +522,15 @@ void Cluster::reduce(EpochMetrics& m) {
     metrics_.migrations->inc(m.migrations);
     metrics_.slo_violations->inc(m.slo_violations);
     metrics_.epochs->inc();
+    // Integer sums, so one add per counter exports what one per machine
+    // would.
+    metrics_.solver_quanta->inc(solver.quanta);
+    metrics_.solver_replays->inc(solver.replays);
+    metrics_.solver_solves->inc(solver.solves);
+    metrics_.solver_stable->inc(solver.stable_solves);
+    metrics_.solver_rounds->inc(solver.rounds);
+    metrics_.solver_inv_actuator->inc(solver.invalidations_actuator);
+    metrics_.solver_inv_fingerprint->inc(solver.invalidations_fingerprint);
     metrics_.tenants->set(static_cast<double>(m.tenants));
     metrics_.occupied->set(static_cast<double>(m.occupied_machines));
     metrics_.t_sec->set(m.t_sec);

@@ -8,11 +8,12 @@
 // microseconds per point) plus the footprint/bandwidth scalars
 // predict_efu() combines. For trace-derived apps the underlying curves
 // come from the single-pass reuse-distance profiler at SHARDS sample rate
-// 0.25 (`sim::profile_mrc`, ~0.9 ms/app, see sim/core/trace_apps.hpp),
-// so a fleet over `trace_augmented_catalog()` places straight off sampled
-// MRC profiles; the analytic catalog apps evaluate their calibrated MRCs
-// directly. Built once per fleet, immutable afterwards, shared read-only
-// across stepping shards.
+// 0.25 (`sim::profile_mrc`, ~25-45 ms per app on the 20 MB production
+// geometry over 1.2 M accesses; the apps profile concurrently, see
+// sim/core/trace_apps.hpp), so a fleet over `trace_augmented_catalog()`
+// places straight off sampled MRC profiles; the analytic catalog apps
+// evaluate their calibrated MRCs directly. Built once per fleet,
+// immutable afterwards, shared read-only across stepping shards.
 #pragma once
 
 #include <map>

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "util/cache_file.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace dicer::sim {
@@ -272,9 +274,24 @@ AppCatalog trace_augmented_catalog(const std::string& cache_path,
   }
 
   if (tables.empty()) {
-    for (const auto& spec : specs) {
-      tables[spec.name] =
-          profile_mrc(config, *make_trace_stream(spec)).points();
+    // Each spec profiles its own stream with its own profiler, so the
+    // specs run concurrently, one slot each. The slots go into `tables`
+    // serially, in spec order, so a repeated name resolves as a serial
+    // loop would: the last spec wins.
+    std::vector<EmpiricalMrc> profiles(specs.size());
+    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
+        specs.size(), util::ThreadPool::hardware_workers()));
+    std::optional<util::ThreadPool> pool;
+    if (workers > 1) pool.emplace(workers);
+    util::TaskGroup group(pool ? &*pool : nullptr);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      group.run([&, i] {
+        profiles[i] = profile_mrc(config, *make_trace_stream(specs[i]));
+      });
+    }
+    group.wait();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      tables[specs[i].name] = profiles[i].points();
     }
     if (!cache_path.empty()) {
       file.save([&](util::CacheRowWriter& row) {

@@ -80,7 +80,9 @@ AppProfile profile_trace_app(const TraceAppSpec& spec,
 /// The 59-entry default catalog plus every spec in `specs`, with the
 /// empirical MRC tables served from the deterministic profile cache at
 /// `cache_path` ("" profiles unconditionally; a stale/corrupt cache is
-/// recomputed and rewritten).
+/// recomputed and rewritten). The specs profile concurrently, one task
+/// each; a spec that fails throws once every profile has finished, and
+/// then nothing is saved.
 AppCatalog trace_augmented_catalog(
     const std::string& cache_path = "",
     const std::vector<TraceAppSpec>& specs = default_trace_apps(),

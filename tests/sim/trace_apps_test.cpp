@@ -5,10 +5,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "support/temp_path.hpp"
+#include "util/cache_file.hpp"
+#include "util/timer.hpp"
 
 namespace dicer::sim {
 namespace {
@@ -242,6 +247,89 @@ TEST(TraceApps, StaleKeyTriggersReprofile) {
     std::getline(in, new_key);
   }
   EXPECT_NE(old_key, new_key);
+  std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// The catalog profiles its specs concurrently; every table must be the
+// one a serial, one-spec-at-a-time profile gives, bit for bit, in the
+// catalog and in the cache file.
+TEST(TraceApps, ConcurrentCatalogMatchesSerialProfiles) {
+  const auto specs = default_trace_apps();
+  const auto config = test_config();
+  const std::string path = test::unique_temp_path("trace_profile_conc.csv");
+  const std::string serial_path =
+      test::unique_temp_path("trace_profile_serial.csv");
+  std::remove(path.c_str());
+  std::remove(serial_path.c_str());
+
+  const auto concurrent = trace_augmented_catalog("", specs, config);
+  std::map<std::string, std::vector<std::pair<double, double>>> serial;
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    const auto& got = concurrent.by_name(spec.name).phases[0].mrc;
+    const auto want = profile_trace_app(spec, config).phases[0].mrc;
+    EXPECT_EQ(got.floor(), want.floor());
+    ASSERT_EQ(got.components().size(), want.components().size());
+    for (std::size_t i = 0; i < got.components().size(); ++i) {
+      EXPECT_EQ(got.components()[i].weight, want.components()[i].weight);
+      EXPECT_EQ(got.components()[i].ws_bytes, want.components()[i].ws_bytes);
+      EXPECT_EQ(got.components()[i].shape, want.components()[i].shape);
+    }
+    serial[spec.name] = profile_mrc(config, *make_trace_stream(spec)).points();
+  }
+
+  trace_augmented_catalog(path, specs, config);
+  std::string key_line;
+  ASSERT_TRUE(std::getline(std::ifstream(path), key_line));
+  ASSERT_EQ(key_line.rfind("# ", 0), 0u);
+  const util::CacheFile serial_file{serial_path, "serial trace profiles",
+                                    key_line.substr(2),
+                                    "app,bytes,miss_ratio"};
+  serial_file.save([&](util::CacheRowWriter& row) {
+    for (const auto& [app, points] : serial) {
+      for (const auto& [bytes, ratio] : points) {
+        row.text(app).real(bytes).real(ratio).end_row();
+      }
+    }
+  });
+  const std::string written = read_file(path);
+  EXPECT_FALSE(written.empty());
+  EXPECT_EQ(written, read_file(serial_path));
+  std::remove(path.c_str());
+  std::remove(serial_path.c_str());
+}
+
+// A spec whose stream cannot be built fails its own task only: the other
+// profiles still run to the end, then the catalog throws a plain
+// std::invalid_argument and saves no cache.
+TEST(TraceApps, BadSpecThrowsAfterEveryProfileFinishes) {
+  const auto defaults = default_trace_apps();
+  TraceAppSpec bad = defaults[1];
+  ASSERT_EQ(bad.pattern, TracePattern::kWorkingSet);
+  bad.name = "trace_bad_wset";
+  bad.ws_bytes = 32;  // less than one cache line
+  const std::vector<TraceAppSpec> specs = {defaults[0], bad, defaults[3]};
+  const std::string path = test::unique_temp_path("trace_profile_bad.csv");
+  std::remove(path.c_str());
+
+  const auto runs = [] {
+    for (const auto& [label, n] : trace::TimerRegistry::global().counters()) {
+      if (label == "profiler.runs") return n;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t runs_before = runs();
+  EXPECT_THROW(trace_augmented_catalog(path, specs, test_config()),
+               std::invalid_argument);
+  EXPECT_EQ(runs() - runs_before, 2u);  // both good specs profiled
+  EXPECT_FALSE(std::ifstream(path).good());
   std::remove(path.c_str());
 }
 
