@@ -39,7 +39,9 @@
 // decisions, index mutations, predict_efu() evaluations, live classes
 // read by best-fit scans, and the placement classes live at the end and
 // created in all; then how many machine-epochs stepped alongside the
-// control plane (machines no placement could touch that epoch).
+// control plane (machines no placement could touch that epoch); then how
+// many trace events the run counted and how many of them were built
+// (none, unless --trace records them).
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -132,11 +134,13 @@ static int run(int argc, char** argv) {
   // A run-local registry keeps exports self-contained; the trace-counter
   // sink turns the policies' existing event emission (allocations,
   // sampling passes, donations, resets, placements, migrations) into
-  // actuation counters without touching the policy code.
+  // actuation counters without touching the policy code. It only counts,
+  // so no event is built unless --trace records them too.
   telemetry::Registry registry;
   auto counter_sink =
       std::make_shared<telemetry::TraceCounterSink>(registry);
-  trace::Tracer::global().add_sink(counter_sink);
+  trace::Tracer& tracer = trace::Tracer::global();
+  tracer.add_sink(counter_sink);
   fc.metrics = &registry;
 
   fleet::Cluster cluster(fc, catalog);
@@ -169,7 +173,7 @@ static int run(int argc, char** argv) {
       jsonl << fleet::epoch_jsonl_row(rows.back()) << '\n';
     }
   }
-  trace::Tracer::global().remove_sink(counter_sink);
+  tracer.remove_sink(counter_sink);
 
   if (!metrics_path.empty()) {
     telemetry::write_prometheus(registry, metrics_path);
@@ -198,7 +202,9 @@ static int run(int argc, char** argv) {
               << " live classes, " << index->classes_created()
               << " classes created; " << cluster.untouchable_machine_epochs()
               << " of " << cluster.epochs_done() * cluster.num_machines()
-              << " machine-epochs stepped alongside the control plane\n";
+              << " machine-epochs stepped alongside the control plane; "
+              << tracer.events_counted() << " trace events counted, "
+              << tracer.events_built() << " built\n";
   }
   return 0;
 }

@@ -330,14 +330,13 @@ void Cluster::do_migrations(EpochMetrics& m) {
       if (metrics_.migration_streak) {
         metrics_.migration_streak->record(static_cast<double>(streak));
       }
-      if (tr.enabled(trace::Kind::kMigration)) {
-        tr.emit(trace::Kind::kMigration,
-                static_cast<double>(epoch_) * config_.epoch_sec,
-                {{"tenant", rec.tenant_id},
-                 {"app", app.name},
-                 {"from", i},
-                 {"to", *dest}});
-      }
+      tr.emit(trace::Kind::kMigration,
+              static_cast<double>(epoch_) * config_.epoch_sec, [&] {
+                return std::vector<trace::Field>{{"tenant", rec.tenant_id},
+                                                 {"app", app.name},
+                                                 {"from", i},
+                                                 {"to", *dest}};
+              });
     }
     placement_log_.push_back(std::move(rec));
   }
@@ -369,13 +368,13 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
     } else {
       ++m.rejected;
     }
-    if (tr.enabled(trace::Kind::kPlacement)) {
-      tr.emit(trace::Kind::kPlacement, a.t_sec,
-              {{"tenant", a.id},
-               {"app", a.app->name},
-               {"accepted", rec.accepted},
-               {"machine", rec.accepted ? rec.machine : 0u}});
-    }
+    tr.emit(trace::Kind::kPlacement, a.t_sec, [&] {
+      return std::vector<trace::Field>{
+          {"tenant", a.id},
+          {"app", a.app->name},
+          {"accepted", rec.accepted},
+          {"machine", rec.accepted ? rec.machine : 0u}};
+    });
     placement_log_.push_back(std::move(rec));
   }
 }
@@ -587,19 +586,18 @@ EpochMetrics Cluster::step_epoch() {
   }
 
   auto& tr = trace::resolve(config_.tracer);
-  if (tr.enabled(trace::Kind::kFleetEpoch)) {
-    tr.emit(trace::Kind::kFleetEpoch, epoch_end,
-            {{"epoch", m.epoch},
-             {"tenants", m.tenants},
-             {"arrivals", m.arrivals},
-             {"departures", m.departures},
-             {"rejected", m.rejected},
-             {"migrations", m.migrations},
-             {"fleet_efu", m.fleet_efu},
-             {"hp_norm_mean", m.hp_norm_mean},
-             {"slo_violations", m.slo_violations},
-             {"link_rho_mean", m.link_rho_mean}});
-  }
+  tr.emit(trace::Kind::kFleetEpoch, epoch_end, [&] {
+    return std::vector<trace::Field>{{"epoch", m.epoch},
+                                     {"tenants", m.tenants},
+                                     {"arrivals", m.arrivals},
+                                     {"departures", m.departures},
+                                     {"rejected", m.rejected},
+                                     {"migrations", m.migrations},
+                                     {"fleet_efu", m.fleet_efu},
+                                     {"hp_norm_mean", m.hp_norm_mean},
+                                     {"slo_violations", m.slo_violations},
+                                     {"link_rho_mean", m.link_rho_mean}};
+  });
   ++epoch_;
   return m;
 }

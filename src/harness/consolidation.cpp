@@ -52,13 +52,12 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
   sim::Machine& machine = host.machine();
   const policy::PolicyContext& ctx = host.context();
   auto& tr = trace::resolve(config.tracer);
-  if (tr.enabled(trace::Kind::kRunBegin)) {
-    tr.emit(trace::Kind::kRunBegin, machine.time_sec(),
-            {{"policy", policy.name()},
-             {"hp", hp.name},
-             {"be", be.name},
-             {"cores", cores_used}});
-  }
+  tr.emit(trace::Kind::kRunBegin, machine.time_sec(), [&] {
+    return std::vector<trace::Field>{{"policy", policy.name()},
+                                     {"hp", hp.name},
+                                     {"be", be.name},
+                                     {"cores", cores_used}};
+  });
 
   policy.setup(host.context());
 
@@ -109,20 +108,19 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
       res.window_sec > 0.0 ? rho_integral / res.window_sec : 0.0;
   res.solver = machine.solver_stats();
   record_solver_counters(res.solver);
-  if (tr.enabled(trace::Kind::kRunEnd)) {
-    tr.emit(trace::Kind::kRunEnd, machine.time_sec(),
-            {{"policy", res.policy},
-             {"hp", hp.name},
-             {"be", be.name},
-             {"cores", cores_used},
-             {"window_sec", res.window_sec},
-             {"hp_ipc", res.hp_ipc},
-             {"be_ipc_mean", res.be_ipc_mean},
-             {"hp_completions", res.hp_completions},
-             {"be_completions", res.be_completions},
-             {"avg_rho", res.avg_link_utilisation},
-             {"capped", res.window_capped}});
-  }
+  tr.emit(trace::Kind::kRunEnd, machine.time_sec(), [&] {
+    return std::vector<trace::Field>{{"policy", res.policy},
+                                     {"hp", hp.name},
+                                     {"be", be.name},
+                                     {"cores", cores_used},
+                                     {"window_sec", res.window_sec},
+                                     {"hp_ipc", res.hp_ipc},
+                                     {"be_ipc_mean", res.be_ipc_mean},
+                                     {"hp_completions", res.hp_completions},
+                                     {"be_completions", res.be_completions},
+                                     {"avg_rho", res.avg_link_utilisation},
+                                     {"capped", res.window_capped}};
+  });
   return res;
 }
 

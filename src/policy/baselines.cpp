@@ -11,12 +11,11 @@ namespace {
 void trace_setup(PolicyContext& ctx, const std::string& policy,
                  unsigned hp_ways, unsigned total_ways) {
   auto& tr = trace::resolve(ctx.tracer);
-  if (tr.enabled(trace::Kind::kSetup)) {
-    tr.emit(trace::Kind::kSetup, ctx.machine->time_sec(),
-            {{"policy", policy},
-             {"hp_ways", hp_ways},
-             {"total_ways", total_ways}});
-  }
+  tr.emit(trace::Kind::kSetup, ctx.machine->time_sec(), [&] {
+    return std::vector<trace::Field>{{"policy", policy},
+                                     {"hp_ways", hp_ways},
+                                     {"total_ways", total_ways}};
+  });
 }
 
 }  // namespace

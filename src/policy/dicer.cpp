@@ -59,14 +59,14 @@ void Dicer::setup(PolicyContext& ctx) {
   // exactly one period wide.
   ctx.monitor->poll_all();
   auto& tr = trace::resolve(ctx.tracer);
-  if (tr.enabled(trace::Kind::kSetup)) {
-    tr.emit(trace::Kind::kSetup, ctx.machine->time_sec(),
-            {{"policy", name()},
-             {"hp_ways", hp_ways_},
-             {"total_ways", total_ways_},
-             {"period_sec", config_.period_sec},
-             {"membw_threshold_bps", config_.membw_threshold_bytes_per_sec}});
-  }
+  tr.emit(trace::Kind::kSetup, ctx.machine->time_sec(), [&] {
+    return std::vector<trace::Field>{
+        {"policy", name()},
+        {"hp_ways", hp_ways_},
+        {"total_ways", total_ways_},
+        {"period_sec", config_.period_sec},
+        {"membw_threshold_bps", config_.membw_threshold_bytes_per_sec}};
+  });
 }
 
 double Dicer::interval_sec() const {
@@ -116,10 +116,9 @@ void Dicer::set_hp_ways(PolicyContext& ctx, unsigned hp_ways) {
     DICER_DEBUG << "DICER: HP ways " << hp_ways_ << " -> " << hp_ways
                 << " at t=" << ctx.machine->time_sec();
     auto& tr = trace::resolve(ctx.tracer);
-    if (tr.enabled(trace::Kind::kAllocation)) {
-      tr.emit(trace::Kind::kAllocation, ctx.machine->time_sec(),
-              {{"from", hp_ways_}, {"to", hp_ways}});
-    }
+    tr.emit(trace::Kind::kAllocation, ctx.machine->time_sec(), [&] {
+      return std::vector<trace::Field>{{"from", hp_ways_}, {"to", hp_ways}};
+    });
   }
   hp_ways_ = hp_ways;
   apply_split(ctx, hp_ways_);
@@ -143,17 +142,17 @@ void Dicer::start_sampling(PolicyContext& ctx) {
   best_sample_ways_ = sample_plan_.front();
   best_sample_ipc_ = -1.0;
   auto& tr = trace::resolve(ctx.tracer);
-  if (tr.enabled(trace::Kind::kSamplingStart)) {
+  tr.emit(trace::Kind::kSamplingStart, ctx.machine->time_sec(), [&] {
     std::string plan;
     for (unsigned w : sample_plan_) {
       if (!plan.empty()) plan += ' ';
       plan += std::to_string(w);
     }
-    tr.emit(trace::Kind::kSamplingStart, ctx.machine->time_sec(),
-            {{"sampling", stats_.samplings},
-             {"plan", plan},
-             {"settle_sec", config_.sample_interval_sec}});
-  }
+    return std::vector<trace::Field>{
+        {"sampling", stats_.samplings},
+        {"plan", std::move(plan)},
+        {"settle_sec", config_.sample_interval_sec}};
+  });
   set_hp_ways(ctx, sample_plan_.front());
   // Fresh baselines so the first sample interval measures only itself.
   ctx.monitor->poll_all();
@@ -167,14 +166,13 @@ void Dicer::sampling_step(PolicyContext& ctx, const PeriodSample& s) {
     best_sample_ways_ = sample_plan_[sample_index_];
   }
   auto& tr = trace::resolve(ctx.tracer);
-  if (tr.enabled(trace::Kind::kSamplingStep)) {
-    tr.emit(trace::Kind::kSamplingStep, ctx.machine->time_sec(),
-            {{"step", stats_.sampling_steps},
-             {"ways", sample_plan_[sample_index_]},
-             {"hp_ipc", s.hp_ipc},
-             {"best_ways", best_sample_ways_},
-             {"best_ipc", best_sample_ipc_}});
-  }
+  tr.emit(trace::Kind::kSamplingStep, ctx.machine->time_sec(), [&] {
+    return std::vector<trace::Field>{{"step", stats_.sampling_steps},
+                                     {"ways", sample_plan_[sample_index_]},
+                                     {"hp_ipc", s.hp_ipc},
+                                     {"best_ways", best_sample_ways_},
+                                     {"best_ipc", best_sample_ipc_}};
+  });
   ++sample_index_;
   if (sample_index_ < sample_plan_.size()) {
     set_hp_ways(ctx, sample_plan_[sample_index_]);
@@ -192,10 +190,10 @@ void Dicer::sampling_step(PolicyContext& ctx, const PeriodSample& s) {
   state_ = State::kSteady;
   DICER_DEBUG << "DICER: sampling done, optimal HP ways=" << optimal_hp_ways_
               << " IPC_opt=" << ipc_opt_;
-  if (tr.enabled(trace::Kind::kSamplingDone)) {
-    tr.emit(trace::Kind::kSamplingDone, ctx.machine->time_sec(),
-            {{"optimal_ways", optimal_hp_ways_}, {"ipc_opt", ipc_opt_}});
-  }
+  tr.emit(trace::Kind::kSamplingDone, ctx.machine->time_sec(), [&] {
+    return std::vector<trace::Field>{{"optimal_ways", optimal_hp_ways_},
+                                     {"ipc_opt", ipc_opt_}};
+  });
 }
 
 void Dicer::allocation_reset(PolicyContext& ctx, double trigger_ipc) {
@@ -218,13 +216,12 @@ void Dicer::reset_validate_step(PolicyContext& ctx, const PeriodSample& s) {
   const char* reset_class =
       reset_kind_ == ResetKind::kCtFavoured ? "CT-F" : "CT-T";
   auto note_outcome = [&](const char* outcome) {
-    if (tr.enabled(trace::Kind::kResetValidate)) {
-      tr.emit(trace::Kind::kResetValidate, ctx.machine->time_sec(),
-              {{"reset_class", reset_class},
-               {"outcome", outcome},
-               {"hp_ipc", s.hp_ipc},
-               {"trigger_ipc", trigger_ipc_}});
-    }
+    tr.emit(trace::Kind::kResetValidate, ctx.machine->time_sec(), [&] {
+      return std::vector<trace::Field>{{"reset_class", reset_class},
+                                       {"outcome", outcome},
+                                       {"hp_ipc", s.hp_ipc},
+                                       {"trigger_ipc", trigger_ipc_}};
+    });
   };
   if (bw_saturated(s)) {
     // Validation case (i) for both classes: the link saturated — sample.
@@ -280,12 +277,11 @@ void Dicer::steady_step(PolicyContext& ctx, const PeriodSample& s) {
   auto& tr = trace::resolve(ctx.tracer);
   if (phase_change(s.hp_bw)) {
     ++stats_.phase_resets;
-    if (tr.enabled(trace::Kind::kPhaseReset)) {
-      tr.emit(trace::Kind::kPhaseReset, ctx.machine->time_sec(),
-              {{"hp_bw_bps", s.hp_bw},
-               {"gmean_bps", hp_bw_history_.gmean()},
-               {"hp_ipc", s.hp_ipc}});
-    }
+    tr.emit(trace::Kind::kPhaseReset, ctx.machine->time_sec(), [&] {
+      return std::vector<trace::Field>{{"hp_bw_bps", s.hp_bw},
+                                       {"gmean_bps", hp_bw_history_.gmean()},
+                                       {"hp_ipc", s.hp_ipc}};
+    });
     hp_bw_history_.add(s.hp_bw);
     allocation_reset(ctx, s.hp_ipc);
     return;
@@ -294,12 +290,10 @@ void Dicer::steady_step(PolicyContext& ctx, const PeriodSample& s) {
     // Stable: presume head-room and donate one way to the BEs.
     if (hp_ways_ > config_.min_hp_ways) {
       ++stats_.way_donations;
-      if (tr.enabled(trace::Kind::kDonation)) {
-        tr.emit(trace::Kind::kDonation, ctx.machine->time_sec(),
-                {{"from", hp_ways_},
-                 {"to", hp_ways_ - 1},
-                 {"hp_ipc", s.hp_ipc}});
-      }
+      tr.emit(trace::Kind::kDonation, ctx.machine->time_sec(), [&] {
+        return std::vector<trace::Field>{
+            {"from", hp_ways_}, {"to", hp_ways_ - 1}, {"hp_ipc", s.hp_ipc}};
+      });
       set_hp_ways(ctx, hp_ways_ - 1);
     }
   } else if (performance_better(s.hp_ipc, prev_ipc_)) {
@@ -307,10 +301,10 @@ void Dicer::steady_step(PolicyContext& ctx, const PeriodSample& s) {
   } else {
     // Worse: allocation harmed HP (or a lower-IPC phase began) — reset.
     ++stats_.perf_resets;
-    if (tr.enabled(trace::Kind::kPerfReset)) {
-      tr.emit(trace::Kind::kPerfReset, ctx.machine->time_sec(),
-              {{"hp_ipc", s.hp_ipc}, {"prev_ipc", prev_ipc_}});
-    }
+    tr.emit(trace::Kind::kPerfReset, ctx.machine->time_sec(), [&] {
+      return std::vector<trace::Field>{{"hp_ipc", s.hp_ipc},
+                                       {"prev_ipc", prev_ipc_}};
+    });
     hp_bw_history_.add(s.hp_bw);
     allocation_reset(ctx, s.hp_ipc);
     return;
@@ -325,22 +319,22 @@ void Dicer::act(PolicyContext& ctx) {
   const PeriodSample s = measure(ctx);
   ++stats_.periods;
   auto& tr = trace::resolve(ctx.tracer);
-  if (tr.enabled(trace::Kind::kPeriod)) {
-    // Snapshot of what the controller saw, with the Eq. 2 / Eq. 3
-    // verdicts evaluated against the pre-transition references. `state`
-    // is the state this measurement is interpreted in.
-    tr.emit(trace::Kind::kPeriod, ctx.machine->time_sec(),
-            {{"period", stats_.periods},
-             {"state", state_label(static_cast<int>(state_))},
-             {"class", ct_favoured_ ? "CT-F" : "CT-T"},
-             {"hp_ways", hp_ways_},
-             {"hp_ipc", s.hp_ipc},
-             {"hp_bw_bps", s.hp_bw},
-             {"total_bw_bps", s.total_bw},
-             {"saturated", bw_saturated(s)},
-             {"phase_change", phase_change(s.hp_bw)},
-             {"ipc_stable", performance_stable(s.hp_ipc)}});
-  }
+  // Snapshot of what the controller saw, with the Eq. 2 / Eq. 3 verdicts
+  // evaluated against the pre-transition references. `state` is the state
+  // this measurement is interpreted in.
+  tr.emit(trace::Kind::kPeriod, ctx.machine->time_sec(), [&] {
+    return std::vector<trace::Field>{
+        {"period", stats_.periods},
+        {"state", state_label(static_cast<int>(state_))},
+        {"class", ct_favoured_ ? "CT-F" : "CT-T"},
+        {"hp_ways", hp_ways_},
+        {"hp_ipc", s.hp_ipc},
+        {"hp_bw_bps", s.hp_bw},
+        {"total_bw_bps", s.total_bw},
+        {"saturated", bw_saturated(s)},
+        {"phase_change", phase_change(s.hp_bw)},
+        {"ipc_stable", performance_stable(s.hp_ipc)}};
+  });
   on_period(ctx, s.hp_ipc, s.hp_bw, s.total_bw);
 
   switch (state_) {

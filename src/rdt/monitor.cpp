@@ -77,18 +77,19 @@ const std::vector<std::pair<unsigned, MonSample>>& Monitor::poll_all() {
     last_total_ += out.back().second.mbm_bytes_per_sec;
   }
   auto& tr = trace::resolve(tracer_);
-  if (tr.enabled(trace::Kind::kMonitorPoll) && !out.empty()) {
-    std::vector<trace::Field> fields;
-    fields.reserve(2 + 2 * out.size());
-    fields.emplace_back("cores", out.size());
-    fields.emplace_back("total_bw_bps", last_total_);
-    for (const auto& [core, mon] : out) {
-      fields.emplace_back("ipc_c" + std::to_string(core), mon.ipc);
-      fields.emplace_back("occ_c" + std::to_string(core),
-                          mon.llc_occupancy_bytes);
-    }
-    tr.emit(trace::Kind::kMonitorPoll, machine_.time_sec(),
-            std::move(fields));
+  if (!out.empty()) {
+    tr.emit(trace::Kind::kMonitorPoll, machine_.time_sec(), [&] {
+      std::vector<trace::Field> fields;
+      fields.reserve(2 + 2 * out.size());
+      fields.emplace_back("cores", out.size());
+      fields.emplace_back("total_bw_bps", last_total_);
+      for (const auto& [core, mon] : out) {
+        fields.emplace_back("ipc_c" + std::to_string(core), mon.ipc);
+        fields.emplace_back("occ_c" + std::to_string(core),
+                            mon.llc_occupancy_bytes);
+      }
+      return fields;
+    });
   }
   return out;
 }

@@ -525,7 +525,7 @@ void Machine::step() {
   }
 
   auto& tr = *tracer_;
-  if (tr.enabled(trace::Kind::kQuantum)) {
+  tr.emit(trace::Kind::kQuantum, time_sec_, [&] {
     std::vector<trace::Field> fields;
     fields.reserve(2 + 2 * n);
     fields.emplace_back("rho", last_rho_);
@@ -536,8 +536,8 @@ void Machine::step() {
                           telemetry_[core].last_quantum_ipc);
       fields.emplace_back("occ_c" + std::to_string(core), s.occ[i]);
     }
-    tr.emit(trace::Kind::kQuantum, time_sec_, std::move(fields));
-  }
+    return fields;
+  });
 }
 
 bool Machine::solve_quantum() {
@@ -650,7 +650,8 @@ void Machine::commit_replayed(double t_sec) {
 }
 
 void Machine::run_until(double t_sec) {
-  // A kQuantum subscriber needs every quantum's event from step().
+  // A kQuantum subscriber, counting or recording, needs every quantum's
+  // event from step().
   const bool bulk = !tracer_->enabled(trace::Kind::kQuantum);
   while (!reached(t_sec)) {
     if (bulk && solve_cache_.budget > 0) {

@@ -14,8 +14,8 @@ TraceCounterSink::TraceCounterSink(Registry& registry) {
   }
 }
 
-void TraceCounterSink::write(const trace::Event& event) {
-  const auto k = static_cast<std::size_t>(event.kind);
+void TraceCounterSink::count(trace::Kind kind) noexcept {
+  const auto k = static_cast<std::size_t>(kind);
   if (k < counters_.size() && counters_[k]) counters_[k]->inc();
 }
 

@@ -7,6 +7,11 @@
 // use and every delivered event bumps a per-kind counter
 // (`dicer_events_<kind>_total`).
 //
+// The sink is count-only (records() is false): while it is the only kind
+// of sink attached, the tracer hands it each event's kind without building
+// the event or taking its mutex. Attaching a recording sink as well makes
+// every event built once, and this sink then counts it through write().
+//
 // Determinism: counter increments are commutative integer adds, and each
 // machine's policy emits a fixed event sequence regardless of how the data
 // plane is sharded — so the totals are identical at any worker count even
@@ -27,7 +32,9 @@ class TraceCounterSink final : public trace::Sink {
   /// outlive the sink).
   explicit TraceCounterSink(Registry& registry);
 
-  void write(const trace::Event& event) override;
+  void write(const trace::Event& event) override { count(event.kind); }
+  bool records() const noexcept override { return false; }
+  void count(trace::Kind kind) noexcept override;
 
  private:
   std::array<Counter*, static_cast<std::size_t>(trace::Kind::kCount)>

@@ -105,8 +105,10 @@ double ScopedTimer::elapsed_ms() const {
 ScopedTimer::~ScopedTimer() {
   const double ms = elapsed_ms();
   registry_->record(label_, ms);
-  if (tracer_ && tracer_->enabled(Kind::kTimer)) {
-    tracer_->emit(Kind::kTimer, 0.0, {{"label", label_}, {"ms", ms}});
+  if (tracer_) {
+    tracer_->emit(Kind::kTimer, 0.0, [&] {
+      return std::vector<Field>{{"label", label_}, {"ms", ms}};
+    });
   }
 }
 

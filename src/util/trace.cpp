@@ -181,14 +181,29 @@ Tracer& Tracer::global() {
   return tracer;
 }
 
-void Tracer::refresh_active_locked() {
+void Tracer::refresh_locked() {
+  auto counting = std::make_unique<CountingSinks>();
+  bool records = false;
+  for (const auto& s : sinks_) {
+    if (s->records()) {
+      records = true;
+    } else {
+      counting->push_back(s);
+    }
+  }
+  const CountingSinks* current = counting_.load(std::memory_order_relaxed);
+  if (current ? *current != *counting : !counting->empty()) {
+    counting_.store(counting.get(), std::memory_order_release);
+    counting_lists_.push_back(std::move(counting));
+  }
+  recording_.store(records ? kinds_ : 0, std::memory_order_relaxed);
   active_.store(sinks_.empty() ? 0 : kinds_, std::memory_order_relaxed);
 }
 
 void Tracer::set_kinds(KindMask mask) {
   std::lock_guard<std::mutex> lock(mu_);
   kinds_ = mask & kAllKinds;
-  refresh_active_locked();
+  refresh_locked();
 }
 
 KindMask Tracer::kinds() const {
@@ -200,7 +215,7 @@ void Tracer::add_sink(std::shared_ptr<Sink> sink) {
   if (!sink) return;
   std::lock_guard<std::mutex> lock(mu_);
   sinks_.push_back(std::move(sink));
-  refresh_active_locked();
+  refresh_locked();
 }
 
 void Tracer::remove_sink(const std::shared_ptr<Sink>& sink) {
@@ -209,14 +224,14 @@ void Tracer::remove_sink(const std::shared_ptr<Sink>& sink) {
   if (it == sinks_.end()) return;
   (*it)->flush();
   sinks_.erase(it);
-  refresh_active_locked();
+  refresh_locked();
 }
 
 void Tracer::clear_sinks() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& s : sinks_) s->flush();
   sinks_.clear();
-  refresh_active_locked();
+  refresh_locked();
 }
 
 void Tracer::flush() {
@@ -224,14 +239,21 @@ void Tracer::flush() {
   for (auto& s : sinks_) s->flush();
 }
 
-void Tracer::emit(Event event) {
+void Tracer::emit_active(Kind kind, double t_sec, void* build,
+                         BuildFn build_fn) {
+  if ((recording_.load(std::memory_order_relaxed) & mask_of(kind)) == 0) {
+    const CountingSinks* sinks = counting_.load(std::memory_order_acquire);
+    if (!sinks) return;
+    counted_.fetch_add(1, std::memory_order_relaxed);
+    for (const auto& s : *sinks) s->count(kind);
+    return;
+  }
+  const Event event{kind, t_sec, build_fn(build)};
   std::lock_guard<std::mutex> lock(mu_);
-  if ((kinds_ & mask_of(event.kind)) == 0) return;
+  if ((kinds_ & mask_of(kind)) == 0) return;
+  built_.fetch_add(1, std::memory_order_relaxed);
+  counted_.fetch_add(1, std::memory_order_relaxed);
   for (auto& s : sinks_) s->write(event);
-}
-
-void Tracer::emit(Kind kind, double t_sec, std::vector<Field> fields) {
-  emit(Event{kind, t_sec, std::move(fields)});
 }
 
 }  // namespace dicer::trace

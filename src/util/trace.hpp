@@ -9,9 +9,15 @@
 //
 // Design constraints:
 //  * Near-zero cost when disabled: a Tracer with no sinks (the default)
-//    answers enabled() with one relaxed atomic load; no event is built.
-//    Emission sites follow `if (tr.enabled(kind)) tr.emit(...)`.
-//  * Thread-safe: emit() serialises sink writes behind one mutex, so a
+//    drops an event after one relaxed atomic load. Every emission site
+//    passes its fields as a builder,
+//    `tr.emit(kind, t, [&] { return std::vector<Field>{...}; })`, which
+//    runs only when a recording sink wants the kind.
+//  * Cheap to count: a count-only sink (records() false — the telemetry
+//    TraceCounterSink) needs nothing but the kind. While no recording
+//    sink is attached, emit() hands it the kind lock-free: no builder
+//    call, no allocation, no mutex.
+//  * Thread-safe: recorded events reach the sinks behind one mutex, so a
 //    sink always sees whole events in a single call (the parallel policy
 //    sweep emits from many workers into one file).
 //  * Deterministic: events carry only simulated time and counters — never
@@ -31,6 +37,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -137,6 +144,14 @@ class Sink {
   virtual ~Sink() = default;
   virtual void write(const Event& event) = 0;
   virtual void flush() {}
+  /// False for a count-only sink, one that reads nothing but the kind.
+  /// While no recording sink is attached, the tracer calls count()
+  /// instead of building the event and calling write().
+  virtual bool records() const noexcept { return true; }
+  /// One event of `kind` was emitted. Called only on count-only sinks,
+  /// from any thread and without the tracer's mutex, so it must be
+  /// thread-safe on its own.
+  virtual void count(Kind /*kind*/) noexcept {}
 };
 
 /// JSON-lines file sink. Throws std::runtime_error if the file cannot be
@@ -178,9 +193,9 @@ class MemorySink final : public Sink {
 /// JsonlSink unless `path` ends in ".csv".
 std::shared_ptr<Sink> make_file_sink(const std::string& path);
 
-/// The event router. enabled(kind) is the hot-path gate: it is true only
-/// when at least one sink is attached AND the kind is in the mask, folded
-/// into one atomic word so disabled tracing costs a single relaxed load.
+/// The event router. enabled(kind) is true only when at least one sink
+/// is attached AND the kind is in the mask, folded into one atomic word
+/// so disabled tracing costs a single relaxed load.
 class Tracer {
  public:
   Tracer() = default;
@@ -207,18 +222,56 @@ class Tracer {
   void clear_sinks();
   void flush();
 
-  /// Deliver one event to every sink (thread-safe). Events whose kind is
-  /// filtered out are dropped here too, so callers may emit untested.
-  void emit(Event event);
-  void emit(Kind kind, double t_sec, std::vector<Field> fields);
+  /// Emit one event of `kind` (thread-safe). `build` returns its
+  /// std::vector<Field>; it runs at most once, and only if a recording
+  /// sink takes the kind — the event then reaches every sink under the
+  /// mutex. Otherwise the count-only sinks are just told the kind.
+  /// Events whose kind is filtered out cost one relaxed load.
+  template <class Build>
+  void emit(Kind kind, double t_sec, Build&& build) {
+    if ((active_.load(std::memory_order_relaxed) & mask_of(kind)) == 0) {
+      return;
+    }
+    using B = std::remove_reference_t<Build>;
+    emit_active(kind, t_sec,
+                const_cast<void*>(static_cast<const void*>(&build)),
+                [](void* b) { return (*static_cast<B*>(b))(); });
+  }
+
+  /// Events that reached the sinks, built or only counted, since the
+  /// tracer was made. Both are deterministic for a deterministic run.
+  std::uint64_t events_counted() const noexcept {
+    return counted_.load(std::memory_order_relaxed);
+  }
+  /// Events whose fields were built, because a recording sink took them.
+  std::uint64_t events_built() const noexcept {
+    return built_.load(std::memory_order_relaxed);
+  }
 
  private:
-  void refresh_active_locked();
+  /// The count-only sinks, as the count path reads them without the mutex.
+  using CountingSinks = std::vector<std::shared_ptr<Sink>>;
+
+  using BuildFn = std::vector<Field> (*)(void* build);
+
+  /// The rest of emit(), out of line, so an emission site inlines only
+  /// the load and the branch.
+  void emit_active(Kind kind, double t_sec, void* build, BuildFn build_fn);
+  void refresh_locked();
 
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<Sink>> sinks_;
   KindMask kinds_ = kDefaultKinds;
-  std::atomic<KindMask> active_{0};
+  std::atomic<KindMask> active_{0};  ///< kinds_ while any sink is attached
+  /// kinds_ while a recording sink is attached.
+  std::atomic<KindMask> recording_{0};
+  /// The current count-only list. Every list published is kept, with its
+  /// sinks, until the tracer dies, so a count that raced a detach
+  /// never reads a freed list or sink.
+  std::atomic<const CountingSinks*> counting_{nullptr};
+  std::vector<std::unique_ptr<const CountingSinks>> counting_lists_;
+  std::atomic<std::uint64_t> counted_{0};
+  std::atomic<std::uint64_t> built_{0};
 };
 
 /// Components hold a Tracer* that is null by default; null means "the

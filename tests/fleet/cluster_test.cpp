@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -345,6 +346,42 @@ TEST(Cluster, UntouchableMachinesStepAlongsideTheControlPlane) {
     EXPECT_EQ(sharded.exports, serial.exports) << "jobs " << jobs;
     EXPECT_EQ(sharded.untouchable, serial.untouchable) << "jobs " << jobs;
   }
+}
+
+/// A churny fleet's CSV and every dicer_events_*_total line, counted by a
+/// TraceCounterSink alone or, if `record`, beside a recording MemorySink.
+std::string counted_exports(unsigned jobs, bool record) {
+  FleetConfig fc = churny_config("mrc");
+  fc.jobs = jobs;
+  trace::Tracer tracer;
+  telemetry::Registry registry;
+  auto events = std::make_shared<trace::MemorySink>();
+  tracer.add_sink(std::make_shared<telemetry::TraceCounterSink>(registry));
+  if (record) tracer.add_sink(events);
+  fc.tracer = &tracer;
+  fc.metrics = &registry;
+  std::string out = run_csv(fc, 12);
+  tracer.clear_sinks();
+  EXPECT_GT(tracer.events_counted(), 0u);
+  EXPECT_EQ(tracer.events_built(), record ? tracer.events_counted() : 0u);
+  EXPECT_EQ(events->events().size(), tracer.events_built());
+  std::istringstream prom(telemetry::to_prometheus(registry));
+  for (std::string line; std::getline(prom, line);) {
+    if (line.rfind("dicer_events_", 0) == 0) out += line + '\n';
+  }
+  return out;
+}
+
+// Counting events without building them changes no export: a recording
+// sink beside the counter leaves the CSV and every event count as they
+// were, at any worker count.
+TEST(Cluster, CountedEventsMatchRecordedEvents) {
+  const std::string counted = counted_exports(1, false);
+  EXPECT_NE(counted.find("dicer_events_period_total "), std::string::npos);
+  EXPECT_EQ(counted.find("dicer_events_period_total 0\n"), std::string::npos);
+  EXPECT_EQ(counted_exports(4, false), counted);
+  EXPECT_EQ(counted_exports(1, true), counted);
+  EXPECT_EQ(counted_exports(4, true), counted);
 }
 
 TEST(Cluster, SeedChangesTheFleet) {

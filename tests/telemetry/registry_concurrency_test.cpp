@@ -5,14 +5,18 @@
 // integer state is exact under any interleaving.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
+#include "telemetry/trace_counter_sink.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace dicer::telemetry {
 namespace {
@@ -80,6 +84,49 @@ TEST(TelemetryConcurrency, HistogramMinMaxAreExactUnderRaces) {
   EXPECT_DOUBLE_EQ(hist.min(), 0.01);
   EXPECT_DOUBLE_EQ(hist.max(), 0.01 + 0.001 * (kWorkers - 1) + 0.0001 * 99);
   EXPECT_EQ(hist.count(), kWorkers * 10'000u);
+}
+
+// The tracer's lock-free count path: pool tasks emit with only a
+// count-only sink attached, and the sink is detached after they join.
+// Every event is counted, per kind and in total, and none is built.
+TEST(Tracer, ConcurrentCountingIsExact) {
+  constexpr unsigned kTasks = 8;
+  constexpr std::uint64_t kPerTask = 5'000;
+  Registry registry;
+  trace::Tracer tracer;
+  auto sink = std::make_shared<TraceCounterSink>(registry);
+  tracer.add_sink(sink);
+  std::atomic<unsigned> builds{0};
+  {
+    util::ThreadPool pool(4);
+    std::vector<std::future<void>> futs;
+    for (unsigned w = 0; w < kTasks; ++w) {
+      futs.push_back(pool.submit([&] {
+        const auto build = [&builds] {
+          builds.fetch_add(1, std::memory_order_relaxed);
+          return std::vector<trace::Field>{};
+        };
+        for (std::uint64_t i = 0; i < kPerTask; ++i) {
+          tracer.emit(i % 4 == 0 ? trace::Kind::kDonation
+                                 : trace::Kind::kPeriod,
+                      0.0, build);
+        }
+      }));
+    }
+    for (auto& f : futs) f.get();
+  }
+  tracer.remove_sink(sink);
+  tracer.emit(trace::Kind::kPeriod, 0.0, [] {
+    return std::vector<trace::Field>{};
+  });  // detached: counted by nobody
+
+  EXPECT_EQ(builds.load(), 0u);
+  EXPECT_EQ(tracer.events_built(), 0u);
+  EXPECT_EQ(tracer.events_counted(), kTasks * kPerTask);
+  EXPECT_EQ(registry.counter("dicer_events_donation_total").value(),
+            kTasks * kPerTask / 4);
+  EXPECT_EQ(registry.counter("dicer_events_period_total").value(),
+            kTasks * kPerTask * 3 / 4);
 }
 
 }  // namespace

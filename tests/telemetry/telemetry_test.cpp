@@ -299,16 +299,64 @@ TEST(TelemetryTraceCounterSink, CountsEventsPerKind) {
   trace::Tracer tracer;
   auto sink = std::make_shared<TraceCounterSink>(r);
   tracer.add_sink(sink);
-  tracer.emit(trace::Kind::kAllocation, 0.0, {{"hp_ways", 10}});
-  tracer.emit(trace::Kind::kAllocation, 0.1, {{"hp_ways", 11}});
-  tracer.emit(trace::Kind::kMigration, 0.2, {});
+  const auto no_fields = [] { return std::vector<trace::Field>{}; };
+  tracer.emit(trace::Kind::kAllocation, 0.0, no_fields);
+  tracer.emit(trace::Kind::kAllocation, 0.1, no_fields);
+  tracer.emit(trace::Kind::kMigration, 0.2, no_fields);
   tracer.remove_sink(sink);
   EXPECT_EQ(r.counter("dicer_events_allocation_total").value(), 2u);
   EXPECT_EQ(r.counter("dicer_events_migration_total").value(), 1u);
   EXPECT_EQ(r.counter("dicer_events_placement_total").value(), 0u);
   // After removal the sink no longer counts.
-  tracer.emit(trace::Kind::kAllocation, 0.3, {});
+  tracer.emit(trace::Kind::kAllocation, 0.3, no_fields);
   EXPECT_EQ(r.counter("dicer_events_allocation_total").value(), 2u);
+}
+
+// A count-only sink alone never makes an emission site build its fields;
+// a recording sink beside it makes each event built exactly once, and the
+// counts do not move either way.
+TEST(Tracer, CountingSinkNeverBuildsFields) {
+  Registry r;
+  trace::Tracer tracer;
+  tracer.add_sink(std::make_shared<TraceCounterSink>(r));
+  unsigned builds = 0;
+  const auto build = [&builds] {
+    ++builds;
+    return std::vector<trace::Field>{{"hp_ways", 10}};
+  };
+  const auto emit_round = [&] {
+    for (int i = 0; i < 3; ++i) tracer.emit(trace::Kind::kPeriod, 0.0, build);
+    tracer.emit(trace::Kind::kDonation, 0.0, build);
+    tracer.emit(trace::Kind::kQuantum, 0.0, build);  // not in the mask
+  };
+  const auto counted = [&r](const char* kind) {
+    return r.counter(std::string("dicer_events_") + kind + "_total").value();
+  };
+
+  emit_round();
+  EXPECT_EQ(builds, 0u);
+  EXPECT_EQ(counted("period"), 3u);
+  EXPECT_EQ(counted("donation"), 1u);
+  EXPECT_EQ(counted("quantum"), 0u);
+  EXPECT_EQ(tracer.events_counted(), 4u);
+  EXPECT_EQ(tracer.events_built(), 0u);
+
+  auto memory = std::make_shared<trace::MemorySink>();
+  tracer.add_sink(memory);
+  emit_round();
+  EXPECT_EQ(builds, 4u) << "each recorded event is built once";
+  ASSERT_EQ(memory->events().size(), 4u);
+  EXPECT_EQ(trace::field_uint(memory->events()[0], "hp_ways"), 10u);
+  EXPECT_EQ(counted("period"), 6u);
+  EXPECT_EQ(counted("donation"), 2u);
+  EXPECT_EQ(tracer.events_counted(), 8u);
+  EXPECT_EQ(tracer.events_built(), 4u);
+
+  tracer.remove_sink(memory);
+  emit_round();
+  EXPECT_EQ(builds, 4u) << "counting only again";
+  EXPECT_EQ(counted("period"), 9u);
+  EXPECT_EQ(tracer.events_counted(), 12u);
 }
 
 TEST(TelemetryTraceCounterSink, TimerEventsAreIgnored) {

@@ -13,6 +13,11 @@
 namespace dicer::trace {
 namespace {
 
+/// A builder handing over a ready field list, for terse test emits.
+auto fields(std::vector<Field> f) {
+  return [f = std::move(f)]() mutable { return std::move(f); };
+}
+
 std::vector<std::string> read_lines(const std::string& path) {
   std::ifstream in(path);
   std::vector<std::string> lines;
@@ -93,7 +98,7 @@ TEST(Tracer, DisabledWithoutSinks) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
   EXPECT_FALSE(t.enabled(Kind::kPeriod));
-  t.emit(Kind::kPeriod, 0.0, {});  // must be a harmless no-op
+  t.emit(Kind::kPeriod, 0.0, fields({}));  // a harmless no-op
 }
 
 TEST(Tracer, SinkAttachDetachTogglesEnabled) {
@@ -115,8 +120,8 @@ TEST(Tracer, KindMaskFiltersAtEmitToo) {
   EXPECT_TRUE(t.enabled(Kind::kDonation));
   EXPECT_FALSE(t.enabled(Kind::kPeriod));
   // Unconditional emits (no enabled() guard) must still be filtered.
-  t.emit(Kind::kPeriod, 1.0, {});
-  t.emit(Kind::kDonation, 2.0, {{"from", 19u}, {"to", 18u}});
+  t.emit(Kind::kPeriod, 1.0, fields({}));
+  t.emit(Kind::kDonation, 2.0, fields({{"from", 19u}, {"to", 18u}}));
   ASSERT_EQ(sink->events().size(), 1u);
   EXPECT_EQ(sink->events()[0].kind, Kind::kDonation);
 }
@@ -127,8 +132,8 @@ TEST(Tracer, MultipleSinksEachReceiveEveryEvent) {
   auto b = std::make_shared<MemorySink>();
   t.add_sink(a);
   t.add_sink(b);
-  t.emit(Kind::kSetup, 0.0, {{"policy", "DICER"}});
-  t.emit(Kind::kPeriod, 1.0, {{"hp_ipc", 1.5}});
+  t.emit(Kind::kSetup, 0.0, fields({{"policy", "DICER"}}));
+  t.emit(Kind::kPeriod, 1.0, fields({{"hp_ipc", 1.5}}));
   ASSERT_EQ(a->events().size(), 2u);
   ASSERT_EQ(b->events().size(), 2u);
   EXPECT_EQ(field_string(a->events()[0], "policy"), "DICER");
@@ -150,8 +155,9 @@ TEST(TraceSinks, JsonlFileRoundTrip) {
   {
     Tracer t;
     t.add_sink(make_file_sink(path));
-    t.emit(Kind::kSetup, 0.0, {{"policy", "DICER"}, {"hp_ways", 19u}});
-    t.emit(Kind::kDonation, 3.0, {{"from", 19u}, {"to", 18u}});
+    t.emit(Kind::kSetup, 0.0,
+           fields({{"policy", "DICER"}, {"hp_ways", 19u}}));
+    t.emit(Kind::kDonation, 3.0, fields({{"from", 19u}, {"to", 18u}}));
     t.clear_sinks();  // flushes
   }
   const auto lines = read_lines(path);
@@ -170,7 +176,7 @@ TEST(TraceSinks, MakeFileSinkDispatchesOnExtension) {
   {
     Tracer t;
     t.add_sink(make_file_sink(csv_path));
-    t.emit(Kind::kAllocation, 1.25, {{"from", 19u}, {"to", 18u}});
+    t.emit(Kind::kAllocation, 1.25, fields({{"from", 19u}, {"to", 18u}}));
     t.flush();
   }
   const auto lines = read_lines(csv_path);
@@ -209,7 +215,9 @@ TEST(Tracer, ConcurrentEmitDeliversWholeEvents) {
       futs.push_back(pool.submit([&t, w] {
         for (unsigned i = 0; i < kPerThread; ++i) {
           t.emit(Kind::kPeriod, static_cast<double>(i),
-                 {{"worker", w}, {"seq", i}, {"check", w * 1000u + i}});
+                 fields({{"worker", w},
+                         {"seq", i},
+                         {"check", w * 1000u + i}}));
         }
       }));
     }
