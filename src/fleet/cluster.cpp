@@ -66,7 +66,7 @@ std::string cell(const EpochMetrics& m, const EpochColumn& c) {
 /// Whether `tenant` (a running one) leaves in the epoch starting at
 /// `epoch_start` — the one rule departures and the partition share.
 bool departs(const Tenant& tenant, double epoch_start) {
-  return tenant.depart_t_sec <= epoch_start + sim::kTimeSlackSec;
+  return tenant.depart_t_sec <= epoch_start;
 }
 
 }  // namespace
@@ -117,7 +117,7 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
     throw std::invalid_argument(
         "Cluster: cores_used must be in [2, machine cores]");
   }
-  if (config.epoch_sec < config.machine.quantum_sec - sim::kTimeSlackSec) {
+  if (!(config.epoch_sec >= config.machine.quantum_sec)) {
     throw std::invalid_argument("Cluster: epoch shorter than one quantum");
   }
   if (!(config.slo_norm > 0.0 && config.slo_norm <= 1.0)) {
@@ -380,7 +380,7 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
 }
 
 void Cluster::submit_steps(util::TaskGroup& steps, std::size_t begin,
-                           std::size_t end, double epoch_end) {
+                           std::size_t end, std::uint64_t epoch_end) {
   // Each machine runs the single-machine control loop to the epoch
   // boundary (its host's last step is cut there) — a pure function of the
   // node's own state. Machines never interact mid-epoch and the reduction
@@ -555,7 +555,10 @@ EpochMetrics Cluster::step_epoch() {
   untouchable_machine_epochs_ += untouchable;
   epoch_stats_.resize(nodes_.size());
   util::TaskGroup steps(pool_.get());
-  submit_steps(steps, 0, untouchable, epoch_end);
+  // Every machine ends the epoch on the same whole quantum.
+  const std::uint64_t end_quantum =
+      (epoch_ + 1) * config_.machine.quanta(config_.epoch_sec);
+  submit_steps(steps, 0, untouchable, end_quantum);
   {
     // The parent scope keeps the historical all-in "control plane" number
     // comparable across versions; the child scopes split it into the three
@@ -577,7 +580,7 @@ EpochMetrics Cluster::step_epoch() {
   {
     // The rest of the data plane, plus the wait for the overlapped part.
     trace::ScopedTimer t("fleet.step", tr_timers);
-    submit_steps(steps, untouchable, step_order_.size(), epoch_end);
+    submit_steps(steps, untouchable, step_order_.size(), end_quantum);
     steps.wait();
   }
   {

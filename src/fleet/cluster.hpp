@@ -276,10 +276,10 @@ class Cluster {
   void do_migrations(EpochMetrics& m);
   void do_arrivals(double epoch_end, EpochMetrics& m);
   /// Submit the machines step_order_[begin, end) to `steps` in shards of
-  /// shard_machines_: each task runs its machines to `epoch_end` and
-  /// fills their epoch stats.
+  /// shard_machines_: each task runs its machines to quantum `epoch_end`
+  /// and fills their epoch stats.
   void submit_steps(util::TaskGroup& steps, std::size_t begin,
-                    std::size_t end, double epoch_end);
+                    std::size_t end, std::uint64_t epoch_end);
   /// Shard-local epoch stat for machine i (pure function of the node's own
   /// state and index slot — runs on whichever worker stepped the machine,
   /// possibly while the control plane mutates other machines).

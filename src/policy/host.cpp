@@ -30,15 +30,15 @@ Host::Host(const HostConfig& config, const sim::AppProfile& hp,
   }
 }
 
-void Host::step(Policy& policy, double limit) {
-  const double interval =
-      std::max(policy.interval_sec(), machine_->config().quantum_sec);
-  machine_->run_until(std::min(machine_->time_sec() + interval, limit));
+void Host::step(Policy& policy, std::uint64_t limit) {
+  const std::uint64_t interval =
+      machine_->config().quanta(policy.interval_sec());
+  machine_->run_until(std::min(machine_->quantum() + interval, limit));
   policy.act(ctx_);
 }
 
-void Host::run_until(Policy& policy, double t_sec) {
-  while (!machine_->reached(t_sec)) step(policy, t_sec);
+void Host::run_until(Policy& policy, std::uint64_t target) {
+  while (machine_->quantum() < target) step(policy, target);
 }
 
 }  // namespace dicer::policy

@@ -5,6 +5,7 @@
 // policy's next deadline, then let the policy measure and actuate.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 
@@ -28,13 +29,14 @@ class Host {
   Host(const HostConfig& config, const sim::AppProfile& hp,
        const sim::AppProfile* be = nullptr);
 
-  /// One control step: advance to now + max(interval_sec(), one quantum),
-  /// or to `limit` if that comes first, then act().
+  /// One control step: advance interval_sec() in whole quanta (the
+  /// nearest count, at least one), or to quantum `limit` if that comes
+  /// first, then act().
   void step(Policy& policy,
-            double limit = std::numeric_limits<double>::infinity());
-  /// Control steps until the machine reaches `t_sec`; the last one is cut
-  /// at `t_sec`, and the policy acts there too.
-  void run_until(Policy& policy, double t_sec);
+            std::uint64_t limit = std::numeric_limits<std::uint64_t>::max());
+  /// Control steps until the machine reaches quantum `target`; the last
+  /// one is cut there, and the policy acts there too.
+  void run_until(Policy& policy, std::uint64_t target);
 
   sim::Machine& machine() noexcept { return *machine_; }
   rdt::CatController& cat() noexcept { return *cat_; }

@@ -10,7 +10,8 @@
 //
 //     policy->setup(ctx);
 //     while (running) {
-//       machine.run_until(machine.time_sec() + policy->interval_sec());
+//       machine.run_until(machine.quantum() +
+//                         machine.config().quanta(policy->interval_sec()));
 //       policy->act(ctx);
 //     }
 //

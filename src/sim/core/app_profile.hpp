@@ -69,24 +69,23 @@ class AppRuntime {
 
   /// Retire `instructions`; crosses phase boundaries and whole-run restarts
   /// as needed. Returns the number of runs completed during this advance.
-  /// The stay-within-phase case — every quantum of a settled stretch — is
-  /// inlined so the steady-state replay commit pays a compare and two adds;
-  /// boundary crossings take the out-of-line slow path. The fast-path
-  /// predicate and additions are exactly the ones advance_slow's loop
-  /// performs, so splitting changes no result bit.
+  /// The stay-within-phase case is inlined; boundary crossings take the
+  /// out-of-line slow path. The fast-path predicate and additions are
+  /// exactly the ones advance_slow's loop performs, so splitting changes
+  /// no result bit.
   unsigned advance(double instructions) {
-    const AppPhase& ph = profile_->phases[phase_];
-    if (instructions > 0.0 && instructions < ph.instructions - into_phase_) {
+    if (fits(instructions, into_phase_)) {
       retired_total_ += instructions;
       into_phase_ += instructions;
       return 0;
     }
     return advance_slow(instructions);
   }
-
-  /// Instructions left before the current phase's boundary.
-  double phase_remaining() const noexcept {
-    return profile_->phases[phase_].instructions - into_phase_;
+  /// advance()'s within-phase predicate: `instructions` retired `into`
+  /// instructions into the current phase stay inside it.
+  bool fits(double instructions, double into) const noexcept {
+    return instructions > 0.0 &&
+           instructions < profile_->phases[phase_].instructions - into;
   }
 
   std::uint64_t completions() const noexcept { return completions_; }
@@ -98,9 +97,8 @@ class AppRuntime {
   void reset();
 
  private:
-  /// Machine's bulk replay commit (Machine::commit_replayed) performs
-  /// advance()'s within-phase additions for a whole budgeted chunk of
-  /// quanta, holding the two accumulators in registers.
+  /// Machine commits the within-phase quanta of a run in closed form
+  /// (Machine::write_run), writing the two accumulators directly.
   friend class Machine;
 
   /// The full phase-walking advance (boundary crossings and restarts).

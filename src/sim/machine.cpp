@@ -24,6 +24,12 @@ void hash_config(util::KeyHasher& h, const MachineConfig& config) {
   h.add(config.occupancy.max_characteristic_time_sec);
 }
 
+std::uint64_t MachineConfig::quanta(double sec) const noexcept {
+  const double q = std::round(sec / quantum_sec);
+  if (!(q >= 1.0)) return 1;
+  return q < 0x1p63 ? static_cast<std::uint64_t>(q) : std::uint64_t{1} << 63;
+}
+
 void PhaseConst::build(const AppPhase& ph) {
   phase = &ph;
   sf = ph.mrc.stream_fraction();
@@ -350,7 +356,6 @@ void Machine::invalidate_regions() noexcept {
 void Machine::invalidate_solve() noexcept {
   if (solve_cache_.armed) {
     solve_cache_.armed = false;
-    solve_cache_.budget = 0;
     ++stats_.invalidations_actuator;
   }
 }
@@ -378,6 +383,7 @@ void Machine::attach(unsigned core, const AppProfile* profile) {
   }
   apps_[core].emplace(profile);
   ips_seed_[core] = 0.0;
+  scratch_.runs.clear();  // the slots now index other cores
   invalidate_regions();
 }
 
@@ -392,6 +398,7 @@ void Machine::detach(unsigned core) {
   // like an orchestrator returning the core's CLOS to CLOS0.
   masks_[core] = WayMask::full(config_.llc.ways);
   mem_throttle_[core] = 1.0;
+  scratch_.runs.clear();
   invalidate_regions();
 }
 
@@ -449,12 +456,58 @@ const CoreTelemetry& Machine::telemetry(unsigned core) const {
   return telemetry_[core];
 }
 
+namespace {
+
+/// A run's counter after k quanta. Every closed-form value goes through
+/// here, so the predicate replay_room tests and the bits write_run stores
+/// are the same expression.
+inline double at(double base, double k, double d) { return base + k * d; }
+
+}  // namespace
+
+inline unsigned Machine::commit(std::size_t i, double instructions,
+                                double bytes) {
+  const unsigned core = scratch_.active[i];
+  AppRuntime& rt = *apps_[core];
+  CounterRun& run = scratch_.runs[i];
+  if (instructions == run.d_instructions && bytes == run.d_bytes &&
+      rt.fits(instructions, rt.into_phase_)) {
+    ++run.k;
+    write_run(i);
+    return 0;
+  }
+  CoreTelemetry& tel = telemetry_[core];
+  const unsigned completed = rt.advance(instructions);
+  tel.instructions += instructions;
+  tel.active_cycles += config_.freq_hz * config_.quantum_sec;
+  tel.mem_bytes += bytes;
+  run = {rt.retired_total_, rt.into_phase_, tel.instructions,
+         tel.active_cycles,  tel.mem_bytes,  instructions,
+         bytes,              0};
+  return completed;
+}
+
+inline void Machine::write_run(std::size_t i) {
+  const unsigned core = scratch_.active[i];
+  const CounterRun& run = scratch_.runs[i];
+  AppRuntime& rt = *apps_[core];
+  CoreTelemetry& tel = telemetry_[core];
+  // Exact below 2^53 either way; the signed conversion is one instruction.
+  const auto k = static_cast<double>(static_cast<std::int64_t>(run.k));
+  rt.retired_total_ = at(run.retired, k, run.d_instructions);
+  rt.into_phase_ = at(run.into_phase, k, run.d_instructions);
+  tel.instructions = at(run.instructions, k, run.d_instructions);
+  tel.active_cycles =
+      at(run.active_cycles, k, config_.freq_hz * config_.quantum_sec);
+  tel.mem_bytes = at(run.mem_bytes, k, run.d_bytes);
+}
+
 void Machine::step() {
   const double dt = config_.quantum_sec;
   const double freq = config_.freq_hz;
   auto& s = scratch_;
 
-  time_sec_ += dt;
+  ++quantum_;
 
   // While armed, no actuator has run since the arming solve (attach,
   // detach, masks and throttles disarm), so s.active still lists the
@@ -495,37 +548,19 @@ void Machine::step() {
   const std::size_t n = s.active.size();
 
   // Commit the quantum.
-  bool restarted = false;
+  if (s.runs.size() != n) s.runs.assign(n, CounterRun{});
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned core = s.active[i];
     auto& tel = telemetry_[core];
-    const double instructions = s.ips[i] * dt;
-    const unsigned completed = apps_[core]->advance(instructions);
-    tel.instructions += instructions;
-    tel.active_cycles += freq * dt;
-    tel.mem_bytes += s.arb.achieved_bytes_per_sec[i] * dt;
+    tel.completions +=
+        commit(i, s.ips[i] * dt, s.arb.achieved_bytes_per_sec[i] * dt);
     tel.occupancy_bytes = s.occ[i];
-    tel.completions += completed;
     tel.last_quantum_ipc = s.ips[i] / freq;
     ips_seed_[core] = s.ips[i];
-    restarted = restarted || completed > 0;
-  }
-  // A replayed quantum spends one quantum of the budget. A fresh budget is
-  // earned from the post-commit state when the cache was just armed, or
-  // when a spent budget's limiting app restarted its run — the one way
-  // back into the phase the solve was computed for. Until then a
-  // recomputed budget would be 0 anyway.
-  auto& budget = solve_cache_.budget;
-  if (!solve_cache_.armed) {
-    budget = 0;
-  } else if (replayed && budget > 0) {
-    --budget;
-  } else if (!replayed || restarted) {
-    budget = replay_budget();
   }
 
   auto& tr = *tracer_;
-  tr.emit(trace::Kind::kQuantum, time_sec_, [&] {
+  tr.emit(trace::Kind::kQuantum, time_sec(), [&] {
     std::vector<trace::Field> fields;
     fields.reserve(2 + 2 * n);
     fields.emplace_back("rho", last_rho_);
@@ -582,80 +617,60 @@ bool Machine::solve_quantum() {
   return converged;
 }
 
-std::uint64_t Machine::replay_budget() const {
+std::uint64_t Machine::replay_room(std::uint64_t limit) const {
   const auto& s = scratch_;
+  if (!solve_cache_.armed) return 0;
   const double dt = config_.quantum_sec;
-  std::uint64_t budget = UINT64_MAX;  // armed, so at least one slot
-  for (std::size_t i = 0; i < s.active.size(); ++i) {
+  for (std::size_t i = 0; i < s.active.size() && limit > 0; ++i) {
     const AppRuntime& rt = *apps_[s.active[i]];
-    if (&rt.current_phase() != s.phase[i]) return 0;
-    const double instr = s.ips[i] * dt;
-    const double remaining = rt.phase_remaining();
-    std::uint64_t safe_quanta = 0;
-    if (instr > 0.0 && remaining > instr) {
-      const double safe = std::floor(remaining / instr) - 2.0;
-      if (safe > 0.0) safe_quanta = static_cast<std::uint64_t>(safe);
+    const CounterRun& run = s.runs[i];
+    const double d = run.d_instructions;
+    // A replayed quantum adds the armed solve's increments, and extends
+    // this run only if they are the run's.
+    if (&rt.current_phase() != s.phase[i] || d != s.ips[i] * dt ||
+        run.d_bytes != s.arb.achieved_bytes_per_sec[i] * dt) {
+      return 0;
     }
-    budget = std::min(budget, safe_quanta);
+    // The quantum after q run quanta extends the run iff extends(q). It
+    // is monotone (the closed form only grows with q), so the room is the
+    // first q >= run.k that fails, found by stepping from an estimate.
+    auto extends = [&](std::uint64_t q) {
+      return rt.fits(d, at(run.into_phase, static_cast<double>(q), d));
+    };
+    const std::uint64_t end = run.k + limit;
+    const double guess =
+        std::floor((rt.current_phase().instructions - run.into_phase) / d);
+    std::uint64_t q = run.k;
+    if (guess > static_cast<double>(end)) {
+      q = end;
+    } else if (guess > static_cast<double>(run.k)) {
+      q = static_cast<std::uint64_t>(guess);
+    }
+    while (q < end && extends(q)) ++q;
+    while (q > run.k && !extends(q - 1)) --q;
+    limit = q - run.k;
   }
-  return budget;
+  return limit;
 }
 
-void Machine::commit_replayed(double t_sec) {
-  const auto& s = scratch_;
-  const double dt = config_.quantum_sec;
-  const double cycles = config_.freq_hz * dt;
-  // The clock takes the additions step() would, one quantum at a time,
-  // and stops where step()'s loop in run_until would: at the first quantum
-  // that reaches the target, or at the end of the budget.
-  double t = time_sec_;
-  std::uint64_t quanta = 0;
-  while (quanta < solve_cache_.budget && t < t_sec - kTimeSlackSec) {
-    t += dt;
-    ++quanta;
-  }
-  time_sec_ = t;
+void Machine::commit_replayed(std::uint64_t quanta) {
+  quantum_ += quanta;
   stats_.quanta += quanta;
   stats_.replays += quanta;
-  solve_cache_.budget -= quanta;
-  // While armed, scratch holds the arming solve, indexed like `active`:
-  // these are the products a replayed step() forms every quantum. Inside
-  // the budget advance() takes its within-phase path, two additions and
-  // no completion. Strict FP semantics keep the compiler from
-  // reassociating the chains, so every committed bit matches.
-  for (std::size_t i = 0; i < s.active.size(); ++i) {
-    const unsigned core = s.active[i];
-    AppRuntime& rt = *apps_[core];
-    CoreTelemetry& tel = telemetry_[core];
-    const double instr = s.ips[i] * dt;
-    const double dbytes = s.arb.achieved_bytes_per_sec[i] * dt;
-    double retired = rt.retired_total_;
-    double into = rt.into_phase_;
-    double t_instr = tel.instructions;
-    double t_cyc = tel.active_cycles;
-    double t_mem = tel.mem_bytes;
-    for (std::uint64_t q = 0; q < quanta; ++q) {
-      retired += instr;
-      into += instr;
-      t_instr += instr;
-      t_cyc += cycles;
-      t_mem += dbytes;
-    }
-    rt.retired_total_ = retired;
-    rt.into_phase_ = into;
-    tel.instructions = t_instr;
-    tel.active_cycles = t_cyc;
-    tel.mem_bytes = t_mem;
+  for (std::size_t i = 0; i < scratch_.active.size(); ++i) {
+    scratch_.runs[i].k += quanta;
+    write_run(i);
   }
 }
 
-void Machine::run_until(double t_sec) {
+void Machine::run_until(std::uint64_t target) {
   // A kQuantum subscriber, counting or recording, needs every quantum's
   // event from step().
   const bool bulk = !tracer_->enabled(trace::Kind::kQuantum);
-  while (!reached(t_sec)) {
-    if (bulk && solve_cache_.budget > 0) {
-      commit_replayed(t_sec);
+  while (quantum_ < target) {
+    const std::uint64_t room = bulk ? replay_room(target - quantum_) : 0;
+    if (room > 0) {
+      commit_replayed(room);
     } else {
       step();
     }

@@ -4,8 +4,9 @@
 // E5-2630 v4, 10 cores at 2.2 GHz, 25 MB 20-way LLC, 68.3 Gbps memory link.
 //
 // Time advances in quanta (default 10 ms — 100 model steps per 1 s
-// monitoring period). Each quantum solves a coupled fixed point between
-// three sub-models:
+// monitoring period), counted as an integer: time_sec() is the count times
+// quantum_sec, exact at any horizon. Each quantum solves a coupled fixed
+// point between three sub-models:
 //
 //   occupancy  <- competitive sharing of each way-region given miss pressure
 //   bandwidth  <- per-app demand = api * miss_ratio * IPS * line * (1 + wb)
@@ -26,11 +27,14 @@
 // rho, which every core's misses feed. A converged solve keeps the inputs
 // of its last round, so re-solving it reproduces every bit. It arms a replay
 // cache: later quanta with the same active apps in the same phases reuse
-// its solution without solving. There is one advance call, run_until: it
-// commits whole stretches of replayed quanta that provably stay inside
-// every app's phase in one bulk pass, landing on exactly the quantum a
-// step() loop would (DESIGN.md §5e); every other quantum goes through
-// step(), the reference path, and the results are bit-identical either way.
+// its solution without solving.
+//
+// Each active core's progress counters advance in runs: while a quantum
+// adds the same increments as the one before and stays inside the app's
+// phase, a counter reads base + k * increment. So run_until, the one
+// advance call, commits any stretch of replayed quanta in O(1), up to the
+// first quantum that would leave a phase (DESIGN.md §5e); every other
+// quantum goes through step(), and the bits are the same either way.
 //
 // The Machine knows nothing about policies or priorities: it exposes
 // exactly the actuator CAT has (a fill mask per core) and the observables
@@ -39,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -59,9 +64,6 @@ namespace dicer::sim {
 
 /// Cores a machine may have.
 inline constexpr std::size_t kMaxCores = 64;
-/// Slack of Machine::reached: the clock is a chain of quantum additions,
-/// so a target k quanta ahead may be reached a few rounding steps below.
-inline constexpr double kTimeSlackSec = 1e-9;
 
 struct MachineConfig {
   unsigned num_cores = 10;
@@ -103,6 +105,8 @@ struct MachineConfig {
   double way_bytes() const noexcept {
     return static_cast<double>(llc.way_bytes());
   }
+  /// `sec` in whole quanta: the nearest count, at least one.
+  std::uint64_t quanta(double sec) const noexcept;
 };
 
 /// Mix every MachineConfig value the simulator reads — all but the tracer
@@ -171,10 +175,28 @@ struct PhaseConst {
   void build(const AppPhase& ph);
 };
 
+/// One active core's run: the quanta since its progress counters last
+/// went through AppRuntime::advance, all of which added the same
+/// increments without leaving the app's phase. After k of them each
+/// counter reads base + k * increment (Machine::write_run).
+struct CounterRun {
+  double retired = 0.0;       ///< AppRuntime::instructions_retired_total
+  double into_phase = 0.0;    ///< instructions into the current phase
+  double instructions = 0.0;  ///< CoreTelemetry counters
+  double active_cycles = 0.0;
+  double mem_bytes = 0.0;
+  /// Per-quantum increments (ips * dt, achieved bytes/s * dt). NaN until
+  /// a quantum starts the run, so no quantum extends an empty slot.
+  double d_instructions = std::numeric_limits<double>::quiet_NaN();
+  double d_bytes = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t k = 0;
+};
+
 /// Buffers reused across quanta so the steady-state step() performs no
 /// heap allocation. Sized to the active-app count each step: slot i holds
-/// the i-th active core's solver state, and pc[i] its phase constants
-/// (kept across quanta, rebuilt when the slot's phase changes).
+/// the i-th active core's solver state, pc[i] its phase constants (kept
+/// across quanta, rebuilt when the slot's phase changes) and runs[i] its
+/// progress run (dropped when a core is attached or detached).
 struct StepScratch {
   std::vector<unsigned> active;
   std::vector<WayMask> active_masks;
@@ -189,6 +211,7 @@ struct StepScratch {
   std::vector<CacheDemand> cache_demand;
   LinkArbitration arb;
   OccupancyScratch occupancy;
+  std::vector<CounterRun> runs;
 };
 
 class Machine {
@@ -198,7 +221,11 @@ class Machine {
   const MachineConfig& config() const noexcept { return config_; }
   unsigned num_cores() const noexcept { return config_.num_cores; }
   unsigned num_ways() const noexcept { return config_.llc.ways; }
-  double time_sec() const noexcept { return time_sec_; }
+  /// Quanta elapsed since construction.
+  std::uint64_t quantum() const noexcept { return quantum_; }
+  double time_sec() const noexcept {
+    return static_cast<double>(quantum_) * config_.quantum_sec;
+  }
 
   /// Attach an application to a core (throws if occupied / out of range).
   void attach(unsigned core, const AppProfile* profile);
@@ -225,14 +252,11 @@ class Machine {
 
   /// Advance one quantum (config().quantum_sec).
   void step();
-  /// Advance until reached(t_sec): bit-identical to `while (!reached(t))
-  /// step()`, except that while the solve cache is armed, quanta inside
-  /// the replay budget are committed in bulk (see commit_replayed).
-  void run_until(double t_sec);
-  /// True iff time_sec() is within kTimeSlackSec of `t_sec` or past it.
-  bool reached(double t_sec) const noexcept {
-    return time_sec_ >= t_sec - kTimeSlackSec;
-  }
+  /// Advance to quantum `target` (a no-op if already there): bit-identical
+  /// to `while (quantum() < target) step()`, except that while the solve
+  /// cache is armed, replayed quanta that extend every core's run are
+  /// committed at once (see commit_replayed).
+  void run_until(std::uint64_t target);
 
   const CoreTelemetry& telemetry(unsigned core) const;
 
@@ -259,19 +283,8 @@ class Machine {
   /// and re-solving them on the same inputs exits in round 1 with the same
   /// bits. The active set, masks and MBA throttles need no per-step
   /// compare: their actuators disarm the cache on any real change.
-  ///
-  /// `budget` counts the quanta every active app can provably advance
-  /// without reaching its phase boundary: the minimum over slots of
-  /// floor(phase_remaining / instructions per quantum) - 2. The 2-quantum
-  /// margin dominates the rounding k additions accumulate, so quanta
-  /// inside the budget need no boundary check and can be committed in
-  /// bulk. It is earned when a step() arms the cache (0 if that quantum's
-  /// own commit crossed into another phase, which must not be replayed),
-  /// spent one per replayed quantum, earned again when a run restarts into
-  /// the solved phase, and zero while disarmed.
   struct SolveCache {
     bool armed = false;
-    std::uint64_t budget = 0;
   };
 
   void check_core(unsigned core) const;
@@ -293,24 +306,28 @@ class Machine {
   /// The Jacobian dF/dx at scratch_.ips into `jac` (row-major n x n),
   /// from the state the last evaluate() there left and its `target`.
   void jacobian(const double* target, double* jac);
-  /// The replay budget from the current state (0 if any active app's
-  /// phase differs from the one the armed solve was computed for).
-  std::uint64_t replay_budget() const;
-  /// Commit replayed quanta at once, as many as step() would take to
-  /// reach `t_sec`, capped by the budget. The clock walks step()'s own
-  /// `t += dt` chain to find the count; each accumulator then takes
-  /// exactly the additions that many replayed step()s make, in the same
-  /// order — never a multiply, since FP addition does not distribute —
-  /// with the running values held in registers. Writes a replayed step()
-  /// makes with unchanged values (occupancy, last-quantum IPC, the IPS
-  /// seed) are skipped.
-  void commit_replayed(double t_sec);
+  /// Commit one quantum's increments to slot i: extend its run if they
+  /// are bit-equal to the run's and advance()'s within-phase predicate
+  /// holds, else go through advance() and start a new run. Returns the
+  /// runs the app completed.
+  unsigned commit(std::size_t i, double instructions, double bytes);
+  /// Write slot i's run at its current length into the counters.
+  void write_run(std::size_t i);
+  /// Quanta, at most `limit`, that a replayed step() would commit by
+  /// extending every slot's run: 0 unless the solve cache is armed and
+  /// every app is in the phase it was solved for. Exact, on the closed
+  /// form, since the within-phase predicate is monotone in the run length.
+  std::uint64_t replay_room(std::uint64_t limit) const;
+  /// Commit `quanta` replayed quanta (within replay_room) at once: every
+  /// run grows by `quanta`. Writes a replayed step() makes with unchanged
+  /// values (occupancy, last-quantum IPC, the IPS seed) are skipped.
+  void commit_replayed(std::uint64_t quanta);
 
   friend struct MachineTestPeer;
 
   MachineConfig config_;
   trace::Tracer* tracer_;  ///< config_.tracer, resolved once
-  double time_sec_ = 0.0;
+  std::uint64_t quantum_ = 0;
   std::vector<std::optional<AppRuntime>> apps_;
   std::vector<WayMask> masks_;
   std::vector<double> mem_throttle_;

@@ -22,29 +22,6 @@ double gmean(std::span<const double> xs) noexcept {
   return std::exp(logsum / static_cast<double>(xs.size()));
 }
 
-double hmean(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double recsum = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0) return 0.0;
-    recsum += 1.0 / x;
-  }
-  return static_cast<double>(xs.size()) / recsum;
-}
-
-double stddev(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s2 = 0.0;
-  for (double x : xs) s2 += (x - m) * (x - m);
-  return std::sqrt(s2 / static_cast<double>(xs.size()));
-}
-
-double min(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 double max(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
   return *std::max_element(xs.begin(), xs.end());
@@ -64,18 +41,6 @@ double percentile(std::span<const double> xs, double p) {
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
-std::vector<CdfPoint> empirical_cdf(std::span<const double> xs) {
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    cdf.push_back({v[i],
-                   static_cast<double>(i + 1) / static_cast<double>(v.size())});
-  }
-  return cdf;
-}
-
 double cdf_at(std::span<const double> xs, double threshold) noexcept {
   if (xs.empty()) return 0.0;
   std::size_t n = 0;
@@ -90,46 +55,6 @@ double fraction_at_least(std::span<const double> xs,
   for (double x : xs) n += (x >= threshold) ? 1u : 0u;
   return static_cast<double>(n) / static_cast<double>(xs.size());
 }
-
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - m_;
-  m_ += delta / static_cast<double>(n_);
-  s2_ += delta * (x - m_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.m_ - m_;
-  const double nt = na + nb;
-  m_ += delta * nb / nt;
-  s2_ += other.s2_ + delta * delta * na * nb / nt;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void RunningStats::reset() noexcept { *this = RunningStats{}; }
-
-double RunningStats::variance() const noexcept {
-  return n_ ? s2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 RecentWindow::RecentWindow(std::size_t capacity)
     : capacity_(capacity ? capacity : 1) {

@@ -1,6 +1,5 @@
 // Statistics used throughout the evaluation: the paper reports geometric
-// means (Figs 6, 8), a harmonic-mean utilisation metric (Eq. 1), cumulative
-// distributions (Figs 1, 2) and percentiles.
+// means (Figs 6, 8), cumulative distributions (Figs 1, 2) and percentiles.
 #pragma once
 
 #include <cstddef>
@@ -15,14 +14,7 @@ double mean(std::span<const double> xs) noexcept;
 /// Geometric mean. All inputs must be > 0; returns 0 for an empty span.
 double gmean(std::span<const double> xs) noexcept;
 
-/// Harmonic mean. All inputs must be > 0; returns 0 for an empty span.
-double hmean(std::span<const double> xs) noexcept;
-
-/// Population standard deviation. Returns 0 for fewer than 2 samples.
-double stddev(std::span<const double> xs) noexcept;
-
-/// Sample minimum / maximum. Return 0 for an empty span.
-double min(std::span<const double> xs) noexcept;
+/// Sample maximum. Returns 0 for an empty span.
 double max(std::span<const double> xs) noexcept;
 
 /// Linear-interpolation percentile, p in [0, 100]. Sorts a copy.
@@ -31,46 +23,12 @@ double percentile(std::span<const double> xs, double p);
 /// Median (50th percentile).
 double median(std::span<const double> xs);
 
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;     ///< sample value
-  double fraction = 0.0;  ///< fraction of samples <= value, in [0, 1]
-};
-
-/// Empirical CDF of the samples (sorted ascending, one point per sample).
-std::vector<CdfPoint> empirical_cdf(std::span<const double> xs);
-
 /// Fraction of samples <= threshold (the quantity Figs 1-2 plot per x tick).
 double cdf_at(std::span<const double> xs, double threshold) noexcept;
 
 /// Fraction of samples satisfying >= threshold (SLO-style conformance).
 double fraction_at_least(std::span<const double> xs,
                          double threshold) noexcept;
-
-/// Streaming accumulator for scalar series (used by per-period telemetry).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
-  void reset() noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double sum() const noexcept { return sum_; }
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  /// Population variance / standard deviation (Welford).
-  double variance() const noexcept;
-  double stddev() const noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double m_ = 0.0;   // Welford running mean
-  double s2_ = 0.0;  // Welford running sum of squared deviations
-};
 
 /// Fixed-capacity ring of the most recent N samples; the paper's phase
 /// detector (Eq. 2) needs the geometric mean of the last three monitoring

@@ -292,7 +292,7 @@ SaturatedRun run_saturated(unsigned jobs, std::uint64_t epochs) {
     for (unsigned m = 0; m < fc.num_machines; ++m) {
       bool departing = false;
       for (const Tenant& t : index.tenants(m)) {
-        departing |= t.sig && t.depart_t_sec <= start + sim::kTimeSlackSec;
+        departing |= t.sig && t.depart_t_sec <= start;
       }
       if (index.is_open(m) || departing || violated[m]) continue;
       untouchable.push_back(m);

@@ -37,6 +37,37 @@ TEST_F(PolicyFixture, UnmanagedActIsHarmless) {
   }
 }
 
+/// A policy that only keeps a given cadence.
+struct Cadence : Policy {
+  double interval = 1.0;
+  std::string name() const override { return "cadence"; }
+  void setup(PolicyContext&) override {}
+  double interval_sec() const override { return interval; }
+  void act(PolicyContext&) override {}
+};
+
+TEST_F(PolicyFixture, HostStepsWholeQuantaOfTheInterval) {
+  // An interval becomes the nearest whole count of quanta, at least one:
+  // DICER's 0.25 s settle is 25 quanta, its 1 s period 100, the static
+  // baselines' 5 s 500 — and 40 settles land on 10 s exactly.
+  Cadence pol;
+  const std::pair<double, std::uint64_t> cases[] = {
+      {0.25, 25}, {1.0, 100}, {5.0, 500}, {0.014, 1}, {0.001, 1}, {0.0, 1}};
+  for (const auto& [interval, quanta] : cases) {
+    pol.interval = interval;
+    const std::uint64_t before = machine.quantum();
+    host.step(pol);
+    EXPECT_EQ(machine.quantum() - before, quanta) << interval;
+  }
+  pol.interval = 0.25;
+  const std::uint64_t start = machine.quantum();
+  for (int i = 0; i < 40; ++i) host.step(pol);
+  EXPECT_EQ(machine.quantum() - start, 1000u);
+  host.run_until(pol, 2000);  // the last step is cut at the target
+  EXPECT_EQ(machine.quantum(), 2000u);
+  EXPECT_EQ(machine.time_sec(), 20.0);
+}
+
 TEST_F(PolicyFixture, CacheTakeoverSplitsNineteenToOne) {
   CacheTakeover ct;
   ct.setup(ctx);

@@ -42,7 +42,7 @@ TEST_F(MonitorFixture, OutOfRangeCoreThrows) {
 TEST_F(MonitorFixture, DeltaSemantics) {
   machine.attach(0, &app("gcc_base3"));
   monitor.track(0);
-  machine.run_until(machine.time_sec() + 1.0);
+  machine.run_until(machine.quantum() + 100);
   const auto s1 = monitor.poll(0);
   EXPECT_NEAR(s1.interval_sec, 1.0, 1e-9);
   EXPECT_GT(s1.instructions, 0.0);
@@ -56,7 +56,7 @@ TEST_F(MonitorFixture, DeltaSemantics) {
   EXPECT_DOUBLE_EQ(s2.instructions, 0.0);
 
   // And after another period the counters are deltas, not totals.
-  machine.run_until(machine.time_sec() + 1.0);
+  machine.run_until(machine.quantum() + 100);
   const auto s3 = monitor.poll(0);
   EXPECT_NEAR(s3.instructions, s1.instructions, 0.2 * s1.instructions);
 }
@@ -64,7 +64,7 @@ TEST_F(MonitorFixture, DeltaSemantics) {
 TEST_F(MonitorFixture, OccupancyIsInstantaneous) {
   machine.attach(0, &app("omnetpp1"));
   monitor.track(0);
-  machine.run_until(machine.time_sec() + 0.5);
+  machine.run_until(machine.quantum() + 50);
   const auto s = monitor.poll(0);
   EXPECT_GT(s.llc_occupancy_bytes, 0.0);
   EXPECT_LE(s.llc_occupancy_bytes, 25.0 * 1024 * 1024 * 1.001);
@@ -75,7 +75,7 @@ TEST_F(MonitorFixture, PollAllAggregatesBandwidth) {
   machine.attach(1, &app("lbm1"));
   monitor.track(0);
   monitor.track(1);
-  machine.run_until(machine.time_sec() + 1.0);
+  machine.run_until(machine.quantum() + 100);
   const auto all = monitor.poll_all();
   ASSERT_EQ(all.size(), 2u);
   double sum = 0.0;
@@ -90,11 +90,11 @@ TEST_F(MonitorFixture, PollAllReplacesItsSnapshot) {
   machine.attach(0, &app("milc1"));
   monitor.track(0);
   monitor.track(1);
-  machine.run_until(machine.time_sec() + 0.5);
+  machine.run_until(machine.quantum() + 50);
   const auto& first = monitor.poll_all();
   ASSERT_EQ(first.size(), 2u);
   monitor.untrack(1);
-  machine.run_until(machine.time_sec() + 0.5);
+  machine.run_until(machine.quantum() + 50);
   const auto& second = monitor.poll_all();
   EXPECT_EQ(&second, &first);
   ASSERT_EQ(second.size(), 1u);
@@ -104,7 +104,7 @@ TEST_F(MonitorFixture, PollAllReplacesItsSnapshot) {
 
 TEST_F(MonitorFixture, IdleCoreReportsZeroIpc) {
   monitor.track(4);  // nothing attached
-  machine.run_until(machine.time_sec() + 1.0);
+  machine.run_until(machine.quantum() + 100);
   const auto s = monitor.poll(4);
   EXPECT_DOUBLE_EQ(s.ipc, 0.0);
   EXPECT_DOUBLE_EQ(s.instructions, 0.0);

@@ -4,12 +4,12 @@
 //   - Replay of converged solves vs a reference machine that runs the
 //     full fixed point every quantum, under arbitrary actuator churn and
 //     at the memory link's knee, where the solve is hardest.
-//   - run_until, whose bulk replay commits advance whole budgeted
-//     stretches at once and land where a step() loop would, vs a twin
-//     machine advanced by step() — across actuator churn, phase boundaries,
-//     whole-run restarts and targets between two quanta. Each bulk test
-//     also proves the bulk path ran (a positive replay budget when
-//     run_until is entered), so it cannot pass vacuously.
+//   - run_until, whose bulk replay commits extend every core's run by a
+//     whole stretch of quanta at once, vs a twin machine advanced by
+//     step() — across actuator churn, phase boundaries and whole-run
+//     restarts. Each bulk test also proves the bulk path ran (replay room
+//     when run_until is entered, and calls that add replays but no solve),
+//     so it cannot pass vacuously.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +27,7 @@ namespace dicer::sim {
 namespace {
 
 void expect_machines_identical(Machine& a, Machine& b, std::uint64_t step) {
+  ASSERT_EQ(a.quantum(), b.quantum()) << "step " << step;
   ASSERT_EQ(a.time_sec(), b.time_sec()) << "step " << step;
   EXPECT_EQ(a.last_link_utilisation(), b.last_link_utilisation())
       << "step " << step;
@@ -59,10 +60,18 @@ void expect_solver_stats_equal(const SolverStats& sa, const SolverStats& sb) {
 }
 
 /// The reference for a bulk-stepped machine: step() until `twin` reaches
-/// `target`'s time. Both clocks are the same chain of additions, so equal
-/// quantum counts land on bit-equal times.
+/// `target`'s quantum.
 void step_to(Machine& twin, const Machine& target) {
-  while (twin.time_sec() < target.time_sec()) twin.step();
+  while (twin.quantum() < target.quantum()) twin.step();
+}
+
+/// run_until(a.quantum() + quanta) that reports whether it took the bulk
+/// path: it entered with replay room (and no kQuantum subscriber listens,
+/// as none does here).
+bool run_ahead(Machine& a, std::uint64_t quanta) {
+  const bool bulk = MachineTestPeer::replay_room(a, quanta) > 0;
+  a.run_until(a.quantum() + quanta);
+  return bulk;
 }
 
 /// Catalog apps cut to their first phase: they settle into permanent
@@ -171,10 +180,10 @@ TEST(MachineEquivalence, ShortcutsAreBitIdenticalUnderRandomChurn) {
 
 TEST(MachineEquivalence, SteadyStateFusesAndStaysBitIdentical) {
   // Single-phase apps settle into permanent replay: nearly every interval
-  // must enter run_until with a replay budget to spend, and every byte must
-  // still match the step()-driven twin — also across whole-run restarts,
-  // which return each app to the phase its armed solve was computed for
-  // and so earn a fresh budget without a re-solve.
+  // must enter run_until with replay room, and every byte must still match
+  // the step()-driven twin — also across whole-run restarts, which return
+  // each app to the phase its armed solve was computed for and so start a
+  // new run without a re-solve.
   const auto profiles = single_phase_profiles();
   Machine a{MachineConfig{}}, b{MachineConfig{}};
   for (unsigned c = 0; c < 10; ++c) {
@@ -186,11 +195,10 @@ TEST(MachineEquivalence, SteadyStateFusesAndStaysBitIdentical) {
   unsigned bulk_after_restart = 0;
   for (std::uint64_t it = 1; it <= 120; ++it) {
     const bool restarted = a.telemetry(0).completions > 0;
-    if (MachineTestPeer::replay_budget(a) > 0) {
+    if (run_ahead(a, 50)) {
       ++bulk_intervals;
       if (restarted) ++bulk_after_restart;
     }
-    a.run_until(a.time_sec() + 0.5);
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -208,10 +216,9 @@ TEST(MachineEquivalence, BitIdenticalUnderRandomActuatorChurn) {
   // A machine driven in control intervals through run_until and a twin
   // driven by step() go through the same randomized attach/detach, mask
   // and MBA churn, one mutation between intervals as a policy would make
-  // it. Multi-phase catalog apps keep phases drifting underneath, so
-  // budgets keep running out and being re-earned; churn keeps disarming
-  // the solve cache, so the step() quanta inside run_until get exercised
-  // too.
+  // it. Multi-phase catalog apps keep phases drifting underneath, so runs
+  // keep ending at phase boundaries; churn keeps disarming the solve
+  // cache, so the step() quanta inside run_until get exercised too.
   const auto& catalog = default_catalog();
   Machine a{MachineConfig{}}, b{MachineConfig{}};
   util::Xoshiro256 rng(0xBA7C42ULL);
@@ -223,12 +230,11 @@ TEST(MachineEquivalence, BitIdenticalUnderRandomActuatorChurn) {
     occupied[c] = true;
   }
 
-  const double intervals[] = {0.1, 1.0, 0.05, 0.37, 2.5};
+  const std::uint64_t intervals[] = {10, 100, 5, 37, 250};
   unsigned bulk_intervals = 0;
   for (std::uint64_t it = 1; it <= 150; ++it) {
     churn_once(rng, occupied, a, b);
-    if (MachineTestPeer::replay_budget(a) > 0) ++bulk_intervals;
-    a.run_until(a.time_sec() + intervals[it % 5]);
+    if (run_ahead(a, intervals[it % 5])) ++bulk_intervals;
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -246,9 +252,9 @@ TEST(MachineEquivalence, BitIdenticalUnderRandomActuatorChurn) {
 TEST(MachineEquivalence, BulkIntervalCommitsMatchSerialExactly) {
   // The call shape the grid and the fleet drive: one control interval at
   // a time, a mask change every few intervals, across phase boundaries
-  // and whole-run restarts, then run_until to an interval-unaligned
-  // target. The bulk-committed machine must match the step()-driven twin
-  // bit for bit after every call.
+  // and whole-run restarts, then one long run_until. The bulk-committed
+  // machine must match the step()-driven twin bit for bit after every
+  // call.
   const auto& catalog = default_catalog();
   const auto profiles = single_phase_profiles();
   Machine a{MachineConfig{}}, b{MachineConfig{}};
@@ -263,11 +269,10 @@ TEST(MachineEquivalence, BulkIntervalCommitsMatchSerialExactly) {
   }
 
   util::Xoshiro256 rng(0x0B51D1AULL);
-  const double intervals[] = {0.1, 1.0, 0.05, 0.37, 2.5};
+  const std::uint64_t intervals[] = {10, 100, 5, 37, 250};
   unsigned bulk_calls = 0;
   for (std::uint64_t it = 1; it <= 120; ++it) {
-    if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
-    a.run_until(a.time_sec() + intervals[it % 5]);
+    if (run_ahead(a, intervals[it % 5])) ++bulk_calls;
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -282,10 +287,8 @@ TEST(MachineEquivalence, BulkIntervalCommitsMatchSerialExactly) {
       b.set_fill_mask(core, mask);
     }
   }
-  const double target = a.time_sec() + 3.33;
-  if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
-  a.run_until(target);
-  while (!b.reached(target)) b.step();
+  if (run_ahead(a, 333)) ++bulk_calls;
+  step_to(b, a);
   expect_machines_identical(a, b, 999);
   expect_solver_stats_equal(a.solver_stats(), b.solver_stats());
   EXPECT_GT(bulk_calls, 60u);
@@ -297,12 +300,11 @@ TEST(MachineEquivalence, BulkIntervalCommitsMatchSerialExactly) {
   EXPECT_GT(a.solver_stats().invalidations_fingerprint, 0u);  // and phases
 }
 
-TEST(MachineEquivalence, StepsBetweenIntervalsSpendTheBudget) {
-  // A replayed step() spends one quantum of the replay budget, so a
-  // machine advanced by a mix of step() calls and bulk run_until
-  // intervals must still stop every bulk commit short of each phase
-  // boundary. Long step() stretches make a budget that was not spent
-  // overrun the boundary by hundreds of quanta.
+TEST(MachineEquivalence, StepsBetweenIntervalsMatchSerialExactly) {
+  // Replayed step() calls extend the same runs a bulk commit extends, so
+  // a machine advanced by a mix of step() stretches and bulk run_until
+  // intervals must still stop every bulk commit at each phase boundary and
+  // match the step()-driven twin bit for bit.
   const auto profiles = single_phase_profiles();
   Machine a{MachineConfig{}}, b{MachineConfig{}};
   for (unsigned c = 0; c < 10; ++c) {
@@ -313,8 +315,7 @@ TEST(MachineEquivalence, StepsBetweenIntervalsSpendTheBudget) {
   unsigned bulk_calls = 0;
   for (std::uint64_t it = 1; it <= 60; ++it) {
     for (std::uint64_t q = 0; q < (it % 4) * 40; ++q) a.step();
-    if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
-    a.run_until(a.time_sec() + (it % 2 == 0 ? 0.37 : 0.61));
+    if (run_ahead(a, it % 2 == 0 ? 37 : 61)) ++bulk_calls;
     step_to(b, a);
     expect_machines_identical(a, b, it);
     if (::testing::Test::HasFatalFailure() ||
@@ -328,43 +329,107 @@ TEST(MachineEquivalence, StepsBetweenIntervalsSpendTheBudget) {
 }
 
 TEST(MachineEquivalence, RunUntilLandsWhereTheStepLoopLands) {
-  // run_until steps while time_sec() < t - kTimeSlackSec: it lands on the
-  // first quantum that reaches t — on t itself when t is quantum-aligned,
-  // part of a quantum past it when t falls between two quanta — and a
-  // target already reached is a no-op. The bulk commit walks the same
-  // clock, so every call here enters with a replay budget and must land
-  // on the twin's quantum count exactly.
+  // run_until(q) is the loop `while (quantum() < q) step()`: it lands on
+  // quantum q exactly, and a target already reached is a no-op. Every call
+  // here enters with replay room and must land on the twin's quantum,
+  // committed in one bulk pass: replays but no solve.
   const auto profiles = single_phase_profiles();
   Machine a{MachineConfig{}}, b{MachineConfig{}};
   for (unsigned c = 0; c < 10; ++c) {
     a.attach(c, &profiles[c]);
     b.attach(c, &profiles[c]);
   }
-  const double dt = a.config().quantum_sec;
   for (int q = 0; q < 100; ++q) {  // settle until the solve cache arms
     a.step();
     b.step();
   }
 
   unsigned bulk_calls = 0;
-  double t = a.time_sec();
-  for (const double ahead :
-       {0.25, 0.001, 0.10000000000000001, 0.5, 0.0, 0.123, 0.015, 1.0,
-        0.3749}) {
-    t += ahead;  // 0.0: the target just reached, a no-op
-    if (MachineTestPeer::replay_budget(a) > 0) ++bulk_calls;
-    const std::uint64_t quanta = a.solver_stats().quanta;
-    a.run_until(t);
-    std::uint64_t stepped = 0;
-    for (; !b.reached(t); ++stepped) b.step();
-    ASSERT_EQ(a.time_sec(), b.time_sec()) << "t " << t;
-    ASSERT_EQ(a.solver_stats().quanta - quanta, stepped) << "t " << t;
-    EXPECT_TRUE(a.reached(t)) << "t " << t;
-    EXPECT_LT(a.time_sec(), t + dt - kTimeSlackSec) << "t " << t;
+  const std::uint64_t aheads[] = {25, 1, 10, 50, 0, 12, 2, 100, 37};
+  for (const std::uint64_t ahead : aheads) {
+    const std::uint64_t target = a.quantum() + ahead;
+    const SolverStats before = a.solver_stats();
+    if (MachineTestPeer::replay_room(a, ahead) == ahead && ahead > 0) {
+      ++bulk_calls;
+    }
+    a.run_until(target);
+    a.run_until(target - ahead);  // already past: a no-op
+    while (b.quantum() < target) b.step();
+    ASSERT_EQ(a.quantum(), target);
+    ASSERT_EQ(a.time_sec(), b.time_sec()) << "target " << target;
+    EXPECT_EQ(a.solver_stats().quanta - before.quanta, ahead);
+    EXPECT_EQ(a.solver_stats().replays - before.replays, ahead);
+    EXPECT_EQ(a.solver_stats().solves, before.solves);
   }
   expect_machines_identical(a, b, a.solver_stats().quanta);
   expect_solver_stats_equal(a.solver_stats(), b.solver_stats());
-  EXPECT_GE(bulk_calls, 8u);
+  EXPECT_EQ(bulk_calls, 8u);
+}
+
+TEST(MachineEquivalence, BulkCommitRunsUpToThePhaseBoundary) {
+  // The first whole-run restart ends a run: a probe twin finds the quantum
+  // that crosses it. One run_until to the quantum before it is one bulk
+  // commit — the room reaches right up to the boundary, with no margin —
+  // and the crossing quantum itself, which goes through step(), matches
+  // the step() loop bit for bit.
+  const auto profiles = single_phase_profiles();
+  Machine a{MachineConfig{}}, b{MachineConfig{}}, probe{MachineConfig{}};
+  for (Machine* m : {&a, &b, &probe}) {
+    for (unsigned c = 0; c < 10; ++c) m->attach(c, &profiles[c]);
+  }
+  const auto completions = [](const Machine& m) {
+    std::uint64_t n = 0;
+    for (unsigned c = 0; c < m.num_cores(); ++c) {
+      n += m.telemetry(c).completions;
+    }
+    return n;
+  };
+  while (completions(probe) == 0) probe.step();
+  const std::uint64_t crossing = probe.quantum();
+  for (int q = 0; q < 100; ++q) {  // settle until the solve cache arms
+    a.step();
+    b.step();
+  }
+  ASSERT_GT(crossing, a.quantum() + 1);
+
+  const std::uint64_t ahead = crossing - 1 - a.quantum();
+  EXPECT_EQ(MachineTestPeer::replay_room(a, ahead + 1), ahead);
+  const SolverStats before = a.solver_stats();
+  a.run_until(crossing - 1);
+  EXPECT_EQ(a.solver_stats().replays - before.replays, ahead);
+  EXPECT_EQ(a.solver_stats().solves, before.solves);
+  EXPECT_EQ(completions(a), 0u);
+  step_to(b, a);
+  expect_machines_identical(a, b, a.quantum());
+
+  EXPECT_EQ(MachineTestPeer::replay_room(a, 1), 0u);
+  a.run_until(crossing);
+  b.step();
+  expect_machines_identical(a, b, a.quantum());
+  EXPECT_EQ(completions(a), 1u);
+  expect_solver_stats_equal(a.solver_stats(), b.solver_stats());
+}
+
+TEST(MachineEquivalence, ClockIsTheQuantumCountTimesTheQuantum) {
+  // Time is a quantum count, so after any mix of step() and run_until the
+  // clock reads count x quantum_sec exactly — 240 s after 24,000 quanta,
+  // where a running sum of 10 ms additions reads 239.9999999999267.
+  const auto profiles = single_phase_profiles();
+  Machine m{MachineConfig{}};
+  for (unsigned c = 0; c < 4; ++c) m.attach(c, &profiles[c]);
+  util::Xoshiro256 rng(0x71AE5ULL);
+  const double dt = m.config().quantum_sec;
+  while (m.quantum() < 23'000) {
+    if (rng.below(2) == 0) {
+      for (std::uint64_t q = rng.below(30); q > 0; --q) m.step();
+    } else {
+      m.run_until(m.quantum() + rng.below(700));
+    }
+    ASSERT_EQ(m.time_sec(), static_cast<double>(m.quantum()) * dt);
+  }
+  m.run_until(24'000);
+  EXPECT_EQ(m.quantum(), 24'000u);
+  EXPECT_EQ(m.time_sec(), 240.0);
 }
 
 TEST(MachineEquivalence, StreamingBesAtTheLinkKneeConverge) {

@@ -10,7 +10,10 @@
 // fixed point, so every value moved, by up to ~3e-5 relative here. And
 // again when Newton's method replaced Anderson mixing: both stop within
 // 1e-9 of the same fixed point, so values moved by at most ~1e-9
-// relative. If an intentional model change ever lands, re-harvest the
+// relative. And when settled stretches began to commit in closed form
+// (base + k * increment instead of k additions): instructions and memory
+// bytes moved by at most ~5e-15 relative. If an intentional model change
+// ever lands, re-harvest the
 // constants and say so in the change description.
 //
 // The companion invalidation tests pin the *caching contract*: the region
@@ -52,12 +55,12 @@ TEST(MachineGolden, UnmanagedMelee) {
   Machine m{MachineConfig{}};
   m.attach(0, &app("milc1"));
   for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("gcc_base3"));
-  m.run_until(m.time_sec() + 2.0);
+  m.run_until(m.quantum() + 200);
   EXPECT_EQ(m.last_link_utilisation(), 0.36068346817633717);
   EXPECT_EQ(m.last_link_traffic(), 3079335109.5554786);
-  expect_core_exact(m, {0, 3048604388.091805, 2814756409.6838155,
+  expect_core_exact(m, {0, 3048604388.0918131, 2814756409.683815,
                         4458651.2983159609, 0.58663891557585146});
-  expect_core_exact(m, {1, 4380048284.0370054, 257197171.90009427,
+  expect_core_exact(m, {1, 4380048284.0369921, 257197171.90009499,
                         2417305.4112982266, 0.99324373427916679});
 }
 
@@ -68,12 +71,12 @@ TEST(MachineGolden, StaticPartition) {
   for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("gcc_base3"));
   m.set_fill_mask(0, WayMask::high(19, 20));
   for (unsigned c = 1; c < 10; ++c) m.set_fill_mask(c, WayMask::low(1));
-  m.run_until(m.time_sec() + 2.0);
+  m.run_until(m.quantum() + 200);
   EXPECT_EQ(m.last_link_utilisation(), 0.50350295372774934);
   EXPECT_EQ(m.last_link_traffic(), 4298656467.4506598);
-  expect_core_exact(m, {0, 2798931850.0677471, 175309467.96841252,
+  expect_core_exact(m, {0, 2798931850.0677552, 175309467.96841303,
                         24903680, 0.63612087501539893});
-  expect_core_exact(m, {1, 2758351878.5964961, 935778162.99254763,
+  expect_core_exact(m, {1, 2758351878.5964942, 935778162.99254525,
                         145635.5555555555, 0.62689815422647599});
 }
 
@@ -83,23 +86,23 @@ TEST(MachineGolden, ActuatorChurnMidRun) {
   m.attach(0, &app("omnetpp1"));
   m.attach(1, &app("lbm1"));
   m.attach(2, &app("gcc_base3"));
-  m.run_until(m.time_sec() + 0.5);
+  m.run_until(m.quantum() + 50);
   m.set_fill_mask(0, WayMask::high(10, 20));
   m.set_fill_mask(1, WayMask::low(10));
   m.set_mem_throttle(1, 0.5);
-  m.run_until(m.time_sec() + 0.5);
+  m.run_until(m.quantum() + 50);
   m.detach(2);
-  m.run_until(m.time_sec() + 0.5);
+  m.run_until(m.quantum() + 50);
   m.attach(2, &app("bzip22"));
   m.set_fill_mask(2, WayMask::low(10));
-  m.run_until(m.time_sec() + 0.5);
+  m.run_until(m.quantum() + 50);
   EXPECT_EQ(m.last_link_utilisation(), 0.29559828260518456);
   EXPECT_EQ(m.last_link_traffic(), 2523670337.7417631);
-  expect_core_exact(m, {0, 2567339546.8691607, 500002628.88433748,
+  expect_core_exact(m, {0, 2567339546.8691702, 500002628.88433695,
                         13107200.000000002, 0.58959061167284432});
-  expect_core_exact(m, {1, 2685230604.8299952, 3472933200.0687151,
+  expect_core_exact(m, {1, 2685230604.8300076, 3472933200.068718,
                         9758438.9070250317, 0.34332902823186678});
-  expect_core_exact(m, {2, 3302893157.1584291, 180291834.63690937,
+  expect_core_exact(m, {2, 3302893157.1584401, 180291834.6369091,
                         3348761.0929749697, 0.93985270418451627});
 }
 
@@ -166,11 +169,11 @@ TEST(MachineRegionCache, StaleOccupancyNeverSurvivesShrink) {
   // solution would keep reporting the old ~20 MB holding.
   Machine m{MachineConfig{}};
   m.attach(0, &app("omnetpp1"));
-  m.run_until(m.time_sec() + 1.0);
+  m.run_until(m.quantum() + 100);
   const double way = m.config().way_bytes();
   EXPECT_GT(m.telemetry(0).occupancy_bytes, 4 * way);
   m.set_fill_mask(0, WayMask::low(2));
-  m.run_until(m.time_sec() + 0.2);
+  m.run_until(m.quantum() + 20);
   EXPECT_LE(m.telemetry(0).occupancy_bytes, 2 * way * 1.001);
 }
 
@@ -188,7 +191,7 @@ TEST(MachineRegionCache, RedundantMaskWritesDoNotChangeResults) {
         m.set_fill_mask(0, WayMask::high(15, 20));
         for (unsigned c = 1; c < 6; ++c) m.set_fill_mask(c, WayMask::low(5));
       }
-      m.run_until(m.time_sec() + 0.2);
+      m.run_until(m.quantum() + 20);
     }
     return m.telemetry(0).instructions;
   };

@@ -124,7 +124,7 @@ TEST(MachineJacobian, MaskFlipUnderSaturationResolvesInFewRounds) {
   for (Machine* x : {&m, &tight}) {
     x->attach(0, &app("omnetpp1"));
     for (unsigned c = 1; c < 10; ++c) x->attach(c, &app("lbm1"));
-    x->run_until(x->time_sec() + 0.5);
+    x->run_until(x->quantum() + 50);
   }
   auto near = [](double a, double b) {
     return std::fabs(a - b) <= 1e-8 * std::max(std::fabs(a), std::fabs(b));
@@ -156,8 +156,8 @@ TEST(MachineJacobian, MaskFlipUnderSaturationResolvesInFewRounds) {
                        tight.telemetry(c).occupancy_bytes))
           << "core " << c << " flip " << flip;
     }
-    m.run_until(m.time_sec() + 0.1);
-    tight.run_until(tight.time_sec() + 0.1);
+    m.run_until(m.quantum() + 10);
+    tight.run_until(tight.quantum() + 10);
   }
   EXPECT_GT(m.last_link_utilisation(), 1.0);
 }

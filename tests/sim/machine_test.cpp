@@ -60,7 +60,7 @@ TEST(Machine, DetachResetsActuatorState) {
   // byte-identical to attaching it to a never-used machine.
   auto run = [](Machine& machine) {
     machine.attach(3, &app("milc1"));
-    machine.run_until(machine.time_sec() + 1.0);
+    machine.run_until(machine.quantum() + 100);
     return machine.telemetry(3).last_quantum_ipc;
   };
   Machine fresh{MachineConfig{}};
@@ -95,13 +95,13 @@ TEST(Machine, TimeAdvancesPerQuantum) {
   Machine m{MachineConfig{}};
   m.step();
   EXPECT_DOUBLE_EQ(m.time_sec(), m.config().quantum_sec);
-  m.run_until(m.time_sec() + 1.0);
+  m.run_until(m.quantum() + 100);
   EXPECT_NEAR(m.time_sec(), 1.0 + m.config().quantum_sec, 1e-9);
 }
 
 TEST(Machine, IdleMachineAccumulatesNothing) {
   Machine m{MachineConfig{}};
-  m.run_until(m.time_sec() + 1.0);
+  m.run_until(m.quantum() + 100);
   EXPECT_DOUBLE_EQ(m.telemetry(0).instructions, 0.0);
   EXPECT_DOUBLE_EQ(m.last_link_traffic(), 0.0);
 }
@@ -109,7 +109,7 @@ TEST(Machine, IdleMachineAccumulatesNothing) {
 TEST(Machine, TelemetryAccumulates) {
   Machine m{MachineConfig{}};
   m.attach(0, &app("gcc_base3"));
-  m.run_until(m.time_sec() + 1.0);
+  m.run_until(m.quantum() + 100);
   const auto& t = m.telemetry(0);
   EXPECT_GT(t.instructions, 0.0);
   EXPECT_NEAR(t.active_cycles, m.config().freq_hz * 1.0, 1.0);
@@ -121,7 +121,7 @@ TEST(Machine, TelemetryAccumulates) {
 TEST(Machine, SoloIpcIsSane) {
   Machine m{MachineConfig{}};
   m.attach(0, &app("povray1"));
-  m.run_until(m.time_sec() + 2.0);
+  m.run_until(m.quantum() + 200);
   const auto& t = m.telemetry(0);
   const double ipc = t.instructions / t.active_cycles;
   EXPECT_GT(ipc, 1.0);  // povray is compute bound
@@ -140,7 +140,7 @@ TEST(Machine, AchievedTrafficNeverExceedsLinkCapacity) {
   Machine m{MachineConfig{}};
   for (unsigned c = 0; c < 10; ++c) m.attach(c, &app("lbm1"));
   // Past lbm's init phase, into the streaming solver.
-  m.run_until(m.time_sec() + 3.0);
+  m.run_until(m.quantum() + 300);
   EXPECT_LE(m.last_link_traffic(),
             m.config().link.capacity_bytes_per_sec * 1.001);
   EXPECT_GT(m.last_link_utilisation(), 1.0);  // 10x lbm oversubscribes
@@ -150,14 +150,14 @@ TEST(Machine, ContentionSlowsEveryoneDown) {
   MachineConfig cfg;
   Machine solo{cfg};
   solo.attach(0, &app("omnetpp1"));
-  solo.run_until(solo.time_sec() + 2.0);
+  solo.run_until(solo.quantum() + 200);
   const double ipc_solo =
       solo.telemetry(0).instructions / solo.telemetry(0).active_cycles;
 
   Machine crowded{cfg};
   crowded.attach(0, &app("omnetpp1"));
   for (unsigned c = 1; c < 10; ++c) crowded.attach(c, &app("gcc_base3"));
-  crowded.run_until(crowded.time_sec() + 2.0);
+  crowded.run_until(crowded.quantum() + 200);
   const double ipc_crowded =
       crowded.telemetry(0).instructions / crowded.telemetry(0).active_cycles;
 
@@ -176,7 +176,7 @@ TEST(Machine, PartitionProtectsCacheSensitiveApp) {
       m.set_fill_mask(0, WayMask::high(19, 20));
       for (unsigned c = 1; c < 10; ++c) m.set_fill_mask(c, WayMask::low(1));
     }
-    m.run_until(m.time_sec() + 3.0);
+    m.run_until(m.quantum() + 300);
     return m.telemetry(0).instructions / m.telemetry(0).active_cycles;
   };
   EXPECT_GT(run(true), run(false));
@@ -193,7 +193,7 @@ TEST(Machine, SqueezedNeighboursRaiseLinkUtilisation) {
       m.set_fill_mask(0, WayMask::high(19, 20));
       for (unsigned c = 1; c < 10; ++c) m.set_fill_mask(c, WayMask::low(1));
     }
-    m.run_until(m.time_sec() + 2.0);
+    m.run_until(m.quantum() + 200);
     return m.last_link_utilisation();
   };
   EXPECT_GT(rho(true), rho(false));
@@ -205,7 +205,7 @@ TEST(Machine, MemThrottleSlowsMemoryBoundApp) {
     Machine m{cfg};
     m.attach(0, &app("lbm1"));
     m.set_mem_throttle(0, t);
-    m.run_until(m.time_sec() + 2.0);
+    m.run_until(m.quantum() + 200);
     return m.telemetry(0).instructions / m.telemetry(0).active_cycles;
   };
   EXPECT_LT(ipc_with_throttle(0.2), 0.8 * ipc_with_throttle(1.0));
@@ -216,10 +216,10 @@ TEST(Machine, MaskChangeTakesEffect) {
   Machine m{MachineConfig{}};
   m.attach(0, &app("omnetpp1"));
   m.set_fill_mask(0, WayMask::full(20));
-  m.run_until(m.time_sec() + 1.0);
+  m.run_until(m.quantum() + 100);
   const double ipc_big = m.telemetry(0).last_quantum_ipc;
   m.set_fill_mask(0, WayMask::low(1));
-  m.run_until(m.time_sec() + 1.0);
+  m.run_until(m.quantum() + 100);
   const double ipc_small = m.telemetry(0).last_quantum_ipc;
   EXPECT_LT(ipc_small, ipc_big);
 }
@@ -229,7 +229,7 @@ TEST(Machine, DeterministicAcrossRuns) {
     Machine m{MachineConfig{}};
     m.attach(0, &app("milc1"));
     m.attach(1, &app("gcc_base3"));
-    m.run_until(m.time_sec() + 1.0);
+    m.run_until(m.quantum() + 100);
     return m.telemetry(0).instructions;
   };
   EXPECT_DOUBLE_EQ(run(), run());
@@ -244,13 +244,13 @@ TEST(Machine, MovedMachineStepsLikeTheOriginal) {
   for (Machine* m : {&a, &ref}) {
     m->attach(0, &app("milc1"));
     m->attach(1, &app("gcc_base3"));
-    m->run_until(m->time_sec() + 0.5);
+    m->run_until(m->quantum() + 50);
   }
   Machine moved = std::move(a);
   moved.attach(2, &app("lbm1"));  // a new phase: fresh phase constants
   ref.attach(2, &app("lbm1"));
-  moved.run_until(moved.time_sec() + 0.5);
-  ref.run_until(ref.time_sec() + 0.5);
+  moved.run_until(moved.quantum() + 50);
+  ref.run_until(ref.quantum() + 50);
   for (unsigned c = 0; c < 3; ++c) {
     EXPECT_EQ(moved.telemetry(c).instructions, ref.telemetry(c).instructions)
         << "core " << c;
@@ -267,13 +267,13 @@ TEST_P(MachineCoreCount, MoreNeighboursNeverHelp) {
   Machine m{cfg};
   m.attach(0, &app("soplex1"));
   for (unsigned c = 1; c < n; ++c) m.attach(c, &app("bzip22"));
-  m.run_until(m.time_sec() + 2.0);
+  m.run_until(m.quantum() + 200);
   const double ipc = m.telemetry(0).instructions / m.telemetry(0).active_cycles;
 
   Machine more{cfg};
   more.attach(0, &app("soplex1"));
   for (unsigned c = 1; c < n + 1; ++c) more.attach(c, &app("bzip22"));
-  more.run_until(more.time_sec() + 2.0);
+  more.run_until(more.quantum() + 200);
   const double ipc_more =
       more.telemetry(0).instructions / more.telemetry(0).active_cycles;
 
@@ -287,7 +287,7 @@ TEST(Machine, SolverStatsAccountForEveryQuantum) {
   Machine m{MachineConfig{}};
   m.attach(0, &app("milc1"));
   m.attach(1, &app("gcc_base3"));
-  m.run_until(m.time_sec() + 5.0);
+  m.run_until(m.quantum() + 500);
   const auto& s = m.solver_stats();
   EXPECT_EQ(s.quanta, 500u);
   EXPECT_EQ(s.replays + s.solves, s.quanta);
@@ -301,7 +301,7 @@ TEST(Machine, SolverStatsAccountForEveryQuantum) {
   // Actuator changes must drop an armed replay cache (and count as such).
   const auto inv_before = s.invalidations_actuator;
   m.set_fill_mask(0, WayMask::low(10));
-  m.run_until(m.time_sec() + 1.0);
+  m.run_until(m.quantum() + 100);
   EXPECT_GT(m.solver_stats().invalidations_actuator, inv_before);
 }
 
@@ -329,7 +329,7 @@ TEST(Machine, SolverStatsCountRoundsPastTheLastBucket) {
   MachineTestPeer::tolerance(m) = 0.0;
   m.attach(0, &app("omnetpp1"));
   for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("lbm1"));
-  m.run_until(m.time_sec() + 0.05);
+  m.run_until(m.quantum() + 5);
   const auto& s = m.solver_stats();
   ASSERT_EQ(s.rounds_hist.size(), SolverStats::kRoundsBuckets);
   EXPECT_GT(s.rounds_hist.back(), 0u);

@@ -1,8 +1,7 @@
 // The test-side view into sim::Machine (a friend of it): the reference
-// stepping path the equivalence tests compare against, the replay budget,
-// the solve tolerance, the solver state, and the quantum map F with its
-// Jacobian, so tests can check the solver against independent
-// computations.
+// stepping path the equivalence tests compare against, the solve
+// tolerance, the solver state, and the quantum map F with its Jacobian, so
+// tests can check the solver against independent computations.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +20,11 @@ struct MachineTestPeer {
     m.solve_cache_.armed = false;
     m.step();
   }
-  /// Quanta run_until may commit in bulk right now; it takes the bulk path
-  /// whenever this is positive (and no kQuantum subscriber listens).
-  static std::uint64_t replay_budget(const Machine& m) {
-    return m.solve_cache_.budget;
+  /// Quanta, at most `limit`, run_until would commit in bulk before its
+  /// next step(); it takes the bulk path whenever this is positive (and no
+  /// kQuantum subscriber listens).
+  static std::uint64_t replay_room(const Machine& m, std::uint64_t limit) {
+    return m.replay_room(limit);
   }
   /// The relative residual the machine's solves converge to.
   static double& tolerance(Machine& m) { return m.tolerance_; }

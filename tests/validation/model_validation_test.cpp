@@ -54,7 +54,7 @@ TEST(ModelValidation, UnmanagedMilcHoldsModestShare) {
   sim::Machine machine{sim::MachineConfig{}};
   machine.attach(0, &app("milc1"));
   for (unsigned c = 1; c < 10; ++c) machine.attach(c, &app("gcc_base3"));
-  machine.run_until(machine.time_sec() + 2.0);
+  machine.run_until(machine.quantum() + 200);
   const double share = machine.telemetry(0).occupancy_bytes /
                        static_cast<double>(machine.config().llc.size_bytes);
   EXPECT_GT(share, 0.08);
@@ -100,7 +100,7 @@ TEST(ModelValidation, StreamingBesTripSaturationThreshold) {
   sim::Machine machine{sim::MachineConfig{}};
   machine.attach(0, &app("namd1"));
   for (unsigned c = 1; c < 10; ++c) machine.attach(c, &app("lbm1"));
-  machine.run_until(machine.time_sec() + 1.0);
+  machine.run_until(machine.quantum() + 100);
   EXPECT_GT(machine.last_link_traffic(), 50e9 / 8.0);
 }
 
@@ -108,7 +108,7 @@ TEST(ModelValidation, StreamingBesTripSaturationThreshold) {
 TEST(ModelValidation, ComputeEnsembleStaysBelowThreshold) {
   sim::Machine machine{sim::MachineConfig{}};
   for (unsigned c = 0; c < 10; ++c) machine.attach(c, &app("povray1"));
-  machine.run_until(machine.time_sec() + 1.0);
+  machine.run_until(machine.quantum() + 100);
   EXPECT_LT(machine.last_link_traffic(), 50e9 / 8.0);
 }
 
@@ -125,7 +125,7 @@ TEST(ModelValidation, SqueezeMultipliesTraffic) {
         machine.set_fill_mask(c, sim::WayMask::low(1));
       }
     }
-    machine.run_until(machine.time_sec() + 2.0);
+    machine.run_until(machine.quantum() + 200);
     return machine.last_link_traffic();
   };
   EXPECT_GT(traffic(true), 1.3 * traffic(false));
