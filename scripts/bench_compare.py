@@ -11,8 +11,13 @@ slow down again.
 
 Missing inputs are tolerated by design: the first run of a repository
 (or a renamed bench) has no baseline to diff against, so absence of the
-old file or of a pinned bench in it warns and exits 0. Absence of a
-pinned bench in the *new* file is an error — the bench was deleted.
+old file or of a pinned bench in it warns and skips that diff; the
+intra-file --overhead/--speedup pins still run. Absence of a pinned bench
+in the *new* file is an error — the bench was deleted.
+
+A file written with --benchmark_repetitions holds one entry per
+repetition plus aggregates; each bench then reads as its `median`
+aggregate.
 
 Usage:
     bench_compare.py OLD.json NEW.json [--max-regression 0.25]
@@ -63,7 +68,8 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_times_ns(path):
-    """Map benchmark name -> real_time in ns, or None if unreadable."""
+    """Map benchmark name -> real_time in ns (the median aggregate when the
+    file has one), or None if unreadable."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -71,13 +77,16 @@ def load_times_ns(path):
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         return None
     times = {}
+    medians = {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
         unit = _UNIT_NS.get(b.get("time_unit", "ns"))
         if unit is None or "real_time" not in b or "name" not in b:
             continue
-        times[b["name"]] = b["real_time"] * unit
+        if b.get("run_type") != "aggregate":
+            times[b["name"]] = b["real_time"] * unit
+        elif b.get("aggregate_name") == "median":
+            medians[b.get("run_name", b["name"])] = b["real_time"] * unit
+    times.update(medians)
     return times
 
 
@@ -120,18 +129,22 @@ def main(argv=None):
     args = ap.parse_args(argv)
     benches = args.bench if args.bench else DEFAULT_BENCHES
 
-    old = load_times_ns(args.old)
-    if old is None:
-        print("bench_compare: no baseline — skipping (first run?)")
-        return 0
     new = load_times_ns(args.new)
     if new is None:
         print("bench_compare: current results unreadable", file=sys.stderr)
         return 1
+    old = load_times_ns(args.old)
+    if old is None:
+        print("bench_compare: no baseline — skipping the diff (first run?)")
+        benches = []
 
     failed = []
-    width = max(len(b) for b in benches)
-    print(f"{'benchmark':<{width}} {'old ns':>12} {'new ns':>12} {'ratio':>7}")
+    width = max((len(b) for b in benches), default=0)
+    if benches:
+        print(
+            f"{'benchmark':<{width}} {'old ns':>12} {'new ns':>12} "
+            f"{'ratio':>7}"
+        )
     for name in benches:
         if name not in new:
             print(f"{name:<{width}} {'-':>12} {'-':>12} {'gone':>7}")

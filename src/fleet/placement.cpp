@@ -7,25 +7,36 @@ namespace dicer::fleet {
 std::optional<unsigned> RandomPlacement::place(
     const sim::AppProfile& /*app*/, PlacementIndex& index,
     std::optional<unsigned> exclude) {
-  // One below(open_count) draw resolved through the order-statistics tree:
-  // the k-th open machine in index order. An open excluded machine leaves
-  // the candidate set, so ranks at or past it shift up by one.
-  const bool excl_open =
-      exclude && *exclude < index.size() && index.is_open(*exclude);
-  const std::uint64_t count = index.open_count() - (excl_open ? 1 : 0);
+  // One below(count) draw over the open machines other than `exclude`,
+  // resolved to the k-th of them in index order.
+  const auto eligible = [&](unsigned m) {
+    return m != exclude && index.is_open(m);
+  };
+  std::uint64_t count = 0;
+  for (unsigned m = 0; m < index.size(); ++m) count += eligible(m);
   if (count == 0) return std::nullopt;
   std::uint64_t k = rng_.below(count);
-  if (excl_open && k >= index.open_rank(*exclude)) ++k;
-  return index.nth_open(k);
+  for (unsigned m = 0;; ++m) {
+    if (eligible(m) && k-- == 0) return m;
+  }
 }
 
 std::optional<unsigned> LeastLoadedPlacement::place(
     const sim::AppProfile& /*app*/, PlacementIndex& index,
     std::optional<unsigned> exclude) {
-  // Under uniform per-machine capacity, fewest tenants == most free cores,
-  // and ties go to the lowest index — the head of the highest non-empty
-  // free-core bucket.
-  return index.least_loaded(exclude);
+  // Under uniform per-machine capacity, fewest tenants == most free cores;
+  // the first strictly better machine in index order wins ties, so an
+  // empty machine ends the scan.
+  std::optional<unsigned> best;
+  unsigned best_free = 0;
+  for (unsigned m = 0; m < index.size() && best_free < index.be_slots(); ++m) {
+    const unsigned f = index.free_cores(m);
+    if (m != exclude && f > best_free) {
+      best = m;
+      best_free = f;
+    }
+  }
+  return best;
 }
 
 std::optional<unsigned> MrcBestFitPlacement::place(

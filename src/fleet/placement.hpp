@@ -20,13 +20,13 @@
 //                 created since the app's last decision.
 //
 // Every engine decides off the persistent fleet::PlacementIndex in one
-// serial pass: `random` maps its draw through the index's open-set order
-// statistics, `least-loaded` reads its free-core buckets, and `mrc` reads
-// the index's score cache — one marginal EFU per (placement class, app)
-// — so a class is scored once per app. Ties go to
-// the lowest machine index (the first strictly better candidate in index
-// order). A from-scratch full-scan reference of all three engines lives
-// in the tests and pins every decision, tie-break and RNG draw.
+// serial pass: `random` and `least-loaded` scan its free-core counts in
+// index order, and `mrc` reads the index's score cache — one marginal
+// EFU per (placement class, app) — so a class is scored once per app.
+// Ties go to the lowest machine index (the first strictly better
+// candidate in index order). A from-scratch full-scan reference of all
+// three engines lives in the tests and pins every decision, tie-break
+// and RNG draw.
 //
 // Engines are called from the control plane's single decision thread;
 // they keep internal state (`random`'s RNG) and stay deterministic for a

@@ -9,64 +9,11 @@
 
 namespace dicer::fleet {
 
-// --- OpenBits -------------------------------------------------------------
-
-void PlacementIndex::OpenBits::push_back(bool open) {
-  if (tree_.empty()) tree_.push_back(0);  // 1-based sentinel
-  // Appending index j (1-based): tree_[j] covers (j - lowbit(j), j], all of
-  // which is already summable from existing entries plus the new bit.
-  const std::size_t j = tree_.size();
-  const std::size_t lowbit = j & (~j + 1);
-  const std::uint64_t v = open ? 1 : 0;
-  tree_.push_back(v + prefix(j - 1) - prefix(j - lowbit));
-  bits_.push_back(open);
-  total_ += v;
-}
-
-void PlacementIndex::OpenBits::set(std::size_t i, bool open) {
-  if (bits_[i] == open) return;
-  // Two's-complement wrap-around: adding ~0 subtracts one.
-  const std::uint64_t d = open ? 1 : ~std::uint64_t{0};
-  bits_[i] = open;
-  total_ += d;
-  for (std::size_t j = i + 1; j < tree_.size(); j += j & (~j + 1)) {
-    tree_[j] += d;
-  }
-}
-
-std::uint64_t PlacementIndex::OpenBits::prefix(std::size_t n) const {
-  std::uint64_t sum = 0;
-  for (std::size_t j = n; j > 0; j -= j & (~j + 1)) sum += tree_[j];
-  return sum;
-}
-
-std::size_t PlacementIndex::OpenBits::select(std::uint64_t k) const {
-  if (k >= total_) {
-    throw std::out_of_range("PlacementIndex: open-machine rank past end");
-  }
-  // Binary-lifting descent: find the largest prefix holding <= k set bits;
-  // the answer is the next index.
-  std::size_t pos = 0;
-  std::size_t step = 1;
-  const std::size_t n = bits_.size();
-  while ((step << 1) <= n) step <<= 1;
-  std::uint64_t remaining = k + 1;
-  for (; step > 0; step >>= 1) {
-    const std::size_t next = pos + step;
-    if (next <= n && tree_[next] < remaining) {
-      pos = next;
-      remaining -= tree_[next];
-    }
-  }
-  return pos;  // prefix(pos) == k, bits_[pos] is the k-th open machine
-}
-
 // --- PlacementIndex -------------------------------------------------------
 
 PlacementIndex::PlacementIndex(const AppDirectory& dir, unsigned be_slots)
     : dir_(&dir),
       be_slots_(be_slots),
-      by_free_(be_slots + 1),
       apps_(dir.size()) {
   if (be_slots == 0) {
     throw std::invalid_argument("PlacementIndex: need at least one BE slot");
@@ -80,8 +27,6 @@ unsigned PlacementIndex::add_machine(const sim::AppProfile* hp) {
   slot.tenants.resize(be_slots_ + 1);
   slot.free_cores = be_slots_;
   slots_.push_back(std::move(slot));
-  open_.push_back(true);
-  by_free_[be_slots_].insert(index);
   reclass(index);
   return index;
 }
@@ -100,12 +45,6 @@ PlacementIndex::Slot& PlacementIndex::at(unsigned machine) {
   return slots_[machine];
 }
 
-void PlacementIndex::rebucket(unsigned machine, unsigned from, unsigned to) {
-  if (from > 0) by_free_[from].erase(machine);
-  if (to > 0) by_free_[to].insert(machine);
-  if ((from > 0) != (to > 0)) open_.set(machine, to > 0);
-}
-
 unsigned PlacementIndex::admit(unsigned machine, const Tenant& tenant) {
   Slot& slot = at(machine);
   if (tenant.sig == nullptr) {
@@ -117,7 +56,6 @@ unsigned PlacementIndex::admit(unsigned machine, const Tenant& tenant) {
     throw std::logic_error("PlacementIndex: admit to a full machine");
   }
   slot.tenants[core] = tenant;
-  rebucket(machine, slot.free_cores, slot.free_cores - 1);
   --slot.free_cores;
   ++running_;
   ++mutations_;
@@ -131,7 +69,6 @@ Tenant PlacementIndex::detach(unsigned machine, unsigned core) {
     throw std::logic_error("PlacementIndex: detach from an invalid/free core");
   }
   const Tenant gone = std::exchange(slot.tenants[core], Tenant{});
-  rebucket(machine, slot.free_cores, slot.free_cores + 1);
   ++slot.free_cores;
   --running_;
   ++mutations_;
@@ -158,29 +95,6 @@ void PlacementIndex::tenant_signals(
   for (unsigned c = 1; c <= be_slots_; ++c) {
     if (slot.tenants[c].sig) out.push_back(slot.tenants[c].sig);
   }
-}
-
-std::uint64_t PlacementIndex::open_count() const noexcept {
-  return open_.total();
-}
-
-unsigned PlacementIndex::nth_open(std::uint64_t k) const {
-  return static_cast<unsigned>(open_.select(k));
-}
-
-std::uint64_t PlacementIndex::open_rank(unsigned machine) const {
-  return open_.prefix(machine);
-}
-
-std::optional<unsigned> PlacementIndex::least_loaded(
-    std::optional<unsigned> exclude) const {
-  for (unsigned f = be_slots_; f >= 1; --f) {
-    for (const unsigned m : by_free_[f]) {
-      if (exclude && *exclude == m) continue;
-      return m;
-    }
-  }
-  return std::nullopt;
 }
 
 // --- placement classes -----------------------------------------------------

@@ -7,20 +7,18 @@
 // hand. Rebuilding a per-machine snapshot of the fleet for every arrival
 // and rescanning it costs O(arrivals x machines x tenants) per epoch, the
 // term that dominates a churn-heavy 10k-machine fleet. The index keeps
-// per-machine slots updated in O(log N) on admit/detach instead:
+// two things up to date on admit/detach instead:
 //
 //   - slot state: the HP signal, the core-indexed tenant list (core order
 //     is load-bearing — the MRC scorer's floating-point sums walk tenants
 //     in core order, and reproducible scores need one fixed operand
 //     order), and the free-core count;
-//   - an order-statistics tree (Fenwick over 0/1 "has a free core" bits)
-//     so `random` can draw the k-th open machine with a single
-//     rng.below(open_count) without touching the other N-1 machines;
-//   - free-core buckets (one ordered set per free-core count) so
-//     `least-loaded` resolves as "lowest index in the highest non-empty
-//     bucket" instead of a full scan;
 //   - placement classes with a per-app score cache over them, so `mrc`
 //     reads its argmax off one pass over the live classes.
+//
+// The class-blind engines (`random`, `least-loaded`) scan the slots'
+// free-core counts in index order; neither canonical fleet runs them, so
+// the index keeps no structure for them.
 //
 // A placement class is the key (HP signal, core-ordered BE signals) shared
 // by one or more *open* machines: exactly the operands of predict_efu(),
@@ -88,10 +86,10 @@ class PlacementIndex {
   unsigned add_machine(const sim::AppProfile* hp);
 
   /// `tenant` lands on `machine`'s lowest free BE core, which is returned.
-  /// O(log N). Throws std::logic_error when the machine is full or the
-  /// tenant has no signal.
+  /// Throws std::logic_error when the machine is full or the tenant has no
+  /// signal.
   unsigned admit(unsigned machine, const Tenant& tenant);
-  /// The tenant on `machine`'s `core` leaves; returns it. O(log N).
+  /// The tenant on `machine`'s `core` leaves; returns it.
   Tenant detach(unsigned machine, unsigned core);
 
   std::size_t size() const noexcept { return slots_.size(); }
@@ -111,20 +109,6 @@ class PlacementIndex {
   /// scorer's operand order), written into `out`.
   void tenant_signals(unsigned machine,
                       std::vector<const AppSignal*>& out) const;
-
-  // --- open-set order statistics (machines with >= 1 free core) ---
-  std::uint64_t open_count() const noexcept;
-  /// The k-th open machine in increasing index order (k in
-  /// [0, open_count())). Throws std::out_of_range past the end.
-  unsigned nth_open(std::uint64_t k) const;
-  /// Open machines with index < `machine`.
-  std::uint64_t open_rank(unsigned machine) const;
-
-  /// Lowest-index machine with the maximum free-core count, skipping
-  /// `exclude` — the least-loaded winner under uniform capacity (fewest
-  /// tenants == most free cores, first-strictly-better == lowest index).
-  std::optional<unsigned> least_loaded(
-      std::optional<unsigned> exclude = std::nullopt) const;
 
   /// Monotone index-wide mutation counter: every admit/detach, on any
   /// machine, bumps it by exactly one — a deterministic count of the
@@ -196,28 +180,8 @@ class PlacementIndex {
     bool queried = false;
   };
 
-  /// Fenwick tree over the 0/1 "machine is open" bits: point update,
-  /// prefix count and k-th-set-bit select, all O(log N). Grows by
-  /// appending (machines are only ever added).
-  class OpenBits {
-   public:
-    void push_back(bool open);
-    void set(std::size_t i, bool open);
-    std::uint64_t total() const noexcept { return total_; }
-    std::uint64_t prefix(std::size_t n) const;  ///< open bits in [0, n)
-    std::size_t select(std::uint64_t k) const;  ///< index of k-th open bit
-
-   private:
-    std::vector<std::uint64_t> tree_;  ///< 1-based; tree_[0] unused
-    std::vector<bool> bits_;
-    std::uint64_t total_ = 0;
-  };
-
   const Slot& at(unsigned machine) const;
   Slot& at(unsigned machine);
-  /// Move `machine` between free-core buckets and the open-bits tree when
-  /// its free count changes from `from` to `to`.
-  void rebucket(unsigned machine, unsigned from, unsigned to);
   /// Move `machine` out of its class and into the one its tenants and
   /// free cores now key (none when it is closed). A no-op until the
   /// first best_fit() classifies the fleet.
@@ -242,11 +206,6 @@ class PlacementIndex {
   /// boot and the class-blind engines pay no class upkeep.
   bool classed_ = false;
   std::vector<Slot> slots_;
-  OpenBits open_;
-  /// by_free_[f] = machines with exactly f free cores, f in [1, be_slots]
-  /// (fully-busy machines are tracked by free_cores == 0 alone — no
-  /// placement path enumerates them).
-  std::vector<std::set<unsigned>> by_free_;
   std::vector<Class> classes_;  ///< by slot
   std::vector<LiveClass> live_;  ///< in no order
   std::unordered_map<ClassKey, std::uint32_t, ClassKeyHash> class_of_;

@@ -92,8 +92,8 @@ std::vector<SweepRow> policy_sweep(const sim::AppCatalog& catalog,
   }
 
   // Every (workload, cores, policy) cell in the canonical order
-  // sample x cores x policies: consecutive cells share a workload, so a
-  // chunk's lanes share their apps' phase constants.
+  // sample x cores x policies, the cache's row order; each cell builds
+  // its own policy::Host.
   const std::size_t n_cores = config.cores.size();
   const std::size_t n_pols = config.policies.size();
   std::vector<GridCell> cells;
@@ -157,7 +157,8 @@ std::vector<AblationRow> dicer_ablation(
     const ConsolidationConfig& config, unsigned jobs) {
   const auto& variants = ablation_variants();
   const std::size_t n_var = variants.size();
-  // Workload-major cells: a chunk's lanes share their workload's apps.
+  // Workload-major cells: cell i runs variant i % n_var on workload
+  // i / n_var, and builds its own policy::Host.
   std::vector<GridCell> cells;
   cells.reserve(sample.size() * n_var);
   for (const auto& e : sample) {

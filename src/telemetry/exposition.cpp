@@ -44,31 +44,6 @@ std::string to_prometheus(const Registry& registry) {
   return out;
 }
 
-std::string to_json(const Registry& registry) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& e : registry.entries()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + e.name + "\":";
-    if (e.counter) {
-      out += std::to_string(e.counter->value());
-    } else if (e.gauge) {
-      out += fmt17(e.gauge->value());
-    } else if (e.histogram) {
-      const Histogram& h = *e.histogram;
-      out += "{\"count\":" + std::to_string(h.count()) +
-             ",\"sum\":" + fmt17(h.sum()) + ",\"min\":" + fmt17(h.min()) +
-             ",\"max\":" + fmt17(h.max()) +
-             ",\"p50\":" + fmt17(h.percentile(50.0)) +
-             ",\"p95\":" + fmt17(h.percentile(95.0)) +
-             ",\"p99\":" + fmt17(h.percentile(99.0)) + '}';
-    }
-  }
-  out += '}';
-  return out;
-}
-
 void write_prometheus(const Registry& registry, const std::string& path) {
   try {
     util::write_file_atomic(

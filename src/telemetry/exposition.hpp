@@ -1,4 +1,4 @@
-// Exposition formats for a telemetry::Registry.
+// Prometheus text exposition of a telemetry::Registry.
 //
 // Prometheus text exposition, version 0.0.4: `# HELP` / `# TYPE` preamble
 // per metric, cumulative `_bucket{le="..."}` series plus `_sum`/`_count`
@@ -16,11 +16,6 @@ namespace dicer::telemetry {
 
 /// The whole registry as Prometheus text exposition.
 std::string to_prometheus(const Registry& registry);
-
-/// One JSON object ({"name":value,...} scalars; histograms as
-/// {"count":..,"sum":..,"min":..,"max":..,"p50":..,"p95":..,"p99":..}),
-/// keys in name order — a registry snapshot for JSONL time series.
-std::string to_json(const Registry& registry);
 
 /// Write `to_prometheus(registry)` to `path` atomically
 /// (util::write_file_atomic), so a scraper

@@ -55,22 +55,6 @@ void Histogram::record(double value) noexcept {
   atomic_fold(max_, value, std::greater<double>{});
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  if (!(other.spec_ == spec_)) {
-    throw std::invalid_argument("Histogram::merge_from: spec mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i].fetch_add(other.counts_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-  atomic_fold(min_, other.min_.load(std::memory_order_relaxed),
-              std::less<double>{});
-  atomic_fold(max_, other.max_.load(std::memory_order_relaxed),
-              std::greater<double>{});
-}
-
 void Histogram::reset() noexcept {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
@@ -93,11 +77,6 @@ double Histogram::min() const noexcept {
 
 double Histogram::max() const noexcept {
   return count() ? max_.load(std::memory_order_relaxed) : 0.0;
-}
-
-double Histogram::mean() const noexcept {
-  const std::uint64_t n = count();
-  return n ? sum() / static_cast<double>(n) : 0.0;
 }
 
 double Histogram::percentile(double p) const {

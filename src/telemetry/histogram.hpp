@@ -13,16 +13,17 @@
 // queries (p50/p95/p99/max) from the bucket counts alone.
 //
 // Determinism contract: bucket boundaries are a pure function of the spec,
-// bucket counts are integer sums (commutative — any recording or merge
-// order yields the same counts), and percentile() is a pure function of
-// the counts. The only order-sensitive state is the floating-point `sum`,
-// which is why deterministic pipelines (fleet::Cluster) record and merge
-// in machine-index order — the same contract every prior subsystem honors.
+// bucket counts are integer sums (commutative — any recording order
+// yields the same counts), and percentile() is a pure function of the
+// counts. The only order-sensitive state is the floating-point `sum`,
+// which is why deterministic pipelines record from one thread in a fixed
+// order: fleet::Cluster::reduce folds its per-machine samples in
+// machine-index order.
 //
 // Thread safety: record() is lock-free (relaxed atomics per bucket, CAS
 // min/max), so many util::ThreadPool workers may hammer one histogram;
 // concurrent recording keeps counts exact but lets `sum` rounding depend
-// on interleaving. merge_from()/reset()/readers must not race a writer if
+// on interleaving. reset() and readers must not race a writer if
 // byte-exact sums matter.
 #pragma once
 
@@ -60,12 +61,6 @@ class Histogram {
   /// values above the last finite boundary land in the +Inf bucket.
   void record(double value) noexcept;
 
-  /// Accumulate `other` into this histogram. Specs must match (throws
-  /// std::invalid_argument otherwise). Bucket counts add exactly in any
-  /// merge order; call in a fixed order when the floating-point `sum`
-  /// must be byte-stable. Not safe concurrently with writers to `other`.
-  void merge_from(const Histogram& other);
-
   /// Zero every counter, keeping the boundaries.
   void reset() noexcept;
 
@@ -84,7 +79,6 @@ class Histogram {
   /// Smallest / largest recorded sample; 0 when empty.
   double min() const noexcept;
   double max() const noexcept;
-  double mean() const noexcept;
 
   /// Linear-interpolation percentile from the bucket counts, p in
   /// [0, 100]. Matches util::stats::percentile's rank convention

@@ -22,11 +22,6 @@ bool valid_metric_name(const std::string& name) noexcept {
 
 }  // namespace
 
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
-
 Registry::Metric& Registry::metric_slot(const std::string& name,
                                         const std::string& help) {
   if (!valid_metric_name(name)) {
@@ -99,28 +94,6 @@ std::vector<Registry::Entry> Registry::entries() const {
 std::size_t Registry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return metrics_.size();
-}
-
-void Registry::merge_from(const Registry& other) {
-  for (const auto& e : other.entries()) {
-    if (e.counter) {
-      counter(e.name, e.help).inc(e.counter->value());
-    } else if (e.gauge) {
-      gauge(e.name, e.help).set(e.gauge->value());
-    } else if (e.histogram) {
-      histogram(e.name, e.histogram->spec(), e.help)
-          .merge_from(*e.histogram);
-    }
-  }
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, m] : metrics_) {
-    if (m.counter) m.counter->reset();
-    if (m.gauge) m.gauge->reset();
-    if (m.histogram) m.histogram->reset();
-  }
 }
 
 }  // namespace dicer::telemetry

@@ -13,12 +13,11 @@
 //  * Integer state (counters, histogram bucket counts) is exact under any
 //    interleaving, so totals are identical at any worker count.
 //  * Floating-point sums are order-sensitive; pipelines that promise
-//    byte-identical exports (fleet::Cluster) therefore shard recording
-//    per machine and fold shards in machine-index order — see
-//    Registry::merge_from, which merges entry-by-entry in the caller's
-//    order.
+//    byte-identical exports therefore record from one thread in a fixed
+//    order — fleet::Cluster::reduce folds its per-machine samples in
+//    machine-index order.
 //
-// Exposition lives in telemetry/exposition.hpp (Prometheus text + JSON).
+// Exposition lives in telemetry/exposition.hpp (Prometheus text).
 #pragma once
 
 #include <atomic>
@@ -42,7 +41,6 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -55,7 +53,6 @@ class Gauge {
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -66,10 +63,6 @@ class Registry {
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-
-  /// Process-wide default registry (for components without an explicit
-  /// one; the fleet passes its own through FleetConfig::metrics).
-  static Registry& global();
 
   /// Register-or-fetch. Names must match Prometheus' charset
   /// ([a-zA-Z_:][a-zA-Z0-9_:]*); a name already registered as a different
@@ -94,15 +87,6 @@ class Registry {
   /// through them are live, not snapshotted).
   std::vector<Entry> entries() const;
   std::size_t size() const;
-
-  /// Fold `other` into this registry: counters add, gauges take the
-  /// other's value, histograms merge; metrics missing here are created.
-  /// Merging shards in a fixed order (e.g. machine-index order) keeps
-  /// floating-point sums byte-stable.
-  void merge_from(const Registry& other);
-
-  /// Zero every value, keeping the registered schema.
-  void reset();
 
  private:
   struct Metric {

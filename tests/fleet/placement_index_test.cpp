@@ -46,20 +46,6 @@ struct Shadow {
     }
     return out;
   }
-  std::optional<unsigned> least_loaded(std::optional<unsigned> excl) const {
-    std::optional<unsigned> best;
-    unsigned best_free = 0;
-    for (unsigned m = 0; m < grid.size(); ++m) {
-      if (excl && *excl == m) continue;
-      const unsigned f = free_cores(m);
-      if (f == 0) continue;
-      if (!best || f > best_free) {
-        best = m;
-        best_free = f;
-      }
-    }
-    return best;
-  }
 };
 
 /// For every app in `apps` (the apps the test has queried): one scan
@@ -99,15 +85,10 @@ void expect_scores_match(PlacementIndex& index, const Shadow& shadow,
 /// Every queryable fact of `index` against the scratch rebuild `shadow`.
 void expect_matches(const PlacementIndex& index, const Shadow& shadow) {
   ASSERT_EQ(index.size(), shadow.grid.size());
-  const auto open = shadow.open();
-  EXPECT_EQ(index.open_count(), open.size());
-  std::uint64_t rank = 0;
   std::uint64_t running = 0;
   for (unsigned m = 0; m < shadow.grid.size(); ++m) {
     EXPECT_EQ(index.free_cores(m), shadow.free_cores(m)) << "machine " << m;
     EXPECT_EQ(index.is_open(m), shadow.free_cores(m) > 0);
-    EXPECT_EQ(index.open_rank(m), rank) << "machine " << m;
-    if (shadow.free_cores(m) > 0) ++rank;
     ASSERT_EQ(index.tenants(m).size(), shadow.be_slots + 1);
     for (unsigned c = 0; c <= shadow.be_slots; ++c) {
       EXPECT_EQ(index.tenants(m)[c].sig, shadow.grid[m][c]);
@@ -115,23 +96,14 @@ void expect_matches(const PlacementIndex& index, const Shadow& shadow) {
     }
   }
   EXPECT_EQ(index.tenants_running(), running);
-  for (std::uint64_t k = 0; k < open.size(); ++k) {
-    EXPECT_EQ(index.nth_open(k), open[k]) << "rank " << k;
-  }
-  EXPECT_EQ(index.least_loaded(), shadow.least_loaded(std::nullopt));
-  if (!shadow.grid.empty()) {
-    EXPECT_EQ(index.least_loaded(0u), shadow.least_loaded(0u));
-    const auto last = static_cast<unsigned>(shadow.grid.size() - 1);
-    EXPECT_EQ(index.least_loaded(last), shadow.least_loaded(last));
-  }
 }
 
 // The core oracle: a randomized admit/detach churn where, after *every*
 // mutation, the incrementally-maintained index agrees with a from-scratch
 // rebuild on every machine's tenants (each admission on the lowest free
-// core), the tenant count, the open-set order statistics, the
-// least-loaded winner and every queried app's marginal-EFU scores and
-// decision (one more app queried per step until all are).
+// core), free cores and the tenant count, and on every queried app's
+// marginal-EFU scores and decision (one more app queried per step until
+// all are).
 TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
   const auto& catalog = sim::default_catalog();
   const sim::MachineConfig mc;
@@ -191,7 +163,6 @@ TEST(PlacementIndex, ValidatesArguments) {
   EXPECT_EQ(index.admit(0, tenant), 1u);
   EXPECT_EQ(index.admit(0, tenant), 2u);
   EXPECT_THROW(index.admit(0, tenant), std::logic_error);  // machine full
-  EXPECT_THROW(index.nth_open(0), std::out_of_range);
   // Scores exist only once the app has been queried.
   EXPECT_THROW(index.marginal_efu(0, *tenant.sig), std::logic_error);
   EXPECT_FALSE(index.best_fit(*tenant.sig, std::nullopt).has_value());
@@ -482,6 +453,31 @@ TEST(PlacementIndex, TracksClusterStateAcross200Epochs) {
       occupied += tenants;
     }
     EXPECT_EQ(cluster.tenants_running(), occupied);
+  }
+}
+
+// Classes exist only for `mrc`: the first best_fit() sorts the fleet into
+// them, and until then admit/detach skip class upkeep. A churning fleet
+// placed by a class-blind engine never calls best_fit(), so it keeps
+// no classes and scores nothing; the same fleet under `mrc` does.
+TEST(PlacementIndex, ClassBlindFleetsKeepNoClasses) {
+  for (const std::string engine : {"random", "least-loaded", "mrc"}) {
+    FleetConfig fc = small_config();
+    fc.placement = engine;
+    fc.migrate_after = 2;  // excluded-source decisions too
+    Cluster cluster(fc, sim::default_catalog());
+    for (int e = 0; e < 40; ++e) cluster.step_epoch();
+    const PlacementIndex& index = *cluster.placement_index();
+    ASSERT_GT(index.mutations(), 0u) << engine;
+    if (engine == "mrc") {
+      EXPECT_GT(index.classes_created(), 0u);
+      EXPECT_GT(index.efu_predictions(), 0u);
+      continue;
+    }
+    EXPECT_EQ(index.classes_created(), 0u) << engine;
+    EXPECT_EQ(index.live_classes(), 0u) << engine;
+    EXPECT_EQ(index.efu_predictions(), 0u) << engine;
+    EXPECT_EQ(index.class_scans(), 0u) << engine;
   }
 }
 
