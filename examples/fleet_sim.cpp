@@ -41,7 +41,10 @@
 // created in all; then how many machine-epochs stepped alongside the
 // control plane (machines no placement could touch that epoch); then how
 // many trace events the run counted and how many of them were built
-// (none, unless --trace records them).
+// (none, unless --trace records them). A second line says how many
+// data-plane step shards the main thread ran while it waited at the epoch
+// barrier; that count follows wall-clock timing, like the timers, so no
+// export carries it.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -205,6 +208,9 @@ static int run(int argc, char** argv) {
               << " machine-epochs stepped alongside the control plane; "
               << tracer.events_counted() << " trace events counted, "
               << tracer.events_built() << " built\n";
+    std::cerr << "data plane: " << cluster.step_shards_run_by_waiter()
+              << " of " << cluster.step_shards()
+              << " step shards run by the waiting thread\n";
   }
   return 0;
 }

@@ -148,7 +148,10 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   bind_metrics();
 
   // ~4 contiguous step shards per worker keeps the data plane
-  // load-balanced under uneven policy intervals.
+  // load-balanced under uneven policy intervals. The main thread also
+  // steps queued shards once it reaches the barrier; the size counts only
+  // the workers, since the main thread joins late, after the control
+  // plane.
   shard_machines_ = std::clamp(config_.num_machines / (jobs_ * 4), 1u, 32u);
   DICER_INFO << "fleet: booted " << nodes_.size() << " machines ("
              << config.policy << " policy, " << placement_->name()
@@ -388,6 +391,7 @@ void Cluster::submit_steps(util::TaskGroup& steps, std::size_t begin,
   // `jobs` (and hence any shard slicing or partition).
   for (std::size_t b = begin; b < end; b += shard_machines_) {
     const std::size_t e = std::min(end, b + shard_machines_);
+    ++step_shards_;
     steps.run([this, b, e, epoch_end] {
       for (std::size_t k = b; k < e; ++k) {
         const unsigned i = step_order_[k];
@@ -578,10 +582,11 @@ EpochMetrics Cluster::step_epoch() {
     }
   }
   {
-    // The rest of the data plane, plus the wait for the overlapped part.
+    // The rest of the data plane, plus the wait for the overlapped part;
+    // the waiting thread steps whatever shards are still queued.
     trace::ScopedTimer t("fleet.step", tr_timers);
     submit_steps(steps, untouchable, step_order_.size(), end_quantum);
-    steps.wait();
+    waiter_step_shards_ += steps.wait();
   }
   {
     trace::ScopedTimer t("fleet.reduce", tr_timers);

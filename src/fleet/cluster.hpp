@@ -24,9 +24,10 @@
 //      the epoch boundary, in contiguous shards of machines spread across a
 //      util::ThreadPool. The untouchable machines' shards are submitted
 //      before step 1 and step while the main thread places; the rest are
-//      submitted after it. Machines never interact mid-epoch, so any worker
-//      count (and no pool at all, where the shards run inline) replays the
-//      serial fleet bit-for-bit
+//      submitted after it, and the main thread steps queued shards itself
+//      while it waits for them. Machines never interact mid-epoch, so any
+//      worker count (and no pool at all, where the shards run inline)
+//      replays the serial fleet bit-for-bit
 //   3. reduction (single-threaded, machine-index order), once every shard
 //      is done: each shard left a MachineEpochStat (EFU / HP QoS / link rho
 //      from telemetry deltas) in its machine's slot; the fold walks them in
@@ -209,6 +210,14 @@ class Cluster {
   std::uint64_t untouchable_machine_epochs() const noexcept {
     return untouchable_machine_epochs_;
   }
+  /// Data-plane step shards submitted so far, and how many of them the
+  /// main thread ran while it waited at the epoch barrier. The second
+  /// depends on wall-clock timing (0 without a pool), so it feeds no
+  /// export; --profile prints it.
+  std::uint64_t step_shards() const noexcept { return step_shards_; }
+  std::uint64_t step_shards_run_by_waiter() const noexcept {
+    return waiter_step_shards_;
+  }
   /// Per-machine stats of the most recent epoch, in machine-index order
   /// (empty until the first step_epoch()).
   const std::vector<MachineEpochStat>& last_epoch_stats() const noexcept {
@@ -281,7 +290,7 @@ class Cluster {
   void submit_steps(util::TaskGroup& steps, std::size_t begin,
                     std::size_t end, std::uint64_t epoch_end);
   /// Shard-local epoch stat for machine i (pure function of the node's own
-  /// state and index slot — runs on whichever worker stepped the machine,
+  /// state and index slot — runs on whichever thread stepped the machine,
   /// possibly while the control plane mutates other machines).
   void fill_epoch_stat(std::size_t i);
   void reduce(EpochMetrics& m);
@@ -317,6 +326,8 @@ class Cluster {
   /// This epoch's machines: the untouchable ones first, then the rest.
   std::vector<unsigned> step_order_;
   std::uint64_t untouchable_machine_epochs_ = 0;
+  std::uint64_t step_shards_ = 0;
+  std::uint64_t waiter_step_shards_ = 0;
 };
 
 }  // namespace dicer::fleet

@@ -31,18 +31,8 @@ unsigned PlacementIndex::add_machine(const sim::AppProfile* hp) {
   return index;
 }
 
-const PlacementIndex::Slot& PlacementIndex::at(unsigned machine) const {
-  if (machine >= slots_.size()) {
-    throw std::out_of_range("PlacementIndex: machine index out of range");
-  }
-  return slots_[machine];
-}
-
-PlacementIndex::Slot& PlacementIndex::at(unsigned machine) {
-  if (machine >= slots_.size()) {
-    throw std::out_of_range("PlacementIndex: machine index out of range");
-  }
-  return slots_[machine];
+void PlacementIndex::throw_out_of_range() {
+  throw std::out_of_range("PlacementIndex: machine index out of range");
 }
 
 unsigned PlacementIndex::admit(unsigned machine, const Tenant& tenant) {
@@ -74,18 +64,6 @@ Tenant PlacementIndex::detach(unsigned machine, unsigned core) {
   ++mutations_;
   reclass(machine);
   return gone;
-}
-
-const AppSignal& PlacementIndex::hp(unsigned machine) const {
-  return *at(machine).hp;
-}
-
-unsigned PlacementIndex::free_cores(unsigned machine) const {
-  return at(machine).free_cores;
-}
-
-const std::vector<Tenant>& PlacementIndex::tenants(unsigned machine) const {
-  return at(machine).tenants;
 }
 
 void PlacementIndex::tenant_signals(

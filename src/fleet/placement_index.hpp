@@ -96,12 +96,18 @@ class PlacementIndex {
   unsigned be_slots() const noexcept { return be_slots_; }
   const AppDirectory& directory() const noexcept { return *dir_; }
 
-  const AppSignal& hp(unsigned machine) const;
-  unsigned free_cores(unsigned machine) const;
+  // Per-machine reads are inline (the baseline engines scan every machine
+  // per decision); each throws std::out_of_range past size().
+  const AppSignal& hp(unsigned machine) const { return *at(machine).hp; }
+  unsigned free_cores(unsigned machine) const {
+    return at(machine).free_cores;
+  }
   bool is_open(unsigned machine) const { return free_cores(machine) > 0; }
   /// `machine`'s tenants indexed by core, 0..be_slots: entry 0 (the HP's
   /// core) and every free core hold a null `sig`.
-  const std::vector<Tenant>& tenants(unsigned machine) const;
+  const std::vector<Tenant>& tenants(unsigned machine) const {
+    return at(machine).tenants;
+  }
   /// BE tenants running fleet-wide.
   std::uint64_t tenants_running() const noexcept { return running_; }
 
@@ -180,8 +186,15 @@ class PlacementIndex {
     bool queried = false;
   };
 
-  const Slot& at(unsigned machine) const;
-  Slot& at(unsigned machine);
+  const Slot& at(unsigned machine) const {
+    if (machine >= slots_.size()) throw_out_of_range();
+    return slots_[machine];
+  }
+  Slot& at(unsigned machine) {
+    if (machine >= slots_.size()) throw_out_of_range();
+    return slots_[machine];
+  }
+  [[noreturn]] static void throw_out_of_range();
   /// Move `machine` out of its class and into the one its tenants and
   /// free cores now key (none when it is closed). A no-op until the
   /// first best_fit() classifies the fleet.

@@ -94,6 +94,18 @@ void ThreadPool::worker_loop() {
   }
 }
 
+bool ThreadPool::run_one() {
+  std::function<void()> job;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.empty()) return false;
+    job = std::move(queue_.front());
+    queue_.pop_front();
+  }
+  job();
+  return true;
+}
+
 TaskGroup::~TaskGroup() {
   for (auto& f : pending_) {
     if (f.valid()) f.wait();
@@ -110,7 +122,9 @@ void TaskGroup::run(std::function<void()> task) {
   inline_task();  // an exception lands in the future, as on a worker
 }
 
-void TaskGroup::wait() {
+std::size_t TaskGroup::wait() {
+  std::size_t ran = 0;
+  while (pool_ && pool_->run_one()) ++ran;
   std::exception_ptr first;
   for (auto& f : pending_) {
     try {
@@ -121,6 +135,7 @@ void TaskGroup::wait() {
   }
   pending_.clear();
   if (first) std::rethrow_exception(first);
+  return ran;
 }
 
 void parallel_for(ThreadPool& pool, std::size_t n,

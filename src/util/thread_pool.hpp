@@ -2,9 +2,11 @@
 // study, the policy sweep, the fleet's data plane). Deliberately minimal:
 // a mutex-guarded FIFO queue, submit() returning a std::future that
 // propagates exceptions, a TaskGroup that submits now and collects later,
-// and a parallel_for() built on it. Tasks must not submit to the pool
-// they run on (no work stealing, so that can deadlock when all workers
-// wait).
+// and a parallel_for() built on it. A thread waiting on a TaskGroup does
+// not idle: it runs queued jobs itself (run_one()) until the queue is
+// empty, then blocks on what the workers still hold. Tasks must not submit
+// to the pool they run on (no stealing between workers, so that can
+// deadlock when all workers wait).
 #pragma once
 
 #include <condition_variable>
@@ -46,6 +48,11 @@ class ThreadPool {
     return fut;
   }
 
+  /// Pop the oldest queued job and run it on the calling thread; false
+  /// (and nothing run) when the queue is empty. The job's exception, if
+  /// any, lands in its future as on a worker.
+  bool run_one();
+
   /// std::thread::hardware_concurrency(), never 0.
   static unsigned hardware_workers() noexcept;
 
@@ -73,7 +80,10 @@ class ThreadPool {
 /// A batch of tasks collected together: run() starts a task now — on
 /// `pool`, or inline when the pool is null — and wait() blocks until every
 /// task has finished, then rethrows the first exception in submission
-/// order. The destructor waits as well (dropping any exception), so a
+/// order. While the pool's queue holds jobs, wait() runs them on the
+/// caller (the caller keeps one group in flight at a time, so the queue
+/// holds only this group's tasks) and returns how many it ran. The
+/// destructor waits as well (dropping any exception), so a
 /// throw between run() and wait() never leaves a task running against
 /// the caller's freed locals: declare the group after what its tasks use.
 class TaskGroup {
@@ -85,7 +95,8 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   void run(std::function<void()> task);
-  void wait();
+  /// Returns the number of this group's tasks the calling thread ran.
+  std::size_t wait();
 
  private:
   ThreadPool* pool_;

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -108,6 +110,70 @@ TEST(ThreadPool, TaskGroupWithoutPoolRunsInline) {
   EXPECT_EQ(ran, 2);
   EXPECT_THROW(group.wait(), std::runtime_error);
   group.wait();  // the failure was reported once; nothing is pending
+}
+
+/// Holds the only worker of a 1-worker pool until destroyed, so a task
+/// queued meanwhile can run only on a thread that helps.
+class OccupiedWorker {
+ public:
+  explicit OccupiedWorker(ThreadPool& pool)
+      : done_(pool.submit([this] {
+          started_.count_down();
+          released_.wait();
+        })) {
+    started_.wait();
+  }
+  ~OccupiedWorker() {
+    release_.set_value();
+    done_.get();
+  }
+
+  OccupiedWorker(const OccupiedWorker&) = delete;
+  OccupiedWorker& operator=(const OccupiedWorker&) = delete;
+
+ private:
+  std::latch started_{1};
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  std::future<void> done_;
+};
+
+// wait() does not sleep while tasks are queued: with the worker busy, the
+// waiting thread runs every one of them itself.
+TEST(ThreadPool, TaskGroupWaitRunsQueuedTasksOnTheCaller) {
+  ThreadPool pool(1);
+  OccupiedWorker busy(pool);
+  std::vector<std::thread::id> ran_on(8);
+  TaskGroup group(&pool);
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    group.run([&ran_on, i] { ran_on[i] = std::this_thread::get_id(); });
+  }
+  EXPECT_EQ(group.wait(), ran_on.size());
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+// Tasks the caller ran report their exceptions as a worker's would: the
+// first in submission order, after every task has run.
+TEST(ThreadPool, TaskGroupWaitRethrowsFirstWhenTheCallerRanIt) {
+  ThreadPool pool(1);
+  OccupiedWorker busy(pool);
+  std::vector<std::thread::id> ran_on(8);
+  TaskGroup group(&pool);
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    group.run([&ran_on, i] {
+      ran_on[i] = std::this_thread::get_id();
+      if (i == 2 || i == 5) {
+        throw std::runtime_error("task " + std::to_string(i));
+      }
+    });
+  }
+  try {
+    group.wait();
+    FAIL() << "expected exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 2");
+  }
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, HardwareWorkersAtLeastOne) {
