@@ -44,11 +44,16 @@ static int run(int argc, char** argv) {
 
   const bool tty = isatty(fileno(stdout)) != 0;
   fleet::DashboardConfig dc;
-  dc.top_k = args.get_count("top", 5);
-  dc.history = args.get_count("window", 48);
-  dc.burn_window = args.get_count("burn-window", 5);
-  dc.slo_budget = args.get_double("slo-budget", 0.05);
+  dc.top_k = args.get_count("top", 5, 1);
+  dc.history = args.get_count("window", 48, 1);
+  dc.burn_window = args.get_count("burn-window", 5, 1);
+  dc.slo_budget = args.get_fraction("slo-budget", 0.05);
   dc.burn_alert = args.get_double("burn-alert", 2.0);
+  if (!(dc.burn_alert > 0.0)) {
+    throw util::CliError("invalid value for --burn-alert: '" +
+                         args.get_or("burn-alert", "") +
+                         "' (expected a number > 0)");
+  }
   dc.ansi = tty && !args.get_bool("plain", false);
 
   fleet::Cluster cluster(fc, catalog);

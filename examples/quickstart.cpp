@@ -2,16 +2,16 @@
 // the three co-location policies from the paper (UM, CT, DICER) and compare
 // HP QoS and effective system utilisation.
 //
-//   ./quickstart [--hp milc1] [--be gcc_base3] [--cores 10]
-//                [--trace-apps] [--profile-cache PATH] [--profile]
+//   ./quickstart [--hp milc1] [--be gcc_base3] [--cores 10] [--trace-apps]
+//                [--profile] [--trace PATH] [--log-level L]
 //
 // --trace-apps augments the catalog with the trace-derived apps
 // (trace_stream1, trace_wset1, trace_bimodal1, trace_mix1): each is
 // profiled from its address stream with the single-pass sampled MRC
-// profiler, so they are usable as --hp/--be like any analytic app.
-// --profile-cache persists the profiled curves across runs; --profile
-// prints the scoped-timer/counter table (incl. the profiler.* group)
-// to stderr on exit.
+// profiler on every run, so they are usable as --hp/--be like any
+// analytic app. --profile prints the scoped-timer/counter table (incl. the
+// profiler.* group) to stderr on exit; --trace and --log-level work as in
+// every front end (util/observability.hpp).
 #include <cstdio>
 #include <iostream>
 
@@ -22,13 +22,14 @@
 #include "sim/core/catalog.hpp"
 #include "sim/core/trace_apps.hpp"
 #include "util/cli.hpp"
+#include "util/observability.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 static int run(int argc, char** argv) {
   using namespace dicer;
 
   const util::CliArgs args(argc, argv);
+  const util::ObservabilityFlags observability(args);
   const std::string hp_name = args.get_or("hp", "milc1");
   const std::string be_name = args.get_or("be", "gcc_base3");
   harness::ConsolidationConfig config;
@@ -36,9 +37,7 @@ static int run(int argc, char** argv) {
 
   const bool trace_apps = args.has("trace-apps");
   const sim::AppCatalog catalog =
-      trace_apps
-          ? sim::trace_augmented_catalog(args.get_or("profile-cache", ""))
-          : sim::default_catalog();
+      trace_apps ? sim::trace_augmented_catalog() : sim::default_catalog();
   const auto& hp = catalog.by_name(hp_name);
   const auto& be = catalog.by_name(be_name);
 
@@ -71,10 +70,6 @@ static int run(int argc, char** argv) {
                   3);
   }
   table.print();
-  if (args.get_bool("profile", false)) {
-    const std::string timers = trace::TimerRegistry::global().format();
-    if (!timers.empty()) std::cerr << "\n" << timers;
-  }
   return 0;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 
 namespace dicer::fleet {
 namespace {
@@ -43,10 +44,17 @@ std::string sparkline(std::span<const double> values) {
 }
 
 Dashboard::Dashboard(const DashboardConfig& config) : config_(config) {
-  if (config_.top_k == 0) config_.top_k = 1;
-  if (config_.history == 0) config_.history = 1;
-  if (config_.burn_window == 0) config_.burn_window = 1;
-  if (config_.slo_budget <= 0.0) config_.slo_budget = 0.05;
+  if (config_.top_k == 0 || config_.history == 0 ||
+      config_.burn_window == 0) {
+    throw std::invalid_argument(
+        "Dashboard: top_k, history and burn_window must be >= 1");
+  }
+  if (!(config_.slo_budget > 0.0 && config_.slo_budget <= 1.0)) {
+    throw std::invalid_argument("Dashboard: slo_budget must be in (0, 1]");
+  }
+  if (!(config_.burn_alert > 0.0)) {
+    throw std::invalid_argument("Dashboard: burn_alert must be > 0");
+  }
 }
 
 void Dashboard::push(std::deque<double>& series, double v) {

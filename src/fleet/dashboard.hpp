@@ -42,6 +42,8 @@ struct DashboardConfig {
 
 class Dashboard {
  public:
+  /// Throws std::invalid_argument unless top_k, history and burn_window
+  /// are >= 1, slo_budget is in (0, 1] and burn_alert is > 0.
   explicit Dashboard(const DashboardConfig& config = {});
 
   /// Fold one epoch in and return the rendered frame. `stats` is the

@@ -158,13 +158,13 @@ void run_consolidation_grid(const std::vector<GridCell>& cells,
                  << " jobs)";
     }
   };
-  if (jobs <= 1 || n_chunks <= 1) {
-    for (std::size_t c = 0; c < n_chunks; ++c) eval_chunk(c);
-  } else {
-    util::ThreadPool pool(
-        static_cast<unsigned>(std::min<std::size_t>(jobs, n_chunks)));
-    util::parallel_for(pool, n_chunks, eval_chunk);
+  const auto pool = util::waiting_caller_pool(
+      static_cast<unsigned>(std::min<std::size_t>(jobs, n_chunks)));
+  util::TaskGroup group(pool.get());
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    group.run([&eval_chunk, c] { eval_chunk(c); });
   }
+  group.wait();
 }
 
 }  // namespace dicer::harness

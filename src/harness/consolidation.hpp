@@ -83,12 +83,14 @@ inline constexpr std::size_t kGridChunkCells = 8;
 
 /// Evaluate a grid of independent consolidations — the one engine of the
 /// baseline study, the policy sweep and the DICER ablation. Chunks of
-/// kGridChunkCells consecutive cells run on `jobs` pool workers
-/// (0 = resolve_sweep_jobs): a chunk builds its policies, then calls
-/// run_consolidation once per cell, in order. Every cell's result is
-/// byte-identical for any worker count. The first failing cell's exception
-/// (in cell order) is rethrown; in parallel, after every chunk has
-/// finished. Progress is logged at info level under `label`.
+/// kGridChunkCells consecutive cells run as one util::TaskGroup over
+/// `jobs` threads (0 = resolve_sweep_jobs), the waiting caller among them
+/// (util::waiting_caller_pool; at one thread every chunk runs inline): a
+/// chunk builds its policies, then calls run_consolidation once per cell,
+/// in order. Every cell's result is byte-identical for any worker count.
+/// The first failing cell's exception (in cell order) is rethrown after
+/// every chunk has finished. Progress is logged at info level under
+/// `label`.
 void run_consolidation_grid(const std::vector<GridCell>& cells,
                             const GridPolicyFactory& make_policy,
                             const GridCellDone& done,

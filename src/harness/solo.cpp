@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "harness/consolidation.hpp"
 #include "sim/mem/memory_link.hpp"
 
 namespace dicer::harness {
@@ -73,29 +72,6 @@ SoloResult solo_steady_state(const sim::AppProfile& profile, unsigned ways,
   out.time_sec = total_time;
   out.ipc = total_instr / (total_time * config.freq_hz);
   out.mem_bw_bytes_per_sec = total_time > 0.0 ? total_bytes / total_time : 0.0;
-  return out;
-}
-
-SoloResult solo_simulated(const sim::AppProfile& profile, unsigned ways,
-                          const sim::MachineConfig& config) {
-  sim::Machine machine(config);
-  machine.attach(0, &profile);
-  machine.set_fill_mask(0, sim::WayMask::low(ways));
-  const double t0 = machine.time_sec();
-  while (machine.telemetry(0).completions == 0) {
-    machine.step();
-    if (machine.time_sec() - t0 > 3600.0) {
-      throw std::runtime_error("solo_simulated: run exceeded one hour");
-    }
-  }
-  const auto& tel = machine.telemetry(0);
-  SoloResult out;
-  out.time_sec = machine.time_sec() - t0;
-  out.ipc = tel.instructions / tel.active_cycles;
-  out.mem_bw_bytes_per_sec = tel.mem_bytes / out.time_sec;
-  // A solo run never changes masks or phases mid-steady-state, so nearly
-  // every quantum replays; the counters make that visible under --profile.
-  record_solver_counters(machine.solver_stats());
   return out;
 }
 

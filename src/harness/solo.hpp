@@ -6,9 +6,8 @@
 // analytic and phase-wise stationary, solo IPC has a closed(ish) form: a
 // per-phase fixed point between IPS, miss ratio and link latency, combined
 // across phases by instruction-weighted harmonic mean. The steady-state
-// evaluator computes that directly (microseconds); the simulated variant
-// drives a real sim::Machine and exists to validate the fast path and to
-// warm caches identically to consolidations.
+// evaluator computes that directly (microseconds). The tests check it
+// against a stepped sim::Machine (tests/support/solo_oracle.hpp).
 #pragma once
 
 #include <span>
@@ -32,10 +31,6 @@ double steady_state_phase_ipc(const sim::AppPhase& phase, double cache_bytes,
 /// Steady-state solo result with `ways` LLC ways (whole run, all phases).
 SoloResult solo_steady_state(const sim::AppProfile& profile, unsigned ways,
                              const sim::MachineConfig& config);
-
-/// Simulated solo result (drives a Machine until one completion).
-SoloResult solo_simulated(const sim::AppProfile& profile, unsigned ways,
-                          const sim::MachineConfig& config);
 
 /// Fig 2 helper: the minimum number of ways at which the app reaches
 /// `fraction` of its full-LLC steady-state IPC. Returns ways in

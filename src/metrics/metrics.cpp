@@ -14,13 +14,6 @@ double slowdown(double ipc_alone, double ipc_colocated) {
   return ipc_alone / ipc_colocated;
 }
 
-double normalised_ipc(double ipc_alone, double ipc_colocated) {
-  if (ipc_alone <= 0.0 || ipc_colocated < 0.0) {
-    throw std::invalid_argument("normalised_ipc: bad IPCs");
-  }
-  return ipc_colocated / ipc_alone;
-}
-
 double effective_utilisation(std::span<const IpcPair> apps) {
   if (apps.empty()) return 0.0;
   double denom = 0.0;

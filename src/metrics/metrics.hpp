@@ -24,9 +24,6 @@ namespace dicer::metrics {
 /// For fixed work this equals IPC_alone / IPC_colocated.
 double slowdown(double ipc_alone, double ipc_colocated);
 
-/// IPC normalised to solo execution, in (0, 1] under contention.
-double normalised_ipc(double ipc_alone, double ipc_colocated);
-
 /// One co-located application's IPC pair.
 struct IpcPair {
   double alone = 0.0;      ///< IPC when running alone (full LLC)

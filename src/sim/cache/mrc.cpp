@@ -59,19 +59,6 @@ double MissRatioCurve::ceiling() const noexcept {
   return std::min(m, 1.0);
 }
 
-double MissRatioCurve::bytes_for_miss_ratio(double target,
-                                            double limit_bytes) const {
-  if (at(0.0) <= target) return 0.0;
-  if (at(limit_bytes) > target) return limit_bytes;
-  double lo = 0.0, hi = limit_bytes;
-  for (int i = 0; i < 64; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (at(mid) <= target) hi = mid;
-    else lo = mid;
-  }
-  return hi;
-}
-
 double MissRatioCurve::footprint_bytes() const noexcept {
   double fp = 0.0;
   for (const auto& c : components_) fp += c.ws_bytes;

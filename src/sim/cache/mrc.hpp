@@ -64,10 +64,6 @@ class MissRatioCurve {
     return components_;
   }
 
-  /// Smallest allocation (bytes) whose miss ratio is <= target. Binary
-  /// search over [0, limit]; returns limit if unreachable.
-  double bytes_for_miss_ratio(double target, double limit_bytes) const;
-
   /// Total re-usable footprint: the sum of component working sets. The
   /// occupancy model caps an app's re-used residency at this.
   double footprint_bytes() const noexcept;

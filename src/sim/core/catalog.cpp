@@ -505,14 +505,6 @@ std::vector<std::string> AppCatalog::names() const {
   return out;
 }
 
-std::vector<const AppProfile*> AppCatalog::of_class(AppClass c) const {
-  std::vector<const AppProfile*> out;
-  for (const auto& p : profiles_) {
-    if (p.app_class == c) out.push_back(&p);
-  }
-  return out;
-}
-
 const AppCatalog& default_catalog() {
   static const AppCatalog catalog;
   return catalog;

@@ -57,8 +57,6 @@ class AppCatalog {
   bool contains(const std::string& name) const noexcept;
 
   std::vector<std::string> names() const;
-  /// All profiles of a behaviour class.
-  std::vector<const AppProfile*> of_class(AppClass c) const;
 
  private:
   std::vector<AppProfile> profiles_;

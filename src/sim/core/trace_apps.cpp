@@ -1,12 +1,9 @@
 #include "sim/core/trace_apps.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "util/cache_file.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -14,59 +11,6 @@
 namespace dicer::sim {
 
 namespace {
-
-constexpr const char* kTraceHeader = "app,bytes,miss_ratio";
-
-util::CacheFile profile_file(const std::string& path,
-                             const std::vector<TraceAppSpec>& specs,
-                             const MrcProfilerConfig& config) {
-  // Everything that shapes the cached tables: every stream-shaping spec
-  // field plus the profiling geometry, windows and sample rate.
-  // Phase parameters (cpi, api, ...) are applied after loading, so they
-  // are deliberately excluded.
-  util::KeyHasher h;
-  h.add(specs.size());
-  for (const auto& s : specs) {
-    h.add(s.name).add(to_string(s.pattern)).add(s.ws_bytes).add(s.cold_bytes);
-    h.add(s.hot_fraction).add(s.reuse_fraction).add(s.stream_seed);
-    h.add(s.base);
-  }
-  const auto& g = config.geometry;
-  h.add(g.size_bytes).add(g.ways).add(g.line_bytes);
-  h.add(config.warmup_accesses).add(config.measure_accesses);
-  h.add(config.sample_rate);
-  return {path, "trace profile cache", h.key("dicer-trace-mrc-v3"),
-          kTraceHeader};
-}
-
-using PointTable = std::map<std::string, std::vector<std::pair<double, double>>>;
-
-/// Load the cached per-way MRC table of every spec: `ways` points each,
-/// in range and strictly increasing in bytes. Empty on any defect.
-PointTable load_tables(const util::CacheFile& file,
-                       const std::vector<TraceAppSpec>& specs,
-                       unsigned ways) {
-  PointTable tables;
-  for (const auto& spec : specs) tables[spec.name];
-  const bool ok = file.load(specs.size() * ways,
-                            [&](util::CacheRowReader& row) {
-    std::string app;
-    double bytes = 0.0, ratio = 0.0;
-    row.text(app).real(bytes).real(ratio);
-    const auto it = tables.find(app);
-    if (it == tables.end()) {
-      throw std::invalid_argument("unknown app '" + app + "'");
-    }
-    auto& points = it->second;
-    if (!(bytes > 0.0) || ratio < 0.0 || ratio > 1.0 || points.size() == ways ||
-        (!points.empty() && bytes <= points.back().first)) {
-      throw std::invalid_argument("point out of range, order or count");
-    }
-    points.emplace_back(bytes, ratio);
-  });
-  if (!ok) tables.clear();
-  return tables;
-}
 
 AppProfile make_profile(const TraceAppSpec& spec, const EmpiricalMrc& table) {
   AppPhase phase;
@@ -260,52 +204,27 @@ AppProfile profile_trace_app(const TraceAppSpec& spec,
   return make_profile(spec, profile_mrc(config, *make_trace_stream(spec)));
 }
 
-AppCatalog trace_augmented_catalog(const std::string& cache_path,
-                                   const std::vector<TraceAppSpec>& specs,
+AppCatalog trace_augmented_catalog(const std::vector<TraceAppSpec>& specs,
                                    const MrcProfilerConfig& config) {
   trace::ScopedTimer timer("trace_apps.build_catalog");
   AppCatalog catalog;
   if (specs.empty()) return catalog;
 
-  const util::CacheFile file = profile_file(cache_path, specs, config);
-  PointTable tables;
-  if (!cache_path.empty()) {
-    tables = load_tables(file, specs, config.geometry.ways);
+  // Each spec profiles its own stream with its own profiler, so the specs
+  // run concurrently, one slot each.
+  std::vector<EmpiricalMrc> profiles(specs.size());
+  const auto pool = util::waiting_caller_pool(
+      static_cast<unsigned>(std::min<std::size_t>(
+          specs.size(), util::ThreadPool::hardware_workers())));
+  util::TaskGroup group(pool.get());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    group.run([&, i] {
+      profiles[i] = profile_mrc(config, *make_trace_stream(specs[i]));
+    });
   }
-
-  if (tables.empty()) {
-    // Each spec profiles its own stream with its own profiler, so the
-    // specs run concurrently, one slot each. The slots go into `tables`
-    // serially, in spec order, so a repeated name resolves as a serial
-    // loop would: the last spec wins.
-    std::vector<EmpiricalMrc> profiles(specs.size());
-    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
-        specs.size(), util::ThreadPool::hardware_workers()));
-    std::optional<util::ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers);
-    util::TaskGroup group(pool ? &*pool : nullptr);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      group.run([&, i] {
-        profiles[i] = profile_mrc(config, *make_trace_stream(specs[i]));
-      });
-    }
-    group.wait();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      tables[specs[i].name] = profiles[i].points();
-    }
-    if (!cache_path.empty()) {
-      file.save([&](util::CacheRowWriter& row) {
-        for (const auto& [app, points] : tables) {
-          for (const auto& [bytes, ratio] : points) {
-            row.text(app).real(bytes).real(ratio).end_row();
-          }
-        }
-      });
-    }
-  }
-
-  for (const auto& spec : specs) {
-    catalog.add(make_profile(spec, EmpiricalMrc(tables[spec.name])));
+  group.wait();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    catalog.add(make_profile(specs[i], profiles[i]));
   }
   return catalog;
 }

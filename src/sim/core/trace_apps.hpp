@@ -10,11 +10,9 @@
 // coverage components — exact on convex tables, least-upper-bound
 // steepening on bumpy ones).
 //
-// Profiling results are cached on disk in the util::CacheFile format the
-// baseline study and the policy sweep share: a versioned "# key" line
-// hashing every result-shaping knob, exact %.17g cells, strict row
-// parsing, corruption handled by recomputing (never by crashing), atomic
-// saves.
+// Profiles are computed in memory on every call, never cached on disk:
+// each consumer (quickstart --trace-apps, fleet_sim/fleet_top --catalog
+// trace, perfbench) builds the catalog once per process.
 #pragma once
 
 #include <cstdint>
@@ -77,14 +75,12 @@ MrcProfilerConfig default_trace_profile_config();
 AppProfile profile_trace_app(const TraceAppSpec& spec,
                              const MrcProfilerConfig& config);
 
-/// The 59-entry default catalog plus every spec in `specs`, with the
-/// empirical MRC tables served from the deterministic profile cache at
-/// `cache_path` ("" profiles unconditionally; a stale/corrupt cache is
-/// recomputed and rewritten). The specs profile concurrently, one task
-/// each; a spec that fails throws once every profile has finished, and
-/// then nothing is saved.
+/// The 59-entry default catalog plus every spec in `specs`, each profiled
+/// with `config`. The specs profile concurrently, one util::TaskGroup task
+/// each, over min(specs, hardware threads) threads, the waiting caller
+/// among them (util::waiting_caller_pool); a spec that fails throws once
+/// every profile has finished.
 AppCatalog trace_augmented_catalog(
-    const std::string& cache_path = "",
     const std::vector<TraceAppSpec>& specs = default_trace_apps(),
     const MrcProfilerConfig& config = default_trace_profile_config());
 

@@ -47,7 +47,6 @@ void CsvWriter::header(const std::vector<std::string>& cols) {
 
 void CsvWriter::row(const std::vector<std::string>& cells) {
   write_cells(cells);
-  ++rows_;
 }
 
 void CsvWriter::row_numeric(const std::vector<double>& cells) {

@@ -37,14 +37,12 @@ class CsvWriter {
   void row_labeled(std::string_view label, const std::vector<double>& cells);
 
   const std::string& path() const noexcept { return path_; }
-  std::size_t rows_written() const noexcept { return rows_; }
 
  private:
   void write_cells(const std::vector<std::string>& cells);
 
   std::string path_;
   std::ofstream out_;
-  std::size_t rows_ = 0;
   bool header_written_ = false;
 };
 

@@ -65,10 +65,6 @@ double Xoshiro256::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-double Xoshiro256::lognormal_median(double median, double sigma) noexcept {
-  return median * std::exp(sigma * normal());
-}
-
 bool Xoshiro256::bernoulli(double p) noexcept { return uniform() < p; }
 
 Xoshiro256 Xoshiro256::split() noexcept { return Xoshiro256(next()); }

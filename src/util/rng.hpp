@@ -56,8 +56,6 @@ class Xoshiro256 {
   double normal() noexcept;
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
-  /// Log-normal such that the *median* of the distribution is `median`.
-  double lognormal_median(double median, double sigma) noexcept;
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 

@@ -13,10 +13,6 @@ void TextTable::set_header(std::vector<std::string> cols) {
   header_ = std::move(cols);
 }
 
-void TextTable::set_alignment(std::vector<Align> aligns) {
-  aligns_ = std::move(aligns);
-}
-
 void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back({std::move(cells), pending_rule_});
   pending_rule_ = false;
@@ -50,19 +46,14 @@ std::string TextTable::str() const {
     }
   }
 
-  auto align_of = [&](std::size_t col) {
-    if (col < aligns_.size()) return aligns_[col];
-    return col == 0 ? Align::kLeft : Align::kRight;
-  };
-
   auto emit_row = [&](std::ostringstream& os,
                       const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < ncols; ++i) {
       const std::string cell = i < cells.size() ? cells[i] : "";
       const auto pad = width[i] - cell.size();
       if (i) os << "  ";
-      if (align_of(i) == Align::kRight) os << std::string(pad, ' ') << cell;
-      else os << cell << std::string(pad, ' ');
+      if (i == 0) os << cell << std::string(pad, ' ');
+      else os << std::string(pad, ' ') << cell;
     }
     os << '\n';
   };

@@ -7,16 +7,12 @@
 
 namespace dicer::util {
 
-/// Column alignment for TextTable.
-enum class Align { kLeft, kRight };
-
 /// Accumulates rows of strings and renders an aligned ASCII table with a
-/// header separator. All rows are padded to the widest cell per column.
+/// header separator. All rows are padded to the widest cell per column;
+/// the first column is left-aligned, every other column right-aligned.
 class TextTable {
  public:
-  /// Set header labels; alignment defaults to right except the first column.
   void set_header(std::vector<std::string> cols);
-  void set_alignment(std::vector<Align> aligns);
 
   void add_row(std::vector<std::string> cells);
   /// Leading label + %.6g-formatted numeric cells.
@@ -39,7 +35,6 @@ class TextTable {
   };
 
   std::vector<std::string> header_;
-  std::vector<Align> aligns_;
   std::vector<Row> rows_;
   bool pending_rule_ = false;
 };

@@ -138,13 +138,9 @@ std::size_t TaskGroup::wait() {
   return ran;
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  TaskGroup group(&pool);
-  for (std::size_t i = 0; i < n; ++i) {
-    group.run([&body, i] { body(i); });
-  }
-  group.wait();
+std::unique_ptr<ThreadPool> waiting_caller_pool(unsigned threads) {
+  if (threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads - 1);
 }
 
 }  // namespace dicer::util

@@ -1,12 +1,13 @@
-// Fixed-size worker pool for embarrassingly parallel work (the baseline
-// study, the policy sweep, the fleet's data plane). Deliberately minimal:
-// a mutex-guarded FIFO queue, submit() returning a std::future that
-// propagates exceptions, a TaskGroup that submits now and collects later,
-// and a parallel_for() built on it. A thread waiting on a TaskGroup does
-// not idle: it runs queued jobs itself (run_one()) until the queue is
-// empty, then blocks on what the workers still hold. Tasks must not submit
-// to the pool they run on (no stealing between workers, so that can
-// deadlock when all workers wait).
+// Fixed-size worker pool for embarrassingly parallel work (the
+// consolidation grid behind the baseline study, the policy sweep and the
+// ablation; the trace catalog's profiles; the fleet's data plane).
+// Deliberately minimal: a mutex-guarded FIFO queue, submit() returning a
+// std::future that propagates exceptions, and a TaskGroup that submits now
+// and collects later. A thread waiting on a TaskGroup does not idle: it
+// runs queued jobs itself (run_one()) until the queue is empty, then blocks
+// on what the workers still hold. Tasks must not submit to the pool they
+// run on (no stealing between workers, so that can deadlock when all
+// workers wait).
 #pragma once
 
 #include <condition_variable>
@@ -103,10 +104,11 @@ class TaskGroup {
   std::vector<std::future<void>> pending_;
 };
 
-/// Run body(i) for every i in [0, n) on `pool`, blocking until all
-/// iterations finish. If any iteration throws, the first exception (in
-/// index order) is rethrown after every iteration has completed.
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body);
+/// The pool of a caller that submits one TaskGroup and then waits on it,
+/// for a job that may use `threads` threads: the waiting caller runs
+/// queued tasks itself, so it is the last of them and the pool gets
+/// threads - 1 workers. Null when threads <= 1: the group's tasks then
+/// run inline on the caller.
+std::unique_ptr<ThreadPool> waiting_caller_pool(unsigned threads);
 
 }  // namespace dicer::util

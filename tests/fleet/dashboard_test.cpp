@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,34 @@ TEST(Dashboard, BurnRateMath) {
   EXPECT_DOUBLE_EQ(dash.burn_rate(), 0.0);
   EXPECT_FALSE(dash.alert_active());
   EXPECT_EQ(dash.alerts_fired(), 4u);
+}
+
+// A setting the dashboard cannot honour is refused, not rewritten: a zero
+// budget or window would otherwise run against values nobody asked for.
+TEST(Dashboard, RejectsSettingsItCannotHonour) {
+  EXPECT_NO_THROW(Dashboard(DashboardConfig{}));
+  const auto with = [](auto set) {
+    DashboardConfig dc;
+    set(dc);
+    return dc;
+  };
+  EXPECT_THROW(Dashboard(with([](auto& dc) { dc.top_k = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(Dashboard(with([](auto& dc) { dc.history = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(Dashboard(with([](auto& dc) { dc.burn_window = 0; })),
+               std::invalid_argument);
+  for (const double budget : {0.0, -1.0, 1.5}) {
+    EXPECT_THROW(Dashboard(with([&](auto& dc) { dc.slo_budget = budget; })),
+                 std::invalid_argument)
+        << budget;
+  }
+  EXPECT_NO_THROW(Dashboard(with([](auto& dc) { dc.slo_budget = 1.0; })));
+  for (const double alert : {0.0, -2.0}) {
+    EXPECT_THROW(Dashboard(with([&](auto& dc) { dc.burn_alert = alert; })),
+                 std::invalid_argument)
+        << alert;
+  }
 }
 
 // An overloaded seeded scenario must actually light the dashboard up:

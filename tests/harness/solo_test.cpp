@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/core/catalog.hpp"
+#include "support/solo_oracle.hpp"
 
 namespace dicer::harness {
 namespace {
@@ -94,7 +95,7 @@ TEST_P(SteadyStateAgreement, MatchesSimulatedMachine) {
   mc.quantum_sec = 0.05;
   const auto& a = app(GetParam());
   const auto fast = solo_steady_state(a, 20, mc);
-  const auto slow = solo_simulated(a, 20, mc);
+  const auto slow = test::solo_simulated(a, 20, mc);
   EXPECT_NEAR(fast.ipc, slow.ipc, 0.03 * slow.ipc) << GetParam();
   EXPECT_NEAR(fast.time_sec, slow.time_sec, 0.05 * slow.time_sec + mc.quantum_sec)
       << GetParam();

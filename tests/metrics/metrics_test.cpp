@@ -14,16 +14,6 @@ TEST(Slowdown, Basics) {
   EXPECT_THROW(slowdown(1.0, 0.0), std::invalid_argument);
 }
 
-TEST(NormalisedIpc, Basics) {
-  EXPECT_DOUBLE_EQ(normalised_ipc(2.0, 1.0), 0.5);
-  EXPECT_DOUBLE_EQ(normalised_ipc(1.0, 1.0), 1.0);
-  EXPECT_THROW(normalised_ipc(0.0, 1.0), std::invalid_argument);
-}
-
-TEST(SlowdownAndNorm, AreReciprocal) {
-  EXPECT_DOUBLE_EQ(slowdown(1.3, 0.9) * normalised_ipc(1.3, 0.9), 1.0);
-}
-
 TEST(Efu, NoImpactGivesOne) {
   const std::vector<IpcPair> apps = {{1.0, 1.0}, {0.5, 0.5}, {2.0, 2.0}};
   EXPECT_DOUBLE_EQ(effective_utilisation(apps), 1.0);

@@ -74,21 +74,6 @@ TEST(MissRatioCurve, MassExactlyOneAccepted) {
   EXPECT_NO_THROW(MissRatioCurve(0.4, {{0.6, MB, 1.0}}));
 }
 
-TEST(MissRatioCurve, BytesForMissRatioInverts) {
-  const auto mrc = MissRatioCurve::single_knee(0.6, 8 * MB, 0.05, 1.0);
-  const double target = 0.25;
-  const double bytes = mrc.bytes_for_miss_ratio(target, 32 * MB);
-  EXPECT_NEAR(mrc.at(bytes), target, 1e-6);
-}
-
-TEST(MissRatioCurve, BytesForMissRatioEdgeCases) {
-  const auto mrc = MissRatioCurve::single_knee(0.6, 8 * MB, 0.05);
-  // Already satisfied at zero.
-  EXPECT_DOUBLE_EQ(mrc.bytes_for_miss_ratio(0.9, 32 * MB), 0.0);
-  // Unreachable below the floor.
-  EXPECT_DOUBLE_EQ(mrc.bytes_for_miss_ratio(0.01, 32 * MB), 32 * MB);
-}
-
 TEST(MissRatioCurve, FootprintSumsComponents) {
   const auto mrc = MissRatioCurve::double_knee(0.3, 2 * MB, 0.4, 20 * MB);
   EXPECT_DOUBLE_EQ(mrc.footprint_bytes(), 22 * MB);

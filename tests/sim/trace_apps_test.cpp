@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,7 +142,7 @@ TEST(TraceApps, DefaultProfileConfigIsUsable) {
 
 TEST(TraceApps, AugmentedCatalogContainsBaseAndTraceApps) {
   const auto catalog =
-      trace_augmented_catalog("", default_trace_apps(), test_config());
+      trace_augmented_catalog(default_trace_apps(), test_config());
   EXPECT_EQ(catalog.size(), 59u + 4u);
   EXPECT_TRUE(catalog.contains("mcf1"));  // base catalog still intact
   for (const auto& spec : default_trace_apps()) {
@@ -152,125 +151,12 @@ TEST(TraceApps, AugmentedCatalogContainsBaseAndTraceApps) {
   }
 }
 
-TEST(TraceApps, ProfileCacheRoundTripsByteIdentical) {
-  const std::string path =
-      test::unique_temp_path("trace_profile_roundtrip.csv");
-  std::remove(path.c_str());
-  const auto specs = default_trace_apps();
-  const auto config = test_config();
-  const auto first = trace_augmented_catalog(path, specs, config);
-  ASSERT_TRUE(std::ifstream(path).good());
-  const auto second = trace_augmented_catalog(path, specs, config);
-  for (const auto& spec : specs) {
-    const auto& a = first.by_name(spec.name).phases[0].mrc;
-    const auto& b = second.by_name(spec.name).phases[0].mrc;
-    EXPECT_EQ(a.floor(), b.floor());
-    ASSERT_EQ(a.components().size(), b.components().size());
-    for (std::size_t i = 0; i < a.components().size(); ++i) {
-      EXPECT_EQ(a.components()[i].weight, b.components()[i].weight);
-      EXPECT_EQ(a.components()[i].ws_bytes, b.components()[i].ws_bytes);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceApps, CorruptProfileCacheIsRecomputedNotFatal) {
-  const std::string path = test::unique_temp_path("trace_profile_corrupt.csv");
-  const auto specs = default_trace_apps();
-  const auto config = test_config();
-  const auto clean = trace_augmented_catalog(path, specs, config);
-  {
-    // Clobber a numeric cell while keeping the key line intact.
-    std::ifstream in(path);
-    std::string key_line, header;
-    std::getline(in, key_line);
-    std::getline(in, header);
-    in.close();
-    std::ofstream out(path, std::ios::trunc);
-    out << key_line << "\n" << header << "\n";
-    out << "trace_stream1,not_a_number,0.5\n";
-  }
-  const auto recovered = trace_augmented_catalog(path, specs, config);
-  for (const auto& spec : specs) {
-    EXPECT_EQ(clean.by_name(spec.name).phases[0].mrc.floor(),
-              recovered.by_name(spec.name).phases[0].mrc.floor());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceApps, ProfileCacheMustCoverEverySpec) {
-  // Rows relabelled from one spec to another: the row count still
-  // matches, but one spec has no points and another twice its ways.
-  const std::string path = test::unique_temp_path("trace_profile_cover.csv");
-  std::remove(path.c_str());
-  const auto specs = default_trace_apps();
-  const auto config = test_config();
-  const auto clean = trace_augmented_catalog(path, specs, config);
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    for (std::string line; std::getline(in, line);) {
-      if (line.rfind("trace_wset1,", 0) == 0) {
-        line.replace(0, std::string("trace_wset1").size(), "trace_mix1");
-      }
-      lines.push_back(line);
-    }
-  }
-  {
-    std::ofstream out(path, std::ios::trunc);
-    for (const auto& l : lines) out << l << "\n";
-  }
-  const auto recovered = trace_augmented_catalog(path, specs, config);
-  for (const auto& spec : specs) {
-    EXPECT_EQ(clean.by_name(spec.name).phases[0].mrc.floor(),
-              recovered.by_name(spec.name).phases[0].mrc.floor());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceApps, StaleKeyTriggersReprofile) {
-  const std::string path = test::unique_temp_path("trace_profile_stale.csv");
-  std::remove(path.c_str());
-  const auto specs = default_trace_apps();
-  auto config = test_config();
-  trace_augmented_catalog(path, specs, config);
-  std::string old_key;
-  {
-    std::ifstream in(path);
-    std::getline(in, old_key);
-  }
-  config.sample_rate = 0.125;  // result-shaping knob -> new key
-  trace_augmented_catalog(path, specs, config);
-  std::string new_key;
-  {
-    std::ifstream in(path);
-    std::getline(in, new_key);
-  }
-  EXPECT_NE(old_key, new_key);
-  std::remove(path.c_str());
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// The catalog profiles its specs concurrently; every table must be the
-// one a serial, one-spec-at-a-time profile gives, bit for bit, in the
-// catalog and in the cache file.
+// The catalog profiles its specs concurrently; every fitted curve must be
+// the one a serial, one-spec-at-a-time profile gives, bit for bit.
 TEST(TraceApps, ConcurrentCatalogMatchesSerialProfiles) {
   const auto specs = default_trace_apps();
   const auto config = test_config();
-  const std::string path = test::unique_temp_path("trace_profile_conc.csv");
-  const std::string serial_path =
-      test::unique_temp_path("trace_profile_serial.csv");
-  std::remove(path.c_str());
-  std::remove(serial_path.c_str());
-
-  const auto concurrent = trace_augmented_catalog("", specs, config);
-  std::map<std::string, std::vector<std::pair<double, double>>> serial;
+  const auto concurrent = trace_augmented_catalog(specs, config);
   for (const auto& spec : specs) {
     SCOPED_TRACE(spec.name);
     const auto& got = concurrent.by_name(spec.name).phases[0].mrc;
@@ -282,33 +168,12 @@ TEST(TraceApps, ConcurrentCatalogMatchesSerialProfiles) {
       EXPECT_EQ(got.components()[i].ws_bytes, want.components()[i].ws_bytes);
       EXPECT_EQ(got.components()[i].shape, want.components()[i].shape);
     }
-    serial[spec.name] = profile_mrc(config, *make_trace_stream(spec)).points();
   }
-
-  trace_augmented_catalog(path, specs, config);
-  std::string key_line;
-  ASSERT_TRUE(std::getline(std::ifstream(path), key_line));
-  ASSERT_EQ(key_line.rfind("# ", 0), 0u);
-  const util::CacheFile serial_file{serial_path, "serial trace profiles",
-                                    key_line.substr(2),
-                                    "app,bytes,miss_ratio"};
-  serial_file.save([&](util::CacheRowWriter& row) {
-    for (const auto& [app, points] : serial) {
-      for (const auto& [bytes, ratio] : points) {
-        row.text(app).real(bytes).real(ratio).end_row();
-      }
-    }
-  });
-  const std::string written = read_file(path);
-  EXPECT_FALSE(written.empty());
-  EXPECT_EQ(written, read_file(serial_path));
-  std::remove(path.c_str());
-  std::remove(serial_path.c_str());
 }
 
 // A spec whose stream cannot be built fails its own task only: the other
 // profiles still run to the end, then the catalog throws a plain
-// std::invalid_argument and saves no cache.
+// std::invalid_argument.
 TEST(TraceApps, BadSpecThrowsAfterEveryProfileFinishes) {
   const auto defaults = default_trace_apps();
   TraceAppSpec bad = defaults[1];
@@ -316,8 +181,6 @@ TEST(TraceApps, BadSpecThrowsAfterEveryProfileFinishes) {
   bad.name = "trace_bad_wset";
   bad.ws_bytes = 32;  // less than one cache line
   const std::vector<TraceAppSpec> specs = {defaults[0], bad, defaults[3]};
-  const std::string path = test::unique_temp_path("trace_profile_bad.csv");
-  std::remove(path.c_str());
 
   const auto runs = [] {
     for (const auto& [label, n] : trace::TimerRegistry::global().counters()) {
@@ -326,24 +189,34 @@ TEST(TraceApps, BadSpecThrowsAfterEveryProfileFinishes) {
     return std::uint64_t{0};
   };
   const std::uint64_t runs_before = runs();
-  EXPECT_THROW(trace_augmented_catalog(path, specs, test_config()),
+  EXPECT_THROW(trace_augmented_catalog(specs, test_config()),
                std::invalid_argument);
   EXPECT_EQ(runs() - runs_before, 2u);  // both good specs profiled
-  EXPECT_FALSE(std::ifstream(path).good());
-  std::remove(path.c_str());
 }
 
 // The production profile rows: the 80 `app,bytes,miss_ratio` rows (4
-// default trace apps x 20 ways, exact %.17g cells) that the default
-// config writes to the profile cache, folded with FNV-1a together with
-// the header. The key line is excluded: it names the cache version, not
-// the profile. Harvested before the profiler lost its alternative modes;
-// re-harvest only for an intentional change to the trace specs, their
-// streams or the production sampling rate.
+// default trace apps x 20 ways, in app-name order, exact %.17g cells) of
+// the default config's per-way tables, written through util::CacheFile and
+// folded with FNV-1a together with the header. The key line is excluded:
+// it names the file, not the profile. Harvested before the profiler lost
+// its alternative modes; re-harvest only for an intentional change to the
+// trace specs, their streams or the production sampling rate.
 TEST(TraceApps, DefaultProfileRowsMatchGolden) {
+  const auto config = default_trace_profile_config();
+  std::map<std::string, std::vector<std::pair<double, double>>> tables;
+  for (const auto& spec : default_trace_apps()) {
+    tables[spec.name] = profile_mrc(config, *make_trace_stream(spec)).points();
+  }
   const std::string path = test::unique_temp_path("trace_profile_golden.csv");
-  std::remove(path.c_str());
-  trace_augmented_catalog(path);
+  const util::CacheFile file{path, "trace profile rows", "trace-profile-rows",
+                             "app,bytes,miss_ratio"};
+  file.save([&](util::CacheRowWriter& row) {
+    for (const auto& [app, points] : tables) {
+      for (const auto& [bytes, ratio] : points) {
+        row.text(app).real(bytes).real(ratio).end_row();
+      }
+    }
+  });
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));  // "# <key>"

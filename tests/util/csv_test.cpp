@@ -63,12 +63,13 @@ TEST_F(CsvWriterTest, DoubleHeaderThrows) {
 }
 
 TEST_F(CsvWriterTest, RowCountTracked) {
-  CsvWriter w(path_);
-  w.header({"a"});
-  EXPECT_EQ(w.rows_written(), 0u);
-  w.row({"1"});
-  w.row({"2"});
-  EXPECT_EQ(w.rows_written(), 2u);
+  {
+    CsvWriter w(path_);
+    w.header({"a"});
+    w.row({"1"});
+    w.row({"2"});
+  }
+  EXPECT_EQ(slurp(path_), "a\n1\n2\n");
 }
 
 TEST_F(CsvWriterTest, EscapesInsideRows) {

@@ -280,32 +280,15 @@ TEST(ResolveJobs, NullEnvVarFallsBackToHardware) {
             ThreadPool::hardware_workers());
 }
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(pool, hits.size(),
-               [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, HandlesZeroIterations) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ParallelFor, RethrowsFirstExceptionAfterCompletion) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  try {
-    parallel_for(pool, 100, [&completed](std::size_t i) {
-      if (i == 13 || i == 57) throw std::invalid_argument("iteration boom");
-      completed.fetch_add(1);
-    });
-    FAIL() << "expected exception";
-  } catch (const std::invalid_argument&) {
-  }
-  // All non-throwing iterations ran despite the failures.
-  EXPECT_EQ(completed.load(), 98);
+TEST(ThreadPool, WaitingCallerPoolLeavesTheLastThreadToTheCaller) {
+  EXPECT_EQ(waiting_caller_pool(0), nullptr);
+  EXPECT_EQ(waiting_caller_pool(1), nullptr);
+  const auto two = waiting_caller_pool(2);
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(two->size(), 1u);
+  const auto four = waiting_caller_pool(4);
+  ASSERT_NE(four, nullptr);
+  EXPECT_EQ(four->size(), 3u);
 }
 
 }  // namespace
