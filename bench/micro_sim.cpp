@@ -84,6 +84,29 @@ void BM_MachineSolveAfterActuation(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineSolveAfterActuation);
 
+// The same solve on the churn fleet's machine shape: an HP and one BE,
+// with a throttle flip before every step. The Newton step's low-rank terms
+// (one per shared filling region, plus the hit and link latencies) then
+// outnumber the cores, the case a structured solve must not lose on.
+void BM_MachineSolveSmallMachine(benchmark::State& state) {
+  sim::Machine machine{sim::MachineConfig{}};
+  const auto& catalog = sim::default_catalog();
+  machine.attach(0, &catalog.at(0));
+  machine.attach(1, &catalog.at(5));
+  unsigned flip = 0;
+  for (auto _ : state) {
+    machine.set_mem_throttle(1, (flip++ & 1) != 0 ? 0.9 : 1.0);
+    machine.step();
+    benchmark::DoNotOptimize(machine.telemetry(0).instructions);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  const auto& stats = machine.solver_stats();
+  state.counters["rounds_per_solve"] =
+      static_cast<double>(stats.total_rounds()) /
+      static_cast<double>(std::max<std::uint64_t>(stats.solves, 1));
+}
+BENCHMARK(BM_MachineSolveSmallMachine);
+
 // Worst case for the cached region decomposition: every step is preceded
 // by a repartition, so the cache misses each quantum and the full
 // decompose + layout rebuild + cold occupancy solve runs. The gap between

@@ -36,7 +36,7 @@ static int run(int argc, char** argv) {
 
   const util::CliArgs args(argc, argv);
   const std::uint64_t epochs = args.get_count("epochs", 30);
-  const auto refresh_ms = args.get_int("refresh-ms", 0);
+  const unsigned refresh_ms = args.get_count("refresh-ms", 0);
 
   const sim::AppCatalog catalog = examples::catalog_from(args);
   util::ObservabilityFlags env(args);

@@ -37,8 +37,10 @@ DEFAULT_BENCHES = [
     "BM_MachineStepSteadyState",
     "BM_MachineStep10Apps",
     "BM_MachineStepPartitioned",
-    # Every quantum solves: a throttle flips before each step.
+    # Every quantum solves: a throttle flips before each step, on a
+    # 10-app machine and on churn's HP-plus-one-BE shape.
     "BM_MachineSolveAfterActuation",
+    "BM_MachineSolveSmallMachine",
     "BM_MachineRunPeriod",
     # The interval-stepping pair over the same 8 machines: step() per
     # quantum and run_until per control interval (bulk replay commits);

@@ -35,7 +35,7 @@ util::CacheFile sweep_file(const std::string& path,
   for (const auto& p : config.policies) h.add(p);
   h.add(config.cores.size());
   for (unsigned c : config.cores) h.add(c);
-  return {path, "sweep cache", h.key("dicer-sweep-v11"), kSweepHeader};
+  return {path, "sweep cache", h.key("dicer-sweep-v12"), kSweepHeader};
 }
 
 /// One cache row <-> one SweepRow (see util/cache_file.hpp).

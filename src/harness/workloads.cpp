@@ -49,7 +49,7 @@ util::CacheFile baseline_file(const std::string& path,
   util::KeyHasher h;
   mix_cache_inputs(h, catalog, config);
   h.add(config.cores_used);
-  return {path, "baseline cache", h.key("dicer-baseline-v9"),
+  return {path, "baseline cache", h.key("dicer-baseline-v10"),
           kBaselineHeader};
 }
 

@@ -20,8 +20,10 @@ MissRatioCurve::MissRatioCurve(double floor,
     if (c.ws_bytes <= 0.0) {
       throw std::invalid_argument("MissRatioCurve: working set must be > 0");
     }
-    if (c.shape <= 0.0) {
-      throw std::invalid_argument("MissRatioCurve: shape must be > 0");
+    if (!(c.shape > 0.0 && c.shape <= kMaxShape &&
+          std::floor(2.0 * c.shape) == 2.0 * c.shape)) {
+      throw std::invalid_argument(
+          "MissRatioCurve: shape must be a multiple of 1/2 in (0, 64]");
     }
     total += c.weight;
   }
@@ -45,7 +47,11 @@ double MissRatioCurve::miss_and_slope(double bytes,
     const double coverage = std::min(x / c.ws_bytes, 1.0);
     if (coverage >= 1.0) continue;  // fully resident: contributes ~0
     const double uncovered = 1.0 - coverage;
-    const double term = c.weight * std::pow(uncovered, c.shape);
+    // uncovered^shape as whole powers times one square root for a half.
+    const auto halves = static_cast<unsigned>(2.0 * c.shape);
+    double power = halves % 2 != 0 ? std::sqrt(uncovered) : 1.0;
+    for (unsigned k = halves / 2; k > 0; --k) power *= uncovered;
+    const double term = c.weight * power;
     m += term;
     dm -= term * c.shape / (uncovered * c.ws_bytes);
   }

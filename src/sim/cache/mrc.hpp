@@ -13,7 +13,11 @@
 // resident fraction — the classic random-reuse result); shape > 1 models
 // skewed reuse (a hot subset, so the first bytes of residency buy the most
 // hits); shape < 1 models scan-like reuse where only near-total residency
-// helps. Partial residency MUST give partial hits: an app holding 60 % of
+// helps. Shapes are positive multiples of 1/2 (every catalog curve uses 1,
+// 1.5, 2 or 2.5, and trace fits use 1), so (1 - c)^shape is a product of
+// whole powers and at most one square root: no pow() on the quantum
+// solve's path, and within a few ulp of pow(). Partial residency MUST give
+// partial hits: an app holding 60 % of
 // its set hits well over half the time under real LRU, and the paper's
 // classification physics (CT rescuing partially-squeezed HPs by only a
 // little) depends on that.
@@ -36,23 +40,30 @@ namespace dicer::sim {
 struct MrcComponent {
   double weight = 0.0;    ///< miss-ratio mass released once covered
   double ws_bytes = 0.0;  ///< working-set size (bytes)
-  double shape = 1.5;     ///< reuse skew; 1 = uniform, > 1 = hot-subset
+  /// Reuse skew; 1 = uniform, > 1 = hot-subset. A positive multiple of
+  /// 1/2, at most MissRatioCurve::kMaxShape.
+  double shape = 1.5;
 };
 
 /// Analytic miss-ratio curve (sum of hill components over a floor).
 class MissRatioCurve {
  public:
+  /// Largest component shape.
+  static constexpr double kMaxShape = 64.0;
+
   MissRatioCurve() = default;
   /// Throws std::invalid_argument unless 0 <= floor, weights >= 0,
-  /// floor + sum(weights) <= 1, ws_bytes > 0 and steepness > 0.
+  /// floor + sum(weights) <= 1, ws_bytes > 0 and every shape is a
+  /// multiple of 1/2 in (0, kMaxShape].
   MissRatioCurve(double floor, std::vector<MrcComponent> components);
 
   /// Miss ratio for an effective allocation of `bytes` (>= 0).
   double at(double bytes) const noexcept;
   /// at(bytes) together with its derivative dm/dbytes (<= 0) in `slope`:
   /// -sum over partly covered components of
-  /// weight * shape * (1 - c)^shape / ((1 - c) * ws), from the same pow
-  /// as the miss ratio; 0 where the miss ratio clamps at 1.
+  /// weight * shape * (1 - c)^shape / ((1 - c) * ws), from the same power
+  /// as the miss ratio; 0 where the miss ratio clamps at 1. The power is
+  /// whole multiplications times one sqrt for a half shape.
   double miss_and_slope(double bytes, double& slope) const noexcept;
 
   /// Asymptotic miss ratio with unbounded cache.

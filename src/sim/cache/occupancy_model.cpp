@@ -82,7 +82,7 @@ double fill_time(const CacheRegion& r, const OccupancyScratch::RegionState& rs,
   double stream = 0.0;
   for (std::size_t k = 0; k < r.sharers.size(); ++k) {
     const auto& d = demand[r.sharers[k]];
-    const double f = rs.frac[k];
+    const double f = rs.sharers[k].frac;
     stream += d.stream_bytes_per_sec * f;
     for (const auto& c : d.reuse) {
       const double rate = c.rate_bytes_per_sec * f;
@@ -145,10 +145,11 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       const auto& r = regions[ri];
       auto& rs = scratch.regions[ri];
-      rs.frac.assign(r.sharers.size(), 0.0);
+      rs.sharers.assign(r.sharers.size(), {});
+      rs.fill_total = 0.0;
       for (std::size_t k = 0; k < r.sharers.size(); ++k) {
         const std::size_t a = r.sharers[k];
-        rs.frac[k] =
+        rs.sharers[k].frac =
             scratch.avail[a] > 0.0 ? r.capacity_bytes / scratch.avail[a] : 0.0;
       }
     }
@@ -165,7 +166,7 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
       double sum = 0.0;
       for (std::size_t k = 0; k < num_sharers; ++k) {
         const auto& d = demand[r.sharers[k]];
-        const double f = rs.frac[k];
+        const double f = rs.sharers[k].frac;
         double app_occ = d.stream_bytes_per_sec * f * t;
         for (const auto& c : d.reuse) {
           app_occ +=
@@ -187,57 +188,30 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     }
     rs.t_c = t_c;
 
+    // Each sharer's holding, and beta_k: how fast it grows with t at t_c,
+    // i.e. its streaming rate plus the reuse rates min() leaves
+    // unsaturated there.
+    double total = 0.0;
     for (std::size_t k = 0; k < num_sharers; ++k) {
       const auto& d = demand[r.sharers[k]];
-      const double f = rs.frac[k];
-      double app_occ = d.stream_bytes_per_sec * f * t_c;
+      const double f = rs.sharers[k].frac;
+      double beta = d.stream_bytes_per_sec * f;
+      double app_occ = beta * t_c;
       for (const auto& c : d.reuse) {
-        app_occ +=
-            std::min(c.rate_bytes_per_sec * f * t_c, c.footprint_bytes * f);
-      }
-      occ[r.sharers[k]] += app_occ;
-    }
-  }
-}
-
-void occupancy_sensitivity(const std::vector<CacheRegion>& regions,
-                           const std::vector<CacheDemand>& demand,
-                           const OccupancySolverConfig& config,
-                           const OccupancyScratch& scratch, double* sens) {
-  const std::size_t n = demand.size();
-  std::fill_n(sens, n * n, 0.0);
-  std::array<double, 64> beta{};  // decompose_regions caps apps at 64
-  for (std::size_t ri = 0; ri < regions.size(); ++ri) {
-    const auto& r = regions[ri];
-    if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
-    const auto& rs = scratch.regions[ri];
-    const double t_c = rs.t_c;
-    // beta_k: how fast sharer k's holding grows with t at t_c, i.e. its
-    // streaming rate plus the reuse rates the min() in solve_occupancy
-    // leaves unsaturated there.
-    double total = 0.0;
-    for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-      const auto& d = demand[r.sharers[k]];
-      const double f = rs.frac[k];
-      double b = d.stream_bytes_per_sec * f;
-      for (const auto& c : d.reuse) {
-        if (c.rate_bytes_per_sec * f * t_c < c.footprint_bytes * f) {
-          b += c.rate_bytes_per_sec * f;
+        const double rate = c.rate_bytes_per_sec * f;
+        const double fp = c.footprint_bytes * f;
+        if (rate * t_c < fp) {
+          app_occ += rate * t_c;
+          beta += rate;
+        } else {
+          app_occ += fp;
         }
       }
-      beta[k] = b;
-      total += b;
+      occ[r.sharers[k]] += app_occ;
+      rs.sharers[k].growth = beta * t_c;
+      total += rs.sharers[k].growth;
     }
-    const bool fills = t_c < config.max_characteristic_time_sec && total > 0.0;
-    for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-      const std::size_t i = r.sharers[k];
-      sens[i * n + i] += beta[k] * t_c;
-      if (!fills) continue;
-      const double share = beta[k] * t_c / total;
-      for (std::size_t l = 0; l < r.sharers.size(); ++l) {
-        sens[i * n + r.sharers[l]] -= share * beta[l];
-      }
-    }
+    rs.fill_total = t_c < t_max ? total : 0.0;
   }
 }
 

@@ -86,12 +86,31 @@ struct OccupancySolverConfig {
 /// The layout-derived state (per-app eligible capacity, per-region
 /// capacity fractions) is rebuilt after invalidate() or when the
 /// region/app counts change; every call solves each region afresh and
-/// keeps its characteristic time, which occupancy_sensitivity reads.
+/// keeps its characteristic time and its sharers' sensitivities.
 /// Results are byte-identical with or without scratch reuse.
+///
+/// The sensitivity of the last solve, d occ_i / d ln s_k with s_k scaling
+/// every rate of app k (streaming and reuse) alike, is a sum over the
+/// regions both apps share: inside a region a sharer holds beta_i * T_c
+/// plus its saturated footprints, beta_i being its streaming rate plus
+/// its unsaturated reuse rates (capacity-scaled), so scaling app k grows
+/// its own holding by g_k = beta_k * T_c (`growth`) and, in a region that
+/// fills (T_c < t_max), shortens T_c by the share g_k / sum_j g_j
+/// (`fill_total` = that sum) for every sharer:
+///
+///     d occ_i / d ln s_k = sum_R  g_i [i == k] - g_i g_k / fill_total_R
+///
+/// — a diagonal plus one rank-one term per filling region. Exact away
+/// from the kinks where a component saturates or a region starts to fill.
 struct OccupancyScratch {
+  struct Sharer {
+    double frac = 0.0;    ///< capacity fraction (layout)
+    double growth = 0.0;  ///< beta_k * T_c of the last solve
+  };
   struct RegionState {
-    double t_c = 0.0;          ///< characteristic time of the last solve
-    std::vector<double> frac;  ///< capacity fraction per sharer (layout)
+    double t_c = 0.0;  ///< characteristic time of the last solve
+    double fill_total = 0.0;  ///< sum of growth if the region fills, else 0
+    std::vector<Sharer> sharers;  ///< parallel to CacheRegion::sharers
   };
   std::vector<double> avail;        ///< per-app total eligible capacity
   std::vector<RegionState> regions; ///< parallel to the region vector
@@ -127,20 +146,5 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
                      const std::vector<CacheDemand>& demand,
                      const OccupancySolverConfig& config,
                      OccupancyScratch& scratch, std::vector<double>& occ);
-
-/// The sensitivity of the last solve_occupancy call on `scratch` (same
-/// regions, demand and config): into `sens`, row-major n x n with n =
-/// demand.size(), d occ_i / d ln s_k, where s_k scales every rate of app
-/// k (streaming and reuse) alike. Inside a region a sharer holds
-/// beta_i * T_c plus its saturated footprints, beta_i being its streaming
-/// rate plus its unsaturated reuse rates (capacity-scaled), so scaling app
-/// k grows its own holding by beta_k * T_c and, in a region that fills
-/// (T_c < t_max), shortens T_c by T_c * beta_k / sum_j beta_j for every
-/// sharer. Exact away from the kinks where a component saturates or a
-/// region starts to fill.
-void occupancy_sensitivity(const std::vector<CacheRegion>& regions,
-                           const std::vector<CacheDemand>& demand,
-                           const OccupancySolverConfig& config,
-                           const OccupancyScratch& scratch, double* sens);
 
 }  // namespace dicer::sim

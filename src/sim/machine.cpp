@@ -162,42 +162,36 @@ void Machine::evaluate(double* target) {
   }
 }
 
-void Machine::jacobian(const double* target, double* jac) {
+std::size_t Machine::jacobian(const double* target, double* diag, double* u,
+                              double* v) {
   // F_i = freq / cpi_i with
   //   cpi_i = cpi_core + api_i ((1 - m_i) H + m_i L / (mlp_eff_i theta_i)),
   // so dF_i/dx_k = -(F_i^2 / freq) dcpi_i/dx_k, and cpi_i moves through
   // three channels: its own miss ratio m_i (directly and through the MLP
   // squeeze), the shared hit latency H (through the total access rate),
   // and the shared link latency L (through rho, which every core's demand
-  // feeds, misses included).
+  // feeds, misses included). Every rate of app k is proportional to x_k,
+  // so dm_i/dx_k = slope_i * sens_ik / x_k with sens the occupancy model's
+  // sensitivity: a diagonal plus one rank-one term per filling region
+  // (OccupancyScratch). Hence J = D + U V^T, one column pair per rank-one
+  // term.
   auto& s = scratch_;
   const std::size_t n = s.active.size();
   const double line = config_.llc.line_bytes;
-
-  // The occupancy model's sensitivity d occ_i / d ln x_k (every rate of
-  // app k is proportional to x_k): dm_i/dx_k = slope_i * sens_ik / x_k.
-  occupancy_sensitivity(regions_, s.cache_demand, config_.occupancy,
-                        s.occupancy, jac);
-
-  // drho/dx_k: demand_j = e_j m_j x_j moves with x_k directly (j = k) and
-  // through every m_j.
   const double capacity = link_.config().capacity_bytes_per_sec;
-  std::array<double, kMaxCores> inv_x{}, api{}, rho_per_miss{}, drho{};
+
+  // Written for the n active slots before they are read; only `own`
+  // accumulates.
+  std::array<double, kMaxCores> inv_x, rho_per_miss, by_occ, by_access,
+      by_rho, own, drho;
+  std::fill_n(own.data(), n, 0.0);
   double total_accesses = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     const AppPhase& ph = *s.phase[k];
     inv_x[k] = 1.0 / s.ips[k];
-    api[k] = ph.api;
     rho_per_miss[k] = ph.api * line * (1.0 + ph.wb_ratio) / capacity;
     drho[k] = rho_per_miss[k] * s.miss[k];
     total_accesses += ph.api * s.ips[k];
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const double w = rho_per_miss[j] * s.ips[j] * s.miss_slope[j];
-    if (w == 0.0) continue;
-    for (std::size_t k = 0; k < n; ++k) {
-      drho[k] += w * jac[j * n + k] * inv_x[k];
-    }
   }
 
   // dH/d(total accesses): the square-root rise, flat once saturated.
@@ -214,6 +208,8 @@ void Machine::jacobian(const double* target, double* jac) {
   const double mem_latency = s.arb.effective_latency_cycles;
   const double dmem = link_.latency_slope_at(s.arb.raw_utilisation);
 
+  // dF_i by channel: per unit sens_ik / x_k (through m_i), per access/s,
+  // per unit rho.
   for (std::size_t i = 0; i < n; ++i) {
     const AppPhase& ph = *s.phase[i];
     const PhaseConst& pc = s.pc[i];
@@ -226,20 +222,102 @@ void Machine::jacobian(const double* target, double* jac) {
                             : 0.0;
     const double theta = mem_throttle_[s.active[i]];
     const double stall = mem_latency / (mlp_eff * theta);
-    // dF_i by channel: per unit sens_ik / x_k (through m_i), per
-    // access/s, per unit rho.
     const double scale = -target[i] * target[i] / config_.freq_hz;
-    const double by_occ = scale * ph.api *
-                          (stall - hit_latency - m * stall / mlp_eff * dmlp) *
-                          s.miss_slope[i];
-    const double by_access = scale * ph.api * (1.0 - m) * dhit;
-    const double by_rho = scale * ph.api * m / (mlp_eff * theta) * dmem;
-    double* row = jac + i * n;
-    for (std::size_t k = 0; k < n; ++k) {
-      row[k] = by_occ * row[k] * inv_x[k] + by_access * api[k] +
-               by_rho * drho[k];
+    by_occ[i] = scale * ph.api *
+                (stall - hit_latency - m * stall / mlp_eff * dmlp) *
+                s.miss_slope[i];
+    by_access[i] = scale * ph.api * (1.0 - m) * dhit;
+    by_rho[i] = scale * ph.api * m / (mlp_eff * theta) * dmem;
+  }
+
+  // The regions: each adds its growth to the diagonal and, if it fills,
+  // a rank-one term u_i = by_occ_i g_i / total, v_k = -g_k / x_k. rho
+  // moves with every m_j, so each term reaches drho too, with weight
+  // sum_j w_j g_j / total (w_j = d rho / d m_j * slope_j).
+  std::size_t r = 0;
+  for (std::size_t ri = 0; ri < regions_.size(); ++ri) {
+    const auto& cores = regions_[ri].sharers;
+    const auto& state = s.occupancy.regions[ri];
+    const double total = state.fill_total;
+    // A sole sharer of a filling region holds its capacity at any rate.
+    if (total > 0.0 && cores.size() == 1) continue;
+    for (std::size_t k = 0; k < cores.size(); ++k) {
+      own[cores[k]] += state.sharers[k].growth;
+    }
+    if (!(total > 0.0)) continue;
+    double* uc = u + r * n;
+    double* vc = v + r * n;
+    std::fill_n(uc, n, 0.0);
+    std::fill_n(vc, n, 0.0);
+    double to_rho = 0.0;
+    bool moves = false;
+    for (std::size_t k = 0; k < cores.size(); ++k) {
+      const std::size_t j = cores[k];
+      const double g = state.sharers[k].growth;
+      const double share = g / total;
+      uc[j] = by_occ[j] * share;
+      vc[j] = -g * inv_x[j];
+      to_rho += rho_per_miss[j] * s.ips[j] * s.miss_slope[j] * share;
+      moves = moves || uc[j] != 0.0;
+    }
+    for (std::size_t j : cores) drho[j] += to_rho * vc[j];
+    if (moves) ++r;  // else u is zero: the term only reaches drho
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    diag[k] = by_occ[k] * own[k] * inv_x[k];
+    drho[k] += rho_per_miss[k] * s.ips[k] * s.miss_slope[k] * own[k] *
+               inv_x[k];
+  }
+
+  // The shared latencies: by_access (x) api and by_rho (x) drho.
+  if (dhit != 0.0) {
+    std::copy_n(by_access.data(), n, u + r * n);
+    for (std::size_t k = 0; k < n; ++k) v[r * n + k] = s.phase[k]->api;
+    ++r;
+  }
+  if (dmem != 0.0) {
+    std::copy_n(by_rho.data(), n, u + r * n);
+    std::copy_n(drho.data(), n, v + r * n);
+    ++r;
+  }
+  return r;
+}
+
+bool Machine::newton_step(const double* target, const double* g, double* d) {
+  // (I - J)^-1 g = A^-1 g + A^-1 U (I - V^T A^-1 U)^-1 V^T A^-1 g with
+  // A = I - D diagonal: scale g and U's columns by A^-1 (into d and U),
+  // factor the r x r capacitance C = I - V^T A^-1 U, and add back
+  // A^-1 U w for C w = V^T A^-1 g.
+  const std::size_t n = scratch_.active.size();
+  std::array<double, kMaxCores> a;
+  std::array<double, kMaxCores * kMaxJacobianTerms> u, v;
+  std::array<double, kMaxJacobianTerms * kMaxJacobianTerms> c;
+  std::array<double, kMaxJacobianTerms> w;
+  const std::size_t r = jacobian(target, a.data(), u.data(), v.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = 1.0 / (1.0 - a[i]);
+    d[i] = g[i] * a[i];
+  }
+  for (std::size_t q = 0; q < r; ++q) {
+    for (std::size_t i = 0; i < n; ++i) u[q * n + i] *= a[i];
+  }
+  for (std::size_t p = 0; p < r; ++p) {
+    const double* vp = v.data() + p * n;
+    double rhs = 0.0;
+    for (std::size_t i = 0; i < n; ++i) rhs += vp[i] * d[i];
+    w[p] = rhs;
+    for (std::size_t q = 0; q < r; ++q) {
+      const double* uq = u.data() + q * n;
+      double dot = 0.0;
+      for (std::size_t i = 0; i < n; ++i) dot += vp[i] * uq[i];
+      c[p * r + q] = (p == q ? 1.0 : 0.0) - dot;
     }
   }
+  if (!lu_solve(r, c.data(), w.data())) return false;
+  for (std::size_t q = 0; q < r; ++q) {
+    for (std::size_t i = 0; i < n; ++i) d[i] += u[q * n + i] * w[q];
+  }
+  return true;
 }
 
 /// Newton's method on G(x) = F(x) - x. Each round evaluates F at the
@@ -247,17 +325,13 @@ void Machine::jacobian(const double* target, double* jac) {
 /// tolerance: that round's inputs are kept as the solution, with no final
 /// update, so re-solving a converged state exits in round 1 with identical
 /// bits. Otherwise the next iterate is x + d with (I - J) d = G, J = dF/dx
-/// from jacobian(). Safeguard: an iterate that is not finite and positive
-/// (or a singular I - J) falls back to the half step x + G/2, which stays
-/// positive because F is.
+/// (newton_step). Safeguard: an iterate that is not finite and positive
+/// (or a singular system) falls back to the half step x + G/2, which
+/// stays positive because F is.
 bool Machine::solve_fixed_point(unsigned& rounds_used) {
   auto& s = scratch_;
   const std::size_t n = s.active.size();
-  // Solve-local vectors live on the stack; the n x n system lives in the
-  // scratch (sized by solve_quantum), which spares zeroing a
-  // kMaxCores-squared block on every solve.
   std::array<double, kMaxCores> target{}, g{}, d{};
-  double* a = s.jac.data();
   rounds_used = 0;
   for (unsigned round = 0; round < config_.fixed_point_rounds; ++round) {
     evaluate(target.data());
@@ -270,13 +344,7 @@ bool Machine::solve_fixed_point(unsigned& rounds_used) {
     if (res < tolerance_) return true;
     if (rounds_used == config_.fixed_point_rounds) break;
 
-    // (J - I) d = -G, the same system as (I - J) d = G.
-    jacobian(target.data(), a);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i * n + i] -= 1.0;
-      d[i] = -g[i];
-    }
-    bool ok = lu_solve(n, a, d.data());
+    bool ok = newton_step(target.data(), g.data(), d.data());
     for (std::size_t i = 0; ok && i < n; ++i) {
       d[i] += s.ips[i];
       ok = std::isfinite(d[i]) && d[i] > 0.0;
@@ -596,7 +664,6 @@ bool Machine::solve_quantum() {
   s.occ.assign(n, 0.0);
   s.miss.assign(n, 1.0);
   s.miss_slope.assign(n, 0.0);
-  s.jac.resize(n * n);
   s.demand.assign(n, 0.0);
   s.cache_demand.resize(n);
 

@@ -19,15 +19,17 @@
 // The solve warm-starts from the previous quantum and runs Newton's method
 // on G(x) = F(x) - x until every core's IPS is self-consistent to 1e-9
 // relative. F is structured, so its Jacobian is assembled analytically
-// from the values an evaluation already holds: each core's miss ratio
-// moves with every IPS that shares a cache region with it (through the
-// occupancy model's sensitivity and the MRC's slope, and on to the core's
-// MLP squeeze), and two shared scalars add rank-one terms — the uncore
-// hit latency through the total access rate, and the link latency through
-// rho, which every core's misses feed. A converged solve keeps the inputs
-// of its last round, so re-solving it reproduces every bit. It arms a replay
-// cache: later quanta with the same active apps in the same phases reuse
-// its solution without solving.
+// from the values an evaluation already holds, as a diagonal plus a few
+// rank-one terms: each core's miss ratio moves with its own IPS and, in
+// each filling cache region, with every sharer's (through the occupancy
+// model's sensitivity and the MRC's slope, and on to the core's MLP
+// squeeze), and two shared scalars add one term each — the uncore hit
+// latency through the total access rate, and the link latency through
+// rho, which every core's misses feed. The Newton step then factors only
+// a system as large as the number of those terms (Woodbury). A converged
+// solve keeps the inputs of its last round, so re-solving it reproduces
+// every bit. It arms a replay cache: later quanta with the same active
+// apps in the same phases reuse its solution without solving.
 //
 // Each active core's progress counters advance in runs: while a quantum
 // adds the same increments as the one before and stays inside the app's
@@ -168,7 +170,7 @@ struct PhaseConst {
   std::vector<double> wfrac;  ///< weight_j / sum(weights); empty if sum<=0
   double memo_occ = -1.0;     ///< last mrc.miss_and_slope() argument
   double memo_miss = 1.0;     ///< and its value (occupancies repeat in
-                              ///< steady state; at() is pow-heavy)
+                              ///< steady state, so a repeat skips the curve)
   double memo_slope = 0.0;    ///< and its slope dm/docc
 
   /// Rebuild every field for `ph` (reusing the vectors' storage).
@@ -206,7 +208,6 @@ struct StepScratch {
   std::vector<double> occ;
   std::vector<double> miss;
   std::vector<double> miss_slope;  ///< dm/docc at each slot's occupancy
-  std::vector<double> jac;  ///< the Newton system, n x n row-major
   std::vector<double> demand;
   std::vector<CacheDemand> cache_demand;
   LinkArbitration arb;
@@ -303,9 +304,22 @@ class Machine {
   /// scratch_, which therefore always describes scratch_.ips), and into
   /// `target` the IPS each active core would run at under that state.
   void evaluate(double* target);
-  /// The Jacobian dF/dx at scratch_.ips into `jac` (row-major n x n),
-  /// from the state the last evaluate() there left and its `target`.
-  void jacobian(const double* target, double* jac);
+  /// Columns U and V may need: one per region, plus two.
+  static constexpr std::size_t kMaxJacobianTerms = kMaxWays + 2;
+  /// The Jacobian dF/dx at scratch_.ips as J = D + U V^T, from the state
+  /// the last evaluate() there left and its `target`: D's diagonal into
+  /// `diag`, and U and V, n x r with column c at c * n, into `u` and `v`
+  /// (room for kMaxJacobianTerms columns). Returns r: one column per
+  /// filling region shared by two or more cores, and one each for the
+  /// hit and the link latency while they move.
+  std::size_t jacobian(const double* target, double* diag, double* u,
+                       double* v);
+  /// The Newton step d solving (I - J) d = g at scratch_.ips, through the
+  /// Woodbury identity: (I - D) is diagonal, so only an r x r system is
+  /// factored. False if that system is singular. U, V and that system
+  /// live on the stack: they are rebuilt every round, and per-machine
+  /// buffers would cost a large fleet megabytes.
+  bool newton_step(const double* target, const double* g, double* d);
   /// Commit one quantum's increments to slot i: extend its run if they
   /// are bit-equal to the run's and advance()'s within-phase predicate
   /// holds, else go through advance() and start a new run. Returns the

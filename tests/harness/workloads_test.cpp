@@ -224,7 +224,7 @@ TEST(CatalogFingerprint, CoversEveryFieldTheSimulatorReads) {
       {"mrc ws_bytes",
        with_component([](sim::MrcComponent& c) { c.ws_bytes += 64.0; })},
       {"mrc shape",
-       with_component([](sim::MrcComponent& c) { c.shape += 0.1; })},
+       with_component([](sim::MrcComponent& c) { c.shape += 0.5; })},
   };
   for (const auto& [field, mutate] : mutations) {
     auto changed = profiles;

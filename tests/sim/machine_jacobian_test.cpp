@@ -2,10 +2,11 @@
 // coupled cache/link map F is compared with central differences of F in
 // states that exercise each of its terms — the shared-region occupancy
 // coupling, the link's congestion knee and its oversubscription stretch,
-// and an MBA throttle. A hard re-solve after an actuation must take few
-// rounds and land on the fixed point a far tighter solve finds, and every
-// solve under random churn must land where the Anderson-mixing iteration
-// it replaced does.
+// and an MBA throttle. The solver's structured Newton step must match a
+// dense elimination on that Jacobian. A hard re-solve after an actuation
+// must take few rounds and land on the fixed point a far tighter solve
+// finds, and every solve under random churn must land where the
+// Anderson-mixing iteration it replaced does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,6 +161,129 @@ TEST(MachineJacobian, MaskFlipUnderSaturationResolvesInFewRounds) {
     tight.run_until(tight.quantum() + 10);
   }
   EXPECT_GT(m.last_link_utilisation(), 1.0);
+}
+
+/// (I - J) d = g for a dense row-major J, by Gaussian elimination with
+/// partial pivoting: the test-side oracle for the solver's Woodbury step.
+std::vector<double> dense_step(std::vector<double> jac, std::vector<double> g) {
+  const std::size_t n = g.size();
+  for (std::size_t i = 0; i < n * n; ++i) jac[i] = -jac[i];
+  for (std::size_t i = 0; i < n; ++i) jac[i * n + i] += 1.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    std::size_t p = c;
+    for (std::size_t r = c + 1; r < n; ++r) {
+      if (std::fabs(jac[r * n + c]) > std::fabs(jac[p * n + c])) p = r;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      std::swap(jac[c * n + k], jac[p * n + k]);
+    }
+    std::swap(g[c], g[p]);
+    for (std::size_t r = c + 1; r < n; ++r) {
+      const double f = jac[r * n + c] / jac[c * n + c];
+      for (std::size_t k = c; k < n; ++k) jac[r * n + k] -= f * jac[c * n + k];
+      g[r] -= f * g[c];
+    }
+  }
+  for (std::size_t c = n; c-- > 0;) {
+    for (std::size_t k = c + 1; k < n; ++k) g[c] -= jac[c * n + k] * g[k];
+    g[c] /= jac[c * n + c];
+  }
+  return g;
+}
+
+/// Solves `m` once, moves the IPS off the fixed point, and follows the
+/// solver's Newton iteration from there: every step must match the dense
+/// oracle on the expanded Jacobian to 1e-12 of its largest entry. Returns
+/// the widest U V^T the steps used.
+std::size_t expect_steps_match_dense(Machine& m) {
+  m.step();
+  auto& x = MachineTestPeer::scratch(m).ips;
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] *= 1.0 + 0.3 * std::sin(static_cast<double>(i) + 1.0);
+  }
+  std::size_t rank = 0;
+  unsigned steps = 0;
+  for (; steps < 8; ++steps) {
+    std::vector<double> target;
+    const auto d = MachineTestPeer::newton_step(m, target);
+    std::vector<double> g(n);
+    double res = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      g[i] = target[i] - x[i];
+      res = std::max(res, std::fabs(g[i]) / x[i]);
+    }
+    if (res < 1e-12) break;
+    std::size_t r = 0;
+    const auto jac = MachineTestPeer::jacobian(m, &r);
+    rank = std::max(rank, r);
+    const auto ref = dense_step(jac, g);
+    EXPECT_EQ(d.size(), n) << "step " << steps << ": singular";
+    if (d.size() != n) break;
+    double scale = 0.0;
+    for (double v : ref) scale = std::max(scale, std::fabs(v));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LE(std::fabs(d[i] - ref[i]), 1e-12 * scale)
+          << "step " << steps << ", slot " << i << ": " << d[i]
+          << " against the dense " << ref[i];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = x[i] + d[i] > 0.0 ? x[i] + d[i] : x[i] + 0.5 * g[i];
+    }
+  }
+  EXPECT_GT(steps, 0u);
+  return rank;
+}
+
+TEST(MachineJacobian, StructuredStepMatchesDenseSolve) {
+  {
+    SCOPED_TRACE("shared regions");
+    Machine m{MachineConfig{}};
+    m.attach(0, &app("omnetpp1"));
+    m.set_fill_mask(0, WayMask::high(12, 20));
+    for (unsigned c = 1; c < 7; ++c) {
+      m.attach(c, &app(c % 2 == 0 ? "gcc_base3" : "bzip22"));
+      m.set_fill_mask(c, WayMask::low(c < 4 ? 8 : 4));
+    }
+    EXPECT_GE(expect_steps_match_dense(m), 3u);
+  }
+  {
+    SCOPED_TRACE("link knee");
+    Machine m{MachineConfig{}};
+    m.attach(0, &app("milc1"));
+    for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("gcc_base3"));
+    expect_steps_match_dense(m);
+  }
+  {
+    SCOPED_TRACE("oversubscribed link");
+    Machine m{MachineConfig{}};
+    m.attach(0, &app("omnetpp1"));
+    for (unsigned c = 1; c < 10; ++c) m.attach(c, &app("lbm1"));
+    expect_steps_match_dense(m);
+  }
+  {
+    SCOPED_TRACE("MBA throttle");
+    Machine m{MachineConfig{}};
+    m.attach(0, &app("milc1"));
+    for (unsigned c = 1; c < 6; ++c) m.attach(c, &app("lbm1"));
+    m.set_mem_throttle(3, 0.4);
+    expect_steps_match_dense(m);
+  }
+  {
+    // Churn's machines: an HP alone, or with one BE. The terms then
+    // outnumber the cores.
+    SCOPED_TRACE("one app");
+    Machine m{MachineConfig{}};
+    m.attach(0, &app("milc1"));
+    EXPECT_GE(expect_steps_match_dense(m), 1u);
+  }
+  {
+    SCOPED_TRACE("two apps");
+    Machine m{MachineConfig{}};
+    m.attach(0, &app("omnetpp1"));
+    m.attach(1, &app("lbm1"));
+    EXPECT_GE(expect_steps_match_dense(m), 2u);
+  }
 }
 
 /// The reference solve: Anderson-accelerated mixing (depth 3, mixing 0.5,

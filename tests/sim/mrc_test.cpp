@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace dicer::sim {
@@ -68,6 +71,48 @@ TEST(MissRatioCurve, ValidationRejectsBadInput) {
   EXPECT_THROW(MissRatioCurve(0.0, {{0.5, 0.0, 1.0}}), std::invalid_argument);
   EXPECT_THROW(MissRatioCurve(0.0, {{0.5, MB, 0.0}}), std::invalid_argument);
   EXPECT_THROW(MissRatioCurve(0.5, {{0.6, MB, 1.0}}), std::invalid_argument);
+}
+
+TEST(MissRatioCurve, ShapeMustBeAPositiveMultipleOfAHalf) {
+  EXPECT_THROW(MissRatioCurve(0.0, {{0.5, MB, 0.7}}), std::invalid_argument);
+  EXPECT_THROW(MissRatioCurve(0.0, {{0.5, MB, 1.25}}), std::invalid_argument);
+  EXPECT_THROW(MissRatioCurve(0.0, {{0.5, MB, -0.5}}), std::invalid_argument);
+  EXPECT_THROW(
+      MissRatioCurve(0.0, {{0.5, MB, MissRatioCurve::kMaxShape + 0.5}}),
+      std::invalid_argument);
+  for (double shape = 0.5; shape <= 3.0; shape += 0.5) {
+    EXPECT_NO_THROW(MissRatioCurve(0.0, {{0.5, MB, shape}})) << shape;
+  }
+}
+
+/// Units in the last place between two positive doubles.
+std::uint64_t ulps(double a, double b) {
+  const auto ia = std::bit_cast<std::uint64_t>(a);
+  const auto ib = std::bit_cast<std::uint64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+TEST(MissRatioCurve, HalfIntegerPowersMatchPow) {
+  // For every shape from 1/2 to 3, the multiply-and-sqrt power is within
+  // 4 ulp of std::pow over a grid of coverages, and the slope matches
+  // central differences.
+  for (double shape = 0.5; shape <= 3.0; shape += 0.5) {
+    const MissRatioCurve mrc(0.0, {{1.0, 10 * MB, shape}});
+    for (double c = 0.001; c < 0.999; c += 0.00731) {
+      const double x = c * 10 * MB;
+      double slope = 1.0;
+      const double m = mrc.miss_and_slope(x, slope);
+      const double uncovered = 1.0 - std::min(x / (10 * MB), 1.0);
+      const double want = std::pow(uncovered, shape);
+      EXPECT_LE(ulps(m, want), 4u)
+          << "shape " << shape << " coverage " << c << ": " << m << " vs "
+          << want;
+      const double h = 1e-6 * x;
+      const double fd = (mrc.at(x + h) - mrc.at(x - h)) / (2.0 * h);
+      EXPECT_NEAR(slope, fd, 1e-6 * std::fabs(fd) + 1e-22)
+          << "shape " << shape << " coverage " << c;
+    }
+  }
 }
 
 TEST(MissRatioCurve, MassExactlyOneAccepted) {

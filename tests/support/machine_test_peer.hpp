@@ -44,12 +44,39 @@ struct MachineTestPeer {
     m.evaluate(target.data());
     return target;
   }
-  /// The analytic dF/dx at scratch(m).ips, row-major.
-  static std::vector<double> jacobian(Machine& m) {
+  /// The analytic dF/dx at scratch(m).ips, row-major: the solver's
+  /// D + U V^T expanded into a dense n x n matrix. `rank`, if given,
+  /// receives the columns of U and V.
+  static std::vector<double> jacobian(Machine& m,
+                                      std::size_t* rank = nullptr) {
     const auto target = evaluate_map(m);
-    std::vector<double> jac(target.size() * target.size());
-    m.jacobian(target.data(), jac.data());
+    const std::size_t n = target.size();
+    std::vector<double> diag(n), jac(n * n);
+    std::vector<double> u(n * Machine::kMaxJacobianTerms), v(u.size());
+    const std::size_t r = m.jacobian(target.data(), diag.data(), u.data(),
+                                     v.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      jac[i * n + i] = diag[i];
+      for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t c = 0; c < r; ++c) {
+          jac[i * n + k] += u[c * n + i] * v[c * n + k];
+        }
+      }
+    }
+    if (rank != nullptr) *rank = r;
     return jac;
+  }
+  /// The solver's Newton step at scratch(m).ips: F there into `target`
+  /// and the d solving (I - J) d = F - x (empty if the solver finds the
+  /// system singular).
+  static std::vector<double> newton_step(Machine& m,
+                                         std::vector<double>& target) {
+    target = evaluate_map(m);
+    const auto& x = m.scratch_.ips;
+    std::vector<double> g(x.size()), d(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) g[i] = target[i] - x[i];
+    if (!m.newton_step(target.data(), g.data(), d.data())) return {};
+    return d;
   }
 };
 
