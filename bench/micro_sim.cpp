@@ -256,7 +256,8 @@ BENCHMARK(BM_MachineRunPeriod)->Unit(benchmark::kMicrosecond);
 void BM_OccupancySolver(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<sim::WayMask> masks(n, sim::WayMask::full(20));
-  const auto regions = sim::decompose_regions(masks, 20, 1.25 * 1024 * 1024);
+  std::vector<sim::CacheRegion> regions;
+  sim::decompose_regions(masks, 20, 1.25 * 1024 * 1024, regions);
   std::vector<sim::CacheDemand> demand(n);
   for (std::size_t i = 0; i < n; ++i) {
     demand[i].reuse = {{0.5e9 + 0.1e9 * static_cast<double>(i),
@@ -264,8 +265,10 @@ void BM_OccupancySolver(benchmark::State& state) {
                        {0.1e9, 20e6}};
     demand[i].stream_bytes_per_sec = 0.05e9;
   }
+  sim::OccupancyScratch scratch;
+  std::vector<double> occ;
   for (auto _ : state) {
-    auto occ = sim::solve_occupancy(regions, n, demand);
+    sim::solve_occupancy(regions, demand, {}, scratch, occ);
     benchmark::DoNotOptimize(occ.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -13,8 +13,8 @@
 // --placement is random, least-loaded or mrc. --jobs sets the data-plane
 // stepping workers (0 = one per hardware thread); placement decisions run
 // serially on the control plane. Count flags (--machines, --cores,
-// --migrate-after, --jobs, --epochs) reject negative values, and --cores
-// anything outside [2, machine cores]. An
+// --migrate-after, --jobs, --epochs) reject negative values, --cores
+// anything outside [2, machine cores] and --epochs 0. An
 // --arrival-rate of 0 runs an idle fleet: HPs alone, no tenants.
 //
 // Emits one CSV row per epoch (stdout, or --csv FILE) with the fleet
@@ -78,7 +78,7 @@ static int run(int argc, char** argv) {
   using namespace dicer;
 
   const util::CliArgs args(argc, argv);
-  const std::uint64_t epochs = args.get_count("epochs", 20);
+  const std::uint64_t epochs = args.get_count("epochs", 20, 1);
   const std::string csv_path = args.get_or("csv", "");
   const std::string metrics_path = args.get_or("metrics-out", "");
   const std::string jsonl_path = args.get_or("metrics-jsonl", "");

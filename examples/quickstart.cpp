@@ -1,10 +1,15 @@
 // Quickstart: consolidate one HP application with nine BE instances under
-// the three co-location policies from the paper (UM, CT, DICER) and compare
-// HP QoS and effective system utilisation.
+// the paper's co-location policies (UM, CT, DICER) and DICER's variants
+// (DICER-noBW, DICER+MBA), and compare HP QoS and effective system
+// utilisation: a one-screen summary of what each allocation strategy
+// trades away.
 //
-//   ./quickstart [--hp milc1] [--be gcc_base3] [--cores 10] [--trace-apps]
-//                [--profile] [--trace PATH] [--log-level L]
+//   ./quickstart [--hp milc1] [--be gcc_base3] [--cores 10] [--slo 0.9]
+//                [--trace-apps] [--profile] [--trace PATH] [--log-level L]
 //
+// MBA is enabled so DICER+MBA can throttle; the other policies never
+// throttle, so it changes nothing for them. --slo (in (0, 1]) is the HP
+// normalised-IPC target behind the SLO and SUCI (lambda = 1) columns.
 // --trace-apps augments the catalog with the trace-derived apps
 // (trace_stream1, trace_wset1, trace_bimodal1, trace_mix1): each is
 // profiled from its address stream with the single-pass sampled MRC
@@ -22,6 +27,7 @@
 #include "sim/core/catalog.hpp"
 #include "sim/core/trace_apps.hpp"
 #include "util/cli.hpp"
+#include "util/csv.hpp"
 #include "util/observability.hpp"
 #include "util/table.hpp"
 
@@ -34,6 +40,8 @@ static int run(int argc, char** argv) {
   const std::string be_name = args.get_or("be", "gcc_base3");
   harness::ConsolidationConfig config;
   config.cores_used = args.get_count("cores", 10, 2, config.machine.num_cores);
+  config.enable_mba = true;  // let DICER+MBA play too
+  const double slo = args.get_fraction("slo", 0.90);
 
   const bool trace_apps = args.has("trace-apps");
   const sim::AppCatalog catalog =
@@ -53,21 +61,29 @@ static int run(int argc, char** argv) {
             << hp_alone.time_sec << " s\n";
   std::cout << "BEs " << be.name << " x" << (config.cores_used - 1) << " ("
             << to_string(be.app_class)
-            << "): IPC alone = " << be_alone.ipc << "\n\n";
+            << "): IPC alone = " << be_alone.ipc << "\n";
+  std::cout << "SLO: HP norm >= " << slo << "\n\n";
 
   util::TextTable table;
   table.set_header({"policy", "HP IPC", "HP slowdown", "HP norm", "BE norm",
-                    "EFU", "link rho", "window s"});
-  for (const std::string name : {"UM", "CT", "DICER"}) {
+                    "EFU", "link rho", "window s", "SLO?", "SUCI(l=1)"});
+  for (const std::string name :
+       {"UM", "CT", "DICER", "DICER-noBW", "DICER+MBA"}) {
     const auto policy = policy::make_policy(name);
     const auto res = harness::run_consolidation(hp, be, *policy, config);
-    const auto pairs = res.ipc_pairs(hp_alone.ipc, be_alone.ipc);
-    table.add_row(name,
-                  {res.hp_ipc, metrics::slowdown(hp_alone.ipc, res.hp_ipc),
-                   res.hp_ipc / hp_alone.ipc, res.be_ipc_mean / be_alone.ipc,
-                   metrics::effective_utilisation(pairs),
-                   res.avg_link_utilisation, res.window_sec},
-                  3);
+    const double norm = res.hp_ipc / hp_alone.ipc;
+    const bool met = norm >= slo;
+    const double efu = metrics::effective_utilisation(
+        res.ipc_pairs(hp_alone.ipc, be_alone.ipc));
+    table.add_row({name, util::fmt_fixed(res.hp_ipc, 3),
+                   util::fmt_fixed(metrics::slowdown(hp_alone.ipc, res.hp_ipc),
+                                   3),
+                   util::fmt_fixed(norm, 3),
+                   util::fmt_fixed(res.be_ipc_mean / be_alone.ipc, 3),
+                   util::fmt_fixed(efu, 3),
+                   util::fmt_fixed(res.avg_link_utilisation, 3),
+                   util::fmt_fixed(res.window_sec, 3), met ? "yes" : "NO",
+                   util::fmt_fixed(metrics::suci(met, efu, 1.0), 3)});
   }
   table.print();
   return 0;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 
 #include "metrics/metrics.hpp"
-#include "policy/extensions.hpp"
+#include "policy/dicer.hpp"
 #include "policy/factory.hpp"
 #include "util/cache_file.hpp"
 #include "util/stats.hpp"
@@ -46,20 +45,18 @@ void map_row(Row& row, Entry& r) {
   row.real(r.efu);
 }
 
-std::unique_ptr<policy::Dicer> make_variant(const std::string& name) {
+/// The ablation's two local variants; every other name is a
+/// policy::make_policy name.
+std::unique_ptr<policy::Policy> make_variant(const std::string& name) {
   policy::DicerConfig cfg;
-  if (name == "DICER") return std::make_unique<policy::Dicer>(cfg);
-  if (name == "DICER-noBW") return std::make_unique<policy::DicerNoBw>(cfg);
-  if (name == "DICER+MBA") return std::make_unique<policy::DicerMba>();
   if (name == "DICER-literal") {
     cfg.resample_cooldown_periods = 0;
-    return std::make_unique<policy::Dicer>(cfg);
-  }
-  if (name == "DICER-noPhase") {
+  } else if (name == "DICER-noPhase") {
     cfg.phase_threshold = 1e9;
-    return std::make_unique<policy::Dicer>(cfg);
+  } else {
+    return policy::make_policy(name);
   }
-  throw std::invalid_argument("unknown variant " + name);
+  return std::make_unique<policy::Dicer>(cfg);
 }
 
 /// What one (variant, workload) cell contributes to its variant's row.

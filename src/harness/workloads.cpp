@@ -49,7 +49,7 @@ util::CacheFile baseline_file(const std::string& path,
   util::KeyHasher h;
   mix_cache_inputs(h, catalog, config);
   h.add(config.cores_used);
-  return {path, "baseline cache", h.key("dicer-baseline-v10"),
+  return {path, "baseline cache", h.key("dicer-baseline-v11"),
           kBaselineHeader};
 }
 
@@ -88,18 +88,6 @@ void save_baseline_cache(const std::string& path, const BaselineStudy& study,
         }
       });
 }
-
-namespace {
-
-double efu_of(double hp_alone, double hp, double be_alone, double be_mean,
-              std::size_t n_bes) {
-  std::vector<metrics::IpcPair> pairs;
-  pairs.push_back({hp_alone, hp});
-  for (std::size_t i = 0; i < n_bes; ++i) pairs.push_back({be_alone, be_mean});
-  return metrics::effective_utilisation(pairs);
-}
-
-}  // namespace
 
 std::size_t BaselineStudy::count_ct_favoured() const {
   std::size_t n = 0;
@@ -158,7 +146,6 @@ BaselineStudy baseline_study(const sim::AppCatalog& catalog,
       cells.push_back({&hp, &be, config.cores_used});
     }
   }
-  const std::size_t n_bes = config.cores_used - 1;
   run_consolidation_grid(
       cells,
       [](std::size_t i) -> std::unique_ptr<policy::Policy> {
@@ -171,9 +158,8 @@ BaselineStudy baseline_study(const sim::AppCatalog& catalog,
         const bool um = i % 2 == 0;
         (um ? e.um_hp_ipc : e.ct_hp_ipc) = res.hp_ipc;
         (um ? e.um_be_ipc : e.ct_be_ipc) = res.be_ipc_mean;
-        (um ? e.um_efu : e.ct_efu) = efu_of(e.hp_alone_ipc, res.hp_ipc,
-                                            e.be_alone_ipc, res.be_ipc_mean,
-                                            n_bes);
+        (um ? e.um_efu : e.ct_efu) = metrics::effective_utilisation(
+            res.ipc_pairs(e.hp_alone_ipc, e.be_alone_ipc));
       },
       config, jobs, "baseline study");
 

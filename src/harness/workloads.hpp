@@ -41,6 +41,7 @@ struct BaselineEntry {
   double um_be_ipc = 0.0;   ///< mean across BE instances
   double ct_hp_ipc = 0.0;
   double ct_be_ipc = 0.0;
+  /// EFU (Eq. 1) over the HP and every BE instance's own IPC.
   double um_efu = 0.0;
   double ct_efu = 0.0;
 

@@ -4,8 +4,8 @@
 // There is one profiler, the set-aware single-pass `ReuseProfiler`: one
 // pass over the stream yields every way count at once. `sample_rate`
 // selects its SHARDS set sampling: 1 (the default) profiles every set and
-// is bit-identical to replaying the stream through `SetAssocCache` once
-// per way count (that replay is the test oracle,
+// is bit-identical to replaying the stream through a trace-driven LRU
+// cache once per way count (that replay is the test oracle,
 // tests/support/mrc_oracle.hpp); below 1 it profiles only a hash fraction
 // of the sets, for a miss-ratio error validated at <= 0.02.
 //
@@ -18,8 +18,8 @@
 #include <cstdint>
 
 #include "sim/cache/address_stream.hpp"
+#include "sim/cache/cache_geometry.hpp"
 #include "sim/cache/mrc.hpp"
-#include "sim/cache/set_assoc_cache.hpp"
 
 namespace dicer::sim {
 

@@ -8,14 +8,6 @@
 
 namespace dicer::sim {
 
-std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
-                                           unsigned total_ways,
-                                           double way_bytes) {
-  std::vector<CacheRegion> regions;
-  decompose_regions(masks, total_ways, way_bytes, regions);
-  return regions;
-}
-
 void decompose_regions(const std::vector<WayMask>& masks, unsigned total_ways,
                        double way_bytes, std::vector<CacheRegion>& regions) {
   // Group ways by the exact set of apps eligible to fill them. Encode the
@@ -213,19 +205,6 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     }
     rs.fill_total = t_c < t_max ? total : 0.0;
   }
-}
-
-std::vector<double> solve_occupancy(const std::vector<CacheRegion>& regions,
-                                    std::size_t num_apps,
-                                    const std::vector<CacheDemand>& demand,
-                                    const OccupancySolverConfig& config) {
-  if (demand.size() != num_apps) {
-    throw std::invalid_argument("solve_occupancy: demand size mismatch");
-  }
-  OccupancyScratch scratch;
-  std::vector<double> occ;
-  solve_occupancy(regions, demand, config, scratch, occ);
-  return occ;
 }
 
 }  // namespace dicer::sim

@@ -65,13 +65,9 @@ struct CacheRegion {
 };
 
 /// Decompose per-app way masks into maximal regions with identical sharer
-/// sets. Ways eligible to no app are dropped (their capacity is unused).
-std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
-                                           unsigned total_ways,
-                                           double way_bytes);
-
-/// Rebuilding variant: the same regions, written into `regions` in place,
-/// reusing its elements' `sharers` buffers (no allocation once warm).
+/// sets, written into `regions` in place (whatever it held is replaced),
+/// reusing its elements' `sharers` buffers: no allocation once warm. Ways
+/// eligible to no app are dropped (their capacity is unused).
 void decompose_regions(const std::vector<WayMask>& masks, unsigned total_ways,
                        double way_bytes, std::vector<CacheRegion>& regions);
 
@@ -132,16 +128,10 @@ struct OccupancyScratch {
   void invalidate() noexcept { layout_valid = false; }
 };
 
-/// Solve the characteristic-time fixed point. Returns per-app effective
-/// cache bytes; an app sharing no region gets 0.
-std::vector<double> solve_occupancy(const std::vector<CacheRegion>& regions,
-                                    std::size_t num_apps,
-                                    const std::vector<CacheDemand>& demand,
-                                    const OccupancySolverConfig& config = {});
-
-/// Allocation-free variant: byte-identical results, but reuses `scratch`'s
-/// buffers and writes into `occ`, resized to demand.size(). The
-/// steady-state path performs no heap allocation.
+/// Solve the characteristic-time fixed point: per-app effective cache
+/// bytes into `occ`, resized to demand.size(); an app sharing no region
+/// gets 0. Reuses `scratch`'s buffers, so the steady-state path performs
+/// no heap allocation.
 void solve_occupancy(const std::vector<CacheRegion>& regions,
                      const std::vector<CacheDemand>& demand,
                      const OccupancySolverConfig& config,

@@ -4,6 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "sim/cache/way_mask.hpp"
+
 namespace dicer::sim {
 
 namespace {

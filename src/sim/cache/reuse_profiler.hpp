@@ -7,12 +7,12 @@
 //  * A set-aware Mattson stack profiler. Every cache set keeps its blocks
 //    in LRU order; an access at per-set stack distance d hits a w-way
 //    partition iff d < w (the LRU inclusion property, applied per set
-//    exactly as `SetAssocCache` evicts). One pass therefore yields the
-//    miss count of *every* way count simultaneously, and at sample rate 1
-//    the resulting EmpiricalMrc is bit-identical to the per-way replay
-//    (the oracle in tests/support/mrc_oracle.hpp). Distances saturate at
-//    the associativity (deeper is a miss at every way count), so the
-//    stack walk is O(min(d, ways)).
+//    exactly as a true-LRU set-associative cache evicts). One pass
+//    therefore yields the miss count of *every* way count simultaneously,
+//    and at sample rate 1 the resulting EmpiricalMrc is bit-identical to
+//    the per-way replay (the oracle in tests/support/mrc_oracle.hpp).
+//    Distances saturate at the associativity (deeper is a miss at every
+//    way count), so the stack walk is O(min(d, ways)).
 //
 //  * SHARDS-style spatial hash sampling over SETS: below rate 1 a set is
 //    profiled iff hash(set) < rate * 2^64, so the sample is chosen
@@ -25,8 +25,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/cache/cache_geometry.hpp"
 #include "sim/cache/mrc.hpp"
-#include "sim/cache/set_assoc_cache.hpp"
 
 namespace dicer::sim {
 
@@ -45,8 +45,9 @@ class ReuseProfiler {
  public:
   /// Profiles the sets whose hash falls below `sample_rate` (all of them
   /// at 1; at least one, however small the rate). Throws
-  /// std::invalid_argument for geometry `SetAssocCache` rejects and for a
-  /// rate outside (0, 1].
+  /// std::invalid_argument for a way count outside [1, kMaxWays], a line
+  /// size or set count that is not a power of two, and a rate outside
+  /// (0, 1].
   explicit ReuseProfiler(const CacheGeometry& geometry,
                          double sample_rate = 1.0);
 

@@ -49,8 +49,8 @@
 #include <optional>
 #include <vector>
 
+#include "sim/cache/cache_geometry.hpp"
 #include "sim/cache/occupancy_model.hpp"
-#include "sim/cache/set_assoc_cache.hpp"
 #include "sim/cache/way_mask.hpp"
 #include "sim/core/app_profile.hpp"
 #include "sim/mem/memory_link.hpp"

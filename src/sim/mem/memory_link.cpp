@@ -43,13 +43,6 @@ double MemoryLink::latency_slope_at(double raw_utilisation) const noexcept {
   return c.base_latency_cycles * (c.congestion_linear + knee);
 }
 
-LinkArbitration MemoryLink::arbitrate(
-    std::span<const double> demand_bytes_per_sec) const {
-  LinkArbitration out;
-  arbitrate_into(demand_bytes_per_sec, out);
-  return out;
-}
-
 void MemoryLink::arbitrate_into(std::span<const double> demand_bytes_per_sec,
                                 LinkArbitration& out) const {
   double total = 0.0;

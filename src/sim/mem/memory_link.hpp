@@ -58,13 +58,11 @@ class MemoryLink {
 
   const MemoryLinkConfig& config() const noexcept { return config_; }
 
-  /// Arbitrate the given per-requester demands (bytes/s, >= 0).
-  LinkArbitration arbitrate(std::span<const double> demand_bytes_per_sec) const;
-
-  /// Arbitrate into a caller-provided result, reusing its buffers (the
-  /// achieved-bandwidth vector is cleared and refilled, keeping its
-  /// capacity). Byte-identical to arbitrate(); this is the machine's
-  /// allocation-free per-quantum path.
+  /// Arbitrate the given per-requester demands (bytes/s, >= 0; a negative
+  /// one throws std::invalid_argument) into a caller-provided result,
+  /// reusing its buffers (the achieved-bandwidth vector is cleared and
+  /// refilled, keeping its capacity): the machine's allocation-free
+  /// per-quantum path.
   void arbitrate_into(std::span<const double> demand_bytes_per_sec,
                       LinkArbitration& out) const;
 

@@ -1,7 +1,7 @@
 // The observability flags of every bench and example front-end:
 //   --log-level L  debug|info|warn|error|off (DICER_LOG; the flag wins)
-//   --trace PATH   trace events to PATH for the whole run — JSONL, or CSV
-//                  when PATH ends in .csv (DICER_TRACE; the flag wins)
+//   --trace PATH   trace events to PATH as JSON lines for the whole run
+//                  (DICER_TRACE; the flag wins)
 //   --profile      print the scoped-timer profile to stderr on exit
 #pragma once
 
@@ -34,7 +34,7 @@ struct ObservabilityFlags {
       if (const char* env = std::getenv("DICER_TRACE")) trace_path = env;
     }
     if (!trace_path.empty()) {
-      trace_sink = trace::make_file_sink(trace_path);
+      trace_sink = std::make_shared<trace::JsonlSink>(trace_path);
       trace::Tracer::global().add_sink(trace_sink);
     }
   }

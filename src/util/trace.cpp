@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "util/csv.hpp"
-
 namespace dicer::trace {
 
 namespace {
@@ -43,7 +41,7 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string value_to_string(const Field::Value& v, bool json) {
+std::string value_to_json(const Field::Value& v) {
   if (const bool* b = std::get_if<bool>(&v)) return *b ? "true" : "false";
   if (const std::int64_t* i = std::get_if<std::int64_t>(&v)) {
     return std::to_string(*i);
@@ -53,7 +51,7 @@ std::string value_to_string(const Field::Value& v, bool json) {
   }
   if (const double* d = std::get_if<double>(&v)) return fmt_double(*d);
   const std::string& s = std::get<std::string>(v);
-  return json ? '"' + json_escape(s) + '"' : s;
+  return '"' + json_escape(s) + '"';
 }
 
 }  // namespace
@@ -136,20 +134,10 @@ std::string to_jsonl(const Event& event) {
   std::string out = "{\"t\":" + fmt_double(event.t_sec) + ",\"kind\":\"" +
                     kind_name(event.kind) + '"';
   for (const auto& f : event.fields) {
-    out += ",\"" + json_escape(f.key) + "\":" + value_to_string(f.value, true);
+    out += ",\"" + json_escape(f.key) + "\":" + value_to_json(f.value);
   }
   out += '}';
   return out;
-}
-
-std::string to_csv_row(const Event& event) {
-  std::string fields;
-  for (const auto& f : event.fields) {
-    if (!fields.empty()) fields += ';';
-    fields += f.key + '=' + value_to_string(f.value, false);
-  }
-  return fmt_double(event.t_sec) + ',' + kind_name(event.kind) + ',' +
-         util::csv_escape(fields);
 }
 
 JsonlSink::JsonlSink(const std::string& path) : out_(path, std::ios::trunc) {
@@ -159,22 +147,6 @@ JsonlSink::JsonlSink(const std::string& path) : out_(path, std::ios::trunc) {
 void JsonlSink::write(const Event& event) { out_ << to_jsonl(event) << '\n'; }
 
 void JsonlSink::flush() { out_.flush(); }
-
-CsvSink::CsvSink(const std::string& path) : out_(path, std::ios::trunc) {
-  if (!out_) throw std::runtime_error("CsvSink: cannot open " + path);
-  out_ << "t_sec,kind,fields\n";
-}
-
-void CsvSink::write(const Event& event) { out_ << to_csv_row(event) << '\n'; }
-
-void CsvSink::flush() { out_.flush(); }
-
-std::shared_ptr<Sink> make_file_sink(const std::string& path) {
-  if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
-    return std::make_shared<CsvSink>(path);
-  }
-  return std::make_shared<JsonlSink>(path);
-}
 
 Tracer& Tracer::global() {
   static Tracer tracer;

@@ -3,7 +3,7 @@
 // DICER's behaviour is a *timeline*: period measurements, way donations,
 // samplings, phase/perf resets, rollbacks. DICER_LOG=debug shows that
 // timeline as unstructured stderr text; this subsystem records it as typed
-// events delivered to pluggable sinks (JSONL, CSV, in-memory), so benches
+// events delivered to pluggable sinks (JSONL, in-memory), so benches
 // can replay the paper's Fig 5-style narratives and tests can assert the
 // controller's exact decision sequence.
 //
@@ -133,8 +133,6 @@ std::string field_string(const Event& event, std::string_view key,
 /// One event as a single JSON object, fixed key order
 /// ({"t":..,"kind":..,<fields in emission order>}), no trailing newline.
 std::string to_jsonl(const Event& event);
-/// One event as a CSV row `t,kind,k1=v1;k2=v2;...` (escaped if needed).
-std::string to_csv_row(const Event& event);
 
 /// Sink interface. write() is always called under the owning Tracer's
 /// mutex — implementations need no locking of their own and always see
@@ -166,17 +164,6 @@ class JsonlSink final : public Sink {
   std::ofstream out_;
 };
 
-/// CSV file sink: header `t_sec,kind,fields` then one to_csv_row per event.
-class CsvSink final : public Sink {
- public:
-  explicit CsvSink(const std::string& path);
-  void write(const Event& event) override;
-  void flush() override;
-
- private:
-  std::ofstream out_;
-};
-
 /// In-memory sink for tests and the timeline bench. Reading while another
 /// thread still emits is the caller's race to avoid (detach the sink
 /// first).
@@ -189,9 +176,6 @@ class MemorySink final : public Sink {
  private:
   std::vector<Event> events_;
 };
-
-/// JsonlSink unless `path` ends in ".csv".
-std::shared_ptr<Sink> make_file_sink(const std::string& path);
 
 /// The event router. enabled(kind) is true only when at least one sink
 /// is attached AND the kind is in the mask, folded into one atomic word

@@ -115,8 +115,8 @@ void expect_regions_fresh(Machine& m) {
   for (unsigned c = 0; c < m.num_cores(); ++c) {
     if (m.occupied(c)) masks.push_back(m.fill_mask(c));
   }
-  const auto fresh = decompose_regions(masks, m.num_ways(),
-                                       m.config().way_bytes());
+  std::vector<CacheRegion> fresh;
+  decompose_regions(masks, m.num_ways(), m.config().way_bytes(), fresh);
   const auto& cached = m.current_regions();
   ASSERT_EQ(cached.size(), fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {

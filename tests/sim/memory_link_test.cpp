@@ -7,6 +7,13 @@
 namespace dicer::sim {
 namespace {
 
+LinkArbitration arbitrate(const MemoryLink& link,
+                          const std::vector<double>& demand) {
+  LinkArbitration arb;
+  link.arbitrate_into(demand, arb);
+  return arb;
+}
+
 TEST(MemoryLink, DefaultsMatchPaperTable1) {
   MemoryLink link;
   EXPECT_NEAR(link.config().capacity_bytes_per_sec * 8.0 / 1e9, 68.3, 1e-9);
@@ -73,7 +80,7 @@ TEST(MemoryLink, LatencySlopeMatchesCentralDifferences) {
 TEST(MemoryLink, ArbitrationUnderCapacity) {
   MemoryLink link;
   const std::vector<double> demand = {1e9, 2e9};
-  const auto arb = link.arbitrate(demand);
+  const auto arb = arbitrate(link, demand);
   EXPECT_DOUBLE_EQ(arb.throttle, 1.0);
   EXPECT_DOUBLE_EQ(arb.achieved_bytes_per_sec[0], 1e9);
   EXPECT_DOUBLE_EQ(arb.achieved_bytes_per_sec[1], 2e9);
@@ -86,7 +93,7 @@ TEST(MemoryLink, ArbitrationOverCapacityThrottlesProportionally) {
   c.capacity_bytes_per_sec = 10e9;
   MemoryLink link(c);
   const std::vector<double> demand = {15e9, 5e9};
-  const auto arb = link.arbitrate(demand);
+  const auto arb = arbitrate(link, demand);
   EXPECT_DOUBLE_EQ(arb.raw_utilisation, 2.0);
   EXPECT_DOUBLE_EQ(arb.throttle, 0.5);
   EXPECT_DOUBLE_EQ(arb.achieved_bytes_per_sec[0], 7.5e9);
@@ -98,7 +105,7 @@ TEST(MemoryLink, ArbitrationOverCapacityThrottlesProportionally) {
 
 TEST(MemoryLink, ArbitrationEmptyDemand) {
   MemoryLink link;
-  const auto arb = link.arbitrate(std::vector<double>{});
+  const auto arb = arbitrate(link, {});
   EXPECT_DOUBLE_EQ(arb.utilisation, 0.0);
   EXPECT_TRUE(arb.achieved_bytes_per_sec.empty());
   EXPECT_DOUBLE_EQ(arb.total_achieved_bytes_per_sec, 0.0);
@@ -111,7 +118,7 @@ TEST(MemoryLink, TotalAchievedMatchesOrderedSum) {
   c.capacity_bytes_per_sec = 10e9;
   MemoryLink link(c);
   const std::vector<double> demand = {7.3e9, 1.1e9, 5.77e9, 0.0, 2.9e9};
-  const auto arb = link.arbitrate(demand);
+  const auto arb = arbitrate(link, demand);
   double sum = 0.0;
   for (double a : arb.achieved_bytes_per_sec) sum += a;
   EXPECT_EQ(arb.total_achieved_bytes_per_sec, sum);
@@ -119,15 +126,14 @@ TEST(MemoryLink, TotalAchievedMatchesOrderedSum) {
 
 TEST(MemoryLink, NegativeDemandThrows) {
   MemoryLink link;
-  EXPECT_THROW(link.arbitrate(std::vector<double>{-1.0}),
-               std::invalid_argument);
+  EXPECT_THROW(arbitrate(link, {-1.0}), std::invalid_argument);
 }
 
 TEST(MemoryLink, UtilisationClampedAtOne) {
   MemoryLinkConfig c;
   c.capacity_bytes_per_sec = 1e9;
   MemoryLink link(c);
-  const auto arb = link.arbitrate(std::vector<double>{5e9});
+  const auto arb = arbitrate(link, {5e9});
   EXPECT_DOUBLE_EQ(arb.utilisation, 1.0);
   EXPECT_DOUBLE_EQ(arb.raw_utilisation, 5.0);
 }
@@ -141,7 +147,7 @@ TEST_P(LinkConservation, AchievedNeverExceedsCapacity) {
   const double scale = GetParam();
   const std::vector<double> demand = {1e9 * scale, 2e9 * scale, 0.0,
                                       0.5e9 * scale};
-  const auto arb = link.arbitrate(demand);
+  const auto arb = arbitrate(link, demand);
   double achieved = 0.0;
   for (double a : arb.achieved_bytes_per_sec) achieved += a;
   EXPECT_LE(achieved, c.capacity_bytes_per_sec * 1.0001);

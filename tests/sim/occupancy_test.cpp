@@ -18,9 +18,32 @@ double total(const std::vector<double>& v) {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
+/// The regions of `masks`, decomposed into an empty vector.
+std::vector<CacheRegion> regions_of(const std::vector<WayMask>& masks,
+                                    unsigned total_ways, double way_bytes) {
+  std::vector<CacheRegion> regions;
+  decompose_regions(masks, total_ways, way_bytes, regions);
+  return regions;
+}
+
+std::vector<double> solve_with_scratch(const std::vector<CacheRegion>& regions,
+                                       const std::vector<CacheDemand>& demand,
+                                       OccupancyScratch& scratch) {
+  std::vector<double> occ;
+  solve_occupancy(regions, demand, OccupancySolverConfig{}, scratch, occ);
+  return occ;
+}
+
+/// One solve through a fresh scratch.
+std::vector<double> solve(const std::vector<CacheRegion>& regions,
+                          const std::vector<CacheDemand>& demand) {
+  OccupancyScratch scratch;
+  return solve_with_scratch(regions, demand, scratch);
+}
+
 TEST(DecomposeRegions, SingleSharedRegion) {
   std::vector<WayMask> masks(3, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   ASSERT_EQ(regions.size(), 1u);
   EXPECT_DOUBLE_EQ(regions[0].capacity_bytes, 20 * MB);
   EXPECT_EQ(regions[0].sharers, (std::vector<std::size_t>{0, 1, 2}));
@@ -29,7 +52,7 @@ TEST(DecomposeRegions, SingleSharedRegion) {
 TEST(DecomposeRegions, DisjointPartitions) {
   std::vector<WayMask> masks = {WayMask::high(19, 20), WayMask::low(1),
                                 WayMask::low(1)};
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   ASSERT_EQ(regions.size(), 2u);
   // Region order: by sharer bitmask value — BE region {1,2} has mask 0b110,
   // HP region {0} has mask 0b001.
@@ -47,7 +70,7 @@ TEST(DecomposeRegions, DisjointPartitions) {
 TEST(DecomposeRegions, OverlappingMasksSplit) {
   // App 0: ways 0-9; app 1: ways 5-14 -> three regions.
   std::vector<WayMask> masks = {WayMask::span(0, 10), WayMask::span(5, 10)};
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   ASSERT_EQ(regions.size(), 3u);
   double cap_sum = 0.0;
   for (const auto& r : regions) cap_sum += r.capacity_bytes;
@@ -56,18 +79,19 @@ TEST(DecomposeRegions, OverlappingMasksSplit) {
 
 TEST(DecomposeRegions, UnusedWaysDropped) {
   std::vector<WayMask> masks = {WayMask::low(4)};
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   ASSERT_EQ(regions.size(), 1u);
   EXPECT_DOUBLE_EQ(regions[0].capacity_bytes, 4 * MB);
 }
 
 TEST(DecomposeRegions, TooManyAppsThrows) {
   std::vector<WayMask> masks(65, WayMask::full(20));
-  EXPECT_THROW(decompose_regions(masks, 20, MB), std::invalid_argument);
+  EXPECT_THROW(regions_of(masks, 20, MB), std::invalid_argument);
 }
 
 // The in-place rebuild overwrites whatever the vector held — more
-// regions, fewer, stale sharers — and leaves exactly the fresh result.
+// regions, fewer, stale sharers — and leaves exactly what decomposing
+// into an empty vector leaves.
 TEST(DecomposeRegions, InPlaceRebuildMatchesFreshDecomposition) {
   const std::vector<std::vector<WayMask>> layouts = {
       {WayMask::span(0, 10), WayMask::span(5, 10)},             // 3 regions
@@ -79,7 +103,7 @@ TEST(DecomposeRegions, InPlaceRebuildMatchesFreshDecomposition) {
   std::vector<CacheRegion> regions;
   for (const auto& masks : layouts) {
     decompose_regions(masks, 20, MB, regions);
-    const auto fresh = decompose_regions(masks, 20, MB);
+    const auto fresh = regions_of(masks, 20, MB);
     ASSERT_EQ(regions.size(), fresh.size());
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       EXPECT_EQ(regions[i].capacity_bytes, fresh[i].capacity_bytes) << i;
@@ -102,25 +126,25 @@ CacheDemand stream_app(double rate) {
 
 TEST(SolveOccupancy, LoneStreamerFillsRegion) {
   std::vector<WayMask> masks = {WayMask::full(20)};
-  const auto regions = decompose_regions(masks, 20, MB);
-  const auto occ = solve_occupancy(regions, 1, {stream_app(1 * GBs)});
+  const auto regions = regions_of(masks, 20, MB);
+  const auto occ = solve(regions, {stream_app(1 * GBs)});
   EXPECT_NEAR(occ[0], 20 * MB, 0.01 * MB);
 }
 
 TEST(SolveOccupancy, LoneSmallFootprintDoesNotFill) {
   std::vector<WayMask> masks = {WayMask::full(20)};
-  const auto regions = decompose_regions(masks, 20, MB);
-  const auto occ = solve_occupancy(regions, 1, {reuse_app(1 * GBs, 3 * MB)});
+  const auto regions = regions_of(masks, 20, MB);
+  const auto occ = solve(regions, {reuse_app(1 * GBs, 3 * MB)});
   EXPECT_NEAR(occ[0], 3 * MB, 0.01 * MB);
 }
 
 TEST(SolveOccupancy, CapacityConserved) {
   std::vector<WayMask> masks(4, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   std::vector<CacheDemand> demand = {
       stream_app(2 * GBs), reuse_app(1 * GBs, 40 * MB),
       reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
-  const auto occ = solve_occupancy(regions, 4, demand);
+  const auto occ = solve(regions, demand);
   EXPECT_NEAR(total(occ), 20 * MB, 0.05 * MB);
   for (double o : occ) EXPECT_GE(o, 0.0);
 }
@@ -129,68 +153,51 @@ TEST(SolveOccupancy, HotSmallSetStaysResidentNextToStorm) {
   // The physics that makes CT-Thwarted workloads exist: an L2-resident
   // victim keeps its working set even next to nine streaming aggressors.
   std::vector<WayMask> masks(10, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   std::vector<CacheDemand> demand;
   demand.push_back(reuse_app(0.5 * GBs, 1 * MB));  // hot victim
   for (int i = 0; i < 9; ++i) demand.push_back(stream_app(3 * GBs));
-  const auto occ = solve_occupancy(regions, 10, demand);
+  const auto occ = solve(regions, demand);
   EXPECT_GT(occ[0], 0.3 * MB);  // victim retains a useful fraction
 }
 
 TEST(SolveOccupancy, HigherRateEarnsMoreCache) {
   std::vector<WayMask> masks(2, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
-  const auto occ = solve_occupancy(
-      regions, 2, {reuse_app(4 * GBs, 100 * MB), reuse_app(1 * GBs, 100 * MB)});
+  const auto regions = regions_of(masks, 20, MB);
+  const auto occ = solve(
+      regions, {reuse_app(4 * GBs, 100 * MB), reuse_app(1 * GBs, 100 * MB)});
   EXPECT_GT(occ[0], occ[1]);
   EXPECT_NEAR(occ[0] / occ[1], 4.0, 0.2);
 }
 
 TEST(SolveOccupancy, IsolatedPartitionUnaffectedByNeighbourStorm) {
   std::vector<WayMask> masks = {WayMask::high(19, 20), WayMask::low(1)};
-  const auto regions = decompose_regions(masks, 20, MB);
-  const auto occ = solve_occupancy(
-      regions, 2, {reuse_app(1 * GBs, 5 * MB), stream_app(50 * GBs)});
+  const auto regions = regions_of(masks, 20, MB);
+  const auto occ =
+      solve(regions, {reuse_app(1 * GBs, 5 * MB), stream_app(50 * GBs)});
   EXPECT_NEAR(occ[0], 5 * MB, 0.05 * MB);  // full footprint, protected
   EXPECT_NEAR(occ[1], 1 * MB, 0.05 * MB);  // storm confined to one way
 }
 
 TEST(SolveOccupancy, ZeroDemandGetsZero) {
   std::vector<WayMask> masks(2, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
-  const auto occ =
-      solve_occupancy(regions, 2, {reuse_app(1 * GBs, 50 * MB), CacheDemand{}});
+  const auto regions = regions_of(masks, 20, MB);
+  const auto occ = solve(regions, {reuse_app(1 * GBs, 50 * MB), CacheDemand{}});
   EXPECT_DOUBLE_EQ(occ[1], 0.0);
-}
-
-TEST(SolveOccupancy, DemandSizeMismatchThrows) {
-  std::vector<WayMask> masks(2, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
-  EXPECT_THROW(solve_occupancy(regions, 2, {CacheDemand{}}),
-               std::invalid_argument);
 }
 
 TEST(SolveOccupancy, MultiComponentHotFillsBeforeTail) {
   std::vector<WayMask> masks(2, WayMask::full(4));
-  const auto regions = decompose_regions(masks, 4, MB);  // 4 MB total
+  const auto regions = regions_of(masks, 4, MB);  // 4 MB total
   CacheDemand app;
   app.reuse = {{1 * GBs, 1 * MB},      // hot: covered fast
                {0.05 * GBs, 20 * MB}}; // lukewarm tail
-  const auto occ =
-      solve_occupancy(regions, 2, {app, stream_app(2 * GBs)});
+  const auto occ = solve(regions, {app, stream_app(2 * GBs)});
   // The hot MB should be (nearly) fully covered despite the streamer.
   EXPECT_GT(occ[0], 0.9 * MB);
 }
 
 // --- scratch / warm-start solver ------------------------------------------
-
-std::vector<double> solve_with_scratch(const std::vector<CacheRegion>& regions,
-                                       const std::vector<CacheDemand>& demand,
-                                       OccupancyScratch& scratch) {
-  std::vector<double> occ;
-  solve_occupancy(regions, demand, OccupancySolverConfig{}, scratch, occ);
-  return occ;
-}
 
 void expect_bitwise_equal(const std::vector<double>& a,
                           const std::vector<double>& b) {
@@ -198,26 +205,9 @@ void expect_bitwise_equal(const std::vector<double>& a,
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
 }
 
-TEST(OccupancyScratchSolver, MatchesAllocatingSolverBitwise) {
-  std::vector<WayMask> masks = {WayMask::high(19, 20), WayMask::low(1),
-                                WayMask::low(1)};
-  const auto regions = decompose_regions(masks, 20, MB);
-  OccupancyScratch scratch;
-  // A sequence of changing demands through one reused scratch must be
-  // byte-identical to fresh allocating solves at every step.
-  for (int it = 0; it < 5; ++it) {
-    std::vector<CacheDemand> demand = {
-        reuse_app((1.0 + 0.3 * it) * GBs, 5 * MB),
-        stream_app((2.0 + it) * GBs),
-        reuse_app(0.5 * GBs, (10.0 + it) * MB)};
-    expect_bitwise_equal(solve_with_scratch(regions, demand, scratch),
-                         solve_occupancy(regions, 3, demand));
-  }
-}
-
 TEST(OccupancyScratchSolver, RepeatedSolveReproducesColdSolve) {
   std::vector<WayMask> masks(4, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   const std::vector<CacheDemand> demand = {
       stream_app(2 * GBs), reuse_app(1 * GBs, 40 * MB),
       reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
@@ -231,7 +221,7 @@ TEST(OccupancyScratchSolver, RepeatedSolveReproducesColdSolve) {
   nudged[1].reuse[0].rate_bytes_per_sec =
       std::nextafter(nudged[1].reuse[0].rate_bytes_per_sec, 2e18);
   expect_bitwise_equal(solve_with_scratch(regions, nudged, scratch),
-                       solve_occupancy(regions, 4, nudged));
+                       solve(regions, nudged));
 }
 
 TEST(OccupancyScratchSolver, InvalidateTracksLayoutChange) {
@@ -242,13 +232,13 @@ TEST(OccupancyScratchSolver, InvalidateTracksLayoutChange) {
   // cannot auto-detect this — invalidate() is the caller's contract.
   std::vector<WayMask> shared = {WayMask::high(19, 20), WayMask::low(1)};
   std::vector<WayMask> even = {WayMask::high(10, 20), WayMask::low(10)};
-  const auto regions_a = decompose_regions(shared, 20, MB);
-  const auto regions_b = decompose_regions(even, 20, MB);
+  const auto regions_a = regions_of(shared, 20, MB);
+  const auto regions_b = regions_of(even, 20, MB);
   expect_bitwise_equal(solve_with_scratch(regions_a, demand, scratch),
-                       solve_occupancy(regions_a, 2, demand));
+                       solve(regions_a, demand));
   scratch.invalidate();
   expect_bitwise_equal(solve_with_scratch(regions_b, demand, scratch),
-                       solve_occupancy(regions_b, 2, demand));
+                       solve(regions_b, demand));
 }
 
 TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
@@ -258,16 +248,16 @@ TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
   std::vector<WayMask> one = {WayMask::full(20)};
   std::vector<WayMask> three = {WayMask::high(19, 20), WayMask::low(1),
                                 WayMask::low(1)};
-  const auto regions_one = decompose_regions(one, 20, MB);
-  const auto regions_three = decompose_regions(three, 20, MB);
+  const auto regions_one = regions_of(one, 20, MB);
+  const auto regions_three = regions_of(three, 20, MB);
   const std::vector<CacheDemand> d1 = {stream_app(1 * GBs)};
   const std::vector<CacheDemand> d3 = {reuse_app(1 * GBs, 5 * MB),
                                        stream_app(2 * GBs),
                                        stream_app(3 * GBs)};
   expect_bitwise_equal(solve_with_scratch(regions_one, d1, scratch),
-                       solve_occupancy(regions_one, 1, d1));
+                       solve(regions_one, d1));
   expect_bitwise_equal(solve_with_scratch(regions_three, d3, scratch),
-                       solve_occupancy(regions_three, 3, d3));
+                       solve(regions_three, d3));
 }
 
 // --- exact fill time vs a long double bisection oracle --------------------
@@ -323,7 +313,7 @@ std::vector<long double> oracle_occupancy(
 /// magnitude on a one-way region, where t_c is ~1e-4 s.
 void expect_matches_oracle(const std::vector<CacheRegion>& regions,
                            const std::vector<CacheDemand>& demand) {
-  const auto occ = solve_occupancy(regions, demand.size(), demand);
+  const auto occ = solve(regions, demand);
   const auto want = oracle_occupancy(regions, demand);
   for (std::size_t a = 0; a < demand.size(); ++a) {
     EXPECT_NEAR(occ[a], static_cast<double>(want[a]), 1e-12 * 20 * MB)
@@ -349,7 +339,7 @@ TEST(OccupancyOracle, OneWayStreamerRegion) {
     masks.push_back(WayMask::low(1));
     demand.push_back(streamer((0.9 + 0.01 * i) * GBs));
   }
-  expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB), demand);
+  expect_matches_oracle(regions_of(masks, 20, 1.25 * MB), demand);
 }
 
 TEST(OccupancyOracle, ComponentsSaturatingOnBothSidesOfTheCrossing) {
@@ -361,14 +351,14 @@ TEST(OccupancyOracle, ComponentsSaturatingOnBothSidesOfTheCrossing) {
   CacheDemand empty_fp;
   empty_fp.reuse = {{1 * GBs, 0.0}};
   empty_fp.stream_bytes_per_sec = 0.1 * GBs;
-  expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB),
+  expect_matches_oracle(regions_of(masks, 20, 1.25 * MB),
                         {multi, empty_fp, reuse_app(0.3 * GBs, 6 * MB),
                          stream_app(1.5 * GBs)});
 }
 
 TEST(OccupancyOracle, RegionThatNeverFills) {
   std::vector<WayMask> masks(2, WayMask::full(20));
-  expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB),
+  expect_matches_oracle(regions_of(masks, 20, 1.25 * MB),
                         {reuse_app(1 * GBs, 2 * MB), reuse_app(1 * GBs, 3 * MB)});
 }
 
@@ -392,7 +382,7 @@ TEST(OccupancyOracle, RandomLayoutsAndDemands) {
       demand.push_back(std::move(d));
     }
     SCOPED_TRACE(trial);
-    expect_matches_oracle(decompose_regions(masks, 20, 1.25 * MB), demand);
+    expect_matches_oracle(regions_of(masks, 20, 1.25 * MB), demand);
   }
 }
 
@@ -450,7 +440,7 @@ TEST(OccupancySensitivity, MatchesCentralDifferences) {
       }
       demand.push_back(std::move(d));
     }
-    const auto regions = decompose_regions(masks, 20, 1.25 * MB);
+    const auto regions = regions_of(masks, 20, 1.25 * MB);
     OccupancyScratch scratch;
     std::vector<double> occ;
     solve_occupancy(regions, demand, OccupancySolverConfig{}, scratch, occ);
@@ -461,8 +451,8 @@ TEST(OccupancySensitivity, MatchesCentralDifferences) {
       auto up = demand, down = demand;
       up[k] = scaled(demand[k], 1.0 + h);
       down[k] = scaled(demand[k], 1.0 - h);
-      const auto occ_up = solve_occupancy(regions, apps, up);
-      const auto occ_down = solve_occupancy(regions, apps, down);
+      const auto occ_up = solve(regions, up);
+      const auto occ_down = solve(regions, down);
       for (std::size_t i = 0; i < apps; ++i) {
         const double fd = (occ_up[i] - occ_down[i]) /
                           (std::log1p(h) - std::log1p(-h));
@@ -485,11 +475,11 @@ TEST_P(OccupancyConservation, NeverExceedsEligibleCapacity) {
     case 2: masks = {WayMask::span(0, 10), WayMask::span(5, 10)}; break;
     default: masks = {WayMask::low(2), WayMask::span(2, 2)}; break;
   }
-  const auto regions = decompose_regions(masks, 20, MB);
+  const auto regions = regions_of(masks, 20, MB);
   double capacity = 0.0;
   for (const auto& r : regions) capacity += r.capacity_bytes;
-  const auto occ = solve_occupancy(
-      regions, 2, {stream_app(20 * GBs), stream_app(10 * GBs)});
+  const auto occ =
+      solve(regions, {stream_app(20 * GBs), stream_app(10 * GBs)});
   EXPECT_LE(total(occ), capacity * 1.001);
 }
 

@@ -1,9 +1,11 @@
-#include "sim/cache/set_assoc_cache.hpp"
+#include "support/set_assoc_cache.hpp"
 
 #include <gtest/gtest.h>
 
 namespace dicer::sim {
 namespace {
+
+using test::SetAssocCache;
 
 // A tiny cache: 4 sets x 4 ways x 64 B = 1 KiB.
 CacheGeometry tiny() { return {.size_bytes = 1024, .ways = 4, .line_bytes = 64}; }

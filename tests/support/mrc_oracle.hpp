@@ -14,8 +14,8 @@
 #include "sim/cache/address_stream.hpp"
 #include "sim/cache/mrc.hpp"
 #include "sim/cache/mrc_profiler.hpp"
-#include "sim/cache/set_assoc_cache.hpp"
 #include "sim/cache/way_mask.hpp"
+#include "support/set_assoc_cache.hpp"
 
 namespace dicer::test {
 
@@ -28,7 +28,7 @@ inline sim::EmpiricalMrc exact_replay_mrc(const sim::MrcProfilerConfig& config,
                                           const StreamFactory& make_stream) {
   std::vector<std::pair<double, double>> points;
   for (unsigned ways = 1; ways <= config.geometry.ways; ++ways) {
-    sim::SetAssocCache cache(config.geometry, /*num_owners=*/1);
+    SetAssocCache cache(config.geometry, /*num_owners=*/1);
     const sim::WayMask mask = sim::WayMask::low(ways);
     auto stream = make_stream();
     for (std::uint64_t i = 0; i < config.warmup_accesses; ++i) {

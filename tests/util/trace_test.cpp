@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,14 +81,6 @@ TEST(TraceEvent, JsonlEscapesStrings) {
             "{\"t\":0,\"kind\":\"setup\",\"name\":\"a\\\"b\\\\c\\nd\"}");
 }
 
-TEST(TraceEvent, CsvRowJoinsAndEscapesFields) {
-  Event e{Kind::kAllocation, 1.25, {{"from", 19u}, {"to", 18u}}};
-  // Field blob contains ';' but no CSV metacharacters -> unquoted.
-  EXPECT_EQ(to_csv_row(e), "1.25,allocation,from=19;to=18");
-  Event q{Kind::kSetup, 0.0, {{"plan", "19,17,15"}}};
-  EXPECT_EQ(to_csv_row(q), "0,setup,\"plan=19,17,15\"");
-}
-
 TEST(TraceEvent, DoublesSerialiseDeterministically) {
   Event e{Kind::kPeriod, 1.0 / 3.0, {{"bw", 49.999999e9}}};
   const std::string a = to_jsonl(e);
@@ -154,7 +147,7 @@ TEST(TraceSinks, JsonlFileRoundTrip) {
   std::remove(path.c_str());
   {
     Tracer t;
-    t.add_sink(make_file_sink(path));
+    t.add_sink(std::make_shared<JsonlSink>(path));
     t.emit(Kind::kSetup, 0.0,
            fields({{"policy", "DICER"}, {"hp_ways", 19u}}));
     t.emit(Kind::kDonation, 3.0, fields({{"from", 19u}, {"to", 18u}}));
@@ -170,25 +163,8 @@ TEST(TraceSinks, JsonlFileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(TraceSinks, MakeFileSinkDispatchesOnExtension) {
-  const std::string csv_path = test::unique_temp_path("trace_test.csv");
-  std::remove(csv_path.c_str());
-  {
-    Tracer t;
-    t.add_sink(make_file_sink(csv_path));
-    t.emit(Kind::kAllocation, 1.25, fields({{"from", 19u}, {"to", 18u}}));
-    t.flush();
-  }
-  const auto lines = read_lines(csv_path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "t_sec,kind,fields");
-  EXPECT_EQ(lines[1], "1.25,allocation,from=19;to=18");
-  std::remove(csv_path.c_str());
-}
-
 TEST(TraceSinks, FileSinkThrowsOnUnwritablePath) {
   EXPECT_THROW(JsonlSink("/nonexistent-dir/x.jsonl"), std::runtime_error);
-  EXPECT_THROW(make_file_sink("/nonexistent-dir/x.csv"), std::runtime_error);
 }
 
 TEST(TraceSinks, MemorySinkTakeDrains) {
