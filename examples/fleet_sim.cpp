@@ -39,7 +39,10 @@
 // decisions, index mutations, predict_efu() evaluations, live classes
 // read by best-fit scans, and the placement classes live at the end and
 // created in all; then how many machine-epochs stepped alongside the
-// control plane (machines no placement could touch that epoch); then how
+// whole control plane (machines no placement could touch that epoch) and
+// how many were final before arrivals ended (those, plus the machines
+// closed once migrations were over or closed by an arrival: each goes to
+// the step pool as soon as the control plane is done with it); then how
 // many trace events the run counted and how many of them were built
 // (none, unless --trace records them). A second line says how many
 // data-plane step shards the main thread ran while it waited at the epoch
@@ -197,6 +200,8 @@ static int run(int argc, char** argv) {
             << cluster.placement_log().size() << " placement decisions\n";
   if (env.profile) {
     const auto* index = cluster.placement_index();
+    const std::uint64_t machine_epochs =
+        cluster.epochs_done() * cluster.num_machines();
     std::cerr << "placement work: " << cluster.placement_log().size()
               << " decisions, " << index->mutations()
               << " index mutations, " << index->efu_predictions()
@@ -204,8 +209,10 @@ static int run(int argc, char** argv) {
               << " classes scanned, " << index->live_classes()
               << " live classes, " << index->classes_created()
               << " classes created; " << cluster.untouchable_machine_epochs()
-              << " of " << cluster.epochs_done() * cluster.num_machines()
-              << " machine-epochs stepped alongside the control plane; "
+              << " of " << machine_epochs
+              << " machine-epochs stepped alongside the control plane, "
+              << cluster.final_machine_epochs() << " of " << machine_epochs
+              << " machine-epochs final before arrivals ended; "
               << tracer.events_counted() << " trace events counted, "
               << tracer.events_built() << " built\n";
     std::cerr << "data plane: " << cluster.step_shards_run_by_waiter()

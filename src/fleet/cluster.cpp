@@ -69,6 +69,33 @@ bool departs(const Tenant& tenant, double epoch_start) {
   return tenant.depart_t_sec <= epoch_start;
 }
 
+/// The reduction's samples for one or two histograms (null: none), kept
+/// in the order added and recorded a fixed-size batch at a time: the bits
+/// of one record() per sample, with one record_all() per batch, in the
+/// same memory at any fleet size.
+class SampleBatch {
+ public:
+  explicit SampleBatch(telemetry::Histogram* first,
+                       telemetry::Histogram* second = nullptr)
+      : first_(first), second_(second) {}
+  void add(double v) {
+    buf_[n_++] = v;
+    if (n_ == buf_.size()) flush();
+  }
+  void flush() {
+    for (telemetry::Histogram* h : {first_, second_}) {
+      if (h) h->record_all({buf_.data(), n_});
+    }
+    n_ = 0;
+  }
+
+ private:
+  telemetry::Histogram* first_;
+  telemetry::Histogram* second_;
+  std::array<double, 256> buf_{};
+  std::size_t n_ = 0;
+};
+
 }  // namespace
 
 std::string epoch_csv_header() {
@@ -253,7 +280,14 @@ const sim::AppProfile& Cluster::hp_of(unsigned machine) const {
   return *index_->hp(machine).profile;
 }
 
-std::size_t Cluster::partition_machines(double epoch_start) {
+template <typename Pick>
+void Cluster::queue_machines(Pick pick) {
+  for (unsigned i = 0; i < nodes_.size(); ++i) {
+    if (!queued_[i] && pick(i)) queue_step(i);
+  }
+}
+
+void Cluster::partition_machines(double epoch_start) {
   // Untouchable: closed (no engine places there), no tenant departing
   // (departures leave it alone) and not a migration source (migrations
   // evict only from sources). Only departures and migration evictions
@@ -271,14 +305,14 @@ std::size_t Cluster::partition_machines(double epoch_start) {
     return true;
   };
   step_order_.clear();
-  for (unsigned i = 0; i < nodes_.size(); ++i) {
-    if (untouchable(i)) step_order_.push_back(i);
-  }
-  const std::size_t n = step_order_.size();
-  for (unsigned i = 0; i < nodes_.size(); ++i) {
-    if (!untouchable(i)) step_order_.push_back(i);
-  }
-  return n;
+  submitted_ = 0;
+  queued_.assign(nodes_.size(), false);
+  queue_machines(untouchable);
+}
+
+void Cluster::queue_step(unsigned i) {
+  queued_[i] = true;
+  step_order_.push_back(i);
 }
 
 void Cluster::do_departures(double epoch_start, EpochMetrics& m) {
@@ -345,7 +379,9 @@ void Cluster::do_migrations(EpochMetrics& m) {
   }
 }
 
-void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
+void Cluster::do_arrivals(double epoch_end, EpochMetrics& m,
+                          util::TaskGroup& steps,
+                          std::uint64_t end_quantum) {
   auto& tr = trace::resolve(config_.tracer);
   // Decide, then commit, one arrival at a time: each decision sees every
   // earlier admission of the epoch.
@@ -368,6 +404,12 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
         metrics_.placement_wait->record((epoch_end - a.t_sec) /
                                         config_.epoch_sec);
       }
+      // No arrival places into a closed machine, so the one this
+      // admission closed is final; its shard goes once it is full.
+      if (!index_->is_open(*dest)) {
+        queue_step(*dest);
+        submit_full_shards(steps, end_quantum);
+      }
     } else {
       ++m.rejected;
     }
@@ -382,24 +424,39 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
   }
 }
 
-void Cluster::submit_steps(util::TaskGroup& steps, std::size_t begin,
-                           std::size_t end, std::uint64_t epoch_end) {
+void Cluster::submit_full_shards(util::TaskGroup& steps,
+                                 std::uint64_t end_quantum) {
+  // Without a pool a shard runs inline where it is submitted, so stepping
+  // early would only move the machines' time into the control plane's
+  // timers; they wait for the submission after arrivals instead.
+  if (!pool_) return;
+  const std::size_t queued = step_order_.size() - submitted_;
+  submit_steps(steps, submitted_ + queued / shard_machines_ * shard_machines_,
+               end_quantum);
+}
+
+void Cluster::submit_steps(util::TaskGroup& steps, std::size_t end,
+                           std::uint64_t end_quantum) {
   // Each machine runs the single-machine control loop to the epoch
   // boundary (its host's last step is cut there) — a pure function of the
   // node's own state. Machines never interact mid-epoch and the reduction
   // stays index-ordered, so CSV/metrics exports are byte-identical at any
-  // `jobs` (and hence any shard slicing or partition).
-  for (std::size_t b = begin; b < end; b += shard_machines_) {
+  // `jobs` (and hence any shard slicing or submission order).
+  for (std::size_t b = submitted_; b < end; b += shard_machines_) {
     const std::size_t e = std::min(end, b + shard_machines_);
     ++step_shards_;
-    steps.run([this, b, e, epoch_end] {
+    // step_order_ never grows past its reserved capacity, so its entries
+    // stay put while the control plane appends more.
+    const unsigned* order = step_order_.data();
+    steps.run([this, order, b, e, end_quantum] {
       for (std::size_t k = b; k < e; ++k) {
-        const unsigned i = step_order_[k];
-        nodes_[i].host.run_until(*nodes_[i].policy, epoch_end);
+        const unsigned i = order[k];
+        nodes_[i].host.run_until(*nodes_[i].policy, end_quantum);
         fill_epoch_stat(i);
       }
     });
   }
+  submitted_ = end;
 }
 
 void Cluster::fill_epoch_stat(std::size_t i) {
@@ -461,17 +518,30 @@ void Cluster::reduce(EpochMetrics& m) {
   SolverCounts solver;  // the epoch's solver deltas, summed over machines
   epoch_efu_hist_.reset();
   epoch_slowdown_hist_.reset();
+  SampleBatch efu(&epoch_efu_hist_, metrics_.efu);
+  SampleBatch slowdown(&epoch_slowdown_hist_, metrics_.hp_slowdown);
+  SampleBatch hp_norm(metrics_.hp_norm);
+  SampleBatch link_rho(metrics_.link_rho);
+  SampleBatch footprint(metrics_.tenant_footprint);
   // Single-threaded fold over the shard outputs, strictly in machine-index
-  // order — sums and histogram `sum`s see one fixed operand order, so the
-  // row and every metrics export replay bit-for-bit at any worker count.
+  // order — sums and every histogram's samples see one fixed operand
+  // order, so the row and every metrics export replay bit-for-bit at any
+  // worker count.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
     const MachineEpochStat& st = epoch_stats_[i];
     efu_sum += st.efu;
     hp_norm_sum += st.hp_norm;
     rho_sum += st.link_rho;
-    epoch_efu_hist_.record(st.efu);
-    if (st.hp_slowdown > 0.0) epoch_slowdown_hist_.record(st.hp_slowdown);
+    efu.add(st.efu);
+    if (st.hp_slowdown > 0.0) slowdown.add(st.hp_slowdown);
+    if (config_.metrics) {
+      hp_norm.add(st.hp_norm);
+      link_rho.add(st.link_rho);
+      for (const Tenant& t : index_->tenants(static_cast<unsigned>(i))) {
+        if (t.sig) footprint.add(t.sig->footprint_bytes);
+      }
+    }
     if (st.slo_violated) {
       ++m.slo_violations;
       ++node.slo_streak;
@@ -480,17 +550,6 @@ void Cluster::reduce(EpochMetrics& m) {
       node.slo_streak = 0;
     }
     if (st.tenants > 0) ++m.occupied_machines;
-    if (config_.metrics) {
-      metrics_.efu->record(st.efu);
-      metrics_.hp_norm->record(st.hp_norm);
-      if (st.hp_slowdown > 0.0) {
-        metrics_.hp_slowdown->record(st.hp_slowdown);
-      }
-      metrics_.link_rho->record(st.link_rho);
-      for (const Tenant& t : index_->tenants(static_cast<unsigned>(i))) {
-        if (t.sig) metrics_.tenant_footprint->record(t.sig->footprint_bytes);
-      }
-    }
     const SolverCounts& d = st.solver;
     solver.quanta += d.quanta;
     solver.replays += d.replays;
@@ -499,6 +558,9 @@ void Cluster::reduce(EpochMetrics& m) {
     solver.rounds += d.rounds;
     solver.invalidations_actuator += d.invalidations_actuator;
     solver.invalidations_fingerprint += d.invalidations_fingerprint;
+  }
+  for (SampleBatch* b : {&efu, &slowdown, &hp_norm, &link_rho, &footprint}) {
+    b->flush();
   }
   const auto n = static_cast<double>(nodes_.size());
   m.tenants = tenants_running();
@@ -553,16 +615,18 @@ EpochMetrics Cluster::step_epoch() {
   // and all exports remain deterministic.
   auto* tr_timers = &trace::resolve(config_.tracer);
   trace::ScopedTimer epoch_timer("fleet.epoch", tr_timers);
-  // The untouchable machines step while the control plane runs. `steps`
+  // Machines step on the pool as soon as the control plane is done with
+  // them: the untouchable ones now, the closed ones after migrations and
+  // those arrivals close in full shards, the rest after arrivals. `steps`
   // waits for them even when the control plane throws.
-  const std::size_t untouchable = partition_machines(epoch_start);
-  untouchable_machine_epochs_ += untouchable;
+  partition_machines(epoch_start);
+  untouchable_machine_epochs_ += step_order_.size();
   epoch_stats_.resize(nodes_.size());
   util::TaskGroup steps(pool_.get());
   // Every machine ends the epoch on the same whole quantum.
   const std::uint64_t end_quantum =
       (epoch_ + 1) * config_.machine.quanta(config_.epoch_sec);
-  submit_steps(steps, 0, untouchable, end_quantum);
+  submit_steps(steps, step_order_.size(), end_quantum);
   {
     // The parent scope keeps the historical all-in "control plane" number
     // comparable across versions; the child scopes split it into the three
@@ -576,16 +640,23 @@ EpochMetrics Cluster::step_epoch() {
       trace::ScopedTimer tm("fleet.migrations", tr_timers);
       do_migrations(m);
     }
+    // Departures and migrations are over, and only they open a closed
+    // machine: every closed machine is final for the epoch.
+    queue_machines([&](unsigned i) { return !index_->is_open(i); });
+    submit_full_shards(steps, end_quantum);
     {
       trace::ScopedTimer ta("fleet.arrivals", tr_timers);
-      do_arrivals(epoch_end, m);
+      do_arrivals(epoch_end, m, steps, end_quantum);
     }
   }
+  final_machine_epochs_ += step_order_.size();
   {
-    // The rest of the data plane, plus the wait for the overlapped part;
-    // the waiting thread steps whatever shards are still queued.
+    // The machines arrivals left open, plus the wait for everything
+    // submitted earlier; the waiting thread steps whatever shards are
+    // still queued.
     trace::ScopedTimer t("fleet.step", tr_timers);
-    submit_steps(steps, untouchable, step_order_.size(), end_quantum);
+    queue_machines([](unsigned) { return true; });
+    submit_steps(steps, step_order_.size(), end_quantum);
     waiter_step_shards_ += steps.wait();
   }
   {

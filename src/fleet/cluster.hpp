@@ -21,19 +21,25 @@
 //      PlacementEngine off the PlacementIndex and committed (index, then
 //      machine) before the next one is looked at
 //   2. data plane: every machine's policy::Host runs its control loop to
-//      the epoch boundary, in contiguous shards of machines spread across a
-//      util::ThreadPool. The untouchable machines' shards are submitted
-//      before step 1 and step while the main thread places; the rest are
-//      submitted after it, and the main thread steps queued shards itself
-//      while it waits for them. Machines never interact mid-epoch, so any
-//      worker count (and no pool at all, where the shards run inline)
-//      replays the serial fleet bit-for-bit
+//      the epoch boundary, in shards of machines spread across a
+//      util::ThreadPool. A machine's shard goes to the pool as soon as the
+//      control plane is done with the machine: the untouchable machines
+//      before step 1; once migrations are over, every other closed
+//      machine (only departures and migration evictions open one, and
+//      both are done) and, during arrivals, each machine an admission
+//      closes (no arrival places into a closed machine), a whole shard at
+//      a time; the rest after arrivals. The main thread steps queued
+//      shards itself while it waits for them. Machines never interact
+//      mid-epoch, so any worker count replays the serial fleet
+//      bit-for-bit. With no pool every shard runs inline where it is
+//      submitted: the untouchable ones before step 1, the rest after it
 //   3. reduction (single-threaded, machine-index order), once every shard
 //      is done: each shard left a MachineEpochStat (EFU / HP QoS / link rho
 //      from telemetry deltas) in its machine's slot; the fold walks them in
-//      index order into one EpochMetrics row, the per-epoch percentile
-//      histograms and — when FleetConfig::metrics is set — the
-//      telemetry::Registry
+//      index order into one EpochMetrics row and gathers each histogram's
+//      samples, which the per-epoch percentile histograms and — when
+//      FleetConfig::metrics is set — the telemetry::Registry record in
+//      batches of 256
 //
 // The determinism contract matches the sweep's: same (config, seed) =>
 // byte-identical per-epoch CSV, placement log and metrics exports
@@ -204,11 +210,19 @@ class Cluster {
   const std::vector<PlacementRecord>& placement_log() const noexcept {
     return placement_log_;
   }
-  /// Machine-epochs stepped alongside the control plane so far: the
+  /// Machine-epochs stepped alongside the whole control plane so far: the
   /// untouchable machines of every epoch (a deterministic count, the same
   /// at any `jobs`).
   std::uint64_t untouchable_machine_epochs() const noexcept {
     return untouchable_machine_epochs_;
+  }
+  /// Machine-epochs the control plane was done with before arrivals
+  /// ended: the untouchable machines, the machines closed once migrations
+  /// were over and those an arrival closed (deterministic like the
+  /// untouchable count, which it includes). With a pool, all but the
+  /// last partial shard of them were submitted to it by then.
+  std::uint64_t final_machine_epochs() const noexcept {
+    return final_machine_epochs_;
   }
   /// Data-plane step shards submitted so far, and how many of them the
   /// main thread ran while it waited at the epoch barrier. The second
@@ -278,17 +292,29 @@ class Cluster {
   /// Remove the tenant on `core` of machine `m` from the index and the
   /// machine; returns it.
   Tenant evict(unsigned m, unsigned core);
-  /// Fill step_order_ with this epoch's untouchable machines, then the
-  /// rest, each part in index order; returns the untouchable count.
-  std::size_t partition_machines(double epoch_start);
+  /// Start this epoch's step_order_ with its untouchable machines, in
+  /// index order.
+  void partition_machines(double epoch_start);
+  /// Queue every machine not queued yet that `pick(i)` accepts, in index
+  /// order.
+  template <typename Pick>
+  void queue_machines(Pick pick);
+  /// Append machine i to step_order_: the control plane is done with it.
+  void queue_step(unsigned i);
   void do_departures(double epoch_start, EpochMetrics& m);
   void do_migrations(EpochMetrics& m);
-  void do_arrivals(double epoch_end, EpochMetrics& m);
-  /// Submit the machines step_order_[begin, end) to `steps` in shards of
-  /// shard_machines_: each task runs its machines to quantum `epoch_end`
-  /// and fills their epoch stats.
-  void submit_steps(util::TaskGroup& steps, std::size_t begin,
-                    std::size_t end, std::uint64_t epoch_end);
+  /// Place the epoch's arrivals; each machine an admission closes is
+  /// queued, and goes to `steps` as soon as it fills a shard.
+  void do_arrivals(double epoch_end, EpochMetrics& m, util::TaskGroup& steps,
+                   std::uint64_t end_quantum);
+  /// Submit step_order_[submitted_, end) to `steps` in shards of
+  /// shard_machines_: each task runs its machines to quantum
+  /// `end_quantum` and fills their epoch stats.
+  void submit_steps(util::TaskGroup& steps, std::size_t end,
+                    std::uint64_t end_quantum);
+  /// submit_steps() over the queued machines that fill whole shards,
+  /// when there is a pool to step them while the control plane runs.
+  void submit_full_shards(util::TaskGroup& steps, std::uint64_t end_quantum);
   /// Shard-local epoch stat for machine i (pure function of the node's own
   /// state and index slot — runs on whichever thread stepped the machine,
   /// possibly while the control plane mutates other machines).
@@ -321,11 +347,17 @@ class Cluster {
   telemetry::Histogram epoch_slowdown_hist_;
   /// Machines per data-plane step shard, ~4 shards per worker
   /// (clamp(N / (jobs * 4), 1, 32)); a shard is a contiguous run of
-  /// step_order_ inside one part of the partition.
+  /// step_order_ queued at one point of the epoch.
   std::size_t shard_machines_ = 1;
-  /// This epoch's machines: the untouchable ones first, then the rest.
+  /// This epoch's machines in the order the control plane is done with
+  /// them: the untouchable ones, the closed ones after migrations, the
+  /// ones arrivals close, then the rest. Reserved for every machine, so
+  /// appending never moves the entries submitted shards read.
   std::vector<unsigned> step_order_;
+  std::size_t submitted_ = 0;  ///< step_order_ entries submitted so far
+  std::vector<bool> queued_;   ///< by machine: in step_order_ this epoch
   std::uint64_t untouchable_machine_epochs_ = 0;
+  std::uint64_t final_machine_epochs_ = 0;
   std::uint64_t step_shards_ = 0;
   std::uint64_t waiter_step_shards_ = 0;
 };

@@ -52,7 +52,23 @@ const AppSignal& AppDirectory::signal(const std::string& name) const {
   return it->second;
 }
 
-double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
+void EfuOperands::assign(const AppDirectory& dir, const AppSignal& hp_sig,
+                         std::span<const AppSignal* const> bes) {
+  const auto& machine = dir.machine();
+  const auto total_ways = machine.llc.ways;
+  // The HP holds the partition it needs to stay near solo IPC (DICER's
+  // steady state); everything else is the BE pool.
+  const unsigned hp_ways =
+      std::clamp(hp_sig.ways_needed, 1u, total_ways - 1u);
+  hp = {hp_sig.ipc_alone, hp_sig.ipc_at_ways(hp_ways)};
+  hp_bw = hp_sig.bw_by_ways[hp_ways - 1];
+  be_ways = static_cast<double>(total_ways - hp_ways);
+  link_capacity = machine.link.capacity_bytes_per_sec;
+  footprint_sum = 0.0;
+  for (const auto* s : bes) footprint_sum += s->footprint_bytes;
+}
+
+double predict_efu(const EfuOperands& ops,
                    std::span<const AppSignal* const> bes,
                    const AppSignal* joining) {
   const std::size_t n_bes = bes.size() + (joining ? 1 : 0);
@@ -62,32 +78,23 @@ double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
   if (n_bes >= pairs.size()) {
     throw std::length_error("predict_efu: more apps than sim::kMaxCores");
   }
-  const auto& machine = dir.machine();
-  const auto total_ways = machine.llc.ways;
-
-  // The HP holds the partition it needs to stay near solo IPC (DICER's
-  // steady state); everything else is the BE pool.
-  const unsigned hp_ways =
-      std::clamp(hp_sig.ways_needed, 1u, total_ways - 1u);
-  const double be_ways = static_cast<double>(total_ways - hp_ways);
 
   // The BE pool splits in proportion to MRC footprint: a streaming app
   // with no reuse mass takes (and gains from) almost nothing, a deep-knee
   // app claims most of the pool. Footprint-less mixes fall back to an
   // even split.
-  double footprint_sum = 0.0;
-  for (const auto* s : bes) footprint_sum += s->footprint_bytes;
+  double footprint_sum = ops.footprint_sum;
   if (joining) footprint_sum += joining->footprint_bytes;
 
   std::size_t n = 0;
-  double demand = hp_sig.bw_by_ways[hp_ways - 1];
-  pairs[n++] = {hp_sig.ipc_alone, hp_sig.ipc_at_ways(hp_ways)};
+  double demand = ops.hp_bw;
+  pairs[n++] = ops.hp;
   const auto add = [&](const AppSignal& s) {
     const double share =
         footprint_sum > 0.0
-            ? be_ways * (s.footprint_bytes / footprint_sum)
-            : be_ways / static_cast<double>(n_bes);
-    const double w = std::clamp(share, 1.0, be_ways);
+            ? ops.be_ways * (s.footprint_bytes / footprint_sum)
+            : ops.be_ways / static_cast<double>(n_bes);
+    const double w = std::clamp(share, 1.0, ops.be_ways);
     pairs[n++] = {s.ipc_alone, s.ipc_at_ways(w)};
     demand += s.bw_by_ways[static_cast<std::size_t>(w) - 1];
   };
@@ -96,12 +103,20 @@ double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
 
   // Oversubscribing the memory link slows everyone proportionally —
   // a crude but monotone stand-in for the saturating-link model.
-  const double capacity = machine.link.capacity_bytes_per_sec;
+  const double capacity = ops.link_capacity;
   const double link_factor =
       demand > capacity && demand > 0.0 ? capacity / demand : 1.0;
   for (std::size_t i = 0; i < n; ++i) pairs[i].colocated *= link_factor;
 
   return metrics::effective_utilisation({pairs.data(), n});
+}
+
+double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
+                   std::span<const AppSignal* const> bes,
+                   const AppSignal* joining) {
+  EfuOperands ops;
+  ops.assign(dir, hp_sig, bes);
+  return predict_efu(ops, bes, joining);
 }
 
 }  // namespace dicer::fleet

@@ -67,11 +67,33 @@ class AppDirectory {
   std::map<std::string, AppSignal> signals_;
 };
 
-/// Predicted EFU of a machine running `hp_sig`'s HP plus the BEs `bes`
-/// (in core order — the floating-point sums walk them in that order) and,
-/// when given, `joining` after them: the machine as it would be with one
-/// more tenant. A pure function of its operands; allocation-free. Throws
-/// std::length_error when the apps outnumber sim::kMaxCores.
+/// The terms of predict_efu() that do not depend on a joining app,
+/// computed once for one machine: the HP's pair and bandwidth at its ways,
+/// the BE pool and the BEs' footprint sum (in core order). The placement
+/// index keeps one per placement class.
+struct EfuOperands {
+  metrics::IpcPair hp{};       ///< the HP's {ipc_alone, IPC at hp_ways}
+  double hp_bw = 0.0;          ///< the HP's bandwidth at hp_ways
+  double be_ways = 0.0;        ///< ways left to the BE pool
+  double footprint_sum = 0.0;  ///< the BEs' footprints, summed in core order
+  double link_capacity = 0.0;  ///< memory link bytes/s
+
+  /// The operands of `hp_sig`'s HP plus the BEs `bes` on `dir`'s machine.
+  void assign(const AppDirectory& dir, const AppSignal& hp_sig,
+              std::span<const AppSignal* const> bes);
+};
+
+/// Predicted EFU of the machine whose operands are `ops` and whose BEs are
+/// `bes` (the list `ops` was assigned from, in core order — the
+/// floating-point sums walk them in that order) and, when given, `joining`
+/// after them: the machine as it would be with one more tenant. A pure
+/// function of its operands; allocation-free. Throws std::length_error
+/// when the apps outnumber sim::kMaxCores.
+double predict_efu(const EfuOperands& ops,
+                   std::span<const AppSignal* const> bes,
+                   const AppSignal* joining = nullptr);
+
+/// The same for `hp_sig`'s HP plus the BEs `bes`.
 double predict_efu(const AppDirectory& dir, const AppSignal& hp_sig,
                    std::span<const AppSignal* const> bes,
                    const AppSignal* joining = nullptr);

@@ -155,15 +155,17 @@ std::uint32_t PlacementIndex::claim_slot(std::uint32_t rep) {
 
 double PlacementIndex::score(std::uint32_t s, const AppSignal& app) {
   Class& c = classes_[s];
-  const AppSignal& hp = *c.key.back();
   const std::span<const AppSignal* const> bes(c.key.data(),
                                               c.key.size() - 1);
   if (std::isnan(c.before)) {
-    c.before = predict_efu(*dir_, hp, bes);
+    // A class claiming a recycled slot starts stale, so its operands
+    // never outlive its key.
+    c.ops.assign(*dir_, *c.key.back(), bes);
+    c.before = predict_efu(c.ops, bes);
     ++predictions_;
   }
   ++predictions_;
-  return predict_efu(*dir_, hp, bes, &app) - c.before;
+  return predict_efu(c.ops, bes, &app) - c.before;
 }
 
 std::optional<unsigned> PlacementIndex::best_fit(

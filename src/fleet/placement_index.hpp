@@ -26,7 +26,10 @@
 // fleet starts in one class per HP app and stays within a few hundred
 // live classes. Each class keeps its members, its representative (the
 // lowest-index member) and its "before" predict_efu(), computed once per
-// class lifetime and shared by every app. The first best_fit() sorts
+// class lifetime and shared by every app, together with the terms of
+// every score of the class that do not depend on the app (the HP's pair
+// and bandwidth, the BE pool, the BEs' footprint sum), so that scoring an
+// app recomputes none of them. The first best_fit() sorts
 // the fleet into classes; from then on admit/detach (and add_machine)
 // move one machine between classes, and a closed machine belongs to none.
 // So boot, and fleets placed by the class-blind engines, pay no class
@@ -168,7 +171,11 @@ class PlacementIndex {
     ClassKey key;
     std::set<unsigned> members;  ///< open machines with this key
     std::uint32_t live_pos = 0;  ///< its entry in `live_`
-    double before = kStale;      ///< predict_efu(key), once per lifetime
+    /// predict_efu()'s app-independent terms for the key and
+    /// predict_efu(key), built together on the class's first score (once
+    /// per lifetime).
+    EfuOperands ops;
+    double before = kStale;
   };
 
   /// A live class's scan entry: all best_fit() reads of it but a score.

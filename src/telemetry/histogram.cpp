@@ -1,6 +1,7 @@
 #include "telemetry/histogram.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -47,12 +48,42 @@ unsigned Histogram::bucket_index(double value) const noexcept {
   return static_cast<unsigned>(it - bounds_.begin());
 }
 
-void Histogram::record(double value) noexcept {
-  counts_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  atomic_fold(min_, value, std::less<double>{});
-  atomic_fold(max_, value, std::greater<double>{});
+void Histogram::record_all(std::span<const double> values) noexcept {
+  if (values.empty()) return;
+  // This batch's tally, on the stack. Zeroing all kMaxBuckets + 1
+  // entries would cost more than a small batch, so only this histogram's
+  // n_buckets are zeroed, and only they are read. Each touched bucket is
+  // then added once.
+  std::array<std::uint64_t, HistogramSpec::kMaxBuckets + 1> tally;
+  const std::size_t n_buckets = counts_.size();
+  std::fill_n(tally.begin(), n_buckets, 0);
+  double lo = kInf;
+  double hi = -kInf;
+  for (const double v : values) {
+    ++tally[bucket_index(v)];
+    // The same comparisons as one fold per sample: NaN never wins, and
+    // the first of equal extremes (-0.0 vs 0.0) stays.
+    if (v < lo) lo = v;
+    if (v > hi) hi = v;
+  }
+  for (std::size_t b = 0; b < n_buckets; ++b) {
+    if (tally[b] != 0) {
+      counts_[b].fetch_add(tally[b], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(values.size(), std::memory_order_relaxed);
+  // Add the batch onto the current sum in span order; a racing writer
+  // makes the CAS fail and the batch is re-added onto its result.
+  double cur = sum_.load(std::memory_order_relaxed);
+  for (;;) {
+    double next = cur;
+    for (const double v : values) next += v;
+    if (sum_.compare_exchange_weak(cur, next, std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  atomic_fold(min_, lo, std::less<double>{});
+  atomic_fold(max_, hi, std::greater<double>{});
 }
 
 void Histogram::reset() noexcept {

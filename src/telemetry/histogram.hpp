@@ -17,18 +17,23 @@
 // yields the same counts), and percentile() is a pure function of the
 // counts. The only order-sensitive state is the floating-point `sum`,
 // which is why deterministic pipelines record from one thread in a fixed
-// order: fleet::Cluster::reduce folds its per-machine samples in
-// machine-index order.
+// order: fleet::Cluster::reduce records its per-machine samples in
+// machine-index order, a batch of them per record_all().
 //
-// Thread safety: record() is lock-free (relaxed atomics per bucket, CAS
-// min/max), so many util::ThreadPool workers may hammer one histogram;
-// concurrent recording keeps counts exact but lets `sum` rounding depend
-// on interleaving. reset() and readers must not race a writer if
-// byte-exact sums matter.
+// Thread safety: record() and record_all() are lock-free (relaxed
+// atomics per bucket, CAS min/max/sum), so many util::ThreadPool workers
+// may hammer one histogram; concurrent recording keeps counts, min and
+// max exact but lets `sum` rounding depend on interleaving. record_all()
+// writes a batch with one read-modify-write per touched bucket, one for
+// the count, one fold each for min and max and one CAS loop that adds the
+// batch onto `sum` in span order, so a single writer's state is bit for
+// bit what one record() per sample leaves. reset() and readers must not
+// race a writer if byte-exact sums matter.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dicer::telemetry {
@@ -41,10 +46,12 @@ struct HistogramSpec {
   double growth = 1.19;       ///< geometric boundary growth, > 1
   unsigned buckets = 96;      ///< finite buckets (an +Inf bucket is implicit)
 
+  static constexpr unsigned kMaxBuckets = 4096;
+
   bool operator==(const HistogramSpec&) const = default;
   bool valid() const noexcept {
     return first_bound > 0.0 && growth > 1.0 && buckets >= 1 &&
-           buckets <= 4096;
+           buckets <= kMaxBuckets;
   }
 };
 
@@ -59,7 +66,12 @@ class Histogram {
   /// Record one sample (thread-safe, lock-free). Values at or below a
   /// boundary land in that boundary's bucket (Prometheus `le` semantics);
   /// values above the last finite boundary land in the +Inf bucket.
-  void record(double value) noexcept;
+  void record(double value) noexcept { record_all({&value, 1}); }
+  /// Record every sample of `values` (thread-safe, lock-free): the same
+  /// buckets, count, min and max as one record() per sample, and the same
+  /// `sum` bits when no other thread records meanwhile. An empty span
+  /// records nothing.
+  void record_all(std::span<const double> values) noexcept;
 
   /// Zero every counter, keeping the boundaries.
   void reset() noexcept;

@@ -8,14 +8,16 @@
 // deterministic regardless of registration interleaving.
 //
 // Concurrency & determinism:
-//  * inc()/set()/record() are lock-free — a registry may be hammered from
-//    every util::ThreadPool worker at once (TSan-tested).
-//  * Integer state (counters, histogram bucket counts) is exact under any
-//    interleaving, so totals are identical at any worker count.
+//  * inc()/set()/record()/record_all() are lock-free — a registry may be
+//    hammered from every util::ThreadPool worker at once (TSan-tested).
+//  * Integer state (counters, histogram bucket counts) and histogram
+//    min/max are exact under any interleaving, so they are identical at
+//    any worker count.
 //  * Floating-point sums are order-sensitive; pipelines that promise
 //    byte-identical exports therefore record from one thread in a fixed
-//    order — fleet::Cluster::reduce folds its per-machine samples in
-//    machine-index order.
+//    order — fleet::Cluster::reduce records each histogram's per-machine
+//    samples in machine-index order, in batches through record_all(),
+//    which leaves the bits one record() per sample would.
 //
 // Exposition lives in telemetry/exposition.hpp (Prometheus text).
 #pragma once

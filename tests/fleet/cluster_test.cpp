@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -253,6 +254,10 @@ std::vector<std::uint64_t> tenant_ids(const std::vector<Tenant>& tenants) {
 struct SaturatedRun {
   std::string exports;  ///< CSV, placement log, Prometheus, epoch JSONL
   std::uint64_t untouchable = 0;
+  std::uint64_t final_machines = 0;  ///< Cluster::final_machine_epochs()
+  /// The recount of final machine-epochs by kind, over the whole run.
+  std::uint64_t closed_after_migrations = 0;
+  std::uint64_t closed_by_arrival = 0;
   std::uint64_t migrations = 0;
 };
 
@@ -260,7 +265,10 @@ struct SaturatedRun {
 /// fire every epoch, many machines are closed with nobody leaving),
 /// checking every epoch that the machines the touchability rule (restated
 /// here) calls untouchable are counted, keep their tenants, and are
-/// neither a placement destination nor a migration source.
+/// neither a placement destination nor a migration source; and that the
+/// final machines are counted: the untouchable ones, those closed once
+/// migrations were over (closed at the epoch's end without an arrival)
+/// and those an arrival closed.
 SaturatedRun run_saturated(unsigned jobs, std::uint64_t epochs) {
   FleetConfig fc = small_config();
   fc.num_machines = 40;
@@ -299,6 +307,7 @@ SaturatedRun run_saturated(unsigned jobs, std::uint64_t epochs) {
       before.push_back(tenant_ids(index.tenants(m)));
     }
     const std::uint64_t counted = cluster.untouchable_machine_epochs();
+    const std::uint64_t counted_final = cluster.final_machine_epochs();
     const std::size_t decisions = cluster.placement_log().size();
     events->take();
     const EpochMetrics row = cluster.step_epoch();
@@ -306,6 +315,28 @@ SaturatedRun run_saturated(unsigned jobs, std::uint64_t epochs) {
               untouchable.size())
         << "epoch " << e;
     const auto& log = cluster.placement_log();
+    // Arrivals only close machines, so a machine closed at the epoch's
+    // end was closed after migrations, or by an arrival placed on it.
+    std::vector<bool> arrived(fc.num_machines, false);
+    for (std::size_t d = decisions; d < log.size(); ++d) {
+      if (log[d].accepted && !log[d].migration) arrived[log[d].machine] = true;
+    }
+    std::uint64_t after_migrations = 0;
+    std::uint64_t by_arrival = 0;
+    for (unsigned m = 0; m < fc.num_machines; ++m) {
+      if (index.is_open(m)) continue;
+      if (arrived[m]) {
+        ++by_arrival;
+      } else if (std::find(untouchable.begin(), untouchable.end(), m) ==
+                 untouchable.end()) {
+        ++after_migrations;
+      }
+    }
+    EXPECT_EQ(cluster.final_machine_epochs() - counted_final,
+              untouchable.size() + after_migrations + by_arrival)
+        << "epoch " << e;
+    run.closed_after_migrations += after_migrations;
+    run.closed_by_arrival += by_arrival;
     for (std::size_t k = 0; k < untouchable.size(); ++k) {
       const unsigned m = untouchable[k];
       EXPECT_EQ(tenant_ids(index.tenants(m)), before[k]) << "machine " << m;
@@ -330,21 +361,28 @@ SaturatedRun run_saturated(unsigned jobs, std::uint64_t epochs) {
   run.exports += placement_lines(cluster) +
                  telemetry::to_prometheus(registry) + jsonl;
   run.untouchable = cluster.untouchable_machine_epochs();
+  run.final_machines = cluster.final_machine_epochs();
   return run;
 }
 
 // The overlap of the data plane with the control plane: machines no
-// decision can reach step while the main thread places, and the exports
-// and the untouchable count are the same at any worker count (no pool at
-// jobs 1, where the same partition runs inline).
+// decision can reach step while the main thread places, and so do the
+// machines closed once migrations are over and those an arrival closes.
+// Every kind occurs, each epoch's counts match run_saturated's recount,
+// and the exports and both counts are the same at any worker count (no
+// pool at jobs 1, where each shard runs inline where it is submitted).
 TEST(Cluster, UntouchableMachinesStepAlongsideTheControlPlane) {
   const SaturatedRun serial = run_saturated(1, 12);
   EXPECT_GT(serial.untouchable, 0u);
+  EXPECT_GT(serial.closed_after_migrations, 0u);
+  EXPECT_GT(serial.closed_by_arrival, 0u);
   EXPECT_GT(serial.migrations, 0u);
   for (const unsigned jobs : {2u, 4u, 8u}) {
     const SaturatedRun sharded = run_saturated(jobs, 12);
     EXPECT_EQ(sharded.exports, serial.exports) << "jobs " << jobs;
     EXPECT_EQ(sharded.untouchable, serial.untouchable) << "jobs " << jobs;
+    EXPECT_EQ(sharded.final_machines, serial.final_machines)
+        << "jobs " << jobs;
   }
 }
 

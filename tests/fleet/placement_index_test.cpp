@@ -11,6 +11,7 @@
 
 #include "fleet/cluster.hpp"
 #include "sim/core/catalog.hpp"
+#include "sim/core/trace_apps.hpp"
 #include "util/rng.hpp"
 
 namespace dicer::fleet {
@@ -143,6 +144,106 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
     expect_scores_match(index, shadow, dir, queried);
     queried.insert(&dir.signal(catalog.at(rng.below(catalog.size())).name));
   }
+}
+
+/// A streaming app with no reuse mass: footprint 0, so a class whose BEs
+/// and joining app all have none splits the BE pool evenly.
+sim::AppProfile zero_footprint_app(const std::string& name, double cpi) {
+  sim::AppPhase phase;
+  phase.name = "stream";
+  phase.cpi_core = cpi;
+  phase.api = 0.02;
+  phase.mrc = sim::MissRatioCurve(0.9, {});
+  sim::AppProfile app;
+  app.name = name;
+  app.suite = "test";
+  app.app_class = sim::AppClass::kStreaming;
+  app.phases.push_back(phase);
+  return app;
+}
+
+// The index scores every app of the trace catalog, plus two zero-footprint
+// apps, exactly as a from-scratch predict_efu() difference, on classes of
+// 0 to 8 BEs under random churn: after every mutation, every app's score
+// on every open machine, and its decision, match. The churn kills classes
+// and hands their slots to new keys, and brings up classes whose apps all
+// have no footprint (the even split).
+TEST(PlacementIndex, ScoresEqualPredictEfuOnTheTraceCatalog) {
+  sim::AppCatalog catalog = sim::trace_augmented_catalog();
+  catalog.add(zero_footprint_app("stream_a", 0.5));
+  catalog.add(zero_footprint_app("stream_b", 0.9));
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  std::set<const AppSignal*> apps;
+  for (const auto& p : catalog.profiles()) apps.insert(&dir.signal(p.name));
+  const AppSignal* zero[] = {&dir.signal("stream_a"), &dir.signal("stream_b")};
+  ASSERT_EQ(zero[0]->footprint_bytes, 0.0);
+  ASSERT_EQ(zero[1]->footprint_bytes, 0.0);
+  const std::vector<const AppSignal*> pool(apps.begin(), apps.end());
+  constexpr unsigned kMachines = 12;
+  constexpr unsigned kBeSlots = 9;
+
+  util::Xoshiro256 rng(2024);
+  // A third of the draws are zero-footprint apps.
+  const auto draw = [&] {
+    return rng.below(3) == 0 ? zero[rng.below(2)] : pool[rng.below(pool.size())];
+  };
+  PlacementIndex index(dir, kBeSlots);
+  Shadow shadow;
+  shadow.be_slots = kBeSlots;
+  for (unsigned m = 0; m < kMachines; ++m) {
+    index.add_machine(draw()->profile);
+    shadow.grid.emplace_back(kBeSlots + 1, nullptr);
+  }
+  std::set<unsigned> sizes;  // BE counts of the open machines scored
+  bool even_split = false;
+  for (int step = 0; step < 400; ++step) {
+    const auto m = static_cast<unsigned>(rng.below(kMachines));
+    const unsigned free = shadow.free_cores(m);
+    // Admissions outnumber departures two to one, so machines fill up.
+    if (free == kBeSlots || (free > 0 && rng.below(3) != 0)) {
+      const unsigned core = index.admit(m, {0, draw()});
+      shadow.grid[m][core] = index.tenants(m)[core].sig;
+    } else {
+      unsigned c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+      while (!shadow.grid[m][c]) c = c % kBeSlots + 1;
+      index.detach(m, c);
+      shadow.grid[m][c] = nullptr;
+    }
+    expect_matches(index, shadow);
+    expect_scores_match(index, shadow, dir, apps);
+    for (const unsigned o : shadow.open()) {
+      const unsigned n = kBeSlots - shadow.free_cores(o);
+      sizes.insert(n);
+      bool none = n > 0;
+      for (unsigned c = 1; c <= kBeSlots; ++c) {
+        none &= !shadow.grid[o][c] || shadow.grid[o][c]->footprint_bytes == 0.0;
+      }
+      even_split |= none;
+    }
+  }
+  EXPECT_EQ(sizes, (std::set<unsigned>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_TRUE(even_split);
+  // More classes were created than there are slots, so slots were reused.
+  EXPECT_GT(index.classes_created(), kMachines);
+}
+
+// A class of kMaxCores - 1 BEs leaves no core for a joining app: its score
+// throws std::length_error, like predict_efu() on the same operands.
+TEST(PlacementIndex, ScoringPastMaxCoresThrows) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  PlacementIndex index(dir, sim::kMaxCores);
+  index.add_machine(&catalog.at(0));
+  const AppSignal& be = dir.signal(catalog.at(2).name);
+  const AppSignal& app = dir.signal(catalog.at(3).name);
+  for (std::size_t k = 0; k + 2 < sim::kMaxCores; ++k) index.admit(0, {k, &be});
+  EXPECT_EQ(index.best_fit(app, std::nullopt), 0u);
+  index.admit(0, {99, &be});
+  std::vector<const AppSignal*> bes;
+  index.tenant_signals(0, bes);
+  ASSERT_EQ(bes.size(), sim::kMaxCores - 1);
+  EXPECT_THROW(predict_efu(dir, index.hp(0), bes, &app), std::length_error);
+  EXPECT_THROW(index.best_fit(app, std::nullopt), std::length_error);
 }
 
 TEST(PlacementIndex, ValidatesArguments) {

@@ -86,6 +86,61 @@ TEST(TelemetryConcurrency, HistogramMinMaxAreExactUnderRaces) {
   EXPECT_EQ(hist.count(), kWorkers * 10'000u);
 }
 
+// Batches racing single samples: half the workers record_all() their
+// samples in batches of 7, the other half record() them one at a time.
+// Buckets, count, min and max equal one thread recording every sample;
+// only the sum's rounding may depend on the interleaving.
+TEST(HistogramRecordAll, RacesRecordExactly) {
+  constexpr unsigned kWorkers = 8;
+  constexpr unsigned kPerWorker = 7'000;
+  // One outlier each way: the largest sample is batched (worker 3), the
+  // smallest recorded alone (worker 6).
+  const auto value = [](unsigned w, unsigned i) {
+    const double v = 0.002 * static_cast<double>((w * 7919 + 31 * i) % 5000);
+    if (w == 3 && i == 4321) return v + 1e5;
+    if (w == 6 && i == 17) return v - 100.0;
+    return v;
+  };
+  Histogram hist;
+  util::ThreadPool pool(kWorkers);
+  std::vector<std::future<void>> futs;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    futs.push_back(pool.submit([&, w] {
+      std::vector<double> batch;
+      for (unsigned i = 0; i < kPerWorker; ++i) {
+        if (w % 2 == 0) {
+          hist.record(value(w, i));
+          continue;
+        }
+        batch.push_back(value(w, i));
+        if (batch.size() == 7 || i + 1 == kPerWorker) {
+          hist.record_all(batch);
+          batch.clear();
+        }
+      }
+    }));
+  }
+  for (auto& f : futs) f.get();
+
+  Histogram want;
+  double sum = 0.0;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    for (unsigned i = 0; i < kPerWorker; ++i) {
+      want.record(value(w, i));
+      sum += value(w, i);
+    }
+  }
+  for (unsigned i = 0; i <= want.num_buckets(); ++i) {
+    EXPECT_EQ(hist.bucket_count(i), want.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(hist.count(), std::uint64_t{kWorkers} * kPerWorker);
+  EXPECT_LT(want.min(), 0.0);    // a record() sample
+  EXPECT_GT(want.max(), 1e4);    // a record_all() sample
+  EXPECT_EQ(hist.min(), want.min());
+  EXPECT_EQ(hist.max(), want.max());
+  EXPECT_NEAR(hist.sum(), sum, 1e-9 * sum);
+}
+
 // The tracer's lock-free count path: pool tasks emit with only a
 // count-only sink attached, and the sink is detached after they join.
 // Every event is counted, per kind and in total, and none is built.

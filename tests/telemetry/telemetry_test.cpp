@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +16,7 @@
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace_counter_sink.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
 
@@ -116,6 +120,91 @@ TEST(TelemetryHistogram, ResetZeroesEverything) {
   for (unsigned i = 0; i <= h.num_buckets(); ++i) {
     EXPECT_EQ(h.bucket_count(i), 0u);
   }
+}
+
+/// Every observable of `got` equals `want` bit for bit: buckets, count,
+/// sum, min, max and percentiles.
+void expect_same_bits(const Histogram& got, const Histogram& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(got.num_buckets(), want.num_buckets());
+  for (unsigned i = 0; i <= want.num_buckets(); ++i) {
+    EXPECT_EQ(got.bucket_count(i), want.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(bits(got.sum()), bits(want.sum()));
+  EXPECT_EQ(bits(got.min()), bits(want.min()));
+  EXPECT_EQ(bits(got.max()), bits(want.max()));
+  for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_EQ(bits(got.percentile(p)), bits(want.percentile(p))) << "p" << p;
+  }
+}
+
+/// Records `values` in batches of 0, 1, 2, ... samples with record_all()
+/// and one sample at a time with record(), comparing every bit after each
+/// batch.
+void expect_batches_match(const HistogramSpec& spec,
+                          const std::vector<double>& values) {
+  Histogram batched(spec);
+  Histogram each(spec);
+  std::size_t at = 0;
+  for (std::size_t len = 0; at < values.size(); ++len) {
+    const std::size_t n = std::min(len, values.size() - at);
+    batched.record_all({values.data() + at, n});
+    for (std::size_t k = at; k < at + n; ++k) each.record(values[k]);
+    at += n;
+    SCOPED_TRACE("after " + std::to_string(at) + " samples");
+    expect_same_bits(batched, each);
+  }
+}
+
+constexpr HistogramSpec kSmallSpec{1.0, 2.0, 6};  // bounds 1 .. 32, +Inf
+
+// A batch leaves what one record() per sample leaves, bit for bit: on
+// the bucket bounds and either side of them, on signed zeros and
+// negative values, and on a long run of random magnitudes.
+TEST(HistogramRecordAll, MatchesPerSampleRecordBitForBit) {
+  const Histogram layout(kSmallSpec);
+  std::vector<double> values{0.0, -0.0, -3.0, 1e-300};
+  for (unsigned i = 0; i < layout.num_buckets(); ++i) {
+    const double b = layout.upper_bound(i);
+    values.insert(values.end(), {b, std::nextafter(b, 0.0),
+                                 std::nextafter(b, 1e9), -b});
+  }
+  util::Xoshiro256 rng(99);
+  for (int i = 0; i < 400; ++i) {
+    values.push_back(std::ldexp(rng.uniform(), static_cast<int>(
+                                                   rng.below(12)) - 3));
+  }
+  expect_batches_match(kSmallSpec, values);
+  expect_batches_match(HistogramSpec{}, values);
+  // Signed zeros inside one batch: the first of equal extremes stays.
+  expect_batches_match(kSmallSpec, {5.0, 0.0, -0.0, 3.0});
+  expect_batches_match(kSmallSpec, {-5.0, -0.0, 0.0, -3.0});
+}
+
+// Infinities land in the +Inf and first buckets and pin min/max; NaN lands
+// in bucket 0, never wins min or max, and poisons the sum the same way.
+TEST(HistogramRecordAll, MatchesPerSampleRecordOnInfAndNaN) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  expect_batches_match(kSmallSpec, {kInf, 3.0, -kInf, 0.5, 64.0, 2.0});
+  expect_batches_match(kSmallSpec, {2.0, kNaN, 5.0, 0.25, kNaN, 40.0});
+  expect_batches_match(kSmallSpec, {kNaN, kNaN, kNaN});
+  expect_batches_match(kSmallSpec, {kInf, kInf, -kInf, kNaN, -kInf});
+}
+
+TEST(HistogramRecordAll, EmptySpanRecordsNothing) {
+  Histogram h(kSmallSpec);
+  const Histogram fresh(kSmallSpec);
+  h.record_all({});
+  expect_same_bits(h, fresh);
+  Histogram want(kSmallSpec);
+  for (Histogram* x : {&h, &want}) {
+    x->record(3.0);
+    x->record(0.5);
+  }
+  h.record_all({});
+  expect_same_bits(h, want);
 }
 
 TEST(TelemetryRegistry, RegisterOrFetchIsIdempotent) {
