@@ -12,7 +12,6 @@
 #include "policy/host.hpp"
 #include "sim/cache/address_stream.hpp"
 #include "sim/cache/mrc_profiler.hpp"
-#include "sim/cache/occupancy_model.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
 #include "telemetry/registry.hpp"
@@ -106,31 +105,6 @@ void BM_MachineSolveSmallMachine(benchmark::State& state) {
       static_cast<double>(std::max<std::uint64_t>(stats.solves, 1));
 }
 BENCHMARK(BM_MachineSolveSmallMachine);
-
-// Worst case for the cached region decomposition: every step is preceded
-// by a repartition, so the cache misses each quantum and the full
-// decompose + layout rebuild + cold occupancy solve runs. The gap between
-// this and BM_MachineSolveAfterActuation is the price of one mask churn; a
-// controller acting once per second amortises it over ~100 quanta.
-void BM_MachineStepMaskChurn(benchmark::State& state) {
-  sim::Machine machine{sim::MachineConfig{}};
-  const auto& catalog = sim::default_catalog();
-  for (unsigned c = 0; c < 10; ++c) {
-    machine.attach(c, &catalog.at(c * 5));
-  }
-  unsigned flip = 0;
-  for (auto _ : state) {
-    const unsigned hp_ways = 10 + (flip++ & 7);
-    machine.set_fill_mask(0, sim::WayMask::high(hp_ways, 20));
-    for (unsigned c = 1; c < 10; ++c) {
-      machine.set_fill_mask(c, sim::WayMask::low(20 - hp_ways));
-    }
-    machine.step();
-    benchmark::DoNotOptimize(machine.telemetry(0).instructions);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MachineStepMaskChurn);
 
 // Ten single-phase apps: after the fixed point settles once, every
 // quantum's solver inputs are unchanged, so the steady-state replay path
@@ -252,28 +226,6 @@ void BM_MachineRunPeriod(benchmark::State& state) {
   state.counters["quanta_per_iter"] = 100;
 }
 BENCHMARK(BM_MachineRunPeriod)->Unit(benchmark::kMicrosecond);
-
-void BM_OccupancySolver(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::WayMask> masks(n, sim::WayMask::full(20));
-  std::vector<sim::CacheRegion> regions;
-  sim::decompose_regions(masks, 20, 1.25 * 1024 * 1024, regions);
-  std::vector<sim::CacheDemand> demand(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    demand[i].reuse = {{0.5e9 + 0.1e9 * static_cast<double>(i),
-                        3e6 * static_cast<double>(i + 1)},
-                       {0.1e9, 20e6}};
-    demand[i].stream_bytes_per_sec = 0.05e9;
-  }
-  sim::OccupancyScratch scratch;
-  std::vector<double> occ;
-  for (auto _ : state) {
-    sim::solve_occupancy(regions, demand, {}, scratch, occ);
-    benchmark::DoNotOptimize(occ.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_OccupancySolver)->Arg(2)->Arg(10);
 
 // MRC profiling cost of the production path: the single-pass profiler
 // with SHARDS set-sampling on the 20-way validation geometry (<= 0.02 abs

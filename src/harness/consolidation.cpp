@@ -84,7 +84,6 @@ ConsolidationResult run_consolidation(const sim::AppProfile& hp,
       break;
     }
   }
-  policy.teardown(host.context());
 
   ConsolidationResult res;
   res.policy = policy.name();

@@ -101,17 +101,6 @@ double BaselineStudy::fraction_ct_thwarted() const {
                    static_cast<double>(entries.size());
 }
 
-std::vector<WorkloadSpec> all_pairs(const sim::AppCatalog& catalog) {
-  std::vector<WorkloadSpec> pairs;
-  pairs.reserve(catalog.size() * catalog.size());
-  for (const auto& hp : catalog.profiles()) {
-    for (const auto& be : catalog.profiles()) {
-      pairs.push_back({hp.name, be.name});
-    }
-  }
-  return pairs;
-}
-
 BaselineStudy baseline_study(const sim::AppCatalog& catalog,
                              const ConsolidationConfig& config,
                              const std::string& cache_path,

@@ -66,9 +66,6 @@ struct BaselineStudy {
   double fraction_ct_thwarted() const;
 };
 
-/// All 59*59 workload pairs in catalog order.
-std::vector<WorkloadSpec> all_pairs(const sim::AppCatalog& catalog);
-
 /// Run (or load from `cache_path`) the UM/CT baseline study over all pairs.
 /// An empty cache_path disables caching. The 2 x pairs consolidations run
 /// on run_consolidation_grid with `jobs` workers (0 = resolve_sweep_jobs);

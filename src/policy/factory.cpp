@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "policy/baselines.hpp"
-#include "policy/admission.hpp"
 #include "policy/extensions.hpp"
 
 namespace dicer::policy {
@@ -14,7 +13,6 @@ std::unique_ptr<Policy> make_policy(const std::string& name) {
   if (name == "DICER") return std::make_unique<Dicer>();
   if (name == "DICER-noBW") return std::make_unique<DicerNoBw>();
   if (name == "DICER+MBA") return std::make_unique<DicerMba>();
-  if (name == "DICER+ADM") return std::make_unique<DicerAdmission>();
   if (name.rfind("Static(", 0) == 0 && name.back() == ')') {
     const std::string arg = name.substr(7, name.size() - 8);
     // Full-consumption parse: "Static(4x)" must not silently become
@@ -36,11 +34,6 @@ std::unique_ptr<Policy> make_policy(const std::string& name) {
     return std::make_unique<StaticPartition>(static_cast<unsigned>(ways));
   }
   throw std::invalid_argument("make_policy: unknown policy '" + name + "'");
-}
-
-std::vector<std::string> known_policies() {
-  return {"UM", "CT", "DICER", "DICER-noBW", "DICER+MBA", "DICER+ADM",
-          "Static(N)"};
 }
 
 }  // namespace dicer::policy

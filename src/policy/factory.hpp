@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "policy/policy.hpp"
 
@@ -13,8 +12,5 @@ namespace dicer::policy {
 /// "DICER+MBA", or "Static(N)" for any valid N.
 /// Throws std::invalid_argument for unknown names.
 std::unique_ptr<Policy> make_policy(const std::string& name);
-
-/// The names make_policy accepts (Static is listed as "Static(N)").
-std::vector<std::string> known_policies();
 
 }  // namespace dicer::policy

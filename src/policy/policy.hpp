@@ -69,9 +69,6 @@ class Policy {
 
   /// One control action (monitor, decide, actuate).
   virtual void act(PolicyContext& ctx) = 0;
-
-  /// Optional end-of-run hook (e.g. to flush controller statistics).
-  virtual void teardown(PolicyContext& /*ctx*/) {}
 };
 
 /// Associate HP/BE cores with their CLOS and start monitoring them —

@@ -48,6 +48,14 @@ unsigned Histogram::bucket_index(double value) const noexcept {
   return static_cast<unsigned>(it - bounds_.begin());
 }
 
+void Histogram::record(double value) noexcept {
+  counts_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  atomic_fold(min_, value, std::less<double>{});
+  atomic_fold(max_, value, std::greater<double>{});
+}
+
 void Histogram::record_all(std::span<const double> values) noexcept {
   if (values.empty()) return;
   // This batch's tally, on the stack. Zeroing all kMaxBuckets + 1

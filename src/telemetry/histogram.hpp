@@ -23,7 +23,9 @@
 // Thread safety: record() and record_all() are lock-free (relaxed
 // atomics per bucket, CAS min/max/sum), so many util::ThreadPool workers
 // may hammer one histogram; concurrent recording keeps counts, min and
-// max exact but lets `sum` rounding depend on interleaving. record_all()
+// max exact but lets `sum` rounding depend on interleaving. record()
+// writes one sample with one read-modify-write each for its bucket, the
+// count and `sum`, and one fold each for min and max. record_all()
 // writes a batch with one read-modify-write per touched bucket, one for
 // the count, one fold each for min and max and one CAS loop that adds the
 // batch onto `sum` in span order, so a single writer's state is bit for
@@ -66,7 +68,7 @@ class Histogram {
   /// Record one sample (thread-safe, lock-free). Values at or below a
   /// boundary land in that boundary's bucket (Prometheus `le` semantics);
   /// values above the last finite boundary land in the +Inf bucket.
-  void record(double value) noexcept { record_all({&value, 1}); }
+  void record(double value) noexcept;
   /// Record every sample of `values` (thread-safe, lock-free): the same
   /// buckets, count, min and max as one record() per sample, and the same
   /// `sum` bits when no other thread records meanwhile. An empty span

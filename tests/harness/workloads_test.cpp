@@ -26,12 +26,6 @@ TEST(WorkloadSpec, Label) {
   EXPECT_EQ(s.label(), "milc1 gcc_base3");
 }
 
-TEST(AllPairs, FullCross) {
-  const auto pairs = all_pairs(sim::default_catalog());
-  EXPECT_EQ(pairs.size(), 3481u);  // 59 x 59, the paper's workload count
-  EXPECT_EQ(pairs.front().hp, pairs.front().be);  // first is (a0, a0)
-}
-
 BaselineEntry entry(const char* hp, const char* be, double alone, double um,
                     double ct) {
   BaselineEntry e;

@@ -95,13 +95,9 @@ TEST(PolicyFactory, KnownNames) {
 
 TEST(PolicyFactory, RejectsUnknownOrMalformed) {
   EXPECT_THROW(make_policy("HAL9000"), std::invalid_argument);
+  EXPECT_THROW(make_policy("DICER+ADM"), std::invalid_argument);
   EXPECT_THROW(make_policy("Static(0)"), std::invalid_argument);
   EXPECT_THROW(make_policy("Static(x)"), std::invalid_argument);
-}
-
-TEST(PolicyFactory, ListsKnownPolicies) {
-  const auto names = known_policies();
-  EXPECT_GE(names.size(), 5u);
 }
 
 }  // namespace
