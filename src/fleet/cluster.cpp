@@ -162,6 +162,7 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   // so the fleet's HP mix is a pure function of (seed, catalog) —
   // placement engine and worker count never touch it.
   index_ = std::make_unique<PlacementIndex>(directory_, config_.cores_used - 1);
+  index_->reserve(config.num_machines);
   util::Xoshiro256 rng(config.seed);
   for (unsigned i = 0; i < config.num_machines; ++i) {
     index_->add_machine(&catalog.at(rng.below(catalog.size())));
@@ -194,8 +195,7 @@ Cluster::Node Cluster::boot_node(const sim::AppProfile& hp) const {
                           .tracer = config_.tracer},
                          hp),
             policy::make_policy(config_.policy)};
-  node.instr_base.assign(config_.cores_used, 0.0);
-  node.cycles_base.assign(config_.cores_used, 0.0);
+  node.base = std::make_unique<Node::CoreBase[]>(config_.cores_used);
   node.policy->setup(node.host.context());
   return node;
 }
@@ -317,7 +317,7 @@ void Cluster::queue_step(unsigned i) {
 
 void Cluster::do_departures(double epoch_start, EpochMetrics& m) {
   for (unsigned i = 0; i < nodes_.size(); ++i) {
-    const std::vector<Tenant>& tenants = index_->tenants(i);
+    const std::span<const Tenant> tenants = index_->tenants(i);
     for (unsigned c = 1; c < tenants.size(); ++c) {
       if (tenants[c].sig && departs(tenants[c], epoch_start)) {
         evict(i, c);
@@ -334,7 +334,7 @@ void Cluster::do_migrations(EpochMetrics& m) {
     Node& src = nodes_[i];
     if (src.slo_streak < config_.migrate_after) continue;
     // Evict the most cache-hungry tenant — the likeliest HP antagonist.
-    const std::vector<Tenant>& tenants = index_->tenants(i);
+    const std::span<const Tenant> tenants = index_->tenants(i);
     unsigned victim_core = 0;
     double victim_footprint = -1.0;
     for (unsigned c = 1; c < tenants.size(); ++c) {
@@ -463,7 +463,7 @@ void Cluster::fill_epoch_stat(std::size_t i) {
   Node& node = nodes_[i];
   const auto machine = static_cast<unsigned>(i);
   const AppSignal& hp = index_->hp(machine);
-  const std::vector<Tenant>& tenants = index_->tenants(machine);
+  const std::span<const Tenant> tenants = index_->tenants(machine);
   MachineEpochStat st;
   st.machine = machine;
   st.hp = hp.profile;
@@ -471,10 +471,11 @@ void Cluster::fill_epoch_stat(std::size_t i) {
   std::size_t n_pairs = 0;
   for (unsigned c = 0; c < config_.cores_used; ++c) {
     const auto& tel = node.host.machine().telemetry(c);
-    const double d_instr = tel.instructions - node.instr_base[c];
-    const double d_cycles = tel.active_cycles - node.cycles_base[c];
-    node.instr_base[c] = tel.instructions;
-    node.cycles_base[c] = tel.active_cycles;
+    Node::CoreBase& base = node.base[c];
+    const double d_instr = tel.instructions - base.instructions;
+    const double d_cycles = tel.active_cycles - base.cycles;
+    base.instructions = tel.instructions;
+    base.cycles = tel.active_cycles;
     const AppSignal* app = c == 0 ? &hp : tenants[c].sig;
     if (c != 0 && app) ++st.tenants;
     if (!app || d_cycles <= 0.0) continue;

@@ -248,9 +248,12 @@ class Cluster {
     policy::Host host;
     std::unique_ptr<policy::Policy> policy;
     unsigned slo_streak = 0;  ///< consecutive SLO-violating epochs
-    /// Telemetry baselines for epoch deltas, indexed by core.
-    std::vector<double> instr_base{};
-    std::vector<double> cycles_base{};
+    /// Telemetry baselines for epoch deltas, one per core in use.
+    struct CoreBase {
+      double instructions = 0.0;
+      double cycles = 0.0;
+    };
+    std::unique_ptr<CoreBase[]> base{};
     /// Solver counters at the last epoch stat (per-epoch deltas).
     SolverCounts solver_base{};
   };

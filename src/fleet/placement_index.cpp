@@ -24,11 +24,16 @@ unsigned PlacementIndex::add_machine(const sim::AppProfile* hp) {
   const auto index = static_cast<unsigned>(slots_.size());
   Slot slot;
   slot.hp = &dir_->signal(hp->name);
-  slot.tenants.resize(be_slots_ + 1);
   slot.free_cores = be_slots_;
-  slots_.push_back(std::move(slot));
+  tenants_.resize(tenants_.size() + be_slots_ + 1);
+  slots_.push_back(slot);
   reclass(index);
   return index;
+}
+
+void PlacementIndex::reserve(unsigned machines) {
+  slots_.reserve(machines);
+  tenants_.reserve(std::size_t{machines} * (be_slots_ + 1));
 }
 
 void PlacementIndex::throw_out_of_range() {
@@ -41,11 +46,13 @@ unsigned PlacementIndex::admit(unsigned machine, const Tenant& tenant) {
     throw std::logic_error("PlacementIndex: admit of a tenant with no app");
   }
   unsigned core = 1;
-  while (core <= be_slots_ && slot.tenants[core].sig != nullptr) ++core;
+  while (core <= be_slots_ && core_tenant(machine, core).sig != nullptr) {
+    ++core;
+  }
   if (core > be_slots_) {
     throw std::logic_error("PlacementIndex: admit to a full machine");
   }
-  slot.tenants[core] = tenant;
+  core_tenant(machine, core) = tenant;
   --slot.free_cores;
   ++running_;
   ++mutations_;
@@ -55,10 +62,11 @@ unsigned PlacementIndex::admit(unsigned machine, const Tenant& tenant) {
 
 Tenant PlacementIndex::detach(unsigned machine, unsigned core) {
   Slot& slot = at(machine);
-  if (core == 0 || core > be_slots_ || slot.tenants[core].sig == nullptr) {
+  if (core == 0 || core > be_slots_ ||
+      core_tenant(machine, core).sig == nullptr) {
     throw std::logic_error("PlacementIndex: detach from an invalid/free core");
   }
-  const Tenant gone = std::exchange(slot.tenants[core], Tenant{});
+  const Tenant gone = std::exchange(core_tenant(machine, core), Tenant{});
   ++slot.free_cores;
   --running_;
   ++mutations_;
@@ -68,10 +76,10 @@ Tenant PlacementIndex::detach(unsigned machine, unsigned core) {
 
 void PlacementIndex::tenant_signals(
     unsigned machine, std::vector<const AppSignal*>& out) const {
-  const Slot& slot = at(machine);
+  const std::span<const Tenant> cores = tenants(machine);
   out.clear();
   for (unsigned c = 1; c <= be_slots_; ++c) {
-    if (slot.tenants[c].sig) out.push_back(slot.tenants[c].sig);
+    if (cores[c].sig) out.push_back(cores[c].sig);
   }
 }
 

@@ -61,6 +61,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -87,6 +88,8 @@ class PlacementIndex {
   /// exist the machine joins its HP's empty class like any other class
   /// move, so machines may be added after placement has started.
   unsigned add_machine(const sim::AppProfile* hp);
+  /// Room for `machines` machines in all, so adding them moves nothing.
+  void reserve(unsigned machines);
 
   /// `tenant` lands on `machine`'s lowest free BE core, which is returned.
   /// Throws std::logic_error when the machine is full or the tenant has no
@@ -107,9 +110,12 @@ class PlacementIndex {
   }
   bool is_open(unsigned machine) const { return free_cores(machine) > 0; }
   /// `machine`'s tenants indexed by core, 0..be_slots: entry 0 (the HP's
-  /// core) and every free core hold a null `sig`.
-  const std::vector<Tenant>& tenants(unsigned machine) const {
-    return at(machine).tenants;
+  /// core) and every free core hold a null `sig`. Valid until the next
+  /// add_machine().
+  std::span<const Tenant> tenants(unsigned machine) const {
+    at(machine);
+    return {tenants_.data() + std::size_t{machine} * (be_slots_ + 1),
+            be_slots_ + 1};
   }
   /// BE tenants running fleet-wide.
   std::uint64_t tenants_running() const noexcept { return running_; }
@@ -155,7 +161,6 @@ class PlacementIndex {
 
   struct Slot {
     const AppSignal* hp = nullptr;
-    std::vector<Tenant> tenants;  ///< by core (0 unused — core 0 is the HP)
     unsigned free_cores = 0;
     std::uint32_t cls = kNone;  ///< class slot; kNone: closed/unclassified
   };
@@ -202,6 +207,10 @@ class PlacementIndex {
     return slots_[machine];
   }
   [[noreturn]] static void throw_out_of_range();
+  /// Machine `machine`'s tenant on `core` (no range check).
+  Tenant& core_tenant(unsigned machine, unsigned core) {
+    return tenants_[std::size_t{machine} * (be_slots_ + 1) + core];
+  }
   /// Move `machine` out of its class and into the one its tenants and
   /// free cores now key (none when it is closed). A no-op until the
   /// first best_fit() classifies the fleet.
@@ -226,6 +235,9 @@ class PlacementIndex {
   /// boot and the class-blind engines pay no class upkeep.
   bool classed_ = false;
   std::vector<Slot> slots_;
+  /// Every machine's tenants by core, be_slots + 1 per machine (core 0,
+  /// the HP's, unused): machine m's start at m * (be_slots + 1).
+  std::vector<Tenant> tenants_;
   std::vector<Class> classes_;  ///< by slot
   std::vector<LiveClass> live_;  ///< in no order
   std::unordered_map<ClassKey, std::uint32_t, ClassKeyHash> class_of_;

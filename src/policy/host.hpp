@@ -28,6 +28,9 @@ class Host {
   /// caller sets the policy up, through context().
   Host(const HostConfig& config, const sim::AppProfile& hp,
        const sim::AppProfile* be = nullptr);
+  ~Host();
+  Host(Host&&) noexcept;
+  Host& operator=(Host&&) noexcept;
 
   /// One control step: advance interval_sec() in whole quanta (the
   /// nearest count, at least one), or to quantum `limit` if that comes
@@ -38,17 +41,17 @@ class Host {
   /// one is cut there, and the policy acts there too.
   void run_until(Policy& policy, std::uint64_t target);
 
-  sim::Machine& machine() noexcept { return *machine_; }
-  rdt::CatController& cat() noexcept { return *cat_; }
-  rdt::Monitor& monitor() noexcept { return *monitor_; }
+  sim::Machine& machine() noexcept { return *ctx_.machine; }
+  rdt::CatController& cat() noexcept { return *ctx_.cat; }
+  rdt::Monitor& monitor() noexcept { return *ctx_.monitor; }
   PolicyContext& context() noexcept { return ctx_; }
 
  private:
-  // Heap-held, so the context's pointers survive moving the host.
-  std::unique_ptr<sim::Machine> machine_;
-  std::unique_ptr<rdt::CatController> cat_;
-  std::unique_ptr<rdt::Monitor> monitor_;
-  std::unique_ptr<rdt::MbaController> mba_;
+  /// The machine and its RDT surface (host.cpp).
+  struct Parts;
+
+  // One heap block, so the context's pointers survive moving the host.
+  std::unique_ptr<Parts> parts_;
   PolicyContext ctx_;
 };
 

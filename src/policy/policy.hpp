@@ -21,6 +21,7 @@
 // nothing in act().
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,9 @@ struct PolicyContext {
   rdt::Monitor* monitor = nullptr;
   rdt::MbaController* mba = nullptr;  ///< null when the platform lacks MBA
   unsigned hp_core = 0;
-  std::vector<unsigned> be_cores;
+  /// The BE cores, ascending (a view of storage that outlives the
+  /// context; policy::Host's is a static table of core ids).
+  std::span<const unsigned> be_cores;
   /// Event sink for controller decisions (null = the process-global
   /// tracer, which is silent until a sink is attached).
   trace::Tracer* tracer = nullptr;

@@ -17,9 +17,10 @@ CatController::CatController(sim::Machine& machine,
     throw std::invalid_argument(
         "CatController: capability way count does not match machine");
   }
-  clos_masks_.assign(cap_.cat_num_clos, sim::WayMask::full(cap_.cat_ways));
-  assoc_.assign(machine_.num_cores(), 0);
-  for (unsigned c = 0; c < machine_.num_cores(); ++c) apply(c);
+  if (cap_.cat_num_clos == 0 || cap_.cat_num_clos > kMaxClos) {
+    throw std::invalid_argument("CatController: CLOS count outside 1..16");
+  }
+  reset();
 }
 
 void CatController::set_clos_mask(unsigned clos, sim::WayMask mask) {
@@ -45,7 +46,7 @@ void CatController::set_clos_mask(unsigned clos, sim::WayMask mask) {
   }
   clos_masks_[clos] = mask;
   DICER_DEBUG << "CAT: CLOS" << clos << " <- " << mask.to_string();
-  for (unsigned core = 0; core < assoc_.size(); ++core) {
+  for (unsigned core = 0; core < machine_.num_cores(); ++core) {
     if (assoc_[core] == clos) apply(core);
   }
 }
@@ -58,27 +59,27 @@ sim::WayMask CatController::clos_mask(unsigned clos) const {
 }
 
 void CatController::associate(unsigned core, unsigned clos) {
-  if (core >= assoc_.size()) {
+  if (core >= machine_.num_cores()) {
     throw std::out_of_range("CatController: core out of range");
   }
   if (clos >= cap_.cat_num_clos) {
     throw std::out_of_range("CatController: CLOS out of range");
   }
-  assoc_[core] = clos;
+  assoc_[core] = static_cast<std::uint8_t>(clos);
   apply(core);
 }
 
 unsigned CatController::clos_of(unsigned core) const {
-  if (core >= assoc_.size()) {
+  if (core >= machine_.num_cores()) {
     throw std::out_of_range("CatController: core out of range");
   }
   return assoc_[core];
 }
 
 void CatController::reset() {
-  for (auto& m : clos_masks_) m = sim::WayMask::full(cap_.cat_ways);
-  for (auto& a : assoc_) a = 0;
-  for (unsigned c = 0; c < assoc_.size(); ++c) apply(c);
+  clos_masks_.fill(sim::WayMask::full(cap_.cat_ways));
+  assoc_.fill(0);
+  for (unsigned c = 0; c < machine_.num_cores(); ++c) apply(c);
 }
 
 void CatController::apply(unsigned core) {

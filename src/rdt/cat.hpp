@@ -10,7 +10,8 @@
 // this interface, so they would port to real pqos unchanged.
 #pragma once
 
-#include <vector>
+#include <array>
+#include <cstdint>
 
 #include "rdt/capability.hpp"
 #include "sim/cache/way_mask.hpp"
@@ -20,8 +21,13 @@ namespace dicer::rdt {
 
 class CatController {
  public:
+  /// Classes of service a controller holds (Broadwell and later Xeons
+  /// expose 16).
+  static constexpr unsigned kMaxClos = 16;
+
   /// Binds to a machine. All CLOS start with the full mask and every core
-  /// is associated with CLOS 0, like hardware after reset.
+  /// is associated with CLOS 0, like hardware after reset. Throws
+  /// std::invalid_argument past kMaxClos classes of service.
   CatController(sim::Machine& machine, const Capability& capability);
 
   const Capability& capability() const noexcept { return cap_; }
@@ -47,8 +53,8 @@ class CatController {
 
   sim::Machine& machine_;
   Capability cap_;
-  std::vector<sim::WayMask> clos_masks_;
-  std::vector<unsigned> assoc_;  ///< core -> CLOS
+  std::array<sim::WayMask, kMaxClos> clos_masks_{};
+  std::array<std::uint8_t, sim::kMaxCores> assoc_{};  ///< core -> CLOS
 };
 
 }  // namespace dicer::rdt

@@ -1,5 +1,6 @@
 #include "rdt/monitor.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "util/trace.hpp"
@@ -9,39 +10,38 @@ namespace dicer::rdt {
 Monitor::Monitor(const sim::Machine& machine, const Capability& capability,
                  trace::Tracer* tracer)
     : machine_(machine), cap_(capability), tracer_(tracer),
-      baselines_(machine.num_cores()) {
+      baselines_(std::make_unique<Baseline[]>(machine.num_cores())) {
   if (!cap_.cmt_supported || !cap_.mbm_supported) {
     throw std::runtime_error("Monitor: CMT/MBM not supported by platform");
   }
 }
 
 void Monitor::track(unsigned core) {
-  if (core >= baselines_.size()) {
+  if (core >= machine_.num_cores()) {
     throw std::out_of_range("Monitor::track: core out of range");
   }
-  if (baselines_[core]) return;
-  std::size_t in_use = 0;
-  for (const auto& b : baselines_) in_use += b.has_value() ? 1u : 0u;
-  if (in_use >= cap_.num_rmids) {
+  if ((tracked_ >> core) & 1u) return;
+  if (static_cast<unsigned>(std::popcount(tracked_)) >= cap_.num_rmids) {
     throw std::runtime_error("Monitor::track: out of RMIDs");
   }
   const auto& tel = machine_.telemetry(core);
   baselines_[core] = Baseline{machine_.time_sec(), tel.instructions,
                               tel.active_cycles, tel.mem_bytes};
+  tracked_ |= std::uint64_t{1} << core;
 }
 
 void Monitor::untrack(unsigned core) {
-  if (core >= baselines_.size()) {
+  if (core >= machine_.num_cores()) {
     throw std::out_of_range("Monitor::untrack: core out of range");
   }
-  baselines_[core].reset();
+  tracked_ &= ~(std::uint64_t{1} << core);
 }
 
 bool Monitor::tracked(unsigned core) const {
-  if (core >= baselines_.size()) {
+  if (core >= machine_.num_cores()) {
     throw std::out_of_range("Monitor::tracked: core out of range");
   }
-  return baselines_[core].has_value();
+  return ((tracked_ >> core) & 1u) != 0;
 }
 
 MonSample Monitor::sample_from(unsigned core, Baseline& base) {
@@ -61,19 +61,19 @@ MonSample Monitor::sample_from(unsigned core, Baseline& base) {
 }
 
 MonSample Monitor::poll(unsigned core) {
-  if (core >= baselines_.size() || !baselines_[core]) {
+  if (core >= machine_.num_cores() || ((tracked_ >> core) & 1u) == 0) {
     throw std::logic_error("Monitor::poll: core not tracked");
   }
-  return sample_from(core, *baselines_[core]);
+  return sample_from(core, baselines_[core]);
 }
 
 const std::vector<std::pair<unsigned, MonSample>>& Monitor::poll_all() {
   thread_local std::vector<std::pair<unsigned, MonSample>> out;
   out.clear();
   last_total_ = 0.0;
-  for (unsigned core = 0; core < baselines_.size(); ++core) {
-    if (!baselines_[core]) continue;
-    out.emplace_back(core, sample_from(core, *baselines_[core]));
+  for (std::uint64_t rest = tracked_; rest != 0; rest &= rest - 1) {
+    const auto core = static_cast<unsigned>(std::countr_zero(rest));
+    out.emplace_back(core, sample_from(core, baselines_[core]));
     last_total_ += out.back().second.mbm_bytes_per_sec;
   }
   auto& tr = trace::resolve(tracer_);

@@ -10,7 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "rdt/capability.hpp"
@@ -72,7 +73,8 @@ class Monitor {
   const sim::Machine& machine_;
   Capability cap_;
   trace::Tracer* tracer_;
-  std::vector<std::optional<Baseline>> baselines_;  ///< per core, if tracked
+  std::unique_ptr<Baseline[]> baselines_;  ///< per core
+  std::uint64_t tracked_ = 0;  ///< bit c: core c is tracked (its baseline)
   double last_total_ = 0.0;
 };
 

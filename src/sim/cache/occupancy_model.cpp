@@ -8,8 +8,9 @@
 
 namespace dicer::sim {
 
-void decompose_regions(const std::vector<WayMask>& masks, unsigned total_ways,
-                       double way_bytes, std::vector<CacheRegion>& regions) {
+std::size_t decompose_regions(std::span<const WayMask> masks,
+                              unsigned total_ways, double way_bytes,
+                              std::span<CacheRegion> regions) {
   // Group ways by the exact set of apps eligible to fill them. Encode the
   // sharer set as a bitmask over apps (supports up to 64 apps; the machine
   // has at most 10 cores). Regions come back ordered by ascending sharer
@@ -42,16 +43,13 @@ void decompose_regions(const std::vector<WayMask>& masks, unsigned total_ways,
   for (unsigned i = 0; i < n;) {
     unsigned j = i;
     while (j < n && sets[j] == sets[i]) ++j;
-    if (count == regions.size()) regions.emplace_back();
-    CacheRegion& r = regions[count++];
-    r.capacity_bytes = way_bytes * (j - i);
-    r.sharers.clear();
-    for (std::size_t a = 0; a < masks.size(); ++a) {
-      if (sets[i] & (1ull << a)) r.sharers.push_back(a);
+    if (count == regions.size()) {
+      throw std::length_error("decompose_regions: region storage too short");
     }
+    regions[count++] = {way_bytes * (j - i), {sets[i]}};
     i = j;
   }
-  regions.resize(count);
+  return count;
 }
 
 namespace {
@@ -67,25 +65,28 @@ namespace {
 /// segment's line exactly: no grid, so the result is accurate to a few
 /// ulps however narrow the region.
 double fill_time(const CacheRegion& r, const OccupancyScratch::RegionState& rs,
-                 const std::vector<CacheDemand>& demand,
-                 OccupancyScratch& scratch) {
-  auto& knots = scratch.knots;
-  knots.clear();
+                 std::span<const CacheDemand> demand,
+                 std::span<OccupancyScratch::Knot> knots) {
+  std::size_t m = 0;
   double stream = 0.0;
-  for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-    const auto& d = demand[r.sharers[k]];
-    const double f = rs.sharers[k].frac;
+  const OccupancyScratch::Sharer* sharer = rs.sharers.data();
+  for (const std::size_t a : r.sharers) {
+    const auto& d = demand[a];
+    const double f = (sharer++)->frac;
     stream += d.stream_bytes_per_sec * f;
     for (const auto& c : d.reuse) {
       const double rate = c.rate_bytes_per_sec * f;
       // A component that is never touched holds nothing at any t.
       if (rate > 0.0) {
+        if (m == knots.size()) {
+          throw std::length_error("solve_occupancy: knot storage too short");
+        }
         const double fp = c.footprint_bytes * f;
-        knots.push_back({fp / rate, rate, fp});
+        knots[m++] = {fp / rate, rate, fp};
       }
     }
   }
-  std::sort(knots.begin(), knots.end(),
+  std::sort(knots.begin(), knots.begin() + static_cast<std::ptrdiff_t>(m),
             [](const OccupancyScratch::Knot& a,
                const OccupancyScratch::Knot& b) { return a.t < b.t; });
   // Past knot k-1 the slope is stream + (rates of knots k..end) and the
@@ -93,7 +94,6 @@ double fill_time(const CacheRegion& r, const OccupancyScratch::RegionState& rs,
   // suffix sums in place, summed afresh backwards rather than updated by
   // subtraction, which would cancel catastrophically next to a dominant
   // rate.
-  const std::size_t m = knots.size();
   for (std::size_t k = m; k-- > 1;) knots[k - 1].rate += knots[k].rate;
   const double cap = r.capacity_bytes;
   double held = 0.0;  // footprints of the knots already passed
@@ -116,49 +116,63 @@ double fill_time(const CacheRegion& r, const OccupancyScratch::RegionState& rs,
 
 }  // namespace
 
-void solve_occupancy(const std::vector<CacheRegion>& regions,
-                     const std::vector<CacheDemand>& demand,
+void solve_occupancy(std::span<const CacheRegion> regions,
+                     std::span<const CacheDemand> demand,
                      const OccupancySolverConfig& config,
-                     OccupancyScratch& scratch, std::vector<double>& occ) {
+                     OccupancyScratch& scratch, std::span<double> occ) {
   const std::size_t num_apps = demand.size();
-  occ.assign(num_apps, 0.0);
+  if (occ.size() != num_apps) {
+    throw std::length_error("solve_occupancy: one occupancy per demand");
+  }
+  std::fill(occ.begin(), occ.end(), 0.0);
 
-  if (!scratch.layout_valid || scratch.avail.size() != num_apps ||
-      scratch.regions.size() != regions.size()) {
+  if (!scratch.layout_valid || scratch.layout_apps != num_apps ||
+      scratch.layout_regions != regions.size()) {
     // An app eligible for several regions splits its rates proportionally
     // to region capacity; both the per-app totals and the resulting
     // per-region fractions depend only on the layout, so they are computed
     // once per decomposition, not once per solve.
-    scratch.avail.assign(num_apps, 0.0);
+    std::size_t entries = 0;
+    for (const auto& r : regions) entries += r.sharers.size();
+    if (scratch.avail.size() < num_apps ||
+        scratch.regions.size() < regions.size() ||
+        scratch.sharers.size() < entries) {
+      throw std::length_error("solve_occupancy: layout storage too short");
+    }
+    std::fill_n(scratch.avail.begin(), num_apps, 0.0);
     for (const auto& r : regions) {
       for (std::size_t a : r.sharers) scratch.avail[a] += r.capacity_bytes;
     }
-    scratch.regions.resize(regions.size());
+    std::size_t next = 0;
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       const auto& r = regions[ri];
       auto& rs = scratch.regions[ri];
-      rs.sharers.assign(r.sharers.size(), {});
+      rs.sharers = scratch.sharers.subspan(next, r.sharers.size());
+      next += r.sharers.size();
       rs.fill_total = 0.0;
-      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-        const std::size_t a = r.sharers[k];
-        rs.sharers[k].frac =
-            scratch.avail[a] > 0.0 ? r.capacity_bytes / scratch.avail[a] : 0.0;
+      std::size_t k = 0;
+      for (const std::size_t a : r.sharers) {
+        rs.sharers[k++] = {
+            scratch.avail[a] > 0.0 ? r.capacity_bytes / scratch.avail[a] : 0.0,
+            0.0};
       }
     }
+    scratch.layout_apps = num_apps;
+    scratch.layout_regions = regions.size();
     scratch.layout_valid = true;
   }
 
   for (std::size_t ri = 0; ri < regions.size(); ++ri) {
     const auto& r = regions[ri];
-    if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
+    if (r.sharers.bits == 0 || r.capacity_bytes <= 0.0) continue;
     auto& rs = scratch.regions[ri];
-    const std::size_t num_sharers = r.sharers.size();
     // Total occupancy the region would hold at characteristic time t.
     auto total_at_inline = [&](double t) {
       double sum = 0.0;
-      for (std::size_t k = 0; k < num_sharers; ++k) {
-        const auto& d = demand[r.sharers[k]];
-        const double f = rs.sharers[k].frac;
+      std::size_t k = 0;
+      for (const std::size_t a : r.sharers) {
+        const auto& d = demand[a];
+        const double f = rs.sharers[k++].frac;
         double app_occ = d.stream_bytes_per_sec * f * t;
         for (const auto& c : d.reuse) {
           app_occ +=
@@ -176,7 +190,7 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
       // breakpoint sort.
       t_c = t_max;
     } else {
-      t_c = std::min(fill_time(r, rs, demand, scratch), t_max);
+      t_c = std::min(fill_time(r, rs, demand, scratch.knots), t_max);
     }
     rs.t_c = t_c;
 
@@ -184,9 +198,11 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
     // i.e. its streaming rate plus the reuse rates min() leaves
     // unsaturated there.
     double total = 0.0;
-    for (std::size_t k = 0; k < num_sharers; ++k) {
-      const auto& d = demand[r.sharers[k]];
-      const double f = rs.sharers[k].frac;
+    std::size_t k = 0;
+    for (const std::size_t a : r.sharers) {
+      const auto& d = demand[a];
+      auto& sharer = rs.sharers[k++];
+      const double f = sharer.frac;
       double beta = d.stream_bytes_per_sec * f;
       double app_occ = beta * t_c;
       for (const auto& c : d.reuse) {
@@ -199,9 +215,9 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
           app_occ += fp;
         }
       }
-      occ[r.sharers[k]] += app_occ;
-      rs.sharers[k].growth = beta * t_c;
-      total += rs.sharers[k].growth;
+      occ[a] += app_occ;
+      sharer.growth = beta * t_c;
+      total += sharer.growth;
     }
     rs.fill_total = t_c < t_max ? total : 0.0;
   }

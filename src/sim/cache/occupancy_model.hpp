@@ -34,8 +34,10 @@
 // to region capacity.
 #pragma once
 
+#include <bit>
 #include <cstddef>
-#include <vector>
+#include <cstdint>
+#include <span>
 
 #include "sim/cache/way_mask.hpp"
 
@@ -52,24 +54,52 @@ struct ReuseComponent {
   double footprint_bytes = 0.0;
 };
 
-/// Per-application cache demand for one solver call.
+/// Per-application cache demand for one solver call. The components live
+/// in the caller's storage (a machine keeps every slot's back to back).
 struct CacheDemand {
-  std::vector<ReuseComponent> reuse;  ///< re-used working sets
-  double stream_bytes_per_sec = 0.0;  ///< compulsory/streaming fill rate
+  std::span<const ReuseComponent> reuse;  ///< re-used working sets
+  double stream_bytes_per_sec = 0.0;      ///< compulsory/streaming fill rate
+};
+
+/// A set of app indices below 64, as a bitmask; iterates ascending.
+struct SharerSet {
+  std::uint64_t bits = 0;
+
+  struct iterator {
+    std::uint64_t rest = 0;
+    std::size_t operator*() const noexcept {
+      return static_cast<std::size_t>(std::countr_zero(rest));
+    }
+    iterator& operator++() noexcept {
+      rest &= rest - 1;
+      return *this;
+    }
+    bool operator==(const iterator&) const noexcept = default;
+  };
+  iterator begin() const noexcept { return {bits}; }
+  iterator end() const noexcept { return {}; }
+  std::size_t size() const noexcept {
+    return static_cast<std::size_t>(std::popcount(bits));
+  }
+  bool operator==(const SharerSet&) const noexcept = default;
 };
 
 /// A contiguous-capacity region of the LLC and the apps eligible to fill it.
 struct CacheRegion {
   double capacity_bytes = 0.0;
-  std::vector<std::size_t> sharers;  ///< app indices, ascending
+  SharerSet sharers;
 };
 
 /// Decompose per-app way masks into maximal regions with identical sharer
-/// sets, written into `regions` in place (whatever it held is replaced),
-/// reusing its elements' `sharers` buffers: no allocation once warm. Ways
-/// eligible to no app are dropped (their capacity is unused).
-void decompose_regions(const std::vector<WayMask>& masks, unsigned total_ways,
-                       double way_bytes, std::vector<CacheRegion>& regions);
+/// sets, written into the front of `regions`; returns their count. They
+/// come ordered by ascending sharer set, at most one per way, so
+/// `total_ways` entries always suffice. Ways eligible to no app are
+/// dropped (their capacity is unused). Throws std::invalid_argument past
+/// 64 apps or kMaxWays ways, std::length_error when `regions` is too
+/// short.
+std::size_t decompose_regions(std::span<const WayMask> masks,
+                              unsigned total_ways, double way_bytes,
+                              std::span<CacheRegion> regions);
 
 struct OccupancySolverConfig {
   /// Upper bound on the characteristic time (seconds). Past this the cache
@@ -77,13 +107,14 @@ struct OccupancySolverConfig {
   double max_characteristic_time_sec = 1e3;
 };
 
-/// Reusable buffers for solve_occupancy. Owned by the caller, one per
-/// solver stream (e.g. one per sim::Machine) and one per solver config.
-/// The layout-derived state (per-app eligible capacity, per-region
-/// capacity fractions) is rebuilt after invalidate() or when the
-/// region/app counts change; every call solves each region afresh and
-/// keeps its characteristic time and its sharers' sensitivities.
-/// Results are byte-identical with or without scratch reuse.
+/// Working state of solve_occupancy, as views of storage the caller owns
+/// (a machine carves them from its solver block): one per solver stream
+/// and solver config. The layout-derived state (per-app eligible
+/// capacity, per-region capacity fractions) is rebuilt after invalidate()
+/// or when the region/app counts change; every call solves each region
+/// afresh and keeps its characteristic time and its sharers'
+/// sensitivities. Results are byte-identical with or without scratch
+/// reuse.
 ///
 /// The sensitivity of the last solve, d occ_i / d ln s_k with s_k scaling
 /// every rate of app k (streaming and reuse) alike, is a sum over the
@@ -106,10 +137,8 @@ struct OccupancyScratch {
   struct RegionState {
     double t_c = 0.0;  ///< characteristic time of the last solve
     double fill_total = 0.0;  ///< sum of growth if the region fills, else 0
-    std::vector<Sharer> sharers;  ///< parallel to CacheRegion::sharers
+    std::span<Sharer> sharers;  ///< parallel to CacheRegion::sharers
   };
-  std::vector<double> avail;        ///< per-app total eligible capacity
-  std::vector<RegionState> regions; ///< parallel to the region vector
   /// One reuse component of the region being solved, at its saturation
   /// breakpoint t = fp / rate (rate and footprint scaled by the sharer's
   /// capacity fraction). Once sorted by t, `rate` becomes the summed rate
@@ -119,7 +148,17 @@ struct OccupancyScratch {
     double rate;
     double fp;
   };
-  std::vector<Knot> knots;
+
+  // Storage, each at least as long as the solves need: `avail` one entry
+  // per app, `regions` one per region, `sharers` the regions' sharer
+  // counts summed, `knots` the apps' reuse components summed.
+  std::span<double> avail;         ///< per-app total eligible capacity
+  std::span<RegionState> regions;  ///< parallel to the region list
+  std::span<Sharer> sharers;       ///< the regions' sharer states, in order
+  std::span<Knot> knots;
+  /// The app and region counts the layout state was built for.
+  std::size_t layout_apps = 0;
+  std::size_t layout_regions = 0;
   bool layout_valid = false;
 
   /// Must be called whenever the region decomposition changes shape or
@@ -129,12 +168,12 @@ struct OccupancyScratch {
 };
 
 /// Solve the characteristic-time fixed point: per-app effective cache
-/// bytes into `occ`, resized to demand.size(); an app sharing no region
-/// gets 0. Reuses `scratch`'s buffers, so the steady-state path performs
-/// no heap allocation.
-void solve_occupancy(const std::vector<CacheRegion>& regions,
-                     const std::vector<CacheDemand>& demand,
+/// bytes into `occ` (one entry per demand); an app sharing no region gets
+/// 0. Works in `scratch`'s storage and allocates nothing; throws
+/// std::length_error if that storage is too short.
+void solve_occupancy(std::span<const CacheRegion> regions,
+                     std::span<const CacheDemand> demand,
                      const OccupancySolverConfig& config,
-                     OccupancyScratch& scratch, std::vector<double>& occ);
+                     OccupancyScratch& scratch, std::span<double> occ);
 
 }  // namespace dicer::sim

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/cache_file.hpp"
 #include "util/log.hpp"
@@ -30,19 +32,18 @@ std::uint64_t MachineConfig::quanta(double sec) const noexcept {
   return q < 0x1p63 ? static_cast<std::uint64_t>(q) : std::uint64_t{1} << 63;
 }
 
-void PhaseConst::build(const AppPhase& ph) {
+void PhaseConst::build(const AppPhase& ph, double* shares) {
   phase = &ph;
   sf = ph.mrc.stream_fraction();
   one_minus_sf = 1.0 - sf;
   floor_m = ph.mrc.floor();
   span_m = std::max(ph.mrc.ceiling() - floor_m, 1e-9);
-  wfrac.clear();
   const auto& comps = ph.mrc.components();
   double wsum = 0.0;
   for (const auto& c : comps) wsum += c.weight;
-  if (wsum > 0.0) {
-    for (const auto& c : comps) wfrac.push_back(c.weight / wsum);
-  }
+  wfrac = shares;
+  nfrac = wsum > 0.0 ? comps.size() : 0;
+  for (std::size_t j = 0; j < nfrac; ++j) shares[j] = comps[j].weight / wsum;
   memo_occ = -1.0;
   memo_miss = 1.0;
   memo_slope = 0.0;
@@ -84,28 +85,30 @@ bool lu_solve(std::size_t n, double* a, double* b) {
 
 void Machine::evaluate(double* target) {
   auto& s = scratch_;
-  const std::size_t n = s.active.size();
+  const std::size_t n = s.n;
   const double freq = config_.freq_hz;
   const double line = config_.llc.line_bytes;
 
   // 1. Occupancy under current IPS estimates (Che working-set model).
   //    Each MRC component becomes a reuse component whose touch rate is
-  //    proportional to its miss-mass weight.
+  //    proportional to its miss-mass weight. The slots' components lie
+  //    back to back in s.reuse, which attach sized for the most any of
+  //    their phases has.
+  ReuseComponent* reuse = s.reuse;
   for (std::size_t i = 0; i < n; ++i) {
     const AppPhase& ph = *s.phase[i];
     const PhaseConst& pc = s.pc[i];
     const double touch = ph.api * s.ips[i] * line;
-    auto& cd = s.cache_demand[i];
     const auto& comps = ph.mrc.components();
-    cd.reuse.resize(pc.wfrac.size());
-    for (std::size_t j = 0; j < pc.wfrac.size(); ++j) {
-      cd.reuse[j].rate_bytes_per_sec = touch * pc.one_minus_sf * pc.wfrac[j];
-      cd.reuse[j].footprint_bytes = comps[j].ws_bytes;
+    for (std::size_t j = 0; j < pc.nfrac; ++j) {
+      reuse[j].rate_bytes_per_sec = touch * pc.one_minus_sf * pc.wfrac[j];
+      reuse[j].footprint_bytes = comps[j].ws_bytes;
     }
-    cd.stream_bytes_per_sec = touch * pc.sf;
+    s.cache_demand[i] = {{reuse, pc.nfrac}, touch * pc.sf};
+    reuse += pc.nfrac;
   }
-  solve_occupancy(regions_, s.cache_demand, config_.occupancy, s.occupancy,
-                  s.occ);
+  solve_occupancy({s.regions, s.num_regions}, {s.cache_demand, n},
+                  config_.occupancy, s.occupancy, {s.occ, n});
 
   // 2. Miss ratios (and their slopes, for the Jacobian) and bandwidth
   //    demand. Occupancies repeat across rounds/quanta in steady state, so
@@ -128,7 +131,7 @@ void Machine::evaluate(double* target) {
     s.demand[i] = s.phase[i]->api * s.miss[i] * s.ips[i] * line *
                   (1.0 + s.phase[i]->wb_ratio);
   }
-  link_.arbitrate_into(s.demand, s.arb);
+  link_.arbitrate_into({s.demand, n}, {s.achieved, n}, s.arb);
 
   // 3. New IPC estimates under the arbitrated latency; bandwidth cap when
   //    the link is oversubscribed. The LLC hit path is shared too: ring /
@@ -157,7 +160,7 @@ void Machine::evaluate(double* target) {
         ph.cpi_core +
         ph.api * ((1.0 - s.miss[i]) * hit_latency +
                   s.miss[i] * s.arb.effective_latency_cycles /
-                      (mlp_eff * mem_throttle_[s.active[i]]));
+                      (mlp_eff * cores_[s.active[i]].mem_throttle));
     target[i] = freq / cpi;
   }
 }
@@ -176,7 +179,7 @@ std::size_t Machine::jacobian(const double* target, double* diag, double* u,
   // (OccupancyScratch). Hence J = D + U V^T, one column pair per rank-one
   // term.
   auto& s = scratch_;
-  const std::size_t n = s.active.size();
+  const std::size_t n = s.n;
   const double line = config_.llc.line_bytes;
   const double capacity = link_.config().capacity_bytes_per_sec;
 
@@ -220,7 +223,7 @@ std::size_t Machine::jacobian(const double* target, double* diag, double* u,
     const double dmlp = excess > 0.0 && excess < 1.0
                             ? -ph.mlp * config_.mlp_squeeze / pc.span_m
                             : 0.0;
-    const double theta = mem_throttle_[s.active[i]];
+    const double theta = cores_[s.active[i]].mem_throttle;
     const double stall = mem_latency / (mlp_eff * theta);
     const double scale = -target[i] * target[i] / config_.freq_hz;
     by_occ[i] = scale * ph.api *
@@ -235,15 +238,14 @@ std::size_t Machine::jacobian(const double* target, double* diag, double* u,
   // moves with every m_j, so each term reaches drho too, with weight
   // sum_j w_j g_j / total (w_j = d rho / d m_j * slope_j).
   std::size_t r = 0;
-  for (std::size_t ri = 0; ri < regions_.size(); ++ri) {
-    const auto& cores = regions_[ri].sharers;
+  for (std::size_t ri = 0; ri < s.num_regions; ++ri) {
+    const SharerSet cores = s.regions[ri].sharers;
     const auto& state = s.occupancy.regions[ri];
     const double total = state.fill_total;
     // A sole sharer of a filling region holds its capacity at any rate.
     if (total > 0.0 && cores.size() == 1) continue;
-    for (std::size_t k = 0; k < cores.size(); ++k) {
-      own[cores[k]] += state.sharers[k].growth;
-    }
+    const OccupancyScratch::Sharer* sharer = state.sharers.data();
+    for (const std::size_t j : cores) own[j] += (sharer++)->growth;
     if (!(total > 0.0)) continue;
     double* uc = u + r * n;
     double* vc = v + r * n;
@@ -251,9 +253,9 @@ std::size_t Machine::jacobian(const double* target, double* diag, double* u,
     std::fill_n(vc, n, 0.0);
     double to_rho = 0.0;
     bool moves = false;
-    for (std::size_t k = 0; k < cores.size(); ++k) {
-      const std::size_t j = cores[k];
-      const double g = state.sharers[k].growth;
+    sharer = state.sharers.data();
+    for (const std::size_t j : cores) {
+      const double g = (sharer++)->growth;
       const double share = g / total;
       uc[j] = by_occ[j] * share;
       vc[j] = -g * inv_x[j];
@@ -288,7 +290,7 @@ bool Machine::newton_step(const double* target, const double* g, double* d) {
   // A = I - D diagonal: scale g and U's columns by A^-1 (into d and U),
   // factor the r x r capacitance C = I - V^T A^-1 U, and add back
   // A^-1 U w for C w = V^T A^-1 g.
-  const std::size_t n = scratch_.active.size();
+  const std::size_t n = scratch_.n;
   std::array<double, kMaxCores> a;
   std::array<double, kMaxCores * kMaxJacobianTerms> u, v;
   std::array<double, kMaxJacobianTerms * kMaxJacobianTerms> c;
@@ -330,7 +332,7 @@ bool Machine::newton_step(const double* target, const double* g, double* d) {
 /// stays positive because F is.
 bool Machine::solve_fixed_point(unsigned& rounds_used) {
   auto& s = scratch_;
-  const std::size_t n = s.active.size();
+  const std::size_t n = s.n;
   std::array<double, kMaxCores> target{}, g{}, d{};
   rounds_used = 0;
   for (unsigned round = 0; round < config_.fixed_point_rounds; ++round) {
@@ -365,17 +367,14 @@ void SolverStats::merge(const SolverStats& other) {
   rounds_past_hist += other.rounds_past_hist;
   invalidations_actuator += other.invalidations_actuator;
   invalidations_fingerprint += other.invalidations_fingerprint;
-  if (rounds_hist.size() < other.rounds_hist.size()) {
-    rounds_hist.resize(other.rounds_hist.size(), 0);
-  }
-  for (std::size_t r = 0; r < other.rounds_hist.size(); ++r) {
+  for (std::size_t r = 0; r < kRoundsBuckets; ++r) {
     rounds_hist[r] += other.rounds_hist[r];
   }
 }
 
 std::uint64_t SolverStats::total_rounds() const noexcept {
   std::uint64_t total = rounds_past_hist;
-  for (std::size_t r = 0; r < rounds_hist.size(); ++r) {
+  for (std::size_t r = 0; r < kRoundsBuckets; ++r) {
     total += rounds_hist[r] * (r + 1);
   }
   return total;
@@ -384,11 +383,6 @@ std::uint64_t SolverStats::total_rounds() const noexcept {
 Machine::Machine(const MachineConfig& config)
     : config_(config),
       tracer_(&trace::resolve(config.tracer)),
-      apps_(config.num_cores),
-      masks_(config.num_cores, WayMask::full(config.llc.ways)),
-      mem_throttle_(config.num_cores, 1.0),
-      telemetry_(config.num_cores),
-      ips_seed_(config.num_cores, 0.0),
       link_(config.link) {
   if (config_.num_cores == 0 || config_.num_cores > kMaxCores) {
     throw std::invalid_argument("Machine: core count outside 1..64");
@@ -405,7 +399,10 @@ Machine::Machine(const MachineConfig& config)
   if (config_.fixed_point_rounds == 0) {
     throw std::invalid_argument("Machine: fixed_point_rounds must be > 0");
   }
-  stats_.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);
+  cores_ = std::make_unique<CoreState[]>(config_.num_cores);
+  for (unsigned c = 0; c < config_.num_cores; ++c) {
+    cores_[c].mask = WayMask::full(config_.llc.ways);
+  }
 }
 
 void Machine::check_core(unsigned core) const {
@@ -428,57 +425,195 @@ void Machine::invalidate_solve() noexcept {
   }
 }
 
+namespace {
+
+/// Hands out consecutive arrays of one block, each starting 8-aligned and
+/// value-initialised; with no block it only adds up their bytes.
+class Carver {
+ public:
+  explicit Carver(std::byte* block) : block_(block) {}
+
+  template <typename T>
+  T* take(std::size_t count) {
+    static_assert(alignof(T) <= 8 && std::is_trivially_copyable_v<T> &&
+                  std::is_trivially_destructible_v<T>);
+    T* p = nullptr;
+    if (block_ != nullptr) {
+      p = reinterpret_cast<T*>(block_ + used_);
+      std::uninitialized_value_construct_n(p, count);
+    }
+    used_ += (count * sizeof(T) + 7) & ~std::size_t{7};
+    return p;
+  }
+  std::size_t used() const noexcept { return used_; }
+
+ private:
+  std::byte* block_;
+  std::size_t used_ = 0;
+};
+
+/// The most reuse components any phase of `profile` has.
+std::size_t most_reuse(const AppProfile& profile) {
+  std::size_t most = 0;
+  for (const auto& ph : profile.phases) {
+    most = std::max(most, ph.mrc.components().size());
+  }
+  return most;
+}
+
+}  // namespace
+
+void Machine::reserve_scratch(std::size_t slots, std::size_t reuse,
+                              std::size_t regions, std::size_t sharers) {
+  StepScratch& s = scratch_;
+  if (slots <= s.slot_capacity && reuse <= s.reuse_capacity &&
+      regions <= s.region_capacity && sharers <= s.sharer_capacity) {
+    return;
+  }
+  slots = std::max(slots, s.slot_capacity);
+  reuse = std::max(reuse, s.reuse_capacity);
+  regions = std::max(regions, s.region_capacity);
+  sharers = std::max(sharers, s.sharer_capacity);
+  // The same carve twice: once to size the block, once to place the
+  // arrays in it.
+  auto carve = [&](StepScratch& t, std::byte* block) {
+    Carver c(block);
+    t.active = c.take<unsigned>(slots);
+    t.active_masks = c.take<WayMask>(slots);
+    t.phase = c.take<const AppPhase*>(slots);
+    t.pc = c.take<PhaseConst>(slots);
+    t.ips = c.take<double>(slots);
+    t.occ = c.take<double>(slots);
+    t.miss = c.take<double>(slots);
+    t.miss_slope = c.take<double>(slots);
+    t.demand = c.take<double>(slots);
+    t.achieved = c.take<double>(slots);
+    t.cache_demand = c.take<CacheDemand>(slots);
+    t.runs = c.take<CounterRun>(slots);
+    t.wfrac = c.take<double>(reuse);
+    t.reuse = c.take<ReuseComponent>(reuse);
+    t.regions = c.take<CacheRegion>(regions);
+    t.occupancy.avail = {c.take<double>(slots), slots};
+    t.occupancy.knots = {c.take<OccupancyScratch::Knot>(reuse), reuse};
+    t.occupancy.regions = {c.take<OccupancyScratch::RegionState>(regions),
+                           regions};
+    t.occupancy.sharers = {c.take<OccupancyScratch::Sharer>(sharers),
+                           sharers};
+    return c.used();
+  };
+  StepScratch sizing;
+  auto block =
+      std::make_unique_for_overwrite<std::byte[]>(carve(sizing, nullptr));
+  const StepScratch old = std::move(s);
+  carve(s, block.get());
+  s.block = std::move(block);
+  // Every slot keeps its contents, and the decomposition is kept. The
+  // phase constants (their weight shares were in the old block) and the
+  // occupancy solve's layout state are rebuilt, to the same values, in
+  // the new one.
+  const std::size_t kept = old.slot_capacity;
+  std::copy_n(old.active, kept, s.active);
+  std::copy_n(old.active_masks, kept, s.active_masks);
+  std::copy_n(old.phase, kept, s.phase);
+  std::copy_n(old.ips, kept, s.ips);
+  std::copy_n(old.occ, kept, s.occ);
+  std::copy_n(old.miss, kept, s.miss);
+  std::copy_n(old.miss_slope, kept, s.miss_slope);
+  std::copy_n(old.demand, kept, s.demand);
+  std::copy_n(old.achieved, kept, s.achieved);
+  std::copy_n(old.runs, kept, s.runs);
+  std::copy_n(old.regions, old.num_regions, s.regions);
+  s.occupancy.invalidate();
+  s.slot_capacity = slots;
+  s.reuse_capacity = reuse;
+  s.region_capacity = regions;
+  s.sharer_capacity = sharers;
+}
+
 void Machine::refresh_regions() {
   if (regions_valid_) return;
-  scratch_.active_masks.clear();
+  StepScratch& s = scratch_;
+  std::size_t apps = 0;
   for (unsigned c = 0; c < config_.num_cores; ++c) {
-    if (apps_[c]) scratch_.active_masks.push_back(masks_[c]);
+    if (cores_[c].app) s.active_masks[apps++] = cores_[c].mask;
   }
-  decompose_regions(scratch_.active_masks, config_.llc.ways,
-                    config_.way_bytes(), regions_);
+  std::array<CacheRegion, kMaxWays> found;
+  const std::size_t count =
+      decompose_regions({s.active_masks, apps}, config_.llc.ways,
+                        config_.way_bytes(), found);
+  std::size_t sharers = 0;
+  for (std::size_t r = 0; r < count; ++r) sharers += found[r].sharers.size();
+  reserve_scratch(0, 0, count, sharers);
+  std::copy_n(found.begin(), count, s.regions);
+  s.num_regions = count;
   regions_valid_ = true;
 }
 
-const std::vector<CacheRegion>& Machine::current_regions() {
+std::span<const CacheRegion> Machine::current_regions() {
   refresh_regions();
-  return regions_;
+  return {scratch_.regions, scratch_.num_regions};
 }
 
 void Machine::attach(unsigned core, const AppProfile* profile) {
   check_core(core);
-  if (apps_[core].has_value()) {
+  if (cores_[core].app.has_value()) {
     throw std::logic_error("Machine::attach: core already occupied");
   }
-  apps_[core].emplace(profile);
-  ips_seed_[core] = 0.0;
-  scratch_.runs.clear();  // the slots now index other cores
+  // Room for every attached app before anything changes, so a failed
+  // allocation leaves the machine as it was: a slot and a window as wide
+  // as its largest phase's reuse components for each, and the regions of
+  // the layouts policies write — one shared partition, or disjoint HP and
+  // BE partitions: at most two regions, one sharer entry per slot.
+  const std::size_t width = most_reuse(*profile);
+  std::size_t slots = 1;
+  std::size_t reuse = width;
+  for (unsigned c = 0; c < config_.num_cores; ++c) {
+    if (!cores_[c].app) continue;
+    ++slots;
+    reuse += cores_[c].reuse;
+  }
+  reserve_scratch(slots, reuse, std::min<std::size_t>(slots, 2), slots);
+  cores_[core].app.emplace(profile);
+  cores_[core].ips_seed = 0.0;
+  cores_[core].reuse = static_cast<std::uint32_t>(width);
+  drop_slots();
   invalidate_regions();
+}
+
+void Machine::drop_slots() noexcept {
+  StepScratch& s = scratch_;
+  s.runs_live = false;
+  for (std::size_t i = 0; i < s.slot_capacity; ++i) s.pc[i].phase = nullptr;
 }
 
 void Machine::detach(unsigned core) {
   check_core(core);
-  apps_[core].reset();
-  telemetry_[core].occupancy_bytes = 0.0;
-  telemetry_[core].last_quantum_ipc = 0.0;
-  ips_seed_[core] = 0.0;
+  CoreState& cs = cores_[core];
+  cs.app.reset();
+  cs.telemetry.occupancy_bytes = 0.0;
+  cs.telemetry.last_quantum_ipc = 0.0;
+  cs.ips_seed = 0.0;
   // The departing tenant's actuator state must not leak to the next one:
   // reclaiming a core resets its partition and throttle to the defaults,
   // like an orchestrator returning the core's CLOS to CLOS0.
-  masks_[core] = WayMask::full(config_.llc.ways);
-  mem_throttle_[core] = 1.0;
-  scratch_.runs.clear();
+  cs.mask = WayMask::full(config_.llc.ways);
+  cs.mem_throttle = 1.0;
+  cs.reuse = 0;
+  drop_slots();
   invalidate_regions();
 }
 
 bool Machine::occupied(unsigned core) const {
   check_core(core);
-  return apps_[core].has_value();
+  return cores_[core].app.has_value();
 }
 
 const AppRuntime& Machine::runtime(unsigned core) const {
   check_core(core);
-  if (!apps_[core]) throw std::logic_error("Machine::runtime: core is idle");
-  return *apps_[core];
+  if (!cores_[core].app) {
+    throw std::logic_error("Machine::runtime: core is idle");
+  }
+  return *cores_[core].app;
 }
 
 void Machine::set_fill_mask(unsigned core, WayMask mask) {
@@ -491,15 +626,15 @@ void Machine::set_fill_mask(unsigned core, WayMask mask) {
         "Machine::set_fill_mask: mask exceeds cache ways: " +
         mask.to_string());
   }
-  if (masks_[core] != mask) {
-    masks_[core] = mask;
+  if (cores_[core].mask != mask) {
+    cores_[core].mask = mask;
     invalidate_regions();
   }
 }
 
 WayMask Machine::fill_mask(unsigned core) const {
   check_core(core);
-  return masks_[core];
+  return cores_[core].mask;
 }
 
 void Machine::set_mem_throttle(unsigned core, double fraction) {
@@ -508,20 +643,20 @@ void Machine::set_mem_throttle(unsigned core, double fraction) {
     throw std::invalid_argument(
         "Machine::set_mem_throttle: fraction outside (0, 1]");
   }
-  if (mem_throttle_[core] != fraction) {
-    mem_throttle_[core] = fraction;
+  if (cores_[core].mem_throttle != fraction) {
+    cores_[core].mem_throttle = fraction;
     invalidate_solve();
   }
 }
 
 double Machine::mem_throttle(unsigned core) const {
   check_core(core);
-  return mem_throttle_[core];
+  return cores_[core].mem_throttle;
 }
 
 const CoreTelemetry& Machine::telemetry(unsigned core) const {
   check_core(core);
-  return telemetry_[core];
+  return cores_[core].telemetry;
 }
 
 namespace {
@@ -535,8 +670,8 @@ inline double at(double base, double k, double d) { return base + k * d; }
 
 inline unsigned Machine::commit(std::size_t i, double instructions,
                                 double bytes) {
-  const unsigned core = scratch_.active[i];
-  AppRuntime& rt = *apps_[core];
+  CoreState& cs = cores_[scratch_.active[i]];
+  AppRuntime& rt = *cs.app;
   CounterRun& run = scratch_.runs[i];
   if (instructions == run.d_instructions && bytes == run.d_bytes &&
       rt.fits(instructions, rt.into_phase_)) {
@@ -544,7 +679,7 @@ inline unsigned Machine::commit(std::size_t i, double instructions,
     write_run(i);
     return 0;
   }
-  CoreTelemetry& tel = telemetry_[core];
+  CoreTelemetry& tel = cs.telemetry;
   const unsigned completed = rt.advance(instructions);
   tel.instructions += instructions;
   tel.active_cycles += config_.freq_hz * config_.quantum_sec;
@@ -556,10 +691,10 @@ inline unsigned Machine::commit(std::size_t i, double instructions,
 }
 
 inline void Machine::write_run(std::size_t i) {
-  const unsigned core = scratch_.active[i];
+  CoreState& cs = cores_[scratch_.active[i]];
   const CounterRun& run = scratch_.runs[i];
-  AppRuntime& rt = *apps_[core];
-  CoreTelemetry& tel = telemetry_[core];
+  AppRuntime& rt = *cs.app;
+  CoreTelemetry& tel = cs.telemetry;
   // Exact below 2^53 either way; the signed conversion is one instruction.
   const auto k = static_cast<double>(static_cast<std::int64_t>(run.k));
   rt.retired_total_ = at(run.retired, k, run.d_instructions);
@@ -584,8 +719,8 @@ void Machine::step() {
   // same phase is the same solver input: the solve depends on the phase,
   // not on the position within it.)
   bool replayed = solve_cache_.armed;
-  for (std::size_t i = 0; replayed && i < s.active.size(); ++i) {
-    replayed = &apps_[s.active[i]]->current_phase() == s.phase[i];
+  for (std::size_t i = 0; replayed && i < s.n; ++i) {
+    replayed = &cores_[s.active[i]].app->current_phase() == s.phase[i];
   }
   if (replayed) {
     // Identical inputs, and the previous solve converged on the inputs it
@@ -599,32 +734,33 @@ void Machine::step() {
       solve_cache_.armed = false;
       ++stats_.invalidations_fingerprint;
     }
-    s.active.clear();
+    s.n = 0;
     for (unsigned c = 0; c < config_.num_cores; ++c) {
-      if (apps_[c]) s.active.push_back(c);
+      if (cores_[c].app) s.active[s.n++] = c;
     }
-    if (s.active.empty()) return;
-    s.phase.clear();
-    for (const unsigned core : s.active) {
-      s.phase.push_back(&apps_[core]->current_phase());
+    if (s.n == 0) return;
+    for (std::size_t i = 0; i < s.n; ++i) {
+      s.phase[i] = &cores_[s.active[i]].app->current_phase();
     }
     solve_cache_.armed = solve_quantum();
     last_rho_ = s.arb.raw_utilisation;
     last_traffic_ = s.arb.total_achieved_bytes_per_sec;
   }
   ++stats_.quanta;
-  const std::size_t n = s.active.size();
+  const std::size_t n = s.n;
 
   // Commit the quantum.
-  if (s.runs.size() != n) s.runs.assign(n, CounterRun{});
+  if (!s.runs_live) {
+    std::fill_n(s.runs, n, CounterRun{});
+    s.runs_live = true;
+  }
   for (std::size_t i = 0; i < n; ++i) {
-    const unsigned core = s.active[i];
-    auto& tel = telemetry_[core];
-    tel.completions +=
-        commit(i, s.ips[i] * dt, s.arb.achieved_bytes_per_sec[i] * dt);
+    CoreState& cs = cores_[s.active[i]];
+    auto& tel = cs.telemetry;
+    tel.completions += commit(i, s.ips[i] * dt, s.achieved[i] * dt);
     tel.occupancy_bytes = s.occ[i];
     tel.last_quantum_ipc = s.ips[i] / freq;
-    ips_seed_[core] = s.ips[i];
+    cs.ips_seed = s.ips[i];
   }
 
   auto& tr = *tracer_;
@@ -636,7 +772,7 @@ void Machine::step() {
     for (std::size_t i = 0; i < n; ++i) {
       const unsigned core = s.active[i];
       fields.emplace_back("ipc_c" + std::to_string(core),
-                          telemetry_[core].last_quantum_ipc);
+                          cores_[core].telemetry.last_quantum_ipc);
       fields.emplace_back("occ_c" + std::to_string(core), s.occ[i]);
     }
     return fields;
@@ -644,28 +780,27 @@ void Machine::step() {
 }
 
 bool Machine::solve_quantum() {
-  auto& s = scratch_;
-  const std::size_t n = s.active.size();
-  const double freq = config_.freq_hz;
   refresh_regions();
+  auto& s = scratch_;
+  const std::size_t n = s.n;
+  const double freq = config_.freq_hz;
 
-  if (s.pc.size() < n) s.pc.resize(n);
-  s.ips.resize(n);
+  double* wfrac = s.wfrac;  // slot i's window follows slot i-1's
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned core = s.active[i];
     const AppPhase* ph = s.phase[i];
-    if (s.pc[i].phase != ph) s.pc[i].build(*ph);
+    if (s.pc[i].phase != ph) s.pc[i].build(*ph, wfrac);
+    wfrac += cores_[core].reuse;
 
     // Warm-started state.
-    const double seed = ips_seed_[core];
+    const double seed = cores_[core].ips_seed;
     s.ips[i] = seed > 0.0 ? seed : freq / (ph->cpi_core + 1.0);
   }
 
-  s.occ.assign(n, 0.0);
-  s.miss.assign(n, 1.0);
-  s.miss_slope.assign(n, 0.0);
-  s.demand.assign(n, 0.0);
-  s.cache_demand.resize(n);
+  std::fill_n(s.occ, n, 0.0);
+  std::fill_n(s.miss, n, 1.0);
+  std::fill_n(s.miss_slope, n, 0.0);
+  std::fill_n(s.demand, n, 0.0);
 
   unsigned rounds_used = 0;
   const bool converged = solve_fixed_point(rounds_used);
@@ -688,14 +823,14 @@ std::uint64_t Machine::replay_room(std::uint64_t limit) const {
   const auto& s = scratch_;
   if (!solve_cache_.armed) return 0;
   const double dt = config_.quantum_sec;
-  for (std::size_t i = 0; i < s.active.size() && limit > 0; ++i) {
-    const AppRuntime& rt = *apps_[s.active[i]];
+  for (std::size_t i = 0; i < s.n && limit > 0; ++i) {
+    const AppRuntime& rt = *cores_[s.active[i]].app;
     const CounterRun& run = s.runs[i];
     const double d = run.d_instructions;
     // A replayed quantum adds the armed solve's increments, and extends
     // this run only if they are the run's.
     if (&rt.current_phase() != s.phase[i] || d != s.ips[i] * dt ||
-        run.d_bytes != s.arb.achieved_bytes_per_sec[i] * dt) {
+        run.d_bytes != s.achieved[i] * dt) {
       return 0;
     }
     // The quantum after q run quanta extends the run iff extends(q). It
@@ -724,7 +859,7 @@ void Machine::commit_replayed(std::uint64_t quanta) {
   quantum_ += quanta;
   stats_.quanta += quanta;
   stats_.replays += quanta;
-  for (std::size_t i = 0; i < scratch_.active.size(); ++i) {
+  for (std::size_t i = 0; i < scratch_.n; ++i) {
     scratch_.runs[i].k += quanta;
     write_run(i);
   }

@@ -38,16 +38,23 @@
 // first quantum that would leave a phase (DESIGN.md §5e); every other
 // quantum goes through step(), and the bits are the same either way.
 //
+// A machine holds its state in two heap blocks: its cores' (one array,
+// sized at construction) and its solver's (StepScratch, sized when an app
+// attaches). Stepping allocates nothing (DESIGN.md §5d).
+//
 // The Machine knows nothing about policies or priorities: it exposes
 // exactly the actuator CAT has (a fill mask per core) and the observables
 // CMT/MBM/perf have (occupancy, memory traffic, instructions, cycles).
 // The rdt:: layer adapts those to a pqos-like API.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "sim/cache/cache_geometry.hpp"
 #include "sim/cache/occupancy_model.hpp"
@@ -134,12 +141,13 @@ struct SolverStats {
   std::uint64_t unstable_solves = 0;  ///< hit the round cap unconverged
   std::uint64_t invalidations_actuator = 0;    ///< attach/detach/mask/throttle
   std::uint64_t invalidations_fingerprint = 0; ///< phase / active-set drift
-  std::vector<std::uint64_t> rounds_hist;  ///< rounds used per solve, at r-1
+  /// Rounds used per solve, at r-1.
+  std::array<std::uint64_t, kRoundsBuckets> rounds_hist{};
   /// Rounds the last bucket's solves used beyond kRoundsBuckets each, so
   /// total_rounds() stays exact.
   std::uint64_t rounds_past_hist = 0;
 
-  /// Accumulate `other` into this (histograms are size-matched by growth).
+  /// Accumulate `other` into this, bucket by bucket.
   void merge(const SolverStats& other);
   /// Sum of rounds over all solves.
   std::uint64_t total_rounds() const noexcept;
@@ -167,14 +175,18 @@ struct PhaseConst {
   double one_minus_sf = 1.0;  ///< 1 - sf, as the demand split computes it
   double floor_m = 0.0;       ///< mrc.floor()
   double span_m = 1e-9;       ///< max(mrc.ceiling() - floor, 1e-9)
-  std::vector<double> wfrac;  ///< weight_j / sum(weights); empty if sum<=0
+  /// weight_j / sum(weights), in the slot's window of the solver block;
+  /// none (nfrac 0) if the sum is <= 0.
+  const double* wfrac = nullptr;
+  std::size_t nfrac = 0;
   double memo_occ = -1.0;     ///< last mrc.miss_and_slope() argument
   double memo_miss = 1.0;     ///< and its value (occupancies repeat in
                               ///< steady state, so a repeat skips the curve)
   double memo_slope = 0.0;    ///< and its slope dm/docc
 
-  /// Rebuild every field for `ph` (reusing the vectors' storage).
-  void build(const AppPhase& ph);
+  /// Rebuild every field for `ph`, the weight shares into `wfrac` (room
+  /// for every component of `ph`).
+  void build(const AppPhase& ph, double* wfrac);
 };
 
 /// One active core's run: the quanta since its progress counters last
@@ -194,25 +206,56 @@ struct CounterRun {
   std::uint64_t k = 0;
 };
 
-/// Buffers reused across quanta so the steady-state step() performs no
-/// heap allocation. Sized to the active-app count each step: slot i holds
-/// the i-th active core's solver state, pc[i] its phase constants (kept
-/// across quanta, rebuilt when the slot's phase changes) and runs[i] its
-/// progress run (dropped when a core is attached or detached).
+/// A machine's solver state, carved as arrays from one heap block, so
+/// step() allocates nothing. Slot i holds the i-th active core's state
+/// (slots follow core order): each per-slot field is its own contiguous
+/// array, so the solve's loops read ips, occ, miss and demand as plain
+/// vectors. pc[i] keeps its phase constants across quanta (rebuilt when
+/// the slot's phase changes) and runs[i] its progress run; both are
+/// dropped when a core is attached or detached. Past the slots the block
+/// holds a window per slot, as wide as its app's largest phase has reuse
+/// components, for the phase constants' weight shares (`wfrac`); every
+/// slot's reuse components back to back (cache_demand[i].reuse views
+/// them, rebuilt each evaluation); the occupancy solve's knots; and the
+/// cached region decomposition with its per-region and per-sharer state.
+///
+/// The block is sized by Machine::attach: one slot per attached app, the
+/// most reuse components their phases have, and room for the regions of
+/// the layouts policies write (one shared partition, or disjoint HP and
+/// BE partitions: two regions, one sharer entry per slot). It is replaced
+/// by a larger one, in one allocation, only when an attach raises the
+/// attached count past its slots, or when a mask layout decomposes into
+/// more regions or sharer entries than it has room for (overlapping
+/// partitions, which no policy here writes); it never shrinks. A machine
+/// with no app holds no block.
 struct StepScratch {
-  std::vector<unsigned> active;
-  std::vector<WayMask> active_masks;
-  std::vector<const AppPhase*> phase;
-  std::vector<PhaseConst> pc;
-  std::vector<double> ips;
-  std::vector<double> occ;
-  std::vector<double> miss;
-  std::vector<double> miss_slope;  ///< dm/docc at each slot's occupancy
-  std::vector<double> demand;
-  std::vector<CacheDemand> cache_demand;
+  std::size_t n = 0;  ///< active slots of the current solve
+  unsigned* active = nullptr;          ///< core of each slot
+  WayMask* active_masks = nullptr;     ///< its fill mask (decomposition)
+  const AppPhase** phase = nullptr;    ///< its phase, as solved
+  PhaseConst* pc = nullptr;
+  double* ips = nullptr;
+  double* occ = nullptr;
+  double* miss = nullptr;
+  double* miss_slope = nullptr;  ///< dm/docc at each slot's occupancy
+  double* demand = nullptr;
+  double* achieved = nullptr;    ///< arbitrated bytes/s of each slot
+  CacheDemand* cache_demand = nullptr;
+  CounterRun* runs = nullptr;
+  bool runs_live = false;  ///< runs[0..n) hold the active slots' runs
+  double* wfrac = nullptr;          ///< every slot's weight-share window
+  ReuseComponent* reuse = nullptr;  ///< every slot's components
+  CacheRegion* regions = nullptr;   ///< cached decomposition
+  std::size_t num_regions = 0;
   LinkArbitration arb;
-  OccupancyScratch occupancy;
-  std::vector<CounterRun> runs;
+  OccupancyScratch occupancy;  ///< its storage lives in the block too
+
+  // Capacities of the current block.
+  std::size_t slot_capacity = 0;
+  std::size_t reuse_capacity = 0;
+  std::size_t region_capacity = 0;
+  std::size_t sharer_capacity = 0;
+  std::unique_ptr<std::byte[]> block;
 };
 
 class Machine {
@@ -270,8 +313,9 @@ class Machine {
   /// demand. The decomposition is cached across quanta — fill masks change
   /// at most once per control period, not once per 10 ms quantum — and
   /// invalidated by set_fill_mask / attach / detach. Exposed so tests can
-  /// assert the cache tracks every actuator path.
-  const std::vector<CacheRegion>& current_regions();
+  /// assert the cache tracks every actuator path. Valid until the next
+  /// actuation.
+  std::span<const CacheRegion> current_regions();
 
   /// Convergence/replay counters since construction (never reset).
   const SolverStats& solver_stats() const noexcept { return stats_; }
@@ -288,7 +332,30 @@ class Machine {
     bool armed = false;
   };
 
+  /// One core's state. All cores' live in one array, sized once at
+  /// construction.
+  struct CoreState {
+    std::optional<AppRuntime> app;
+    WayMask mask;
+    /// The most reuse components a phase of its app has: the width of its
+    /// slot's window in the solver block.
+    std::uint32_t reuse = 0;
+    double mem_throttle = 1.0;
+    CoreTelemetry telemetry;
+    double ips_seed = 0.0;  ///< warm start for the fixed point
+  };
+
   void check_core(unsigned core) const;
+  /// Make room in scratch_ for `slots` slots, `reuse` reuse components
+  /// and a decomposition of `regions` regions with `sharers` sharer
+  /// entries: a no-op when the block already has it, else one allocation
+  /// of a block with at least that (and no less than before), keeping
+  /// every slot's contents but its phase constants.
+  void reserve_scratch(std::size_t slots, std::size_t reuse,
+                       std::size_t regions, std::size_t sharers);
+  /// The slots are about to index other cores: drop their runs and phase
+  /// constants.
+  void drop_slots() noexcept;
   void refresh_regions();
   void invalidate_regions() noexcept;
   void invalidate_solve() noexcept;
@@ -342,16 +409,11 @@ class Machine {
   MachineConfig config_;
   trace::Tracer* tracer_;  ///< config_.tracer, resolved once
   std::uint64_t quantum_ = 0;
-  std::vector<std::optional<AppRuntime>> apps_;
-  std::vector<WayMask> masks_;
-  std::vector<double> mem_throttle_;
-  std::vector<CoreTelemetry> telemetry_;
-  std::vector<double> ips_seed_;  ///< warm start for the fixed point
+  std::unique_ptr<CoreState[]> cores_;
   MemoryLink link_;
   double last_rho_ = 0.0;
   double last_traffic_ = 0.0;
-  std::vector<CacheRegion> regions_;     ///< cached decomposition
-  bool regions_valid_ = false;
+  bool regions_valid_ = false;  ///< scratch_.regions is current
   StepScratch scratch_;
   SolveCache solve_cache_;
   SolverStats stats_;

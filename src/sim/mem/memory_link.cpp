@@ -44,7 +44,11 @@ double MemoryLink::latency_slope_at(double raw_utilisation) const noexcept {
 }
 
 void MemoryLink::arbitrate_into(std::span<const double> demand_bytes_per_sec,
+                                std::span<double> achieved,
                                 LinkArbitration& out) const {
+  if (achieved.size() != demand_bytes_per_sec.size()) {
+    throw std::invalid_argument("MemoryLink: one achieved rate per demand");
+  }
   double total = 0.0;
   for (double d : demand_bytes_per_sec) {
     if (d < 0.0) throw std::invalid_argument("MemoryLink: negative demand");
@@ -54,13 +58,10 @@ void MemoryLink::arbitrate_into(std::span<const double> demand_bytes_per_sec,
   out.utilisation = std::min(out.raw_utilisation, 1.0);
   out.throttle = out.raw_utilisation > 1.0 ? 1.0 / out.raw_utilisation : 1.0;
   out.effective_latency_cycles = latency_at(out.raw_utilisation);
-  out.achieved_bytes_per_sec.clear();
-  out.achieved_bytes_per_sec.reserve(demand_bytes_per_sec.size());
   out.total_achieved_bytes_per_sec = 0.0;
-  for (double d : demand_bytes_per_sec) {
-    const double achieved = d * out.throttle;
-    out.achieved_bytes_per_sec.push_back(achieved);
-    out.total_achieved_bytes_per_sec += achieved;
+  for (std::size_t i = 0; i < demand_bytes_per_sec.size(); ++i) {
+    achieved[i] = demand_bytes_per_sec[i] * out.throttle;
+    out.total_achieved_bytes_per_sec += achieved[i];
   }
 }
 

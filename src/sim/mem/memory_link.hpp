@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace dicer::sim {
 
@@ -46,9 +45,8 @@ struct LinkArbitration {
   double raw_utilisation = 0.0;          ///< demand/capacity, may exceed 1
   double effective_latency_cycles = 0.0; ///< shared by all requesters
   double throttle = 1.0;                 ///< achieved/demanded, in (0, 1]
-  std::vector<double> achieved_bytes_per_sec;  ///< per requester
-  /// Sum of achieved_bytes_per_sec, accumulated in requester order while
-  /// arbitrating (bit-identical to the caller summing the vector itself).
+  /// Sum of the per-requester achieved rates, accumulated in requester
+  /// order while arbitrating (bit-identical to the caller summing them).
   double total_achieved_bytes_per_sec = 0.0;
 };
 
@@ -59,11 +57,12 @@ class MemoryLink {
   const MemoryLinkConfig& config() const noexcept { return config_; }
 
   /// Arbitrate the given per-requester demands (bytes/s, >= 0; a negative
-  /// one throws std::invalid_argument) into a caller-provided result,
-  /// reusing its buffers (the achieved-bandwidth vector is cleared and
-  /// refilled, keeping its capacity): the machine's allocation-free
-  /// per-quantum path.
+  /// one throws std::invalid_argument) into `out`, and each requester's
+  /// achieved rate into `achieved` (one entry per demand, else
+  /// std::invalid_argument): the machine's allocation-free per-quantum
+  /// path.
   void arbitrate_into(std::span<const double> demand_bytes_per_sec,
+                      std::span<double> achieved,
                       LinkArbitration& out) const;
 
   /// Congestion latency for a *raw* utilisation (may exceed 1); exposed for

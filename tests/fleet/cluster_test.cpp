@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -245,7 +246,7 @@ TEST(Cluster, PhaseTimersRecorded) {
   EXPECT_EQ(count_of("fleet.arrivals"), arrivals + 1);
 }
 
-std::vector<std::uint64_t> tenant_ids(const std::vector<Tenant>& tenants) {
+std::vector<std::uint64_t> tenant_ids(std::span<const Tenant> tenants) {
   std::vector<std::uint64_t> ids;
   for (const Tenant& t : tenants) ids.push_back(t.sig ? t.id : 0);
   return ids;

@@ -115,13 +115,14 @@ void expect_regions_fresh(Machine& m) {
   for (unsigned c = 0; c < m.num_cores(); ++c) {
     if (m.occupied(c)) masks.push_back(m.fill_mask(c));
   }
-  std::vector<CacheRegion> fresh;
-  decompose_regions(masks, m.num_ways(), m.config().way_bytes(), fresh);
-  const auto& cached = m.current_regions();
+  std::vector<CacheRegion> fresh(m.num_ways());
+  fresh.resize(
+      decompose_regions(masks, m.num_ways(), m.config().way_bytes(), fresh));
+  const auto cached = m.current_regions();
   ASSERT_EQ(cached.size(), fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     EXPECT_EQ(cached[i].capacity_bytes, fresh[i].capacity_bytes) << i;
-    EXPECT_EQ(cached[i].sharers, fresh[i].sharers) << i;
+    EXPECT_EQ(cached[i].sharers.bits, fresh[i].sharers.bits) << i;
   }
 }
 

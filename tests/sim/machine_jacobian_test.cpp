@@ -30,7 +30,7 @@ const AppProfile& app(const char* name) {
 /// dF/dx at the machine's solved point by central differences, column k
 /// from x +- h e_k with h = 1e-6 x_k.
 std::vector<double> central_differences(Machine& m) {
-  auto& x = MachineTestPeer::scratch(m).ips;
+  const auto x = MachineTestPeer::ips(m);
   const std::size_t n = x.size();
   std::vector<double> fd(n * n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -57,7 +57,7 @@ std::vector<double> expect_jacobian_matches(Machine& m) {
   EXPECT_EQ(m.solver_stats().solves, 1u);
   const auto jac = MachineTestPeer::jacobian(m);
   const auto fd = central_differences(m);
-  const std::size_t n = MachineTestPeer::scratch(m).ips.size();
+  const std::size_t n = MachineTestPeer::ips(m).size();
   for (std::size_t i = 0; i < n; ++i) {
     double scale = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
@@ -197,7 +197,7 @@ std::vector<double> dense_step(std::vector<double> jac, std::vector<double> g) {
 /// the widest U V^T the steps used.
 std::size_t expect_steps_match_dense(Machine& m) {
   m.step();
-  auto& x = MachineTestPeer::scratch(m).ips;
+  const auto x = MachineTestPeer::ips(m);
   const std::size_t n = x.size();
   for (std::size_t i = 0; i < n; ++i) {
     x[i] *= 1.0 + 0.3 * std::sin(static_cast<double>(i) + 1.0);
@@ -294,9 +294,10 @@ TEST(MachineJacobian, StructuredStepMatchesDenseSolve) {
 std::vector<double> anderson_solve(Machine& m, double tolerance,
                                    unsigned max_rounds) {
   constexpr std::size_t kDepth = 3;
-  auto& x = MachineTestPeer::scratch(m).ips;
+  const auto x = MachineTestPeer::ips(m);
   const std::size_t n = x.size();
-  const std::vector<double> w = x;  // residual scale, as the solver used
+  // The residual scale, as the solver used it.
+  const std::vector<double> w(x.begin(), x.end());
   std::vector<double> g(n), prev_x(n), prev_g(n);
   std::vector<std::vector<double>> dx, dg;  // newest first
   double beta = 0.5, prev_res = 0.0;
@@ -307,7 +308,7 @@ std::vector<double> anderson_solve(Machine& m, double tolerance,
       g[i] = target[i] - x[i];
       res = std::max(res, std::fabs(g[i]) / x[i]);
     }
-    if (res < tolerance) return x;
+    if (res < tolerance) return {x.begin(), x.end()};
     if (round > 0 && res > prev_res) {
       dx.clear();
       dg.clear();
@@ -326,7 +327,7 @@ std::vector<double> anderson_solve(Machine& m, double tolerance,
       }
     }
     prev_res = res;
-    prev_x = x;
+    prev_x.assign(x.begin(), x.end());
     prev_g = g;
     // gamma = argmin ||(g - dg gamma) / w|| by modified Gram-Schmidt,
     // cut at the first (nearly) dependent column.
@@ -417,9 +418,9 @@ TEST(MachineJacobian, NewtonLandsWhereAndersonMixingDoes) {
       m.step();
       if (m.solver_stats().solves == solves) continue;  // replayed
       auto& s = MachineTestPeer::scratch(m);
-      const std::size_t n = s.active.size();
-      const std::vector<double> x = s.ips;
-      const std::vector<double> occ = s.occ;
+      const std::size_t n = s.n;
+      const std::vector<double> x(s.ips, s.ips + n);
+      const std::vector<double> occ(s.occ, s.occ + n);
       const double rho = s.arb.raw_utilisation;
       for (std::size_t i = 0; i < n; ++i) {  // the solve's warm start
         const double w = seed[s.active[i]];
@@ -434,7 +435,7 @@ TEST(MachineJacobian, NewtonLandsWhereAndersonMixingDoes) {
         EXPECT_LE(rel(occ[i], s.occ[i]), 1e-8) << "occupancy, slot " << i;
       }
       EXPECT_LE(rel(rho, s.arb.raw_utilisation), 1e-8) << "rho";
-      s.ips = x;  // restore the machine's own solution
+      std::copy(x.begin(), x.end(), s.ips);  // the machine's own solution
       MachineTestPeer::evaluate_map(m);
       ++compared;
       if (::testing::Test::HasFailure()) return;

@@ -308,15 +308,20 @@ TEST(Machine, SolverStatsAccountForEveryQuantum) {
 TEST(Machine, SolverStatsMergeAccumulates) {
   SolverStats a, b;
   a.quanta = 10;
-  a.rounds_hist = {4, 3};
+  a.rounds_hist[0] = 4;
+  a.rounds_hist[1] = 3;
   b.quanta = 5;
-  b.rounds_hist = {1, 1, 1};
+  b.rounds_hist[0] = 1;
+  b.rounds_hist[1] = 1;
+  b.rounds_hist[2] = 1;
   a.merge(b);
   EXPECT_EQ(a.quanta, 15u);
-  ASSERT_EQ(a.rounds_hist.size(), 3u);
   EXPECT_EQ(a.rounds_hist[0], 5u);
   EXPECT_EQ(a.rounds_hist[1], 4u);
   EXPECT_EQ(a.rounds_hist[2], 1u);
+  for (std::size_t r = 3; r < SolverStats::kRoundsBuckets; ++r) {
+    EXPECT_EQ(a.rounds_hist[r], 0u) << "bucket " << r;
+  }
   EXPECT_EQ(a.total_rounds(), 5u * 1 + 4u * 2 + 1u * 3);
 }
 
@@ -337,8 +342,6 @@ TEST(Machine, SolverStatsCountRoundsPastTheLastBucket) {
   EXPECT_EQ(s.total_rounds(), s.solves * m.config().fixed_point_rounds);
 
   SolverStats a, b;
-  a.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);
-  b.rounds_hist.assign(SolverStats::kRoundsBuckets, 0);
   a.rounds_hist.back() = 2;  // e.g. solves of 8 and 11 rounds
   a.rounds_past_hist = 3;
   b.rounds_hist.back() = 1;  // and one of 20

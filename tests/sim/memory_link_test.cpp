@@ -7,10 +7,16 @@
 namespace dicer::sim {
 namespace {
 
-LinkArbitration arbitrate(const MemoryLink& link,
-                          const std::vector<double>& demand) {
-  LinkArbitration arb;
-  link.arbitrate_into(demand, arb);
+/// An arbitration together with the per-requester rates it wrote.
+struct Arbitrated : LinkArbitration {
+  std::vector<double> achieved_bytes_per_sec;
+};
+
+Arbitrated arbitrate(const MemoryLink& link,
+                     const std::vector<double>& demand) {
+  Arbitrated arb;
+  arb.achieved_bytes_per_sec.resize(demand.size());
+  link.arbitrate_into(demand, arb.achieved_bytes_per_sec, arb);
   return arb;
 }
 
@@ -127,6 +133,15 @@ TEST(MemoryLink, TotalAchievedMatchesOrderedSum) {
 TEST(MemoryLink, NegativeDemandThrows) {
   MemoryLink link;
   EXPECT_THROW(arbitrate(link, {-1.0}), std::invalid_argument);
+}
+
+TEST(MemoryLink, OneAchievedRatePerDemand) {
+  MemoryLink link;
+  const std::vector<double> demand = {1e9, 2e9};
+  std::vector<double> achieved(1);
+  LinkArbitration arb;
+  EXPECT_THROW(link.arbitrate_into(demand, achieved, arb),
+               std::invalid_argument);
 }
 
 TEST(MemoryLink, UtilisationClampedAtOne) {

@@ -18,26 +18,57 @@ double total(const std::vector<double>& v) {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
-/// The regions of `masks`, decomposed into an empty vector.
+/// The regions of `masks`, decomposed into room for one per way.
 std::vector<CacheRegion> regions_of(const std::vector<WayMask>& masks,
                                     unsigned total_ways, double way_bytes) {
-  std::vector<CacheRegion> regions;
-  decompose_regions(masks, total_ways, way_bytes, regions);
+  std::vector<CacheRegion> regions(total_ways);
+  regions.resize(decompose_regions(masks, total_ways, way_bytes, regions));
   return regions;
 }
 
+/// An app's demand with its reuse components held by value (CacheDemand
+/// views the caller's storage).
+struct AppDemand {
+  std::vector<ReuseComponent> reuse;
+  double stream_bytes_per_sec = 0.0;
+};
+
+/// An OccupancyScratch over storage of its own, room for any test layout.
+struct OwnedScratch : OccupancyScratch {
+  OwnedScratch()
+      : avail_(64), regions_(kMaxWays), sharers_(64 * kMaxWays),
+        knots_(1024) {
+    avail = avail_;
+    regions = regions_;
+    sharers = sharers_;
+    knots = knots_;
+  }
+  OwnedScratch(const OwnedScratch&) = delete;
+  OwnedScratch& operator=(const OwnedScratch&) = delete;
+
+ private:
+  std::vector<double> avail_;
+  std::vector<RegionState> regions_;
+  std::vector<Sharer> sharers_;
+  std::vector<Knot> knots_;
+};
+
 std::vector<double> solve_with_scratch(const std::vector<CacheRegion>& regions,
-                                       const std::vector<CacheDemand>& demand,
+                                       const std::vector<AppDemand>& demand,
                                        OccupancyScratch& scratch) {
-  std::vector<double> occ;
-  solve_occupancy(regions, demand, OccupancySolverConfig{}, scratch, occ);
+  std::vector<CacheDemand> views;
+  for (const auto& d : demand) {
+    views.push_back({d.reuse, d.stream_bytes_per_sec});
+  }
+  std::vector<double> occ(demand.size());
+  solve_occupancy(regions, views, OccupancySolverConfig{}, scratch, occ);
   return occ;
 }
 
 /// One solve through a fresh scratch.
 std::vector<double> solve(const std::vector<CacheRegion>& regions,
-                          const std::vector<CacheDemand>& demand) {
-  OccupancyScratch scratch;
+                          const std::vector<AppDemand>& demand) {
+  OwnedScratch scratch;
   return solve_with_scratch(regions, demand, scratch);
 }
 
@@ -46,7 +77,8 @@ TEST(DecomposeRegions, SingleSharedRegion) {
   const auto regions = regions_of(masks, 20, MB);
   ASSERT_EQ(regions.size(), 1u);
   EXPECT_DOUBLE_EQ(regions[0].capacity_bytes, 20 * MB);
-  EXPECT_EQ(regions[0].sharers, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(regions[0].sharers.bits, 0b111u);
+  EXPECT_EQ(regions[0].sharers.size(), 3u);
 }
 
 TEST(DecomposeRegions, DisjointPartitions) {
@@ -58,10 +90,8 @@ TEST(DecomposeRegions, DisjointPartitions) {
   // HP region {0} has mask 0b001.
   double hp_cap = 0.0, be_cap = 0.0;
   for (const auto& r : regions) {
-    if (r.sharers == std::vector<std::size_t>{0}) hp_cap = r.capacity_bytes;
-    if (r.sharers == (std::vector<std::size_t>{1, 2})) {
-      be_cap = r.capacity_bytes;
-    }
+    if (r.sharers == SharerSet{0b001}) hp_cap = r.capacity_bytes;
+    if (r.sharers == SharerSet{0b110}) be_cap = r.capacity_bytes;
   }
   EXPECT_DOUBLE_EQ(hp_cap, 19 * MB);
   EXPECT_DOUBLE_EQ(be_cap, 1 * MB);
@@ -89,9 +119,9 @@ TEST(DecomposeRegions, TooManyAppsThrows) {
   EXPECT_THROW(regions_of(masks, 20, MB), std::invalid_argument);
 }
 
-// The in-place rebuild overwrites whatever the vector held — more
+// The in-place rebuild overwrites whatever the storage held — more
 // regions, fewer, stale sharers — and leaves exactly what decomposing
-// into an empty vector leaves.
+// into fresh storage leaves.
 TEST(DecomposeRegions, InPlaceRebuildMatchesFreshDecomposition) {
   const std::vector<std::vector<WayMask>> layouts = {
       {WayMask::span(0, 10), WayMask::span(5, 10)},             // 3 regions
@@ -100,26 +130,32 @@ TEST(DecomposeRegions, InPlaceRebuildMatchesFreshDecomposition) {
       {},                                                       // none
       {WayMask::low(4), WayMask::span(2, 6), WayMask::high(3, 20)},
   };
-  std::vector<CacheRegion> regions;
+  std::vector<CacheRegion> regions(20);
   for (const auto& masks : layouts) {
-    decompose_regions(masks, 20, MB, regions);
+    const std::size_t count = decompose_regions(masks, 20, MB, regions);
     const auto fresh = regions_of(masks, 20, MB);
-    ASSERT_EQ(regions.size(), fresh.size());
+    ASSERT_EQ(count, fresh.size());
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       EXPECT_EQ(regions[i].capacity_bytes, fresh[i].capacity_bytes) << i;
-      EXPECT_EQ(regions[i].sharers, fresh[i].sharers) << i;
+      EXPECT_EQ(regions[i].sharers.bits, fresh[i].sharers.bits) << i;
     }
   }
 }
 
-CacheDemand reuse_app(double rate, double footprint) {
-  CacheDemand d;
+TEST(DecomposeRegions, ShortStorageThrows) {
+  std::vector<WayMask> masks = {WayMask::span(0, 10), WayMask::span(5, 10)};
+  std::vector<CacheRegion> regions(2);
+  EXPECT_THROW(decompose_regions(masks, 20, MB, regions), std::length_error);
+}
+
+AppDemand reuse_app(double rate, double footprint) {
+  AppDemand d;
   d.reuse = {{rate, footprint}};
   return d;
 }
 
-CacheDemand stream_app(double rate) {
-  CacheDemand d;
+AppDemand stream_app(double rate) {
+  AppDemand d;
   d.stream_bytes_per_sec = rate;
   return d;
 }
@@ -141,7 +177,7 @@ TEST(SolveOccupancy, LoneSmallFootprintDoesNotFill) {
 TEST(SolveOccupancy, CapacityConserved) {
   std::vector<WayMask> masks(4, WayMask::full(20));
   const auto regions = regions_of(masks, 20, MB);
-  std::vector<CacheDemand> demand = {
+  std::vector<AppDemand> demand = {
       stream_app(2 * GBs), reuse_app(1 * GBs, 40 * MB),
       reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
   const auto occ = solve(regions, demand);
@@ -154,7 +190,7 @@ TEST(SolveOccupancy, HotSmallSetStaysResidentNextToStorm) {
   // victim keeps its working set even next to nine streaming aggressors.
   std::vector<WayMask> masks(10, WayMask::full(20));
   const auto regions = regions_of(masks, 20, MB);
-  std::vector<CacheDemand> demand;
+  std::vector<AppDemand> demand;
   demand.push_back(reuse_app(0.5 * GBs, 1 * MB));  // hot victim
   for (int i = 0; i < 9; ++i) demand.push_back(stream_app(3 * GBs));
   const auto occ = solve(regions, demand);
@@ -182,14 +218,14 @@ TEST(SolveOccupancy, IsolatedPartitionUnaffectedByNeighbourStorm) {
 TEST(SolveOccupancy, ZeroDemandGetsZero) {
   std::vector<WayMask> masks(2, WayMask::full(20));
   const auto regions = regions_of(masks, 20, MB);
-  const auto occ = solve(regions, {reuse_app(1 * GBs, 50 * MB), CacheDemand{}});
+  const auto occ = solve(regions, {reuse_app(1 * GBs, 50 * MB), AppDemand{}});
   EXPECT_DOUBLE_EQ(occ[1], 0.0);
 }
 
 TEST(SolveOccupancy, MultiComponentHotFillsBeforeTail) {
   std::vector<WayMask> masks(2, WayMask::full(4));
   const auto regions = regions_of(masks, 4, MB);  // 4 MB total
-  CacheDemand app;
+  AppDemand app;
   app.reuse = {{1 * GBs, 1 * MB},      // hot: covered fast
                {0.05 * GBs, 20 * MB}}; // lukewarm tail
   const auto occ = solve(regions, {app, stream_app(2 * GBs)});
@@ -208,10 +244,10 @@ void expect_bitwise_equal(const std::vector<double>& a,
 TEST(OccupancyScratchSolver, RepeatedSolveReproducesColdSolve) {
   std::vector<WayMask> masks(4, WayMask::full(20));
   const auto regions = regions_of(masks, 20, MB);
-  const std::vector<CacheDemand> demand = {
+  const std::vector<AppDemand> demand = {
       stream_app(2 * GBs), reuse_app(1 * GBs, 40 * MB),
       reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
-  OccupancyScratch scratch;
+  OwnedScratch scratch;
   const auto cold = solve_with_scratch(regions, demand, scratch);
   // A second call with identical inputs through the same scratch.
   expect_bitwise_equal(solve_with_scratch(regions, demand, scratch), cold);
@@ -225,8 +261,8 @@ TEST(OccupancyScratchSolver, RepeatedSolveReproducesColdSolve) {
 }
 
 TEST(OccupancyScratchSolver, InvalidateTracksLayoutChange) {
-  OccupancyScratch scratch;
-  const std::vector<CacheDemand> demand = {reuse_app(1 * GBs, 30 * MB),
+  OwnedScratch scratch;
+  const std::vector<AppDemand> demand = {reuse_app(1 * GBs, 30 * MB),
                                            stream_app(5 * GBs)};
   // Same region count, same app count, different capacities: the scratch
   // cannot auto-detect this — invalidate() is the caller's contract.
@@ -244,14 +280,14 @@ TEST(OccupancyScratchSolver, InvalidateTracksLayoutChange) {
 TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
   // Region-count and app-count changes are auto-detected even if the
   // caller forgets invalidate().
-  OccupancyScratch scratch;
+  OwnedScratch scratch;
   std::vector<WayMask> one = {WayMask::full(20)};
   std::vector<WayMask> three = {WayMask::high(19, 20), WayMask::low(1),
                                 WayMask::low(1)};
   const auto regions_one = regions_of(one, 20, MB);
   const auto regions_three = regions_of(three, 20, MB);
-  const std::vector<CacheDemand> d1 = {stream_app(1 * GBs)};
-  const std::vector<CacheDemand> d3 = {reuse_app(1 * GBs, 5 * MB),
+  const std::vector<AppDemand> d1 = {stream_app(1 * GBs)};
+  const std::vector<AppDemand> d3 = {reuse_app(1 * GBs, 5 * MB),
                                        stream_app(2 * GBs),
                                        stream_app(3 * GBs)};
   expect_bitwise_equal(solve_with_scratch(regions_one, d1, scratch),
@@ -268,7 +304,7 @@ TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
 /// never-fills convention as the solver.
 std::vector<long double> oracle_occupancy(
     const std::vector<CacheRegion>& regions,
-    const std::vector<CacheDemand>& demand) {
+    const std::vector<AppDemand>& demand) {
   const long double t_max =
       OccupancySolverConfig{}.max_characteristic_time_sec;
   std::vector<long double> avail(demand.size(), 0.0L);
@@ -312,7 +348,7 @@ std::vector<long double> oracle_occupancy(
 /// oracle's. A grid search over [0, t_max] misses this by orders of
 /// magnitude on a one-way region, where t_c is ~1e-4 s.
 void expect_matches_oracle(const std::vector<CacheRegion>& regions,
-                           const std::vector<CacheDemand>& demand) {
+                           const std::vector<AppDemand>& demand) {
   const auto occ = solve(regions, demand);
   const auto want = oracle_occupancy(regions, demand);
   for (std::size_t a = 0; a < demand.size(); ++a) {
@@ -323,8 +359,8 @@ void expect_matches_oracle(const std::vector<CacheRegion>& regions,
 
 /// An app shaped like MissRatioCurve::streaming's: nearly all traffic is
 /// compulsory, plus a token 512 KB reuse component.
-CacheDemand streamer(double rate) {
-  CacheDemand d;
+AppDemand streamer(double rate) {
+  AppDemand d;
   d.stream_bytes_per_sec = 0.95 * rate;
   d.reuse = {{0.05 * rate, 0.5 * MB}};
   return d;
@@ -334,7 +370,7 @@ TEST(OccupancyOracle, OneWayStreamerRegion) {
   // The CT layout: an HP alone on 19 ways, nine streaming BEs sharing
   // one. The BE region fills in ~1e-4 s.
   std::vector<WayMask> masks = {WayMask::high(19, 20)};
-  std::vector<CacheDemand> demand = {reuse_app(2 * GBs, 30 * MB)};
+  std::vector<AppDemand> demand = {reuse_app(2 * GBs, 30 * MB)};
   for (int i = 0; i < 9; ++i) {
     masks.push_back(WayMask::low(1));
     demand.push_back(streamer((0.9 + 0.01 * i) * GBs));
@@ -346,9 +382,9 @@ TEST(OccupancyOracle, ComponentsSaturatingOnBothSidesOfTheCrossing) {
   // Hot sets saturate before t_c, lukewarm tails after it; a never-touched
   // component and an empty footprint hold nothing at any t.
   std::vector<WayMask> masks(4, WayMask::full(20));
-  CacheDemand multi;
+  AppDemand multi;
   multi.reuse = {{1 * GBs, 1 * MB}, {0.05 * GBs, 20 * MB}, {0.0, 4 * MB}};
-  CacheDemand empty_fp;
+  AppDemand empty_fp;
   empty_fp.reuse = {{1 * GBs, 0.0}};
   empty_fp.stream_bytes_per_sec = 0.1 * GBs;
   expect_matches_oracle(regions_of(masks, 20, 1.25 * MB),
@@ -367,12 +403,12 @@ TEST(OccupancyOracle, RandomLayoutsAndDemands) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t apps = 1 + rng.below(10);
     std::vector<WayMask> masks;
-    std::vector<CacheDemand> demand;
+    std::vector<AppDemand> demand;
     for (std::size_t a = 0; a < apps; ++a) {
       const unsigned width = 1 + static_cast<unsigned>(rng.below(20));
       const unsigned shift = static_cast<unsigned>(rng.below(21 - width));
       masks.push_back(WayMask::span(shift, width));
-      CacheDemand d;
+      AppDemand d;
       if (rng.below(2) == 0) d.stream_bytes_per_sec = rng.uniform(0.0, 3.0) * GBs;
       const std::uint64_t comps = rng.below(4);
       for (std::uint64_t c = 0; c < comps; ++c) {
@@ -389,7 +425,7 @@ TEST(OccupancyOracle, RandomLayoutsAndDemands) {
 // --- sensitivity to each app's rates -------------------------------------
 
 /// Every rate of `d` scaled by `s`.
-CacheDemand scaled(CacheDemand d, double s) {
+AppDemand scaled(AppDemand d, double s) {
   d.stream_bytes_per_sec *= s;
   for (auto& c : d.reuse) c.rate_bytes_per_sec *= s;
   return d;
@@ -403,7 +439,8 @@ std::vector<double> sensitivity(const std::vector<CacheRegion>& regions,
                                 std::size_t apps) {
   std::vector<double> sens(apps * apps);
   for (std::size_t ri = 0; ri < regions.size(); ++ri) {
-    const auto& sharers = regions[ri].sharers;
+    std::vector<std::size_t> sharers;
+    for (const std::size_t a : regions[ri].sharers) sharers.push_back(a);
     const auto& rs = scratch.regions[ri];
     for (std::size_t k = 0; k < sharers.size(); ++k) {
       const std::size_t i = sharers[k];
@@ -427,12 +464,12 @@ TEST(OccupancySensitivity, MatchesCentralDifferences) {
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t apps = 1 + rng.below(10);
     std::vector<WayMask> masks;
-    std::vector<CacheDemand> demand;
+    std::vector<AppDemand> demand;
     for (std::size_t a = 0; a < apps; ++a) {
       const unsigned width = 1 + static_cast<unsigned>(rng.below(20));
       const unsigned shift = static_cast<unsigned>(rng.below(21 - width));
       masks.push_back(WayMask::span(shift, width));
-      CacheDemand d;
+      AppDemand d;
       d.stream_bytes_per_sec = rng.uniform(0.0, 0.3) * GBs;
       for (int c = 0; c < 3; ++c) {
         d.reuse.push_back({rng.uniform(0.01, 2.0) * GBs,
@@ -441,9 +478,8 @@ TEST(OccupancySensitivity, MatchesCentralDifferences) {
       demand.push_back(std::move(d));
     }
     const auto regions = regions_of(masks, 20, 1.25 * MB);
-    OccupancyScratch scratch;
-    std::vector<double> occ;
-    solve_occupancy(regions, demand, OccupancySolverConfig{}, scratch, occ);
+    OwnedScratch scratch;
+    solve_with_scratch(regions, demand, scratch);
     const auto sens = sensitivity(regions, scratch, apps);
     SCOPED_TRACE(trial);
     const double h = 1e-7;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -34,13 +35,21 @@ struct MachineTestPeer {
   /// at, with the occupancy and link state the last evaluation there
   /// left. Valid after a step() that solved, until the next actuation.
   static StepScratch& scratch(Machine& m) { return m.scratch_; }
+  /// scratch(m)'s IPS, one per active slot; writes go to the machine.
+  static std::span<double> ips(Machine& m) {
+    return {m.scratch_.ips, m.scratch_.n};
+  }
   /// Per core, the IPS the next solve warm-starts from (0: none yet).
-  static const std::vector<double>& ips_seed(const Machine& m) {
-    return m.ips_seed_;
+  static std::vector<double> ips_seed(const Machine& m) {
+    std::vector<double> seed;
+    for (unsigned c = 0; c < m.num_cores(); ++c) {
+      seed.push_back(m.cores_[c].ips_seed);
+    }
+    return seed;
   }
   /// F at scratch(m).ips.
   static std::vector<double> evaluate_map(Machine& m) {
-    std::vector<double> target(m.scratch_.active.size());
+    std::vector<double> target(m.scratch_.n);
     m.evaluate(target.data());
     return target;
   }
@@ -72,7 +81,7 @@ struct MachineTestPeer {
   static std::vector<double> newton_step(Machine& m,
                                          std::vector<double>& target) {
     target = evaluate_map(m);
-    const auto& x = m.scratch_.ips;
+    const auto x = ips(m);
     std::vector<double> g(x.size()), d(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) g[i] = target[i] - x[i];
     if (!m.newton_step(target.data(), g.data(), d.data())) return {};
